@@ -3,9 +3,9 @@ their braided centers, with exhaustive desk-scale verification."""
 
 from .braided import (BraidedMatchedPair, center_braiding, center_pair, turaev_braiding,
                       verify_braiding)
-from .center import (CenterSimple, CenterStructure, build_center, center_g_action,
-                     center_gamma_action, center_tensor, enumerate_center, equivariant_center,
-                     graded_center, relative_center_oracle, verify_center_braided)
+from .center import (CenterSimple, CenterStructure, build_center, enumerate_center,
+                     equivariant_center, graded_center, relative_center_oracle,
+                     verify_center_braided)
 from .groups import (FiniteGroup, GroupActionOnSet, GroupAutAction, GroupHom, cyclic, dihedral,
                      direct_product, enumerate_characters, find_isomorphism, group_hom,
                      identity_hom, kernel, subgroup_from_generators, symmetric, trivial_group,

@@ -35,14 +35,14 @@ class BraidedMatchedPair:
     psi: GroupHom  # Gamma -> G
 
 
-def verify_braiding(bmp: BraidedMatchedPair, jobs: int = 1) -> VerificationReport:
+def verify_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
     """Hom checks plus the five braiding axioms, exhaustive with witnesses."""
     mp = bmp.mp
     G, M = mp.G, mp.Gamma
     phi, psi = bmp.phi.image, bmp.psi.image
     rep = VerificationReport(subject="braided-matched-pair")
 
-    pre = verify_matched_pair(mp, jobs=jobs)
+    pre = verify_matched_pair(mp)
     rep.add("underlying_matched_pair", pre.passed,
             None if pre.passed else tuple(pre.first_failure().witness or ()))
 
@@ -93,7 +93,7 @@ def verify_braiding(bmp: BraidedMatchedPair, jobs: int = 1) -> VerificationRepor
         ("braiding_axiom_3", braid3),
         ("braiding_axiom_4", braid4),
         ("braiding_axiom_5", braid5),
-    ], jobs=jobs)
+    ])
 
 
 def turaev_braiding(G: FiniteGroup) -> BraidedMatchedPair:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import jsonio
 from .braided import center_braiding, turaev_braiding, verify_braiding
-from .center import CenterStructure, enumerate_center, verify_center_braided
+from .center import enumerate_center, verify_center_braided
 from .errors import (CrossedCatError, GroupValidationError, MalformedTable, NonSingularityViolated,
                      NotExact, NotMatched, ParseError, ValidationError)
 from .groups import subgroup_from_generators, validate_group
@@ -49,9 +49,10 @@ def cmd_verify(args) -> int:
     kind = args.kind
     if kind == "group":
         raw = json.loads(path.read_text())
+        fields = jsonio.group_fields(raw)
         rep = VerificationReport(subject=f"group {raw.get('name', path.name)}")
         try:
-            validate_group(raw["table"], raw.get("identity"), raw.get("name", "G"))
+            validate_group(*fields)
             rep.add("group_laws", True)
         except MalformedTable as exc:
             raise ValidationError(rep, str(exc)) from exc
@@ -59,18 +60,18 @@ def cmd_verify(args) -> int:
             rep.add("group_laws", False, getattr(exc, "witness", None) or (str(exc),))
     elif kind == "matched-pair":
         mp = jsonio.load_matched(path)
-        rep = verify_matched_pair(mp, jobs=args.jobs)
+        rep = verify_matched_pair(mp)
     elif kind == "braided-pair":
         bmp = jsonio.load_braided(path)
-        rep = verify_braiding(bmp, jobs=args.jobs)
+        rep = verify_braiding(bmp)
     elif kind == "category":
         cat = jsonio.load_category(path, validate=False)
-        rep = verify_crossed_category(cat, jobs=args.jobs)
+        rep = verify_crossed_category(cat)
     elif kind == "center":
         cat = jsonio.load_category(path, validate=False)
-        rep = verify_crossed_category(cat, jobs=args.jobs)
+        rep = verify_crossed_category(cat)
         if rep.passed:
-            rep = verify_center_braided(cat, jobs=args.jobs)
+            rep = verify_center_braided(cat)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(kind)
     rep.input_digest = _digest(path)
@@ -96,7 +97,7 @@ def cmd_factorize(args) -> int:
                                   subgroup_from_generators(H, gens_gamma))
     out = Path(args.out)
     jsonio.save_matched(mp, out)
-    rep = verify_matched_pair(jsonio.load_matched(out), jobs=args.jobs)
+    rep = verify_matched_pair(jsonio.load_matched(out))
     rep.input_digest = _digest(Path(args.file))
     return _emit(rep, args.pretty)
 
@@ -106,7 +107,7 @@ def cmd_turaev(args) -> int:
     bmp = turaev_braiding(G)
     out = Path(args.out)
     jsonio.save_braided(bmp, out)
-    rep = verify_braiding(jsonio.load_braided(out), jobs=args.jobs)
+    rep = verify_braiding(jsonio.load_braided(out))
     rep.input_digest = _digest(Path(args.file))
     return _emit(rep, args.pretty)
 
@@ -116,7 +117,7 @@ def cmd_center_pair(args) -> int:
     bmp = center_braiding(mp)
     out = Path(args.out)
     jsonio.save_braided(bmp, out)
-    rep = verify_braiding(jsonio.load_braided(out), jobs=args.jobs)
+    rep = verify_braiding(jsonio.load_braided(out))
     rep.input_digest = _digest(Path(args.file))
     return _emit(rep, args.pretty)
 
@@ -124,13 +125,11 @@ def cmd_center_pair(args) -> int:
 def cmd_center(args) -> int:
     cat = jsonio.load_category(args.file)   # raises ValidationError on bad axioms
     simples = enumerate_center(cat)          # raises NonSingularityViolated
-    Z = CenterStructure(cat, simples=simples)
-    rep = verify_center_braided(cat, jobs=args.jobs)
+    rep = verify_center_braided(cat, simples=simples)
     rep.input_digest = _digest(Path(args.file))
     histogram: dict[str, int] = {}
     for z in simples:
-        g, s = Z.grade(z)
-        key = f"{g},{s}"
+        key = f"{z.g},{cat.deg(z.label)}"
         histogram[key] = histogram.get(key, 0) + 1
     payload = {
         "simples": [{"g": z.g, "label": z.label, "chi": list(z.chi)} for z in simples],
@@ -160,7 +159,7 @@ def cmd_coherence(args) -> int:
     stats = {"tuplesChecked": len(tuples), "maxNodes": args.max_nodes}
     failures = []
     for objs in tuples:
-        rep = check_coherence(cat, args.max_nodes, objs, jobs=args.jobs)
+        rep = check_coherence(cat, args.max_nodes, objs)
         if not rep.passed:
             all_pass = False
             failures.append({"objects": list(objs),
@@ -177,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="crossedcat",
                                 description="verify and build group-crossed structures")
     p.add_argument("--pretty", action="store_true", help="human-readable rendering")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="thread pool size for verifier sweeps (reports stay deterministic)")
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verifier on a file")
@@ -229,7 +226,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except (ParseError, ValidationError, MalformedTable, NonSingularityViolated,
-            NotExact, json.JSONDecodeError, FileNotFoundError) as exc:
+            NotExact, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
     except NotMatched as exc:

@@ -90,6 +90,8 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
                          if all(t[e][a] == a and t[a][e] == a for a in range(n))), -1)
         if identity < 0:
             raise NoIdentity(-1, 0)
+    elif not 0 <= identity < n:
+        raise MalformedTable(f"identity {identity} out of range 0..{n - 1}")
     else:
         for a in range(n):
             if t[identity][a] != a or t[a][identity] != a:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from .braided import BraidedMatchedPair
-from .errors import GroupValidationError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .groups import FiniteGroup, GroupHom, validate_group
 from .matched import MatchedPair, matched_pair
 from .pointed import PointedCrossedCategory, pointed_category
@@ -46,6 +46,26 @@ def _resolve(obj: Any, base: Optional[Path]) -> Any:
     return obj
 
 
+def _object(obj: Any, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise _fail(f"{what} must be a JSON object")
+    return obj
+
+
+def _ints(obj: Any, depth: int, what: str) -> Any:
+    """`obj`, checked to be integers nested `depth` lists deep."""
+    if not _is_ints(obj, depth):
+        shape = "a list of " + "lists of " * (depth - 1) + "integers" if depth else "an integer"
+        raise _fail(f"{what} must be {shape}")
+    return obj
+
+
+def _is_ints(obj: Any, depth: int) -> bool:
+    if depth == 0:
+        return isinstance(obj, int)
+    return isinstance(obj, list) and all(_is_ints(v, depth - 1) for v in obj)
+
+
 # -- groups ---------------------------------------------------------------------
 
 def group_to_json(G: FiniteGroup) -> dict:
@@ -53,14 +73,19 @@ def group_to_json(G: FiniteGroup) -> dict:
             "table": [list(row) for row in G.table]}
 
 
+def group_fields(obj: Any) -> tuple[list, Optional[int], Any]:
+    """Table, identity (or None) and name of a group object, shape-checked."""
+    obj = _object(obj, "group")
+    if "table" not in obj:
+        raise _fail("group object missing field 'table'")
+    identity = obj.get("identity")
+    if identity is not None:
+        _ints(identity, 0, "group identity")
+    return _ints(obj["table"], 2, "group table"), identity, obj.get("name", "G")
+
+
 def group_from_json(obj: Any, base: Optional[Path] = None) -> FiniteGroup:
-    obj = _resolve(obj, base)
-    try:
-        return validate_group(obj["table"], obj.get("identity"), obj.get("name", "G"))
-    except KeyError as exc:
-        raise _fail(f"group object missing field {exc}") from exc
-    except GroupValidationError:
-        raise
+    return validate_group(*group_fields(_resolve(obj, base)))
 
 
 def save_group(G: FiniteGroup, path: PathLike) -> None:
@@ -85,11 +110,11 @@ def matched_to_json(mp: MatchedPair) -> dict:
 
 
 def matched_from_json(obj: Any, base: Optional[Path] = None) -> MatchedPair:
-    obj = _resolve(obj, base)
+    obj = _object(_resolve(obj, base), "matched pair")
     try:
         G = group_from_json(obj["G"], base)
         Gamma = group_from_json(obj["Gamma"], base)
-        act1, act2 = obj["act1"], obj["act2"]
+        act1, act2 = _ints(obj["act1"], 2, "act1"), _ints(obj["act2"], 2, "act2")
     except KeyError as exc:
         raise _fail(f"matched-pair object missing field {exc}") from exc
     for key in ("side1", "side2"):
@@ -127,7 +152,7 @@ def braided_from_json(obj: Any, base: Optional[Path] = None) -> BraidedMatchedPa
     obj = _resolve(obj, base)
     mp = matched_from_json(obj, base)
     try:
-        phi, psi = obj["phi"], obj["psi"]
+        phi, psi = _ints(obj["phi"], 1, "phi"), _ints(obj["psi"], 1, "psi")
     except KeyError as exc:
         raise _fail(f"braided-pair object missing field {exc}") from exc
     for name, arr in (("phi", phi), ("psi", psi)):
@@ -175,12 +200,13 @@ def _all_zero3(t) -> bool:
 def _exp3_from(obj: Any, a: int, b: int, c: int, M: int, what: str):
     if obj == "trivial" or obj is None:
         return None
+    _ints(obj, 3, what)
     if len(obj) != a or any(len(p) != b for p in obj) or any(len(r) != c for p in obj for r in p):
         raise _fail(f"{what} must be {a}x{b}x{c}")
     for plane in obj:
         for row in plane:
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < M:
+                if not 0 <= v < M:
                     raise _fail(f"{what} exponent {v} not in 0..{M - 1}")
     return obj
 
@@ -188,20 +214,22 @@ def _exp3_from(obj: Any, a: int, b: int, c: int, M: int, what: str):
 def _exp1_from(obj: Any, a: int, M: int, what: str):
     if obj == "trivial" or obj is None:
         return None
+    _ints(obj, 1, what)
     if len(obj) != a:
         raise _fail(f"{what} must have length {a}")
     for v in obj:
-        if not isinstance(v, int) or not 0 <= v < M:
+        if not 0 <= v < M:
             raise _fail(f"{what} exponent {v} not in 0..{M - 1}")
     return obj
 
 
 def category_from_json(obj: Any, base: Optional[Path] = None) -> PointedCrossedCategory:
-    obj = _resolve(obj, base)
+    obj = _object(_resolve(obj, base), "category")
     try:
         Lambda = group_from_json(obj["Lambda"], base)
         mp = matched_from_json(obj["mp"], base)
-        grading, action, M = obj["grading"], obj["action"], obj["M"]
+        grading, action = _ints(obj["grading"], 1, "grading"), _ints(obj["action"], 2, "action")
+        M = obj["M"]
     except KeyError as exc:
         raise _fail(f"category object missing field {exc}") from exc
     if not isinstance(M, int) or M < 1:

@@ -55,7 +55,7 @@ def turaev_pair(G: FiniteGroup) -> MatchedPair:
     return MatchedPair(G, G, GroupActionOnSet(G, G.order, a1), trivial_action(G, G.order))
 
 
-def verify_matched_pair(mp: MatchedPair, jobs: int = 1) -> VerificationReport:
+def verify_matched_pair(mp: MatchedPair) -> VerificationReport:
     """All matched-pair axioms, exhaustively; first lexicographic witness per axiom."""
     G, M = mp.G, mp.Gamma
     rep = VerificationReport(subject="matched-pair")
@@ -111,7 +111,7 @@ def verify_matched_pair(mp: MatchedPair, jobs: int = 1) -> VerificationReport:
         ("act2_fixes_unit", unit2),
         ("matching_relation_1", match1),
         ("matching_relation_2", match2),
-    ], jobs=jobs)
+    ])
 
 
 # -- Zappa-Szep product ---------------------------------------------------------

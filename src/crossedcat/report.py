@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -26,14 +25,13 @@ class VerificationReport:
     """Outcome of one verifier run.
 
     `witness` is present iff the check failed, and is the lexicographically
-    first failing tuple for the sweep that produced it.  `elapsed` is kept
-    off the JSON body so identical inputs serialize byte-identically.
+    first failing tuple for the sweep that produced it.  Reports carry no
+    timings, so identical inputs serialize byte-identically.
     """
 
     subject: str
     checks: list[Check] = field(default_factory=list)
     input_digest: Optional[str] = None
-    elapsed: Optional[float] = None
     stats: Optional[dict] = None
 
     @property
@@ -72,41 +70,13 @@ class VerificationReport:
             mark = "ok  " if c.passed else "FAIL"
             extra = "" if c.passed else f"  witness={c.witness}"
             lines.append(f"  [{mark}] {c.name}{extra}")
-        if self.elapsed is not None:
-            lines.append(f"  ({self.elapsed:.3f}s)")
         return "\n".join(lines)
 
 
-def digest_of(obj: Any) -> str:
-    """Stable sha256 of a JSON-serializable object."""
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def first_witness(sweep: Iterable[tuple], fails: Callable[[tuple], bool]) -> Optional[tuple]:
-    """First tuple (in the iteration order, expected lexicographic) failing `fails`."""
-    for t in sweep:
-        if fails(t):
-            return t
-    return None
-
-
-def run_checks(report: VerificationReport, named: Sequence[tuple[str, Callable[[], Optional[tuple]]]],
-               jobs: int = 1) -> VerificationReport:
-    """Run (name, callable) checks; callable returns a witness or None.
-
-    With jobs > 1 the checks run on a thread pool; results merge in the
-    given order so reports stay deterministic.
-    """
-    if jobs > 1 and len(named) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda nc: nc[1](), named))
-        for (name, _), witness in zip(named, results):
-            report.add(name, witness is None, witness)
-    else:
-        for name, fn in named:
-            witness = fn()
-            report.add(name, witness is None, witness)
+def run_checks(report: VerificationReport,
+               named: Sequence[tuple[str, Callable[[], Optional[tuple]]]]) -> VerificationReport:
+    """Run (name, callable) checks in order; a callable returns a witness or None."""
+    for name, fn in named:
+        witness = fn()
+        report.add(name, witness is None, witness)
     return report

@@ -204,11 +204,6 @@ def eval_word(w: Word, objects: Sequence[int], cat: PointedCrossedCategory,
     return go(w)
 
 
-def word_degree(w: Word, objects: Sequence[int], cat: PointedCrossedCategory,
-                element_names: Optional[dict[str, int]] = None) -> int:
-    return cat.deg(eval_word(w, objects, cat, element_names))
-
-
 # -- structural morphisms -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -508,7 +503,7 @@ def _moves_from(w: Word, objects: Sequence[int], cat: PointedCrossedCategory,
 
 
 def check_coherence(cat: PointedCrossedCategory, max_nodes: int,
-                    objects: Sequence[int], jobs: int = 1) -> VerificationReport:
+                    objects: Sequence[int]) -> VerificationReport:
     """Bounded uniqueness of parallel structural composites at one object tuple.
 
     Every word up to the budget is a node; every single move is an edge with

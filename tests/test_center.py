@@ -3,10 +3,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import category
-from crossedcat.center import (CenterSimple, CenterStructure, build_center, center_braiding,
-                               center_g_action, center_gamma_action, center_tensor,
-                               enumerate_center, equivariant_center, graded_center,
-                               relative_center_oracle, verify_center_braided)
+from crossedcat.center import (CenterSimple, CenterStructure, build_center, enumerate_center,
+                               equivariant_center, graded_center, relative_center_oracle,
+                               verify_center_braided)
 from crossedcat.errors import (NonSingularityViolated, UnsupportedConfiguration,
                                WrongSpecialization)
 from crossedcat.fixtures import CENTER_FIXTURES, nonsingular_violation
@@ -166,14 +165,18 @@ def test_half_braiding_mutation_detected():
     assert not rep.passed
 
 
-def test_op_level_wrappers_match_structure():
+def test_structure_tables_match_chains():
     cat = category("z4-over-z2")
     Z = build_center(cat)
-    z1, z2 = Z.simples[3], Z.simples[10]
-    assert center_tensor(cat, z1, z2) == Z.tensor(z1, z2)
-    assert center_g_action(cat, 1, z1) == Z.g_act(1, z1)
-    assert center_gamma_action(cat, 1, z1) == Z.gamma_act(1, z1)
-    assert center_braiding(cat, z1, z2) == Z.braiding(z1, z2)
+    assert Z.points == Z.simples
+    for i, z1 in enumerate(Z.simples):
+        assert Z.points[Z.g_action_table[1][i]] == Z.g_act(1, z1)
+        assert Z.points[Z.gamma_action_table[1][i]] == Z.gamma_act(1, z1)
+        for k, z2 in enumerate(Z.simples):
+            assert Z.points[Z.tensor_table[i][k]] == Z.tensor(z1, z2)
+            tgt, coeff = Z.braiding(z1, z2)
+            assert Z.braid_table[i][k] == coeff.exponent
+            assert Z.points[Z.tensor_table[Z.g_action_table[z1.g][k]][i]] == tgt
 
 
 def test_graded_center_specialization():

@@ -125,11 +125,44 @@ def test_pretty_flag_renders_text(capsys, fixture_dir):
     assert "matched-pair: PASS" in out
 
 
-def test_jobs_flag_keeps_reports_identical(capsys, fixture_dir):
-    _, out1 = run(capsys, "verify", "matched-pair", str(fixture_dir / "s4-z4-s3.json"))
-    _, out2 = run(capsys, "--jobs", "4", "verify", "matched-pair",
-                  str(fixture_dir / "s4-z4-s3.json"))
-    assert out1 == out2
+def test_jobs_flag_is_rejected(capsys, fixture_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "4", "verify", "matched-pair", str(fixture_dir / "s4-z4-s3.json")])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _bad_pair(G):
+    obj = json.loads((FIXTURE_DIR / "z2-z3-inversion.json").read_text())
+    obj["G"] = G
+    return obj
+
+
+@pytest.mark.parametrize("kind,obj", [
+    ("group", [1, 2]),
+    ("group", {"name": "Z3", "identity": 7, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}),
+    ("matched-pair", _bad_pair(3)),
+    ("category", 5),
+    ("matched-pair", _bad_pair(".")),
+], ids=["group-not-object", "identity-out-of-range", "G-not-object", "category-not-object",
+        "G-names-a-directory"])
+def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", kind, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_numpy_and_threads_out():
+    import subprocess
+    import sys
+    code = ("import sys, crossedcat.cli; "
+            "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")}).stdout
+    assert out.strip() == "[]"
 
 
 def test_right_action_files_rejected(fixture_dir, tmp_path):
@@ -148,7 +181,7 @@ def test_center_structure_tables(fixture_dir):
     assert len(Z.tensor_table) == n and all(len(r) == n for r in Z.tensor_table)
     assert all(0 <= v < n for row in Z.g_action_table for v in row)
     assert all(0 <= v < n for row in Z.gamma_action_table for v in row)
-    assert all(not c.is_zero for row in Z.braiding_table for (_, c) in row)
+    assert all(0 <= e < Z.cat.M for row in Z.braid_table for e in row)
 
 
 def test_every_fixture_file_loads_and_verifies(fixture_dir):
