@@ -7,8 +7,8 @@ from .center import (CenterSimple, CenterStructure, build_center, enumerate_cent
                      equivariant_center, graded_center, relative_center_oracle,
                      verify_center_braided)
 from .groups import (FiniteGroup, GroupActionOnSet, GroupAutAction, GroupHom, cyclic, dihedral,
-                     direct_product, enumerate_characters, find_isomorphism, group_hom,
-                     identity_hom, kernel, subgroup_from_generators, symmetric, trivial_group,
+                     direct_product, find_isomorphism, group_hom, identity_hom, kernel,
+                     subgroup_from_generators, symmetric, trivial_group, twisted_characters,
                      validate_group)
 from .jsonio import (load_braided, load_category, load_group, load_matched, save_braided,
                      save_category, save_group, save_matched)

@@ -124,10 +124,7 @@ def _one_sided_actions(mp: MatchedPair):
 
 
 def center_pair(mp: MatchedPair) -> MatchedPair:
-    """The induced matched pair (G><Gamma, G x Gamma)."""
-    pre = verify_matched_pair(mp)
-    if not pre.passed:
-        raise NotMatched(pre)
+    """The induced matched pair (G><Gamma, G x Gamma); raises NotMatched unless mp is one."""
     G, M = mp.G, mp.Gamma
     GP, _, _ = zappa_szep(mp)           # elements g*|Gamma| + s
     GXM = direct_product(G, M)          # elements h*|Gamma| + t

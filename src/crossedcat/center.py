@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 from .braided import BraidedMatchedPair, center_braiding as induced_braiding, verify_braiding
 from .errors import (GroupValidationError, NonSingularityViolated, UnsupportedConfiguration,
                      WrongSpecialization)
-from .groups import validate_group
+from .groups import twisted_characters, validate_group
 from .pointed import PointedCrossedCategory, dual_data, pointed_category, verify_crossed_category
 from .report import VerificationReport, run_checks
 from .scalars import UnitScalar
@@ -56,66 +56,15 @@ def _conjugation_support(cat: PointedCrossedCategory, g: int, label: int) -> lis
 def _characters_for(cat: PointedCrossedCategory, g: int) -> list[tuple[int, ...]]:
     """Root-valued solutions of the twisted character law on N for degree g.
 
-    Backtracks over exponents of a generating set of N and closes
-    multiplicatively using the law itself; solutions are then re-checked on
-    every pair.  Raises UnsupportedConfiguration when a nontrivial J|_N
-    admits no solution at all (a cocycle obstruction outside our scope).
+    Raises UnsupportedConfiguration when a nontrivial J|_N admits no
+    solution at all (a cocycle obstruction outside our scope).
     """
-    L, M = cat.Lambda, cat.M
-    members = list(cat.neutral_labels)
-    gens: list[int] = []
-    closed: set[int] = {L.identity}
-    for x in members:
-        if x not in closed:
-            gens.append(x)
-            frontier = [L.identity]
-            closed = {L.identity}
-            while frontier:
-                y = frontier.pop()
-                for h in gens:
-                    for z in (L.mul(y, h), L.mul(y, L.inv(h))):
-                        if z not in closed:
-                            closed.add(z)
-                            frontier.append(z)
-    solutions: list[tuple[int, ...]] = []
-    base = {L.identity: (-cat.j(g, L.identity, L.identity)) % M}
-
-    def close(assign: dict[int, int]) -> Optional[dict[int, int]]:
-        chi = dict(base)
-        chi.update(assign)
-        frontier = list(chi)
-        while frontier:
-            x = frontier.pop()
-            for h in gens:
-                y = L.mul(x, h)
-                v = (cat.j(g, x, h) + chi[x] + assign[h]) % M
-                if y in chi:
-                    if chi[y] != v:
-                        return None
-                else:
-                    chi[y] = v
-                    frontier.append(y)
-        if len(chi) != len(members):
-            return None
-        for a in members:
-            for b in members:
-                if chi[L.mul(a, b)] != (cat.j(g, a, b) + chi[a] + chi[b]) % M:
-                    return None
-        return chi
-
-    if not gens:
-        chi = close({})
-        return [tuple(chi[x] for x in members)] if chi else []
-    for values in itertools.product(range(M), repeat=len(gens)):
-        chi = close(dict(zip(gens, values)))
-        if chi is not None:
-            key = tuple(chi[x] for x in members)
-            if key not in solutions:
-                solutions.append(key)
-    if not solutions and any(cat.j(g, a, b) % M for a in members for b in members):
+    members = cat.neutral_labels
+    solutions = twisted_characters(cat.Lambda, members, cat.M, cat.jtable[g])
+    if not solutions and any(cat.j(g, a, b) for a in members for b in members):
         raise UnsupportedConfiguration(
             f"no root-valued half-braiding exists at degree {g}: J restricted to N is obstructed")
-    return sorted(set(solutions))
+    return solutions
 
 
 def enumerate_center(cat: PointedCrossedCategory) -> list[CenterSimple]:

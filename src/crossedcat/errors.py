@@ -12,10 +12,9 @@ class GroupValidationError(CrossedCatError):
 
 
 class NoIdentity(GroupValidationError):
-    def __init__(self, identity: int, witness: int):
-        self.identity = identity
-        self.witness = witness
-        super().__init__(f"element {identity} is not an identity (fails at {witness})")
+    def __init__(self, identity: int, a: int):
+        self.witness = (identity, a)
+        super().__init__(f"element {identity} is not an identity (fails at {a})")
 
 
 class AssocViolation(GroupValidationError):
@@ -26,7 +25,7 @@ class AssocViolation(GroupValidationError):
 
 class NoInverse(GroupValidationError):
     def __init__(self, a: int):
-        self.witness = a
+        self.witness = (a,)
         super().__init__(f"element {a} has no two-sided inverse")
 
 
@@ -52,19 +51,8 @@ class NoUniqueFactorization(CrossedCatError):
     """Internal invariant: cannot happen once NotExact preconditions pass."""
 
 
-class ModulusTooSmall(CrossedCatError):
-    def __init__(self, modulus: int, needed: int):
-        self.modulus = modulus
-        self.needed = needed
-        super().__init__(f"modulus {modulus} not divisible by required exponent {needed}")
-
-
 class ValidationError(CrossedCatError):
-    """A loaded object fails verification; carries the report."""
-
-    def __init__(self, report, message: str = "validation failed"):
-        self.report = report
-        super().__init__(f"{message}: {report.first_failure()}")
+    """A loaded object is malformed or fails verification."""
 
 
 class ParseError(CrossedCatError):

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import AssocViolation, MalformedTable, ModulusTooSmall, NoIdentity, NoInverse
+from .errors import AssocViolation, MalformedTable, NoIdentity, NoInverse
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -49,20 +48,9 @@ class FiniteGroup:
             n += 1
         return n
 
-    def exponent(self) -> int:
-        return lcm(*(self.element_order(a) for a in self.elements())) if self.order > 1 else 1
-
     def is_abelian(self) -> bool:
         return all(self.mul(a, b) == self.mul(b, a)
                    for a in self.elements() for b in self.elements())
-
-    def power(self, a: int, n: int) -> int:
-        x = self.identity
-        if n < 0:
-            a, n = self.inv(a), -n
-        for _ in range(n):
-            x = self.mul(x, a)
-        return x
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -309,11 +297,6 @@ def aut_action_violation(a: GroupAutAction) -> Optional[tuple]:
     return None
 
 
-def adjoint_action(G: FiniteGroup) -> GroupAutAction:
-    table = tuple(tuple(G.conj(g, x) for x in G.elements()) for g in G.elements())
-    return GroupAutAction(G, G, table)
-
-
 # -- characters ----------------------------------------------------------------
 
 def _generating_set(G: FiniteGroup, members: Sequence[int]) -> list[int]:
@@ -321,94 +304,55 @@ def _generating_set(G: FiniteGroup, members: Sequence[int]) -> list[int]:
     gens: list[int] = []
     closed = {G.identity}
     for x in members:
-        if x in closed:
-            continue
-        gens.append(x)
-        closed = set(subgroup_from_generators_within(G, gens, members))
-        if len(closed) == len(members):
-            break
+        if x not in closed:
+            gens.append(x)
+            closed = set(subgroup_from_generators(G, gens))
     return gens
 
 
-def subgroup_from_generators_within(G: FiniteGroup, gens: Sequence[int],
-                                    universe: Sequence[int]) -> list[int]:
-    out = subgroup_from_generators(G, gens)
-    if not set(out) <= set(universe):
-        raise ValueError("generators escape the subgroup")
-    return out
+def twisted_characters(G: FiniteGroup, members: Sequence[int], modulus: int,
+                       J: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Solutions of chi(a b) = J[a][b] + chi(a) + chi(b) (mod `modulus`) on `members`.
 
-
-def commutator_members(G: FiniteGroup, members: Sequence[int]) -> list[int]:
-    comms = {G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b))) for a in members for b in members}
-    return subgroup_from_generators(G, sorted(comms))
-
-
-def enumerate_characters(G: FiniteGroup, members: Sequence[int], modulus: int) -> list[dict[int, int]]:
-    """All homomorphisms from the subgroup on `members` into mu_modulus.
-
-    Characters are returned as {member -> exponent} maps, sorted by their
-    exponent tuple over sorted members.  Works by backtracking over images
-    of a generating set, factoring through the abelianization.  Raises
-    ModulusTooSmall when the abelianization exponent does not divide M.
+    `members` lists a subgroup of G by global indices and J is indexed by
+    them; J = 0 gives the homomorphisms into mu_modulus.  Solutions are
+    exponent tuples over `members`, sorted.  Backtracks over exponents of a
+    generating set and closes multiplicatively using the law itself;
+    solutions are then re-checked on every pair.
     """
-    members = sorted(members)
-    comm = commutator_members(G, members)
-    # cosets of the commutator subgroup form the abelianization
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for x in members:
-        if x in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for c in comm:
-            coset_of[G.mul(x, c)] = idx
-    q_order = len(reps)
-    q_table = [[coset_of[G.mul(reps[i], reps[j])] for j in range(q_order)] for i in range(q_order)]
-    Q = validate_group(q_table, coset_of[G.identity], "ab")
-    exp = Q.exponent()
-    if modulus % exp != 0:
-        raise ModulusTooSmall(modulus, exp)
-
-    gens = _generating_set(Q, list(Q.elements()))
-    chars: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    members = list(members)
+    gens = _generating_set(G, members)
+    base = {G.identity: (-J[G.identity][G.identity]) % modulus}
 
     def close(assign: dict[int, int]) -> Optional[dict[int, int]]:
-        chi = {Q.identity: 0}
-        frontier = [Q.identity]
+        chi = dict(base)
+        chi.update(assign)
+        frontier = list(chi)
         while frontier:
             x = frontier.pop()
-            for g in gens:
-                y = Q.mul(x, g)
-                v = (chi[x] + assign[g]) % modulus
+            for h in gens:
+                y = G.mul(x, h)
+                v = (J[x][h] + chi[x] + assign[h]) % modulus
                 if y in chi:
                     if chi[y] != v:
                         return None
                 else:
                     chi[y] = v
                     frontier.append(y)
-        for a in Q.elements():
-            for b in Q.elements():
-                if (chi[a] + chi[b]) % modulus != chi[Q.mul(a, b)]:
+        if len(chi) != len(members):
+            return None
+        for a in members:
+            for b in members:
+                if chi[G.mul(a, b)] != (J[a][b] + chi[a] + chi[b]) % modulus:
                     return None
         return chi
 
-    for values in itertools.product(range(modulus), repeat=len(gens)) if gens else [()]:
-        assign = dict(zip(gens, values))
-        chi = close(assign)
-        if chi is None:
-            continue
-        key = tuple(chi[q] for q in Q.elements())
-        if key not in seen:
-            seen.add(key)
-            chars.append(key)
-
-    out = []
-    for key in sorted(set(chars)):
-        out.append({x: key[coset_of[x]] for x in members})
-    out.sort(key=lambda chi: tuple(chi[x] for x in members))
-    return out
+    solutions = set()
+    for values in itertools.product(range(modulus), repeat=len(gens)):
+        chi = close(dict(zip(gens, values)))
+        if chi is not None:
+            solutions.add(tuple(chi[x] for x in members))
+    return sorted(solutions)
 
 
 # -- isomorphism search ---------------------------------------------------------

@@ -18,23 +18,21 @@ from .errors import ParseError, ValidationError
 from .groups import FiniteGroup, GroupHom, validate_group
 from .matched import MatchedPair, matched_pair
 from .pointed import PointedCrossedCategory, pointed_category
-from .report import VerificationReport
 
 PathLike = Union[str, Path]
 
 
-def _read(path: PathLike) -> Any:
+def read_json(path: PathLike) -> Any:
+    """The JSON value in `path`; unreadable or undecodable input raises an exit-2 error."""
     path = Path(path)
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", exc.colno) from exc
-
-
-def _fail(message: str) -> ValidationError:
-    rep = VerificationReport(subject="load")
-    rep.add("well_formed", False, (message,))
-    return ValidationError(rep, message)
+    except (ValueError, RecursionError) as exc:
+        # a NUL byte or lone surrogate in the path, bytes that are not UTF-8,
+        # or nesting deeper than the decoder's recursion limit
+        raise ValidationError(f"cannot read {str(path)!r}: {exc}") from exc
 
 
 def _resolve(obj: Any, base: Optional[Path]) -> Any:
@@ -42,13 +40,13 @@ def _resolve(obj: Any, base: Optional[Path]) -> Any:
         ref = Path(obj)
         if base is not None and not ref.is_absolute():
             ref = base / ref
-        return _read(ref)
+        return read_json(ref)
     return obj
 
 
 def _object(obj: Any, what: str) -> dict:
     if not isinstance(obj, dict):
-        raise _fail(f"{what} must be a JSON object")
+        raise ValidationError(f"{what} must be a JSON object")
     return obj
 
 
@@ -56,7 +54,7 @@ def _ints(obj: Any, depth: int, what: str) -> Any:
     """`obj`, checked to be integers nested `depth` lists deep."""
     if not _is_ints(obj, depth):
         shape = "a list of " + "lists of " * (depth - 1) + "integers" if depth else "an integer"
-        raise _fail(f"{what} must be {shape}")
+        raise ValidationError(f"{what} must be {shape}")
     return obj
 
 
@@ -77,7 +75,7 @@ def group_fields(obj: Any) -> tuple[list, Optional[int], Any]:
     """Table, identity (or None) and name of a group object, shape-checked."""
     obj = _object(obj, "group")
     if "table" not in obj:
-        raise _fail("group object missing field 'table'")
+        raise ValidationError("group object missing field 'table'")
     identity = obj.get("identity")
     if identity is not None:
         _ints(identity, 0, "group identity")
@@ -93,7 +91,7 @@ def save_group(G: FiniteGroup, path: PathLike) -> None:
 
 
 def load_group(path: PathLike) -> FiniteGroup:
-    return group_from_json(_read(path), Path(path).parent)
+    return group_from_json(read_json(path), Path(path).parent)
 
 
 # -- matched pairs ----------------------------------------------------------------
@@ -116,18 +114,18 @@ def matched_from_json(obj: Any, base: Optional[Path] = None) -> MatchedPair:
         Gamma = group_from_json(obj["Gamma"], base)
         act1, act2 = _ints(obj["act1"], 2, "act1"), _ints(obj["act2"], 2, "act2")
     except KeyError as exc:
-        raise _fail(f"matched-pair object missing field {exc}") from exc
+        raise ValidationError(f"matched-pair object missing field {exc}") from exc
     for key in ("side1", "side2"):
         if obj.get(key, "left") != "left":
-            raise _fail(f"{key} must be 'left'; right-action files are not accepted")
+            raise ValidationError(f"{key} must be 'left'; right-action files are not accepted")
     if len(act1) != G.order or any(len(r) != Gamma.order for r in act1):
-        raise _fail("act1 must be |G| x |Gamma|")
+        raise ValidationError("act1 must be |G| x |Gamma|")
     if len(act2) != Gamma.order or any(len(r) != G.order for r in act2):
-        raise _fail("act2 must be |Gamma| x |G|")
+        raise ValidationError("act2 must be |Gamma| x |G|")
     if any(not 0 <= v < Gamma.order for r in act1 for v in r):
-        raise _fail("act1 entry out of range")
+        raise ValidationError("act1 entry out of range")
     if any(not 0 <= v < G.order for r in act2 for v in r):
-        raise _fail("act2 entry out of range")
+        raise ValidationError("act2 entry out of range")
     return matched_pair(G, Gamma, act1, act2)
 
 
@@ -136,7 +134,7 @@ def save_matched(mp: MatchedPair, path: PathLike) -> None:
 
 
 def load_matched(path: PathLike) -> MatchedPair:
-    return matched_from_json(_read(path), Path(path).parent)
+    return matched_from_json(read_json(path), Path(path).parent)
 
 
 # -- braided pairs ------------------------------------------------------------------
@@ -154,10 +152,10 @@ def braided_from_json(obj: Any, base: Optional[Path] = None) -> BraidedMatchedPa
     try:
         phi, psi = _ints(obj["phi"], 1, "phi"), _ints(obj["psi"], 1, "psi")
     except KeyError as exc:
-        raise _fail(f"braided-pair object missing field {exc}") from exc
+        raise ValidationError(f"braided-pair object missing field {exc}") from exc
     for name, arr in (("phi", phi), ("psi", psi)):
         if len(arr) != mp.Gamma.order or any(not 0 <= v < mp.G.order for v in arr):
-            raise _fail(f"{name} must map all of Gamma into G")
+            raise ValidationError(f"{name} must map all of Gamma into G")
     # hom axioms are the verifier's business, not the loader's
     return BraidedMatchedPair(mp, GroupHom(mp.Gamma, mp.G, tuple(phi)),
                               GroupHom(mp.Gamma, mp.G, tuple(psi)))
@@ -168,7 +166,7 @@ def save_braided(bmp: BraidedMatchedPair, path: PathLike) -> None:
 
 
 def load_braided(path: PathLike) -> BraidedMatchedPair:
-    return braided_from_json(_read(path), Path(path).parent)
+    return braided_from_json(read_json(path), Path(path).parent)
 
 
 # -- categories ----------------------------------------------------------------------
@@ -202,12 +200,12 @@ def _exp3_from(obj: Any, a: int, b: int, c: int, M: int, what: str):
         return None
     _ints(obj, 3, what)
     if len(obj) != a or any(len(p) != b for p in obj) or any(len(r) != c for p in obj for r in p):
-        raise _fail(f"{what} must be {a}x{b}x{c}")
+        raise ValidationError(f"{what} must be {a}x{b}x{c}")
     for plane in obj:
         for row in plane:
             for v in row:
                 if not 0 <= v < M:
-                    raise _fail(f"{what} exponent {v} not in 0..{M - 1}")
+                    raise ValidationError(f"{what} exponent {v} not in 0..{M - 1}")
     return obj
 
 
@@ -216,10 +214,10 @@ def _exp1_from(obj: Any, a: int, M: int, what: str):
         return None
     _ints(obj, 1, what)
     if len(obj) != a:
-        raise _fail(f"{what} must have length {a}")
+        raise ValidationError(f"{what} must have length {a}")
     for v in obj:
         if not 0 <= v < M:
-            raise _fail(f"{what} exponent {v} not in 0..{M - 1}")
+            raise ValidationError(f"{what} exponent {v} not in 0..{M - 1}")
     return obj
 
 
@@ -231,21 +229,21 @@ def category_from_json(obj: Any, base: Optional[Path] = None) -> PointedCrossedC
         grading, action = _ints(obj["grading"], 1, "grading"), _ints(obj["action"], 2, "action")
         M = obj["M"]
     except KeyError as exc:
-        raise _fail(f"category object missing field {exc}") from exc
+        raise ValidationError(f"category object missing field {exc}") from exc
     if not isinstance(M, int) or M < 1:
-        raise _fail("M must be a positive integer")
+        raise ValidationError("M must be a positive integer")
     # the top-level G/Gamma must agree with the matched pair's
     for key, ref in (("G", mp.G), ("Gamma", mp.Gamma)):
         if key in obj:
             given = group_from_json(obj[key], base)
             if given.table != ref.table or given.identity != ref.identity:
-                raise _fail(f"top-level {key} disagrees with the matched pair's {key}")
+                raise ValidationError(f"top-level {key} disagrees with the matched pair's {key}")
     if len(grading) != Lambda.order or any(not 0 <= v < mp.Gamma.order for v in grading):
-        raise _fail("grading must map Lambda into Gamma")
+        raise ValidationError("grading must map Lambda into Gamma")
     if len(action) != mp.G.order or any(len(r) != Lambda.order for r in action):
-        raise _fail("action must be |G| x |Lambda|")
+        raise ValidationError("action must be |G| x |Lambda|")
     if any(not 0 <= v < Lambda.order for r in action for v in r):
-        raise _fail("action entry out of range")
+        raise ValidationError("action entry out of range")
     n, ng = Lambda.order, mp.G.order
     j = _exp3_from(obj.get("J"), ng, n, n, M, "J")
     chi = _exp3_from(obj.get("chi"), ng, ng, n, M, "chi")
@@ -262,10 +260,10 @@ def save_category(cat: PointedCrossedCategory, path: PathLike) -> None:
 
 def load_category(path: PathLike, validate: bool = True) -> PointedCrossedCategory:
     """Load and, by default, verify; a failing axiom raises ValidationError."""
-    cat = category_from_json(_read(path), Path(path).parent)
+    cat = category_from_json(read_json(path), Path(path).parent)
     if validate:
         from .pointed import verify_crossed_category
         rep = verify_crossed_category(cat)
         if not rep.passed:
-            raise ValidationError(rep, "category axioms fail")
+            raise ValidationError(f"category axioms fail: {rep.first_failure()}")
     return cat

@@ -116,14 +116,6 @@ def verify_matched_pair(mp: MatchedPair) -> VerificationReport:
 
 # -- Zappa-Szep product ---------------------------------------------------------
 
-def pair_encode(gamma_order: int, g: int, s: int) -> int:
-    return g * gamma_order + s
-
-
-def pair_decode(gamma_order: int, x: int) -> tuple[int, int]:
-    return divmod(x, gamma_order)
-
-
 def zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, GroupHom, GroupHom]:
     """The twisted product on G x Gamma with its two subgroup embeddings.
 
@@ -209,6 +201,6 @@ def multiplication_hom(mp: MatchedPair, H: FiniteGroup, g_set: Sequence[int],
     Z, _, _ = zappa_szep(mp)
     image = []
     for x in range(Z.order):
-        g, s = pair_decode(mp.Gamma.order, x)
+        g, s = divmod(x, mp.Gamma.order)
         image.append(H.mul(g_set[g], gamma_set[s]))
     return group_hom(Z, H, image)

@@ -138,21 +138,37 @@ def _bad_pair(G):
     return obj
 
 
-@pytest.mark.parametrize("kind,obj", [
-    ("group", [1, 2]),
-    ("group", {"name": "Z3", "identity": 7, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}),
-    ("matched-pair", _bad_pair(3)),
-    ("category", 5),
-    ("matched-pair", _bad_pair(".")),
+@pytest.mark.parametrize("kind,obj,error", [
+    ("group", [1, 2], "group must be a JSON object"),
+    ("group", {"name": "Z3", "identity": 7, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+     "identity 7 out of range 0..2"),
+    ("matched-pair", _bad_pair(3), "group must be a JSON object"),
+    ("category", 5, "category must be a JSON object"),
+    ("matched-pair", _bad_pair("."), "[Errno 21] Is a directory: '{dir}'"),
 ], ids=["group-not-object", "identity-out-of-range", "G-not-object", "category-not-object",
         "G-names-a-directory"])
-def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj):
+def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj, error):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     assert main(["verify", kind, str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error" in json.loads(captured.err.strip().splitlines()[-1])
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {
+        "error": error.format(dir=tmp_path)}
+
+
+@pytest.mark.parametrize("obj,witness", [
+    ({"table": [[0, 1], [1, 1]]}, [1]),
+    ({"table": [[0, 0], [1, 1]], "identity": 0}, [0, 1]),
+], ids=["no-inverse", "identity-fails"])
+def test_verify_group_law_failure_exit_1(capsys, tmp_path, obj, witness):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", "group", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["checks"] == [{"name": "group_laws", "pass": False,
+                                                   "witness": witness}]
 
 
 def test_cli_import_leaves_numpy_and_threads_out():
@@ -199,3 +215,15 @@ def test_every_fixture_file_loads_and_verifies(fixture_dir):
             assert verify_braiding(jsonio.load_braided(path)).passed, name
         else:
             assert verify_matched_pair(jsonio.load_matched(path)).passed, name
+
+
+def test_build_fixtures_reproduces_every_fixture(fixture_dir, tmp_path, monkeypatch):
+    import importlib.util
+    script = fixture_dir.parent / "scripts" / "build_fixtures.py"
+    spec = importlib.util.spec_from_file_location("build_fixtures", script)
+    build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build)
+    monkeypatch.setattr(build, "OUT", tmp_path)
+    build.main()
+    built = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert built == {p.name: p.read_bytes() for p in fixture_dir.iterdir()}
