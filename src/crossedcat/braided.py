@@ -19,17 +19,16 @@ psi(h,t) = (h,e); both land injectively in the twisted product.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotMatched
 from .groups import FiniteGroup, GroupHom, direct_product, group_hom, identity_hom, is_hom_image
 from .matched import MatchedPair, matched_pair, turaev_pair, verify_matched_pair, zappa_szep
+from .records import Record
 from .report import VerificationReport, run_checks
 
 
-@dataclass(frozen=True)
-class BraidedMatchedPair:
+class BraidedMatchedPair(Record):
     mp: MatchedPair
     phi: GroupHom  # Gamma -> G
     psi: GroupHom  # Gamma -> G

@@ -22,7 +22,6 @@ verifier itself accepts any table satisfying the axioms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -31,12 +30,12 @@ from .errors import (GroupValidationError, NonSingularityViolated, UnsupportedCo
                      WrongSpecialization)
 from .groups import twisted_characters, validate_group
 from .pointed import PointedCrossedCategory, dual_data, pointed_category, verify_crossed_category
+from .records import Record
 from .report import VerificationReport, run_checks
 from .scalars import UnitScalar
 
 
-@dataclass(frozen=True)
-class CenterSimple:
+class CenterSimple(Record):
     """g-degree, underlying label, and half-braiding exponents over sorted N."""
 
     g: int

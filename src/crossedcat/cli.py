@@ -44,6 +44,14 @@ def _emit_json(payload: dict, pretty: bool) -> None:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
+def _int_list(text: str, option: str) -> list[int]:
+    """The comma-separated integers of a command-line option."""
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise ValidationError(f"{option} must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_verify(args) -> int:
     path = Path(args.file)
     kind = args.kind
@@ -89,8 +97,8 @@ def cmd_zappa_szep(args) -> int:
 
 def cmd_factorize(args) -> int:
     H = jsonio.load_group(args.file)
-    gens_g = [int(x) for x in args.gens_g.split(",") if x != ""]
-    gens_gamma = [int(x) for x in args.gens_gamma.split(",") if x != ""]
+    gens_g = _int_list(args.gens_g, "--gens-g")
+    gens_gamma = _int_list(args.gens_gamma, "--gens-gamma")
     mp = from_exact_factorization(H, subgroup_from_generators(H, gens_g),
                                   subgroup_from_generators(H, gens_gamma))
     out = Path(args.out)
@@ -146,13 +154,27 @@ def cmd_coherence(args) -> int:
     cat = jsonio.load_category(args.category)
     tuples: list[tuple[int, ...]]
     if args.objects:
-        tuples = [tuple(int(x) for x in args.objects.split(","))]
+        objects = tuple(_int_list(args.objects, "--objects"))
+        n = cat.Lambda.order
+        for x in objects:
+            if not 0 <= x < n:
+                raise ValidationError(f"--objects label {x} out of range 0..{n - 1}")
+        tuples = [objects]
     else:
+        if args.arity < 1 or args.tuple_cap < 1:
+            raise ValidationError("--arity and --tuple-cap must be at least 1, got "
+                                  f"{args.arity} and {args.tuple_cap}")
         tuples = []
         labels = list(cat.Lambda.elements())
         for k in range(1, args.arity + 1):
             pool = list(itertools.product(labels, repeat=k))
             tuples.extend(pool[: args.tuple_cap])
+    # a word over k >= 1 objects joins its k holes with k - 1 tensors
+    k = max(len(t) for t in tuples)
+    need = max(1, 2 * k - 1)
+    if args.max_nodes < need:
+        raise ValidationError(f"--max-nodes {args.max_nodes} is below {need}: "
+                              f"a {k}-object tuple has no word with fewer nodes")
     all_pass = True
     stats = {"tuplesChecked": len(tuples), "maxNodes": args.max_nodes}
     failures = []

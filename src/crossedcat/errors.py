@@ -52,7 +52,8 @@ class NoUniqueFactorization(CrossedCatError):
 
 
 class ValidationError(CrossedCatError):
-    """A loaded object is malformed or fails verification."""
+    """A loaded object or a command-line argument is malformed, or an input fails
+    verification."""
 
 
 class ParseError(CrossedCatError):

@@ -8,10 +8,10 @@ Supported envelope is order <= 64; fixtures stay far below that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import AssocViolation, MalformedTable, NoIdentity, NoInverse
+from .records import Record
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -20,8 +20,7 @@ def _freeze(table: Sequence[Sequence[int]]) -> Table:
     return tuple(tuple(int(x) for x in row) for row in table)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     order: int
     table: Table  # table[a][b] = index of a*b
     identity: int
@@ -192,8 +191,7 @@ def subgroup_as_group(G: FiniteGroup, members: Sequence[int], name: str = "sub")
 
 # -- homomorphisms -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     source: FiniteGroup
     target: FiniteGroup
     image: tuple[int, ...]
@@ -238,8 +236,7 @@ def kernel(f: GroupHom) -> list[int]:
 
 # -- actions -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupActionOnSet:
+class GroupActionOnSet(Record):
     actor: FiniteGroup
     set_size: int
     table: Table  # table[g][x]
@@ -270,8 +267,7 @@ def trivial_action(actor: FiniteGroup, set_size: int) -> GroupActionOnSet:
                             tuple(tuple(range(set_size)) for _ in actor.elements()))
 
 
-@dataclass(frozen=True)
-class GroupAutAction:
+class GroupAutAction(Record):
     """Left action where every actor element acts by a group automorphism."""
 
     actor: FiniteGroup

@@ -12,17 +12,16 @@ so pairs (g, s), encoded g*|Gamma| + s, mean "G part times Gamma part".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import NoUniqueFactorization, NotExact, NotMatched
 from .groups import (FiniteGroup, GroupActionOnSet, GroupHom, group_hom,
                      subgroup_as_group, trivial_action, validate_group)
+from .records import Record
 from .report import VerificationReport, run_checks
 
 
-@dataclass(frozen=True)
-class MatchedPair:
+class MatchedPair(Record):
     G: FiniteGroup
     Gamma: FiniteGroup
     act1: GroupActionOnSet  # G on the set Gamma, left

@@ -17,13 +17,13 @@ by construction (zero is not representable in the tables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import NotMatched, SectionMissing
 from .groups import FiniteGroup, Table
 from .matched import MatchedPair, verify_matched_pair
+from .records import Record
 from .report import VerificationReport, run_checks
 
 Exp3 = tuple[tuple[tuple[int, ...], ...], ...]
@@ -33,8 +33,7 @@ def _const3(a: int, b: int, c: int) -> Exp3:
     return tuple(tuple(tuple(0 for _ in range(c)) for _ in range(b)) for _ in range(a))
 
 
-@dataclass(frozen=True)
-class PointedCrossedCategory:
+class PointedCrossedCategory(Record):
     Lambda: FiniteGroup
     Gamma: FiniteGroup
     G: FiniteGroup

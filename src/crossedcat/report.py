@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from .records import Record
 
-@dataclass(frozen=True)
-class Check:
+
+class Check(Record):
     name: str
     passed: bool
     witness: Optional[tuple] = None
@@ -20,7 +20,6 @@ class Check:
         return d
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one verifier run.
 
@@ -29,10 +28,12 @@ class VerificationReport:
     timings, so identical inputs serialize byte-identically.
     """
 
-    subject: str
-    checks: list[Check] = field(default_factory=list)
-    input_digest: Optional[str] = None
-    stats: Optional[dict] = None
+    def __init__(self, subject: str, checks: Optional[list[Check]] = None,
+                 input_digest: Optional[str] = None, stats: Optional[dict] = None):
+        self.subject = subject
+        self.checks: list[Check] = [] if checks is None else checks
+        self.input_digest = input_digest
+        self.stats = stats
 
     @property
     def passed(self) -> bool:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .records import Record
 
-@dataclass(frozen=True)
-class UnitScalar:
+
+class UnitScalar(Record):
     """zeta_M^exponent, or zero when exponent is None.
 
     Exponents are kept reduced mod M; equality is exact integer comparison,
@@ -17,11 +17,11 @@ class UnitScalar:
     modulus: int
     exponent: Optional[int]
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, modulus: int, exponent: Optional[int]):
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        if self.exponent is not None:
-            object.__setattr__(self, "exponent", self.exponent % self.modulus)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "exponent", None if exponent is None else exponent % modulus)
 
     @classmethod
     def root(cls, modulus: int, exponent: int) -> "UnitScalar":

@@ -172,13 +172,43 @@ def test_verify_group_law_failure_exit_1(capsys, tmp_path, obj, witness):
 
 
 def test_cli_import_leaves_numpy_and_threads_out():
+    # every command is a fresh process: `dataclasses` (which imports `inspect`)
+    # costs a short command about a quarter of its time
     import subprocess
     import sys
     code = ("import sys, crossedcat.cli; "
-            "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))")
+            "print(sorted({'numpy', 'concurrent.futures', 'dataclasses', 'inspect'}"
+            " & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")}).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["coherence", "--category", "{cat}", "--objects", "a"],
+     "--objects must be comma-separated integers, got 'a'"),
+    (["coherence", "--category", "{cat}", "--objects", "99"],
+     "--objects label 99 out of range 0..3"),
+    (["factorize", "{s4}", "--gens-g", "x", "--gens-gamma", "6,8", "-o", "{out}"],
+     "--gens-g must be comma-separated integers, got 'x'"),
+    (["coherence", "--category", "{cat}", "--arity", "1", "--max-nodes", "0"],
+     "--max-nodes 0 is below 1: a 1-object tuple has no word with fewer nodes"),
+    (["coherence", "--category", "{cat}", "--arity", "3", "--max-nodes", "4"],
+     "--max-nodes 4 is below 5: a 3-object tuple has no word with fewer nodes"),
+    (["coherence", "--category", "{cat}", "--arity", "0"],
+     "--arity and --tuple-cap must be at least 1, got 0 and 64"),
+    (["coherence", "--category", "{cat}", "--tuple-cap", "-1"],
+     "--arity and --tuple-cap must be at least 1, got 3 and -1"),
+], ids=["objects-not-int", "objects-out-of-range", "gens-not-int", "max-nodes-0",
+        "max-nodes-below-arity", "arity-0", "tuple-cap-negative"])
+def test_malformed_arguments_exit_2(capsys, fixture_dir, tmp_path, argv, error):
+    paths = {"cat": fixture_dir / "cat-z4-over-z2.json", "s4": fixture_dir / "group-s4.json",
+             "out": tmp_path / "out.json"}
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": error}
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_right_action_files_rejected(fixture_dir, tmp_path):

@@ -161,3 +161,19 @@ def test_structural_coefficients_are_roots():
             assert not c.is_zero
         _, _, c = eval_structural(PhiMove(g), [], cat)
         assert not c.is_zero
+
+
+@pytest.mark.parametrize("name,objs", [("cocycle-j", (1,)), ("cocycle-j", (0, 1)),
+                                       ("z4-over-z2", (1, 2))])
+def test_coherence_stats_count_independent_cycles(name, objs):
+    rep = check_coherence(category(name), 6, objs)
+    st = rep.stats
+    assert rep.passed
+    assert st["independent_cycles"] == st["edges"] - st["words"] + st["components"] > 0
+
+
+def test_enumerated_words_are_distinct():
+    from crossedcat.words import enumerate_words
+    for max_nodes, arity in [(6, 1), (6, 2), (5, 3)]:
+        ws = enumerate_words(max_nodes, arity, [0, 1])
+        assert len(set(ws)) == len(ws)
