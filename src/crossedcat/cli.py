@@ -25,7 +25,7 @@ from .groups import subgroup_from_generators, validate_group
 from .matched import from_exact_factorization, verify_matched_pair, zappa_szep
 from .pointed import verify_crossed_category
 from .report import VerificationReport
-from .words import check_coherence
+from .words import check_coherence, min_word_nodes
 
 
 def _digest(path: Path) -> str:
@@ -169,9 +169,8 @@ def cmd_coherence(args) -> int:
         for k in range(1, args.arity + 1):
             pool = list(itertools.product(labels, repeat=k))
             tuples.extend(pool[: args.tuple_cap])
-    # a word over k >= 1 objects joins its k holes with k - 1 tensors
     k = max(len(t) for t in tuples)
-    need = max(1, 2 * k - 1)
+    need = min_word_nodes(k)
     if args.max_nodes < need:
         raise ValidationError(f"--max-nodes {args.max_nodes} is below {need}: "
                               f"a {k}-object tuple has no word with fewer nodes")

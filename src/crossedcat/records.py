@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Record:
     """An immutable record compared and hashed by its field values.
@@ -29,11 +31,22 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(n for n in cls.__dict__.get("__annotations__", {}) if n not in cls._fields)
-        cls._fields = cls._fields + own
+        names = cls._fields = cls._fields + own
+        # one C call reads every field: an attrgetter of two or more names
+        # returns their tuple
+        if len(names) > 1:
+            cls._values = staticmethod(attrgetter(*names))
+        elif names:
+            one = attrgetter(names[0])
+            cls._values = staticmethod(lambda record: (one(record),))
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
         names = cls._fields
+        if len(args) == len(names) and not kwargs:
+            for name, value in zip(names, args):
+                object.__setattr__(self, name, value)
+            return
         if len(args) > len(names):
             raise TypeError(f"{cls.__qualname__} takes {len(names)} fields, got {len(args)}")
         for name in kwargs:
@@ -52,19 +65,20 @@ class Record:
             # later attribute read
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+    @staticmethod
+    def _values(record) -> tuple:
+        return ()
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == other._values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):

@@ -447,38 +447,39 @@ def _subterms(w: Word, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, 
         yield from _subterms(w.body, path + (2,))
 
 
-def enumerate_words(max_nodes: int, arity: int, elements: Sequence[int]) -> list[Word]:
-    """All linear words with holes exactly 1..arity, at most max_nodes nodes,
-    each once."""
-    cache: dict[tuple[int, int, int], list[tuple[Word, int]]] = {}
+def min_word_nodes(arity: int) -> int:
+    """Nodes in the smallest word over arity objects: the unit for none, else
+    the arity holes joined by arity - 1 tensors."""
+    return max(1, 2 * arity - 1)
 
-    def gen(budget: int, lo: int, hi: int) -> list[tuple[Word, int]]:
-        """(word, node count) pairs."""
+
+def enumerate_words(max_nodes: int, arity: int, elements: Sequence[int]) -> list[Word]:
+    """All linear words with holes exactly 1..arity, at most max_nodes nodes."""
+    cache: dict[tuple[int, int, int], list[Word]] = {}
+
+    def gen(budget: int, lo: int, hi: int) -> list[Word]:
         key = (budget, lo, hi)
         if key in cache:
             return cache[key]
-        out: list[tuple[Word, int]] = []
+        out: list[Word] = []
         if budget >= 1:
             if hi == lo:
-                out.append((Unit(), 1))
+                out.append(Unit())
             elif hi == lo + 1:
-                out.append((Hole(lo), 1))
+                out.append(Hole(lo))
         if budget >= 2:
-            for body, n in gen(budget - 1, lo, hi):
-                out.extend((Act(g, body), n + 1) for g in elements)
+            for body in gen(budget - 1, lo, hi):
+                out.extend(Act(g, body) for g in elements)
         if budget >= 3:
             for mid in range(lo, hi + 1):
                 for b1 in range(1, budget - 1):
-                    for left, n1 in gen(b1, lo, mid):
-                        # gen(b1) also holds the smaller words, which were
-                        # paired when b1 equalled their size
-                        if n1 == b1:
-                            out.extend((Tensor(left, right), 1 + n1 + n2)
-                                       for right, n2 in gen(budget - 1 - b1, mid, hi))
+                    for left in gen(b1, lo, mid):
+                        for right in gen(budget - 1 - b1, mid, hi):
+                            out.append(Tensor(left, right))
         cache[key] = out
         return out
 
-    return [w for w, _ in gen(max_nodes, 1, arity + 1)]
+    return gen(max_nodes, 1, arity + 1)
 
 
 def _eval_raw(w: Word, objects: Sequence[int], cat: PointedCrossedCategory) -> int:
@@ -583,9 +584,11 @@ def check_coherence(cat: PointedCrossedCategory, max_nodes: int,
 
     rep.add("parallel_composites_agree", mismatch is None, mismatch)
     rep.add("search_space_nonempty", len(words) > 0, (max_nodes, len(objects)))
-    # edges off the search forest: E - N + C once every component is walked
+    # E - N + C over the distinct words; known only once every component
+    # is walked, so None after a mismatch
     rep.stats = {"words": len(words), "edges": n_edges, "components": components,
-                 "independent_cycles": n_edges - len(parent)}
+                 "independent_cycles": (n_edges - len(adjacency) + components
+                                        if mismatch is None else None)}
     return rep
 
 

@@ -110,7 +110,7 @@ def test_cached_property_still_works_on_a_record():
 
 def test_every_enumerated_word_round_trips_through_print_and_parse():
     ws = words.enumerate_words(5, 2, [0, 1, 2])
-    assert len(ws) == 70
+    assert len(set(ws)) == 70
     for w in ws:
         back = words.parse_word(words.print_word(w))
         assert back == w and hash(back) == hash(w)

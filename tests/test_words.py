@@ -163,17 +163,39 @@ def test_structural_coefficients_are_roots():
         assert not c.is_zero
 
 
+def test_coherence_stats_count_independent_cycles():
+    # at 3 nodes and arity 1 every enumerated word is distinct
+    st = check_coherence(category("cocycle-j"), 3, (1,)).stats
+    assert st["independent_cycles"] == st["edges"] - st["words"] + st["components"] == 4
+
+
 @pytest.mark.parametrize("name,objs", [("cocycle-j", (1,)), ("cocycle-j", (0, 1)),
                                        ("z4-over-z2", (1, 2))])
-def test_coherence_stats_count_independent_cycles(name, objs):
-    rep = check_coherence(category(name), 6, objs)
-    st = rep.stats
-    assert rep.passed
-    assert st["independent_cycles"] == st["edges"] - st["words"] + st["components"] > 0
-
-
-def test_enumerated_words_are_distinct():
+def test_coherence_independent_cycles_count_distinct_words(name, objs):
     from crossedcat.words import enumerate_words
-    for max_nodes, arity in [(6, 1), (6, 2), (5, 3)]:
-        ws = enumerate_words(max_nodes, arity, [0, 1])
-        assert len(set(ws)) == len(ws)
+    cat = category(name)
+    rep = check_coherence(cat, 6, objs)
+    assert rep.passed
+    st = rep.stats
+    nodes = len(set(enumerate_words(6, len(objs), list(cat.G.elements()))))
+    assert st["independent_cycles"] == st["edges"] - nodes + st["components"] > 0
+
+
+def test_coherence_independent_cycles_unknown_after_mismatch():
+    from crossedcat.pointed import pointed_category
+    cat = category("cocycle-j")
+    j = [[list(r) for r in plane] for plane in cat.jtable]
+    j[1][0][1] = (j[1][0][1] + 1) % cat.M
+    mut = pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, cat.M,
+                           jtable=j, name="mutated")
+    rep = check_coherence(mut, 6, (1,))
+    assert not rep.passed
+    assert rep.stats["independent_cycles"] is None
+
+
+def test_min_word_nodes_is_the_smallest_word():
+    from crossedcat.words import enumerate_words, min_word_nodes
+    for arity in range(4):
+        n = min_word_nodes(arity)
+        assert enumerate_words(n - 1, arity, [0, 1]) == []
+        assert enumerate_words(n, arity, [0, 1]) != []
