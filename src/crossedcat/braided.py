@@ -18,11 +18,9 @@ psi(h,t) = (h,e); both land injectively in the twisted product.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
-from .errors import NotMatched
-from .groups import FiniteGroup, GroupHom, direct_product, group_hom, identity_hom, is_hom_image
+from .groups import FiniteGroup, GroupHom, direct_product, identity_hom, is_hom_image
 from .matched import MatchedPair, matched_pair, turaev_pair, verify_matched_pair, zappa_szep
 from .records import Record
 from .report import VerificationReport, run_checks
@@ -38,6 +36,8 @@ def verify_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
     """Hom checks plus the five braiding axioms, exhaustive with witnesses."""
     mp = bmp.mp
     G, M = mp.G, mp.Gamma
+    Gt, Mt, a1, a2 = G.table, M.table, mp.act1.table, mp.act2.table
+    Gs, Ms = G.elements(), M.elements()
     phi, psi = bmp.phi.image, bmp.psi.image
     rep = VerificationReport(subject="braided-matched-pair")
 
@@ -45,121 +45,89 @@ def verify_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
     rep.add("underlying_matched_pair", pre.passed,
             None if pre.passed else tuple(pre.first_failure().witness or ()))
 
-    def phi_hom() -> Optional[tuple]:
-        return is_hom_image(M, G, phi)
-
-    def psi_hom() -> Optional[tuple]:
-        return is_hom_image(M, G, psi)
-
     def braid1() -> Optional[tuple]:
         # (phi(s) |>1 t) s = (psi(t) |>1 s) t
-        for s, t in itertools.product(M.elements(), M.elements()):
-            if M.mul(mp.a1(phi[s], t), s) != M.mul(mp.a1(psi[t], s), t):
-                return (s, t)
+        for s in Ms:
+            a1phs = a1[phi[s]]
+            for t in Ms:
+                if Mt[a1phs[t]][s] != Mt[a1[psi[t]][s]][t]:
+                    return (s, t)
         return None
 
-    def braid2() -> Optional[tuple]:
-        # (s |>2 g) phi(s) = phi(g |>1 s) g
-        for s, g in itertools.product(M.elements(), G.elements()):
-            if G.mul(mp.a2(s, g), phi[s]) != G.mul(phi[mp.a1(g, s)], g):
-                return (s, g)
+    def twist(f) -> Optional[tuple]:
+        # (s |>2 g) f(s) = f(g |>1 s) g: axiom 2 for f = phi, axiom 3 for f = psi
+        for s in Ms:
+            a2s, fs = a2[s], f[s]
+            for g in Gs:
+                if Gt[a2s[g]][fs] != Gt[f[a1[g][s]]][g]:
+                    return (s, g)
         return None
 
-    def braid3() -> Optional[tuple]:
-        for s, g in itertools.product(M.elements(), G.elements()):
-            if G.mul(mp.a2(s, g), psi[s]) != G.mul(psi[mp.a1(g, s)], g):
-                return (s, g)
-        return None
-
-    def braid4() -> Optional[tuple]:
-        # s |>2 phi(t) = phi(psi(s) |>1 t)
-        for s, t in itertools.product(M.elements(), M.elements()):
-            if mp.a2(s, phi[t]) != phi[mp.a1(psi[s], t)]:
-                return (s, t)
-        return None
-
-    def braid5() -> Optional[tuple]:
-        for s, t in itertools.product(M.elements(), M.elements()):
-            if mp.a2(s, psi[t]) != psi[mp.a1(phi[s], t)]:
-                return (s, t)
+    def intertwine(f, other) -> Optional[tuple]:
+        # s |>2 f(t) = f(other(s) |>1 t): axiom 4 for (phi, psi), axiom 5 for (psi, phi)
+        for s in Ms:
+            a2s, a1o = a2[s], a1[other[s]]
+            for t in Ms:
+                if a2s[f[t]] != f[a1o[t]]:
+                    return (s, t)
         return None
 
     return run_checks(rep, [
-        ("phi_is_homomorphism", phi_hom),
-        ("psi_is_homomorphism", psi_hom),
+        ("phi_is_homomorphism", lambda: is_hom_image(M, G, phi)),
+        ("psi_is_homomorphism", lambda: is_hom_image(M, G, psi)),
         ("braiding_axiom_1", braid1),
-        ("braiding_axiom_2", braid2),
-        ("braiding_axiom_3", braid3),
-        ("braiding_axiom_4", braid4),
-        ("braiding_axiom_5", braid5),
+        ("braiding_axiom_2", lambda: twist(phi)),
+        ("braiding_axiom_3", lambda: twist(psi)),
+        ("braiding_axiom_4", lambda: intertwine(phi, psi)),
+        ("braiding_axiom_5", lambda: intertwine(psi, phi)),
     ])
 
 
 def turaev_braiding(G: FiniteGroup) -> BraidedMatchedPair:
     """Adjoint pair with phi trivial and psi the identity."""
-    mp = turaev_pair(G)
-    phi = group_hom(G, G, [G.identity] * G.order)
-    return BraidedMatchedPair(mp, phi, identity_hom(G))
+    phi = GroupHom(G, G, (G.identity,) * G.order)
+    return BraidedMatchedPair(turaev_pair(G), phi, identity_hom(G))
 
 
 # -- the induced pair on (G><Gamma, G x Gamma) ----------------------------------
 
-def _one_sided_actions(mp: MatchedPair):
-    G, M = mp.G, mp.Gamma
-
-    def g_on_pair(g: int, h: int, t: int) -> tuple[int, int]:
-        return (G.mul(G.mul(mp.a2(t, g), h), G.inv(g)), mp.a1(g, t))
-
-    def pair_on_g(h: int, t: int, g: int) -> int:
-        return mp.a2(t, g)
-
-    def s_on_pair(s: int, h: int, t: int) -> tuple[int, int]:
-        return (mp.a2(s, h), M.mul(M.mul(mp.a1(h, s), t), M.inv(s)))
-
-    def pair_on_s(h: int, t: int, s: int) -> int:
-        return mp.a1(h, s)
-
-    return g_on_pair, pair_on_g, s_on_pair, pair_on_s
-
-
 def center_pair(mp: MatchedPair) -> MatchedPair:
-    """The induced matched pair (G><Gamma, G x Gamma); raises NotMatched unless mp is one."""
+    """The induced matched pair (G><Gamma, G x Gamma), from the combined
+    formulas in the module docstring.
+
+    zappa_szep raises NotMatched unless mp is a matched pair.  The induced
+    pair of a matched pair is matched (the main theorem), so it is returned
+    without a verification sweep; verify_braiding reports on it.
+    """
     G, M = mp.G, mp.Gamma
     GP, _, _ = zappa_szep(mp)           # elements g*|Gamma| + s
     GXM = direct_product(G, M)          # elements h*|Gamma| + t
-    g_on_pair, pair_on_g, s_on_pair, pair_on_s = _one_sided_actions(mp)
-
-    n_act = GP.order
-    n_pts = GXM.order
-    a1 = [[0] * n_pts for _ in range(n_act)]
-    a2 = [[0] * n_act for _ in range(n_pts)]
+    m, Gt, Mt, Ginv, Minv = M.order, G.table, M.table, G.inverses, M.inverses
+    a1, a2 = mp.act1.table, mp.act2.table
+    out1 = [[0] * GXM.order for _ in range(GP.order)]
+    out2 = [[0] * GP.order for _ in range(GXM.order)]
     for g in G.elements():
+        gi, a1g = Ginv[g], a1[g]
         for s in M.elements():
-            A = g * M.order + s
+            A = g * m + s
+            row, a2s, si = out1[A], a2[s], Minv[s]
             for h in G.elements():
+                h1, hs = a2s[h], a1[h][s]       # s |>2 h, h |>1 s
+                Mhs = Mt[hs]
                 for t in M.elements():
-                    S = h * M.order + t
-                    h1, t1 = s_on_pair(s, h, t)
-                    h2, t2 = g_on_pair(g, h1, t1)
-                    a1[A][S] = h2 * M.order + t2
-                    a2[S][A] = pair_on_g(h1, t1, g) * M.order + pair_on_s(h, t, s)
-    out = matched_pair(GP, GXM, a1, a2)
-    rep = verify_matched_pair(out)
-    if not rep.passed:
-        raise NotMatched(rep)
-    return out
+                    S = h * m + t
+                    t1 = Mt[Mhs[t]][si]         # (h |>1 s) t s^-1
+                    g1 = a2[t1][g]              # t1 |>2 g
+                    row[S] = Gt[Gt[g1][h1]][gi] * m + a1g[t1]
+                    out2[S][A] = g1 * m + hs
+    return matched_pair(GP, GXM, out1, out2)
 
 
 def center_braiding(mp: MatchedPair) -> BraidedMatchedPair:
-    """The induced pair with phi(h,t) = (e,t) and psi(h,t) = (h,e)."""
+    """The induced pair with phi(h,t) = (e,t) and psi(h,t) = (h,e), returned
+    unverified like center_pair's output; verify_braiding reports on both."""
     cp = center_pair(mp)
     G, M = mp.G, mp.Gamma
-    GXM, GP = cp.Gamma, cp.G
-    phi_img, psi_img = [], []
-    for h in G.elements():
-        for t in M.elements():
-            phi_img.append(G.identity * M.order + t)
-            psi_img.append(h * M.order + M.identity)
-    phi = group_hom(GXM, GP, phi_img)
-    psi = group_hom(GXM, GP, psi_img)
-    return BraidedMatchedPair(cp, phi, psi)
+    phi = tuple(G.identity * M.order + t for h in G.elements() for t in M.elements())
+    psi = tuple(h * M.order + M.identity for h in G.elements() for t in M.elements())
+    return BraidedMatchedPair(cp, GroupHom(cp.Gamma, cp.G, phi), GroupHom(cp.Gamma, cp.G, psi))

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 from . import jsonio
 from .braided import center_braiding, turaev_braiding, verify_braiding
 from .center import enumerate_center, verify_center_braided
-from .errors import (AssocViolation, CrossedCatError, MalformedTable, NoIdentity, NoInverse,
-                     NonSingularityViolated, NotExact, NotMatched, ParseError, ValidationError)
+from .errors import (AssocViolation, CrossedCatError, NoIdentity, NoInverse, NotMatched,
+                     ValidationError)
 from .groups import subgroup_from_generators, validate_group
 from .matched import from_exact_factorization, verify_matched_pair, zappa_szep
 from .pointed import verify_crossed_category
@@ -244,14 +244,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, MalformedTable, NonSingularityViolated,
-            NotExact, json.JSONDecodeError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 2
     except NotMatched as exc:
         print(exc.report.render(pretty=getattr(args, "pretty", False)))
         return 1
-    except CrossedCatError as exc:
+    except (CrossedCatError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2
 

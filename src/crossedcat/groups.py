@@ -210,10 +210,9 @@ def group_hom(source: FiniteGroup, target: FiniteGroup, image: Sequence[int]) ->
         raise ValueError("image array has wrong length")
     if img[source.identity] != target.identity:
         raise ValueError("identity is not preserved")
-    for a in source.elements():
-        for b in source.elements():
-            if img[source.mul(a, b)] != target.mul(img[a], img[b]):
-                raise ValueError(f"not a homomorphism at ({a},{b})")
+    bad = is_hom_image(source, target, img)
+    if bad is not None:
+        raise ValueError(f"not a homomorphism at ({bad[0]},{bad[1]})")
     return GroupHom(source, target, img)
 
 

@@ -17,7 +17,7 @@ from .braided import BraidedMatchedPair
 from .errors import ParseError, ValidationError
 from .groups import FiniteGroup, GroupHom, validate_group
 from .matched import MatchedPair, matched_pair
-from .pointed import PointedCrossedCategory, pointed_category
+from .pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
 
 PathLike = Union[str, Path]
 
@@ -262,7 +262,6 @@ def load_category(path: PathLike, validate: bool = True) -> PointedCrossedCatego
     """Load and, by default, verify; a failing axiom raises ValidationError."""
     cat = category_from_json(read_json(path), Path(path).parent)
     if validate:
-        from .pointed import verify_crossed_category
         rep = verify_crossed_category(cat)
         if not rep.passed:
             raise ValidationError(f"category axioms fail: {rep.first_failure()}")

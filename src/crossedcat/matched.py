@@ -11,11 +11,10 @@ so pairs (g, s), encoded g*|Gamma| + s, mean "G part times Gamma part".
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 from .errors import NoUniqueFactorization, NotExact, NotMatched
-from .groups import (FiniteGroup, GroupActionOnSet, GroupHom, group_hom,
+from .groups import (FiniteGroup, GroupActionOnSet, GroupHom, Table, group_hom,
                      subgroup_as_group, trivial_action, validate_group)
 from .records import Record
 from .report import VerificationReport, run_checks
@@ -55,62 +54,64 @@ def turaev_pair(G: FiniteGroup) -> MatchedPair:
 
 
 def verify_matched_pair(mp: MatchedPair) -> VerificationReport:
-    """All matched-pair axioms, exhaustively; first lexicographic witness per axiom."""
-    G, M = mp.G, mp.Gamma
-    rep = VerificationReport(subject="matched-pair")
+    """All matched-pair axioms, exhaustively; first lexicographic witness per axiom.
 
-    def act1_action() -> Optional[tuple]:
-        for s in M.elements():
-            if mp.a1(G.identity, s) != s:
-                return (G.identity, s)
-        for g, h, s in itertools.product(G.elements(), G.elements(), M.elements()):
-            if mp.a1(g, mp.a1(h, s)) != mp.a1(G.mul(g, h), s):
-                return (g, h, s)
-        return None
+    The matching relations are
 
-    def act2_action() -> Optional[tuple]:
-        for g in G.elements():
-            if mp.a2(M.identity, g) != g:
-                return (M.identity, g)
-        for s, t, g in itertools.product(M.elements(), M.elements(), G.elements()):
-            if mp.a2(s, mp.a2(t, g)) != mp.a2(M.mul(s, t), g):
-                return (s, t, g)
-        return None
+        g |>1 (s t) = ((t |>2 g) |>1 s)(g |>1 t)
+        s |>2 (g h) = ((h |>1 s) |>2 g)(s |>2 h)
 
-    def unit1() -> Optional[tuple]:
-        for g in G.elements():
-            if mp.a1(g, M.identity) != M.identity:
-                return (g,)
-        return None
-
-    def unit2() -> Optional[tuple]:
-        for s in M.elements():
-            if mp.a2(s, G.identity) != G.identity:
-                return (s,)
-        return None
-
-    def match1() -> Optional[tuple]:
-        # g |>1 (s t) = ((t |>2 g) |>1 s)(g |>1 t)
-        for g, s, t in itertools.product(G.elements(), M.elements(), M.elements()):
-            if mp.a1(g, M.mul(s, t)) != M.mul(mp.a1(mp.a2(t, g), s), mp.a1(g, t)):
-                return (g, s, t)
-        return None
-
-    def match2() -> Optional[tuple]:
-        # s |>2 (g h) = ((h |>1 s) |>2 g)(s |>2 h)
-        for s, g, h in itertools.product(M.elements(), G.elements(), G.elements()):
-            if mp.a2(s, G.mul(g, h)) != G.mul(mp.a2(mp.a1(h, s), g), mp.a2(s, h)):
-                return (s, g, h)
-        return None
-
-    return run_checks(rep, [
-        ("act1_is_left_action", act1_action),
-        ("act2_is_left_action", act2_action),
-        ("act1_fixes_unit", unit1),
-        ("act2_fixes_unit", unit2),
-        ("matching_relation_1", match1),
-        ("matching_relation_2", match2),
+    and each axiom mirrors the other side's, so it is one sweep over the
+    Cayley tables and action rows, run once per side.  Loops nest in the
+    order of the witness tuple.
+    """
+    G, M, a1, a2 = mp.G, mp.Gamma, mp.act1.table, mp.act2.table
+    return run_checks(VerificationReport(subject="matched-pair"), [
+        ("act1_is_left_action", lambda: _left_action_witness(G, M, a1)),
+        ("act2_is_left_action", lambda: _left_action_witness(M, G, a2)),
+        ("act1_fixes_unit", lambda: _unit_witness(G, M, a1)),
+        ("act2_fixes_unit", lambda: _unit_witness(M, G, a2)),
+        ("matching_relation_1", lambda: _matching_witness(G, M, a1, a2)),
+        ("matching_relation_2", lambda: _matching_witness(M, G, a2, a1)),
     ])
+
+
+def _left_action_witness(K: FiniteGroup, X: FiniteGroup, act: Table) -> Optional[tuple]:
+    """First (e, x), then first (k, h, x), where act[k][x] (K on the set X) is no left action."""
+    e, Kt, Xs = K.identity, K.table, X.elements()
+    acte = act[e]
+    for x in Xs:
+        if acte[x] != x:
+            return (e, x)
+    for k in K.elements():
+        actk, Kk = act[k], Kt[k]
+        for h in K.elements():
+            acth, actkh = act[h], act[Kk[h]]
+            for x in Xs:
+                if actk[acth[x]] != actkh[x]:
+                    return (k, h, x)
+    return None
+
+
+def _unit_witness(K: FiniteGroup, X: FiniteGroup, act: Table) -> Optional[tuple]:
+    """First (k,) whose action moves the unit of X."""
+    e = X.identity
+    return next(((k,) for k in K.elements() if act[k][e] != e), None)
+
+
+def _matching_witness(K: FiniteGroup, X: FiniteGroup, act: Table, back: Table) -> Optional[tuple]:
+    """First (k, x, y) with k |> (x y) != ((y |>' k) |> x)(k |> y), where |> is
+    act (K on X) and |>' is back (X on K)."""
+    Xt, Xs = X.table, X.elements()
+    for k in K.elements():
+        actk = act[k]
+        tw = [act[back[y][k]] for y in Xs]  # tw[y] = the row of y |>' k
+        for x in Xs:
+            Xx = Xt[x]
+            for y in Xs:
+                if actk[Xx[y]] != Xt[tw[y][x]][actk[y]]:
+                    return (k, x, y)
+    return None
 
 
 # -- Zappa-Szep product ---------------------------------------------------------
@@ -124,17 +125,18 @@ def zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, GroupHom, GroupHom]:
     if not rep.passed:
         raise NotMatched(rep)
     G, M = mp.G, mp.Gamma
-    n = G.order * M.order
-    table = [[0] * n for _ in range(n)]
+    m, Gt, Mt, Ginv = M.order, G.table, M.table, G.inverses
+    a1, a2 = mp.act1.table, mp.act2.table
+    table = []
     for g in G.elements():
+        Gg = Gt[g]
         for s in M.elements():
-            row = table[g * M.order + s]
+            row, a2s = [], a2[s]
             for g2 in G.elements():
-                gi = G.inv(g2)
-                first_g = G.mul(g, G.inv(mp.a2(s, gi)))
-                s_twist = mp.a1(gi, s)
-                for s2 in M.elements():
-                    row[g2 * M.order + s2] = first_g * M.order + M.mul(s_twist, s2)
+                gi = Ginv[g2]
+                first = Gg[Ginv[a2s[gi]]] * m
+                row.extend(first + st for st in Mt[a1[gi][s]])
+            table.append(row)
     H = validate_group(table, G.identity * M.order + M.identity, f"{G.name}><{M.name}")
     embed_g = group_hom(G, H, [g * M.order + M.identity for g in G.elements()])
     embed_m = group_hom(M, H, [G.identity * M.order + s for s in M.elements()])
@@ -147,7 +149,10 @@ def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],
 
     For each (s, g), factor s*g^-1 = a*b with a in G, b in Gamma; then
     s |>2 g := a^-1 and g |>1 s := b.  Subgroups keep the order given in
-    g_set / gamma_set when reindexed.
+    g_set / gamma_set when reindexed.  Raises NotExact unless the subsets
+    are subgroups with H = G * Gamma exactly.  The actions of an exact
+    factorization form a matched pair, so the result is returned without
+    a verification sweep; verify_matched_pair reports on it.
     """
     g_set = list(g_set)
     gamma_set = list(gamma_set)
@@ -187,11 +192,7 @@ def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],
 
     Gg = subgroup_as_group(H, g_set, name=f"{H.name}.G")
     Mg = subgroup_as_group(H, gamma_set, name=f"{H.name}.Gamma")
-    mp = matched_pair(Gg, Mg, a1, a2)
-    rep = verify_matched_pair(mp)
-    if not rep.passed:
-        raise NotMatched(rep)
-    return mp
+    return matched_pair(Gg, Mg, a1, a2)
 
 
 def multiplication_hom(mp: MatchedPair, H: FiniteGroup, g_set: Sequence[int],

@@ -2,9 +2,13 @@
 
 Test-only reference: `reference_crossed_category`, `ReferenceCenter` and
 `reference_center_braided` are the previous `verify_crossed_category`,
-`CenterStructure` and `verify_center_braided`, loop bodies unchanged, so
-that tests/test_reference_equivalence.py can require the table-driven core
-to return the same (name, pass, witness) lists.
+`CenterStructure` and `verify_center_braided`; `reference_matched_pair`,
+`reference_zappa_szep`, `reference_braiding`, `reference_center_pair` and
+`reference_center_braiding` are the previous `verify_matched_pair`,
+`zappa_szep`, `verify_braiding`, `center_pair` and `center_braiding`.
+Loop bodies are unchanged and call only each other, never the code they
+are compared with, so that tests/test_reference_equivalence.py can require
+the table-driven core to return the same (name, pass, witness) lists.
 """
 
 from __future__ import annotations
@@ -13,14 +17,224 @@ import itertools
 from functools import cached_property
 from typing import Optional, Sequence
 
-from crossedcat.braided import BraidedMatchedPair, center_braiding as induced_braiding, verify_braiding
+from crossedcat.braided import BraidedMatchedPair
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle
-from crossedcat.errors import GroupValidationError, UnsupportedConfiguration
-from crossedcat.groups import validate_group
-from crossedcat.matched import verify_matched_pair
+from crossedcat.errors import GroupValidationError, NotMatched, UnsupportedConfiguration
+from crossedcat.groups import (FiniteGroup, GroupHom, direct_product, group_hom, is_hom_image,
+                               validate_group)
+from crossedcat.matched import MatchedPair, matched_pair
 from crossedcat.pointed import PointedCrossedCategory, dual_data, pointed_category
 from crossedcat.report import VerificationReport, run_checks
 from crossedcat.scalars import UnitScalar
+
+
+# -- matched and braided pairs
+
+def reference_matched_pair(mp: MatchedPair) -> VerificationReport:
+    """All matched-pair axioms, exhaustively; first lexicographic witness per axiom."""
+    G, M = mp.G, mp.Gamma
+    rep = VerificationReport(subject="matched-pair")
+
+    def act1_action() -> Optional[tuple]:
+        for s in M.elements():
+            if mp.a1(G.identity, s) != s:
+                return (G.identity, s)
+        for g, h, s in itertools.product(G.elements(), G.elements(), M.elements()):
+            if mp.a1(g, mp.a1(h, s)) != mp.a1(G.mul(g, h), s):
+                return (g, h, s)
+        return None
+
+    def act2_action() -> Optional[tuple]:
+        for g in G.elements():
+            if mp.a2(M.identity, g) != g:
+                return (M.identity, g)
+        for s, t, g in itertools.product(M.elements(), M.elements(), G.elements()):
+            if mp.a2(s, mp.a2(t, g)) != mp.a2(M.mul(s, t), g):
+                return (s, t, g)
+        return None
+
+    def unit1() -> Optional[tuple]:
+        for g in G.elements():
+            if mp.a1(g, M.identity) != M.identity:
+                return (g,)
+        return None
+
+    def unit2() -> Optional[tuple]:
+        for s in M.elements():
+            if mp.a2(s, G.identity) != G.identity:
+                return (s,)
+        return None
+
+    def match1() -> Optional[tuple]:
+        # g |>1 (s t) = ((t |>2 g) |>1 s)(g |>1 t)
+        for g, s, t in itertools.product(G.elements(), M.elements(), M.elements()):
+            if mp.a1(g, M.mul(s, t)) != M.mul(mp.a1(mp.a2(t, g), s), mp.a1(g, t)):
+                return (g, s, t)
+        return None
+
+    def match2() -> Optional[tuple]:
+        # s |>2 (g h) = ((h |>1 s) |>2 g)(s |>2 h)
+        for s, g, h in itertools.product(M.elements(), G.elements(), G.elements()):
+            if mp.a2(s, G.mul(g, h)) != G.mul(mp.a2(mp.a1(h, s), g), mp.a2(s, h)):
+                return (s, g, h)
+        return None
+
+    return run_checks(rep, [
+        ("act1_is_left_action", act1_action),
+        ("act2_is_left_action", act2_action),
+        ("act1_fixes_unit", unit1),
+        ("act2_fixes_unit", unit2),
+        ("matching_relation_1", match1),
+        ("matching_relation_2", match2),
+    ])
+
+
+def reference_zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, GroupHom, GroupHom]:
+    """The twisted product on G x Gamma with its two subgroup embeddings.
+
+    (g, s)(g', s') = (g * (s |>2 g'^-1)^-1, (g'^-1 |>1 s) * s').
+    """
+    rep = reference_matched_pair(mp)
+    if not rep.passed:
+        raise NotMatched(rep)
+    G, M = mp.G, mp.Gamma
+    n = G.order * M.order
+    table = [[0] * n for _ in range(n)]
+    for g in G.elements():
+        for s in M.elements():
+            row = table[g * M.order + s]
+            for g2 in G.elements():
+                gi = G.inv(g2)
+                first_g = G.mul(g, G.inv(mp.a2(s, gi)))
+                s_twist = mp.a1(gi, s)
+                for s2 in M.elements():
+                    row[g2 * M.order + s2] = first_g * M.order + M.mul(s_twist, s2)
+    H = validate_group(table, G.identity * M.order + M.identity, f"{G.name}><{M.name}")
+    embed_g = group_hom(G, H, [g * M.order + M.identity for g in G.elements()])
+    embed_m = group_hom(M, H, [G.identity * M.order + s for s in M.elements()])
+    return H, embed_g, embed_m
+
+
+def reference_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
+    """Hom checks plus the five braiding axioms, exhaustive with witnesses."""
+    mp = bmp.mp
+    G, M = mp.G, mp.Gamma
+    phi, psi = bmp.phi.image, bmp.psi.image
+    rep = VerificationReport(subject="braided-matched-pair")
+
+    pre = reference_matched_pair(mp)
+    rep.add("underlying_matched_pair", pre.passed,
+            None if pre.passed else tuple(pre.first_failure().witness or ()))
+
+    def phi_hom() -> Optional[tuple]:
+        return is_hom_image(M, G, phi)
+
+    def psi_hom() -> Optional[tuple]:
+        return is_hom_image(M, G, psi)
+
+    def braid1() -> Optional[tuple]:
+        # (phi(s) |>1 t) s = (psi(t) |>1 s) t
+        for s, t in itertools.product(M.elements(), M.elements()):
+            if M.mul(mp.a1(phi[s], t), s) != M.mul(mp.a1(psi[t], s), t):
+                return (s, t)
+        return None
+
+    def braid2() -> Optional[tuple]:
+        # (s |>2 g) phi(s) = phi(g |>1 s) g
+        for s, g in itertools.product(M.elements(), G.elements()):
+            if G.mul(mp.a2(s, g), phi[s]) != G.mul(phi[mp.a1(g, s)], g):
+                return (s, g)
+        return None
+
+    def braid3() -> Optional[tuple]:
+        for s, g in itertools.product(M.elements(), G.elements()):
+            if G.mul(mp.a2(s, g), psi[s]) != G.mul(psi[mp.a1(g, s)], g):
+                return (s, g)
+        return None
+
+    def braid4() -> Optional[tuple]:
+        # s |>2 phi(t) = phi(psi(s) |>1 t)
+        for s, t in itertools.product(M.elements(), M.elements()):
+            if mp.a2(s, phi[t]) != phi[mp.a1(psi[s], t)]:
+                return (s, t)
+        return None
+
+    def braid5() -> Optional[tuple]:
+        for s, t in itertools.product(M.elements(), M.elements()):
+            if mp.a2(s, psi[t]) != psi[mp.a1(phi[s], t)]:
+                return (s, t)
+        return None
+
+    return run_checks(rep, [
+        ("phi_is_homomorphism", phi_hom),
+        ("psi_is_homomorphism", psi_hom),
+        ("braiding_axiom_1", braid1),
+        ("braiding_axiom_2", braid2),
+        ("braiding_axiom_3", braid3),
+        ("braiding_axiom_4", braid4),
+        ("braiding_axiom_5", braid5),
+    ])
+
+
+def _one_sided_actions(mp: MatchedPair):
+    G, M = mp.G, mp.Gamma
+
+    def g_on_pair(g: int, h: int, t: int) -> tuple[int, int]:
+        return (G.mul(G.mul(mp.a2(t, g), h), G.inv(g)), mp.a1(g, t))
+
+    def pair_on_g(h: int, t: int, g: int) -> int:
+        return mp.a2(t, g)
+
+    def s_on_pair(s: int, h: int, t: int) -> tuple[int, int]:
+        return (mp.a2(s, h), M.mul(M.mul(mp.a1(h, s), t), M.inv(s)))
+
+    def pair_on_s(h: int, t: int, s: int) -> int:
+        return mp.a1(h, s)
+
+    return g_on_pair, pair_on_g, s_on_pair, pair_on_s
+
+
+def reference_center_pair(mp: MatchedPair) -> MatchedPair:
+    """The induced matched pair (G><Gamma, G x Gamma); raises NotMatched unless mp is one."""
+    G, M = mp.G, mp.Gamma
+    GP, _, _ = reference_zappa_szep(mp)           # elements g*|Gamma| + s
+    GXM = direct_product(G, M)          # elements h*|Gamma| + t
+    g_on_pair, pair_on_g, s_on_pair, pair_on_s = _one_sided_actions(mp)
+
+    n_act = GP.order
+    n_pts = GXM.order
+    a1 = [[0] * n_pts for _ in range(n_act)]
+    a2 = [[0] * n_act for _ in range(n_pts)]
+    for g in G.elements():
+        for s in M.elements():
+            A = g * M.order + s
+            for h in G.elements():
+                for t in M.elements():
+                    S = h * M.order + t
+                    h1, t1 = s_on_pair(s, h, t)
+                    h2, t2 = g_on_pair(g, h1, t1)
+                    a1[A][S] = h2 * M.order + t2
+                    a2[S][A] = pair_on_g(h1, t1, g) * M.order + pair_on_s(h, t, s)
+    out = matched_pair(GP, GXM, a1, a2)
+    rep = reference_matched_pair(out)
+    if not rep.passed:
+        raise NotMatched(rep)
+    return out
+
+
+def reference_center_braiding(mp: MatchedPair) -> BraidedMatchedPair:
+    """The induced pair with phi(h,t) = (e,t) and psi(h,t) = (h,e)."""
+    cp = reference_center_pair(mp)
+    G, M = mp.G, mp.Gamma
+    GXM, GP = cp.Gamma, cp.G
+    phi_img, psi_img = [], []
+    for h in G.elements():
+        for t in M.elements():
+            phi_img.append(G.identity * M.order + t)
+            psi_img.append(h * M.order + M.identity)
+    phi = group_hom(GXM, GP, phi_img)
+    psi = group_hom(GXM, GP, psi_img)
+    return BraidedMatchedPair(cp, phi, psi)
 
 
 def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
@@ -47,7 +261,7 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
         return None
 
     def matched_pair_valid() -> Optional[tuple]:
-        r = verify_matched_pair(mp)
+        r = reference_matched_pair(mp)
         return None if r.passed else (r.first_failure().name,)
 
     def grading_hom() -> Optional[tuple]:
@@ -447,7 +661,7 @@ class ReferenceCenter:
     # -- the center as a pointed crossed category over the induced pair
     @cached_property
     def induced(self) -> BraidedMatchedPair:
-        return induced_braiding(self.cat.mp)
+        return reference_center_braiding(self.cat.mp)
 
     def as_category(self, name: Optional[str] = None) -> PointedCrossedCategory:
         """Package the center's tables as a pointed crossed category.
@@ -572,7 +786,7 @@ def reference_center_braided(cat: PointedCrossedCategory,
         return None
 
     def induced_pair_braided() -> Optional[tuple]:
-        r = verify_braiding(Z.induced)
+        r = reference_braiding(Z.induced)
         return None if r.passed else (r.first_failure().name,)
 
     def sigma_wellformed() -> Optional[tuple]:

@@ -63,6 +63,30 @@ def test_center_counts(capsys, fixture_dir):
     assert len(json.loads(out)["simples"]) == 3
 
 
+def test_verify_center_verifies_each_pair_at_most_twice(capsys, fixture_dir, monkeypatch):
+    # the input pair: the category check and zappa_szep's input guard; the
+    # induced pair: the reported checks induced_pair_braided and
+    # center_category_axioms.  Constructions do not verify their output.
+    import sys
+    import crossedcat.matched
+    original = crossedcat.matched.verify_matched_pair
+    orders = []
+
+    def counting(mp):
+        orders.append((mp.G.order, mp.Gamma.order))
+        return original(mp)
+
+    for name, module in list(sys.modules.items()):
+        if name == "crossedcat" or name.startswith("crossedcat."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    code, _ = run(capsys, "verify", "center", str(fixture_dir / "cat-vec-turaev-s3.json"))
+    assert code == 0
+    assert 1 <= orders.count((36, 36)) <= 2, orders
+    assert 1 <= orders.count((6, 6)) <= 2, orders
+
+
 def test_reports_are_byte_identical(capsys, fixture_dir):
     _, out1 = run(capsys, "verify", "category", str(fixture_dir / "cat-cocycle-j.json"))
     _, out2 = run(capsys, "verify", "category", str(fixture_dir / "cat-cocycle-j.json"))

@@ -1,10 +1,12 @@
 """The dense-table verification core against the per-element sweeps it
 replaced (tests/reference_sweeps.py).
 
-Category reports must agree check by check on (name, pass, witness), so the
-table loops keep every first witness; this is exercised on failing inputs
-too, where witnesses are nontrivial.  Center reports on corrupted simple
-lists must agree on pass/fail for each check.
+Category, matched-pair and braided-pair reports must agree check by check
+on (name, pass, witness), so the table loops keep every first witness; this
+is exercised on failing inputs too, where witnesses are nontrivial.  The
+constructions (twisted product, induced pair, induced braiding) must build
+the same tables.  Center reports on corrupted simple lists must agree on
+pass/fail for each check.
 """
 
 from __future__ import annotations
@@ -13,15 +15,22 @@ import random
 
 import pytest
 
-from conftest import FIXTURE_DIR, category
+from conftest import FIXTURE_DIR, category, pair
 from crossedcat import jsonio
+from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
 from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
-from crossedcat.fixtures import CENTER_FIXTURES
+from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
+from crossedcat.matched import matched_pair, verify_matched_pair, zappa_szep
 from crossedcat.pointed import pointed_category, verify_crossed_category
-from reference_sweeps import ReferenceCenter, reference_center_braided, reference_crossed_category
+from reference_sweeps import (ReferenceCenter, reference_braiding, reference_center_braided,
+                              reference_center_braiding, reference_crossed_category,
+                              reference_matched_pair, reference_zappa_szep)
 
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
 CENTER_FILES = [n for n in CATEGORY_FILES if n != "cat-nonsurjective.json"]
+PAIR_FILES = sorted(p.name for p in FIXTURE_DIR.glob("*.json")
+                    if not p.name.startswith(("cat-", "group-")))
+BRAIDED_FILES = [n for n in PAIR_FILES if n.endswith(("-braided.json", "-center.json"))]
 
 
 def triples(rep) -> list[tuple]:
@@ -35,6 +44,74 @@ def verdicts(rep) -> list[tuple]:
 def assert_same_category_report(cat) -> None:
     assert triples(verify_crossed_category(cat)) == triples(reference_crossed_category(cat)), \
         cat.name
+
+
+def assert_same_pair_reports(bmp: BraidedMatchedPair) -> None:
+    assert triples(verify_matched_pair(bmp.mp)) == triples(reference_matched_pair(bmp.mp))
+    assert triples(verify_braiding(bmp)) == triples(reference_braiding(bmp))
+
+
+@pytest.mark.parametrize("name", PAIR_FILES)
+def test_pair_fixtures(name):
+    if name in BRAIDED_FILES:
+        assert_same_pair_reports(jsonio.load_braided(FIXTURE_DIR / name))
+    else:
+        mp = jsonio.load_matched(FIXTURE_DIR / name)
+        assert triples(verify_matched_pair(mp)) == triples(reference_matched_pair(mp))
+
+
+@pytest.mark.parametrize("name", list(MATCHED_PAIRS))
+def test_induced_pairs(name):
+    mp = pair(name)
+    assert zappa_szep(mp) == reference_zappa_szep(mp)
+    bmp = center_braiding(mp)
+    assert bmp == reference_center_braiding(mp)
+    assert_same_pair_reports(bmp)
+
+
+def _action_mutants(mp, count: int, rng: random.Random):
+    """Single-entry mutants of the act1 and act2 tables of a matched pair."""
+    for _ in range(count):
+        which = rng.choice(("act1", "act2"))
+        a1 = [list(r) for r in mp.act1.table]
+        a2 = [list(r) for r in mp.act2.table]
+        act, size = (a1, mp.Gamma.order) if which == "act1" else (a2, mp.G.order)
+        i, j = rng.randrange(len(act)), rng.randrange(size)
+        act[i][j] = (act[i][j] + rng.randrange(1, size)) % size
+        yield matched_pair(mp.G, mp.Gamma, a1, a2)
+
+
+@pytest.mark.parametrize("name", ["turaev-s3", "s4-z4-s3"])
+def test_induced_pair_action_mutants(name):
+    bmp = center_braiding(pair(name))
+    for mut in _action_mutants(bmp.mp, 20, random.Random(f"induced:{name}")):
+        assert not verify_matched_pair(mut).passed
+        assert_same_pair_reports(BraidedMatchedPair(mut, bmp.phi, bmp.psi))
+
+
+def test_criterion_9_pair_mutants(monkeypatch):
+    import test_acceptance
+
+    seen = []
+
+    def matched_both(mp):
+        rep = verify_matched_pair(mp)
+        assert triples(rep) == triples(reference_matched_pair(mp))
+        seen.append(mp)
+        return rep
+
+    def braided_both(bmp):
+        rep = verify_braiding(bmp)
+        assert triples(rep) == triples(reference_braiding(bmp))
+        seen.append(bmp)
+        return rep
+
+    monkeypatch.setattr(test_acceptance, "verify_matched_pair", matched_both)
+    monkeypatch.setattr(test_acceptance, "verify_braiding", braided_both)
+    for name, check in test_acceptance._mutation_pool():
+        if name.startswith(("pair:", "braided:")):
+            assert check(), name
+    assert len(seen) >= 20
 
 
 @pytest.mark.parametrize("name", CATEGORY_FILES)
