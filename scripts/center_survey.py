@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Survey the centers of all category fixtures: counts, grades, coefficients."""
+"""Survey the centers of all category fixtures: counts, grades, coefficients,
+and how many J planes and chi rows of each center, viewed as a category,
+are all zero (the blocks the crossed-category sweeps skip).
+
+Run as `python scripts/center_survey.py`.
+"""
 
 from __future__ import annotations
 
@@ -32,6 +37,12 @@ def main() -> None:
         print(f"  grades: {dict(sorted(grades.items()))}")
         print(f"  braiding exponents (mod {cat.M}): {dict(sorted(coeffs.items()))}")
         print(f"  swap-scalar exponents: {dict(sorted(sigma_vals.items()))}")
+        zcat = Z.as_category()
+        zero_j = sum(not any(map(any, plane)) for plane in zcat.jtable)
+        chi_rows = [row for plane in zcat.chitable for row in plane]
+        zero_chi = sum(not any(row) for row in chi_rows)
+        print(f"  zero J planes {zero_j}/{len(zcat.jtable)}, "
+              f"zero chi rows {zero_chi}/{len(chi_rows)}")
 
 
 if __name__ == "__main__":

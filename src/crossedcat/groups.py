@@ -145,16 +145,17 @@ def close_permutations(gens: Iterable[tuple[int, ...]], n: int) -> set[tuple[int
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
-    """Componentwise product on pairs (a, b) encoded as a*|H| + b."""
-    n = G.order * H.order
-    table = [[0] * n for _ in range(n)]
-    for a in G.elements():
-        for b in H.elements():
-            for c in G.elements():
-                for d in H.elements():
-                    table[a * H.order + b][c * H.order + d] = G.mul(a, c) * H.order + H.mul(b, d)
-    e = G.identity * H.order + H.identity
-    return validate_group(table, e, f"{G.name}x{H.name}")
+    """Componentwise product on pairs (a, b) encoded as a*|H| + b.
+
+    The product of two groups is a group, so it is built without a
+    group-law sweep."""
+    m, Gt, Ht = H.order, G.table, H.table
+    table = tuple(tuple(Gac * m + Hbd for Gac in Gt[a] for Hbd in Ht[b])
+                  for a in G.elements() for b in H.elements())
+    inverses = tuple(G.inverses[a] * m + H.inverses[b]
+                     for a in G.elements() for b in H.elements())
+    return FiniteGroup(G.order * m, table, G.identity * m + H.identity, inverses,
+                       f"{G.name}x{H.name}")
 
 
 def product_projections(G: FiniteGroup, H: FiniteGroup, P: FiniteGroup) -> tuple["GroupHom", "GroupHom"]:

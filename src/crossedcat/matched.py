@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import NoUniqueFactorization, NotExact, NotMatched
 from .groups import (FiniteGroup, GroupActionOnSet, GroupHom, Table, group_hom,
-                     subgroup_as_group, trivial_action, validate_group)
+                     subgroup_as_group, trivial_action)
 from .records import Record
 from .report import VerificationReport, run_checks
 
@@ -120,12 +120,17 @@ def zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, GroupHom, GroupHom]:
     """The twisted product on G x Gamma with its two subgroup embeddings.
 
     (g, s)(g', s') = (g * (s |>2 g'^-1)^-1, (g'^-1 |>1 s) * s').
+
+    Raises NotMatched unless mp is a matched pair.  The product of a matched
+    pair is a group, with (g s)^-1 = s^-1 g^-1 and the two factors embedded
+    as subgroups, so the result is built without a group-law sweep;
+    load_group re-validates a saved product.
     """
     rep = verify_matched_pair(mp)
     if not rep.passed:
         raise NotMatched(rep)
     G, M = mp.G, mp.Gamma
-    m, Gt, Mt, Ginv = M.order, G.table, M.table, G.inverses
+    m, Gt, Mt, Ginv, Minv = M.order, G.table, M.table, G.inverses, M.inverses
     a1, a2 = mp.act1.table, mp.act2.table
     table = []
     for g in G.elements():
@@ -136,10 +141,13 @@ def zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, GroupHom, GroupHom]:
                 gi = Ginv[g2]
                 first = Gg[Ginv[a2s[gi]]] * m
                 row.extend(first + st for st in Mt[a1[gi][s]])
-            table.append(row)
-    H = validate_group(table, G.identity * M.order + M.identity, f"{G.name}><{M.name}")
-    embed_g = group_hom(G, H, [g * M.order + M.identity for g in G.elements()])
-    embed_m = group_hom(M, H, [G.identity * M.order + s for s in M.elements()])
+            table.append(tuple(row))
+    inverses = tuple(table[G.identity * m + Minv[s]][Ginv[g] * m + M.identity]
+                     for g in G.elements() for s in M.elements())
+    H = FiniteGroup(G.order * m, tuple(table), G.identity * m + M.identity, inverses,
+                    f"{G.name}><{M.name}")
+    embed_g = GroupHom(G, H, tuple(g * m + M.identity for g in G.elements()))
+    embed_m = GroupHom(M, H, tuple(G.identity * m + s for s in M.elements()))
     return H, embed_g, embed_m
 
 
@@ -195,12 +203,12 @@ def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],
     return matched_pair(Gg, Mg, a1, a2)
 
 
-def multiplication_hom(mp: MatchedPair, H: FiniteGroup, g_set: Sequence[int],
+def multiplication_hom(Z: FiniteGroup, H: FiniteGroup, g_set: Sequence[int],
                        gamma_set: Sequence[int]) -> GroupHom:
-    """(g, s) -> g*s, the canonical iso zappa_szep(extracted pair) -> H."""
-    Z, _, _ = zappa_szep(mp)
+    """(g, s) -> g*s, the canonical iso from Z, the zappa_szep product of the
+    pair extracted from H = G * Gamma, to H; validated as a homomorphism."""
     image = []
-    for x in range(Z.order):
-        g, s = divmod(x, mp.Gamma.order)
+    for x in Z.elements():
+        g, s = divmod(x, len(gamma_set))
         image.append(H.mul(g_set[g], gamma_set[s]))
     return group_hom(Z, H, image)

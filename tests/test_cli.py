@@ -66,25 +66,35 @@ def test_center_counts(capsys, fixture_dir):
 def test_verify_center_verifies_each_pair_at_most_twice(capsys, fixture_dir, monkeypatch):
     # the input pair: the category check and zappa_szep's input guard; the
     # induced pair: the reported checks induced_pair_braided and
-    # center_category_axioms.  Constructions do not verify their output.
+    # center_category_axioms.  Constructions do not verify their output, so
+    # the only group of order 36 run through validate_group is the simples'.
     import sys
+    import crossedcat.groups
     import crossedcat.matched
-    original = crossedcat.matched.verify_matched_pair
-    orders = []
+    verify_pair = crossedcat.matched.verify_matched_pair
+    validate = crossedcat.groups.validate_group
+    orders, groups = [], []
 
-    def counting(mp):
+    def counting_pairs(mp):
         orders.append((mp.G.order, mp.Gamma.order))
-        return original(mp)
+        return verify_pair(mp)
 
+    def counting_groups(table, identity=None, name="G"):
+        groups.append((len(table), name))
+        return validate(table, identity, name)
+
+    counting = {id(verify_pair): counting_pairs, id(validate): counting_groups}
     for name, module in list(sys.modules.items()):
         if name == "crossedcat" or name.startswith("crossedcat."):
             for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+                if id(value) in counting:
+                    monkeypatch.setattr(module, attr, counting[id(value)])
     code, _ = run(capsys, "verify", "center", str(fixture_dir / "cat-vec-turaev-s3.json"))
     assert code == 0
     assert 1 <= orders.count((36, 36)) <= 2, orders
     assert 1 <= orders.count((6, 6)) <= 2, orders
+    assert [g for g in groups if g[0] == 36] == [(36, "Z(Vec-Turaev-S3)-simples")], groups
+    assert {g[0] for g in groups} == {6, 36}, groups
 
 
 def test_reports_are_byte_identical(capsys, fixture_dir):
@@ -281,3 +291,20 @@ def test_build_fixtures_reproduces_every_fixture(fixture_dir, tmp_path, monkeypa
     build.main()
     built = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert built == {p.name: p.read_bytes() for p in fixture_dir.iterdir()}
+
+
+def test_center_survey_script_verifies_every_center(fixture_dir):
+    import subprocess
+    import sys
+    from crossedcat.fixtures import CENTER_FIXTURES
+    script = fixture_dir.parent / "scripts" / "center_survey.py"
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    heads = [line for line in done.stdout.splitlines() if not line.startswith(" ")]
+    assert [h.split(":")[0] for h in heads] == list(CENTER_FIXTURES)
+    assert all("verified = True" in h for h in heads), heads
+    assert done.stdout.count("zero J planes ") == len(CENTER_FIXTURES)
+    lines = done.stdout.splitlines()
+    z6 = next(i for i, line in enumerate(lines) if line.startswith("z6-over-z3:"))
+    assert lines[z6 + 4] == "  zero J planes 2/6, zero chi rows 24/36"

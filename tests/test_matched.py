@@ -6,7 +6,9 @@ import pytest
 
 from conftest import pair
 from crossedcat.errors import NotExact
-from crossedcat.groups import cyclic, find_isomorphism, symmetric, trivial_group
+from crossedcat.fixtures import MATCHED_PAIRS
+from crossedcat.groups import (cyclic, direct_product, find_isomorphism, group_hom,
+                               symmetric, trivial_group, validate_group)
 from crossedcat.matched import (direct_pair, from_exact_factorization, matched_pair,
                                 multiplication_hom, turaev_pair, verify_matched_pair, zappa_szep)
 
@@ -49,8 +51,20 @@ def test_zappa_z2_z3_is_s3():
 def test_zappa_trivial_actions_is_direct_product():
     Z2, Z3 = cyclic(2), cyclic(3)
     H, _, _ = zappa_szep(direct_pair(Z2, Z3))
-    from crossedcat.groups import direct_product
     assert H.table == direct_product(Z2, Z3).table
+
+
+@pytest.mark.parametrize("name", list(MATCHED_PAIRS))
+def test_products_equal_their_validated_tables(name):
+    # constructions build their products without a group-law sweep; the
+    # sweep over their own tables must give back the same group
+    mp = pair(name)
+    H, eg, em = zappa_szep(mp)
+    assert H == validate_group(H.table, H.identity, H.name)
+    assert eg == group_hom(mp.G, H, eg.image)
+    assert em == group_hom(mp.Gamma, H, em.image)
+    for P in (direct_product(mp.G, mp.Gamma), direct_product(mp.Gamma, cyclic(3))):
+        assert P == validate_group(P.table, P.identity, P.name)
 
 
 def test_zappa_order_always_product():
@@ -67,12 +81,12 @@ def test_from_exact_s3():
     mset = [0, perms.index((1, 2, 0)), perms.index((2, 0, 1))]
     mp = from_exact_factorization(S3, gset, mset)
     assert verify_matched_pair(mp).passed
-    hom = multiplication_hom(mp, S3, gset, mset)
+    Z, _, _ = zappa_szep(mp)
+    hom = multiplication_hom(Z, S3, gset, mset)
     assert hom.is_bijective()
 
 
 def test_from_exact_direct_product_gives_trivial_actions():
-    from crossedcat.groups import direct_product
     Z2, Z3 = cyclic(2), cyclic(3)
     P = direct_product(Z2, Z3)
     gset = sorted({a * 3 for a in range(2)})
@@ -103,7 +117,6 @@ def test_turaev_pair_examples():
     mp = turaev_pair(Z4)
     assert all(mp.a1(g, s) == s for g in range(4) for s in range(4))  # abelian adjoint
     H, _, _ = zappa_szep(turaev_pair(cyclic(2)))
-    from crossedcat.groups import direct_product
     assert H.table == direct_product(cyclic(2), cyclic(2)).table
 
 

@@ -146,6 +146,36 @@ def test_criterion_9_category_mutants(monkeypatch):
     assert len(seen) >= 15
 
 
+def _entry_mutants(cat):
+    """Every category that differs from cat in one J, chi, phi or iota
+    exponent, by every nonzero delta mod M."""
+    M = cat.M
+    j = [[list(r) for r in plane] for plane in cat.jtable]
+    chi = [[list(r) for r in plane] for plane in cat.chitable]
+    phi, iota = list(cat.phitable), list(cat.iotatable)
+    for row in [*(r for plane in j for r in plane), *(r for plane in chi for r in plane), phi, iota]:
+        for i, v in enumerate(row):
+            for delta in range(1, M):
+                row[i] = (v + delta) % M
+                yield pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, M,
+                                       jtable=j, phitable=phi, chitable=chi, iotatable=iota,
+                                       name=cat.name)
+            row[i] = v
+
+
+# the support skip of the J and chi sweeps must keep every witness: each
+# mutant gives the zero tables one live entry, read through the G-action
+@pytest.mark.parametrize("name,entries", [("cat-vec-turaev-s3.json", 444),
+                                          ("cat-vec-s4-pair.json", 250)])
+def test_single_entry_mutants(name, entries):
+    cat = jsonio.load_category(FIXTURE_DIR / name)
+    seen = 0
+    for mut in _entry_mutants(cat):
+        assert triples(verify_crossed_category(mut)) == triples(reference_crossed_category(mut))
+        seen += 1
+    assert seen == entries * (cat.M - 1)
+
+
 def _table_mutants(name: str, count: int, rng: random.Random):
     """Single-entry mutants of the J, chi and action tables of a center category."""
     zcat = CenterStructure(jsonio.load_category(FIXTURE_DIR / f"cat-{name}.json")).as_category()
