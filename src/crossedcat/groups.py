@@ -158,13 +158,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
                        f"{G.name}x{H.name}")
 
 
-def product_projections(G: FiniteGroup, H: FiniteGroup, P: FiniteGroup) -> tuple["GroupHom", "GroupHom"]:
-    """The two projections of P = direct_product(G, H)."""
-    p1 = group_hom(P, G, [x // H.order for x in P.elements()])
-    p2 = group_hom(P, H, [x % H.order for x in P.elements()])
-    return p1, p2
-
-
 def subgroup_from_generators(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
     """Closure of gens under product and inverse, as a sorted index list."""
     seen = {G.identity}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import NoUniqueFactorization, NotExact, NotMatched
-from .groups import (FiniteGroup, GroupActionOnSet, GroupHom, Table, group_hom,
+from .groups import (FiniteGroup, GroupActionOnSet, GroupHom, Table,
                      subgroup_as_group, trivial_action)
 from .records import Record
 from .report import VerificationReport, run_checks
@@ -201,14 +201,3 @@ def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],
     Gg = subgroup_as_group(H, g_set, name=f"{H.name}.G")
     Mg = subgroup_as_group(H, gamma_set, name=f"{H.name}.Gamma")
     return matched_pair(Gg, Mg, a1, a2)
-
-
-def multiplication_hom(Z: FiniteGroup, H: FiniteGroup, g_set: Sequence[int],
-                       gamma_set: Sequence[int]) -> GroupHom:
-    """(g, s) -> g*s, the canonical iso from Z, the zappa_szep product of the
-    pair extracted from H = G * Gamma, to H; validated as a homomorphism."""
-    image = []
-    for x in Z.elements():
-        g, s = divmod(x, len(gamma_set))
-        image.append(H.mul(g_set[g], gamma_set[s]))
-    return group_hom(Z, H, image)

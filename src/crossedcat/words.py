@@ -11,6 +11,14 @@ single structural moves (associator and unit moves, action-composition,
 action-over-tensor, action unit, action on the monoidal unit) applied at any
 position.  All parallel composites agree iff every non-tree edge matches
 the BFS potential; a mismatch is reported with the two explicit composites.
+
+The graph is built on interned words: a word is the integer id of its
+(kind, a, b) triple over child ids (hash-consing).  The words and moves of
+one (budget, arity, G) form a skeleton, built once for every tuple of that
+arity; a J split's source depends on labels, so the skeleton keeps one per
+twisting element.  Each tuple computes its labels bottom-up over the ids,
+reads the exponents from the tables and walks integer adjacency lists;
+words, rule texts and paths are built only for a mismatch's witness.
 """
 
 from __future__ import annotations
@@ -28,71 +36,22 @@ Token = Union[int, str]
 
 # -- word AST --------------------------------------------------------------------
 
-# Words are the nodes of the coherence graph, hashed and compared on every
-# edge, so each class spells out its own __init__, __eq__ and __hash__:
-# with Record's generic ones the default coherence sweep on
-# cat-z4-over-z2-graded took two to three times the CPU time.
-
 class Unit(Record):
-    def __init__(self):
-        pass
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
+    pass
 
 
 class Hole(Record):
     index: int  # 1-based
-
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.index == other.index
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.index,))
 
 
 class Tensor(Record):
     left: "Word"
     right: "Word"
 
-    def __init__(self, left: "Word", right: "Word"):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
 
 class Act(Record):
     g: Token
     body: "Word"
-
-    def __init__(self, g: Token, body: "Word"):
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "body", body)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.g, self.body) == (other.g, other.body)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.g, self.body))
 
 
 Word = Union[Unit, Hole, Tensor, Act]
@@ -108,14 +67,6 @@ def print_word(w: Word) -> str:
     if isinstance(w, Act):
         return f"{w.g}<{print_word(w.body)}>"
     raise TypeError(f"not a word: {w!r}")
-
-
-def word_nodes(w: Word) -> int:
-    if isinstance(w, (Unit, Hole)):
-        return 1
-    if isinstance(w, Tensor):
-        return 1 + word_nodes(w.left) + word_nodes(w.right)
-    return 1 + word_nodes(w.body)
 
 
 def word_holes(w: Word) -> tuple[int, ...]:
@@ -154,12 +105,12 @@ class _Parser:
             self.pos += 1
 
     def expect(self, ch: str) -> None:
+        self.skip_ws()
         if self.peek() != ch:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
     def parse(self) -> Word:
-        self.skip_ws()
         w = self.parse_word()
         self.skip_ws()
         if self.pos != len(self.text):
@@ -172,10 +123,8 @@ class _Parser:
         if ch == "(":
             self.pos += 1
             left = self.parse_word()
-            self.skip_ws()
             self.expect("*")
             right = self.parse_word()
-            self.skip_ws()
             self.expect(")")
             return Tensor(left, right)
         if ch == "1":
@@ -198,10 +147,8 @@ class _Parser:
             token: Token = self.text[start:self.pos]
             if token.isdigit():
                 token = int(token)
-            self.skip_ws()
             self.expect("<")
             body = self.parse_word()
-            self.skip_ws()
             self.expect(">")
             return Act(token, body)
         raise self.error("expected a word")
@@ -236,12 +183,19 @@ def eval_word(w: Word, objects: Sequence[int], cat: PointedCrossedCategory,
     arity = word_arity(w)
     if arity != len(objects):
         raise ArityMismatch(f"word has arity {arity}, got {len(objects)} objects")
+    return _eval(w, objects, cat, element_names)
+
+
+def _eval(w: Word, objects: Sequence[int], cat: PointedCrossedCategory,
+          element_names: Optional[dict[str, int]]) -> int:
+    """The label of w with its holes bound to objects positionally, left to right."""
+    it = iter(objects)
 
     def go(w: Word) -> int:
         if isinstance(w, Unit):
             return cat.Lambda.identity
         if isinstance(w, Hole):
-            return objects[w.index - 1]
+            return next(it)
         if isinstance(w, Tensor):
             return cat.Lambda.mul(go(w.left), go(w.right))
         return cat.act(resolve_token(w.g, cat, element_names), go(w.body))
@@ -314,21 +268,7 @@ def eval_structural(m: Structural, objects: Sequence[int], cat: PointedCrossedCa
     L = cat.Lambda
 
     def ev(w: Word, objs: Sequence[int]) -> int:
-        # bind holes positionally left to right; generator sub-words keep
-        # their original (not 1-based) hole numbers
-        it = iter(objs)
-
-        def go_w(w: Word) -> int:
-            if isinstance(w, Unit):
-                return L.identity
-            if isinstance(w, Hole):
-                return next(it)
-            if isinstance(w, Tensor):
-                left = go_w(w.left)
-                return L.mul(left, go_w(w.right))
-            return cat.act(resolve_token(w.g, cat, element_names), go_w(w.body))
-
-        return go_w(w)
+        return _eval(w, objs, cat, element_names)
 
     def go(m: Structural, objs: Sequence[int]) -> tuple[int, int, int]:
         if isinstance(m, Assoc):
@@ -336,10 +276,7 @@ def eval_structural(m: Structural, objects: Sequence[int], cat: PointedCrossedCa
             l1, l2, l3 = (ev(w, o) for w, o in zip((m.w1, m.w2, m.w3), parts))
             x = L.mul(L.mul(l1, l2), l3)
             return x, x, 0
-        if isinstance(m, LeftUnit):
-            x = ev(m.w, objs)
-            return x, x, 0
-        if isinstance(m, RightUnit):
+        if isinstance(m, (LeftUnit, RightUnit)):
             x = ev(m.w, objs)
             return x, x, 0
         if isinstance(m, JMove):
@@ -391,16 +328,12 @@ def eval_structural(m: Structural, objects: Sequence[int], cat: PointedCrossedCa
 
 def _part_word(p: Structural) -> Word:
     """A word with the arity of the morphism p, for object splitting."""
-    if isinstance(p, (Assoc,)):
+    if isinstance(p, Assoc):
         return Tensor(Tensor(p.w1, p.w2), p.w3)
-    if isinstance(p, (LeftUnit, RightUnit)):
+    if isinstance(p, (LeftUnit, RightUnit, ChiMove, IotaMove)):
         return p.w
     if isinstance(p, JMove):
         return Tensor(p.w1, p.w2)
-    if isinstance(p, ChiMove):
-        return p.w
-    if isinstance(p, IotaMove):
-        return p.w
     if isinstance(p, PhiMove):
         return Unit()
     if isinstance(p, Inverse):
@@ -425,28 +358,6 @@ def _split_objects(objs: Sequence[int], words: tuple[Word, ...]) -> list[list[in
 
 # -- bounded coherence check ------------------------------------------------------------
 
-def _substitute(w: Word, path: tuple[int, ...], replacement: Word) -> Word:
-    if not path:
-        return replacement
-    head, rest = path[0], path[1:]
-    if isinstance(w, Tensor):
-        if head == 0:
-            return Tensor(_substitute(w.left, rest, replacement), w.right)
-        return Tensor(w.left, _substitute(w.right, rest, replacement))
-    if isinstance(w, Act):
-        return Act(w.g, _substitute(w.body, rest, replacement))
-    raise ValueError("bad path")
-
-
-def _subterms(w: Word, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Word]]:
-    yield path, w
-    if isinstance(w, Tensor):
-        yield from _subterms(w.left, path + (0,))
-        yield from _subterms(w.right, path + (1,))
-    elif isinstance(w, Act):
-        yield from _subterms(w.body, path + (2,))
-
-
 def min_word_nodes(arity: int) -> int:
     """Nodes in the smallest word over arity objects: the unit for none, else
     the arity holes joined by arity - 1 tensors."""
@@ -455,147 +366,236 @@ def min_word_nodes(arity: int) -> int:
 
 def enumerate_words(max_nodes: int, arity: int, elements: Sequence[int]) -> list[Word]:
     """All linear words with holes exactly 1..arity, at most max_nodes nodes."""
-    cache: dict[tuple[int, int, int], list[Word]] = {}
+    return _enumerate(max_nodes, arity, elements, Unit, Hole, Tensor, Act)
 
-    def gen(budget: int, lo: int, hi: int) -> list[Word]:
+
+def _enumerate(max_nodes: int, arity: int, elements: Sequence[int],
+               unit, hole, tensor, act) -> list:
+    """`enumerate_words` by the given constructors; repeats included."""
+    cache: dict[tuple[int, int, int], list] = {}
+
+    def gen(budget: int, lo: int, hi: int) -> list:
         key = (budget, lo, hi)
         if key in cache:
             return cache[key]
-        out: list[Word] = []
+        out: list = []
         if budget >= 1:
             if hi == lo:
-                out.append(Unit())
+                out.append(unit())
             elif hi == lo + 1:
-                out.append(Hole(lo))
+                out.append(hole(lo))
         if budget >= 2:
             for body in gen(budget - 1, lo, hi):
-                out.extend(Act(g, body) for g in elements)
+                out.extend(act(g, body) for g in elements)
         if budget >= 3:
             for mid in range(lo, hi + 1):
                 for b1 in range(1, budget - 1):
                     for left in gen(b1, lo, mid):
                         for right in gen(budget - 1 - b1, mid, hi):
-                            out.append(Tensor(left, right))
+                            out.append(tensor(left, right))
         cache[key] = out
         return out
 
     return gen(max_nodes, 1, arity + 1)
 
 
-def _eval_raw(w: Word, objects: Sequence[int], cat: PointedCrossedCategory) -> int:
-    """Evaluate with holes bound positionally, no linearity checks."""
-    if isinstance(w, Unit):
-        return cat.Lambda.identity
-    if isinstance(w, Hole):
-        return objects[w.index - 1]
-    if isinstance(w, Tensor):
-        return cat.Lambda.mul(_eval_raw(w.left, objects, cat), _eval_raw(w.right, objects, cat))
-    return cat.act(resolve_token(w.g, cat), _eval_raw(w.body, objects, cat))
+# an interned word is the id of its triple over child ids: (_UNIT, 0, 0),
+# (_HOLE, index, 0), (_TENSOR, left, right) or (_ACT, g, body)
+_UNIT, _HOLE, _TENSOR, _ACT = range(4)
+# move rules; the last three carry exponent 0
+_CHI, _J, _PHI, _IOTA, _LEFT, _RIGHT, _ASSOC = range(7)
 
 
-def _moves_from(w: Word, objects: Sequence[int], cat: PointedCrossedCategory,
-                max_nodes: int) -> Iterator[tuple[Word, Word, int, str]]:
-    """Single structural moves (source, target, exponent, rule) available
-    anywhere inside w (canonical side)."""
+class _Skeleton:
+    """The words and moves of one (max_nodes, arity, G), without labels.
 
-    def label_of(u: Word) -> int:
-        return _eval_raw(u, objects, cat)
+    `nodes[i]` is word i's triple, children first; `order` is the enumeration
+    as ids, repeats included.  Move m rewrites subterm `sub[m]` by `rule[m]`
+    from `src[m]` (for J, a tuple of sources by twisting element) to `dst[m]`;
+    word w's moves are `moves[w]`, counted again for each repeat of w.
+    """
 
-    for path, sub in _subterms(w):
-        if isinstance(sub, Act):
-            g = sub.g  # enumeration uses int tokens
-            body = sub.body
-            if isinstance(body, Act):
-                new = _substitute(w, path, Act(cat.G.mul(g, body.g), body.body))
-                yield (w, new, cat.x(g, body.g, label_of(body.body)),
-                       f"chi({g},{body.g})@{print_word(body.body)}")
-            if isinstance(body, Tensor):
-                l1, l2 = label_of(body.left), label_of(body.right)
-                tw = cat.mp.a2(cat.deg(l2), g)
-                split = _substitute(w, path, Tensor(Act(tw, body.left), Act(g, body.right)))
-                if word_nodes(split) <= max_nodes:
-                    # oriented split -> joined, scalar J
-                    yield (split, w, cat.j(g, l1, l2),
-                           f"J({g})@({print_word(body.left)},{print_word(body.right)})")
-            if isinstance(body, Unit):
-                new = _substitute(w, path, Unit())
-                yield (new, w, cat.ph(g), f"phi({g})")
-            if g == cat.G.identity:
-                new = _substitute(w, path, body)
-                yield (new, w, cat.io(label_of(body)), f"iota@{print_word(body)}")
-        if isinstance(sub, Tensor):
-            if isinstance(sub.left, Unit):
-                new = _substitute(w, path, sub.right)
-                yield (w, new, 0, f"l@{print_word(sub.right)}")
-            if isinstance(sub.right, Unit):
-                new = _substitute(w, path, sub.left)
-                yield (w, new, 0, f"r@{print_word(sub.left)}")
-            if isinstance(sub.left, Tensor):
-                new = _substitute(w, path, Tensor(sub.left.left, Tensor(sub.left.right, sub.right)))
-                yield (w, new, 0, "assoc")
-    return
+    def __init__(self, max_nodes: int, arity: int, G):
+        self.key = (max_nodes, arity, G)
+        ids: dict[tuple[int, int, int], int] = {}
+        nodes = self.nodes = []
+
+        def node(*key) -> int:
+            i = ids.setdefault(key, len(nodes))
+            if i == len(nodes):
+                nodes.append(key)
+            return i
+
+        def size(i: int) -> int:
+            k, a, b = nodes[i]
+            return 1 + (size(a) + size(b) if k == _TENSOR else size(b) if k == _ACT else 0)
+
+        elements = list(G.elements())
+        order = self.order = _enumerate(
+            max_nodes, arity, elements, lambda: node(_UNIT, 0, 0), lambda i: node(_HOLE, i, 0),
+            lambda a, b: node(_TENSOR, a, b), lambda g, b: node(_ACT, g, b))
+        columns = self.rule, self.sub, self.src, self.dst = [], [], [], []
+
+        def add(*move) -> None:
+            for column, value in zip(columns, move):
+                column.append(value)
+
+        def visit(at: int, rebuild) -> None:
+            # w's moves inside subterm `at`, which `rebuild` puts back into w, in preorder
+            k, a, b = nodes[at]
+            if k == _ACT:
+                bk, ba, bb = nodes[b]
+                if bk == _ACT:
+                    add(_CHI, at, w, rebuild(node(_ACT, G.table[a][ba], bb)))
+                elif bk == _TENSOR and room:
+                    add(_J, at, tuple(rebuild(node(_TENSOR, node(_ACT, tw, ba), node(_ACT, a, bb)))
+                                      for tw in elements), w)
+                elif bk == _UNIT:
+                    add(_PHI, at, rebuild(node(_UNIT, 0, 0)), w)
+                if a == G.identity:
+                    add(_IOTA, at, rebuild(b), w)
+                visit(b, lambda x: rebuild(node(_ACT, a, x)))
+            elif k == _TENSOR:
+                if nodes[a][0] == _UNIT:
+                    add(_LEFT, at, w, rebuild(b))
+                if nodes[b][0] == _UNIT:
+                    add(_RIGHT, at, w, rebuild(a))
+                if nodes[a][0] == _TENSOR:
+                    _, al, ar = nodes[a]
+                    add(_ASSOC, at, w, rebuild(node(_TENSOR, al, node(_TENSOR, ar, b))))
+                visit(a, lambda x: rebuild(node(_TENSOR, x, b)))
+                visit(b, lambda x: rebuild(node(_TENSOR, a, x)))
+
+        moves = self.moves = [None] * len(nodes)
+        for w in order:
+            if moves[w] is None:
+                first, room = len(self.rule), size(w) < max_nodes  # a J split adds a node
+                visit(w, lambda x: x)
+                moves[w] = range(first, len(self.rule))
+        self.distinct = sum(r is not None for r in moves)
+        self.edges = sum(len(moves[w]) for w in order)
+
+    def walk(self, cat: PointedCrossedCategory, objects: Sequence[int]
+             ) -> tuple[Optional[tuple], int]:
+        """(first mismatch witness or None, components walked) at one tuple."""
+        nodes, M, Lt, action = self.nodes, cat.M, cat.Lambda.table, cat.action
+        unit = cat.Lambda.identity
+        labels: list[int] = []
+        for k, a, b in nodes:
+            labels.append(Lt[labels[a]][labels[b]] if k == _TENSOR else
+                          action[a][labels[b]] if k == _ACT else
+                          objects[a - 1] if k == _HOLE else unit)
+        J, X, phi, iota = cat.jtable, cat.chitable, cat.phitable, cat.iotatable
+        twist, deg = cat.mp.act2.table, cat.grading
+        exps, src = [], []
+        for r, at, s in zip(self.rule, self.sub, self.src):
+            x = 0
+            if r < _LEFT:
+                _, g, body = nodes[at]
+                _, b1, b2 = nodes[body]
+                if r == _CHI:
+                    x = X[g][b1][labels[b2]]
+                elif r == _J:
+                    x, s = J[g][labels[b1]][labels[b2]], s[twist[deg[labels[b2]]][g]]
+                else:
+                    x = phi[g] if r == _PHI else iota[labels[body]]
+            exps.append(x % M)
+            src.append(s)
+
+        # (neighbour, exponent step) pairs in the enumeration's edge order, repeats included
+        dst, moves, order = self.dst, self.moves, self.order
+        adjacency: list[list[int]] = [[] for _ in nodes]
+        for w in order:
+            for m in moves[w]:
+                s, d, x = src[m], dst[m], exps[m]
+                adjacency[s] += d, x
+                adjacency[d] += s, -x % M
+
+        potential = [-1] * len(nodes)
+        parent: list[Optional[int]] = [None] * len(nodes)
+        components = 0
+        for root in order:
+            if potential[root] >= 0:
+                continue
+            components += 1
+            potential[root], queue = 0, [root]
+            while queue:
+                u = queue.pop()
+                pu = potential[u]
+                pairs = iter(adjacency[u])
+                for v, x in zip(pairs, pairs):
+                    want = (pu + x) % M
+                    if potential[v] < 0:
+                        potential[v], parent[v] = want, u
+                        queue.append(v)
+                    elif potential[v] != want:
+                        return self._witness(src, exps, potential, parent, M, u), components
+        return None, components
+
+    def _edges(self, u: int, src: list) -> Iterator[tuple[int, int]]:
+        """u's adjacency as (edge, neighbour): m leaves move m's source, ~m its target."""
+        for w in self.order:
+            for m in self.moves[w]:
+                if src[m] == u:
+                    yield m, self.dst[m]
+                elif self.dst[m] == u:
+                    yield ~m, src[m]
+
+    def _witness(self, src, exps, potential, parent, M, u) -> tuple:
+        # potentials never change once set, so the walk stopped at u's first edge
+        # that disagrees, and a node's parent edge is its parent's first edge to it
+        def trace(w: int) -> str:
+            steps = []
+            while parent[w] is not None:
+                e = next(e for e, x in self._edges(parent[w], src) if x == w)
+                steps.append(("" if e >= 0 else "~") + self._rule(e))
+                w = parent[w]
+            return " . ".join(reversed(steps)) or "id"
+
+        e, v = next((e, v) for e, v in self._edges(u, src)
+                    if potential[v] != (potential[u] + (exps[e] if e >= 0 else -exps[~e])) % M)
+        return self._print(u), self._print(v), self._rule(e), trace(u), trace(v)
+
+    def _print(self, i: int) -> str:
+        def word(i: int) -> Word:
+            k, a, b = self.nodes[i]
+            if k == _TENSOR:
+                return Tensor(word(a), word(b))
+            return Act(a, word(b)) if k == _ACT else Hole(a) if k == _HOLE else Unit()
+        return print_word(word(i))
+
+    def _rule(self, e: int) -> str:
+        m = e if e >= 0 else ~e
+        r, (_, a, b), p = self.rule[m], self.nodes[self.sub[m]], self._print
+        if r in (_CHI, _J):
+            _, b1, b2 = self.nodes[b]
+            return f"chi({a},{b1})@{p(b2)}" if r == _CHI else f"J({a})@({p(b1)},{p(b2)})"
+        if r in (_IOTA, _LEFT):
+            return ("iota@" if r == _IOTA else "l@") + p(b)
+        return f"phi({a})" if r == _PHI else "r@" + p(a) if r == _RIGHT else "assoc"
+
+
+# only the latest skeleton is kept: a default sweep asks for arity 1, 2, 3 in turn
+_last: Optional[_Skeleton] = None
 
 
 def check_coherence(cat: PointedCrossedCategory, max_nodes: int,
                     objects: Sequence[int]) -> VerificationReport:
-    """Bounded uniqueness of parallel structural composites at one object tuple.
-
-    Every word up to the budget is a node; every single move is an edge with
-    its scalar; BFS potentials must match across every non-tree edge, which
-    is equivalent to all bounded parallel composites having equal
-    coefficients.  The report counts nodes, edges, and independent cycles.
-    """
+    """Bounded uniqueness of parallel structural composites at one object tuple,
+    as the module docstring describes; the report counts nodes, edges, and
+    independent cycles."""
+    global _last
     rep = VerificationReport(subject=f"coherence {cat.name} objects={list(objects)}")
-    words = enumerate_words(max_nodes, len(objects), list(cat.G.elements()))
-    node_index = {w: i for i, w in enumerate(words)}
-    adjacency: dict[Word, list[tuple[Word, int, str, int]]] = {w: [] for w in words}
-    n_edges = 0
-    for w in words:
-        for src, dst, exponent, rule in _moves_from(w, objects, cat, max_nodes):
-            if src in node_index and dst in node_index:
-                adjacency[src].append((dst, exponent, rule, +1))
-                adjacency[dst].append((src, exponent, rule, -1))
-                n_edges += 1
-
-    potential: dict[Word, int] = {}
-    parent: dict[Word, tuple[Word, str, int]] = {}
-    mismatch: Optional[tuple] = None
-    components = 0
-    for root in words:
-        if root in potential:
-            continue
-        components += 1
-        potential[root] = 0
-        queue = [root]
-        while queue and mismatch is None:
-            u = queue.pop()
-            for (v, exp, rule, sign) in adjacency[u]:
-                want = (potential[u] + sign * exp) % cat.M
-                if v not in potential:
-                    potential[v] = want
-                    parent[v] = (u, rule, sign)
-                    queue.append(v)
-                elif potential[v] != want:
-                    mismatch = (print_word(u), print_word(v), rule,
-                                _trace(parent, u), _trace(parent, v))
-                    break
-        if mismatch is not None:
-            break
-
+    if _last is None or _last.key != (max_nodes, len(objects), cat.G):
+        _last = None  # let the old graph go before the next is built
+        _last = _Skeleton(max_nodes, len(objects), cat.G)
+    sk = _last
+    mismatch, components = sk.walk(cat, objects)
     rep.add("parallel_composites_agree", mismatch is None, mismatch)
-    rep.add("search_space_nonempty", len(words) > 0, (max_nodes, len(objects)))
+    rep.add("search_space_nonempty", len(sk.order) > 0, (max_nodes, len(objects)))
     # E - N + C over the distinct words; known only once every component
     # is walked, so None after a mismatch
-    rep.stats = {"words": len(words), "edges": n_edges, "components": components,
-                 "independent_cycles": (n_edges - len(adjacency) + components
+    rep.stats = {"words": len(sk.order), "edges": sk.edges, "components": components,
+                 "independent_cycles": (sk.edges - sk.distinct + components
                                         if mismatch is None else None)}
     return rep
-
-
-def _trace(parent: dict, w: Word) -> str:
-    steps = []
-    while w in parent:
-        u, rule, sign = parent[w]
-        steps.append(("" if sign > 0 else "~") + rule)
-        w = u
-    return " . ".join(reversed(steps)) or "id"

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from crossedcat.errors import AssocViolation, NoInverse, NoIdentity
 from crossedcat.groups import (cyclic, dihedral, direct_product, find_isomorphism, group_hom,
-                               identity_hom, kernel, product_projections,
+                               identity_hom, kernel,
                                subgroup_from_generators, symmetric, trivial_group,
                                twisted_characters, validate_group)
 from crossedcat.scalars import UnitScalar
@@ -61,14 +61,6 @@ def test_direct_product_with_trivial_is_same_table():
 def test_direct_product_klein_all_self_inverse():
     P = direct_product(cyclic(2), cyclic(2))
     assert all(P.mul(a, a) == P.identity for a in P.elements())
-
-
-def test_product_projections_are_homs():
-    G, H = symmetric(3), cyclic(4)
-    P = direct_product(G, H)
-    p1, p2 = product_projections(G, H, P)
-    assert len(kernel(p1)) == H.order
-    assert len(kernel(p2)) == G.order
 
 
 def test_subgroup_from_generators():

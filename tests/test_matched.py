@@ -10,7 +10,7 @@ from crossedcat.fixtures import MATCHED_PAIRS
 from crossedcat.groups import (cyclic, direct_product, find_isomorphism, group_hom,
                                symmetric, trivial_group, validate_group)
 from crossedcat.matched import (direct_pair, from_exact_factorization, matched_pair,
-                                multiplication_hom, turaev_pair, verify_matched_pair, zappa_szep)
+                                turaev_pair, verify_matched_pair, zappa_szep)
 
 ALL_PAIRS = ["trivial-pair", "direct-z2-z2", "z2-z3-inversion", "s3-factorized",
              "s4-z4-s3", "d4-z4-z2", "turaev-z2", "turaev-s3", "turaev-d4"]
@@ -72,6 +72,14 @@ def test_zappa_order_always_product():
         mp = pair(name)
         H, _, _ = zappa_szep(mp)
         assert H.order == mp.G.order * mp.Gamma.order
+
+
+def multiplication_hom(Z, H, g_set, gamma_set):
+    """(g, s) -> g*s from Z, the zappa_szep product of the pair extracted
+    from H = G * Gamma, to H; group_hom validates it as a homomorphism."""
+    image = [H.mul(g_set[g], gamma_set[s])
+             for g, s in (divmod(x, len(gamma_set)) for x in Z.elements())]
+    return group_hom(Z, H, image)
 
 
 def test_from_exact_s3():

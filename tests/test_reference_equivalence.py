@@ -1,16 +1,19 @@
-"""The dense-table verification core against the per-element sweeps it
-replaced (tests/reference_sweeps.py).
+"""The dense-table verification core and the interned coherence graph
+against the per-element sweeps and the word-record graph they replaced
+(tests/reference_sweeps.py).
 
 Category, matched-pair and braided-pair reports must agree check by check
 on (name, pass, witness), so the table loops keep every first witness; this
 is exercised on failing inputs too, where witnesses are nontrivial.  The
 constructions (twisted product, induced pair, induced braiding) must build
 the same tables.  Center reports on corrupted simple lists must agree on
-pass/fail for each check.
+pass/fail for each check.  Coherence reports must agree on the verdict,
+all five witness strings and every stat.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -22,9 +25,11 @@ from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, v
 from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.matched import matched_pair, verify_matched_pair, zappa_szep
 from crossedcat.pointed import pointed_category, verify_crossed_category
+from crossedcat.words import check_coherence
 from reference_sweeps import (ReferenceCenter, reference_braiding, reference_center_braided,
-                              reference_center_braiding, reference_crossed_category,
-                              reference_matched_pair, reference_zappa_szep)
+                              reference_center_braiding, reference_coherence,
+                              reference_crossed_category, reference_matched_pair,
+                              reference_zappa_szep)
 
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
 CENTER_FILES = [n for n in CATEGORY_FILES if n != "cat-nonsurjective.json"]
@@ -252,3 +257,73 @@ def test_criterion_9_center_mutants(monkeypatch):
         if name.startswith("center:"):
             assert check(), name
     assert seen
+
+
+# -- coherence: the interned skeleton against the word-record graph
+
+# the reference takes seconds per 1-tuple where |G| >= 4 (14,829 words on
+# turaev-s3), so its 1-tuples run at a smaller budget there, or not at all
+ONE_TUPLE_NODES = {"cat-vec-turaev-s3.json": None, "cat-vec-s4-pair.json": 5}
+SAMPLED_PAIRS = 1
+
+
+def assert_same_coherence(cat, max_nodes: int, objects: tuple):
+    rep = check_coherence(cat, max_nodes, objects)
+    ref = reference_coherence(cat, max_nodes, objects)
+    assert triples(rep) == triples(ref), (cat.name, max_nodes, objects)
+    assert rep.stats == ref.stats, (cat.name, max_nodes, objects)
+    return rep
+
+
+@pytest.mark.parametrize("name", CATEGORY_FILES)
+def test_coherence_fixtures(name):
+    cat = jsonio.load_category(FIXTURE_DIR / name)
+    labels = list(cat.Lambda.elements())
+    nodes = ONE_TUPLE_NODES.get(name, 6)
+    if nodes is not None:
+        for x in labels:
+            assert_same_coherence(cat, nodes, (x,))
+    pairs = list(itertools.product(labels, repeat=2))
+    for objs in random.Random(name).sample(pairs, min(SAMPLED_PAIRS + (nodes is None), len(pairs))):
+        assert_same_coherence(cat, 6, objs)
+
+
+def test_coherence_criterion_8_mutant():
+    base = category("cocycle-chi")
+    chi = [[list(r) for r in plane] for plane in base.chitable]
+    chi[1][0][1] = 1
+    mut = pointed_category(base.Lambda, base.mp, base.grading, base.action, base.M,
+                           chitable=chi)
+    assert not assert_same_coherence(mut, 6, (1,)).passed
+
+
+def _coherence_mutant(cat, rng: random.Random):
+    """One J, chi, phi or iota exponent of cat bumped by a nonzero delta, and
+    a 2-tuple holding the labels the entry is read at."""
+    tables = {"J": [[list(r) for r in plane] for plane in cat.jtable],
+              "chi": [[list(r) for r in plane] for plane in cat.chitable],
+              "phi": [list(cat.phitable)], "iota": [list(cat.iotatable)]}
+    key = rng.choice(sorted(tables))
+    rows = [row for plane in tables[key] for row in plane] if key in ("J", "chi") \
+        else tables[key]
+    r = rng.randrange(len(rows))
+    i = rng.randrange(len(rows[r]))
+    rows[r][i] = (rows[r][i] + rng.randrange(1, cat.M)) % cat.M
+    n = cat.Lambda.order
+    objects = {"J": (r % n, i), "chi": (i, rng.randrange(n)), "iota": (i, rng.randrange(n)),
+               "phi": (rng.randrange(n), rng.randrange(n))}[key]
+    mut = pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, cat.M,
+                           jtable=tables["J"], chitable=tables["chi"],
+                           phitable=tables["phi"][0], iotatable=tables["iota"][0],
+                           name=f"{cat.name} {key} row {r} entry {i}")
+    return mut, objects
+
+
+@pytest.mark.parametrize("name,count", [("cat-cocycle-j.json", 6), ("cat-cocycle-chi.json", 6),
+                                        ("cat-vec-turaev-s3.json", 2)])
+def test_coherence_entry_mutants(name, count):
+    cat = jsonio.load_category(FIXTURE_DIR / name)
+    rng = random.Random(name)
+    for _ in range(count):
+        mut, objects = _coherence_mutant(cat, rng)
+        assert_same_coherence(mut, 6, objects)

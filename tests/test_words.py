@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import category
+from conftest import FIXTURE_DIR, category
+from crossedcat import jsonio, words
+from crossedcat.cli import main
 from crossedcat.errors import ArityMismatch, EndpointMismatch, ParseError
 from crossedcat.words import (Act, Apply, Assoc, ChiMove, Compose, Hole, Inverse, IotaMove,
                               JMove, PhiMove, Tensor, Unit, check_coherence, eval_structural,
@@ -199,3 +203,46 @@ def test_min_word_nodes_is_the_smallest_word():
         n = min_word_nodes(arity)
         assert enumerate_words(n - 1, arity, [0, 1]) == []
         assert enumerate_words(n, arity, [0, 1]) != []
+
+
+def test_default_sweep_builds_one_skeleton_per_arity(monkeypatch, capsys):
+    built = []
+
+    class Counted(words._Skeleton):
+        def __init__(self, max_nodes, arity, G):
+            built.append((max_nodes, arity))
+            super().__init__(max_nodes, arity, G)
+
+    monkeypatch.setattr(words, "_Skeleton", Counted)
+    monkeypatch.setattr(words, "_last", None)
+    assert main(["coherence", "--category", str(FIXTURE_DIR / "cat-z4-over-z2-graded.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["stats"]["tuplesChecked"] == 4 + 16 + 64
+    assert built == [(6, 1), (6, 2), (6, 3)]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json")))
+def test_word_graph_size_depends_on_arity_only(name):
+    # a move exists or not by the shapes and node counts of words, never by
+    # the labels, so every tuple of one arity counts the same words and edges
+    cat = jsonio.load_category(FIXTURE_DIR / name)
+    labels = list(cat.Lambda.elements())
+    for arity in (1, 2):
+        sizes = {(st["words"], st["edges"]) for st in
+                 (check_coherence(cat, 6, objs).stats
+                  for objs in itertools.product(labels, repeat=arity))}
+        assert len(sizes) == 1, (arity, sizes)
+
+
+def test_coherence_memory_guard(monkeypatch):
+    # the word-record graph this replaced peaked at 2.7-2.9 MB of traced
+    # allocations; the skeleton build plus one walk must stay under 1.7 MB
+    cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-turaev-s3.json")
+    monkeypatch.setattr(words, "_last", None, raising=False)  # build the skeleton afresh
+    tracemalloc.start()
+    try:
+        rep = check_coherence(cat, 6, (0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.stats["edges"] == 4584
+    assert peak < 1.7e6, peak
