@@ -27,8 +27,7 @@ def main() -> None:
         rep = verify_center_braided(cat)
         dt = time.monotonic() - t0
         grades = Counter(Z.grade(z) for z in Z.simples)
-        coeffs = Counter(Z.braiding(a, b)[1].exponent
-                         for a in Z.simples for b in Z.simples)
+        coeffs = Counter(Z.braid_exponent(a, b) for a in Z.simples for b in Z.simples)
         sigma_vals = Counter(Z.sigma(g, s, z)
                              for g in cat.G.elements()
                              for s in cat.Gamma.elements()

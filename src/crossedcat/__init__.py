@@ -3,9 +3,8 @@ their braided centers, with exhaustive desk-scale verification."""
 
 from .braided import (BraidedMatchedPair, center_braiding, center_pair, turaev_braiding,
                       verify_braiding)
-from .center import (CenterSimple, CenterStructure, build_center, enumerate_center,
-                     equivariant_center, graded_center, relative_center_oracle,
-                     verify_center_braided)
+from .center import (CenterSimple, CenterStructure, enumerate_center, equivariant_center,
+                     graded_center, relative_center_oracle, verify_center_braided)
 from .groups import (FiniteGroup, GroupActionOnSet, GroupAutAction, GroupHom, cyclic, dihedral,
                      direct_product, find_isomorphism, group_hom, identity_hom, kernel,
                      subgroup_from_generators, symmetric, trivial_group, twisted_characters,
@@ -17,9 +16,7 @@ from .matched import (MatchedPair, direct_pair, from_exact_factorization, matche
 from .pointed import (PointedCrossedCategory, dual_data, pointed_category, vec_gamma,
                       verify_crossed_category)
 from .report import VerificationReport
-from .scalars import UnitScalar
-from .words import (check_coherence, eval_structural, eval_word, parse_word, print_word,
-                    word_arity)
+from .words import check_coherence, print_word
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

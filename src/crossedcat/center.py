@@ -29,10 +29,9 @@ from .braided import BraidedMatchedPair, center_braiding as induced_braiding, ve
 from .errors import (GroupValidationError, NonSingularityViolated, UnsupportedConfiguration,
                      WrongSpecialization)
 from .groups import twisted_characters, validate_group
-from .pointed import PointedCrossedCategory, dual_data, pointed_category, verify_crossed_category
+from .pointed import PointedCrossedCategory, verify_crossed_category
 from .records import Record
 from .report import VerificationReport, run_checks
-from .scalars import UnitScalar
 
 
 class CenterSimple(Record):
@@ -277,16 +276,6 @@ class CenterStructure:
         nu_b = L.mul(L.inv(zeta), z2.label)
         return (self.chi_at(z1, nu_b) + cat.j(z1.g, zeta, nu_b)) % cat.M
 
-    def braiding(self, z1: CenterSimple, z2: CenterSimple) -> tuple[CenterSimple, UnitScalar]:
-        target = self.tensor(self.g_act(z1.g, z2), z1)
-        return target, UnitScalar(self.cat.M, self.braid_exponent(z1, z2))
-
-    def braiding_inverse(self, z1: CenterSimple, z2: CenterSimple) -> tuple[CenterSimple, UnitScalar]:
-        """The mirrored chain, read bottom-up; composes with braiding to one."""
-        source = self.tensor(self.gamma_act(self.cat.deg(z2.label), z1), z2)
-        _, coeff = self.braiding(z1, z2)
-        return source, coeff.inverse()
-
     # -- dense tables over points
     def _close(self) -> tuple:
         """Points closed under both actions and under tensoring with a simple
@@ -431,12 +420,13 @@ class CenterStructure:
         self.require_members(p for row in self.action_table for p in row[:n])
         lam_z = validate_group(self.tensor_table[:n], name=f"Z({cat.name})-simples")
         cp = self.induced.mp
-        return pointed_category(
-            lam_z, cp, self.grade_table[:n], [row[:n] for row in self.action_table], cat.M,
-            jtable=[plane[:n] for plane in self.j_table], chitable=self.chi_table,
-            phitable=[cat.ph(A // cat.Gamma.order) for A in cp.G.elements()],
-            iotatable=[cat.io(z.label) for z in self.simples],
-            name=name or f"Z({cat.name})")
+        # every table is already reduced mod M, so the record is built as is
+        return PointedCrossedCategory(
+            lam_z, cp.Gamma, cp.G, cp, self.grade_table[:n],
+            tuple(row[:n] for row in self.action_table), cat.M,
+            tuple(plane[:n] for plane in self.j_table),
+            tuple(cat.ph(A // cat.Gamma.order) for A in cp.G.elements()), self.chi_table,
+            tuple(cat.io(z.label) for z in self.simples), name or f"Z({cat.name})")
 
     def require_members(self, points: Iterable[int]) -> None:
         """Raise `find`'s KeyError for the first of `points` that is not a simple."""
@@ -444,10 +434,6 @@ class CenterStructure:
         for p in points:
             if p >= n:
                 self.find(self.points[p])
-
-
-def build_center(cat: PointedCrossedCategory, section: Optional[Sequence[int]] = None) -> CenterStructure:
-    return CenterStructure(cat, section=section)
 
 
 # -- verification ------------------------------------------------------------------
@@ -724,10 +710,11 @@ def verify_center_braided(cat: PointedCrossedCategory,
             for i in range(L_z.order):
                 if zcat.act(cpa2[zcat.deg(i)][A], L_z.inv(i)) != L_z.inv(zcat.act(A, i)):
                     return (A, i)
-        for lam in cat.Lambda.elements():
+        L = cat.Lambda
+        for lam in L.elements():
             for g in G.elements():
-                _, drep = dual_data(cat, lam, g)
-                if not drep.passed:
+                # the left dual of ^g lam is ^{deg(lam) |>2 g}(lam^-1)
+                if cat.act(a2[cat.grading[lam]][g], L.inv(lam)) != L.inv(cat.act(g, lam)):
                     return ("underlying", lam, g)
         return None
 
@@ -769,7 +756,7 @@ def graded_center(cat: PointedCrossedCategory) -> CenterStructure:
     """The center when G is trivial: all simples in degree e, adjoint pattern."""
     if cat.G.order != 1:
         raise WrongSpecialization(f"G has order {cat.G.order}, expected trivial")
-    Z = build_center(cat)
+    Z = CenterStructure(cat)
     assert all(z.g == cat.G.identity for z in Z.simples)
     _assert_turaev_pattern(Z, surviving="Gamma")
     return Z
@@ -779,7 +766,7 @@ def equivariant_center(cat: PointedCrossedCategory) -> CenterStructure:
     """The center when Gamma is trivial: no grading beyond e, adjoint pattern."""
     if cat.Gamma.order != 1:
         raise WrongSpecialization(f"Gamma has order {cat.Gamma.order}, expected trivial")
-    Z = build_center(cat)
+    Z = CenterStructure(cat)
     assert all(cat.deg(z.label) == cat.Gamma.identity for z in Z.simples)
     _assert_turaev_pattern(Z, surviving="G")
     return Z

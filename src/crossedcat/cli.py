@@ -95,37 +95,33 @@ def cmd_zappa_szep(args) -> int:
     return 0
 
 
+def _save_and_verify(args, built, save, load, verify) -> int:
+    """Write `built` to -o, then verify and emit what reads back from there."""
+    out = Path(args.out)
+    save(built, out)
+    rep = verify(load(out))
+    rep.input_digest = _digest(Path(args.file))
+    return _emit(rep, args.pretty)
+
+
 def cmd_factorize(args) -> int:
     H = jsonio.load_group(args.file)
     gens_g = _int_list(args.gens_g, "--gens-g")
     gens_gamma = _int_list(args.gens_gamma, "--gens-gamma")
     mp = from_exact_factorization(H, subgroup_from_generators(H, gens_g),
                                   subgroup_from_generators(H, gens_gamma))
-    out = Path(args.out)
-    jsonio.save_matched(mp, out)
-    rep = verify_matched_pair(jsonio.load_matched(out))
-    rep.input_digest = _digest(Path(args.file))
-    return _emit(rep, args.pretty)
+    return _save_and_verify(args, mp, jsonio.save_matched, jsonio.load_matched,
+                            verify_matched_pair)
 
 
 def cmd_turaev(args) -> int:
-    G = jsonio.load_group(args.file)
-    bmp = turaev_braiding(G)
-    out = Path(args.out)
-    jsonio.save_braided(bmp, out)
-    rep = verify_braiding(jsonio.load_braided(out))
-    rep.input_digest = _digest(Path(args.file))
-    return _emit(rep, args.pretty)
+    bmp = turaev_braiding(jsonio.load_group(args.file))
+    return _save_and_verify(args, bmp, jsonio.save_braided, jsonio.load_braided, verify_braiding)
 
 
 def cmd_center_pair(args) -> int:
-    mp = jsonio.load_matched(args.file)
-    bmp = center_braiding(mp)
-    out = Path(args.out)
-    jsonio.save_braided(bmp, out)
-    rep = verify_braiding(jsonio.load_braided(out))
-    rep.input_digest = _digest(Path(args.file))
-    return _emit(rep, args.pretty)
+    bmp = center_braiding(jsonio.load_matched(args.file))
+    return _save_and_verify(args, bmp, jsonio.save_braided, jsonio.load_braided, verify_braiding)
 
 
 def cmd_center(args) -> int:

@@ -62,14 +62,6 @@ class ParseError(CrossedCatError):
         super().__init__(f"{message} (column {position})")
 
 
-class ArityMismatch(CrossedCatError):
-    pass
-
-
-class EndpointMismatch(CrossedCatError):
-    pass
-
-
 class NonSingularityViolated(CrossedCatError):
     def __init__(self, missing_degree: int):
         self.missing_degree = missing_degree

@@ -232,8 +232,7 @@ def kernel(f: GroupHom) -> list[int]:
 class GroupActionOnSet(Record):
     actor: FiniteGroup
     set_size: int
-    table: Table  # table[g][x]
-    side: str = "left"
+    table: Table  # table[g][x], a left action
 
     def act(self, g: int, x: int) -> int:
         return self.table[g][x]
@@ -248,9 +247,7 @@ def action_violation(a: GroupActionOnSet) -> Optional[tuple]:
     for g in G.elements():
         for h in G.elements():
             for x in range(a.set_size):
-                composed = a.table[g][a.table[h][x]]
-                want = a.table[G.mul(g, h)][x] if a.side == "left" else a.table[G.mul(h, g)][x]
-                if composed != want:
+                if a.table[g][a.table[h][x]] != a.table[G.mul(g, h)][x]:
                     return ("compose", g, h, x)
     return None
 

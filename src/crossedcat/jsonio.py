@@ -102,8 +102,8 @@ def matched_to_json(mp: MatchedPair) -> dict:
         "Gamma": group_to_json(mp.Gamma),
         "act1": [list(r) for r in mp.act1.table],
         "act2": [list(r) for r in mp.act2.table],
-        "side1": mp.act1.side,
-        "side2": mp.act2.side,
+        "side1": "left",
+        "side2": "left",
     }
 
 

@@ -21,9 +21,9 @@ class Record:
     command is a fresh process, and most commands take about 110 ms.  The
     decorator's module imports `inspect`, `ast`, `dis` and `tokenize`, and
     each decorated class generates and execs its methods at import.  With
-    the decorator on the package's 26 record classes, `import crossedcat.cli`
-    took a median 114 ms; with this base class it takes 60 ms (21 fresh
-    processes each, Python 3.11, 2 vCPUs).
+    the decorator on the 26 record classes the package then had,
+    `import crossedcat.cli` took a median 114 ms; with this base class it
+    takes 60 ms (21 fresh processes each, Python 3.11, 2 vCPUs).
     """
 
     _fields: tuple[str, ...] = ()

@@ -1,9 +1,8 @@
-"""Words of crossed-monoidal functors and their structural morphisms.
+"""Words of crossed-monoidal functors and the bounded coherence check.
 
-Grammar for the printable form:  `1` (unit), `_i` (hole i), `(w * w)`
-(tensor), and `tok<w>` (action by the group element named `tok`; a bare
-integer token is an element index).  Holes are linear and numbered left to
-right, matching how substitution sums arities.
+Printed form:  `1` (unit), `_i` (hole i), `(w * w)` (tensor), and `g<w>`
+(action by the group element of index g).  Holes are linear and numbered
+left to right, matching how substitution sums arities.
 
 The bounded coherence check walks the graph whose nodes are all words up to
 a node budget instantiated at a fixed object tuple and whose edges are
@@ -25,13 +24,9 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import ArityMismatch, EndpointMismatch, ParseError
 from .pointed import PointedCrossedCategory
 from .records import Record
 from .report import VerificationReport
-from .scalars import UnitScalar
-
-Token = Union[int, str]
 
 
 # -- word AST --------------------------------------------------------------------
@@ -50,7 +45,7 @@ class Tensor(Record):
 
 
 class Act(Record):
-    g: Token
+    g: int
     body: "Word"
 
 
@@ -67,293 +62,6 @@ def print_word(w: Word) -> str:
     if isinstance(w, Act):
         return f"{w.g}<{print_word(w.body)}>"
     raise TypeError(f"not a word: {w!r}")
-
-
-def word_holes(w: Word) -> tuple[int, ...]:
-    """Hole indices in left-to-right order."""
-    if isinstance(w, Unit):
-        return ()
-    if isinstance(w, Hole):
-        return (w.index,)
-    if isinstance(w, Tensor):
-        return word_holes(w.left) + word_holes(w.right)
-    return word_holes(w.body)
-
-
-def word_arity(w: Word) -> int:
-    holes = word_holes(w)
-    if sorted(holes) != list(range(1, len(holes) + 1)) or list(holes) != sorted(holes):
-        raise ArityMismatch(f"holes {holes} are not linear 1..n left to right")
-    return len(holes)
-
-
-# -- parser ----------------------------------------------------------------------
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.pos + 1)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self) -> None:
-        while self.peek() == " ":
-            self.pos += 1
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self) -> Word:
-        w = self.parse_word()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing input")
-        return w
-
-    def parse_word(self) -> Word:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            left = self.parse_word()
-            self.expect("*")
-            right = self.parse_word()
-            self.expect(")")
-            return Tensor(left, right)
-        if ch == "1":
-            nxt = self.text[self.pos + 1:self.pos + 2]
-            if not (nxt.isalnum() or nxt in ("_", "<")):
-                self.pos += 1
-                return Unit()
-        if ch == "_":
-            self.pos += 1
-            start = self.pos
-            while self.peek().isdigit():
-                self.pos += 1
-            if start == self.pos:
-                raise self.error("expected hole number after '_'")
-            return Hole(int(self.text[start:self.pos]))
-        if ch.isalnum():
-            start = self.pos
-            while self.peek().isalnum() or self.peek() == "_":
-                self.pos += 1
-            token: Token = self.text[start:self.pos]
-            if token.isdigit():
-                token = int(token)
-            self.expect("<")
-            body = self.parse_word()
-            self.expect(">")
-            return Act(token, body)
-        raise self.error("expected a word")
-
-
-def parse_word(text: str) -> Word:
-    return _Parser(text).parse()
-
-
-def resolve_token(tok: Token, cat: PointedCrossedCategory,
-                  element_names: Optional[dict[str, int]] = None) -> int:
-    if isinstance(tok, int):
-        g = tok
-    elif tok == "e":
-        g = cat.G.identity
-    elif element_names and tok in element_names:
-        g = element_names[tok]
-    elif tok.startswith("g") and tok[1:].isdigit():
-        g = int(tok[1:])
-    else:
-        raise ArityMismatch(f"cannot resolve group element token {tok!r}")
-    if not 0 <= g < cat.G.order:
-        raise ArityMismatch(f"element index {g} out of range for {cat.G.name}")
-    return g
-
-
-# -- evaluation --------------------------------------------------------------------
-
-def eval_word(w: Word, objects: Sequence[int], cat: PointedCrossedCategory,
-              element_names: Optional[dict[str, int]] = None) -> int:
-    """The label obtained by substituting, tensoring, and acting."""
-    arity = word_arity(w)
-    if arity != len(objects):
-        raise ArityMismatch(f"word has arity {arity}, got {len(objects)} objects")
-    return _eval(w, objects, cat, element_names)
-
-
-def _eval(w: Word, objects: Sequence[int], cat: PointedCrossedCategory,
-          element_names: Optional[dict[str, int]]) -> int:
-    """The label of w with its holes bound to objects positionally, left to right."""
-    it = iter(objects)
-
-    def go(w: Word) -> int:
-        if isinstance(w, Unit):
-            return cat.Lambda.identity
-        if isinstance(w, Hole):
-            return next(it)
-        if isinstance(w, Tensor):
-            return cat.Lambda.mul(go(w.left), go(w.right))
-        return cat.act(resolve_token(w.g, cat, element_names), go(w.body))
-
-    return go(w)
-
-
-# -- structural morphisms -------------------------------------------------------------
-
-class Assoc(Record):
-    w1: Word
-    w2: Word
-    w3: Word
-
-
-class LeftUnit(Record):
-    w: Word
-
-
-class RightUnit(Record):
-    w: Word
-
-
-class JMove(Record):
-    g: Token
-    w1: Word
-    w2: Word
-
-
-class ChiMove(Record):
-    g: Token
-    h: Token
-    w: Word
-
-
-class IotaMove(Record):
-    w: Word
-
-
-class PhiMove(Record):
-    g: Token
-
-
-class Inverse(Record):
-    inner: "Structural"
-
-
-class Compose(Record):
-    after: "Structural"
-    before: "Structural"
-
-
-class Apply(Record):
-    word: Word
-    parts: tuple["Structural", ...]
-
-
-Structural = Union[Assoc, LeftUnit, RightUnit, JMove, ChiMove, IotaMove, PhiMove,
-                   Inverse, Compose, Apply]
-
-
-def eval_structural(m: Structural, objects: Sequence[int], cat: PointedCrossedCategory,
-                    element_names: Optional[dict[str, int]] = None
-                    ) -> tuple[int, int, UnitScalar]:
-    """(source label, target label, coefficient) of a structural morphism.
-
-    Coefficients of structural isos are always roots; Inverse negates the
-    exponent and Compose checks endpoint chaining on labels.
-    """
-    L = cat.Lambda
-
-    def ev(w: Word, objs: Sequence[int]) -> int:
-        return _eval(w, objs, cat, element_names)
-
-    def go(m: Structural, objs: Sequence[int]) -> tuple[int, int, int]:
-        if isinstance(m, Assoc):
-            parts = _split_objects(objs, (m.w1, m.w2, m.w3))
-            l1, l2, l3 = (ev(w, o) for w, o in zip((m.w1, m.w2, m.w3), parts))
-            x = L.mul(L.mul(l1, l2), l3)
-            return x, x, 0
-        if isinstance(m, (LeftUnit, RightUnit)):
-            x = ev(m.w, objs)
-            return x, x, 0
-        if isinstance(m, JMove):
-            g = resolve_token(m.g, cat, element_names)
-            parts = _split_objects(objs, (m.w1, m.w2))
-            l1, l2 = ev(m.w1, parts[0]), ev(m.w2, parts[1])
-            tw = cat.mp.a2(cat.deg(l2), g)
-            src = L.mul(cat.act(tw, l1), cat.act(g, l2))
-            tgt = cat.act(g, L.mul(l1, l2))
-            return src, tgt, cat.j(g, l1, l2)
-        if isinstance(m, ChiMove):
-            g = resolve_token(m.g, cat, element_names)
-            h = resolve_token(m.h, cat, element_names)
-            x = ev(m.w, objs)
-            src = cat.act(g, cat.act(h, x))
-            return src, cat.act(cat.G.mul(g, h), x), cat.x(g, h, x)
-        if isinstance(m, IotaMove):
-            x = ev(m.w, objs)
-            return x, cat.act(cat.G.identity, x), cat.io(x)
-        if isinstance(m, PhiMove):
-            g = resolve_token(m.g, cat, element_names)
-            e = L.identity
-            return e, cat.act(g, e), cat.ph(g)
-        if isinstance(m, Inverse):
-            s, t, c = go(m.inner, objs)
-            return t, s, -c
-        if isinstance(m, Compose):
-            s1, t1, c1 = go(m.before, objs)
-            s2, t2, c2 = go(m.after, objs)
-            if t1 != s2:
-                raise EndpointMismatch(f"composite endpoints {t1} != {s2}")
-            return s1, t2, c1 + c2
-        if isinstance(m, Apply):
-            if word_arity(m.word) != len(m.parts):
-                raise ArityMismatch("Apply arity does not match parts")
-            sub = _split_objects(objs, tuple(_part_word(p) for p in m.parts))
-            srcs, tgts, total = [], [], 0
-            for p, o in zip(m.parts, sub):
-                s, t, c = go(p, o)
-                srcs.append(s)
-                tgts.append(t)
-                total += c
-            return (ev(m.word, srcs), ev(m.word, tgts), total)
-        raise TypeError(f"not a structural morphism: {m!r}")
-
-    s, t, c = go(m, list(objects))
-    return s, t, UnitScalar(cat.M, c)
-
-
-def _part_word(p: Structural) -> Word:
-    """A word with the arity of the morphism p, for object splitting."""
-    if isinstance(p, Assoc):
-        return Tensor(Tensor(p.w1, p.w2), p.w3)
-    if isinstance(p, (LeftUnit, RightUnit, ChiMove, IotaMove)):
-        return p.w
-    if isinstance(p, JMove):
-        return Tensor(p.w1, p.w2)
-    if isinstance(p, PhiMove):
-        return Unit()
-    if isinstance(p, Inverse):
-        return _part_word(p.inner)
-    if isinstance(p, Compose):
-        return _part_word(p.before)
-    if isinstance(p, Apply):
-        return p.word
-    raise TypeError(f"not a structural morphism: {p!r}")
-
-
-def _split_objects(objs: Sequence[int], words: tuple[Word, ...]) -> list[list[int]]:
-    out, k = [], 0
-    for w in words:
-        n = len(word_holes(w))
-        out.append(list(objs[k:k + n]))
-        k += n
-    if k != len(objs):
-        raise ArityMismatch(f"{len(objs)} objects for words of total arity {k}")
-    return out
 
 
 # -- bounded coherence check ------------------------------------------------------------

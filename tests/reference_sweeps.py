@@ -27,10 +27,9 @@ from crossedcat.groups import (FiniteGroup, GroupHom, direct_product, group_hom,
                                validate_group)
 from crossedcat.matched import MatchedPair, matched_pair
 from crossedcat.pointed import PointedCrossedCategory, dual_data, pointed_category
+from crossedcat.records import Record
 from crossedcat.report import VerificationReport, run_checks
-from crossedcat.scalars import UnitScalar
-from crossedcat.words import (Act, Hole, Tensor, Unit, Word, enumerate_words, print_word,
-                              resolve_token)
+from crossedcat.words import Act, Hole, Tensor, Unit, Word, enumerate_words, print_word
 
 
 # -- matched and braided pairs
@@ -406,6 +405,78 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
 
 
 # -- the center
+
+# the scalar type the package had before every scalar became an exponent;
+# the reference braiding keeps its zero and its inverse
+class UnitScalar(Record):
+    """zeta_M^exponent, or zero when exponent is None.
+
+    Exponents are kept reduced mod M; equality is exact integer comparison,
+    so there is no floating point anywhere.
+    """
+
+    modulus: int
+    exponent: Optional[int]
+
+    def __init__(self, modulus: int, exponent: Optional[int]):
+        if modulus < 1:
+            raise ValueError("modulus must be >= 1")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "exponent", None if exponent is None else exponent % modulus)
+
+    @classmethod
+    def root(cls, modulus: int, exponent: int) -> "UnitScalar":
+        return cls(modulus, exponent)
+
+    @classmethod
+    def one(cls, modulus: int) -> "UnitScalar":
+        return cls(modulus, 0)
+
+    @classmethod
+    def zero(cls, modulus: int) -> "UnitScalar":
+        return cls(modulus, None)
+
+    @property
+    def kind(self) -> str:
+        return "zero" if self.exponent is None else "root"
+
+    @property
+    def is_zero(self) -> bool:
+        return self.exponent is None
+
+    @property
+    def is_one(self) -> bool:
+        return self.exponent == 0
+
+    def _check(self, other: "UnitScalar") -> None:
+        if self.modulus != other.modulus:
+            raise ValueError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
+
+    def __mul__(self, other: "UnitScalar") -> "UnitScalar":
+        self._check(other)
+        if self.is_zero or other.is_zero:
+            return UnitScalar.zero(self.modulus)
+        return UnitScalar(self.modulus, self.exponent + other.exponent)
+
+    def inverse(self) -> "UnitScalar":
+        if self.is_zero:
+            raise ZeroDivisionError("zero scalar has no inverse")
+        return UnitScalar(self.modulus, -self.exponent)
+
+    def __pow__(self, n: int) -> "UnitScalar":
+        if self.is_zero:
+            if n == 0:
+                raise ValueError("0**0 is undefined here")
+            if n < 0:
+                raise ZeroDivisionError("zero scalar has no inverse")
+            return self
+        return UnitScalar(self.modulus, self.exponent * n)
+
+    def __repr__(self) -> str:
+        if self.is_zero:
+            return f"0(mod {self.modulus})"
+        return f"zeta{self.modulus}^{self.exponent}"
+
 
 class ReferenceCenter:
     """The center with its tensor, two actions, swap scalars, and braiding.
@@ -1081,7 +1152,7 @@ def _eval_raw(w: Word, objects: Sequence[int], cat: PointedCrossedCategory) -> i
         return objects[w.index - 1]
     if isinstance(w, Tensor):
         return cat.Lambda.mul(_eval_raw(w.left, objects, cat), _eval_raw(w.right, objects, cat))
-    return cat.act(resolve_token(w.g, cat), _eval_raw(w.body, objects, cat))
+    return cat.act(w.g, _eval_raw(w.body, objects, cat))
 
 
 def _moves_from(w: Word, objects: Sequence[int], cat: PointedCrossedCategory,

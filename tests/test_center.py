@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import category
-from crossedcat.center import (CenterSimple, CenterStructure, build_center, enumerate_center,
+from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
                                equivariant_center, graded_center, relative_center_oracle,
                                verify_center_braided)
 from crossedcat.errors import (NonSingularityViolated, UnsupportedConfiguration,
@@ -11,7 +11,7 @@ from crossedcat.errors import (NonSingularityViolated, UnsupportedConfiguration,
 from crossedcat.fixtures import CENTER_FIXTURES, nonsingular_violation
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
-from crossedcat.pointed import pointed_category
+from crossedcat.pointed import PointedCrossedCategory, pointed_category
 
 
 @pytest.mark.parametrize("name", CENTER_FIXTURES)
@@ -42,7 +42,7 @@ def test_z4_fixture_conjugation_holds_for_both_degrees():
 
 def test_tensor_unit_and_membership():
     cat = category("z4-over-z2")
-    Z = build_center(cat)
+    Z = CenterStructure(cat)
     for z in Z.simples:
         assert Z.tensor(Z.unit, z) == z
         assert Z.tensor(z, Z.unit) == z
@@ -52,7 +52,7 @@ def test_tensor_unit_and_membership():
 
 def test_tensor_formula_z4_fixture():
     cat = category("z4-over-z2")
-    Z = build_center(cat)
+    Z = CenterStructure(cat)
     g = 1  # the inversion
     zs = [z for z in Z.simples if z.g == g and z.label == 1]
     for z1 in zs:
@@ -67,7 +67,7 @@ def test_tensor_formula_z4_fixture():
 
 def test_tensor_associative_everywhere():
     for name in ("z4-over-z2", "cocycle-j", "cocycle-chi"):
-        Z = build_center(category(name))
+        Z = CenterStructure(category(name))
         for a in Z.simples:
             for b in Z.simples:
                 for c in Z.simples:
@@ -77,7 +77,7 @@ def test_tensor_associative_everywhere():
 def test_g_action_identity_and_law():
     for name in ("z4-over-z2", "vec-z2z3"):
         cat = category(name)
-        Z = build_center(cat)
+        Z = CenterStructure(cat)
         for z in Z.simples:
             assert Z.g_act(cat.G.identity, z) == z
         for g in cat.G.elements():
@@ -88,7 +88,7 @@ def test_g_action_identity_and_law():
 
 def test_g_action_z4_inversion_example():
     cat = category("z4-over-z2")
-    Z = build_center(cat)
+    Z = CenterStructure(cat)
     g = 1
     for z in Z.simples:
         if z.label != 1:
@@ -100,7 +100,7 @@ def test_g_action_z4_inversion_example():
 
 def test_gamma_action_examples():
     cat = category("z4-over-z2")
-    Z = build_center(cat)
+    Z = CenterStructure(cat)
     for z in Z.simples:
         assert Z.gamma_act(cat.Gamma.identity, z) == z
     s = 1  # zeta_1 = 1 in Z4
@@ -119,7 +119,7 @@ def test_gamma_action_examples():
 @pytest.mark.parametrize("name", CENTER_FIXTURES)
 def test_gamma_action_grade_covariance(name):
     cat = category(name)
-    Z = build_center(cat)
+    Z = CenterStructure(cat)
     mp = cat.mp
     for s in cat.Gamma.elements():
         for z in Z.simples:
@@ -130,20 +130,37 @@ def test_gamma_action_grade_covariance(name):
 
 
 def test_braiding_examples():
-    cat = category("vec-z2-gtrivial")
-    Z = build_center(cat)
+    Z = CenterStructure(category("vec-z2-gtrivial"))
     for z1 in Z.simples:
         for z2 in Z.simples:
-            tgt, coeff = Z.braiding(z1, z2)
-            assert coeff.is_one  # all crossings are identities here
+            assert Z.braid_exponent(z1, z2) == 0  # all crossings are identities here
     cat = category("z4-over-z2")
-    Z = build_center(cat)
+    Z = CenterStructure(cat)
     for z1 in Z.simples:
         for z2 in Z.simples:
-            tgt, coeff = Z.braiding(z1, z2)
-            src, inv = Z.braiding_inverse(z1, z2)
-            assert (coeff * inv).is_one
-            assert tgt == Z.tensor(Z.g_act(z1.g, z2), z1)
+            # the braiding runs between two simples of one grade
+            src = Z.tensor(Z.gamma_act(cat.deg(z2.label), z1), z2)
+            tgt = Z.tensor(Z.g_act(z1.g, z2), z1)
+            Z.find(src)  # raises KeyError unless src is a simple
+            Z.find(tgt)
+            assert Z.grade(src) == Z.grade(tgt)
+
+
+@pytest.mark.parametrize("name", CENTER_FIXTURES)
+def test_as_category_matches_pointed_category(name):
+    # as_category builds its record directly from the reduced tables;
+    # pointed_category, which reduces every entry again, must agree with it
+    Z = CenterStructure(category(name))
+    cat, n, cp = Z.cat, len(Z.simples), Z.induced.mp
+    zcat = Z.as_category()
+    want = pointed_category(
+        zcat.Lambda, cp, Z.grade_table[:n], [row[:n] for row in Z.action_table], cat.M,
+        jtable=[plane[:n] for plane in Z.j_table], chitable=Z.chi_table,
+        phitable=[cat.ph(A // cat.Gamma.order) for A in cp.G.elements()],
+        iotatable=[cat.io(z.label) for z in Z.simples], name=f"Z({cat.name})")
+    for field in PointedCrossedCategory._fields:
+        assert getattr(zcat, field) == getattr(want, field), field
+    assert zcat == want
 
 
 @pytest.mark.parametrize("name", CENTER_FIXTURES)
@@ -167,16 +184,16 @@ def test_half_braiding_mutation_detected():
 
 def test_structure_tables_match_chains():
     cat = category("z4-over-z2")
-    Z = build_center(cat)
+    Z = CenterStructure(cat)
     assert Z.points == Z.simples
     for i, z1 in enumerate(Z.simples):
         assert Z.points[Z.g_action_table[1][i]] == Z.g_act(1, z1)
         assert Z.points[Z.gamma_action_table[1][i]] == Z.gamma_act(1, z1)
         for k, z2 in enumerate(Z.simples):
             assert Z.points[Z.tensor_table[i][k]] == Z.tensor(z1, z2)
-            tgt, coeff = Z.braiding(z1, z2)
-            assert Z.braid_table[i][k] == coeff.exponent
-            assert Z.points[Z.tensor_table[Z.g_action_table[z1.g][k]][i]] == tgt
+            assert Z.braid_table[i][k] == Z.braid_exponent(z1, z2)
+            assert Z.points[Z.tensor_table[Z.g_action_table[z1.g][k]][i]] == \
+                Z.tensor(Z.g_act(z1.g, z2), z1)
 
 
 def test_graded_center_specialization():
@@ -240,16 +257,16 @@ def test_frozen_scalar_regression_tables():
 
     The axiom sweeps admit no gauge slack at these points: a change in any
     correction term of the swap scalars or the braiding shows up here."""
-    Z = build_center(category("z4-over-z2"))
+    Z = CenterStructure(category("z4-over-z2"))
     assert [Z.sigma(1, 1, z) for z in Z.simples] == [0, 2] * 8
     assert Z.simples[5] == CenterSimple(0, 2, (0, 2))
-    assert [Z.braiding(Z.simples[5], z)[1].exponent for z in Z.simples] == \
+    assert [Z.braid_exponent(Z.simples[5], z) for z in Z.simples] == \
         [0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2]
-    Zj = build_center(category("cocycle-j"))
+    Zj = CenterStructure(category("cocycle-j"))
     assert [(z.g, z.label, z.chi) for z in Zj.simples] == [
         (0, 0, (0, 0)), (0, 0, (0, 2)), (0, 1, (0, 0)), (0, 1, (0, 2)),
         (1, 0, (0, 1)), (1, 0, (0, 3)), (1, 1, (0, 1)), (1, 1, (0, 3))]
-    assert [[Zj.braiding(a, b)[1].exponent for b in Zj.simples] for a in Zj.simples] == [
+    assert [list(row) for row in Zj.braid_table] == [
         [0, 0, 0, 0, 0, 0, 0, 0],
         [0, 0, 2, 2, 0, 0, 2, 2],
         [0, 0, 0, 0, 0, 0, 0, 0],
@@ -258,7 +275,7 @@ def test_frozen_scalar_regression_tables():
         [0, 0, 3, 3, 0, 0, 3, 3],
         [0, 0, 1, 1, 0, 0, 1, 1],
         [0, 0, 3, 3, 0, 0, 3, 3]]
-    Z6 = build_center(category("z6-over-z3"))
+    Z6 = CenterStructure(category("z6-over-z3"))
     assert [Z6.sigma(1, 1, z) for z in Z6.simples] == [0, 2] * 12
 
 

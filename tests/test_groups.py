@@ -3,14 +3,12 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
 
 from crossedcat.errors import AssocViolation, NoInverse, NoIdentity
 from crossedcat.groups import (cyclic, dihedral, direct_product, find_isomorphism, group_hom,
                                identity_hom, kernel,
                                subgroup_from_generators, symmetric, trivial_group,
                                twisted_characters, validate_group)
-from crossedcat.scalars import UnitScalar
 
 
 def brute_force_s3_table():
@@ -127,21 +125,3 @@ def test_find_isomorphism_negative_and_identity():
     for a in G.elements():
         for b in G.elements():
             assert iso(G.mul(a, b)) == G.mul(iso(a), iso(b))
-
-
-@given(st.integers(1, 12), st.integers(), st.integers(), st.integers())
-def test_unit_scalar_algebra(m, a, b, c):
-    x, y, z = UnitScalar(m, a), UnitScalar(m, b), UnitScalar(m, c)
-    assert (x * y) * z == x * (y * z)
-    assert x * y == y * x
-    assert x * UnitScalar.one(m) == x
-    assert (x * x.inverse()).is_one
-    zero = UnitScalar.zero(m)
-    assert (x * zero).is_zero
-
-
-@given(st.integers(1, 12), st.integers())
-def test_unit_scalar_idempotent_root_is_one(m, a):
-    x = UnitScalar(m, a)
-    if x * x == x:
-        assert x.exponent == 0

@@ -7,26 +7,22 @@ import itertools
 
 import pytest
 
-from crossedcat import braided, center, groups, matched, pointed, report, scalars, words
+from crossedcat import braided, center, groups, matched, pointed, report, words
 from crossedcat.records import Record
 
 RECORDS = [
     groups.FiniteGroup, groups.GroupHom, groups.GroupActionOnSet, groups.GroupAutAction,
     matched.MatchedPair, braided.BraidedMatchedPair, pointed.PointedCrossedCategory,
-    center.CenterSimple, report.Check, scalars.UnitScalar,
-    words.Unit, words.Hole, words.Tensor, words.Act,
-    words.Assoc, words.LeftUnit, words.RightUnit, words.JMove, words.ChiMove, words.IotaMove,
-    words.PhiMove, words.Inverse, words.Compose, words.Apply,
+    center.CenterSimple, report.Check, words.Unit, words.Hole, words.Tensor, words.Act,
 ]
 
 
 def values(cls: type, offset: int = 0) -> tuple:
-    # positive ints, so UnitScalar's modulus is valid and nothing is reduced
     return tuple(range(7 + offset, 7 + offset + len(cls._fields)))
 
 
 def test_every_record_type_is_listed():
-    modules = (groups, matched, braided, pointed, center, report, scalars, words)
+    modules = (groups, matched, braided, pointed, center, report, words)
     found = {obj for mod in modules for obj in vars(mod).values()
              if isinstance(obj, type) and issubclass(obj, Record) and obj is not Record}
     assert found == set(RECORDS)
@@ -66,10 +62,6 @@ def test_different_classes_with_equal_fields_are_unequal():
 def test_defaulted_fields_take_their_default():
     assert groups.FiniteGroup(1, ((0,),), 0, (0,)).name == "G"
     assert report.Check("c", True).witness is None
-    G = groups.FiniteGroup(1, ((0,),), 0, (0,))
-    assert groups.GroupActionOnSet(G, 1, ((0,),)).side == "left"
-    assert groups.GroupActionOnSet(G, 1, ((0,),)) == groups.GroupActionOnSet(
-        G, 1, ((0,),), "left")
     assert report.Check("c", False, witness=(1,)) == report.Check("c", False, (1,))
 
 
@@ -92,15 +84,6 @@ def test_repr_lists_fields_in_order():
         "Tensor(left=Hole(index=1), right=Unit())"
 
 
-def test_unit_scalar_reduces_its_exponent():
-    assert scalars.UnitScalar(4, 5) == scalars.UnitScalar(4, 1)
-    assert hash(scalars.UnitScalar(4, 5)) == hash(scalars.UnitScalar(4, 1))
-    assert scalars.UnitScalar(4, -1).exponent == 3
-    assert scalars.UnitScalar(4, None).is_zero
-    with pytest.raises(ValueError):
-        scalars.UnitScalar(0, 1)
-
-
 def test_cached_property_still_works_on_a_record():
     from crossedcat.fixtures import CATEGORIES
     a, b = CATEGORIES["z4-over-z2"](), CATEGORIES["z4-over-z2"]()
@@ -108,9 +91,7 @@ def test_cached_property_still_works_on_a_record():
     assert a == b and hash(a) == hash(b)
 
 
-def test_every_enumerated_word_round_trips_through_print_and_parse():
-    ws = words.enumerate_words(5, 2, [0, 1, 2])
-    assert len(set(ws)) == 70
-    for w in ws:
-        back = words.parse_word(words.print_word(w))
-        assert back == w and hash(back) == hash(w)
+def test_distinct_enumerated_words_print_distinctly():
+    ws = set(words.enumerate_words(5, 2, [0, 1, 2]))
+    assert len(ws) == 70
+    assert len({words.print_word(w) for w in ws}) == 70
