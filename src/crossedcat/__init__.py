@@ -5,16 +5,14 @@ from .braided import (BraidedMatchedPair, center_braiding, center_pair, turaev_b
                       verify_braiding)
 from .center import (CenterSimple, CenterStructure, enumerate_center, equivariant_center,
                      graded_center, relative_center_oracle, verify_center_braided)
-from .groups import (FiniteGroup, GroupActionOnSet, GroupAutAction, GroupHom, cyclic, dihedral,
-                     direct_product, find_isomorphism, group_hom, identity_hom, kernel,
-                     subgroup_from_generators, symmetric, trivial_group, twisted_characters,
-                     validate_group)
+from .groups import (FiniteGroup, GroupHom, cyclic, dihedral, direct_product, group_hom,
+                     identity_hom, subgroup_from_generators, symmetric, trivial_group,
+                     twisted_characters, validate_group)
 from .jsonio import (load_braided, load_category, load_group, load_matched, save_braided,
                      save_category, save_group, save_matched)
 from .matched import (MatchedPair, direct_pair, from_exact_factorization, matched_pair,
                       turaev_pair, verify_matched_pair, zappa_szep)
-from .pointed import (PointedCrossedCategory, dual_data, pointed_category, vec_gamma,
-                      verify_crossed_category)
+from .pointed import PointedCrossedCategory, pointed_category, vec_gamma, verify_crossed_category
 from .report import VerificationReport
 from .words import check_coherence, print_word
 

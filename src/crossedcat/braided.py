@@ -36,7 +36,7 @@ def verify_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
     """Hom checks plus the five braiding axioms, exhaustive with witnesses."""
     mp = bmp.mp
     G, M = mp.G, mp.Gamma
-    Gt, Mt, a1, a2 = G.table, M.table, mp.act1.table, mp.act2.table
+    Gt, Mt, a1, a2 = G.table, M.table, mp.act1, mp.act2
     Gs, Ms = G.elements(), M.elements()
     phi, psi = bmp.phi.image, bmp.psi.image
     rep = VerificationReport(subject="braided-matched-pair")
@@ -103,7 +103,7 @@ def center_pair(mp: MatchedPair) -> MatchedPair:
     GP, _, _ = zappa_szep(mp)           # elements g*|Gamma| + s
     GXM = direct_product(G, M)          # elements h*|Gamma| + t
     m, Gt, Mt, Ginv, Minv = M.order, G.table, M.table, G.inverses, M.inverses
-    a1, a2 = mp.act1.table, mp.act2.table
+    a1, a2 = mp.act1, mp.act2
     out1 = [[0] * GXM.order for _ in range(GP.order)]
     out2 = [[0] * GP.order for _ in range(GXM.order)]
     for g in G.elements():

@@ -173,7 +173,7 @@ class CenterStructure:
     @cached_property
     def unit(self) -> CenterSimple:
         cat = self.cat
-        chi = tuple(cat.io(nu) % cat.M for nu in cat.neutral_labels)
+        chi = tuple(cat.io(nu) for nu in cat.neutral_labels)
         return CenterSimple(cat.G.identity, cat.Lambda.identity, chi)
 
     # -- tensor: half-braidings compose through the acted argument
@@ -361,7 +361,7 @@ class CenterStructure:
         """[A][point][simple] -> J of the combined action: the Gamma part's J,
         then J of the category at the two Gamma-acted labels."""
         cat = self.cat
-        M, J, a1 = cat.M, cat.jtable, cat.mp.act1.table
+        M, J, a1 = cat.M, cat.jtable, cat.mp.act1
         SA, JG = self.gamma_action_table, self.j_gamma_table
         label = [z.label for z in self.points]
         members, points = range(len(self.simples)), range(len(self.points))
@@ -450,11 +450,14 @@ def verify_center_braided(cat: PointedCrossedCategory,
     well-typed braidings, and duals.  Sweeps run over the dense tables of
     CenterStructure, in the order of each witness tuple.  `simples`
     overrides the enumeration (used by mutation tests).
+
+    Precondition: `cat` passes verify_crossed_category.  Callers verify it
+    first, as the CLI's `verify center` and `center` commands both do.
     """
     rep = VerificationReport(subject=f"center of {cat.name}")
     Z = CenterStructure(cat, section=section, simples=simples)
     G, Gamma, M, mp = cat.G, cat.Gamma, cat.M, cat.mp
-    Gt, Ginv, Gam, a1, a2 = G.table, G.inverses, Gamma.table, mp.act1.table, mp.act2.table
+    Gt, Ginv, Gam, a1, a2 = G.table, G.inverses, Gamma.table, mp.act1, mp.act2
     J, X, gamma_ord = cat.jtable, cat.chitable, Gamma.order
     Zs = range(len(Z.simples))
 
@@ -503,7 +506,7 @@ def verify_center_braided(cat: PointedCrossedCategory,
 
     def grade_covariance() -> Optional[tuple]:
         act, grade, T = Z.action_table, Z.grade_table, Z.tensor_table
-        cpa1 = Z.induced.mp.act1.table
+        cpa1 = Z.induced.mp.act1
         for g in G.elements():
             for s in Gamma.elements():
                 A = g * gamma_ord + s
@@ -633,7 +636,7 @@ def verify_center_braided(cat: PointedCrossedCategory,
 
     bmp = Z.induced
     phi_img, psi_img = bmp.phi.image, bmp.psi.image
-    cpa1, cpa2 = bmp.mp.act1.table, bmp.mp.act2.table
+    cpa1, cpa2 = bmp.mp.act1, bmp.mp.act2
 
     def braiding_welltyped() -> Optional[tuple]:
         # coefficients are roots of unity by construction (integer exponents),

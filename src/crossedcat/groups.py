@@ -47,10 +47,6 @@ class FiniteGroup(Record):
             n += 1
         return n
 
-    def is_abelian(self) -> bool:
-        return all(self.mul(a, b) == self.mul(b, a)
-                   for a in self.elements() for b in self.elements())
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -193,9 +189,6 @@ class GroupHom(Record):
     def __call__(self, a: int) -> int:
         return self.image[a]
 
-    def is_bijective(self) -> bool:
-        return self.source.order == self.target.order and len(set(self.image)) == self.source.order
-
 
 def group_hom(source: FiniteGroup, target: FiniteGroup, image: Sequence[int]) -> GroupHom:
     """Validated homomorphism; raises ValueError with a witness pair."""
@@ -221,66 +214,6 @@ def is_hom_image(source: FiniteGroup, target: FiniteGroup, image: Sequence[int])
 
 def identity_hom(G: FiniteGroup) -> GroupHom:
     return GroupHom(G, G, tuple(G.elements()))
-
-
-def kernel(f: GroupHom) -> list[int]:
-    return sorted(a for a in f.source.elements() if f.image[a] == f.target.identity)
-
-
-# -- actions -------------------------------------------------------------------
-
-class GroupActionOnSet(Record):
-    actor: FiniteGroup
-    set_size: int
-    table: Table  # table[g][x], a left action
-
-    def act(self, g: int, x: int) -> int:
-        return self.table[g][x]
-
-
-def action_violation(a: GroupActionOnSet) -> Optional[tuple]:
-    """Witness for a broken action law, or None."""
-    G = a.actor
-    for x in range(a.set_size):
-        if a.table[G.identity][x] != x:
-            return ("identity", x)
-    for g in G.elements():
-        for h in G.elements():
-            for x in range(a.set_size):
-                if a.table[g][a.table[h][x]] != a.table[G.mul(g, h)][x]:
-                    return ("compose", g, h, x)
-    return None
-
-
-def trivial_action(actor: FiniteGroup, set_size: int) -> GroupActionOnSet:
-    return GroupActionOnSet(actor, set_size,
-                            tuple(tuple(range(set_size)) for _ in actor.elements()))
-
-
-class GroupAutAction(Record):
-    """Left action where every actor element acts by a group automorphism."""
-
-    actor: FiniteGroup
-    carrier: FiniteGroup
-    table: Table
-
-    def act(self, g: int, x: int) -> int:
-        return self.table[g][x]
-
-    def as_set_action(self) -> GroupActionOnSet:
-        return GroupActionOnSet(self.actor, self.carrier.order, self.table)
-
-
-def aut_action_violation(a: GroupAutAction) -> Optional[tuple]:
-    v = action_violation(a.as_set_action())
-    if v is not None:
-        return v
-    for g in a.actor.elements():
-        for x in a.carrier.elements():
-            for y in a.carrier.elements():
-                if a.table[g][a.carrier.mul(x, y)] != a.carrier.mul(a.table[g][x], a.table[g][y]):
-                    return ("automorphism", g, x, y)
-    return None
 
 
 # -- characters ----------------------------------------------------------------
@@ -340,64 +273,3 @@ def twisted_characters(G: FiniteGroup, members: Sequence[int], modulus: int,
             solutions.add(tuple(chi[x] for x in members))
     return sorted(solutions)
 
-
-# -- isomorphism search ---------------------------------------------------------
-
-def find_isomorphism(G: FiniteGroup, H: FiniteGroup) -> Optional[GroupHom]:
-    """Backtracking search for an isomorphism; None is a definite negative.
-
-    Quick rejects on order and element-order multisets, then generator
-    images constrained to elements of equal order.
-    """
-    if G.order != H.order:
-        return None
-    if sorted(map(G.element_order, G.elements())) != sorted(map(H.element_order, H.elements())):
-        return None
-    gens = _generating_set(G, list(G.elements()))
-    if not gens:
-        return GroupHom(G, H, tuple(H.identity for _ in G.elements()))
-    orders = [G.element_order(g) for g in gens]
-    candidates = [[h for h in H.elements() if H.element_order(h) == o] for o in orders]
-
-    def extend(i: int, partial: dict[int, int]) -> Optional[dict[int, int]]:
-        if len(set(partial.values())) != len(partial):
-            return None  # not injective: dead branch
-        if i == len(gens):
-            if len(partial) != G.order:
-                return None
-            image = tuple(partial[a] for a in G.elements())
-            if len(set(image)) != G.order or is_hom_image(G, H, image) is not None:
-                return None
-            return partial
-        for h in candidates[i]:
-            new = dict(partial)
-            new[gens[i]] = h
-            closed = _close_hom(G, H, new)
-            if closed is not None:
-                result = extend(i + 1, closed)
-                if result is not None:
-                    return result
-        return None
-
-    found = extend(0, {G.identity: H.identity})
-    if found is None:
-        return None
-    return GroupHom(G, H, tuple(found[a] for a in G.elements()))
-
-
-def _close_hom(G: FiniteGroup, H: FiniteGroup, seed: dict[int, int]) -> Optional[dict[int, int]]:
-    """Multiplicative closure of a partial map; None on contradiction."""
-    mapping = dict(seed)
-    pairs = list(mapping.items())
-    while pairs:
-        x, hx = pairs.pop()
-        for y, hy in list(mapping.items()):
-            for (a, ha), (b, hb) in (((x, hx), (y, hy)), ((y, hy), (x, hx))):
-                p, hp = G.mul(a, b), H.mul(ha, hb)
-                if p in mapping:
-                    if mapping[p] != hp:
-                        return None
-                else:
-                    mapping[p] = hp
-                    pairs.append((p, hp))
-    return mapping

@@ -60,7 +60,8 @@ def _ints(obj: Any, depth: int, what: str) -> Any:
 
 def _is_ints(obj: Any, depth: int) -> bool:
     if depth == 0:
-        return isinstance(obj, int)
+        # JSON true/false load as bool, a subclass of int; they are not integers here
+        return isinstance(obj, int) and not isinstance(obj, bool)
     return isinstance(obj, list) and all(_is_ints(v, depth - 1) for v in obj)
 
 
@@ -100,8 +101,8 @@ def matched_to_json(mp: MatchedPair) -> dict:
     return {
         "G": group_to_json(mp.G),
         "Gamma": group_to_json(mp.Gamma),
-        "act1": [list(r) for r in mp.act1.table],
-        "act2": [list(r) for r in mp.act2.table],
+        "act1": [list(r) for r in mp.act1],
+        "act2": [list(r) for r in mp.act2],
         "side1": "left",
         "side2": "left",
     }
@@ -230,7 +231,7 @@ def category_from_json(obj: Any, base: Optional[Path] = None) -> PointedCrossedC
         M = obj["M"]
     except KeyError as exc:
         raise ValidationError(f"category object missing field {exc}") from exc
-    if not isinstance(M, int) or M < 1:
+    if not _is_ints(M, 0) or M < 1:
         raise ValidationError("M must be a positive integer")
     # the top-level G/Gamma must agree with the matched pair's
     for key, ref in (("G", mp.G), ("Gamma", mp.Gamma)):

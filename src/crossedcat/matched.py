@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import NoUniqueFactorization, NotExact, NotMatched
-from .groups import (FiniteGroup, GroupActionOnSet, GroupHom, Table,
-                     subgroup_as_group, trivial_action)
+from .groups import FiniteGroup, GroupHom, Table, subgroup_as_group
 from .records import Record
 from .report import VerificationReport, run_checks
 
@@ -23,34 +22,32 @@ from .report import VerificationReport, run_checks
 class MatchedPair(Record):
     G: FiniteGroup
     Gamma: FiniteGroup
-    act1: GroupActionOnSet  # G on the set Gamma, left
-    act2: GroupActionOnSet  # Gamma on the set G, left
+    act1: Table  # [g][s]: G on the set Gamma, left
+    act2: Table  # [s][g]: Gamma on the set G, left
 
     def a1(self, g: int, s: int) -> int:
-        return self.act1.table[g][s]
+        return self.act1[g][s]
 
     def a2(self, s: int, g: int) -> int:
-        return self.act2.table[s][g]
+        return self.act2[s][g]
 
 
 def matched_pair(G: FiniteGroup, Gamma: FiniteGroup,
                  act1: Sequence[Sequence[int]], act2: Sequence[Sequence[int]]) -> MatchedPair:
-    t1 = tuple(tuple(int(x) for x in row) for row in act1)
-    t2 = tuple(tuple(int(x) for x in row) for row in act2)
-    return MatchedPair(G, Gamma,
-                       GroupActionOnSet(G, Gamma.order, t1),
-                       GroupActionOnSet(Gamma, G.order, t2))
+    return MatchedPair(G, Gamma, tuple(tuple(int(x) for x in row) for row in act1),
+                       tuple(tuple(int(x) for x in row) for row in act2))
 
 
 def direct_pair(G: FiniteGroup, Gamma: FiniteGroup) -> MatchedPair:
     """Both actions trivial; Zappa-Szep is then the direct product."""
-    return MatchedPair(G, Gamma, trivial_action(G, Gamma.order), trivial_action(Gamma, G.order))
+    return MatchedPair(G, Gamma, (tuple(Gamma.elements()),) * G.order,
+                       (tuple(G.elements()),) * Gamma.order)
 
 
 def turaev_pair(G: FiniteGroup) -> MatchedPair:
     """(G, G) with |>1 the adjoint action and |>2 trivial."""
     a1 = tuple(tuple(G.conj(g, s) for s in G.elements()) for g in G.elements())
-    return MatchedPair(G, G, GroupActionOnSet(G, G.order, a1), trivial_action(G, G.order))
+    return MatchedPair(G, G, a1, (tuple(G.elements()),) * G.order)
 
 
 def verify_matched_pair(mp: MatchedPair) -> VerificationReport:
@@ -65,7 +62,7 @@ def verify_matched_pair(mp: MatchedPair) -> VerificationReport:
     Cayley tables and action rows, run once per side.  Loops nest in the
     order of the witness tuple.
     """
-    G, M, a1, a2 = mp.G, mp.Gamma, mp.act1.table, mp.act2.table
+    G, M, a1, a2 = mp.G, mp.Gamma, mp.act1, mp.act2
     return run_checks(VerificationReport(subject="matched-pair"), [
         ("act1_is_left_action", lambda: _left_action_witness(G, M, a1)),
         ("act2_is_left_action", lambda: _left_action_witness(M, G, a2)),
@@ -131,7 +128,7 @@ def zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, GroupHom, GroupHom]:
         raise NotMatched(rep)
     G, M = mp.G, mp.Gamma
     m, Gt, Mt, Ginv, Minv = M.order, G.table, M.table, G.inverses, M.inverses
-    a1, a2 = mp.act1.table, mp.act2.table
+    a1, a2 = mp.act1, mp.act2
     table = []
     for g in G.elements():
         Gg = Gt[g]

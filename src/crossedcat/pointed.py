@@ -34,6 +34,14 @@ def _const3(a: int, b: int, c: int) -> Exp3:
 
 
 class PointedCrossedCategory(Record):
+    """A category in the skeletal model above, with its scalar tables.
+
+    Every J, phi, chi and iota entry is stored reduced to 0..M-1:
+    pointed_category and CenterStructure.as_category build the tables so,
+    and the JSON loader rejects any other exponent.  The accessors j, ph, x
+    and io therefore return entries as stored.
+    """
+
     Lambda: FiniteGroup
     Gamma: FiniteGroup
     G: FiniteGroup
@@ -47,18 +55,18 @@ class PointedCrossedCategory(Record):
     iotatable: tuple[int, ...]      # [x]
     name: str = "cat"
 
-    # exponent accessors, reduced mod M
+    # exponent accessors
     def j(self, g: int, x: int, y: int) -> int:
-        return self.jtable[g][x][y] % self.M
+        return self.jtable[g][x][y]
 
     def ph(self, g: int) -> int:
-        return self.phitable[g] % self.M
+        return self.phitable[g]
 
     def x(self, g: int, h: int, lam: int) -> int:
-        return self.chitable[g][h][lam] % self.M
+        return self.chitable[g][h][lam]
 
     def io(self, lam: int) -> int:
-        return self.iotatable[lam] % self.M
+        return self.iotatable[lam]
 
     def act(self, g: int, lam: int) -> int:
         return self.action[g][lam]
@@ -139,7 +147,7 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     L, G, Gamma, mp, M = cat.Lambda, cat.G, cat.Gamma, cat.mp, cat.M
     rep = VerificationReport(subject=f"category {cat.name}")
     Lt, Gt, Linv = L.table, G.table, L.inverses
-    act, deg, a1, a2 = cat.action, cat.grading, mp.act1.table, mp.act2.table
+    act, deg, a1, a2 = cat.action, cat.grading, mp.act1, mp.act2
     J, X, phi, iota = cat.jtable, cat.chitable, cat.phitable, cat.iotatable
     Ls, Gs, eL, eG = L.elements(), G.elements(), L.identity, G.identity
     # live_j[g]: J[g] holds a nonzero exponent; live_x[g][h]: so does X[g][h]
@@ -303,12 +311,3 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
         ("dual_label_compat", dual_label_compat),
         ("pivotal_trivial", pivotal_trivial),
     ])
-
-
-def dual_data(cat: PointedCrossedCategory, lam: int, g: int) -> tuple[int, VerificationReport]:
-    """Left dual label of ^g lam, with the conjugate-equation report."""
-    L, mp = cat.Lambda, cat.mp
-    dual = cat.act(mp.a2(cat.deg(lam), g), L.inv(lam))
-    rep = VerificationReport(subject=f"dual({cat.name}, lam={lam}, g={g})")
-    rep.add("dual_is_inverse_of_image", dual == L.inv(cat.act(g, lam)), (lam, g))
-    return dual, rep

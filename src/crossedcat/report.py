@@ -48,9 +48,6 @@ class VerificationReport:
                 return c
         return None
 
-    def check_names(self) -> list[str]:
-        return [c.name for c in self.checks]
-
     def to_json(self) -> dict:
         body: dict[str, Any] = {
             "subject": self.subject,

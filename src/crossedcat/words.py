@@ -194,7 +194,7 @@ class _Skeleton:
                           action[a][labels[b]] if k == _ACT else
                           objects[a - 1] if k == _HOLE else unit)
         J, X, phi, iota = cat.jtable, cat.chitable, cat.phitable, cat.iotatable
-        twist, deg = cat.mp.act2.table, cat.grading
+        twist, deg = cat.mp.act2, cat.grading
         exps, src = [], []
         for r, at, s in zip(self.rule, self.sub, self.src):
             x = 0

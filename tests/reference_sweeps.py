@@ -26,7 +26,7 @@ from crossedcat.errors import GroupValidationError, NotMatched, UnsupportedConfi
 from crossedcat.groups import (FiniteGroup, GroupHom, direct_product, group_hom, is_hom_image,
                                validate_group)
 from crossedcat.matched import MatchedPair, matched_pair
-from crossedcat.pointed import PointedCrossedCategory, dual_data, pointed_category
+from crossedcat.pointed import PointedCrossedCategory, pointed_category
 from crossedcat.records import Record
 from crossedcat.report import VerificationReport, run_checks
 from crossedcat.words import Act, Hole, Tensor, Unit, Word, enumerate_words, print_word
@@ -1066,8 +1066,8 @@ def reference_center_braided(cat: PointedCrossedCategory,
                     return (A, i)
         for lam in cat.Lambda.elements():
             for g in G.elements():
-                _, drep = dual_data(cat, lam, g)
-                if not drep.passed:
+                if cat.act(cat.mp.a2(cat.deg(lam), g), cat.Lambda.inv(lam)) \
+                        != cat.Lambda.inv(cat.act(g, lam)):
                     return ("underlying", lam, g)
         return None
 

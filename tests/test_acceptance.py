@@ -13,16 +13,15 @@ import time
 
 import pytest
 
-from conftest import category, pair
+from conftest import category, pair, renamed
 from crossedcat.braided import center_braiding, center_pair, turaev_braiding, verify_braiding
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle, \
     verify_center_braided
 from crossedcat.errors import GroupValidationError
 from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, MATCHED_PAIRS
-from crossedcat.groups import (GroupAutAction, GroupHom, aut_action_violation, cyclic, dihedral,
-                               symmetric, validate_group)
+from crossedcat.groups import GroupHom, cyclic, dihedral, symmetric, validate_group
 from crossedcat.matched import from_exact_factorization, verify_matched_pair, zappa_szep
-from crossedcat.pointed import dual_data, pointed_category, verify_crossed_category
+from crossedcat.pointed import pointed_category, verify_crossed_category
 from crossedcat.words import check_coherence
 
 
@@ -50,7 +49,7 @@ def test_criterion_2_round_trips():
         mp = pair(name)
         H, eg, em = zappa_szep(mp)
         back = from_exact_factorization(H, list(eg.image), list(em.image))
-        ok = ok and back.act1.table == mp.act1.table and back.act2.table == mp.act2.table
+        ok = ok and back == renamed(mp, back)
         # converse: the multiplication map is an isomorphism onto H
         Z, _, _ = zappa_szep(back)
         ok = ok and Z.order == H.order and Z.table == H.table
@@ -79,13 +78,12 @@ def test_criterion_4_turaev_degeneration():
     # with Gamma trivial the crossed-category checks reduce to plain action
     # checks: the twisted label compatibility is the automorphism law
     cat = category("cocycle-chi")  # Gamma trivial fixture
-    aut = GroupAutAction(cat.G, cat.Lambda, cat.action)
-    ok = ok and aut_action_violation(aut) is None and verify_crossed_category(cat).passed
+    ok = ok and verify_crossed_category(cat).passed
     bad_action = [[0, 1], [1, 0]]  # sends unit to non-unit: not an automorphism
     mut = pointed_category(cat.Lambda, cat.mp, cat.grading, bad_action, cat.M)
-    mut_rep = verify_crossed_category(mut)
-    ok = ok and aut_action_violation(GroupAutAction(cat.G, cat.Lambda, bad_action)) is not None
-    ok = ok and not mut_rep.passed
+    witness = {c.name: c.witness for c in verify_crossed_category(mut).checks}
+    ok = ok and witness["action_fixes_unit"] == (1,)
+    ok = ok and witness["axiom2_object_compat"] == (1, 0, 0)
     _line(4, ok, "Turaev braidings pass for Z2/S3/D4; Gamma-trivial verifier = action checks")
 
 
@@ -115,7 +113,7 @@ def test_criterion_6_center_braided_everywhere():
               "braiding_welltyped", "center_category_axioms", "duals"}
     for name in CENTER_FIXTURES:
         rep = verify_center_braided(category(name))
-        ok = ok and rep.passed and needed <= set(rep.check_names())
+        ok = ok and rep.passed and needed <= {c.name for c in rep.checks}
     _line(6, ok, f"main-theorem checks (grading, sigma Yang-Baxter, braiding axioms, "
                  f"invertibility, b^-1 b = 1) pass on {len(CENTER_FIXTURES)} center fixtures")
 
@@ -123,11 +121,8 @@ def test_criterion_6_center_braided_everywhere():
 def test_criterion_7_duals():
     ok = True
     for name in CATEGORIES:
-        cat = category(name)
-        for lam in cat.Lambda.elements():
-            for g in cat.G.elements():
-                dual, rep = dual_data(cat, lam, g)
-                ok = ok and rep.passed and dual == cat.Lambda.inv(cat.act(g, lam))
+        rep = verify_crossed_category(category(name))
+        ok = ok and any(c.name == "dual_label_compat" and c.passed for c in rep.checks)
     _line(7, ok, "left-dual label equation holds for all (label, g) in all fixtures")
 
 
@@ -183,15 +178,15 @@ def _mutation_pool() -> list[tuple[str, callable]]:
         mp = pair(name)
         for _ in range(count):
             which = rng.choice(("act1", "act2"))
-            act = mp.act1.table if which == "act1" else mp.act2.table
+            act = mp.act1 if which == "act1" else mp.act2
             size = mp.Gamma.order if which == "act1" else mp.G.order
             i, j = rng.randrange(len(act)), rng.randrange(len(act[0]))
             delta = rng.randrange(1, size)
 
             def check(mp=mp, which=which, i=i, j=j, delta=delta, size=size):
                 from crossedcat.matched import matched_pair
-                a1 = [list(r) for r in mp.act1.table]
-                a2 = [list(r) for r in mp.act2.table]
+                a1 = [list(r) for r in mp.act1]
+                a2 = [list(r) for r in mp.act2]
                 (a1 if which == "act1" else a2)[i][j] = \
                     ((a1 if which == "act1" else a2)[i][j] + delta) % size
                 return not verify_matched_pair(matched_pair(mp.G, mp.Gamma, a1, a2)).passed

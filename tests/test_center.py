@@ -8,7 +8,7 @@ from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
                                verify_center_braided)
 from crossedcat.errors import (NonSingularityViolated, UnsupportedConfiguration,
                                WrongSpecialization)
-from crossedcat.fixtures import CENTER_FIXTURES, nonsingular_violation
+from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, nonsingular_violation
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category
@@ -161,6 +161,16 @@ def test_as_category_matches_pointed_category(name):
     for field in PointedCrossedCategory._fields:
         assert getattr(zcat, field) == getattr(want, field), field
     assert zcat == want
+
+
+def test_exponents_are_stored_reduced():
+    # the exponent accessors j, ph, x and io return entries as stored
+    cats = [category(name) for name in CATEGORIES]
+    cats += [CenterStructure(category(name)).as_category() for name in CENTER_FIXTURES]
+    for cat in cats:
+        stored = [v for t in (cat.jtable, cat.chitable) for plane in t for row in plane
+                  for v in row] + list(cat.phitable) + list(cat.iotatable)
+        assert all(0 <= v < cat.M for v in stored), cat.name
 
 
 @pytest.mark.parametrize("name", CENTER_FIXTURES)

@@ -8,7 +8,6 @@ import pytest
 from conftest import FIXTURE_DIR
 from crossedcat import jsonio
 from crossedcat.cli import main
-from crossedcat.groups import find_isomorphism, symmetric
 from crossedcat.matched import verify_matched_pair
 
 
@@ -109,7 +108,9 @@ def test_zappa_szep_output_is_s3(capsys, fixture_dir, tmp_path):
                   "-o", str(out_path))
     assert code == 0
     H = jsonio.load_group(out_path)
-    assert find_isomorphism(H, symmetric(3)) is not None
+    # a group of order 6 with a non-commuting pair is S3; 3 = (1, 0) and
+    # 1 = (0, 1) in the encoding g*|Gamma| + s
+    assert H.order == 6 and H.mul(3, 1) != H.mul(1, 3)
 
 
 def test_factorize_s4(capsys, fixture_dir, tmp_path):
@@ -166,9 +167,13 @@ def test_jobs_flag_is_rejected(capsys, fixture_dir):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def _bad_pair(G):
-    obj = json.loads((FIXTURE_DIR / "z2-z3-inversion.json").read_text())
-    obj["G"] = G
+def _fixture_with(name, value, *path):
+    """Fixture file `name` with the node at key `path` replaced by `value`."""
+    obj = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
     return obj
 
 
@@ -176,11 +181,22 @@ def _bad_pair(G):
     ("group", [1, 2], "group must be a JSON object"),
     ("group", {"name": "Z3", "identity": 7, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
      "identity 7 out of range 0..2"),
-    ("matched-pair", _bad_pair(3), "group must be a JSON object"),
+    ("matched-pair", _fixture_with("z2-z3-inversion", 3, "G"), "group must be a JSON object"),
     ("category", 5, "category must be a JSON object"),
-    ("matched-pair", _bad_pair("."), "[Errno 21] Is a directory: '{dir}'"),
+    ("matched-pair", _fixture_with("z2-z3-inversion", ".", "G"),
+     "[Errno 21] Is a directory: '{dir}'"),
+    # JSON true/false are not integers, though Python's bool subclasses int
+    ("group", {"table": [[False, True], [True, False]]},
+     "group table must be a list of lists of integers"),
+    ("group", {"table": [[0, 1], [1, 0]], "identity": False}, "group identity must be an integer"),
+    ("matched-pair", _fixture_with("z2-z3-inversion", True, "act1", 1, 1),
+     "act1 must be a list of lists of integers"),
+    ("category", _fixture_with("cat-vec-z2z3", True, "M"), "M must be a positive integer"),
+    ("category", _fixture_with("cat-cocycle-j", True, "J", 1, 1, 1),
+     "J must be a list of lists of lists of integers"),
 ], ids=["group-not-object", "identity-out-of-range", "G-not-object", "category-not-object",
-        "G-names-a-directory"])
+        "G-names-a-directory", "bool-in-group-table", "bool-identity", "bool-in-action",
+        "bool-M", "bool-in-J"])
 def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj, error):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))

@@ -5,10 +5,8 @@ import itertools
 import pytest
 
 from crossedcat.errors import AssocViolation, NoInverse, NoIdentity
-from crossedcat.groups import (cyclic, dihedral, direct_product, find_isomorphism, group_hom,
-                               identity_hom, kernel,
-                               subgroup_from_generators, symmetric, trivial_group,
-                               twisted_characters, validate_group)
+from crossedcat.groups import (cyclic, dihedral, direct_product, subgroup_from_generators,
+                               symmetric, trivial_group, twisted_characters, validate_group)
 
 
 def brute_force_s3_table():
@@ -20,7 +18,7 @@ def brute_force_s3_table():
 def test_validate_group_s3_from_permutations():
     G = validate_group(brute_force_s3_table(), name="S3")
     assert G.order == 6
-    assert not G.is_abelian()
+    assert G.mul(1, 2) != G.mul(2, 1)  # the transpositions (12) and (01) do not commute
     # all three laws on every triple
     for a in G.elements():
         assert G.mul(a, G.inv(a)) == G.identity
@@ -46,8 +44,8 @@ def test_validate_group_perturbed_s3_reports_witness():
 def test_direct_product_z2_z3_is_z6():
     P = direct_product(cyclic(2), cyclic(3))
     assert P.order == 6
-    iso = find_isomorphism(P, cyclic(6))
-    assert iso is not None and iso.is_bijective()
+    # (1, 1), encoded 1*3 + 1, has order 6, so P is cyclic
+    assert P.element_order(4) == 6
 
 
 def test_direct_product_with_trivial_is_same_table():
@@ -69,15 +67,6 @@ def test_subgroup_from_generators():
     assert len(subgroup_from_generators(S3, [t12])) == 2
     assert len(subgroup_from_generators(S3, [c3])) == 3
     assert subgroup_from_generators(S3, []) == [S3.identity]
-
-
-def test_kernel_cases():
-    Z4, Z2 = cyclic(4), cyclic(2)
-    assert kernel(identity_hom(Z4)) == [0]
-    mod2 = group_hom(Z4, Z2, [a % 2 for a in range(4)])
-    assert kernel(mod2) == [0, 2]
-    const = group_hom(Z4, trivial_group(), [0] * 4)
-    assert kernel(const) == [0, 1, 2, 3]
 
 
 def characters(G, modulus):
@@ -116,12 +105,3 @@ def test_characters_count_is_abelianization_order():
     chars = characters(dihedral(4), 4)
     assert len(chars) == 4  # D4^ab = Z2 x Z2
 
-
-def test_find_isomorphism_negative_and_identity():
-    assert find_isomorphism(cyclic(4), direct_product(cyclic(2), cyclic(2))) is None
-    G = dihedral(4)
-    iso = find_isomorphism(G, G)
-    assert iso is not None
-    for a in G.elements():
-        for b in G.elements():
-            assert iso(G.mul(a, b)) == G.mul(iso(a), iso(b))

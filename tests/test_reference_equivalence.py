@@ -78,8 +78,8 @@ def _action_mutants(mp, count: int, rng: random.Random):
     """Single-entry mutants of the act1 and act2 tables of a matched pair."""
     for _ in range(count):
         which = rng.choice(("act1", "act2"))
-        a1 = [list(r) for r in mp.act1.table]
-        a2 = [list(r) for r in mp.act2.table]
+        a1 = [list(r) for r in mp.act1]
+        a2 = [list(r) for r in mp.act2]
         act, size = (a1, mp.Gamma.order) if which == "act1" else (a2, mp.G.order)
         i, j = rng.randrange(len(act)), rng.randrange(size)
         act[i][j] = (act[i][j] + rng.randrange(1, size)) % size
