@@ -1,31 +1,33 @@
 """Command-line interface: verify fixtures, build products, emit reports.
 
 Exit codes: 0 all checks pass, 1 an axiom fails (report carries the
-witness), 2 the input cannot be parsed or validated at all.  Reports are
-JSON with sorted keys and no timestamps, so identical inputs produce
-byte-identical output; --pretty renders the same data for humans.
+witness), 2 the input or the command line cannot be parsed or validated at
+all.  Reports are JSON with sorted keys and no timestamps, so identical
+inputs produce byte-identical output; --pretty renders the same data for
+humans.
+
+Every command runs in a fresh process, and on desk-scale inputs start-up is
+most of its time.  So each command imports the modules it runs inside its
+`cmd_*` function, and `parse_args` reads the command line from the table
+COMMANDS, which also gives the --help text, instead of building an argparse
+parser for all seven commands on every run.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from . import jsonio
-from .braided import center_braiding, turaev_braiding, verify_braiding
-from .center import enumerate_center, verify_center_braided
 from .errors import (AssocViolation, CrossedCatError, NoIdentity, NoInverse, NotMatched,
                      ValidationError)
-from .groups import subgroup_from_generators, validate_group
-from .matched import from_exact_factorization, verify_matched_pair, zappa_szep
-from .pointed import verify_crossed_category
-from .report import VerificationReport
-from .words import check_coherence, min_word_nodes
+from .records import Record
+
+if TYPE_CHECKING:
+    from .report import VerificationReport
 
 
 def _digest(path: Path) -> str:
@@ -52,10 +54,12 @@ def _int_list(text: str, option: str) -> list[int]:
         raise ValidationError(f"{option} must be comma-separated integers, got {text!r}") from None
 
 
-def cmd_verify(args) -> int:
-    path = Path(args.file)
-    kind = args.kind
+def cmd_verify(kind: str, file: str, pretty: bool) -> int:
+    from . import jsonio
+    path = Path(file)
     if kind == "group":
+        from .groups import validate_group
+        from .report import VerificationReport
         raw = jsonio.read_json(path)
         fields = jsonio.group_fields(raw)
         rep = VerificationReport(subject=f"group {raw.get('name', path.name)}")
@@ -65,70 +69,79 @@ def cmd_verify(args) -> int:
         except (AssocViolation, NoIdentity, NoInverse) as exc:
             rep.add("group_laws", False, exc.witness)
     elif kind == "matched-pair":
-        mp = jsonio.load_matched(path)
-        rep = verify_matched_pair(mp)
+        from .matched import verify_matched_pair
+        rep = verify_matched_pair(jsonio.load_matched(path))
     elif kind == "braided-pair":
-        bmp = jsonio.load_braided(path)
-        rep = verify_braiding(bmp)
-    elif kind == "category":
+        from .braided import verify_braiding
+        rep = verify_braiding(jsonio.load_braided(path))
+    else:  # category or center: parse_args admits no other kind
+        from .pointed import verify_crossed_category
         cat = jsonio.load_category(path, validate=False)
         rep = verify_crossed_category(cat)
-    elif kind == "center":
-        cat = jsonio.load_category(path, validate=False)
-        rep = verify_crossed_category(cat)
-        if rep.passed:
+        if kind == "center" and rep.passed:
+            from .center import verify_center_braided
             rep = verify_center_braided(cat)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(kind)
     rep.input_digest = _digest(path)
-    return _emit(rep, args.pretty)
+    return _emit(rep, pretty)
 
 
-def cmd_zappa_szep(args) -> int:
-    mp = jsonio.load_matched(args.file)
-    H, _, _ = zappa_szep(mp)
-    out = Path(args.out)
-    jsonio.save_group(H, out)
-    reloaded = jsonio.load_group(out)  # re-validates all group laws
-    _emit_json({"written": str(out), "order": reloaded.order,
-                "inputDigest": _digest(Path(args.file))}, args.pretty)
+def cmd_zappa_szep(file: str, out: str, pretty: bool) -> int:
+    from . import jsonio
+    from .matched import zappa_szep
+    H, _, _ = zappa_szep(jsonio.load_matched(file))
+    out_path = Path(out)
+    jsonio.save_group(H, out_path)
+    reloaded = jsonio.load_group(out_path)  # re-validates all group laws
+    _emit_json({"written": str(out_path), "order": reloaded.order,
+                "inputDigest": _digest(Path(file))}, pretty)
     return 0
 
 
-def _save_and_verify(args, built, save, load, verify) -> int:
+def _save_and_verify(file: str, out: str, pretty: bool, built, save, load, verify) -> int:
     """Write `built` to -o, then verify and emit what reads back from there."""
-    out = Path(args.out)
-    save(built, out)
-    rep = verify(load(out))
-    rep.input_digest = _digest(Path(args.file))
-    return _emit(rep, args.pretty)
+    out_path = Path(out)
+    save(built, out_path)
+    rep = verify(load(out_path))
+    rep.input_digest = _digest(Path(file))
+    return _emit(rep, pretty)
 
 
-def cmd_factorize(args) -> int:
-    H = jsonio.load_group(args.file)
-    gens_g = _int_list(args.gens_g, "--gens-g")
-    gens_gamma = _int_list(args.gens_gamma, "--gens-gamma")
-    mp = from_exact_factorization(H, subgroup_from_generators(H, gens_g),
-                                  subgroup_from_generators(H, gens_gamma))
-    return _save_and_verify(args, mp, jsonio.save_matched, jsonio.load_matched,
+def cmd_factorize(file: str, gens_g: str, gens_gamma: str, out: str, pretty: bool) -> int:
+    from . import jsonio
+    from .groups import subgroup_from_generators
+    from .matched import from_exact_factorization, verify_matched_pair
+    H = jsonio.load_group(file)
+    g = _int_list(gens_g, "--gens-g")
+    gamma = _int_list(gens_gamma, "--gens-gamma")
+    mp = from_exact_factorization(H, subgroup_from_generators(H, g),
+                                  subgroup_from_generators(H, gamma))
+    return _save_and_verify(file, out, pretty, mp, jsonio.save_matched, jsonio.load_matched,
                             verify_matched_pair)
 
 
-def cmd_turaev(args) -> int:
-    bmp = turaev_braiding(jsonio.load_group(args.file))
-    return _save_and_verify(args, bmp, jsonio.save_braided, jsonio.load_braided, verify_braiding)
+def cmd_turaev(file: str, out: str, pretty: bool) -> int:
+    from . import jsonio
+    from .braided import turaev_braiding, verify_braiding
+    bmp = turaev_braiding(jsonio.load_group(file))
+    return _save_and_verify(file, out, pretty, bmp, jsonio.save_braided, jsonio.load_braided,
+                            verify_braiding)
 
 
-def cmd_center_pair(args) -> int:
-    bmp = center_braiding(jsonio.load_matched(args.file))
-    return _save_and_verify(args, bmp, jsonio.save_braided, jsonio.load_braided, verify_braiding)
+def cmd_center_pair(file: str, out: str, pretty: bool) -> int:
+    from . import jsonio
+    from .braided import center_braiding, verify_braiding
+    bmp = center_braiding(jsonio.load_matched(file))
+    return _save_and_verify(file, out, pretty, bmp, jsonio.save_braided, jsonio.load_braided,
+                            verify_braiding)
 
 
-def cmd_center(args) -> int:
-    cat = jsonio.load_category(args.file)   # raises ValidationError on bad axioms
-    simples = enumerate_center(cat)          # raises NonSingularityViolated
+def cmd_center(file: str, out: Optional[str], pretty: bool) -> int:
+    from . import jsonio
+    from .center import enumerate_center, verify_center_braided
+    cat = jsonio.load_category(file)   # raises ValidationError on bad axioms
+    simples = enumerate_center(cat)     # raises NonSingularityViolated
     rep = verify_center_braided(cat, simples=simples)
-    rep.input_digest = _digest(Path(args.file))
+    rep.input_digest = _digest(Path(file))
     histogram: dict[str, int] = {}
     for z in simples:
         key = f"{z.g},{cat.deg(z.label)}"
@@ -140,41 +153,44 @@ def cmd_center(args) -> int:
         "pass": rep.passed,
         "inputDigest": rep.input_digest,
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    _emit_json(payload, args.pretty)
+    if out:
+        Path(out).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _emit_json(payload, pretty)
     return 0 if rep.passed else 1
 
 
-def cmd_coherence(args) -> int:
-    cat = jsonio.load_category(args.category)
+def cmd_coherence(category: str, max_nodes: int, arity: int, objects: Optional[str],
+                  tuple_cap: int, pretty: bool) -> int:
+    from . import jsonio
+    from .words import check_coherence, min_word_nodes
+    cat = jsonio.load_category(category)
     tuples: list[tuple[int, ...]]
-    if args.objects:
-        objects = tuple(_int_list(args.objects, "--objects"))
+    if objects:
+        labels = tuple(_int_list(objects, "--objects"))
         n = cat.Lambda.order
-        for x in objects:
+        for x in labels:
             if not 0 <= x < n:
                 raise ValidationError(f"--objects label {x} out of range 0..{n - 1}")
-        tuples = [objects]
+        tuples = [labels]
     else:
-        if args.arity < 1 or args.tuple_cap < 1:
+        if arity < 1 or tuple_cap < 1:
             raise ValidationError("--arity and --tuple-cap must be at least 1, got "
-                                  f"{args.arity} and {args.tuple_cap}")
+                                  f"{arity} and {tuple_cap}")
         tuples = []
-        labels = list(cat.Lambda.elements())
-        for k in range(1, args.arity + 1):
-            pool = list(itertools.product(labels, repeat=k))
-            tuples.extend(pool[: args.tuple_cap])
+        elements = list(cat.Lambda.elements())
+        for k in range(1, arity + 1):
+            pool = list(itertools.product(elements, repeat=k))
+            tuples.extend(pool[:tuple_cap])
     k = max(len(t) for t in tuples)
     need = min_word_nodes(k)
-    if args.max_nodes < need:
-        raise ValidationError(f"--max-nodes {args.max_nodes} is below {need}: "
+    if max_nodes < need:
+        raise ValidationError(f"--max-nodes {max_nodes} is below {need}: "
                               f"a {k}-object tuple has no word with fewer nodes")
     all_pass = True
-    stats = {"tuplesChecked": len(tuples), "maxNodes": args.max_nodes}
+    stats = {"tuplesChecked": len(tuples), "maxNodes": max_nodes}
     failures = []
     for objs in tuples:
-        rep = check_coherence(cat, args.max_nodes, objs)
+        rep = check_coherence(cat, max_nodes, objs)
         if not rep.passed:
             all_pass = False
             failures.append({"objects": list(objs),
@@ -182,66 +198,175 @@ def cmd_coherence(args) -> int:
             break
     payload = {"subject": f"coherence {cat.name}", "pass": all_pass,
                "stats": stats, "failures": failures,
-               "inputDigest": _digest(Path(args.category))}
-    _emit_json(payload, args.pretty)
+               "inputDigest": _digest(Path(category))}
+    _emit_json(payload, pretty)
     return 0 if all_pass else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="crossedcat",
-                                description="verify and build group-crossed structures")
-    p.add_argument("--pretty", action="store_true", help="human-readable rendering")
-    sub = p.add_subparsers(dest="command", required=True)
+# -- the command line ------------------------------------------------------------
 
-    v = sub.add_parser("verify", help="run a verifier on a file")
-    v.add_argument("kind", choices=["group", "matched-pair", "braided-pair", "category", "center"])
-    v.add_argument("file")
-    v.set_defaults(fn=cmd_verify)
+class Arg(Record):
+    """One argument of a command: a positional when `flags` is empty, else an
+    option that takes a value.  Its value is passed to the command's function
+    as the keyword `dest`."""
+    dest: str
+    help: str = ""
+    flags: tuple = ()
+    type: type = str
+    choices: tuple = ()
+    default: object = None
+    required: bool = False
 
-    z = sub.add_parser("zappa-szep", help="twisted product of a matched pair")
-    z.add_argument("file")
-    z.add_argument("-o", "--out", required=True)
-    z.set_defaults(fn=cmd_zappa_szep)
 
-    f = sub.add_parser("factorize", help="extract the matched pair of an exact factorization")
-    f.add_argument("file", help="group JSON")
-    f.add_argument("--gens-g", required=True, help="comma-separated generator indices for G")
-    f.add_argument("--gens-gamma", required=True, help="comma-separated generator indices for Gamma")
-    f.add_argument("-o", "--out", required=True)
-    f.set_defaults(fn=cmd_factorize)
+class Command(Record):
+    run: Callable[..., int]
+    help: str
+    args: tuple
 
-    t = sub.add_parser("turaev", help="adjoint braided pair of a group")
-    t.add_argument("file", help="group JSON")
-    t.add_argument("-o", "--out", required=True)
-    t.set_defaults(fn=cmd_turaev)
 
-    c = sub.add_parser("center-pair", help="the induced braided pair on (G><Gamma, G x Gamma)")
-    c.add_argument("file", help="matched-pair JSON")
-    c.add_argument("-o", "--out", required=True)
-    c.set_defaults(fn=cmd_center_pair)
+def _out(required: bool, text: str = "") -> Arg:
+    return Arg("out", text, ("-o", "--out"), required=required)
 
-    y = sub.add_parser("center", help="enumerate and verify the center of a category")
-    y.add_argument("file", help="category JSON")
-    y.add_argument("-o", "--out", help="also write the report to this path")
-    y.set_defaults(fn=cmd_center)
 
-    k = sub.add_parser("coherence", help="bounded parallel-composite uniqueness check")
-    k.add_argument("--category", required=True)
-    k.add_argument("--max-nodes", type=int, default=6)
-    k.add_argument("--arity", type=int, default=3)
-    k.add_argument("--objects", help="comma-separated labels; overrides the sweep")
-    k.add_argument("--tuple-cap", type=int, default=64,
-                   help="deterministic cap per arity when sweeping tuples")
-    k.set_defaults(fn=cmd_coherence)
-    return p
+COMMANDS = {
+    "verify": Command(cmd_verify, "run a verifier on a file", (
+        Arg("kind", choices=("group", "matched-pair", "braided-pair", "category", "center")),
+        Arg("file"))),
+    "zappa-szep": Command(cmd_zappa_szep, "twisted product of a matched pair", (
+        Arg("file"), _out(True))),
+    "factorize": Command(cmd_factorize, "extract the matched pair of an exact factorization", (
+        Arg("file", "group JSON"),
+        Arg("gens_g", "comma-separated generator indices for G", ("--gens-g",), required=True),
+        Arg("gens_gamma", "comma-separated generator indices for Gamma", ("--gens-gamma",),
+            required=True),
+        _out(True))),
+    "turaev": Command(cmd_turaev, "adjoint braided pair of a group", (
+        Arg("file", "group JSON"), _out(True))),
+    "center-pair": Command(cmd_center_pair, "the induced braided pair on (G><Gamma, G x Gamma)", (
+        Arg("file", "matched-pair JSON"), _out(True))),
+    "center": Command(cmd_center, "enumerate and verify the center of a category", (
+        Arg("file", "category JSON"), _out(False, "also write the report to this path"))),
+    "coherence": Command(cmd_coherence, "bounded parallel-composite uniqueness check", (
+        Arg("category", flags=("--category",), required=True),
+        Arg("max_nodes", flags=("--max-nodes",), type=int, default=6),
+        Arg("arity", flags=("--arity",), type=int, default=3),
+        Arg("objects", "comma-separated labels; overrides the sweep", ("--objects",)),
+        Arg("tuple_cap", "deterministic cap per arity when sweeping tuples", ("--tuple-cap",),
+            type=int, default=64))),
+}
+HELP_FLAGS = ("-h", "--help")
+
+
+def _name(arg: Arg) -> str:
+    return arg.flags[0] if arg.flags else arg.dest.upper()
+
+
+def _synopsis(arg: Arg) -> str:
+    if arg.choices:
+        return "{" + ",".join(arg.choices) + "}"
+    if not arg.flags:
+        return _name(arg)
+    text = f"{_name(arg)} {arg.dest.upper()}"
+    return text if arg.required else f"[{text}]"
+
+
+def usage() -> str:
+    """The --help text, read from COMMANDS."""
+    lines = ["usage: crossedcat [--pretty] COMMAND ARGUMENTS", "",
+             "verify and build group-crossed structures", "",
+             "  --pretty    human-readable rendering",
+             "  -h, --help  print this text and exit", "",
+             "An option's value is the next argument, or follows '=' as in --arity=2.",
+             "Bad arguments exit 2 with {\"error\": ...} on stderr.", "", "commands:"]
+    for name, command in COMMANDS.items():
+        lines.append(f"  crossedcat {name} " + " ".join(map(_synopsis, command.args)))
+        lines.append(f"      {command.help}")
+        for arg in command.args:
+            what = ", ".join(arg.flags) if arg.flags else arg.dest.upper()
+            notes = [arg.help] if arg.help else []
+            if arg.default is not None:
+                notes.append(f"default {arg.default}")
+            if notes:
+                lines.append(f"      {what}: {'; '.join(notes)}")
+    return "\n".join(lines)
+
+
+def _print_usage(pretty: bool) -> int:
+    print(usage())
+    return 0
+
+
+def _value(arg: Arg, name: str, text: str):
+    """`text` as the value of `arg`, which the command line calls `name`."""
+    if arg.choices and text not in arg.choices:
+        raise ValidationError(f"{name} must be one of {', '.join(arg.choices)}, got {text!r}")
+    if arg.type is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValidationError(f"{name} must be an integer, got {text!r}") from None
+    return text
+
+
+def parse_args(argv: Sequence[str]) -> tuple[Callable[..., int], dict]:
+    """The function that `argv` runs and its keyword arguments; an unusable
+    `argv` raises ValidationError.  -h or --help anywhere runs the usage
+    printer, unless it is an option's value."""
+    tokens = iter(argv)
+    pretty = False
+    for token in tokens:
+        if token == "--pretty":
+            pretty = True
+        elif token in HELP_FLAGS:
+            return _print_usage, {"pretty": pretty}
+        elif token in COMMANDS:
+            name, command = token, COMMANDS[token]
+            break
+        elif token.startswith("-"):
+            raise ValidationError(f"unknown option {token!r}")
+        else:
+            raise ValidationError(f"unknown command {token!r}; "
+                                  f"expected one of {', '.join(COMMANDS)}")
+    else:
+        raise ValidationError(f"no command given; expected one of {', '.join(COMMANDS)}")
+    options = {flag: arg for arg in command.args for flag in arg.flags}
+    positionals = [arg for arg in command.args if not arg.flags]
+    values: dict = {"pretty": pretty}
+    for token in tokens:
+        if token in HELP_FLAGS:
+            return _print_usage, {"pretty": pretty}
+        if token.startswith("-") and token != "-":
+            flag, eq, text = token.partition("=")
+            arg = options.get(flag)
+            if arg is None:
+                raise ValidationError(f"{name}: unknown option {flag!r}")
+            if not eq:
+                text = next(tokens, None)
+                if text is None:
+                    raise ValidationError(f"{name}: {flag} needs a value")
+            values[arg.dest] = _value(arg, flag, text)
+        else:
+            given = sum(arg.dest in values for arg in positionals)
+            if given == len(positionals):
+                raise ValidationError(f"{name}: unexpected argument {token!r}")
+            arg = positionals[given]
+            values[arg.dest] = _value(arg, _name(arg), token)
+    for arg in command.args:
+        if arg.dest not in values:
+            if arg.required or not arg.flags:
+                raise ValidationError(f"{name} needs {_name(arg)}")
+            values[arg.dest] = arg.default
+    return command.run, values
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    pretty = False
     try:
-        return args.fn(args)
+        run, kwargs = parse_args(sys.argv[1:] if argv is None else argv)
+        pretty = kwargs["pretty"]
+        return run(**kwargs)
     except NotMatched as exc:
-        print(exc.report.render(pretty=getattr(args, "pretty", False)))
+        print(exc.report.render(pretty=pretty))
         return 1
     except (CrossedCatError, json.JSONDecodeError, OSError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)

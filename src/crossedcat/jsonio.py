@@ -4,20 +4,24 @@ Values referencing another file may be given inline or as a path string,
 resolved relative to the referencing file.  Loaders check shapes and ranges
 (raising ParseError / ValidationError, the CLI's exit-2 class) but leave the
 subject's own axioms to the verifiers, so a corrupted pair still loads and
-then fails verification with a witness (the CLI's exit-1 class).
+then fails verification with a witness (the CLI's exit-1 class).  A loader
+imports the module of the record it builds only when it builds one, so that
+`verify group` loads no pair or category code.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
-from .braided import BraidedMatchedPair
 from .errors import ParseError, ValidationError
 from .groups import FiniteGroup, GroupHom, validate_group
-from .matched import MatchedPair, matched_pair
-from .pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
+
+if TYPE_CHECKING:
+    from .braided import BraidedMatchedPair
+    from .matched import MatchedPair
+    from .pointed import PointedCrossedCategory
 
 PathLike = Union[str, Path]
 
@@ -127,6 +131,7 @@ def matched_from_json(obj: Any, base: Optional[Path] = None) -> MatchedPair:
         raise ValidationError("act1 entry out of range")
     if any(not 0 <= v < G.order for r in act2 for v in r):
         raise ValidationError("act2 entry out of range")
+    from .matched import matched_pair
     return matched_pair(G, Gamma, act1, act2)
 
 
@@ -158,6 +163,7 @@ def braided_from_json(obj: Any, base: Optional[Path] = None) -> BraidedMatchedPa
         if len(arr) != mp.Gamma.order or any(not 0 <= v < mp.G.order for v in arr):
             raise ValidationError(f"{name} must map all of Gamma into G")
     # hom axioms are the verifier's business, not the loader's
+    from .braided import BraidedMatchedPair
     return BraidedMatchedPair(mp, GroupHom(mp.Gamma, mp.G, tuple(phi)),
                               GroupHom(mp.Gamma, mp.G, tuple(psi)))
 
@@ -250,6 +256,7 @@ def category_from_json(obj: Any, base: Optional[Path] = None) -> PointedCrossedC
     chi = _exp3_from(obj.get("chi"), ng, ng, n, M, "chi")
     phi = _exp1_from(obj.get("phi"), ng, M, "phi")
     iota = _exp1_from(obj.get("iota"), n, M, "iota")
+    from .pointed import pointed_category
     return pointed_category(Lambda, mp, grading, action, M,
                             jtable=j, phitable=phi, chitable=chi, iotatable=iota,
                             name=obj.get("name", "cat"))
@@ -263,6 +270,7 @@ def load_category(path: PathLike, validate: bool = True) -> PointedCrossedCatego
     """Load and, by default, verify; a failing axiom raises ValidationError."""
     cat = category_from_json(read_json(path), Path(path).parent)
     if validate:
+        from .pointed import verify_crossed_category
         rep = verify_crossed_category(cat)
         if not rep.passed:
             raise ValidationError(f"category axioms fail: {rep.first_failure()}")

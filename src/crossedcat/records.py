@@ -18,12 +18,10 @@ class Record:
 
     Records are plain subclasses of this class, not made by the standard
     library's data-class decorator, because of start-up cost.  Every CLI
-    command is a fresh process, and most commands take about 110 ms.  The
-    decorator's module imports `inspect`, `ast`, `dis` and `tokenize`, and
-    each decorated class generates and execs its methods at import.  With
-    the decorator on the 26 record classes the package then had,
-    `import crossedcat.cli` took a median 114 ms; with this base class it
-    takes 60 ms (21 fresh processes each, Python 3.11, 2 vCPUs).
+    command is a fresh process, and on desk-scale inputs most of its time is
+    start-up.  The decorator's module imports `inspect`, `ast`, `dis` and
+    `tokenize`, and each decorated class generates and execs its methods at
+    import, which took about half of `import crossedcat.cli`.
     """
 
     _fields: tuple[str, ...] = ()

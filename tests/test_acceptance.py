@@ -11,8 +11,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from conftest import category, pair, renamed
 from crossedcat.braided import center_braiding, center_pair, turaev_braiding, verify_braiding
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle, \
@@ -157,7 +155,6 @@ def _mutation_pool() -> list[tuple[str, callable]]:
     pool: list[tuple[str, callable]] = []
 
     def group_mutations(name, count):
-        G = MATCHED_PAIRS[name]().G if name in MATCHED_PAIRS else None
         from crossedcat.fixtures import GROUPS
         G = GROUPS[name]()
         for _ in range(count):

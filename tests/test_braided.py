@@ -5,7 +5,7 @@ import pytest
 from conftest import pair
 from crossedcat.braided import (BraidedMatchedPair, center_braiding, center_pair,
                                 turaev_braiding, verify_braiding)
-from crossedcat.groups import GroupHom, cyclic, dihedral, group_hom, symmetric, trivial_group
+from crossedcat.groups import cyclic, dihedral, group_hom, symmetric, trivial_group
 from crossedcat.matched import direct_pair, verify_matched_pair, zappa_szep
 
 

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import subprocess
+import sys
+import types
 
 import pytest
 
 from conftest import FIXTURE_DIR
 from crossedcat import jsonio
-from crossedcat.cli import main
+from crossedcat.cli import COMMANDS, main, usage
 from crossedcat.matched import verify_matched_pair
 
 
@@ -161,10 +163,11 @@ def test_pretty_flag_renders_text(capsys, fixture_dir):
 
 
 def test_jobs_flag_is_rejected(capsys, fixture_dir):
-    with pytest.raises(SystemExit) as exc:
-        main(["--jobs", "4", "verify", "matched-pair", str(fixture_dir / "s4-z4-s3.json")])
-    assert exc.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+    assert main(["--jobs", "4", "verify", "matched-pair",
+                 str(fixture_dir / "s4-z4-s3.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "unknown option '--jobs'"}
 
 
 def _fixture_with(name, value, *path):
@@ -221,17 +224,77 @@ def test_verify_group_law_failure_exit_1(capsys, tmp_path, obj, witness):
                                                    "witness": witness}]
 
 
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -c code args...` in a fresh interpreter that imports the package from src/."""
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          check=True, env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")})
+
+
+def _imported_after(code: str, modules: set[str]) -> list[str]:
+    """Those of `modules` that a fresh interpreter has imported after running `code`."""
+    probe = f"{code}\nimport sys\nprint(' '.join(m for m in sys.argv[1:] if m in sys.modules))"
+    return _fresh_python(probe, *sorted(modules)).stdout.splitlines()[-1].split()
+
+
 def test_cli_import_leaves_numpy_and_threads_out():
     # every command is a fresh process: `dataclasses` (which imports `inspect`)
-    # costs a short command about a quarter of its time
-    import subprocess
-    import sys
-    code = ("import sys, crossedcat.cli; "
-            "print(sorted({'numpy', 'concurrent.futures', 'dataclasses', 'inspect'}"
-            " & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")}).stdout
-    assert out.strip() == "[]"
+    # costs a short command about a quarter of its time, and `argparse` with
+    # `gettext` and `locale`, or a module the command does not run, a few ms more
+    assert _imported_after("import crossedcat.cli",
+                           {"numpy", "concurrent.futures", "dataclasses", "inspect"}) == []
+    run = "from crossedcat.cli import main\nassert main({argv!r}) == 0"
+    z2 = str(FIXTURE_DIR / "group-z2.json")
+    assert _imported_after(run.format(argv=["verify", "group", z2]), {
+        "argparse", "gettext", "locale", "crossedcat.center", "crossedcat.words",
+        "crossedcat.braided", "crossedcat.matched", "crossedcat.pointed"}) == []
+    cat = str(FIXTURE_DIR / "cat-vec-z2z3.json")
+    assert _imported_after(run.format(argv=["verify", "category", cat]), {
+        "crossedcat.center", "crossedcat.words", "crossedcat.braided"}) == []
+
+
+def test_package_exports_resolve_lazily():
+    import crossedcat
+    for name in crossedcat.__all__:
+        value = getattr(crossedcat, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"crossedcat.{name}"]
+        else:
+            assert value.__module__.startswith("crossedcat."), name
+            assert value is getattr(sys.modules[value.__module__], name)
+    star: dict = {}
+    exec("from crossedcat import *", star)
+    assert all(star[name] is getattr(crossedcat, name) for name in crossedcat.__all__)
+    with pytest.raises(AttributeError):
+        crossedcat.no_such_name
+    # what perfbench/traced_cli.py reads after a bare import of the package and the CLI
+    probe = ("import sys, crossedcat, crossedcat.cli\n"
+             "assert 'crossedcat.center' not in sys.modules\n"
+             "print(crossedcat.center.CenterStructure.__name__, crossedcat.words.__name__)")
+    assert _fresh_python(probe).stdout.split() == ["CenterStructure", "crossedcat.words"]
+
+
+def test_help_prints_the_usage_of_every_command(capsys):
+    done = subprocess.run([sys.executable, "-m", "crossedcat.cli", "--help"],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == usage() + "\n"
+    # one synopsis per command, naming each argument of the table in order
+    synopses = [line.split() for line in done.stdout.splitlines()
+                if line.startswith("  crossedcat ")]
+    assert [words[1] for words in synopses] == list(COMMANDS)
+    for words, command in zip(synopses, COMMANDS.values()):
+        expected = []
+        for arg in command.args:
+            if arg.flags:
+                expected += [arg.flags[0], arg.dest.upper()]
+            else:
+                expected.append("{" + ",".join(arg.choices) + "}" if arg.choices
+                                else arg.dest.upper())
+        assert [w.strip("[]") for w in words[2:]] == expected
+    # -h after a command prints the same text
+    assert main(["verify", "-h"]) == 0
+    assert capsys.readouterr().out == done.stdout
 
 
 @pytest.mark.parametrize("argv,error", [

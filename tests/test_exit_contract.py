@@ -1,15 +1,17 @@
 """The CLI's exit-code contract on hostile input.
 
 For any JSON value handed to `verify {group,matched-pair,braided-pair,
-category}` or `center`: the exit code is 0, 1 or 2 and no exception
-escapes `main`; exit 1 prints a report naming a failing check with a
-witness; exit 2 prints `{"error": ...}` on stderr.
+category}` or `center`, and for any command line: the exit code is 0, 1 or
+2 and no exception escapes `main`; exit 1 prints a report naming a failing
+check with a witness; exit 2 prints `{"error": ...}` on stderr.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -127,3 +129,92 @@ def test_every_json_input_keeps_the_exit_code_contract(case):
                          ids=["not-utf8", "nested-past-the-recursion-limit"])
 def test_undecodable_input_keeps_the_exit_code_contract(command, data):
     assert_contract(command, data)
+
+
+# -- command lines ---------------------------------------------------------------
+
+# small fixtures of every input format; each example runs in a fresh directory
+# holding copies of them, so that -o never writes over a committed file
+ARGV_FIXTURES = ["group-z3.json", "z2-z3-inversion.json", "turaev-z2-braided.json",
+                 "cat-vec-z2z3.json", "cat-z4-over-z2.json"]
+KINDS = ["group", "matched-pair", "braided-pair", "category", "center"]
+OPTIONS = ["--pretty", "-h", "--help", "-o", "--out", "--gens-g", "--gens-gamma", "--category",
+           "--max-nodes", "--arity", "--objects", "--tuple-cap", "--jobs", "--max", "-x"]
+files = st.sampled_from([*ARGV_FIXTURES, "out.json"])
+ints = st.integers(-3, 5).map(str)
+int_lists = st.lists(st.integers(-1, 5), max_size=3).map(lambda v: ",".join(map(str, v)))
+# an argv from the operating system holds no NUL byte
+junk = (st.sampled_from(["", "-", "--", "=", "1,,2", "a", "nope.json", "."])
+        | st.text(st.characters(exclude_characters="\x00"), max_size=3))
+
+
+def option(flags: list[str], value) -> st.SearchStrategy[list[str]]:
+    """An option with its value, as two arguments or joined by '='."""
+    return st.tuples(st.sampled_from(flags), value, st.booleans()).map(
+        lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]])
+
+
+def fitting(*names: str) -> st.SearchStrategy[str]:
+    """A file of the format that `names` have, or often any file."""
+    return st.sampled_from(names) | files
+
+
+group, pair, cats = fitting("group-z3.json"), fitting("z2-z3-inversion.json"), fitting(
+    "cat-vec-z2z3.json", "cat-z4-over-z2.json")
+verify_files = {"group": group, "matched-pair": pair,
+                "braided-pair": fitting("turaev-z2-braided.json"), "category": cats,
+                "center": cats}
+out = option(["-o", "--out"], files)
+# the parts of each command's well-formed command lines
+PARTS = {
+    "verify": [st.sampled_from(KINDS).flatmap(lambda k: verify_files[k].map(lambda f: [k, f]))],
+    "zappa-szep": [pair.map(lambda f: [f]), out],
+    "factorize": [group.map(lambda f: [f]), option(["--gens-g"], int_lists),
+                  option(["--gens-gamma"], int_lists), out],
+    "turaev": [group.map(lambda f: [f]), out],
+    "center-pair": [pair.map(lambda f: [f]), out],
+    "center": [cats.map(lambda f: [f]), out],
+    "coherence": [option(["--category"], cats), option(["--max-nodes", "--arity"], ints),
+                  option(["--objects"], int_lists), option(["--tuple-cap"], ints)],
+}
+noise = (option(OPTIONS, files | ints | junk)
+         | (st.sampled_from([*PARTS, *KINDS, *OPTIONS]) | files | ints | junk).map(lambda a: [a]))
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command line that is often well-formed: a command with most of its
+    parts, sometimes reordered, and sometimes a few arbitrary arguments."""
+    # Hypothesis favours the ends of a range, so a rare branch takes a middle value
+    if draw(st.integers(0, 9)) == 4:
+        return [a for part in draw(st.lists(noise, max_size=4)) for a in part]
+    argv = draw(st.sampled_from([[], ["--pretty"]]))
+    name = draw(st.sampled_from(sorted(PARTS)))
+    parts = [draw(part) for part in PARTS[name] if draw(st.integers(0, 5)) != 2]
+    if draw(st.integers(0, 4)) == 2:
+        parts += draw(st.lists(noise, min_size=1, max_size=3))
+    if draw(st.integers(0, 4)) == 2:
+        parts = draw(st.permutations(parts))
+    return argv + [name] + [a for part in parts for a in part]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=command_lines())
+def test_every_command_line_keeps_the_exit_code_contract(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ARGV_FIXTURES:
+            shutil.copy(FIXTURE_DIR / name, tmp)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        os.chdir(tmp)
+        try:
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert stdout.getvalue() == ""
+        assert list(json.loads(stderr.getvalue())) == ["error"]
+    else:
+        assert stderr.getvalue() == ""

@@ -6,13 +6,13 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import category, pair
+from conftest import category
 from crossedcat import jsonio
 from crossedcat.errors import ValidationError
 from crossedcat.fixtures import CATEGORIES
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
-from crossedcat.pointed import pointed_category, vec_gamma, verify_crossed_category
+from crossedcat.pointed import pointed_category, verify_crossed_category
 
 ALL_CATS = sorted(CATEGORIES)
 
