@@ -11,8 +11,8 @@ import importlib
 _EXPORTS = {
     "braided": ("BraidedMatchedPair", "center_braiding", "center_pair", "turaev_braiding",
                 "verify_braiding"),
-    "center": ("CenterSimple", "CenterStructure", "enumerate_center", "equivariant_center",
-               "graded_center", "relative_center_oracle", "verify_center_braided"),
+    "center": ("CenterSimple", "CenterStructure", "enumerate_center", "relative_center_oracle",
+               "verify_center_braided"),
     "errors": (),
     "groups": ("FiniteGroup", "GroupHom", "cyclic", "dihedral", "direct_product", "group_hom",
                "identity_hom", "subgroup_from_generators", "symmetric", "trivial_group",

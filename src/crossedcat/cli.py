@@ -154,7 +154,7 @@ def cmd_center(file: str, out: Optional[str], pretty: bool) -> int:
         "inputDigest": rep.input_digest,
     }
     if out:
-        Path(out).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        jsonio.write_json(payload, out)
     _emit_json(payload, pretty)
     return 0 if rep.passed else 1
 

@@ -72,9 +72,5 @@ class SectionMissing(NonSingularityViolated):
     pass
 
 
-class WrongSpecialization(CrossedCatError):
-    pass
-
-
 class UnsupportedConfiguration(CrossedCatError):
     """Half-braiding equations admit no full character; outside supported scope."""

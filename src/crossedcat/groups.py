@@ -2,7 +2,9 @@
 
 Everything downstream (matched pairs, pointed categories, centers) indexes
 into these tables, so all verification here is exhaustive and exact.
-Supported envelope is order <= 64; fixtures stay far below that.
+No size limit is enforced yet, and the sweeps grow fast with the order:
+verifying the braided center of the Turaev category of D8 (order 16) takes
+about 37 s in process (Python 3.11, 2-vCPU VM).
 """
 
 from __future__ import annotations

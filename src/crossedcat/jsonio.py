@@ -39,6 +39,15 @@ def read_json(path: PathLike) -> Any:
         raise ValidationError(f"cannot read {str(path)!r}: {exc}") from exc
 
 
+def write_json(obj: Any, path: PathLike) -> None:
+    """Write `obj` to `path` as indented JSON with sorted keys; a path that
+    cannot name a file (a NUL byte, a lone surrogate) raises an exit-2 error."""
+    try:
+        Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    except ValueError as exc:
+        raise ValidationError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def _resolve(obj: Any, base: Optional[Path]) -> Any:
     if isinstance(obj, str):
         ref = Path(obj)
@@ -92,7 +101,7 @@ def group_from_json(obj: Any, base: Optional[Path] = None) -> FiniteGroup:
 
 
 def save_group(G: FiniteGroup, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(group_to_json(G), sort_keys=True, indent=1) + "\n")
+    write_json(group_to_json(G), path)
 
 
 def load_group(path: PathLike) -> FiniteGroup:
@@ -136,7 +145,7 @@ def matched_from_json(obj: Any, base: Optional[Path] = None) -> MatchedPair:
 
 
 def save_matched(mp: MatchedPair, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(matched_to_json(mp), sort_keys=True, indent=1) + "\n")
+    write_json(matched_to_json(mp), path)
 
 
 def load_matched(path: PathLike) -> MatchedPair:
@@ -169,7 +178,7 @@ def braided_from_json(obj: Any, base: Optional[Path] = None) -> BraidedMatchedPa
 
 
 def save_braided(bmp: BraidedMatchedPair, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(braided_to_json(bmp), sort_keys=True, indent=1) + "\n")
+    write_json(braided_to_json(bmp), path)
 
 
 def load_braided(path: PathLike) -> BraidedMatchedPair:
@@ -263,7 +272,7 @@ def category_from_json(obj: Any, base: Optional[Path] = None) -> PointedCrossedC
 
 
 def save_category(cat: PointedCrossedCategory, path: PathLike) -> None:
-    Path(path).write_text(json.dumps(category_to_json(cat), sort_keys=True, indent=1) + "\n")
+    write_json(category_to_json(cat), path)
 
 
 def load_category(path: PathLike, validate: bool = True) -> PointedCrossedCategory:

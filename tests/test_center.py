@@ -3,11 +3,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import category
+from crossedcat.braided import verify_braiding
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
-                               equivariant_center, graded_center, relative_center_oracle,
-                               verify_center_braided)
-from crossedcat.errors import (NonSingularityViolated, UnsupportedConfiguration,
-                               WrongSpecialization)
+                               relative_center_oracle, verify_center_braided)
+from crossedcat.errors import NonSingularityViolated, UnsupportedConfiguration
 from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, nonsingular_violation
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
@@ -206,24 +205,46 @@ def test_structure_tables_match_chains():
                 Z.tensor(Z.g_act(z1.g, z2), z1)
 
 
+def _assert_adjoint_pattern(Z: CenterStructure, K) -> None:
+    """With one of G, Gamma trivial, the induced pair is the adjoint action on
+    the surviving group K against the trivial one, and it is braided."""
+    cp = Z.induced.mp
+    for a in K.elements():
+        for x in K.elements():
+            assert cp.a1(a, x) == K.conj(a, x)
+            assert cp.a2(x, a) == a
+    assert verify_braiding(Z.induced).passed
+
+
+# the construction generalizes the graded center (G trivial) and the
+# equivariant center (Gamma trivial); checked on CenterStructure itself
+
 def test_graded_center_specialization():
-    Z = graded_center(category("z4-over-z2-graded"))
+    cat = category("z4-over-z2-graded")
+    assert cat.G.order == 1
+    Z = CenterStructure(cat)
     assert len(Z.simples) == 8
-    with pytest.raises(WrongSpecialization):
-        graded_center(category("z4-over-z2"))
+    assert all(z.g == cat.G.identity for z in Z.simples)
+    _assert_adjoint_pattern(Z, cat.Gamma)
 
 
 def test_equivariant_center_specialization():
-    Z = equivariant_center(category("equivariant-z2"))
+    cat = category("equivariant-z2")
+    assert cat.Gamma.order == 1
+    Z = CenterStructure(cat)
     assert len(Z.simples) == 2
-    with pytest.raises(WrongSpecialization):
-        equivariant_center(category("z4-over-z2"))
+    assert all(cat.deg(z.label) == cat.Gamma.identity for z in Z.simples)
+    _assert_adjoint_pattern(Z, cat.G)
 
 
 def test_graded_center_of_vec_z3():
-    Z = graded_center(category("vec-z3-gtrivial"))
+    cat = category("vec-z3-gtrivial")
+    assert cat.G.order == 1
+    Z = CenterStructure(cat)
     assert len(Z.simples) == 3
+    assert all(z.g == cat.G.identity for z in Z.simples)
     assert all(z.chi == () or all(v == 0 for v in z.chi) for z in Z.simples)
+    _assert_adjoint_pattern(Z, cat.Gamma)
 
 
 def test_section_independence():

@@ -218,3 +218,21 @@ def test_every_command_line_keeps_the_exit_code_contract(argv):
         assert list(json.loads(stderr.getvalue())) == ["error"]
     else:
         assert stderr.getvalue() == ""
+
+
+# an output path that cannot name a file: the command's input is fine, so
+# the write is the first thing that fails
+@pytest.mark.parametrize("argv", [
+    ["zappa-szep", "z2-z3-inversion.json"],
+    ["factorize", "group-s3.json", "--gens-g", "1", "--gens-gamma", "3"],
+    ["turaev", "group-z3.json"],
+    ["center-pair", "z2-z3-inversion.json"],
+    ["center", "cat-vec-z2z3.json"],
+], ids=lambda argv: argv[0])
+def test_output_path_with_nul_byte_exits_2(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([argv[0], str(FIXTURE_DIR / argv[1]), *argv[2:], "-o", "out\x00.json"])
+    assert code == 2
+    assert stdout.getvalue() == ""
+    assert list(json.loads(stderr.getvalue())) == ["error"]

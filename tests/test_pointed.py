@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import category
+from conftest import FIXTURE_DIR, category
 from crossedcat import jsonio
 from crossedcat.errors import ValidationError
 from crossedcat.fixtures import CATEGORIES
@@ -84,6 +84,32 @@ def test_single_entry_mutations_detected():
         grading[l] = 1 - grading[l]
         mut = pointed_category(cat.Lambda, cat.mp, grading, cat.action, cat.M)
         assert not verify_crossed_category(mut).passed
+
+
+def test_unit_law_implied_by_chi_units_and_axiom3_phi():
+    """The unit law iota[e_L] = phi[e] is not a check of its own: axiom3_phi
+    at (e, e) and chi_units ("right", e, e_L) imply it.  So every phi or
+    iota mutant that breaks it fails one of those two, and every phi or
+    iota mutant fails some check."""
+    broken = 0
+    for path in sorted(FIXTURE_DIR.glob("cat-*.json")):
+        cat = jsonio.load_category(path)
+        M, eL, eG = cat.M, cat.Lambda.identity, cat.G.identity
+        phi, iota = list(cat.phitable), list(cat.iotatable)
+        for row in (phi, iota):
+            for i, v in enumerate(row):
+                for delta in range(1, M):
+                    row[i] = (v + delta) % M
+                    mut = pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, M,
+                                           jtable=cat.jtable, phitable=phi,
+                                           chitable=cat.chitable, iotatable=iota)
+                    failed = {c.name for c in verify_crossed_category(mut).checks if not c.passed}
+                    assert failed, (path.name, i, delta)
+                    if (iota[eL] - phi[eG]) % M:
+                        broken += 1
+                        assert failed & {"chi_units", "axiom3_phi"}, (path.name, i, delta)
+                row[i] = v
+    assert broken
 
 
 def left_dual(cat, lam, g):
