@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Survey the centers of all category fixtures: counts, grades, coefficients,
-and how many J planes and chi rows of each center, viewed as a category,
-are all zero (the blocks the crossed-category sweeps skip).
+how many J planes and chi rows of each center, viewed as a category, are all
+zero (the blocks the crossed-category sweeps skip), and which whole sweeps
+the zero rule skips: the center's scalar sweeps, and the cocycle sweeps of
+the center viewed as a category.
 
 Run as `python scripts/center_survey.py`.
 """
@@ -15,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from crossedcat.center import CenterStructure, verify_center_braided  # noqa: E402
+from crossedcat.center import SWEEP_TABLES, CenterStructure, verify_center_braided  # noqa: E402
 from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES  # noqa: E402
 
 
@@ -26,12 +28,10 @@ def main() -> None:
         Z = CenterStructure(cat)
         rep = verify_center_braided(cat)
         dt = time.monotonic() - t0
+        n = len(Z.simples)
         grades = Counter(Z.grade(z) for z in Z.simples)
-        coeffs = Counter(Z.braid_exponent(a, b) for a in Z.simples for b in Z.simples)
-        sigma_vals = Counter(Z.sigma(g, s, z)
-                             for g in cat.G.elements()
-                             for s in cat.Gamma.elements()
-                             for z in Z.simples)
+        coeffs = Counter(v for row in Z.braid_table[:n] for v in row[:n])
+        sigma_vals = Counter(v for plane in Z.sigma_table for row in plane for v in row[:n])
         print(f"{name}: |Z| = {len(Z.simples)}  verified = {rep.passed}  ({dt:.2f}s)")
         print(f"  grades: {dict(sorted(grades.items()))}")
         print(f"  braiding exponents (mod {cat.M}): {dict(sorted(coeffs.items()))}")
@@ -42,6 +42,14 @@ def main() -> None:
         zero_chi = sum(not any(row) for row in chi_rows)
         print(f"  zero J planes {zero_j}/{len(zcat.jtable)}, "
               f"zero chi rows {zero_chi}/{len(chi_rows)}")
+        skipped = [c for c, tables in SWEEP_TABLES.items() if Z.all_zero(*tables)]
+        print(f"  skipped center sweeps: {', '.join(skipped) or 'none'}")
+        # a cocycle sweep of the category returns at once when the J planes
+        # and chi rows its equations read are all zero
+        j_zero, chi_zero = zero_j == len(zcat.jtable), zero_chi == len(chi_rows)
+        skipped = [c for c, zero in (("axiom2_j_cocycle", j_zero), ("chi_cocycle", chi_zero),
+                                     ("axiom3_j_chi", j_zero and chi_zero)) if zero]
+        print(f"  skipped category sweeps of the center: {', '.join(skipped) or 'none'}")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Everything downstream (matched pairs, pointed categories, centers) indexes
 into these tables, so all verification here is exhaustive and exact.
 No size limit is enforced yet, and the sweeps grow fast with the order:
-verifying the braided center of the Turaev category of D8 (order 16) takes
-about 37 s in process (Python 3.11, 2-vCPU VM).
+verifying the Turaev category of D8 (order 16) and its braided center
+takes about 5 s in process (Python 3.11, 2-vCPU VM).
 """
 
 from __future__ import annotations

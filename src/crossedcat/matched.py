@@ -25,6 +25,10 @@ class MatchedPair(Record):
     act1: Table  # [g][s]: G on the set Gamma, left
     act2: Table  # [s][g]: Gamma on the set G, left
 
+    # not a field (it has no annotation): the checks of verify_matched_pair,
+    # stored on the record by its first call
+    _verdict = None
+
     def a1(self, g: int, s: int) -> int:
         return self.act1[g][s]
 
@@ -61,16 +65,25 @@ def verify_matched_pair(mp: MatchedPair) -> VerificationReport:
     and each axiom mirrors the other side's, so it is one sweep over the
     Cayley tables and action rows, run once per side.  Loops nest in the
     order of the witness tuple.
+
+    The sweep runs once per record.  A record never changes, so every
+    reader of one pair (the category and braiding verifiers, zappa_szep,
+    vec_gamma) shares one verdict, kept on the record and freed with it;
+    each call still returns a fresh report, which its caller may annotate.
     """
-    G, M, a1, a2 = mp.G, mp.Gamma, mp.act1, mp.act2
-    return run_checks(VerificationReport(subject="matched-pair"), [
-        ("act1_is_left_action", lambda: _left_action_witness(G, M, a1)),
-        ("act2_is_left_action", lambda: _left_action_witness(M, G, a2)),
-        ("act1_fixes_unit", lambda: _unit_witness(G, M, a1)),
-        ("act2_fixes_unit", lambda: _unit_witness(M, G, a2)),
-        ("matching_relation_1", lambda: _matching_witness(G, M, a1, a2)),
-        ("matching_relation_2", lambda: _matching_witness(M, G, a2, a1)),
-    ])
+    checks = mp._verdict
+    if checks is None:
+        G, M, a1, a2 = mp.G, mp.Gamma, mp.act1, mp.act2
+        checks = tuple(run_checks(VerificationReport(subject="matched-pair"), [
+            ("act1_is_left_action", lambda: _left_action_witness(G, M, a1)),
+            ("act2_is_left_action", lambda: _left_action_witness(M, G, a2)),
+            ("act1_fixes_unit", lambda: _unit_witness(G, M, a1)),
+            ("act2_fixes_unit", lambda: _unit_witness(M, G, a2)),
+            ("matching_relation_1", lambda: _matching_witness(G, M, a1, a2)),
+            ("matching_relation_2", lambda: _matching_witness(M, G, a2, a1)),
+        ]).checks)
+        object.__setattr__(mp, "_verdict", checks)
+    return VerificationReport(subject="matched-pair", checks=list(checks))
 
 
 def _left_action_witness(K: FiniteGroup, X: FiniteGroup, act: Table) -> Optional[tuple]:

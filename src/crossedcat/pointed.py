@@ -144,10 +144,11 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
 
     The J and chi cocycle sweeps skip a block (an outer g of
     axiom2_j_cocycle, a (g, h, k) of chi_cocycle, a (g, h) of axiom3_j_chi)
-    when every J plane and chi row its equations read is all zero.  Each
-    equation is a balanced sum of table entries, so over zero data it reads
-    0 = 0 and cannot fail: the skip is exact, and the sweeps still meet
-    their tuples in witness order.
+    when every J plane and chi row its equations read is all zero, and
+    return at once when every one they read is.  Each equation is a
+    balanced sum of table entries, so over zero data it reads 0 = 0 and
+    cannot fail: the skip is exact, and the sweeps still meet their tuples
+    in witness order.
     """
     L, G, Gamma, mp, M = cat.Lambda, cat.G, cat.Gamma, cat.mp, cat.M
     rep = VerificationReport(subject=f"category {cat.name}")
@@ -158,6 +159,7 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     # live_j[g]: J[g] holds a nonzero exponent; live_x[g][h]: so does X[g][h]
     live_j = [any(map(any, plane)) for plane in J]
     live_x = [[any(row) for row in plane] for plane in X]
+    any_j, any_x = any(live_j), any(map(any, live_x))
 
     def well_formed() -> Optional[tuple]:
         if mp.G is not G or mp.Gamma is not Gamma:
@@ -206,6 +208,8 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
 
     def axiom2_cocycle() -> Optional[tuple]:
         # J[g][xy][z] + J[del(z) |>2 g][x][y] = J[g][x][yz] + J[g][y][z]
+        if not any_j:
+            return None
         for g in Gs:
             Jg, twg = J[g], twist[g]
             if not (live_j[g] or any(live_j[t] for t in twg)):
@@ -231,6 +235,8 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
 
     def chi_cocycle() -> Optional[tuple]:
         # X[gh][k][x] + X[g][h][^k x] = X[g][hk][x] + X[h][k][x]
+        if not any_x:
+            return None
         for g in Gs:
             Xg, Gg, lg = X[g], Gt[g], live_x[g]
             for h in Gs:
@@ -258,6 +264,8 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     def axiom3_j() -> Optional[tuple]:
         # X[g][h][xy] + J[h][x][y] + J[g][^{t} x][^h y]
         #   = J[gh][x][y] + X[(h |>1 del(y)) |>2 g][t][x] + X[g][h][y],  t = del(y) |>2 h
+        if not (any_j or any_x):
+            return None
         for g in Gs:
             Jg, Xg, Gg, a2g = J[g], X[g], Gt[g], [row[g] for row in a2]
             for h in Gs:

@@ -11,6 +11,7 @@ from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, nonsingular_violati
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category
+from reference_sweeps import ReferenceCenter
 
 
 @pytest.mark.parametrize("name", CENTER_FIXTURES)
@@ -130,9 +131,8 @@ def test_gamma_action_grade_covariance(name):
 
 def test_braiding_examples():
     Z = CenterStructure(category("vec-z2-gtrivial"))
-    for z1 in Z.simples:
-        for z2 in Z.simples:
-            assert Z.braid_exponent(z1, z2) == 0  # all crossings are identities here
+    # all crossings are identities here
+    assert [list(row) for row in Z.braid_table] == [[0, 0], [0, 0]]
     cat = category("z4-over-z2")
     Z = CenterStructure(cat)
     for z1 in Z.simples:
@@ -192,17 +192,29 @@ def test_half_braiding_mutation_detected():
 
 
 def test_structure_tables_match_chains():
-    cat = category("z4-over-z2")
-    Z = CenterStructure(cat)
+    for name in ("z4-over-z2", "cocycle-j", "z6-over-z3"):
+        _assert_tables_match_chains(category(name))
+
+
+def _assert_tables_match_chains(cat) -> None:
+    # the scalar tables hoist each chain's per-column terms; every entry must
+    # still equal the per-entry chain of the reference structure
+    Z, R = CenterStructure(cat), ReferenceCenter(cat)
     assert Z.points == Z.simples
+    g1, s1 = cat.G.order - 1, cat.Gamma.order - 1
     for i, z1 in enumerate(Z.simples):
-        assert Z.points[Z.g_action_table[1][i]] == Z.g_act(1, z1)
-        assert Z.points[Z.gamma_action_table[1][i]] == Z.gamma_act(1, z1)
+        assert Z.points[Z.g_action_table[g1][i]] == Z.g_act(g1, z1)
+        assert Z.points[Z.gamma_action_table[s1][i]] == Z.gamma_act(s1, z1)
+        for g in cat.G.elements():
+            for s in cat.Gamma.elements():
+                assert Z.sigma_table[g][s][i] == Z.sigma(g, s, z1) == R.sigma(g, s, z1)
         for k, z2 in enumerate(Z.simples):
             assert Z.points[Z.tensor_table[i][k]] == Z.tensor(z1, z2)
-            assert Z.braid_table[i][k] == Z.braid_exponent(z1, z2)
+            assert Z.braid_table[i][k] == R.braiding(z1, z2)[1].exponent
             assert Z.points[Z.tensor_table[Z.g_action_table[z1.g][k]][i]] == \
                 Z.tensor(Z.g_act(z1.g, z2), z1)
+            for s in cat.Gamma.elements():
+                assert Z.j_gamma_table[s][i][k] == R.j_gamma(s, z1, z2)
 
 
 def _assert_adjoint_pattern(Z: CenterStructure, K) -> None:
@@ -291,8 +303,7 @@ def test_frozen_scalar_regression_tables():
     Z = CenterStructure(category("z4-over-z2"))
     assert [Z.sigma(1, 1, z) for z in Z.simples] == [0, 2] * 8
     assert Z.simples[5] == CenterSimple(0, 2, (0, 2))
-    assert [Z.braid_exponent(Z.simples[5], z) for z in Z.simples] == \
-        [0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2]
+    assert list(Z.braid_table[5]) == [0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2]
     Zj = CenterStructure(category("cocycle-j"))
     assert [(z.g, z.label, z.chi) for z in Zj.simples] == [
         (0, 0, (0, 0)), (0, 0, (0, 2)), (0, 1, (0, 0)), (0, 1, (0, 2)),

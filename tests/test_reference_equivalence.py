@@ -19,9 +19,10 @@ import random
 import pytest
 
 from conftest import FIXTURE_DIR, category, pair
-from crossedcat import jsonio
+from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
-from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
+from crossedcat.center import (SWEEP_TABLES, CenterSimple, CenterStructure, enumerate_center,
+                               verify_center_braided)
 from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.matched import matched_pair, verify_matched_pair, zappa_szep
 from crossedcat.pointed import pointed_category, verify_crossed_category
@@ -92,6 +93,44 @@ def test_induced_pair_action_mutants(name):
     for mut in _action_mutants(bmp.mp, 20, random.Random(f"induced:{name}")):
         assert not verify_matched_pair(mut).passed
         assert_same_pair_reports(BraidedMatchedPair(mut, bmp.phi, bmp.psi))
+
+
+def test_one_matching_sweep_per_pair(monkeypatch):
+    """The input pair and the induced pair are each swept once across
+    `verify category` and `verify center`, and the verdict stays with its
+    record: a mutant of a verified pair is a new record and is swept afresh."""
+    calls = []
+    sweep = matched._matching_witness
+    monkeypatch.setattr(matched, "_matching_witness",
+                        lambda K, X, act, back: calls.append((K, X)) or sweep(K, X, act, back))
+    # loaded afresh: no record of it has been verified in this process
+    cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-turaev-s3.json", validate=False)
+    assert verify_crossed_category(cat).passed
+    assert verify_center_braided(cat).passed
+    # two relations for each of the two pairs, the input and the induced one
+    assert len(calls) == 4
+    assert len({(id(K), id(X)) for K, X in calls}) == 4
+
+    Z = CenterStructure(cat)
+    del calls[:]
+    underlying = verify_braiding(Z.induced).checks[0]
+    valid = verify_crossed_category(Z.as_category()).checks[1]
+    assert (underlying.name, underlying.passed) == ("underlying_matched_pair", True)
+    assert (valid.name, valid.passed) == ("matched_pair_valid", True)
+    assert len(calls) == 2
+    # each call hands out a fresh report, so annotating one leaks nowhere
+    first = verify_matched_pair(Z.induced.mp)
+    first.input_digest = "x"
+    assert verify_matched_pair(Z.induced.mp).input_digest is None
+    assert len(calls) == 2
+
+    for mut in _action_mutants(Z.induced.mp, 5, random.Random("one-sweep")):
+        before = len(calls)
+        rep = verify_matched_pair(mut)
+        assert len(calls) > before
+        assert not rep.passed
+        assert triples(rep) == triples(reference_matched_pair(mut))
+    assert verify_matched_pair(Z.induced.mp).passed
 
 
 def test_criterion_9_pair_mutants(monkeypatch):
@@ -241,6 +280,46 @@ def test_center_reports(name):
         # ever the first to see it
         assert rep.first_failure().name == "oracle_equivalence"
         assert verdicts(rep) == verdicts(reference_center_braided(cat, simples=mutated))
+
+
+def test_zero_support_skips_never_mask_an_exception(monkeypatch):
+    """Over a Vec fixture every scalar sweep of the center skips, yet each
+    still reads the action tables first: a simple whose unit exponent breaks
+    the retract idempotent makes all six report the same exception as the
+    reference sweeps, even where the zero rule is made to fire."""
+    cat = category("vec-z2z3")
+    assert all(CenterStructure(cat).all_zero(*t) for t in SWEEP_TABLES.values())
+    simples = enumerate_center(cat)
+    unit_pos = cat.neutral_labels.index(cat.Lambda.identity)
+    for k, z in enumerate(simples):
+        chi = list(z.chi)
+        chi[unit_pos] = (chi[unit_pos] + 1) % cat.M
+        mutated = simples[:k] + [CenterSimple(z.g, z.label, tuple(chi))] + simples[k + 1:]
+        mine = triples(verify_center_braided(cat, simples=mutated))
+        ref = triples(reference_center_braided(cat, simples=mutated))
+        # the broken exponent reaches every scalar table, so no sweep skips
+        # here on its own; with every table taken for zero, each sweep must
+        # still raise from the tables it reads before the rule
+        with monkeypatch.context() as m:
+            m.setattr(CenterStructure, "all_zero", lambda self, *names: True)
+            assert triples(verify_center_braided(cat, simples=mutated)) == mine, k
+        for got, want in zip(mine, ref):
+            name, passed, witness = got
+            if name in SWEEP_TABLES:
+                assert witness[:2] == ("exception", "UnsupportedConfiguration"), (k, got)
+            if name in ("sigma_units", "braiding_welltyped"):
+                # both fail, but these two dense sweeps read the Gamma-action
+                # table before their first equation and so report its
+                # exception, where the reference finds an equation witness
+                assert not passed and not want[1], (k, got, want)
+            else:
+                assert got == want, k
+    # without the unit, sigma_phi_compat evaluates its swap scalars off the
+    # point list
+    unit = simples.index(CenterStructure(cat).unit)
+    mutated = simples[:unit] + simples[unit + 1:]
+    assert triples(verify_center_braided(cat, simples=mutated)) == \
+        triples(reference_center_braided(cat, simples=mutated))
 
 
 def test_criterion_9_center_mutants(monkeypatch):
