@@ -30,6 +30,14 @@ def pair(name: str):
     return _mp_cache[name]
 
 
+def duals_hold(cat) -> bool:
+    """The dual law: the left dual of ^g x, ^{del(x) |>2 g}(x^-1), is the
+    inverse label of ^g x, for every (x, g)."""
+    L, a2 = cat.Lambda, cat.mp.a2
+    return all(cat.act(a2(cat.deg(x), g), L.inv(x)) == L.inv(cat.act(g, x))
+               for x in L.elements() for g in cat.G.elements())
+
+
 def renamed(mp, like):
     """`mp` with its two groups named as in `like`: from_exact_factorization
     names the groups it extracts after the factorized group."""

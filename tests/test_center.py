@@ -210,7 +210,7 @@ def _assert_tables_match_chains(cat) -> None:
                 assert Z.sigma_table[g][s][i] == Z.sigma(g, s, z1) == R.sigma(g, s, z1)
         for k, z2 in enumerate(Z.simples):
             assert Z.points[Z.tensor_table[i][k]] == Z.tensor(z1, z2)
-            assert Z.braid_table[i][k] == R.braiding(z1, z2)[1].exponent
+            assert Z.braid_table[i][k] == R.braiding(z1, z2)[1]
             assert Z.points[Z.tensor_table[Z.g_action_table[z1.g][k]][i]] == \
                 Z.tensor(Z.g_act(z1.g, z2), z1)
             for s in cat.Gamma.elements():

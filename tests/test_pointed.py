@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FIXTURE_DIR, category
+from conftest import FIXTURE_DIR, category, duals_hold
 from crossedcat import jsonio
 from crossedcat.errors import ValidationError
 from crossedcat.fixtures import CATEGORIES
@@ -131,11 +131,36 @@ def test_dual_data_vec_z3_example():
 
 @pytest.mark.parametrize("name", ALL_CATS)
 def test_dual_data_sweep(name):
-    # the equation dual_label_compat sweeps, written out per (label, g)
-    cat = category(name)
-    for lam in cat.Lambda.elements():
+    # the dual law, which axiom2_object_compat implies
+    assert duals_hold(category(name))
+
+
+def test_dual_law_implied_by_object_compat_and_unit():
+    """The dual law is not a check of its own: axiom2_object_compat at
+    (g, x^-1, x) and action_fixes_unit at g imply it.  So every single-entry
+    action mutant that breaks it fails one of those two."""
+    broken = 0
+    for path in sorted(FIXTURE_DIR.glob("cat-*.json")):
+        cat = jsonio.load_category(path, validate=False)
+        n = cat.Lambda.order
         for g in cat.G.elements():
-            assert left_dual(cat, lam, g) == cat.Lambda.inv(cat.act(g, lam)), (name, lam, g)
+            for x in range(n):
+                for v in range(n):
+                    if v == cat.act(g, x):
+                        continue
+                    action = [list(r) for r in cat.action]
+                    action[g][x] = v
+                    mut = pointed_category(cat.Lambda, cat.mp, cat.grading, action, cat.M,
+                                           jtable=cat.jtable, phitable=cat.phitable,
+                                           chitable=cat.chitable, iotatable=cat.iotatable)
+                    if duals_hold(mut):
+                        continue
+                    broken += 1
+                    failed = {c.name for c in verify_crossed_category(mut).checks
+                              if not c.passed}
+                    assert failed & {"axiom2_object_compat", "action_fixes_unit"}, \
+                        (path.name, g, x, v)
+    assert broken
 
 
 @pytest.mark.parametrize("name", ALL_CATS)

@@ -23,6 +23,7 @@ from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
 from crossedcat.center import (SWEEP_TABLES, CenterSimple, CenterStructure, enumerate_center,
                                verify_center_braided)
+from crossedcat.errors import UnsupportedConfiguration
 from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.matched import matched_pair, verify_matched_pair, zappa_szep
 from crossedcat.pointed import pointed_category, verify_crossed_category
@@ -282,11 +283,36 @@ def test_center_reports(name):
         assert verdicts(rep) == verdicts(reference_center_braided(cat, simples=mutated))
 
 
+@pytest.mark.parametrize("name", CENTER_FIXTURES)
+def test_unit_actions_on_points(name):
+    """The closure and well-formed-swap proofs at center_category_axioms
+    rest on three facts about the points of a CenterStructure, corrupted
+    simple lists included: GA[e] keeps (g, label), it shifts chi by an
+    amount that depends on (g, label) alone, and SA[e] fixes every point.
+    A corrupted list may hold one simple twice; a table entry then names
+    the later index, so points are compared as values."""
+    cat = category(name)
+    lists = [None, *_corrupted_simples(cat, 3, random.Random(f"simples:{name}"))]
+    for simples in lists:
+        Z = CenterStructure(cat, simples=simples)
+        P, shifts = Z.points, {}
+        for z, p in zip(P, Z.g_action_table[cat.G.identity]):
+            assert (P[p].g, P[p].label) == (z.g, z.label)
+            shift = tuple((a - b) % cat.M for a, b in zip(P[p].chi, z.chi))
+            assert shifts.setdefault((z.g, z.label), shift) == shift
+        try:
+            SA = Z.gamma_action_table
+        except UnsupportedConfiguration:
+            continue  # a point fails the retract guard, so there is no Gamma-action
+        assert [P[p] for p in SA[cat.Gamma.identity]] == list(P)
+
+
 def test_zero_support_skips_never_mask_an_exception(monkeypatch):
     """Over a Vec fixture every scalar sweep of the center skips, yet each
     still reads the action tables first: a simple whose unit exponent breaks
     the retract idempotent makes all six report the same exception as the
-    reference sweeps, even where the zero rule is made to fire."""
+    reference sweeps, even where the zero rule is made to fire, and every
+    other check the reference's witness."""
     cat = category("vec-z2z3")
     assert all(CenterStructure(cat).all_zero(*t) for t in SWEEP_TABLES.values())
     simples = enumerate_center(cat)
@@ -303,17 +329,10 @@ def test_zero_support_skips_never_mask_an_exception(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(CenterStructure, "all_zero", lambda self, *names: True)
             assert triples(verify_center_braided(cat, simples=mutated)) == mine, k
-        for got, want in zip(mine, ref):
-            name, passed, witness = got
+        for name, _, witness in mine:
             if name in SWEEP_TABLES:
-                assert witness[:2] == ("exception", "UnsupportedConfiguration"), (k, got)
-            if name in ("sigma_units", "braiding_welltyped"):
-                # both fail, but these two dense sweeps read the Gamma-action
-                # table before their first equation and so report its
-                # exception, where the reference finds an equation witness
-                assert not passed and not want[1], (k, got, want)
-            else:
-                assert got == want, k
+                assert witness[:2] == ("exception", "UnsupportedConfiguration"), (k, name)
+        assert mine == ref, k
     # without the unit, sigma_phi_compat evaluates its swap scalars off the
     # point list
     unit = simples.index(CenterStructure(cat).unit)
