@@ -225,13 +225,9 @@ class CenterStructure:
         L, M, mp = cat.Lambda, cat.M, cat.mp
         h = z.g
         zeta = self.section[s]
-        # the retract idempotent evaluates to chi(unit) * phi[h]^-1; a root
-        # idempotent must be the identity scalar, anything else is a modeling
-        # error surfaced immediately
-        if (self.chi_at(z, L.identity) - cat.ph(h)) % M:
-            raise UnsupportedConfiguration(
-                f"retract idempotent is not the identity on {z} (chi at unit = "
-                f"{self.chi_at(z, L.identity)}, phi[{h}] = {cat.ph(h)})")
+        failure = self._retract_failure(z)
+        if failure is not None:
+            raise UnsupportedConfiguration(failure)
         new_g = mp.a2(s, h)
         label = L.mul(L.mul(cat.act(h, zeta), z.label), L.inv(zeta))
         chi = []
@@ -240,6 +236,17 @@ class CenterStructure:
             e = self.chi_at(z, conj) + cat.j(h, zeta, conj) - cat.j(h, nu, zeta)
             chi.append(e % M)
         return CenterSimple(new_g, label, tuple(chi))
+
+    def _retract_failure(self, z: CenterSimple) -> Optional[str]:
+        """Why z has no Gamma-action, or None.  The retract idempotent
+        evaluates to chi(unit) * phi[h]^-1; a root idempotent must be the
+        identity scalar, anything else is a modeling error surfaced at once."""
+        cat = self.cat
+        unit = self.chi_at(z, cat.Lambda.identity)
+        if (unit - cat.ph(z.g)) % cat.M:
+            return (f"retract idempotent is not the identity on {z} (chi at unit = "
+                    f"{unit}, phi[{z.g}] = {cat.ph(z.g)})")
+        return None
 
     # -- swap scalar sigma_{g,s}: gamma(s) o g-action  ~  g0-action o gamma(s0)
     #    with s0 = g^-1 |>1 s and g0 = (s |>2 g^-1)^-1.
@@ -268,44 +275,74 @@ class CenterStructure:
             out.append((lhs - canon_rhs) % M)
         return out
 
-    # -- crossed-structure scalars of the Gamma-action
-    def chi_gamma(self, s: int, s2: int, z: CenterSimple) -> int:
-        cat = self.cat
-        L, M = cat.Lambda, cat.M
-        ss2 = cat.Gamma.mul(s, s2)
-        nu = L.mul(L.inv(self.section[ss2]), L.mul(self.section[s], self.section[s2]))
-        return (cat.j(z.g, self.section[s], self.section[s2])
-                - cat.j(z.g, self.section[ss2], nu) - self.chi_at(z, nu)) % M
-
     # -- dense tables over points
     def _close(self) -> tuple:
         """Points closed under both actions and under tensoring with a simple
         on the right, with those maps as tables: tensor [point][simple],
         G-action [g][point], Gamma-action [s][point] -> point.
 
-        A point whose retract idempotent fails has no Gamma-action image; its
-        entries stay None and the first such error is kept.
+        Each row evaluates the chain of tensor, g_act or gamma_act from
+        terms found once per simple, per g or per s; points are interned on
+        (g, label, chi) tuples, and a CenterSimple is built only for a new
+        point.  A point whose retract idempotent fails has no Gamma-action
+        image; its entries stay None and the first such error is kept.
         """
         cat = self.cat
-        points = list(self.simples)
-        where = {z: i for i, z in enumerate(points)}
+        G, L, M, npos, sec = cat.G, cat.Lambda, cat.M, self.npos, self.section
+        Gt, Ginv, Lt, Linv = G.table, G.inverses, L.table, L.inverses
+        act, deg, J, X, a2 = cat.action, cat.grading, cat.jtable, cat.chitable, cat.mp.act2
+        N = cat.neutral_labels
+        # per element x of G: ^x nu over N, and the positions of those labels
+        on_n = [[act[x][nu] for nu in N] for x in G.elements()]
+        pos_n = [[npos[v] for v in row] for row in on_n]
+        x_n = [[[Xgh[nu] for nu in N] for Xgh in Xg] for Xg in X]
+        # per g: g^-1, the labels ^{g^-1} nu and their positions
+        g_terms = [(g, Ginv[g], act[g], J[g], on_n[Ginv[g]], pos_n[Ginv[g]])
+                   for g in G.elements()]
+        # per s: zeta_s, zeta_s^-1, and the labels zeta_s^-1 nu zeta_s with their positions
+        s_terms = []
+        for s in cat.Gamma.elements():
+            zeta = sec[s]
+            conj = [Lt[Lt[Linv[zeta]][nu]][zeta] for nu in N]
+            s_terms.append((s, zeta, Linv[zeta], conj, [npos[c] for c in conj]))
+        columns = [(w.g, w.label, w.chi, pos_n[w.g]) for w in self.simples]
 
-        def intern(z: CenterSimple) -> int:
-            if z not in where:
-                where[z] = len(points)
-                points.append(z)
-            return where[z]
+        points = list(self.simples)
+        where = dict(self.index)
+
+        def intern(key: tuple) -> int:
+            i = where.get(key)
+            if i is None:
+                i = where[key] = len(points)
+                points.append(CenterSimple(*key))
+            return i
 
         g_rows, gamma_rows, tensor_rows = [], [], []
         unsupported = None
         for z in points:  # grows while it is walked
-            g_rows.append([intern(self.g_act(g, z)) for g in cat.G.elements()])
-            try:
-                gamma_rows.append([intern(self.gamma_act(s, z)) for s in cat.Gamma.elements()])
-            except UnsupportedConfiguration as exc:
+            h, lab, chi = z.g, z.label, z.chi
+            a2t, Gh = a2[deg[lab]], Gt[h]
+            g_rows.append([intern((
+                Gt[Gt[a2t[g]][h]][gi], actg[lab],
+                tuple((Jg[lab][b] + chi[p] - Jg[f][lab]) % M
+                      for b, p, f in zip(back, back_pos, on_n[Gh[gi]]))))
+                for g, gi, actg, Jg, back, back_pos in g_terms])
+            failure = self._retract_failure(z)
+            if failure is not None:
                 gamma_rows.append([None] * cat.Gamma.order)
-                unsupported = unsupported or str(exc)
-            tensor_rows.append(tuple(intern(self.tensor(z, w)) for w in self.simples))
+                unsupported = unsupported or failure
+            else:
+                Jh, acth = J[h], act[h]
+                gamma_rows.append([intern((
+                    a2[s][h], Lt[Lt[acth[zeta]][lab]][zetai],
+                    tuple((chi[p] + Jh[zeta][c] - Jh[nu][zeta]) % M
+                          for nu, c, p in zip(N, conj, cpos))))
+                    for s, zeta, zetai, conj, cpos in s_terms])
+            Lab, Xh = Lt[lab], x_n[h]
+            tensor_rows.append(tuple(intern((
+                Gh[wg], Lab[wl],
+                tuple((a + chi[p] + b) % M for a, p, b in zip(Xh[wg], wpos, wchi))))
+                for wg, wl, wchi, wpos in columns))
         return (tuple(points), tuple(tensor_rows), tuple(zip(*g_rows)), tuple(zip(*gamma_rows)),
                 unsupported)
 
@@ -401,10 +438,28 @@ class CenterStructure:
 
     @cached_property
     def chi_gamma_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """[s][s2][point] -> chi-scalar of the Gamma-action."""
-        Gam = self.cat.Gamma.elements()
-        return tuple(tuple(tuple(self.chi_gamma(s, s2, z) for z in self.points) for s2 in Gam)
-                     for s in Gam)
+        """[s][s2][point] -> chi-scalar of the Gamma-action.
+
+        Chain at (s, s2, z), with nu = zeta_{s s2}^-1 . zeta_s . zeta_s2:
+        J[h][zeta_s][zeta_s2] - J[h][zeta_{s s2}][nu] - chi(nu).  (s, s2)
+        enters only through the three section labels and nu, found once
+        per pair.
+        """
+        cat = self.cat
+        Lt, Linv, Gam, J, M = cat.Lambda.table, cat.Lambda.inverses, cat.Gamma.table, \
+            cat.jtable, cat.M
+        sec, rows = self.section, [(z.chi, J[z.g]) for z in self.points]
+        out = []
+        for s in cat.Gamma.elements():
+            plane = []
+            for s2 in cat.Gamma.elements():
+                zs, zs2, zss2 = sec[s], sec[s2], sec[Gam[s][s2]]
+                nu = Lt[Linv[zss2]][Lt[zs][zs2]]
+                pos = self.npos[nu]
+                plane.append(tuple((Jz[zs][zs2] - Jz[zss2][nu] - chi[pos]) % M
+                                   for chi, Jz in rows))
+            out.append(tuple(plane))
+        return tuple(out)
 
     # -- combined crossed structure on (G><Gamma, G x Gamma)
     @cached_property

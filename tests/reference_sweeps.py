@@ -8,7 +8,11 @@ Test-only reference: `reference_crossed_category`, `ReferenceCenter` and
 `zappa_szep`, `verify_braiding`, `center_pair` and `center_braiding`;
 `reference_coherence` is the previous `check_coherence`, which built its
 word graph from `Word` records (it enumerates with the package's
-`enumerate_words`, whose order both graphs must share).
+`enumerate_words`, whose order both graphs must share);
+`reference_validate_group`, `reference_group_hom` and
+`reference_is_hom_image` are the previous `validate_group`, `group_hom`
+and `is_hom_image`, which swept every element where the package now
+certifies a law on a generating set.
 Loop bodies are unchanged and call only each other, never the code they
 are compared with, so that tests/test_reference_equivalence.py can require
 the table-driven core to return the same (name, pass, witness) lists.
@@ -22,13 +26,81 @@ from typing import Iterator, Optional, Sequence
 
 from crossedcat.braided import BraidedMatchedPair
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle
-from crossedcat.errors import GroupValidationError, NotMatched, UnsupportedConfiguration
-from crossedcat.groups import (FiniteGroup, GroupHom, direct_product, group_hom, is_hom_image,
-                               validate_group)
+from crossedcat.errors import (AssocViolation, GroupValidationError, MalformedTable, NoIdentity,
+                               NoInverse, NotMatched, UnsupportedConfiguration)
+from crossedcat.groups import FiniteGroup, GroupHom, direct_product
 from crossedcat.matched import MatchedPair, matched_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category
 from crossedcat.report import VerificationReport, run_checks
 from crossedcat.words import Act, Hole, Tensor, Unit, Word, enumerate_words, print_word
+
+
+# -- group laws
+
+def reference_validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = None,
+                             name: str = "G") -> FiniteGroup:
+    """Check all three group laws exhaustively and derive inverses.
+
+    Raises MalformedTable / NoIdentity / AssocViolation / NoInverse, each
+    with a concrete witness.
+    """
+    t = tuple(tuple(int(x) for x in row) for row in table)
+    n = len(t)
+    if n == 0:
+        raise MalformedTable("empty table")
+    for row in t:
+        if len(row) != n:
+            raise MalformedTable(f"table is not square: row of length {len(row)} in order-{n} table")
+        for x in row:
+            if not (0 <= x < n):
+                raise MalformedTable(f"entry {x} out of range 0..{n - 1}")
+    if identity is None:
+        identity = next((e for e in range(n)
+                         if all(t[e][a] == a and t[a][e] == a for a in range(n))), -1)
+        if identity < 0:
+            raise NoIdentity(-1, 0)
+    elif not 0 <= identity < n:
+        raise MalformedTable(f"identity {identity} out of range 0..{n - 1}")
+    else:
+        for a in range(n):
+            if t[identity][a] != a or t[a][identity] != a:
+                raise NoIdentity(identity, a)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    raise AssocViolation(a, b, c)
+    inverses = []
+    for a in range(n):
+        b = next((b for b in range(n) if t[a][b] == identity and t[b][a] == identity), -1)
+        if b < 0:
+            raise NoInverse(a)
+        inverses.append(b)
+    return FiniteGroup(n, t, identity, tuple(inverses), name)
+
+
+def reference_group_hom(source: FiniteGroup, target: FiniteGroup,
+                        image: Sequence[int]) -> GroupHom:
+    """Validated homomorphism; raises ValueError with a witness pair."""
+    img = tuple(int(x) for x in image)
+    if len(img) != source.order:
+        raise ValueError("image array has wrong length")
+    if img[source.identity] != target.identity:
+        raise ValueError("identity is not preserved")
+    bad = reference_is_hom_image(source, target, img)
+    if bad is not None:
+        raise ValueError(f"not a homomorphism at ({bad[0]},{bad[1]})")
+    return GroupHom(source, target, img)
+
+
+def reference_is_hom_image(source: FiniteGroup, target: FiniteGroup,
+                           image: Sequence[int]) -> Optional[tuple]:
+    """Witness (a, b) where the hom law fails, or None."""
+    for a in source.elements():
+        for b in source.elements():
+            if image[source.mul(a, b)] != target.mul(image[a], image[b]):
+                return (a, b)
+    return None
 
 
 # -- matched and braided pairs
@@ -112,9 +184,9 @@ def reference_zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, GroupHom, GroupH
                 s_twist = mp.a1(gi, s)
                 for s2 in M.elements():
                     row[g2 * M.order + s2] = first_g * M.order + M.mul(s_twist, s2)
-    H = validate_group(table, G.identity * M.order + M.identity, f"{G.name}><{M.name}")
-    embed_g = group_hom(G, H, [g * M.order + M.identity for g in G.elements()])
-    embed_m = group_hom(M, H, [G.identity * M.order + s for s in M.elements()])
+    H = reference_validate_group(table, G.identity * M.order + M.identity, f"{G.name}><{M.name}")
+    embed_g = reference_group_hom(G, H, [g * M.order + M.identity for g in G.elements()])
+    embed_m = reference_group_hom(M, H, [G.identity * M.order + s for s in M.elements()])
     return H, embed_g, embed_m
 
 
@@ -130,10 +202,10 @@ def reference_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
             None if pre.passed else tuple(pre.first_failure().witness or ()))
 
     def phi_hom() -> Optional[tuple]:
-        return is_hom_image(M, G, phi)
+        return reference_is_hom_image(M, G, phi)
 
     def psi_hom() -> Optional[tuple]:
-        return is_hom_image(M, G, psi)
+        return reference_is_hom_image(M, G, psi)
 
     def braid1() -> Optional[tuple]:
         # (phi(s) |>1 t) s = (psi(t) |>1 s) t
@@ -235,8 +307,8 @@ def reference_center_braiding(mp: MatchedPair) -> BraidedMatchedPair:
         for t in M.elements():
             phi_img.append(G.identity * M.order + t)
             psi_img.append(h * M.order + M.identity)
-    phi = group_hom(GXM, GP, phi_img)
-    psi = group_hom(GXM, GP, psi_img)
+    phi = reference_group_hom(GXM, GP, phi_img)
+    psi = reference_group_hom(GXM, GP, psi_img)
     return BraidedMatchedPair(cp, phi, psi)
 
 
@@ -609,7 +681,7 @@ class ReferenceCenter:
     def as_category(self, name: Optional[str] = None) -> PointedCrossedCategory:
         """Package the center's tables as a pointed crossed category.
 
-        Simples must form a group under tensor (checked by validate_group);
+        Simples must form a group under tensor (checked by reference_validate_group);
         the grading is the (G-degree, Gamma-degree) pair and the action is
         the combined one.
         """
@@ -619,7 +691,7 @@ class ReferenceCenter:
         n = len(self.simples)
         gamma_ord = cat.Gamma.order
         tensor_table = [[self.find(self.tensor(a, b)) for b in self.simples] for a in self.simples]
-        lam_z = validate_group(tensor_table, name=f"Z({cat.name})-simples")
+        lam_z = reference_validate_group(tensor_table, name=f"Z({cat.name})-simples")
         grading = [z.g * gamma_ord + cat.deg(z.label) for z in self.simples]
         action = [[0] * n for _ in range(cp.G.order)]
         jt = [[[0] * n for _ in range(n)] for _ in range(cp.G.order)]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import category
@@ -11,6 +13,7 @@ from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, nonsingular_violati
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category
+from gauge import gauge
 from reference_sweeps import ReferenceCenter
 
 
@@ -193,21 +196,31 @@ def test_half_braiding_mutation_detected():
 
 def test_structure_tables_match_chains():
     for name in ("z4-over-z2", "cocycle-j", "z6-over-z3"):
-        _assert_tables_match_chains(category(name))
+        cat = category(name)
+        assert CenterStructure(cat).points == tuple(enumerate_center(cat))
+        _assert_tables_match_chains(cat)
+        # a gauge that keeps phi and iota makes J nonzero where the chains
+        # read it, such as J[h][zeta_{s s2}][nu] of chi_gamma_table on
+        # z6-over-z3, whose section is not a homomorphism
+        rng = random.Random(f"tables:{name}")
+        u = [[rng.randrange(cat.M) if g != cat.G.identity and x != cat.Lambda.identity else 0
+              for x in cat.Lambda.elements()] for g in cat.G.elements()]
+        _assert_tables_match_chains(gauge(cat, u))
 
 
 def _assert_tables_match_chains(cat) -> None:
     # the scalar tables hoist each chain's per-column terms; every entry must
     # still equal the per-entry chain of the reference structure
     Z, R = CenterStructure(cat), ReferenceCenter(cat)
-    assert Z.points == Z.simples
-    g1, s1 = cat.G.order - 1, cat.Gamma.order - 1
     for i, z1 in enumerate(Z.simples):
-        assert Z.points[Z.g_action_table[g1][i]] == Z.g_act(g1, z1)
-        assert Z.points[Z.gamma_action_table[s1][i]] == Z.gamma_act(s1, z1)
         for g in cat.G.elements():
+            assert Z.points[Z.g_action_table[g][i]] == Z.g_act(g, z1) == R.g_act(g, z1)
             for s in cat.Gamma.elements():
                 assert Z.sigma_table[g][s][i] == Z.sigma(g, s, z1) == R.sigma(g, s, z1)
+        for s in cat.Gamma.elements():
+            assert Z.points[Z.gamma_action_table[s][i]] == Z.gamma_act(s, z1) == R.gamma_act(s, z1)
+            for s2 in cat.Gamma.elements():
+                assert Z.chi_gamma_table[s][s2][i] == R.chi_gamma(s, s2, z1)
         for k, z2 in enumerate(Z.simples):
             assert Z.points[Z.tensor_table[i][k]] == Z.tensor(z1, z2)
             assert Z.braid_table[i][k] == R.braiding(z1, z2)[1]
@@ -215,6 +228,48 @@ def _assert_tables_match_chains(cat) -> None:
                 Z.tensor(Z.g_act(z1.g, z2), z1)
             for s in cat.Gamma.elements():
                 assert Z.j_gamma_table[s][i][k] == R.j_gamma(s, z1, z2)
+
+
+def _closure_by_chains(Z: CenterStructure) -> tuple:
+    """The points and tables of Z, closed one chain call at a time: tensor,
+    g_act and gamma_act on CenterSimple values, interned on the records."""
+    cat = Z.cat
+    points = list(Z.simples)
+    where = {z: i for i, z in enumerate(points)}
+
+    def intern(z: CenterSimple) -> int:
+        if z not in where:
+            where[z] = len(points)
+            points.append(z)
+        return where[z]
+
+    g_rows, gamma_rows, tensor_rows = [], [], []
+    unsupported = None
+    for z in points:
+        g_rows.append([intern(Z.g_act(g, z)) for g in cat.G.elements()])
+        try:
+            gamma_rows.append([intern(Z.gamma_act(s, z)) for s in cat.Gamma.elements()])
+        except UnsupportedConfiguration as exc:
+            gamma_rows.append([None] * cat.Gamma.order)
+            unsupported = unsupported or str(exc)
+        tensor_rows.append(tuple(intern(Z.tensor(z, w)) for w in Z.simples))
+    return (tuple(points), tuple(tensor_rows), tuple(zip(*g_rows)), tuple(zip(*gamma_rows)),
+            unsupported)
+
+
+@pytest.mark.parametrize("name", CENTER_FIXTURES)
+def test_closure_matches_chains(name):
+    """The interned closure builds the points and tables that the per-simple
+    chains give, on corrupted and duplicated simple lists too, where points
+    escape the list, some fail the retract guard, and one index is named
+    twice."""
+    from test_reference_equivalence import _corrupted_simples, _duplicated_simple
+    cat = category(name)
+    rng = random.Random(f"closure:{name}")
+    for simples in [None, *_corrupted_simples(cat, 3, rng), *_duplicated_simple(cat, rng)]:
+        Z = CenterStructure(cat, simples=simples)
+        assert (Z.points, Z.tensor_table, Z.g_action_table, Z._gamma_table, Z._unsupported) \
+            == _closure_by_chains(Z)
 
 
 def _assert_adjoint_pattern(Z: CenterStructure, K) -> None:

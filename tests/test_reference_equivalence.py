@@ -103,7 +103,8 @@ def test_one_matching_sweep_per_pair(monkeypatch):
     calls = []
     sweep = matched._matching_witness
     monkeypatch.setattr(matched, "_matching_witness",
-                        lambda K, X, act, back: calls.append((K, X)) or sweep(K, X, act, back))
+                        lambda K, X, act, back, back_is_action: calls.append((K, X))
+                        or sweep(K, X, act, back, back_is_action))
     # loaded afresh: no record of it has been verified in this process
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-turaev-s3.json", validate=False)
     assert verify_crossed_category(cat).passed
@@ -255,17 +256,38 @@ def test_center_category_table_mutants(name, count):
 
 
 def _corrupted_simples(cat, count: int, rng: random.Random):
-    """Simple lists with one half-braiding exponent changed."""
+    """Simple lists with one half-braiding exponent changed to a value that
+    makes a triple no simple of the list has, so each list lacks one simple
+    and holds one triple that is not a simple."""
     simples = enumerate_center(cat)
-    for _ in range(count):
+    present = set(simples)
+    while count:
         idx = rng.randrange(len(simples))
         z = simples[idx]
         pos = rng.randrange(len(z.chi))
-        chi = list(z.chi)
-        chi[pos] = (chi[pos] + rng.randrange(1, cat.M)) % cat.M
-        mutated = list(simples)
-        mutated[idx] = CenterSimple(z.g, z.label, tuple(chi))
-        yield mutated
+        changed = []
+        for delta in range(1, cat.M):
+            chi = list(z.chi)
+            chi[pos] = (chi[pos] + delta) % cat.M
+            changed.append(CenterSimple(z.g, z.label, tuple(chi)))
+        changed = [w for w in changed if w not in present]
+        if changed:
+            mutated = list(simples)
+            mutated[idx] = rng.choice(changed)
+            count -= 1
+            yield mutated
+
+
+def _duplicated_simple(cat, rng: random.Random) -> list:
+    """The simple list with one simple in place of another, so that it holds
+    that simple twice and lacks the other; [] for a one-simple center."""
+    simples = enumerate_center(cat)
+    if len(simples) < 2:
+        return []
+    i, j = rng.sample(range(len(simples)), 2)
+    mutated = list(simples)
+    mutated[i] = simples[j]
+    return [mutated]
 
 
 # the two 24-simple centers take seconds per reference run; their category
@@ -275,10 +297,11 @@ def _corrupted_simples(cat, count: int, rng: random.Random):
 def test_center_reports(name):
     cat = category(name)
     assert triples(verify_center_braided(cat)) == triples(reference_center_braided(cat))
-    for mutated in _corrupted_simples(cat, 3, random.Random(f"simples:{name}")):
+    rng = random.Random(f"simples:{name}")
+    for mutated in [*_corrupted_simples(cat, 3, rng), *_duplicated_simple(cat, rng)]:
         rep = verify_center_braided(cat, simples=mutated)
-        # a changed exponent leaves the oracle's set, so no later check is
-        # ever the first to see it
+        # a changed exponent or a repeated simple leaves the oracle's list,
+        # so no later check is ever the first to see it
         assert rep.first_failure().name == "oracle_equivalence"
         assert verdicts(rep) == verdicts(reference_center_braided(cat, simples=mutated))
 
@@ -289,10 +312,11 @@ def test_unit_actions_on_points(name):
     rest on three facts about the points of a CenterStructure, corrupted
     simple lists included: GA[e] keeps (g, label), it shifts chi by an
     amount that depends on (g, label) alone, and SA[e] fixes every point.
-    A corrupted list may hold one simple twice; a table entry then names
-    the later index, so points are compared as values."""
+    The duplicated list holds one simple twice; a table entry then names
+    the later copy, so points are compared as values."""
     cat = category(name)
-    lists = [None, *_corrupted_simples(cat, 3, random.Random(f"simples:{name}"))]
+    rng = random.Random(f"simples:{name}")
+    lists = [None, *_corrupted_simples(cat, 3, rng), *_duplicated_simple(cat, rng)]
     for simples in lists:
         Z = CenterStructure(cat, simples=simples)
         P, shifts = Z.points, {}
