@@ -29,7 +29,7 @@ def main() -> None:
         rep = verify_center_braided(cat)
         dt = time.monotonic() - t0
         n = len(Z.simples)
-        grades = Counter(Z.grade(z) for z in Z.simples)
+        grades = Counter(divmod(code, cat.Gamma.order) for code in Z.grade_table[:n])
         coeffs = Counter(v for row in Z.braid_table[:n] for v in row[:n])
         sigma_vals = Counter(v for plane in Z.sigma_table for row in plane for v in row[:n])
         print(f"{name}: |Z| = {len(Z.simples)}  verified = {rep.passed}  ({dt:.2f}s)")

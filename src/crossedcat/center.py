@@ -10,8 +10,10 @@ canonical isomorphisms, the character law carries the J-cocycle:
 All structure maps below were obtained by composing the defining morphism
 chains in the skeletal model, peeling actions off tensors with J, collapsing
 action chains with chi-of-the-category, and moving neutral labels across a
-simple with its half-braiding.  Each helper documents its chain; the
-exhaustive verifier is the arbiter for every one of them.
+simple with its half-braiding.  Each chain is written once, next to the
+code that evaluates it into a table (CenterStructure's _close, _g_images,
+_sigma_row and the table properties); the exhaustive verifier is the
+arbiter for every one of them.
 
 Naturality conditions are not separate checks: between simples every hom
 space is scalar, so naturality squares commute identically.  Shipped
@@ -59,9 +61,9 @@ def _characters_for(cat: PointedCrossedCategory, g: int) -> list[tuple[int, ...]
     Raises UnsupportedConfiguration when a nontrivial J|_N admits no
     solution at all (a cocycle obstruction outside our scope).
     """
-    members = cat.neutral_labels
-    solutions = twisted_characters(cat.Lambda, members, cat.M, cat.jtable[g])
-    if not solutions and any(cat.j(g, a, b) for a in members for b in members):
+    solutions = twisted_characters(cat.Lambda, cat.neutral_labels, cat.M, cat.jtable[g])
+    # J|_N = 0 always admits the zero character, so no solution means J|_N != 0
+    if not solutions:
         raise UnsupportedConfiguration(
             f"no root-valued half-braiding exists at degree {g}: J restricted to N is obstructed")
     return solutions
@@ -140,7 +142,7 @@ class CenterStructure:
     `section` maps each Gamma-degree to a chosen homogeneous label (default:
     least label per fiber).  All scalars are exponents mod cat.M.
 
-    The methods on CenterSimple values and the table docstrings give the
+    The comments of _close and _g_images and the table docstrings give the
     defining chains.  Each is evaluated into a dense integer table indexed
     by *points*: the simples first, then every object the structure maps
     lead to outside the simple list.  A correct center has no such escapes;
@@ -167,95 +169,56 @@ class CenterStructure:
          self._unsupported) = self._close()
         self._zero: dict[str, bool] = {}
 
-    # -- small helpers
-    def chi_at(self, z: CenterSimple, nu: int) -> int:
-        return z.chi[self.npos[nu]]
-
-    def grade(self, z: CenterSimple) -> tuple[int, int]:
-        return (z.g, self.cat.deg(z.label))
-
-    def find(self, z: CenterSimple) -> int:
-        key = (z.g, z.label, z.chi)
-        if key not in self.index:
-            raise KeyError(f"simple {key} not in the enumerated center")
-        return self.index[key]
-
     @cached_property
     def unit(self) -> CenterSimple:
         cat = self.cat
         chi = tuple(cat.io(nu) for nu in cat.neutral_labels)
         return CenterSimple(cat.G.identity, cat.Lambda.identity, chi)
 
-    # -- tensor: half-braidings compose through the acted argument
-    def tensor(self, z1: CenterSimple, z2: CenterSimple) -> CenterSimple:
-        cat = self.cat
-        L, M = cat.Lambda, cat.M
-        g = cat.G.mul(z1.g, z2.g)
-        label = L.mul(z1.label, z2.label)
-        chi = tuple(
-            (cat.x(z1.g, z2.g, nu) + self.chi_at(z1, cat.act(z2.g, nu)) + self.chi_at(z2, nu)) % M
-            for nu in cat.neutral_labels)
-        return CenterSimple(g, label, chi)
-
-    # -- G-action.  Chain for the new half-braiding at nu:
-    #    ^g lam . nu -> ^g(lam . ^{g^-1} nu)            J[g][lam][a(g^-1)nu]
-    #    -> ^g(^h(^{g^-1} nu) . lam)                    chi(a(g^-1) nu)
-    #    -> ^{(t|>2 g) h g^-1} nu . ^g lam              -J[g][a(h g^-1)nu][lam]
-    def g_act(self, g: int, z: CenterSimple) -> CenterSimple:
-        cat = self.cat
-        G, M, mp = cat.G, cat.M, cat.mp
-        t = cat.deg(z.label)
-        gi = G.inv(g)
-        new_g = G.mul(G.mul(mp.a2(t, g), z.g), gi)
-        label = cat.act(g, z.label)
-        hgi = G.mul(z.g, gi)
-        chi = []
-        for nu in cat.neutral_labels:
-            nu_back = cat.act(gi, nu)
-            e = cat.j(g, z.label, nu_back) + self.chi_at(z, nu_back) \
-                - cat.j(g, cat.act(hgi, nu), z.label)
-            chi.append(e % M)
-        return CenterSimple(new_g, label, tuple(chi))
-
-    # -- Gamma-action by the retract of zeta_s (.) zeta_s^dual.  Chain at nu:
-    #    relabel zeta^-1 nu = (zeta^-1 nu zeta) zeta^-1, move the neutral part
-    #    across lam with chi, then recombine with J twice.
-    def gamma_act(self, s: int, z: CenterSimple) -> CenterSimple:
-        cat = self.cat
-        L, M, mp = cat.Lambda, cat.M, cat.mp
-        h = z.g
-        zeta = self.section[s]
-        failure = self._retract_failure(z)
-        if failure is not None:
-            raise UnsupportedConfiguration(failure)
-        new_g = mp.a2(s, h)
-        label = L.mul(L.mul(cat.act(h, zeta), z.label), L.inv(zeta))
-        chi = []
-        for nu in cat.neutral_labels:
-            conj = L.mul(L.mul(L.inv(zeta), nu), zeta)
-            e = self.chi_at(z, conj) + cat.j(h, zeta, conj) - cat.j(h, nu, zeta)
-            chi.append(e % M)
-        return CenterSimple(new_g, label, tuple(chi))
-
     def _retract_failure(self, z: CenterSimple) -> Optional[str]:
         """Why z has no Gamma-action, or None.  The retract idempotent
         evaluates to chi(unit) * phi[h]^-1; a root idempotent must be the
         identity scalar, anything else is a modeling error surfaced at once."""
         cat = self.cat
-        unit = self.chi_at(z, cat.Lambda.identity)
+        unit = z.chi[self.npos[cat.Lambda.identity]]
         if (unit - cat.ph(z.g)) % cat.M:
             return (f"retract idempotent is not the identity on {z} (chi at unit = "
                     f"{unit}, phi[{z.g}] = {cat.ph(z.g)})")
         return None
 
+    @cached_property
+    def _g_terms(self) -> tuple:
+        """Per element x of G: the labels ^x nu over N and their positions;
+        per g: g, g^-1, ^g, J[g], and the labels ^{g^-1} nu with their positions."""
+        cat = self.cat
+        G, act, npos = cat.G, cat.action, self.npos
+        on_n = [[act[x][nu] for nu in cat.neutral_labels] for x in G.elements()]
+        pos_n = [[npos[v] for v in row] for row in on_n]
+        g_terms = [(g, G.inverses[g], act[g], cat.jtable[g], on_n[G.inverses[g]],
+                    pos_n[G.inverses[g]]) for g in G.elements()]
+        return on_n, pos_n, g_terms
+
+    # -- G-action.  Chain for the new half-braiding at nu:
+    #    ^g lam . nu -> ^g(lam . ^{g^-1} nu)            J[g][lam][a(g^-1)nu]
+    #    -> ^g(^h(^{g^-1} nu) . lam)                    chi(a(g^-1) nu)
+    #    -> ^{(t|>2 g) h g^-1} nu . ^g lam              -J[g][a(h g^-1)nu][lam]
+    def _g_images(self, z: CenterSimple) -> list[tuple]:
+        """The (g, label, chi) key of ^g z for each g of G, in order."""
+        cat = self.cat
+        Gt, M = cat.G.table, cat.M
+        on_n, _, g_terms = self._g_terms
+        h, lab, chi = z.g, z.label, z.chi
+        a2t, Gh = cat.mp.act2[cat.grading[lab]], Gt[h]
+        return [(Gt[Gt[a2t[g]][h]][gi], actg[lab],
+                 tuple((Jg[lab][b] + chi[p] - Jg[f][lab]) % M
+                       for b, p, f in zip(back, back_pos, on_n[Gh[gi]])))
+                for g, gi, actg, Jg, back, back_pos in g_terms]
+
     # -- swap scalar sigma_{g,s}: gamma(s) o g-action  ~  g0-action o gamma(s0)
     #    with s0 = g^-1 |>1 s and g0 = (s |>2 g^-1)^-1.
-    def sigma(self, g: int, s: int, z: CenterSimple) -> int:
-        return self._sigma_row(g, s, (z,), (self.g_act(g, z),))[0]
-
     def _sigma_row(self, g: int, s: int, zs: Sequence[CenterSimple],
                    acted: Sequence[CenterSimple]) -> list[int]:
-        """sigma_{g,s} at each z of zs, where acted holds g_act(g, z)."""
+        """sigma_{g,s} at each z of zs, where acted holds ^g z."""
         cat = self.cat
         L, M, mp, J, X = cat.Lambda, cat.M, cat.mp, cat.jtable, cat.chitable
         Lt, Linv, act, deg, a2 = L.table, L.inverses, cat.action, cat.grading, mp.act2
@@ -281,24 +244,19 @@ class CenterStructure:
         on the right, with those maps as tables: tensor [point][simple],
         G-action [g][point], Gamma-action [s][point] -> point.
 
-        Each row evaluates the chain of tensor, g_act or gamma_act from
-        terms found once per simple, per g or per s; points are interned on
+        Each row evaluates its chain from terms found once per simple, per g
+        or per s (the G-action's in _g_images); points are interned on
         (g, label, chi) tuples, and a CenterSimple is built only for a new
         point.  A point whose retract idempotent fails has no Gamma-action
         image; its entries stay None and the first such error is kept.
         """
         cat = self.cat
         G, L, M, npos, sec = cat.G, cat.Lambda, cat.M, self.npos, self.section
-        Gt, Ginv, Lt, Linv = G.table, G.inverses, L.table, L.inverses
-        act, deg, J, X, a2 = cat.action, cat.grading, cat.jtable, cat.chitable, cat.mp.act2
+        Gt, Lt, Linv = G.table, L.table, L.inverses
+        act, J, X, a2 = cat.action, cat.jtable, cat.chitable, cat.mp.act2
         N = cat.neutral_labels
-        # per element x of G: ^x nu over N, and the positions of those labels
-        on_n = [[act[x][nu] for nu in N] for x in G.elements()]
-        pos_n = [[npos[v] for v in row] for row in on_n]
+        _, pos_n, _ = self._g_terms
         x_n = [[[Xgh[nu] for nu in N] for Xgh in Xg] for Xg in X]
-        # per g: g^-1, the labels ^{g^-1} nu and their positions
-        g_terms = [(g, Ginv[g], act[g], J[g], on_n[Ginv[g]], pos_n[Ginv[g]])
-                   for g in G.elements()]
         # per s: zeta_s, zeta_s^-1, and the labels zeta_s^-1 nu zeta_s with their positions
         s_terms = []
         for s in cat.Gamma.elements():
@@ -321,24 +279,27 @@ class CenterStructure:
         unsupported = None
         for z in points:  # grows while it is walked
             h, lab, chi = z.g, z.label, z.chi
-            a2t, Gh = a2[deg[lab]], Gt[h]
-            g_rows.append([intern((
-                Gt[Gt[a2t[g]][h]][gi], actg[lab],
-                tuple((Jg[lab][b] + chi[p] - Jg[f][lab]) % M
-                      for b, p, f in zip(back, back_pos, on_n[Gh[gi]]))))
-                for g, gi, actg, Jg, back, back_pos in g_terms])
+            g_rows.append([intern(key) for key in self._g_images(z)])
             failure = self._retract_failure(z)
             if failure is not None:
                 gamma_rows.append([None] * cat.Gamma.order)
                 unsupported = unsupported or failure
             else:
+                # Gamma-action by the retract of zeta_s (.) zeta_s^dual.  Chain at
+                # nu: relabel zeta^-1 nu = (zeta^-1 nu zeta) zeta^-1, move the
+                # neutral part across lam with chi, then recombine with J twice:
+                #   chi'(nu) = chi(zeta^-1 nu zeta) + J[h][zeta][zeta^-1 nu zeta]
+                #              - J[h][nu][zeta]   on  (s |>2 h, ^h zeta . lam . zeta^-1)
                 Jh, acth = J[h], act[h]
                 gamma_rows.append([intern((
                     a2[s][h], Lt[Lt[acth[zeta]][lab]][zetai],
                     tuple((chi[p] + Jh[zeta][c] - Jh[nu][zeta]) % M
                           for nu, c, p in zip(N, conj, cpos))))
                     for s, zeta, zetai, conj, cpos in s_terms])
-            Lab, Xh = Lt[lab], x_n[h]
+            # tensor: half-braidings compose through the acted argument,
+            #   chi(nu) = X[h1][h2][nu] + chi1(^{h2} nu) + chi2(nu)
+            #   on (h1 h2, lam1 . lam2)
+            Lab, Xh, Gh = Lt[lab], x_n[h], Gt[h]
             tensor_rows.append(tuple(intern((
                 Gh[wg], Lab[wl],
                 tuple((a + chi[p] + b) % M for a, p, b in zip(Xh[wg], wpos, wchi))))
@@ -525,7 +486,7 @@ class CenterStructure:
         """Package the center's tables as a pointed crossed category.
 
         Every tensor and combined-action image of a simple must be a simple
-        (`find`'s KeyError otherwise), and the simples must form a group
+        (require_members' KeyError otherwise), and the simples must form a group
         under tensor (checked by validate_group); the grading is the
         (G-degree, Gamma-degree) pair and the action is the combined one.
         """
@@ -544,11 +505,12 @@ class CenterStructure:
             tuple(cat.io(z.label) for z in self.simples), name or f"Z({cat.name})")
 
     def require_members(self, points: Iterable[int]) -> None:
-        """Raise `find`'s KeyError for the first of `points` that is not a simple."""
+        """Raise a KeyError naming the first of `points` that is not a simple."""
         n = len(self.simples)
         for p in points:
             if p >= n:
-                self.find(self.points[p])
+                z = self.points[p]
+                raise KeyError(f"simple {(z.g, z.label, z.chi)} not in the enumerated center")
 
 
 # -- verification ------------------------------------------------------------------
@@ -641,12 +603,14 @@ def verify_center_braided(cat: PointedCrossedCategory,
 
     def sigma_phi_compat() -> Optional[tuple]:
         # the unit may be missing from a corrupted simple list, so its swap
-        # scalars come from the chain itself rather than from sigma_table
+        # scalars come from the chains themselves rather than from sigma_table
         unit = Z.unit
+        acted = Z._g_images(unit)
         for g in G.elements():
             for s in Gamma.elements():
                 g0, _ = g0_s0(g, s)
-                if (Z.sigma(g, s, unit) + cat.ph(g) - cat.ph(g0)) % M:
+                sigma = Z._sigma_row(g, s, (unit,), (CenterSimple(*acted[g]),))[0]
+                if (sigma + cat.ph(g) - cat.ph(g0)) % M:
                     return (g, s)
         return None
 

@@ -172,25 +172,31 @@ def cmd_coherence(category: str, max_nodes: int, arity: int, objects: Optional[s
             if not 0 <= x < n:
                 raise ValidationError(f"--objects label {x} out of range 0..{n - 1}")
         tuples = [labels]
+        k = len(labels)
     else:
         if arity < 1 or tuple_cap < 1:
             raise ValidationError("--arity and --tuple-cap must be at least 1, got "
                                   f"{arity} and {tuple_cap}")
-        tuples = []
-        elements = list(cat.Lambda.elements())
-        for k in range(1, arity + 1):
-            pool = list(itertools.product(elements, repeat=k))
-            tuples.extend(pool[:tuple_cap])
-    k = max(len(t) for t in tuples)
+        k = arity
     need = min_word_nodes(k)
     if max_nodes < need:
         raise ValidationError(f"--max-nodes {max_nodes} is below {need}: "
                               f"a {k}-object tuple has no word with fewer nodes")
+    if not objects:
+        # the first tuple_cap tuples of each arity, without building the rest
+        elements = list(cat.Lambda.elements())
+        tuples = [t for a in range(1, arity + 1)
+                  for t in itertools.islice(itertools.product(elements, repeat=a), tuple_cap)]
     all_pass = True
     stats = {"tuplesChecked": len(tuples), "maxNodes": max_nodes}
     failures = []
     for objs in tuples:
-        rep = check_coherence(cat, max_nodes, objs)
+        try:
+            rep = check_coherence(cat, max_nodes, objs)
+        except RecursionError:
+            # the word enumeration recurses once per node of the budget
+            raise ValidationError(f"--max-nodes {max_nodes} is too large: enumerating its "
+                                  "words exceeds the recursion limit") from None
         if not rep.passed:
             all_pass = False
             failures.append({"objects": list(objs),

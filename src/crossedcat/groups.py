@@ -188,26 +188,11 @@ def symmetric(n: int) -> FiniteGroup:
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Symmetries of the regular n-gon as permutations of vertices (order 2n)."""
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((-i) % n for i in range(n))
-    elems = close_permutations([rot, ref], n)
+    """Symmetries of the regular n-gon as permutations of vertices: the
+    rotations i -> k + i and the reflections i -> k - i (mod n).  The order
+    is 2n for n >= 3; for n = 1, 2 these permutations form a group of order n."""
+    elems = {tuple((k + e * i) % n for i in range(n)) for k in range(n) for e in (1, -1)}
     return from_permutations(sorted(elems), f"D{n}")
-
-
-def close_permutations(gens: Iterable[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    gens = list(gens)
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = tuple(g[p[i]] for i in range(n))
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return seen
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:

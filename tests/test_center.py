@@ -46,11 +46,12 @@ def test_z4_fixture_conjugation_holds_for_both_degrees():
 def test_tensor_unit_and_membership():
     cat = category("z4-over-z2")
     Z = CenterStructure(cat)
-    for z in Z.simples:
-        assert Z.tensor(Z.unit, z) == z
-        assert Z.tensor(z, Z.unit) == z
-        for w in Z.simples:
-            Z.find(Z.tensor(z, w))  # stays in the enumerated list
+    T, n = Z.tensor_table, len(Z.simples)
+    u = Z.simples.index(Z.unit)
+    for i in range(n):
+        assert T[u][i] == i
+        assert T[i][u] == i
+        assert all(k < n for k in T[i])  # stays in the enumerated list
 
 
 def test_tensor_formula_z4_fixture():
@@ -58,45 +59,49 @@ def test_tensor_formula_z4_fixture():
     Z = CenterStructure(cat)
     g = 1  # the inversion
     zs = [z for z in Z.simples if z.g == g and z.label == 1]
+    assert zs
     for z1 in zs:
         for z2 in zs:
-            prod = Z.tensor(z1, z2)
+            prod = Z.points[Z.tensor_table[Z.simples.index(z1)][Z.simples.index(z2)]]
             assert prod.g == 0 and prod.label == 2
             # chi(nu) = chi1(-nu) + chi2(nu) on N = {0, 2}
             for nu in cat.neutral_labels:
-                want = (Z.chi_at(z1, cat.act(g, nu)) + Z.chi_at(z2, nu)) % cat.M
-                assert Z.chi_at(prod, nu) == want
+                want = (z1.chi[Z.npos[cat.act(g, nu)]] + z2.chi[Z.npos[nu]]) % cat.M
+                assert prod.chi[Z.npos[nu]] == want
 
 
 def test_tensor_associative_everywhere():
     for name in ("z4-over-z2", "cocycle-j", "cocycle-chi"):
         Z = CenterStructure(category(name))
-        for a in Z.simples:
-            for b in Z.simples:
-                for c in Z.simples:
-                    assert Z.tensor(Z.tensor(a, b), c) == Z.tensor(a, Z.tensor(b, c))
+        T, simples = Z.tensor_table, range(len(Z.simples))
+        assert all(k in simples for row in T for k in row)
+        for a in simples:
+            for b in simples:
+                for c in simples:
+                    assert T[T[a][b]][c] == T[a][T[b][c]]
 
 
 def test_g_action_identity_and_law():
     for name in ("z4-over-z2", "vec-z2z3"):
         cat = category(name)
         Z = CenterStructure(cat)
-        for z in Z.simples:
-            assert Z.g_act(cat.G.identity, z) == z
+        GA, simples = Z.g_action_table, range(len(Z.simples))
+        for i in simples:
+            assert GA[cat.G.identity][i] == i
         for g in cat.G.elements():
             for h in cat.G.elements():
-                for z in Z.simples:
-                    assert Z.g_act(g, Z.g_act(h, z)) == Z.g_act(cat.G.mul(g, h), z)
+                for i in simples:
+                    assert GA[g][GA[h][i]] == GA[cat.G.mul(g, h)][i]
 
 
 def test_g_action_z4_inversion_example():
     cat = category("z4-over-z2")
     Z = CenterStructure(cat)
     g = 1
-    for z in Z.simples:
+    for i, z in enumerate(Z.simples):
         if z.label != 1:
             continue
-        w = Z.g_act(g, z)
+        w = Z.points[Z.g_action_table[g][i]]
         assert w.label == 3 and w.g == z.g
         assert w.chi == z.chi  # -nu = nu on N = {0,2}
 
@@ -104,30 +109,29 @@ def test_g_action_z4_inversion_example():
 def test_gamma_action_examples():
     cat = category("z4-over-z2")
     Z = CenterStructure(cat)
-    for z in Z.simples:
-        assert Z.gamma_act(cat.Gamma.identity, z) == z
+    SA, grade = Z.gamma_action_table, Z.grade_table
+    for i in range(len(Z.simples)):
+        assert SA[cat.Gamma.identity][i] == i
     s = 1  # zeta_1 = 1 in Z4
-    for z in Z.simples:
-        w = Z.gamma_act(s, z)
+    for i, z in enumerate(Z.simples):
+        w = Z.points[SA[s][i]]
         # label' = (h . zeta) + lam - zeta in Z4: lam when h = e, lam + 2 when
         # h is the inversion (which sends zeta_1 = 1 to 3)
         expect = z.label if z.g == 0 else (z.label + 2) % 4
         assert w.label == expect
-        gz, sz = Z.grade(z)
-        gw, sw = Z.grade(w)
         # grade transport (s |>2 h, (h |>1 s) t s^-1) with trivial pair actions
-        assert (gw, sw) == (gz, sz)
+        assert grade[SA[s][i]] == grade[i]
 
 
 @pytest.mark.parametrize("name", CENTER_FIXTURES)
 def test_gamma_action_grade_covariance(name):
     cat = category(name)
     Z = CenterStructure(cat)
-    mp = cat.mp
+    mp, SA = cat.mp, Z.gamma_action_table
     for s in cat.Gamma.elements():
-        for z in Z.simples:
-            gz, sz = Z.grade(z)
-            gw, sw = Z.grade(Z.gamma_act(s, z))
+        for i in range(len(Z.simples)):
+            gz, sz = divmod(Z.grade_table[i], cat.Gamma.order)
+            gw, sw = divmod(Z.grade_table[SA[s][i]], cat.Gamma.order)
             assert gw == mp.a2(s, gz)
             assert sw == cat.Gamma.mul(cat.Gamma.mul(mp.a1(gz, s), sz), cat.Gamma.inv(s))
 
@@ -138,14 +142,14 @@ def test_braiding_examples():
     assert [list(row) for row in Z.braid_table] == [[0, 0], [0, 0]]
     cat = category("z4-over-z2")
     Z = CenterStructure(cat)
-    for z1 in Z.simples:
-        for z2 in Z.simples:
+    T, GA, SA, n = Z.tensor_table, Z.g_action_table, Z.gamma_action_table, len(Z.simples)
+    for i, z1 in enumerate(Z.simples):
+        for k, z2 in enumerate(Z.simples):
             # the braiding runs between two simples of one grade
-            src = Z.tensor(Z.gamma_act(cat.deg(z2.label), z1), z2)
-            tgt = Z.tensor(Z.g_act(z1.g, z2), z1)
-            Z.find(src)  # raises KeyError unless src is a simple
-            Z.find(tgt)
-            assert Z.grade(src) == Z.grade(tgt)
+            src = T[SA[cat.deg(z2.label)][i]][k]
+            tgt = T[GA[z1.g][k]][i]
+            assert src < n and tgt < n
+            assert Z.grade_table[src] == Z.grade_table[tgt]
 
 
 @pytest.mark.parametrize("name", CENTER_FIXTURES)
@@ -214,26 +218,28 @@ def _assert_tables_match_chains(cat) -> None:
     Z, R = CenterStructure(cat), ReferenceCenter(cat)
     for i, z1 in enumerate(Z.simples):
         for g in cat.G.elements():
-            assert Z.points[Z.g_action_table[g][i]] == Z.g_act(g, z1) == R.g_act(g, z1)
+            assert Z.points[Z.g_action_table[g][i]] == R.g_act(g, z1)
             for s in cat.Gamma.elements():
-                assert Z.sigma_table[g][s][i] == Z.sigma(g, s, z1) == R.sigma(g, s, z1)
+                assert Z.sigma_table[g][s][i] == R.sigma(g, s, z1)
         for s in cat.Gamma.elements():
-            assert Z.points[Z.gamma_action_table[s][i]] == Z.gamma_act(s, z1) == R.gamma_act(s, z1)
+            assert Z.points[Z.gamma_action_table[s][i]] == R.gamma_act(s, z1)
             for s2 in cat.Gamma.elements():
                 assert Z.chi_gamma_table[s][s2][i] == R.chi_gamma(s, s2, z1)
         for k, z2 in enumerate(Z.simples):
-            assert Z.points[Z.tensor_table[i][k]] == Z.tensor(z1, z2)
+            assert Z.points[Z.tensor_table[i][k]] == R.tensor(z1, z2)
             assert Z.braid_table[i][k] == R.braiding(z1, z2)[1]
             assert Z.points[Z.tensor_table[Z.g_action_table[z1.g][k]][i]] == \
-                Z.tensor(Z.g_act(z1.g, z2), z1)
+                R.braiding(z1, z2)[0]
             for s in cat.Gamma.elements():
                 assert Z.j_gamma_table[s][i][k] == R.j_gamma(s, z1, z2)
 
 
 def _closure_by_chains(Z: CenterStructure) -> tuple:
-    """The points and tables of Z, closed one chain call at a time: tensor,
-    g_act and gamma_act on CenterSimple values, interned on the records."""
+    """The points and tables of Z, closed one chain call at a time by the
+    reference structure's tensor, g_act and gamma_act on CenterSimple
+    values, interned on the records."""
     cat = Z.cat
+    R = ReferenceCenter(cat, section=Z.section, simples=Z.simples)
     points = list(Z.simples)
     where = {z: i for i, z in enumerate(points)}
 
@@ -246,13 +252,13 @@ def _closure_by_chains(Z: CenterStructure) -> tuple:
     g_rows, gamma_rows, tensor_rows = [], [], []
     unsupported = None
     for z in points:
-        g_rows.append([intern(Z.g_act(g, z)) for g in cat.G.elements()])
+        g_rows.append([intern(R.g_act(g, z)) for g in cat.G.elements()])
         try:
-            gamma_rows.append([intern(Z.gamma_act(s, z)) for s in cat.Gamma.elements()])
+            gamma_rows.append([intern(R.gamma_act(s, z)) for s in cat.Gamma.elements()])
         except UnsupportedConfiguration as exc:
             gamma_rows.append([None] * cat.Gamma.order)
             unsupported = unsupported or str(exc)
-        tensor_rows.append(tuple(intern(Z.tensor(z, w)) for w in Z.simples))
+        tensor_rows.append(tuple(intern(R.tensor(z, w)) for w in Z.simples))
     return (tuple(points), tuple(tensor_rows), tuple(zip(*g_rows)), tuple(zip(*gamma_rows)),
             unsupported)
 
@@ -324,10 +330,10 @@ def test_section_independence():
     Z1 = CenterStructure(cat)
     Z2 = CenterStructure(cat, section=other)
     for s in cat.Gamma.elements():
-        grades1 = sorted(Z1.grade(Z1.gamma_act(s, z)) for z in Z1.simples)
-        grades2 = sorted(Z2.grade(Z2.gamma_act(s, z)) for z in Z2.simples)
+        grades1 = sorted(Z1.grade_table[p] for p in Z1.gamma_action_table[s])
+        grades2 = sorted(Z2.grade_table[p] for p in Z2.gamma_action_table[s])
         assert grades1 == grades2
-        images2 = {Z2.find(Z2.gamma_act(s, z)) for z in Z2.simples}
+        images2 = set(Z2.gamma_action_table[s])
         assert images2 == set(range(len(Z2.simples)))  # a permutation
     assert verify_center_braided(cat, section=other).passed
 
@@ -356,7 +362,7 @@ def test_frozen_scalar_regression_tables():
     The axiom sweeps admit no gauge slack at these points: a change in any
     correction term of the swap scalars or the braiding shows up here."""
     Z = CenterStructure(category("z4-over-z2"))
-    assert [Z.sigma(1, 1, z) for z in Z.simples] == [0, 2] * 8
+    assert list(Z.sigma_table[1][1]) == [0, 2] * 8
     assert Z.simples[5] == CenterSimple(0, 2, (0, 2))
     assert list(Z.braid_table[5]) == [0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0, 2, 2, 2, 2]
     Zj = CenterStructure(category("cocycle-j"))
@@ -373,7 +379,7 @@ def test_frozen_scalar_regression_tables():
         [0, 0, 1, 1, 0, 0, 1, 1],
         [0, 0, 3, 3, 0, 0, 3, 3]]
     Z6 = CenterStructure(category("z6-over-z3"))
-    assert [Z6.sigma(1, 1, z) for z in Z6.simples] == [0, 2] * 12
+    assert list(Z6.sigma_table[1][1]) == [0, 2] * 12
 
 
 def test_unsupported_half_braiding_obstruction():

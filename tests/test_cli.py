@@ -312,11 +312,17 @@ def test_help_prints_the_usage_of_every_command(capsys):
      "--arity and --tuple-cap must be at least 1, got 0 and 64"),
     (["coherence", "--category", "{cat}", "--tuple-cap", "-1"],
      "--arity and --tuple-cap must be at least 1, got 3 and -1"),
+    # refused before any tuple is built: 4^40 tuples of arity 40 exist
+    (["coherence", "--category", "{cat}", "--arity", "40"],
+     "--max-nodes 6 is below 79: a 40-object tuple has no word with fewer nodes"),
+    (["coherence", "--category", "{vec}", "--objects", "0", "--max-nodes", "1200"],
+     "--max-nodes 1200 is too large: enumerating its words exceeds the recursion limit"),
 ], ids=["objects-not-int", "objects-out-of-range", "gens-not-int", "max-nodes-0",
-        "max-nodes-below-arity", "arity-0", "tuple-cap-negative"])
+        "max-nodes-below-arity", "arity-0", "tuple-cap-negative", "arity-40",
+        "max-nodes-past-recursion-limit"])
 def test_malformed_arguments_exit_2(capsys, fixture_dir, tmp_path, argv, error):
     paths = {"cat": fixture_dir / "cat-z4-over-z2.json", "s4": fixture_dir / "group-s4.json",
-             "out": tmp_path / "out.json"}
+             "vec": fixture_dir / "cat-vec-trivial.json", "out": tmp_path / "out.json"}
     assert main([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -386,4 +392,6 @@ def test_center_survey_script_verifies_every_center(fixture_dir):
     assert done.stdout.count("zero J planes ") == len(CENTER_FIXTURES)
     lines = done.stdout.splitlines()
     z6 = next(i for i, line in enumerate(lines) if line.startswith("z6-over-z3:"))
+    assert lines[z6 + 1] == ("  grades: {(0, 0): 4, (0, 1): 4, (0, 2): 4, "
+                             "(1, 0): 4, (1, 1): 4, (1, 2): 4}")
     assert lines[z6 + 4] == "  zero J planes 2/6, zero chi rows 24/36"

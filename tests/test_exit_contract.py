@@ -236,3 +236,14 @@ def test_output_path_with_nul_byte_exits_2(argv):
     assert code == 2
     assert stdout.getvalue() == ""
     assert list(json.loads(stderr.getvalue())) == ["error"]
+
+
+# a modulus past what the center enumeration can range over: twisted_characters
+# tries every exponent of each generator, and range(2**63) has no length
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="no size envelope yet: a huge M reaches the character search")
+@pytest.mark.parametrize("command", [["verify", "center"], ["center"]], ids="-".join)
+def test_huge_modulus_keeps_the_exit_code_contract(command):
+    obj = json.loads((FIXTURE_DIR / "cat-z4-over-z2.json").read_text())
+    obj["M"] = 2 ** 63
+    assert_contract(tuple(command), json.dumps(obj).encode())
