@@ -165,8 +165,10 @@ def cmd_coherence(category: str, max_nodes: int, arity: int, objects: Optional[s
     from .words import check_coherence, min_word_nodes
     cat = jsonio.load_category(category)
     tuples: list[tuple[int, ...]]
-    if objects:
+    if objects is not None:
         labels = tuple(_int_list(objects, "--objects"))
+        if not labels:
+            raise ValidationError(f"--objects names no label, got {objects!r}")
         n = cat.Lambda.order
         for x in labels:
             if not 0 <= x < n:
@@ -182,7 +184,7 @@ def cmd_coherence(category: str, max_nodes: int, arity: int, objects: Optional[s
     if max_nodes < need:
         raise ValidationError(f"--max-nodes {max_nodes} is below {need}: "
                               f"a {k}-object tuple has no word with fewer nodes")
-    if not objects:
+    if objects is None:
         # the first tuple_cap tuples of each arity, without building the rest
         elements = list(cat.Lambda.elements())
         tuples = [t for a in range(1, arity + 1)

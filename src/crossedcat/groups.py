@@ -4,10 +4,14 @@ Everything downstream (matched pairs, pointed categories, centers) indexes
 into these tables, so all verification here is exact.  A law that holds on
 a whole group once it holds on generators is certified there first
 (`generators`, `certified_sweep`), and its exhaustive witness-order sweep
-runs only when the certificate finds a witness.  No size limit is enforced
-yet, and the sweeps grow fast with the order: verifying the Turaev
-category of D8 (order 16) and its braided center takes about 1.4 s in
-process (Python 3.11, 2-vCPU VM; 11.5 s without the certificates).
+runs only when the certificate finds a witness.  Each law the layers
+share is swept here once, with its closure proof: the composition law of
+an action (`action_law_witness`, associativity included), the unit law
+(`unit_witness`), twisted multiplicativity (`twisted_hom_witness`) and the
+homomorphism law (`is_hom_image`).  No size limit is enforced yet, and the
+sweeps grow fast with the order: verifying the Turaev category of D8
+(order 16) and its braided center takes about 1.4 s in process (Python
+3.11, 2-vCPU VM; 11.5 s without the certificates).
 """
 
 from __future__ import annotations
@@ -61,18 +65,11 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
     """Check all three group laws exactly and derive inverses.
 
     Raises MalformedTable / NoIdentity / AssocViolation / NoInverse, each
-    with the first witness of an exhaustive sweep.  Associativity is certified on generators by
-    Light's test (Clifford & Preston, The Algebraic Theory of Semigroups,
-    vol. 1, 1961, section 1.2), after the identity law has passed.  Call b
-    good when (a b) c = a (b c) for every a and c.  The identity is good.
-    If b and b' are good, so is b b': for every a and c,
-
-        (a (b b')) c = ((a b) b') c = (a b) (b' c) = a (b (b' c)) = a ((b b') c),
-
-    using b at (a, b'), b' at (a b, c), b at (a, b' c) and b' at (b, c).
-    So the good elements contain every left-bracketed product of good
-    elements from the identity, and `generators` reaches every element
-    that way; neither associativity nor inverses is assumed.
+    with the first witness of an exhaustive sweep.  Associativity is the
+    composition law of the group acting on itself, a (b c) = (a b) c, so
+    `action_law_witness` sweeps it with act = the table, certified on the
+    left factor a after the identity law has passed; neither associativity
+    nor inverses is assumed.
     """
     t = _freeze(table)
     n = len(t)
@@ -95,7 +92,7 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
         for a in range(n):
             if t[identity][a] != a or t[a][identity] != a:
                 raise NoIdentity(identity, a)
-    bad = certified_sweep(lambda bs: _assoc_witness(t, bs), generators(t, identity), range(n))
+    bad = action_law_witness(t, t, generators(t, identity))
     if bad is not None:
         raise AssocViolation(*bad)
     inverses = []
@@ -105,18 +102,6 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
             raise NoInverse(a)
         inverses.append(b)
     return FiniteGroup(n, t, identity, tuple(inverses), name)
-
-
-def _assoc_witness(t: Table, bs: Iterable[int]) -> Optional[tuple]:
-    """First (a, b, c) with b in bs where (a b) c != a (b c)."""
-    n = len(t)
-    for a in range(n):
-        ta = t[a]
-        for b in bs:
-            tab, tb = t[ta[b]], t[b]
-            if tab != tuple(map(ta.__getitem__, tb)):
-                return (a, b, next(c for c in range(n) if tab[c] != ta[tb[c]]))
-    return None
 
 
 def generators(table: Sequence[Sequence[int]], identity: int,
@@ -161,6 +146,78 @@ def certified_sweep(sweep: Callable[[Sequence[int]], Optional[tuple]],
     if gens is not None and sweep(gens) is None:
         return None
     return sweep(elements)
+
+
+def action_law_witness(Kt: Table, act: Table, gens: Optional[Sequence[int]]) -> Optional[tuple]:
+    """First (k, h, x) with k(h x) != (k h)x, where Kt is the Cayley table of
+    K and act[k][x] is k acting on a set X; with act = Kt, the first (a, b, c)
+    with a (b c) != (a b) c.
+
+    Certified on the actor k (certified_sweep).  Call k good when
+    k(h x) = (k h)x for every h and x.  If k and k' are good, so is k k':
+
+        (k k')(h x) = k(k'(h x)) = k((k' h)x) = (k (k' h))x = ((k k') h)x,
+
+    using k at (k', h x), k' at (h, x), k at (k' h, x), and k (k' h) =
+    (k k') h, which is associativity of K when K is a group and k at
+    (k', h) when act = Kt.  The identity is good once its rows in act and
+    Kt are identity rows; a caller that has not checked both sweeps it with
+    the generators.
+    """
+    def sweep(ks: Sequence[int]) -> Optional[tuple]:
+        for k in ks:
+            actk, Kk = act[k], Kt[k]
+            for h in range(len(Kt)):
+                acth, actkh = act[h], act[Kk[h]]
+                if tuple(map(actk.__getitem__, acth)) != actkh:
+                    return (k, h, next(x for x in range(len(acth)) if actk[acth[x]] != actkh[x]))
+        return None
+
+    return certified_sweep(sweep, gens, range(len(Kt)))
+
+
+def unit_witness(act: Table, e: int) -> Optional[tuple]:
+    """First (k,) whose row act[k] moves the unit e."""
+    return next(((k,) for k, row in enumerate(act) if row[e] != e), None)
+
+
+def twisted_hom_witness(Xt: Table, act: Table, back: Table,
+                        gens: Optional[Sequence[int]]) -> Optional[tuple]:
+    """First (k, x, y) with k |> (x y) != ((y |>' k) |> x)(k |> y), where Xt
+    is the Cayley table of X, act[k][x] = k |> x (K on X) and
+    back[y][k] = y |>' k (X on K).
+
+    Certified on y (certified_sweep); the caller passes `gens` only when
+    |>' is a left action.  Call y good when the relation holds at every
+    (k, x).  If y and y' are good, so is y y': for every (k, x), with
+    k' = y' |>' k,
+
+        k |> (x y y') = (k' |> (x y))(k |> y')
+                      = ((y |>' k') |> x)(k' |> y)(k |> y')
+                      = (((y y') |>' k) |> x)(k |> (y y')),
+
+    using y' at (k, x y), y at (k', x), the left-action law of |>', and y'
+    at (k, y).  Callers sweep the identity with the generators, so that no
+    unit law is needed.
+    """
+    cols = tuple(zip(*Xt))  # cols[c][x] = x c
+    Xs = range(len(Xt))
+
+    def sweep(ys: Sequence[int]) -> Optional[tuple]:
+        for k in range(len(act)):
+            # each y compares whole columns over x; the first witness at k is
+            # the least (x, position of y in ys) among the failing ys
+            actk, first = act[k], None
+            for j, y in enumerate(ys):
+                tw, right, col = act[back[y][k]], cols[actk[y]], cols[y]
+                if tuple(map(actk.__getitem__, col)) != tuple(map(right.__getitem__, tw)):
+                    x = next(x for x in Xs if actk[col[x]] != right[tw[x]])
+                    first = min(first or (x, j), (x, j))
+            if first is not None:
+                return (k, first[0], ys[first[1]])
+        return None
+
+    return certified_sweep(sweep, gens, Xs)
 
 
 # -- constructors -------------------------------------------------------------

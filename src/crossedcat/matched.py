@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import NoUniqueFactorization, NotExact, NotMatched
-from .groups import (FiniteGroup, GroupHom, Table, certified_sweep, generators,
-                     subgroup_as_group)
+from .groups import (FiniteGroup, GroupHom, Table, action_law_witness, generators,
+                     subgroup_as_group, twisted_hom_witness, unit_witness)
 from .records import Record
 from .report import VerificationReport, run_checks
 
@@ -63,12 +63,12 @@ def verify_matched_pair(mp: MatchedPair) -> VerificationReport:
         g |>1 (s t) = ((t |>2 g) |>1 s)(g |>1 t)
         s |>2 (g h) = ((h |>1 s) |>2 g)(s |>2 h)
 
-    and each axiom mirrors the other side's, so it is one sweep over the
-    Cayley tables and action rows, run once per side.  Loops nest in the
-    order of the witness tuple.  The left-action laws and the matching
-    relations hold everywhere once they hold at generators of one variable,
-    so each is certified there first (groups.certified_sweep), and only a
-    failing certificate runs the witness-order sweep.
+    and each axiom mirrors the other side's, so it is one shared sweep of
+    groups.py, run once per side; the sweeps carry their closure proofs.
+    The left-action laws are certified on the actor after the identity row,
+    and each matching relation on y when the other action passed its
+    left-action check; only a failing certificate runs the witness-order
+    sweep.
 
     The sweep runs once per record.  A record never changes, so every
     reader of one pair (the category and braiding verifiers, zappa_szep,
@@ -78,95 +78,28 @@ def verify_matched_pair(mp: MatchedPair) -> VerificationReport:
     checks = mp._verdict
     if checks is None:
         G, M, a1, a2 = mp.G, mp.Gamma, mp.act1, mp.act2
-        left1, left2 = _left_action_witness(G, M, a1), _left_action_witness(M, G, a2)
+        left1, left2 = _left_action_witness(G, a1), _left_action_witness(M, a2)
+        gens1 = [M.identity, *generators(M.table, M.identity)] if left2 is None else None
+        gens2 = [G.identity, *generators(G.table, G.identity)] if left1 is None else None
         checks = tuple(run_checks(VerificationReport(subject="matched-pair"), [
             ("act1_is_left_action", lambda: left1),
             ("act2_is_left_action", lambda: left2),
-            ("act1_fixes_unit", lambda: _unit_witness(G, M, a1)),
-            ("act2_fixes_unit", lambda: _unit_witness(M, G, a2)),
-            ("matching_relation_1", lambda: _matching_witness(G, M, a1, a2, left2 is None)),
-            ("matching_relation_2", lambda: _matching_witness(M, G, a2, a1, left1 is None)),
+            ("act1_fixes_unit", lambda: unit_witness(a1, M.identity)),
+            ("act2_fixes_unit", lambda: unit_witness(a2, G.identity)),
+            ("matching_relation_1", lambda: twisted_hom_witness(M.table, a1, a2, gens1)),
+            ("matching_relation_2", lambda: twisted_hom_witness(G.table, a2, a1, gens2)),
         ]).checks)
         object.__setattr__(mp, "_verdict", checks)
     return VerificationReport(subject="matched-pair", checks=list(checks))
 
 
-def _left_action_witness(K: FiniteGroup, X: FiniteGroup, act: Table) -> Optional[tuple]:
-    """First (e, x), then first (k, h, x), where act[k][x] (K on the set X) is no left action.
-
-    The second sweep is certified on the actor k (certified_sweep).  Call k
-    good when k(h x) = (k h)x for every h and x.  The identity is good once
-    the identity row has passed, and if k and k' are good, so is k k':
-
-        (k k')(h x) = k(k'(h x)) = k((k' h)x) = (k (k' h))x = ((k k') h)x,
-
-    using k at (k', h x), k' at (h, x), k at (k' h, x) and associativity of
-    K, which is a group: loaded groups are validated, and constructed ones
-    are groups by construction.
-    """
-    e, Kt, Xs = K.identity, K.table, X.elements()
-    acte = act[e]
-    for x in Xs:
-        if acte[x] != x:
-            return (e, x)
-
-    def sweep(ks: Sequence[int]) -> Optional[tuple]:
-        for k in ks:
-            actk, Kk = act[k], Kt[k]
-            for h in K.elements():
-                acth, actkh = act[h], act[Kk[h]]
-                if tuple(map(actk.__getitem__, acth)) != actkh:
-                    x = next((x for x in Xs if actk[acth[x]] != actkh[x]), None)
-                    if x is not None:
-                        return (k, h, x)
-        return None
-
-    return certified_sweep(sweep, generators(Kt, e), K.elements())
-
-
-def _unit_witness(K: FiniteGroup, X: FiniteGroup, act: Table) -> Optional[tuple]:
-    """First (k,) whose action moves the unit of X."""
-    e = X.identity
-    return next(((k,) for k in K.elements() if act[k][e] != e), None)
-
-
-def _matching_witness(K: FiniteGroup, X: FiniteGroup, act: Table, back: Table,
-                      back_is_action: bool) -> Optional[tuple]:
-    """First (k, x, y) with k |> (x y) != ((y |>' k) |> x)(k |> y), where |> is
-    act (K on X) and |>' is back (X on K).
-
-    Certified on y (certified_sweep) when back_is_action, that is, when
-    back passed its left-action check.  Call y good when the relation
-    holds at every (k, x).  If y and y' are good, so is y y': for every
-    (k, x), with k' = y' |>' k,
-
-        k |> (x y y') = (k' |> (x y))(k |> y')
-                      = ((y |>' k') |> x)(k' |> y)(k |> y')
-                      = (((y y') |>' k) |> x)(k |> (y y')),
-
-    using y' at (k, x y), y at (k', x), back's left-action law, and y' at
-    (k, y).  The identity is swept with the generators, so that no unit law
-    is needed.  Without a left-action back, the sweep runs in full.
-    """
-    Xt, Xs = X.table, X.elements()
-    gens = [X.identity, *generators(Xt, X.identity)] if back_is_action else None
-    cols = tuple(zip(*Xt))  # cols[c][x] = x c
-
-    def sweep(ys: Sequence[int]) -> Optional[tuple]:
-        for k in K.elements():
-            # each y compares whole columns over x; the first witness at k is
-            # the least (x, position of y in ys) among the failing ys
-            actk, first = act[k], None
-            for j, y in enumerate(ys):
-                tw, right, col = act[back[y][k]], cols[actk[y]], cols[y]
-                if tuple(map(actk.__getitem__, col)) != tuple(map(right.__getitem__, tw)):
-                    x = next(x for x in Xs if actk[col[x]] != right[tw[x]])
-                    first = min(first or (x, j), (x, j))
-            if first is not None:
-                return (k, first[0], ys[first[1]])
-        return None
-
-    return certified_sweep(sweep, gens, Xs)
+def _left_action_witness(K: FiniteGroup, act: Table) -> Optional[tuple]:
+    """First (e, x) where the identity row of act (K on a set) moves x, then
+    groups.action_law_witness, certified on generators: K is a group, and
+    its identity acts trivially once this row has passed."""
+    e = K.identity
+    bad = next(((e, x) for x, y in enumerate(act[e]) if y != x), None)
+    return bad or action_law_witness(K.table, act, generators(K.table, e))
 
 
 # -- Zappa-Szep product ---------------------------------------------------------

@@ -21,7 +21,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import NotMatched, SectionMissing
-from .groups import FiniteGroup, Table, certified_sweep, generators
+from .groups import (FiniteGroup, Table, action_law_witness, generators, is_hom_image,
+                     twisted_hom_witness, unit_witness)
 from .matched import MatchedPair, verify_matched_pair
 from .records import Record
 from .report import VerificationReport, run_checks
@@ -128,17 +129,33 @@ def vec_gamma(mp: MatchedPair, M: int = 1, name: Optional[str] = None) -> Pointe
                             name=name or f"Vec[{Gamma.name}]")
 
 
+def _well_formed(cat: PointedCrossedCategory) -> Optional[tuple]:
+    L, G, Gamma, mp, deg, act = cat.Lambda, cat.G, cat.Gamma, cat.mp, cat.grading, cat.action
+    if mp.G is not G or mp.Gamma is not Gamma:
+        return ("matched-pair groups differ from category groups",)
+    if len(deg) != L.order or len(act) != G.order:
+        return ("table shape",)
+    if any(len(row) != L.order for row in act):
+        return ("action shape",)
+    if any(not 0 <= v < Gamma.order for v in deg):
+        return ("grading range",)
+    if any(not 0 <= v < L.order for row in act for v in row):
+        return ("action range",)
+    return None
+
+
 def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     """Exhaustive checklist for the crossed-category axioms.
 
     Each axiom is one nest of loops over the dense tables, with row lookups
     hoisted out of the inner loops.  Loops nest in the order of the
     witness tuple, so every witness is the lexicographically first failing
-    tuple.  action_composition and axiom2_object_compat hold on a whole
-    group once they hold on its generators, so each is certified there
-    first (groups.certified_sweep), and only a failing certificate runs
-    the witness-order sweep.  Grading surjectivity is deliberately not part of the pass/fail
-    outcome; it only gates center construction.
+    tuple.  grading_is_homomorphism, action_composition, action_fixes_unit
+    and axiom2_object_compat are the shared sweeps of groups.py, which
+    certify a law on generators first and carry its closure proof.  A
+    failing well_formed ends the checklist, as every other check indexes
+    the tables by their shapes.  Grading surjectivity is deliberately not
+    part of the pass/fail outcome; it only gates center construction.
 
     The model fixes the pivotal scalar delta = 1 and the dimension d = 1 on
     every simple, so the pivotal compatibility ^g delta = delta holds
@@ -154,8 +171,11 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     cannot fail: the skip is exact, and the sweeps still meet their tuples
     in witness order.
     """
+    rep = run_checks(VerificationReport(subject=f"category {cat.name}"),
+                     [("well_formed", lambda: _well_formed(cat))])
+    if not rep.passed:
+        return rep
     L, G, Gamma, mp, M = cat.Lambda, cat.G, cat.Gamma, cat.mp, cat.M
-    rep = VerificationReport(subject=f"category {cat.name}")
     Lt, Gt = L.table, G.table
     act, deg, a1, a2 = cat.action, cat.grading, mp.act1, mp.act2
     J, X, phi, iota = cat.jtable, cat.chitable, cat.phitable, cat.iotatable
@@ -165,52 +185,12 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     live_x = [[any(row) for row in plane] for plane in X]
     any_j, any_x = any(live_j), any(map(any, live_x))
 
-    def well_formed() -> Optional[tuple]:
-        if mp.G is not G or mp.Gamma is not Gamma:
-            return ("matched-pair groups differ from category groups",)
-        if len(deg) != L.order or len(act) != G.order:
-            return ("table shape",)
-        if any(len(row) != L.order for row in act):
-            return ("action shape",)
-        if any(not 0 <= v < Gamma.order for v in deg):
-            return ("grading range",)
-        if any(not 0 <= v < L.order for row in act for v in row):
-            return ("action range",)
-        return None
-
     def matched_pair_valid() -> Optional[tuple]:
         r = verify_matched_pair(mp)
         return None if r.passed else (r.first_failure().name,)
 
-    def grading_hom() -> Optional[tuple]:
-        bad = next(((x, y) for x in Ls for y in Ls
-                    if deg[Lt[x][y]] != Gamma.table[deg[x]][deg[y]]), None)
-        return bad or (None if deg[eL] == Gamma.identity else (eL,))
-
     def action_identity() -> Optional[tuple]:
         return next(((x,) for x in Ls if act[eG][x] != x), None)
-
-    def action_composition() -> Optional[tuple]:
-        # certified on g (certified_sweep): if g and g' act compatibly with
-        # every h, then (g g')(^h x) = ^g(^{g'}(^h x)) = ^g(^{g' h} x)
-        # = ^{g g' h} x, using g at (g', ^h x), g' at (h, x), g at (g' h, x)
-        # and associativity of G.  The identity is swept with the
-        # generators, as action_identity does not gate this check.
-        def sweep(gs: Sequence[int]) -> Optional[tuple]:
-            for g in gs:
-                actg, Gg = act[g], Gt[g]
-                for h in Gs:
-                    acth, actgh = act[h], act[Gg[h]]
-                    if tuple(map(actg.__getitem__, acth)) != actgh:
-                        x = next((x for x in Ls if actg[acth[x]] != actgh[x]), None)
-                        if x is not None:
-                            return (g, h, x)
-            return None
-
-        return certified_sweep(sweep, [eG, *generators(Gt, eG)], Gs)
-
-    def action_fixes_unit() -> Optional[tuple]:
-        return next(((g,) for g in Gs if act[g][eL] != eL), None)
 
     def axiom1_grading() -> Optional[tuple]:
         return next(((g, x) for g in Gs for x in Ls if deg[act[g][x]] != a1[g][deg[x]]), None)
@@ -227,33 +207,12 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
         # (g, x^-1, x) it reads e = ^g(x^-1 x) = ^{del(x) |>2 g}(x^-1) . ^g x
         # once action_fixes_unit gives ^g e = e, and both checks come first.
         #
-        # Certified on y (certified_sweep) once grading_is_homomorphism and
-        # matched_pair_valid have passed.  If y and y' hold at every (g, x),
-        # so does y y': with g' = del(y') |>2 g,
-        #   ^g(x y y') = ^{g'}(x y) . ^g y' = ^{del(y) |>2 g'} x . ^{g'} y . ^g y'
-        #              = ^{del(y y') |>2 g} x . ^g(y y'),
-        # using y' at (g, x y), y at (g', x), the grading homomorphism with
-        # |>2 a left action, and y' at (g, y).  The unit is swept with the
-        # generators, so that no unit law is needed.
+        # The certificate needs y |>' g = del(y) |>2 g to be a left action of
+        # Lambda, which it is once del is a homomorphism and |>2 a left action.
         gated = all(c.passed for c in rep.checks
                     if c.name in ("grading_is_homomorphism", "matched_pair_valid"))
-        cols = tuple(zip(*Lt))  # cols[c][x] = x c
-
-        def sweep(ys: Sequence[int]) -> Optional[tuple]:
-            for g in Gs:
-                # each y compares whole columns over x; the first witness at
-                # g is the least (x, position of y in ys) among the failing ys
-                actg, twg, first = act[g], twist[g], None
-                for j, y in enumerate(ys):
-                    col, right, acted = cols[y], cols[actg[y]], act[twg[y]]
-                    if tuple(map(actg.__getitem__, col)) != tuple(map(right.__getitem__, acted)):
-                        x = next(x for x in Ls if actg[col[x]] != right[acted[x]])
-                        first = min(first or (x, j), (x, j))
-                if first is not None:
-                    return (g, first[0], ys[first[1]])
-            return None
-
-        return certified_sweep(sweep, [eL, *generators(Lt, eL)] if gated else None, Ls)
+        return twisted_hom_witness(Lt, act, [a2[d] for d in deg],
+                                   [eL, *generators(Lt, eL)] if gated else None)
 
     def axiom2_cocycle() -> Optional[tuple]:
         # J[g][xy][z] + J[del(z) |>2 g][x][y] = J[g][x][yz] + J[g][y][z]
@@ -344,12 +303,13 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
                      if (iota[Lt[x][y]] - J[eG][x][y] - iota[x] - iota[y]) % M), None)
 
     return run_checks(rep, [
-        ("well_formed", well_formed),
         ("matched_pair_valid", matched_pair_valid),
-        ("grading_is_homomorphism", grading_hom),
+        # the law at (e, e) reads del(e) = del(e)^2, so del(e) is the unit
+        ("grading_is_homomorphism", lambda: is_hom_image(L, Gamma, deg)),
         ("action_identity", action_identity),
-        ("action_composition", action_composition),
-        ("action_fixes_unit", action_fixes_unit),
+        # action_identity does not gate the certificate: the identity is swept too
+        ("action_composition", lambda: action_law_witness(Gt, act, [eG, *generators(Gt, eG)])),
+        ("action_fixes_unit", lambda: unit_witness(act, eL)),
         ("axiom1_grading_compat", axiom1_grading),
         ("axiom2_object_compat", twisted_multiplicativity),
         ("axiom2_j_cocycle", axiom2_cocycle),

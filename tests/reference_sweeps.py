@@ -438,8 +438,10 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
                 return (x, y)
         return None
 
+    # every later check indexes the tables by their shapes
+    if not run_checks(rep, [("well_formed", well_formed)]).passed:
+        return rep
     return run_checks(rep, [
-        ("well_formed", well_formed),
         ("matched_pair_valid", matched_pair_valid),
         ("grading_is_homomorphism", grading_hom),
         ("action_identity", action_identity),

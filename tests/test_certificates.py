@@ -19,11 +19,11 @@ from conftest import FIXTURE_DIR, category, pair
 from crossedcat import groups, jsonio
 from crossedcat.center import verify_center_braided
 from crossedcat.errors import CrossedCatError, GroupValidationError
-from crossedcat.groups import (FiniteGroup, cyclic, dihedral, direct_product, generators,
-                               group_hom, is_hom_image, subgroup_from_generators, symmetric,
-                               trivial_group, validate_group)
-from crossedcat.matched import (_left_action_witness, _matching_witness, matched_pair,
-                                verify_matched_pair)
+from crossedcat.braided import verify_braiding
+from crossedcat.groups import (FiniteGroup, action_law_witness, cyclic, dihedral, direct_product,
+                               generators, group_hom, is_hom_image, subgroup_from_generators,
+                               symmetric, trivial_group, twisted_hom_witness, validate_group)
+from crossedcat.matched import matched_pair, verify_matched_pair
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from reference_sweeps import (reference_crossed_category, reference_group_hom,
                               reference_is_hom_image, reference_matched_pair,
@@ -171,9 +171,9 @@ def test_matching_certificate_needs_a_left_action_back():
     K, X = cyclic(2), cyclic(3)
     act = ((0, 1, 2), (0, 2, 1))     # Z2 inverts Z3
     back = ((0, 1), (0, 1), (0, 0))  # 2 |>' 1 = 0, so 2 |>' (2 |>' 1) != (2 2) |>' 1
-    assert _left_action_witness(X, K, back) is not None
-    assert _matching_witness(K, X, act, back, True) is None  # at 0 and the generator 1
-    assert _matching_witness(K, X, act, back, False) == (1, 1, 2)
+    assert action_law_witness(X.table, back, generators(X.table, X.identity)) == (1, 1, 1)
+    assert twisted_hom_witness(X.table, act, back, [0, 1]) is None  # at 0 and the generator 1
+    assert twisted_hom_witness(X.table, act, back, None) == (1, 1, 2)
     mp = matched_pair(K, X, act, back)
     assert triples(verify_matched_pair(mp)) == triples(reference_matched_pair(mp))
     assert verify_matched_pair(mp).checks[4].witness == (1, 1, 2)
@@ -246,9 +246,9 @@ def test_object_compat_certificate_needs_a_grading_homomorphism():
 
 def test_passing_fixtures_run_no_full_sweep(monkeypatch):
     """On every category fixture whose `verify category` and `verify center`
-    pass, every certified law passes on its generators: a certificate that
-    stops holding there turns this red instead of quietly costing the full
-    sweep."""
+    pass, and on every group, matched-pair and braided-pair fixture, every
+    certified law passes on its generators: a certificate that stops
+    holding there turns this red instead of quietly costing the full sweep."""
     full = []
     original = groups.certified_sweep
 
@@ -259,21 +259,36 @@ def test_passing_fixtures_run_no_full_sweep(monkeypatch):
             return sweep(r)
         return original(recorded, gens, elements)
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("crossedcat") and \
-                getattr(module, "certified_sweep", None) is original:
-            monkeypatch.setattr(module, "certified_sweep", counting)
+    patched = [module for name, module in list(sys.modules.items())
+               if name.startswith("crossedcat")
+               and getattr(module, "certified_sweep", None) is original]
+    assert patched, "no module binds certified_sweep"
+    for module in patched:
+        monkeypatch.setattr(module, "certified_sweep", counting)
+    # a known-failing mutant sweeps in full, so the patch is live
+    cat = category("vec-s4-pair")
+    mut = pointed_category(cat.Lambda, cat.mp, [*cat.grading[:5], 0], cat.action, cat.M)
+    assert not verify_crossed_category(mut).passed
+    assert full != []
     passing = []
-    for path in sorted(FIXTURE_DIR.glob("cat-*.json")):
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
         del full[:]
-        cat = jsonio.load_category(path, validate=False)
-        if not verify_crossed_category(cat).passed:
-            continue
-        try:
-            if not verify_center_braided(cat).passed:
+        name = path.name
+        if name.startswith("group-"):
+            jsonio.load_group(path)
+        elif name.endswith("-braided.json") or name.endswith("-center.json"):
+            assert verify_braiding(jsonio.load_braided(path)).passed, name
+        elif not name.startswith("cat-"):
+            assert verify_matched_pair(jsonio.load_matched(path)).passed, name
+        else:
+            cat = jsonio.load_category(path, validate=False)
+            if not verify_crossed_category(cat).passed:
                 continue
-        except CrossedCatError:  # a center that cannot be built has no report
-            continue
-        passing.append(path.name)
-        assert full == [], path.name
-    assert len(passing) == 13, passing
+            try:
+                if not verify_center_braided(cat).passed:
+                    continue
+            except CrossedCatError:  # a center that cannot be built has no report
+                continue
+        passing.append(name)
+        assert full == [], name
+    assert len(passing) == 38, passing

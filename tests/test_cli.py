@@ -302,6 +302,10 @@ def test_help_prints_the_usage_of_every_command(capsys):
      "--objects must be comma-separated integers, got 'a'"),
     (["coherence", "--category", "{cat}", "--objects", "99"],
      "--objects label 99 out of range 0..3"),
+    (["coherence", "--category", "{cat}", "--objects", ",,"],
+     "--objects names no label, got ',,'"),
+    (["coherence", "--category", "{cat}", "--objects", ""],
+     "--objects names no label, got ''"),
     (["factorize", "{s4}", "--gens-g", "x", "--gens-gamma", "6,8", "-o", "{out}"],
      "--gens-g must be comma-separated integers, got 'x'"),
     (["coherence", "--category", "{cat}", "--arity", "1", "--max-nodes", "0"],
@@ -317,9 +321,9 @@ def test_help_prints_the_usage_of_every_command(capsys):
      "--max-nodes 6 is below 79: a 40-object tuple has no word with fewer nodes"),
     (["coherence", "--category", "{vec}", "--objects", "0", "--max-nodes", "1200"],
      "--max-nodes 1200 is too large: enumerating its words exceeds the recursion limit"),
-], ids=["objects-not-int", "objects-out-of-range", "gens-not-int", "max-nodes-0",
-        "max-nodes-below-arity", "arity-0", "tuple-cap-negative", "arity-40",
-        "max-nodes-past-recursion-limit"])
+], ids=["objects-not-int", "objects-out-of-range", "objects-commas", "objects-empty",
+        "gens-not-int", "max-nodes-0", "max-nodes-below-arity", "arity-0", "tuple-cap-negative",
+        "arity-40", "max-nodes-past-recursion-limit"])
 def test_malformed_arguments_exit_2(capsys, fixture_dir, tmp_path, argv, error):
     paths = {"cat": fixture_dir / "cat-z4-over-z2.json", "s4": fixture_dir / "group-s4.json",
              "vec": fixture_dir / "cat-vec-trivial.json", "out": tmp_path / "out.json"}

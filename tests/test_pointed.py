@@ -12,7 +12,8 @@ from crossedcat.errors import ValidationError
 from crossedcat.fixtures import CATEGORIES
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
-from crossedcat.pointed import pointed_category, verify_crossed_category
+from crossedcat.pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
+from reference_sweeps import reference_crossed_category
 
 ALL_CATS = sorted(CATEGORIES)
 
@@ -211,6 +212,36 @@ def test_matched_pair_group_mismatch_rejected(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(ValidationError):
         jsonio.load_category(path)
+
+
+@pytest.mark.parametrize("shape,witness", [
+    ("grading", "grading range"),
+    ("action-entry", "action range"),
+    ("short-row", "action shape"),
+    ("other-groups", "matched-pair groups differ from category groups"),
+], ids=["grading", "action-entry", "short-row", "other-groups"])
+def test_malformed_category_reports_well_formed_alone(shape, witness):
+    """A category that fails well_formed gets a report holding that one
+    check, from the package and from the reference, where every later check
+    would index the bad tables."""
+    cat = jsonio.load_category(FIXTURE_DIR / "cat-z4-over-z2.json")
+    grading, action = list(cat.grading), [list(r) for r in cat.action]
+    if shape == "grading":
+        grading = [0, 1, 0, 5]
+    elif shape == "action-entry":
+        action[1][1] = 9
+    elif shape == "short-row":
+        action[1] = action[1][:3]
+    mut = pointed_category(cat.Lambda, cat.mp, grading, action, cat.M, name="bad")
+    if shape == "other-groups":
+        mut = PointedCrossedCategory(cat.Lambda, cat.Gamma, cat.G,
+                                     direct_pair(trivial_group(), trivial_group()), mut.grading,
+                                     mut.action, mut.M, mut.jtable, mut.phitable, mut.chitable,
+                                     mut.iotatable, "bad")
+    for verify in (verify_crossed_category, reference_crossed_category):
+        rep = verify(mut)
+        assert [(c.name, c.passed, c.witness) for c in rep.checks] == \
+            [("well_formed", False, (witness,))], verify.__name__
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))

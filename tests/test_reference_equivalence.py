@@ -101,17 +101,18 @@ def test_one_matching_sweep_per_pair(monkeypatch):
     `verify category` and `verify center`, and the verdict stays with its
     record: a mutant of a verified pair is a new record and is swept afresh."""
     calls = []
-    sweep = matched._matching_witness
-    monkeypatch.setattr(matched, "_matching_witness",
-                        lambda K, X, act, back, back_is_action: calls.append((K, X))
-                        or sweep(K, X, act, back, back_is_action))
+    # the pairs' calls only: pointed binds the shared sweep under its own name
+    sweep = matched.twisted_hom_witness
+    monkeypatch.setattr(matched, "twisted_hom_witness",
+                        lambda Xt, act, back, gens: calls.append((Xt, act))
+                        or sweep(Xt, act, back, gens))
     # loaded afresh: no record of it has been verified in this process
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-turaev-s3.json", validate=False)
     assert verify_crossed_category(cat).passed
     assert verify_center_braided(cat).passed
     # two relations for each of the two pairs, the input and the induced one
     assert len(calls) == 4
-    assert len({(id(K), id(X)) for K, X in calls}) == 4
+    assert len({(id(Xt), id(act)) for Xt, act in calls}) == 4
 
     Z = CenterStructure(cat)
     del calls[:]
