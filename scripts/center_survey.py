@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Survey the centers of all category fixtures: counts, grades, coefficients,
 how many J planes and chi rows of each center, viewed as a category, are all
-zero (the blocks the crossed-category sweeps skip), and which whole sweeps
-the zero rule skips: the center's scalar sweeps, and the cocycle sweeps of
-the center viewed as a category.
+zero (the blocks the crossed-category sweeps skip), whether the center's
+scalar data is zero (CenterStructure.zero: its scalar checks then pass
+unread), and which cocycle sweeps of the center viewed as a category the
+zero rule skips whole.
 
 Run as `python scripts/center_survey.py`.
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from crossedcat.center import SWEEP_TABLES, CenterStructure, verify_center_braided  # noqa: E402
+from crossedcat.center import CenterStructure, verify_center_braided  # noqa: E402
 from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES  # noqa: E402
 
 
@@ -42,8 +43,7 @@ def main() -> None:
         zero_chi = sum(not any(row) for row in chi_rows)
         print(f"  zero J planes {zero_j}/{len(zcat.jtable)}, "
               f"zero chi rows {zero_chi}/{len(chi_rows)}")
-        skipped = [c for c, tables in SWEEP_TABLES.items() if Z.all_zero(*tables)]
-        print(f"  skipped center sweeps: {', '.join(skipped) or 'none'}")
+        print(f"  zero scalar data: {Z.zero}")
         # a cocycle sweep of the category returns at once when the J planes
         # and chi rows its equations read are all zero
         j_zero, chi_zero = zero_j == len(zcat.jtable), zero_chi == len(chi_rows)

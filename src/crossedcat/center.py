@@ -123,19 +123,6 @@ def relative_center_oracle(cat: PointedCrossedCategory) -> list[CenterSimple]:
 
 # -- structure maps --------------------------------------------------------------
 
-# The scalar tables each zero-support center sweep reads: a CenterStructure
-# attribute, or "jtable"/"chitable" of the category.  Every equation of
-# these sweeps is a balanced sum of entries of its tables.
-SWEEP_TABLES = {
-    "sigma_j_compat": ("sigma_table", "j_gamma_table", "jtable"),
-    "sigma_yang_baxter_gamma": ("sigma_table", "chi_gamma_table"),
-    "sigma_yang_baxter_g": ("sigma_table", "chitable"),
-    "braiding_axiom_1": ("braid_table", "j_table", "chi_table"),
-    "braiding_axiom_2": ("braid_table", "j_table", "chi_table"),
-    "braiding_axiom_3": ("braid_table", "j_table", "chi_table"),
-}
-
-
 class CenterStructure:
     """The center with its tensor, two actions, swap scalars, and braiding.
 
@@ -167,7 +154,6 @@ class CenterStructure:
         self.npos = {nu: i for i, nu in enumerate(cat.neutral_labels)}
         (self.points, self.tensor_table, self.g_action_table, self._gamma_table,
          self._unsupported) = self._close()
-        self._zero: dict[str, bool] = {}
 
     @cached_property
     def unit(self) -> CenterSimple:
@@ -275,14 +261,19 @@ class CenterStructure:
                 points.append(CenterSimple(*key))
             return i
 
-        g_rows, gamma_rows, tensor_rows = [], [], []
+        # a row per actor, so that an empty simple list still gets every row
+        g_table = [[] for _ in G.elements()]
+        gamma_table = [[] for _ in cat.Gamma.elements()]
+        tensor_rows = []
         unsupported = None
         for z in points:  # grows while it is walked
             h, lab, chi = z.g, z.label, z.chi
-            g_rows.append([intern(key) for key in self._g_images(z)])
+            for row, key in zip(g_table, self._g_images(z)):
+                row.append(intern(key))
             failure = self._retract_failure(z)
             if failure is not None:
-                gamma_rows.append([None] * cat.Gamma.order)
+                for row in gamma_table:
+                    row.append(None)
                 unsupported = unsupported or failure
             else:
                 # Gamma-action by the retract of zeta_s (.) zeta_s^dual.  Chain at
@@ -291,11 +282,11 @@ class CenterStructure:
                 #   chi'(nu) = chi(zeta^-1 nu zeta) + J[h][zeta][zeta^-1 nu zeta]
                 #              - J[h][nu][zeta]   on  (s |>2 h, ^h zeta . lam . zeta^-1)
                 Jh, acth = J[h], act[h]
-                gamma_rows.append([intern((
-                    a2[s][h], Lt[Lt[acth[zeta]][lab]][zetai],
-                    tuple((chi[p] + Jh[zeta][c] - Jh[nu][zeta]) % M
-                          for nu, c, p in zip(N, conj, cpos))))
-                    for s, zeta, zetai, conj, cpos in s_terms])
+                for row, (s, zeta, zetai, conj, cpos) in zip(gamma_table, s_terms):
+                    row.append(intern((
+                        a2[s][h], Lt[Lt[acth[zeta]][lab]][zetai],
+                        tuple((chi[p] + Jh[zeta][c] - Jh[nu][zeta]) % M
+                              for nu, c, p in zip(N, conj, cpos)))))
             # tensor: half-braidings compose through the acted argument,
             #   chi(nu) = X[h1][h2][nu] + chi1(^{h2} nu) + chi2(nu)
             #   on (h1 h2, lam1 . lam2)
@@ -304,23 +295,22 @@ class CenterStructure:
                 Gh[wg], Lab[wl],
                 tuple((a + chi[p] + b) % M for a, p, b in zip(Xh[wg], wpos, wchi))))
                 for wg, wl, wchi, wpos in columns))
-        return (tuple(points), tuple(tensor_rows), tuple(zip(*g_rows)), tuple(zip(*gamma_rows)),
-                unsupported)
+        return (tuple(points), tuple(tensor_rows), tuple(map(tuple, g_table)),
+                tuple(map(tuple, gamma_table)), unsupported)
 
-    def all_zero(self, *names: str) -> bool:
-        """True when every named scalar table holds only zero exponents: an
-        attribute of this structure, or "jtable"/"chitable" of the category.
-        Each table's flag is computed once, from the built table, with
-        C-level any."""
-        for name in names:
-            if name not in self._zero:
-                table = getattr(self.cat if name in ("jtable", "chitable") else self, name)
-                # braid_table is the one table of rows; the others hold planes
-                rows = table if name == "braid_table" else itertools.chain.from_iterable(table)
-                self._zero[name] = not any(map(any, rows))
-            if not self._zero[name]:
-                return False
-        return True
+    @cached_property
+    def zero(self) -> bool:
+        """True when J, chi, phi and iota of the category and the chi of
+        every point are all zero, as on every Vec center.  Every scalar
+        table entry, and every unit term of sigma_phi_compat and
+        sigma_units, is a signed sum of these primitives, so each reads 0;
+        and with every chi and phi zero _retract_failure cannot fire, so no
+        table read raises."""
+        cat = self.cat
+        planes = itertools.chain(cat.jtable, cat.chitable)
+        return not (any(cat.phitable) or any(cat.iotatable)
+                    or any(map(any, itertools.chain.from_iterable(planes)))
+                    or any(any(z.chi) for z in self.points))
 
     @property
     def gamma_action_table(self) -> tuple[tuple[int, ...], ...]:
@@ -428,12 +418,11 @@ class CenterStructure:
         """[A][point][simple] -> J of the combined action: the Gamma part's J,
         then J of the category at the two Gamma-acted labels."""
         cat = self.cat
-        M, J, a1 = cat.M, cat.jtable, cat.mp.act1
-        SA, JG = self.gamma_action_table, self.j_gamma_table
-        if self.all_zero("j_gamma_table", "jtable"):
-            # every entry is a sum of two zeros
+        if self.zero:
             plane = ((0,) * len(self.simples),) * len(self.points)
             return (plane,) * (cat.G.order * cat.Gamma.order)
+        M, J, a1 = cat.M, cat.jtable, cat.mp.act1
+        SA, JG = self.gamma_action_table, self.j_gamma_table
         label = [z.label for z in self.points]
         members, points = range(len(self.simples)), range(len(self.points))
         out = []
@@ -454,11 +443,10 @@ class CenterStructure:
         Gamma part's chi and chi of the category."""
         cat = self.cat
         G, Gamma, M, mp, X = cat.G, cat.Gamma, cat.M, cat.mp, cat.chitable
-        SA, SG, XG = self.gamma_action_table, self.sigma_table, self.chi_gamma_table
-        if self.all_zero("sigma_table", "chi_gamma_table", "chitable"):
-            # every entry is a sum of three zeros
+        if self.zero:
             plane = ((0,) * len(self.simples),) * (G.order * Gamma.order)
             return (plane,) * (G.order * Gamma.order)
+        SA, SG, XG = self.gamma_action_table, self.sigma_table, self.chi_gamma_table
         label = [z.label for z in self.points]
         members = range(len(self.simples))
         # per (s, g2, s2): g_hat, sigma plus the Gamma part's chi, and the
@@ -529,15 +517,14 @@ def verify_center_braided(cat: PointedCrossedCategory,
     order of each witness tuple.  `simples` overrides the enumeration (used
     by mutation tests).
 
-    Zero support: six sweeps (SWEEP_TABLES: sigma_j_compat, both
-    Yang-Baxter shapes and the three braiding axioms) read nothing but
-    scalar tables, and each of their equations is a balanced sum of table
-    entries.  When every table a sweep reads is all zero, as on every Vec
-    center, each equation reads 0 = 0, so the sweep returns a pass before
-    its loops.  The skip is exact, and it comes after the sweep has read
-    (and built) the same tables as before, the action tables included, so
-    a corrupted simple list still raises from them and reports the same
-    exception witness.
+    Zero support: eight checks (sigma_j_compat, sigma_phi_compat, both
+    Yang-Baxter shapes, sigma_units and the three braiding axioms) read
+    nothing but scalar tables and the category's unit scalars.  When
+    CenterStructure.zero holds, as on every Vec center, each of their
+    equations reads 0 = 0 and no table read can raise (the proof is at
+    that flag), so they pass without reading a table.  The flag is decided
+    once, from the input, and the combined J and chi tables are then shared
+    zero planes, so zero data builds no scalar table at all.
 
     Precondition: `cat` passes verify_crossed_category.  Callers verify it
     first, as the CLI's `verify center` and `center` commands both do.
@@ -582,8 +569,6 @@ def verify_center_braided(cat: PointedCrossedCategory,
         label = [z.label for z in P]
         deg_g = [z.g for z in P]
         deg_s = [cat.grading[z.label] for z in P]
-        if Z.all_zero(*SWEEP_TABLES["sigma_j_compat"]):
-            return None
         for g in G.elements():
             for s in Gamma.elements():
                 g0, s0 = g0_s0(g, s)
@@ -616,8 +601,6 @@ def verify_center_braided(cat: PointedCrossedCategory,
 
     def sigma_yang_baxter_gamma() -> Optional[tuple]:
         GA, SA, SG, XG = Z.g_action_table, Z.gamma_action_table, Z.sigma_table, Z.chi_gamma_table
-        if Z.all_zero(*SWEEP_TABLES["sigma_yang_baxter_gamma"]):
-            return None
         for g in G.elements():
             gi, SGg, GAg = Ginv[g], SG[g], GA[g]
             for s in Gamma.elements():
@@ -634,8 +617,6 @@ def verify_center_braided(cat: PointedCrossedCategory,
     def sigma_yang_baxter_g() -> Optional[tuple]:
         GA, SA, SG = Z.g_action_table, Z.gamma_action_table, Z.sigma_table
         label = [z.label for z in Z.points]
-        if Z.all_zero(*SWEEP_TABLES["sigma_yang_baxter_g"]):
-            return None
         for g in G.elements():
             for g2 in G.elements():
                 Xgg2, SGgg2, GAg2 = X[g][g2], SG[Gt[g][g2]], GA[g2]
@@ -706,8 +687,6 @@ def verify_center_braided(cat: PointedCrossedCategory,
 
     def braiding_axiom_1() -> Optional[tuple]:
         B, act, grade, Jc, Xc = Z.braid_table, Z.action_table, Z.grade_table, Z.j_table, Z.chi_table
-        if Z.all_zero(*SWEEP_TABLES["braiding_axiom_1"]):
-            return None
         for A in bmp.mp.G.elements():
             JA, actA, cpA = Jc[A], act[A], cpa1[A]
             for i in Zs:
@@ -729,8 +708,6 @@ def verify_center_braided(cat: PointedCrossedCategory,
         B, act, grade, T = Z.braid_table, Z.action_table, Z.grade_table, Z.tensor_table
         Jc, Xc = Z.j_table, Z.chi_table
         phi_of = [phi_img[grade[l]] for l in Zs]
-        if Z.all_zero(*SWEEP_TABLES["braiding_axiom_2"]):
-            return None
         for i in Zs:
             S1, Bi, Ti = grade[i], B[i], T[i]
             for k in Zs:
@@ -745,8 +722,6 @@ def verify_center_braided(cat: PointedCrossedCategory,
         B, act, grade, T = Z.braid_table, Z.action_table, Z.grade_table, Z.tensor_table
         Jc, Xc = Z.j_table, Z.chi_table
         phi_of = [phi_img[grade[l]] for l in Zs]
-        if Z.all_zero(*SWEEP_TABLES["braiding_axiom_3"]):
-            return None
         for i in Zs:
             Bi, Jpsi = B[i], Jc[psi_img[grade[i]]]
             for k in Zs:
@@ -767,17 +742,21 @@ def verify_center_braided(cat: PointedCrossedCategory,
                 return ("exception", type(exc).__name__, str(exc)[:120])
         return run
 
+    def scalar(fn):
+        # a check that reads only scalar data passes unread on zero data
+        return (lambda: None) if Z.zero else fn
+
     return run_checks(rep, [(name, guarded(fn)) for name, fn in [
         ("oracle_equivalence", oracle_equivalence),
         ("induced_pair_braided", induced_pair_braided),
-        ("sigma_j_compat", sigma_j_compat),
-        ("sigma_phi_compat", sigma_phi_compat),
-        ("sigma_yang_baxter_gamma", sigma_yang_baxter_gamma),
-        ("sigma_yang_baxter_g", sigma_yang_baxter_g),
-        ("sigma_units", sigma_units),
+        ("sigma_j_compat", scalar(sigma_j_compat)),
+        ("sigma_phi_compat", scalar(sigma_phi_compat)),
+        ("sigma_yang_baxter_gamma", scalar(sigma_yang_baxter_gamma)),
+        ("sigma_yang_baxter_g", scalar(sigma_yang_baxter_g)),
+        ("sigma_units", scalar(sigma_units)),
         ("center_category_axioms", center_category_axioms),
-        ("braiding_axiom_1", braiding_axiom_1),
-        ("braiding_axiom_2", braiding_axiom_2),
-        ("braiding_axiom_3", braiding_axiom_3),
+        ("braiding_axiom_1", scalar(braiding_axiom_1)),
+        ("braiding_axiom_2", scalar(braiding_axiom_2)),
+        ("braiding_axiom_3", scalar(braiding_axiom_3)),
     ]])
 

@@ -200,14 +200,14 @@ def category_to_json(cat: PointedCrossedCategory) -> dict:
         "grading": list(cat.grading),
         "action": [list(r) for r in cat.action],
         "M": cat.M,
-        "J": "trivial" if _all_zero3(cat.jtable) else flat3(cat.jtable),
+        "J": "trivial" if _zero3(cat.jtable) else flat3(cat.jtable),
         "phi": "trivial" if all(v == 0 for v in cat.phitable) else list(cat.phitable),
-        "chi": "trivial" if _all_zero3(cat.chitable) else flat3(cat.chitable),
+        "chi": "trivial" if _zero3(cat.chitable) else flat3(cat.chitable),
         "iota": "trivial" if all(v == 0 for v in cat.iotatable) else list(cat.iotatable),
     }
 
 
-def _all_zero3(t) -> bool:
+def _zero3(t) -> bool:
     return all(v == 0 for plane in t for row in plane for v in row)
 
 

@@ -141,7 +141,16 @@ def _well_formed(cat: PointedCrossedCategory) -> Optional[tuple]:
         return ("grading range",)
     if any(not 0 <= v < L.order for row in act for v in row):
         return ("action range",)
+    if (not _shaped(cat.jtable, G.order, L.order, L.order)
+            or not _shaped(cat.chitable, G.order, G.order, L.order)
+            or len(cat.phitable) != G.order or len(cat.iotatable) != L.order):
+        return ("scalar shape",)
     return None
+
+
+def _shaped(table: Exp3, a: int, b: int, c: int) -> bool:
+    return len(table) == a and all(len(plane) == b and all(len(row) == c for row in plane)
+                                   for plane in table)
 
 
 def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:

@@ -312,6 +312,13 @@ def reference_center_braiding(mp: MatchedPair) -> BraidedMatchedPair:
     return BraidedMatchedPair(cp, phi, psi)
 
 
+def shape_is(table, dims: tuple[int, ...]) -> bool:
+    """The nested table has length dims[0], each entry length dims[1], ..."""
+    if len(table) != dims[0]:
+        return False
+    return len(dims) == 1 or all(shape_is(entry, dims[1:]) for entry in table)
+
+
 def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     """Exhaustive checklist for the crossed-category axioms.
 
@@ -333,6 +340,11 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
             return ("grading range",)
         if any(not 0 <= v < L.order for row in cat.action for v in row):
             return ("action range",)
+        for table, dims in ((cat.jtable, (G.order, L.order, L.order)), (cat.phitable, (G.order,)),
+                            (cat.chitable, (G.order, G.order, L.order)),
+                            (cat.iotatable, (L.order,))):
+            if not shape_is(table, dims):
+                return ("scalar shape",)
         return None
 
     def matched_pair_valid() -> Optional[tuple]:

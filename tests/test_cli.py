@@ -395,7 +395,10 @@ def test_center_survey_script_verifies_every_center(fixture_dir):
     assert all("verified = True" in h for h in heads), heads
     assert done.stdout.count("zero J planes ") == len(CENTER_FIXTURES)
     lines = done.stdout.splitlines()
-    z6 = next(i for i, line in enumerate(lines) if line.startswith("z6-over-z3:"))
+    z6, s4 = (next(i for i, line in enumerate(lines) if line.startswith(f"{name}:"))
+              for name in ("z6-over-z3", "vec-s4-pair"))
     assert lines[z6 + 1] == ("  grades: {(0, 0): 4, (0, 1): 4, (0, 2): 4, "
                              "(1, 0): 4, (1, 1): 4, (1, 2): 4}")
     assert lines[z6 + 4] == "  zero J planes 2/6, zero chi rows 24/36"
+    assert lines[z6 + 5] == "  zero scalar data: False"
+    assert lines[s4 + 5] == "  zero scalar data: True"

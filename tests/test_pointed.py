@@ -219,7 +219,12 @@ def test_matched_pair_group_mismatch_rejected(tmp_path):
     ("action-entry", "action range"),
     ("short-row", "action shape"),
     ("other-groups", "matched-pair groups differ from category groups"),
-], ids=["grading", "action-entry", "short-row", "other-groups"])
+    ("j-planes", "scalar shape"),
+    ("phi", "scalar shape"),
+    ("iota", "scalar shape"),
+    ("chi-planes", "scalar shape"),
+], ids=["grading", "action-entry", "short-row", "other-groups", "j-planes", "phi", "iota",
+        "chi-planes"])
 def test_malformed_category_reports_well_formed_alone(shape, witness):
     """A category that fails well_formed gets a report holding that one
     check, from the package and from the reference, where every later check
@@ -232,7 +237,11 @@ def test_malformed_category_reports_well_formed_alone(shape, witness):
         action[1][1] = 9
     elif shape == "short-row":
         action[1] = action[1][:3]
-    mut = pointed_category(cat.Lambda, cat.mp, grading, action, cat.M, name="bad")
+    scalars = {"j-planes": {"jtable": cat.jtable[:1]}, "phi": {"phitable": cat.phitable[:1]},
+               "iota": {"iotatable": cat.iotatable[:2]},
+               "chi-planes": {"chitable": cat.chitable[:1]}}
+    mut = pointed_category(cat.Lambda, cat.mp, grading, action, cat.M, name="bad",
+                           **scalars.get(shape, {}))
     if shape == "other-groups":
         mut = PointedCrossedCategory(cat.Lambda, cat.Gamma, cat.G,
                                      direct_pair(trivial_group(), trivial_group()), mut.grading,

@@ -21,8 +21,7 @@ import pytest
 from conftest import FIXTURE_DIR, category, pair
 from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
-from crossedcat.center import (SWEEP_TABLES, CenterSimple, CenterStructure, enumerate_center,
-                               verify_center_braided)
+from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
 from crossedcat.errors import UnsupportedConfiguration
 from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.matched import matched_pair, verify_matched_pair, zappa_szep
@@ -299,10 +298,10 @@ def test_center_reports(name):
     cat = category(name)
     assert triples(verify_center_braided(cat)) == triples(reference_center_braided(cat))
     rng = random.Random(f"simples:{name}")
-    for mutated in [*_corrupted_simples(cat, 3, rng), *_duplicated_simple(cat, rng)]:
+    for mutated in [*_corrupted_simples(cat, 3, rng), *_duplicated_simple(cat, rng), []]:
         rep = verify_center_braided(cat, simples=mutated)
-        # a changed exponent or a repeated simple leaves the oracle's list,
-        # so no later check is ever the first to see it
+        # a changed exponent, a repeated simple or an empty list leaves the
+        # oracle's list, so no later check is ever the first to see it
         assert rep.first_failure().name == "oracle_equivalence"
         assert verdicts(rep) == verdicts(reference_center_braided(cat, simples=mutated))
 
@@ -328,42 +327,54 @@ def test_unit_actions_on_points(name):
         try:
             SA = Z.gamma_action_table
         except UnsupportedConfiguration:
-            continue  # a point fails the retract guard, so there is no Gamma-action
+            # a point fails the retract guard, so there is no Gamma-action,
+            # and zero data, where no table read may raise, is ruled out
+            assert not Z.zero
+            continue
         assert [P[p] for p in SA[cat.Gamma.identity]] == list(P)
 
 
-def test_zero_support_skips_never_mask_an_exception(monkeypatch):
-    """Over a Vec fixture every scalar sweep of the center skips, yet each
-    still reads the action tables first: a simple whose unit exponent breaks
-    the retract idempotent makes all six report the same exception as the
-    reference sweeps, even where the zero rule is made to fire, and every
-    other check the reference's witness."""
+def test_zero_support_skips_never_mask_an_exception():
+    """A simple of a Vec fixture whose unit exponent breaks the retract
+    idempotent makes the center's data nonzero, so no check is skipped:
+    each of the six scalar sweeps reports the same exception as the
+    reference sweeps, and every other check the reference's witness."""
     cat = category("vec-z2z3")
-    assert all(CenterStructure(cat).all_zero(*t) for t in SWEEP_TABLES.values())
     simples = enumerate_center(cat)
     unit_pos = cat.neutral_labels.index(cat.Lambda.identity)
+    sweeps = ("sigma_j_compat", "sigma_yang_baxter_gamma", "sigma_yang_baxter_g",
+              "braiding_axiom_1", "braiding_axiom_2", "braiding_axiom_3")
     for k, z in enumerate(simples):
         chi = list(z.chi)
         chi[unit_pos] = (chi[unit_pos] + 1) % cat.M
         mutated = simples[:k] + [CenterSimple(z.g, z.label, tuple(chi))] + simples[k + 1:]
+        assert not CenterStructure(cat, simples=mutated).zero
         mine = triples(verify_center_braided(cat, simples=mutated))
-        ref = triples(reference_center_braided(cat, simples=mutated))
-        # the broken exponent reaches every scalar table, so no sweep skips
-        # here on its own; with every table taken for zero, each sweep must
-        # still raise from the tables it reads before the rule
-        with monkeypatch.context() as m:
-            m.setattr(CenterStructure, "all_zero", lambda self, *names: True)
-            assert triples(verify_center_braided(cat, simples=mutated)) == mine, k
         for name, _, witness in mine:
-            if name in SWEEP_TABLES:
+            if name in sweeps:
                 assert witness[:2] == ("exception", "UnsupportedConfiguration"), (k, name)
-        assert mine == ref, k
+        assert mine == triples(reference_center_braided(cat, simples=mutated)), k
     # without the unit, sigma_phi_compat evaluates its swap scalars off the
     # point list
     unit = simples.index(CenterStructure(cat).unit)
     mutated = simples[:unit] + simples[unit + 1:]
     assert triples(verify_center_braided(cat, simples=mutated)) == \
         triples(reference_center_braided(cat, simples=mutated))
+
+
+@pytest.mark.parametrize("name", [n for n in CENTER_FIXTURES if n.startswith("vec-")])
+def test_zero_data_builds_no_scalar_table(name, monkeypatch):
+    """On a Vec center the flag holds, and the center verifies without
+    building sigma, the Gamma-action's J and chi, or the braiding."""
+    cat = category(name)
+    assert CenterStructure(cat).zero
+
+    def unread(self):
+        raise AssertionError("scalar table read on zero data")
+
+    for table in ("sigma_table", "j_gamma_table", "chi_gamma_table", "braid_table"):
+        monkeypatch.setattr(CenterStructure, table, property(unread))
+    assert verify_center_braided(cat).passed
 
 
 def test_criterion_9_center_mutants(monkeypatch):
