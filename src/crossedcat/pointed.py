@@ -18,11 +18,11 @@ by construction (zero is not representable in the tables).
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import NotMatched, SectionMissing
-from .groups import (FiniteGroup, Table, action_law_witness, generators, is_hom_image,
-                     twisted_hom_witness, unit_witness)
+from .groups import (FiniteGroup, Table, action_law_witness, cocycle_witness, generators,
+                     is_hom_image, twisted_hom_witness, unit_witness)
 from .matched import MatchedPair, verify_matched_pair
 from .records import Record
 from .report import VerificationReport, run_checks
@@ -148,6 +148,18 @@ def _well_formed(cat: PointedCrossedCategory) -> Optional[tuple]:
     return None
 
 
+def _per_object(scan: Callable[[tuple], object], items: Sequence[tuple]) -> list:
+    """[scan(t) for t in items], with `scan` run once per distinct object."""
+    seen: dict[int, object] = {}
+    out = []
+    for t in items:
+        key = id(t)
+        if key not in seen:
+            seen[key] = scan(t)
+        out.append(seen[key])
+    return out
+
+
 def _shaped(table: Exp3, a: int, b: int, c: int) -> bool:
     return len(table) == a and all(len(plane) == b and all(len(row) == c for row in plane)
                                    for plane in table)
@@ -161,7 +173,9 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     witness tuple, so every witness is the lexicographically first failing
     tuple.  grading_is_homomorphism, action_composition, action_fixes_unit
     and axiom2_object_compat are the shared sweeps of groups.py, which
-    certify a law on generators first and carry its closure proof.  A
+    certify a law on generators first and carry its closure proof;
+    axiom2_j_cocycle and chi_cocycle keep their sweeps here and are
+    certified on their last group argument by groups.cocycle_witness.  A
     failing well_formed ends the checklist, as every other check indexes
     the tables by their shapes.  Grading surjectivity is deliberately not
     part of the pass/fail outcome; it only gates center construction.
@@ -189,10 +203,15 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     act, deg, a1, a2 = cat.action, cat.grading, mp.act1, mp.act2
     J, X, phi, iota = cat.jtable, cat.chitable, cat.phitable, cat.iotatable
     Ls, Gs, eL, eG = L.elements(), G.elements(), L.identity, G.identity
-    # live_j[g]: J[g] holds a nonzero exponent; live_x[g][h]: so does X[g][h]
-    live_j = [any(map(any, plane)) for plane in J]
-    live_x = [[any(row) for row in plane] for plane in X]
+    # live_j[g]: J[g] holds a nonzero exponent; live_x[g][h]: so does X[g][h].
+    # as_category hands a Vec center one zero plane behind every entry, and a
+    # tuple never changes, so each distinct plane is scanned once
+    live_j = _per_object(lambda plane: any(map(any, plane)), J)
+    live_x = _per_object(lambda plane: list(map(any, plane)), X)
     any_j, any_x = any(live_j), any(map(any, live_x))
+
+    def passed(*names: str) -> bool:
+        return all(c.passed for c in rep.checks if c.name in names)
 
     def matched_pair_valid() -> Optional[tuple]:
         r = verify_matched_pair(mp)
@@ -218,27 +237,32 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
         #
         # The certificate needs y |>' g = del(y) |>2 g to be a left action of
         # Lambda, which it is once del is a homomorphism and |>2 a left action.
-        gated = all(c.passed for c in rep.checks
-                    if c.name in ("grading_is_homomorphism", "matched_pair_valid"))
+        gated = passed("grading_is_homomorphism", "matched_pair_valid")
         return twisted_hom_witness(Lt, act, [a2[d] for d in deg],
                                    [eL, *generators(Lt, eL)] if gated else None)
 
     def axiom2_cocycle() -> Optional[tuple]:
-        # J[g][xy][z] + J[del(z) |>2 g][x][y] = J[g][x][yz] + J[g][y][z]
+        # J[g][xy][z] + J[del(z) |>2 g][x][y] = J[g][x][yz] + J[g][y][z],
+        # certified on z under axiom2_object_compat's gate (cocycle_witness)
         if not any_j:
             return None
-        for g in Gs:
-            Jg, twg = J[g], twist[g]
-            if not (live_j[g] or any(live_j[t] for t in twg)):
-                continue
-            for x in Ls:
-                Lx, Jgx, Jx = Lt[x], Jg[x], [J[t][x] for t in twg]
-                for y in Ls:
-                    Jgxy, Ly, Jgy = Jg[Lx[y]], Lt[y], Jg[y]
-                    for z in Ls:
-                        if (Jgxy[z] + Jx[z][y] - Jgx[Ly[z]] - Jgy[z]) % M:
-                            return (g, x, y, z)
-        return None
+
+        def sweep(zs: Sequence[int]) -> Optional[tuple]:
+            for g in Gs:
+                Jg, twg = J[g], twist[g]
+                if not (live_j[g] or any(live_j[t] for t in twg)):
+                    continue
+                for x in Ls:
+                    Lx, Jgx, Jx = Lt[x], Jg[x], [J[t][x] for t in twg]
+                    for y in Ls:
+                        Jgxy, Ly, Jgy = Jg[Lx[y]], Lt[y], Jg[y]
+                        for z in zs:
+                            if (Jgxy[z] + Jx[z][y] - Jgx[Ly[z]] - Jgy[z]) % M:
+                                return (g, x, y, z)
+            return None
+
+        return cocycle_witness(sweep, Lt, eL,
+                               passed("grading_is_homomorphism", "matched_pair_valid"))
 
     def axiom2_units() -> Optional[tuple]:
         for g in Gs:
@@ -251,22 +275,27 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
         return None
 
     def chi_cocycle() -> Optional[tuple]:
-        # X[gh][k][x] + X[g][h][^k x] = X[g][hk][x] + X[h][k][x]
+        # X[gh][k][x] + X[g][h][^k x] = X[g][hk][x] + X[h][k][x], certified
+        # on k once the action composes (cocycle_witness)
         if not any_x:
             return None
-        for g in Gs:
-            Xg, Gg, lg = X[g], Gt[g], live_x[g]
-            for h in Gs:
-                Xgh, Xgh_, Xh, Gh = Xg[h], X[Gg[h]], X[h], Gt[h]
-                lgh, lgh_, lh = lg[h], live_x[Gg[h]], live_x[h]
-                for k in Gs:
-                    if not (lgh or lgh_[k] or lg[Gh[k]] or lh[k]):
-                        continue
-                    A, B, C, actk = Xgh_[k], Xg[Gh[k]], Xh[k], act[k]
-                    for x in Ls:
-                        if (A[x] + Xgh[actk[x]] - B[x] - C[x]) % M:
-                            return (g, h, k, x)
-        return None
+
+        def sweep(ks: Sequence[int]) -> Optional[tuple]:
+            for g in Gs:
+                Xg, Gg, lg = X[g], Gt[g], live_x[g]
+                for h in Gs:
+                    Xgh, Xgh_, Xh, Gh = Xg[h], X[Gg[h]], X[h], Gt[h]
+                    lgh, lgh_, lh = lg[h], live_x[Gg[h]], live_x[h]
+                    for k in ks:
+                        if not (lgh or lgh_[k] or lg[Gh[k]] or lh[k]):
+                            continue
+                        A, B, C, actk = Xgh_[k], Xg[Gh[k]], Xh[k], act[k]
+                        for x in Ls:
+                            if (A[x] + Xgh[actk[x]] - B[x] - C[x]) % M:
+                                return (g, h, k, x)
+            return None
+
+        return cocycle_witness(sweep, Gt, eG, passed("action_composition"))
 
     def chi_units() -> Optional[tuple]:
         for g in Gs:

@@ -11,8 +11,10 @@ pass no full sweep may run at all.
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_DIR, category, pair
@@ -240,6 +242,99 @@ def test_object_compat_certificate_needs_a_grading_homomorphism():
     rep = verify_crossed_category(mut)
     assert triples(rep) == triples(reference_crossed_category(mut))
     assert {c.name: c.witness for c in rep.checks}["axiom2_object_compat"] == (1, 1, 5)
+
+
+# -- categories: the J and chi cocycle laws
+
+def _coboundary_shifted(cat, rng: random.Random):
+    """`cat` with J += d(alpha) and chi += d(beta), for random 1-cochains
+    alpha of Lambda and beta of G in the right modules of
+    groups.cocycle_witness, both zero at the unit.  D(d(alpha)) = 0, so each
+    cocycle law reads the same sums as on `cat`, now over nonzero data; the
+    unit entries of J and chi do not move."""
+    L, G, M, a2, deg, act = cat.Lambda, cat.G, cat.M, cat.mp.act2, cat.grading, cat.action
+
+    def cochain(K, size):
+        return [[0] * size if k == K.identity else [rng.randrange(M) for _ in range(size)]
+                for k in K.elements()]
+
+    alpha, beta = cochain(L, G.order), cochain(G, L.order)
+    j = [[[(cat.j(g, x, y) + alpha[y][g] - alpha[L.mul(x, y)][g] + alpha[x][a2[deg[y]][g]]) % M
+           for y in L.elements()] for x in L.elements()] for g in G.elements()]
+    chi = [[[(cat.x(g, h, x) + beta[h][x] - beta[G.mul(g, h)][x] + beta[g][act[h][x]]) % M
+             for x in L.elements()] for h in G.elements()] for g in G.elements()]
+    return pointed_category(L, cat.mp, cat.grading, act, M, jtable=j, phitable=cat.phitable,
+                            chitable=chi, iotatable=cat.iotatable, name=f"{cat.name}+d")
+
+
+def _one_entry_changed(cat, rng: random.Random):
+    """`cat` with one J or chi exponent moved by a nonzero delta."""
+    n, ng, M = cat.Lambda.order, cat.G.order, cat.M
+    j = [[list(r) for r in plane] for plane in cat.jtable]
+    chi = [[list(r) for r in plane] for plane in cat.chitable]
+    row = rng.choice(j)[rng.randrange(n)] if rng.random() < 0.5 else rng.choice(chi)[rng.randrange(ng)]
+    i = rng.randrange(n)
+    row[i] = (row[i] + rng.randrange(1, M)) % M
+    return pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, M, jtable=j,
+                            phitable=cat.phitable, chitable=chi, iotatable=cat.iotatable,
+                            name=f"{cat.name}:entry")
+
+
+COCYCLE_LAWS = ("axiom2_j_cocycle", "chi_cocycle")
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json")))
+def test_cocycle_certificates_on_coboundary_shifts(name):
+    """The certified J and chi cocycle sweeps against the full sweeps, on
+    coboundary shifts of every category fixture, which keep both laws, and
+    on single-entry mutants of the shifts, which break one."""
+    cat = jsonio.load_category(FIXTURE_DIR / name, validate=False)
+    rng = random.Random(f"coboundary:{name}")
+    before = {c.name: c.passed for c in verify_crossed_category(cat).checks}
+    for _ in range(2):
+        shifted = _coboundary_shifted(cat, rng)
+        rep = verify_crossed_category(shifted)
+        assert triples(rep) == triples(reference_crossed_category(shifted))
+        assert {c.name: c.passed for c in rep.checks if c.name in COCYCLE_LAWS} == \
+            {law: before[law] for law in COCYCLE_LAWS}
+        for _ in range(3):
+            mut = _one_entry_changed(shifted, rng)
+            assert triples(verify_crossed_category(mut)) == \
+                triples(reference_crossed_category(mut)), mut.name
+
+
+def test_cocycle_certificates_need_a_right_action():
+    """With a grading that is no homomorphism, or an action that does not
+    compose, a coboundary shift can keep a cocycle law at e and the
+    generators and break it elsewhere, so the gates sweep in full."""
+    cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-s4-pair.json")
+    L, a2 = cat.Lambda, cat.mp.act2
+    regraded = pointed_category(L, cat.mp, [*cat.grading[:5], 0], cat.action, cat.M)
+    shifted = _coboundary_shifted(regraded, random.Random(5))
+    J, deg = shifted.jtable, shifted.grading
+    assert not any((J[g][L.mul(x, y)][z] + J[a2[deg[z]][g]][x][y] - J[g][x][L.mul(y, z)]
+                    - J[g][y][z]) % cat.M
+                   for g in cat.G.elements() for x in L.elements() for y in L.elements()
+                   for z in [L.identity, *generators(L.table, L.identity)])
+    rep = verify_crossed_category(shifted)
+    assert triples(rep) == triples(reference_crossed_category(shifted))
+    assert {c.name: c.witness for c in rep.checks}["axiom2_j_cocycle"] == (1, 1, 1, 5)
+
+    cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-turaev-s3.json")
+    G, act = cat.G, [list(row) for row in cat.action]
+    act[4] = [0, 3, 5, 2, 4, 1]  # 4 is no generator of G, and ^1(^2 1) != ^4 1
+    shifted = _coboundary_shifted(pointed_category(cat.Lambda, cat.mp, cat.grading, act, cat.M),
+                                  random.Random(1144))
+    X = shifted.chitable
+    assert not any((X[G.mul(g, h)][k][x] + X[g][h][act[k][x]] - X[g][G.mul(h, k)][x]
+                    - X[h][k][x]) % cat.M
+                   for g in G.elements() for h in G.elements()
+                   for k in [G.identity, *generators(G.table, G.identity)]
+                   for x in cat.Lambda.elements())
+    rep = verify_crossed_category(shifted)
+    assert triples(rep) == triples(reference_crossed_category(shifted))
+    witnesses = {c.name: c.witness for c in rep.checks}
+    assert (witnesses["action_composition"], witnesses["chi_cocycle"]) == ((1, 2, 1), (1, 3, 4, 1))
 
 
 # -- no silent fallback

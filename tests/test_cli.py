@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import ast
+import gc
 import json
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURE_DIR
-from crossedcat import jsonio
+from crossedcat import cli, jsonio
 from crossedcat.cli import COMMANDS, main, usage
 from crossedcat.matched import verify_matched_pair
 
@@ -271,6 +274,36 @@ def test_package_exports_resolve_lazily():
              "assert 'crossedcat.center' not in sys.modules\n"
              "print(crossedcat.center.CenterStructure.__name__, crossedcat.words.__name__)")
     assert _fresh_python(probe).stdout.split() == ["CenterStructure", "crossedcat.words"]
+
+
+def test_cli_process_freezes_its_heap_before_exit():
+    # an atexit hook runs after the entry has raised SystemExit
+    probe = ("import atexit, gc, runpy\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+             "runpy.run_module('crossedcat.cli', run_name='__main__')")
+    done = _fresh_python(probe, "verify", "group", str(FIXTURE_DIR / "group-z3.json"))
+    report, frozen = done.stdout.splitlines()
+    assert json.loads(report)["pass"] is True
+    word, count = frozen.split()
+    assert word == "frozen" and int(count) > 0
+
+
+def test_main_leaves_the_heap_collectable(capsys):
+    before = gc.get_freeze_count()
+    assert main(["verify", "group", str(FIXTURE_DIR / "group-z3.json")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_runs_the_entry_of_the_main_block():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((FIXTURE_DIR.parent / "pyproject.toml").read_text())["project"]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    block = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    [statement] = block.body
+    entry = statement.value.func.id
+    assert project["scripts"] == {"crossedcat": f"crossedcat.cli:{entry}"}
+    assert callable(getattr(cli, entry))
 
 
 def test_help_prints_the_usage_of_every_command(capsys):

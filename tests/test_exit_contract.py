@@ -12,6 +12,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -236,6 +238,27 @@ def test_output_path_with_nul_byte_exits_2(argv):
     assert code == 2
     assert stdout.getvalue() == ""
     assert list(json.loads(stderr.getvalue())) == ["error"]
+
+
+# a report that cannot be written.  The child's environment lacks
+# PYTHONUNBUFFERED, so stdout is buffered and the write fails at a flush:
+# main's own flush, or else the interpreter's at exit, which exits 120
+@pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+def test_unwritable_stdout_exits_2(sink):
+    if sink == "closed-pipe":
+        read, stdout = os.pipe()
+        os.close(read)
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    try:
+        done = subprocess.run([sys.executable, "-m", "crossedcat.cli", "verify", "group",
+                               str(FIXTURE_DIR / "group-z3.json")],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")})
+    finally:
+        os.close(stdout)
+    assert done.returncode == 2
+    assert list(json.loads(done.stderr)) == ["error"]
 
 
 # a modulus past what the center enumeration can range over: twisted_characters
