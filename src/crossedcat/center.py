@@ -300,17 +300,13 @@ class CenterStructure:
 
     @cached_property
     def zero(self) -> bool:
-        """True when J, chi, phi and iota of the category and the chi of
-        every point are all zero, as on every Vec center.  Every scalar
+        """True when the category is zero (PointedCrossedCategory.zero) and
+        the chi of every point is zero, as on every Vec center.  Every scalar
         table entry, and every unit term of sigma_phi_compat and
         sigma_units, is a signed sum of these primitives, so each reads 0;
         and with every chi and phi zero _retract_failure cannot fire, so no
         table read raises."""
-        cat = self.cat
-        planes = itertools.chain(cat.jtable, cat.chitable)
-        return not (any(cat.phitable) or any(cat.iotatable)
-                    or any(map(any, itertools.chain.from_iterable(planes)))
-                    or any(any(z.chi) for z in self.points))
+        return self.cat.zero and not any(any(z.chi) for z in self.points)
 
     @property
     def gamma_action_table(self) -> tuple[tuple[int, ...], ...]:
@@ -522,9 +518,10 @@ def verify_center_braided(cat: PointedCrossedCategory,
     nothing but scalar tables and the category's unit scalars.  When
     CenterStructure.zero holds, as on every Vec center, each of their
     equations reads 0 = 0 and no table read can raise (the proof is at
-    that flag), so they pass without reading a table.  The flag is decided
-    once, from the input, and the combined J and chi tables are then shared
-    zero planes, so zero data builds no scalar table at all.
+    that flag), so they pass without reading a table, as verify_crossed_category
+    does on PointedCrossedCategory.zero.  The flag is decided once, from the
+    input, and the combined J and chi tables are then shared zero planes,
+    so zero data builds no scalar table at all.
 
     Precondition: `cat` passes verify_crossed_category.  Callers verify it
     first, as the CLI's `verify center` and `center` commands both do.

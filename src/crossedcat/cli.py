@@ -91,20 +91,22 @@ def cmd_zappa_szep(file: str, out: str, pretty: bool) -> int:
     from . import jsonio
     from .matched import zappa_szep
     H, _, _ = zappa_szep(jsonio.load_matched(file))
+    digest = _digest(Path(file))  # before -o, which may name the input
     out_path = Path(out)
     jsonio.save_group(H, out_path)
     reloaded = jsonio.load_group(out_path)  # re-validates all group laws
     _emit_json({"written": str(out_path), "order": reloaded.order,
-                "inputDigest": _digest(Path(file))}, pretty)
+                "inputDigest": digest}, pretty)
     return 0
 
 
 def _save_and_verify(file: str, out: str, pretty: bool, built, save, load, verify) -> int:
     """Write `built` to -o, then verify and emit what reads back from there."""
+    digest = _digest(Path(file))  # before -o, which may name the input
     out_path = Path(out)
     save(built, out_path)
     rep = verify(load(out_path))
-    rep.input_digest = _digest(Path(file))
+    rep.input_digest = digest
     return _emit(rep, pretty)
 
 

@@ -132,14 +132,6 @@ def matched_from_json(obj: Any, base: Optional[Path] = None) -> MatchedPair:
     for key in ("side1", "side2"):
         if obj.get(key, "left") != "left":
             raise ValidationError(f"{key} must be 'left'; right-action files are not accepted")
-    if len(act1) != G.order or any(len(r) != Gamma.order for r in act1):
-        raise ValidationError("act1 must be |G| x |Gamma|")
-    if len(act2) != Gamma.order or any(len(r) != G.order for r in act2):
-        raise ValidationError("act2 must be |Gamma| x |G|")
-    if any(not 0 <= v < Gamma.order for r in act1 for v in r):
-        raise ValidationError("act1 entry out of range")
-    if any(not 0 <= v < G.order for r in act2 for v in r):
-        raise ValidationError("act2 entry out of range")
     from .matched import matched_pair
     return matched_pair(G, Gamma, act1, act2)
 

@@ -27,6 +27,7 @@ from crossedcat.groups import (FiniteGroup, action_law_witness, cyclic, dihedral
                                symmetric, trivial_group, twisted_hom_witness, validate_group)
 from crossedcat.matched import matched_pair, verify_matched_pair
 from crossedcat.pointed import pointed_category, verify_crossed_category
+from gauge import gauge, random_cochain
 from reference_sweeps import (reference_crossed_category, reference_group_hom,
                               reference_is_hom_image, reference_matched_pair,
                               reference_validate_group)
@@ -37,6 +38,7 @@ PAIRS = ["trivial-pair", "direct-z2-z2", "turaev-z2", "turaev-s3", "s3-factorize
          "z2-z3-inversion", "d4-z4-z2"]
 CATEGORIES = ["vec-z2z3", "z4-over-z2", "z6-over-z3", "cocycle-j", "equivariant-s3",
               "vec-z3-gtrivial"]
+CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 
@@ -267,23 +269,24 @@ def _coboundary_shifted(cat, rng: random.Random):
                             chitable=chi, iotatable=cat.iotatable, name=f"{cat.name}+d")
 
 
-def _one_entry_changed(cat, rng: random.Random):
-    """`cat` with one J or chi exponent moved by a nonzero delta."""
-    n, ng, M = cat.Lambda.order, cat.G.order, cat.M
-    j = [[list(r) for r in plane] for plane in cat.jtable]
-    chi = [[list(r) for r in plane] for plane in cat.chitable]
-    row = rng.choice(j)[rng.randrange(n)] if rng.random() < 0.5 else rng.choice(chi)[rng.randrange(ng)]
-    i = rng.randrange(n)
-    row[i] = (row[i] + rng.randrange(1, M)) % M
-    return pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, M, jtable=j,
+def _moved(cat, table: str, count: int, rng: random.Random):
+    """`cat` with `count` distinct entries of its J or chi table moved by
+    nonzero deltas."""
+    t = [[list(r) for r in plane] for plane in (cat.jtable if table == "J" else cat.chitable)]
+    cells = [(a, b, c) for a, plane in enumerate(t) for b, row in enumerate(plane)
+             for c in range(len(row))]
+    for a, b, c in rng.sample(cells, min(count, len(cells))):
+        t[a][b][c] = (t[a][b][c] + rng.randrange(1, cat.M)) % cat.M
+    j, chi = (t, cat.chitable) if table == "J" else (cat.jtable, t)
+    return pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, cat.M, jtable=j,
                             phitable=cat.phitable, chitable=chi, iotatable=cat.iotatable,
-                            name=f"{cat.name}:entry")
+                            name=f"{cat.name}:{table}x{count}")
 
 
 COCYCLE_LAWS = ("axiom2_j_cocycle", "chi_cocycle")
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json")))
+@pytest.mark.parametrize("name", CATEGORY_FILES)
 def test_cocycle_certificates_on_coboundary_shifts(name):
     """The certified J and chi cocycle sweeps against the full sweeps, on
     coboundary shifts of every category fixture, which keep both laws, and
@@ -298,7 +301,7 @@ def test_cocycle_certificates_on_coboundary_shifts(name):
         assert {c.name: c.passed for c in rep.checks if c.name in COCYCLE_LAWS} == \
             {law: before[law] for law in COCYCLE_LAWS}
         for _ in range(3):
-            mut = _one_entry_changed(shifted, rng)
+            mut = _moved(shifted, rng.choice(("J", "chi")), 1, rng)
             assert triples(verify_crossed_category(mut)) == \
                 triples(reference_crossed_category(mut)), mut.name
 
@@ -337,6 +340,110 @@ def test_cocycle_certificates_need_a_right_action():
     assert (witnesses["action_composition"], witnesses["chi_cocycle"]) == ((1, 2, 1), (1, 3, 4, 1))
 
 
+# -- categories: axiom 3, certified on y
+
+AXIOM3_PREMISES = ("matched_pair_valid", "grading_is_homomorphism", "axiom1_grading_compat",
+                   "axiom2_object_compat", "axiom2_j_cocycle")
+
+
+def axiom3_holds_at(cat) -> set[int]:
+    """The y at which axiom3_j_chi holds for every (g, h, x), evaluated
+    entry by entry."""
+    L, G, a1, a2 = cat.Lambda, cat.G, cat.mp.a1, cat.mp.a2
+
+    def defect(g, h, x, y):
+        t, g2 = a2(cat.deg(y), h), a2(a1(h, cat.deg(y)), g)
+        return (cat.x(g, h, L.mul(x, y)) + cat.j(h, x, y) + cat.j(g, cat.act(t, x), cat.act(h, y))
+                - cat.j(G.mul(g, h), x, y) - cat.x(g2, t, x) - cat.x(g, h, y)) % cat.M
+
+    return {y for y in L.elements()
+            if not any(defect(g, h, x, y) for g in G.elements() for h in G.elements()
+                       for x in L.elements())}
+
+
+def _noncomposing_equivariant_s3():
+    """cat-equivariant-s3 with Z2's generator acting on S3 by the inner
+    automorphism of a 3-cycle, which has order 3: every premise of the
+    axiom 3 certificate holds, and action_composition fails."""
+    cat = jsonio.load_category(FIXTURE_DIR / "cat-equivariant-s3.json")
+    L = cat.Lambda
+    c = next(x for x in L.elements() if L.element_order(x) == 3)
+    action = [list(L.elements()), [L.conj(c, x) for x in L.elements()]]
+    return pointed_category(L, cat.mp, cat.grading, action, cat.M, name="equivariant-s3:c3")
+
+
+@pytest.mark.parametrize("name", CATEGORY_FILES)
+def test_axiom3_certificate_on_gauged_fixtures(name):
+    """Gauged fixtures keep every axiom; with one to three chi entries moved
+    they keep the J cocycle, so axiom 3 runs under its certificate, and
+    with one or two J entries moved they mostly break it, so it runs in
+    full.  Both must give the exhaustive report."""
+    cat = jsonio.load_category(FIXTURE_DIR / name)
+    rng = random.Random(f"gauged:{name}")
+    for table, counts in (("chi", (1, 2, 3)), ("J", (1, 2))):
+        for count in counts:
+            for _ in range(2):
+                mut = _moved(gauge(cat, random_cochain(cat, rng)), table, count, rng)
+                assert triples(verify_crossed_category(mut)) == \
+                    triples(reference_crossed_category(mut)), mut.name
+
+
+def test_axiom3_holds_on_a_product_closed_set():
+    """The closure proof at axiom3_j_chi, as a property: on every input that
+    passes its premises, the y at which axiom 3 holds for every (g, h, x)
+    are closed under products.  Inputs are gauged fixtures, and a category
+    whose action does not compose, with J or chi entries moved."""
+    rng = random.Random("axiom3-closure")
+    bases = [jsonio.load_category(FIXTURE_DIR / n) for n in CATEGORY_FILES]
+    checked = proper = 0
+    for cat in [*bases, _noncomposing_equivariant_s3()]:
+        for _ in range(30):
+            mut = _moved(gauge(cat, random_cochain(cat, rng)), rng.choice(("J", "chi", "chi")),
+                         rng.randint(1, 3), rng)
+            rep = verify_crossed_category(mut)
+            if not all(c.passed for c in rep.checks if c.name in AXIOM3_PREMISES):
+                continue
+            L, good = mut.Lambda, axiom3_holds_at(mut)
+            assert all(L.mul(y, z) in good for y in good for z in good), mut.name
+            assert {c.name: c.passed for c in rep.checks}["axiom3_j_chi"] == (len(good) == L.order)
+            checked += 1
+            proper += 0 < len(good) < L.order
+    assert (checked, proper) == (328, 114)
+
+
+def test_axiom3_certificate_needs_a_j_cocycle():
+    """With J moved off the cocycle law, axiom 3 can hold at e and the
+    generators and fail elsewhere, so the gate sweeps in full."""
+    cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-s4-pair.json")
+    rng = random.Random(11)
+    mut = _moved(gauge(cat, random_cochain(cat, rng)), "J", 1, rng)
+    L = mut.Lambda
+    good = axiom3_holds_at(mut)
+    assert {L.identity, *generators(L.table, L.identity)} <= good == {0, 1, 2, 3, 4}
+    rep = verify_crossed_category(mut)
+    assert triples(rep) == triples(reference_crossed_category(mut))
+    assert [(c.name, c.witness) for c in rep.checks if not c.passed] == \
+        [("axiom2_j_cocycle", (1, 1, 5, 1)), ("axiom3_j_chi", (1, 1, 1, 5))]
+
+
+def test_axiom3_certificate_with_an_action_that_does_not_compose():
+    """The closure proof does not use action_composition, so its gate leaves
+    it out: on gauges of the noncomposing category axiom 3 is certified,
+    and with chi entries moved off the law the report is still the
+    exhaustive one."""
+    cat = _noncomposing_equivariant_s3()
+    rng = random.Random("noncomposing")
+    for count in (0, 1, 2, 3):
+        for _ in range(3):
+            mut = _moved(gauge(cat, random_cochain(cat, rng)), "chi", count, rng)
+            rep = verify_crossed_category(mut)
+            assert triples(rep) == triples(reference_crossed_category(mut)), mut.name
+            passed = {c.name: c.passed for c in rep.checks}
+            assert not passed["action_composition"]
+            assert all(passed[p] for p in AXIOM3_PREMISES)
+            assert passed["axiom3_j_chi"] == (count == 0)
+
+
 # -- no silent fallback
 
 def test_passing_fixtures_run_no_full_sweep(monkeypatch):
@@ -344,10 +451,12 @@ def test_passing_fixtures_run_no_full_sweep(monkeypatch):
     pass, and on every group, matched-pair and braided-pair fixture, every
     certified law passes on its generators: a certificate that stops
     holding there turns this red instead of quietly costing the full sweep."""
-    full = []
+    full, laws = [], set()
     original = groups.certified_sweep
 
     def counting(sweep, gens, elements):
+        laws.add(sweep.__qualname__.split(".<locals>.")[-2])
+
         def recorded(r):
             if r is elements:
                 full.append(sweep)
@@ -366,6 +475,7 @@ def test_passing_fixtures_run_no_full_sweep(monkeypatch):
     assert not verify_crossed_category(mut).passed
     assert full != []
     passing = []
+    laws.clear()
     for path in sorted(FIXTURE_DIR.glob("*.json")):
         del full[:]
         name = path.name
@@ -387,3 +497,5 @@ def test_passing_fixtures_run_no_full_sweep(monkeypatch):
         passing.append(name)
         assert full == [], name
     assert len(passing) == 38, passing
+    # the nonzero fixtures and centers certify axiom 3 too
+    assert {"axiom3_j", "axiom2_cocycle", "chi_cocycle"} <= laws, laws

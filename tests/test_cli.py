@@ -151,6 +151,23 @@ def test_center_pair_command_trivial_z2z2(capsys, fixture_dir, tmp_path):
     assert all(bmp.mp.a1(a, x) == x for a in range(4) for x in range(4))
 
 
+@pytest.mark.parametrize("argv,source", [
+    (["turaev"], "group-s4.json"),
+    (["zappa-szep"], "z2-z3-inversion.json"),
+    (["factorize", "--gens-g", "9", "--gens-gamma", "6,8"], "group-s4.json"),
+    (["center-pair"], "direct-z2-z2.json"),
+], ids=["turaev", "zappa-szep", "factorize", "center-pair"])
+def test_input_digest_is_taken_before_output_overwrites_the_input(capsys, fixture_dir,
+                                                                  tmp_path, argv, source):
+    path = tmp_path / source
+    path.write_bytes((fixture_dir / source).read_bytes())
+    before = cli._digest(path)
+    code, out = run(capsys, argv[0], str(path), *argv[1:], "-o", str(path))
+    assert code == 0
+    assert cli._digest(path) != before
+    assert json.loads(out)["inputDigest"] == before
+
+
 def test_coherence_command(capsys, fixture_dir):
     code, out = run(capsys, "coherence", "--category", str(fixture_dir / "cat-cocycle-j.json"),
                     "--max-nodes", "6", "--arity", "2")
@@ -197,12 +214,19 @@ def _fixture_with(name, value, *path):
     ("group", {"table": [[0, 1], [1, 0]], "identity": False}, "group identity must be an integer"),
     ("matched-pair", _fixture_with("z2-z3-inversion", True, "act1", 1, 1),
      "act1 must be a list of lists of integers"),
+    ("matched-pair", _fixture_with("z2-z3-inversion", [0, 1], "act1", 1),
+     "act1 must be |G| x |Gamma|"),
+    ("matched-pair", _fixture_with("z2-z3-inversion", [1], "act2", 2),
+     "act2 must be |Gamma| x |G|"),
+    ("matched-pair", _fixture_with("z2-z3-inversion", 3, "act1", 1, 1), "act1 entry out of range"),
+    ("matched-pair", _fixture_with("z2-z3-inversion", -1, "act2", 0, 1),
+     "act2 entry out of range"),
     ("category", _fixture_with("cat-vec-z2z3", True, "M"), "M must be a positive integer"),
     ("category", _fixture_with("cat-cocycle-j", True, "J", 1, 1, 1),
      "J must be a list of lists of lists of integers"),
 ], ids=["group-not-object", "identity-out-of-range", "G-not-object", "category-not-object",
         "G-names-a-directory", "bool-in-group-table", "bool-identity", "bool-in-action",
-        "bool-M", "bool-in-J"])
+        "ragged-act1", "ragged-act2", "act1-range", "act2-range", "bool-M", "bool-in-J"])
 def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj, error):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -426,12 +450,13 @@ def test_center_survey_script_verifies_every_center(fixture_dir):
     heads = [line for line in done.stdout.splitlines() if not line.startswith(" ")]
     assert [h.split(":")[0] for h in heads] == list(CENTER_FIXTURES)
     assert all("verified = True" in h for h in heads), heads
-    assert done.stdout.count("zero J planes ") == len(CENTER_FIXTURES)
+    assert done.stdout.count("zero scalar data: ") == len(CENTER_FIXTURES)
     lines = done.stdout.splitlines()
-    z6, s4 = (next(i for i, line in enumerate(lines) if line.startswith(f"{name}:"))
-              for name in ("z6-over-z3", "vec-s4-pair"))
+    z6, s4, eq = (next(i for i, line in enumerate(lines) if line.startswith(f"{name}:"))
+                  for name in ("z6-over-z3", "vec-s4-pair", "equivariant-s3"))
     assert lines[z6 + 1] == ("  grades: {(0, 0): 4, (0, 1): 4, (0, 2): 4, "
                              "(1, 0): 4, (1, 1): 4, (1, 2): 4}")
-    assert lines[z6 + 4] == "  zero J planes 2/6, zero chi rows 24/36"
-    assert lines[z6 + 5] == "  zero scalar data: False"
-    assert lines[s4 + 5] == "  zero scalar data: True"
+    assert lines[z6 + 4] == "  zero scalar data: center False, center viewed as a category False"
+    assert lines[s4 + 4] == "  zero scalar data: center True, center viewed as a category True"
+    # nonzero half-braidings can still give the center zero category tables
+    assert lines[eq + 4] == "  zero scalar data: center False, center viewed as a category True"

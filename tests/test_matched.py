@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
 from conftest import pair, renamed
-from crossedcat.errors import NotExact
+from crossedcat.errors import NotExact, ValidationError
 from crossedcat.fixtures import MATCHED_PAIRS
 from crossedcat.groups import (cyclic, dihedral, direct_product, group_hom,
                                subgroup_from_generators, symmetric, trivial_group,
@@ -36,6 +37,22 @@ def test_corrupted_pair_reports_first_witness():
     assert not rep.passed
     fail = rep.first_failure()
     assert fail.witness is not None and len(fail.witness) >= 2
+
+
+@pytest.mark.parametrize("table,row,value,error", [
+    ("act1", 1, [0, 1], "act1 must be |G| x |Gamma|"),
+    ("act2", 2, [1], "act2 must be |Gamma| x |G|"),
+    ("act1", 1, [0, 3, 1], "act1 entry out of range"),
+    ("act2", 0, [0, -1], "act2 entry out of range"),
+], ids=["ragged-act1", "ragged-act2", "act1-range", "act2-range"])
+def test_matched_pair_rejects_malformed_action_tables(table, row, value, error):
+    """The builder checks the shapes and ranges every sweep indexes by, so
+    an in-process pair fails as the loader does, not with an IndexError."""
+    mp = pair("z2-z3-inversion")
+    acts = {"act1": [list(r) for r in mp.act1], "act2": [list(r) for r in mp.act2]}
+    acts[table][row] = value
+    with pytest.raises(ValidationError, match=f"^{re.escape(error)}$"):
+        matched_pair(mp.G, mp.Gamma, acts["act1"], acts["act2"])
 
 
 def test_zappa_z2_z3_is_s3():

@@ -209,17 +209,52 @@ def _entry_mutants(cat):
             row[i] = v
 
 
-# the support skip of the J and chi sweeps must keep every witness: each
-# mutant gives the zero tables one live entry, read through the G-action
+def dense_zero(cat) -> bool:
+    """PointedCrossedCategory.zero, by a scan of every entry."""
+    return not any(v for table in (cat.jtable, cat.chitable) for plane in table
+                   for row in plane for v in row) \
+        and not any(cat.phitable) and not any(cat.iotatable)
+
+
+# zero data passes the scalar checks unread, so each mutant, which gives the
+# zero tables of a Vec fixture one live entry, must clear the flag and keep
+# every witness
 @pytest.mark.parametrize("name,entries", [("cat-vec-turaev-s3.json", 444),
                                           ("cat-vec-s4-pair.json", 250)])
 def test_single_entry_mutants(name, entries):
     cat = jsonio.load_category(FIXTURE_DIR / name)
+    assert cat.zero
     seen = 0
     for mut in _entry_mutants(cat):
+        assert not mut.zero and not dense_zero(mut)
         assert triples(verify_crossed_category(mut)) == triples(reference_crossed_category(mut))
         seen += 1
     assert seen == entries * (cat.M - 1)
+
+
+def test_zero_flag_is_a_dense_scan():
+    """The flag scans each distinct plane once; on every category fixture and
+    every center viewed as a category it equals a scan of every entry."""
+    zero = []
+    for name in CATEGORY_FILES:
+        cat = jsonio.load_category(FIXTURE_DIR / name, validate=False)
+        assert cat.zero == dense_zero(cat), name
+        if cat.zero:
+            zero.append(name)
+    assert zero == [f"cat-{n}.json" for n in (
+        "equivariant-s3", "equivariant-z2", "nonsurjective", "vec-s4-pair", "vec-trivial",
+        "vec-turaev-s3", "vec-z2-gtrivial", "vec-z2z3", "vec-z3-gtrivial", "z4-over-z2-graded",
+        "z4-over-z2", "z6-over-z3")]
+    centers = {}
+    for name in CENTER_FIXTURES:
+        Z = CenterStructure(category(name))
+        zcat = Z.as_category()
+        assert zcat.zero == dense_zero(zcat), name
+        centers[name] = (Z.zero, zcat.zero)
+    assert [n for n, flags in centers.items() if flags == (True, True)] == \
+        ["vec-trivial", "vec-z2-gtrivial", "vec-z3-gtrivial", "vec-z2z3", "vec-s4-pair",
+         "equivariant-z2"]
+    assert [n for n, flags in centers.items() if flags == (False, True)] == ["equivariant-s3"]
 
 
 def _table_mutants(name: str, count: int, rng: random.Random):
