@@ -9,8 +9,8 @@ import importlib
 
 # the public names of each submodule; the submodules are public too
 _EXPORTS = {
-    "braided": ("BraidedMatchedPair", "center_braiding", "center_pair", "turaev_braiding",
-                "verify_braiding"),
+    "braided": ("BraidedMatchedPair", "braided_pair", "center_braiding", "center_pair",
+                "turaev_braiding", "verify_braiding"),
     "center": ("CenterSimple", "CenterStructure", "enumerate_center", "relative_center_oracle",
                "verify_center_braided"),
     "errors": (),

@@ -18,8 +18,9 @@ psi(h,t) = (h,e); both land injectively in the twisted product.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
+from .errors import ValidationError
 from .groups import FiniteGroup, GroupHom, direct_product, identity_hom, is_hom_image
 from .matched import MatchedPair, matched_pair, turaev_pair, verify_matched_pair, zappa_szep
 from .records import Record
@@ -30,6 +31,18 @@ class BraidedMatchedPair(Record):
     mp: MatchedPair
     phi: GroupHom  # Gamma -> G
     psi: GroupHom  # Gamma -> G
+
+
+def braided_pair(mp: MatchedPair, phi: Sequence[int], psi: Sequence[int]) -> BraidedMatchedPair:
+    """The pair with braiding images phi and psi; raises ValidationError unless
+    each maps all of Gamma into G.  The axioms are verify_braiding's."""
+    homs = []
+    for name, image in (("phi", phi), ("psi", psi)):
+        image = tuple(int(v) for v in image)
+        if len(image) != mp.Gamma.order or any(not 0 <= v < mp.G.order for v in image):
+            raise ValidationError(f"{name} must map all of Gamma into G")
+        homs.append(GroupHom(mp.Gamma, mp.G, image))
+    return BraidedMatchedPair(mp, *homs)
 
 
 def verify_braiding(bmp: BraidedMatchedPair) -> VerificationReport:

@@ -8,16 +8,21 @@ The bounded coherence check walks the graph whose nodes are all words up to
 a node budget instantiated at a fixed object tuple and whose edges are
 single structural moves (associator and unit moves, action-composition,
 action-over-tensor, action unit, action on the monoidal unit) applied at any
-position.  All parallel composites agree iff every non-tree edge matches
-the BFS potential; a mismatch is reported with the two explicit composites.
+position, each carrying its scalar's exponent.  All parallel composites
+agree iff the exponents admit a potential on the words, that is, iff every
+cycle's exponents sum to zero.  A weighted union-find decides that in one
+pass over the moves (Tarjan & van Leeuwen, J. ACM 1984).  Only a tuple that
+fails is walked depth-first, and the walk's first edge that disagrees with
+its potentials is reported with the two explicit composites.
 
 The graph is built on interned words: a word is the integer id of its
 (kind, a, b) triple over child ids (hash-consing).  The words and moves of
 one (budget, arity, G) form a skeleton, built once for every tuple of that
 arity; a J split's source depends on labels, so the skeleton keeps one per
 twisting element.  Each tuple computes its labels bottom-up over the ids,
-reads the exponents from the tables and walks integer adjacency lists;
-words, rule texts and paths are built only for a mismatch's witness.
+reads the exponents from the tables and unites the words move by move;
+adjacency lists, words, rule texts and paths are built only for a
+mismatch's witness.
 """
 
 from __future__ import annotations
@@ -104,7 +109,9 @@ def _enumerate(max_nodes: int, arity: int, elements: Sequence[int],
         cache[key] = out
         return out
 
-    return gen(max_nodes, 1, arity + 1)
+    words = gen(max_nodes, 1, arity + 1)
+    gen = None  # gen holds itself, so its cache would wait for a collection
+    return words
 
 
 # an interned word is the id of its triple over child ids: (_UNIT, 0, 0),
@@ -121,6 +128,7 @@ class _Skeleton:
     as ids, repeats included.  Move m rewrites subterm `sub[m]` by `rule[m]`
     from `src[m]` (for J, a tuple of sources by twisting element) to `dst[m]`;
     word w's moves are `moves[w]`, counted again for each repeat of w.
+    The interning dict and the enumeration's cache are gone once it is built.
     """
 
     def __init__(self, max_nodes: int, arity: int, G):
@@ -182,10 +190,18 @@ class _Skeleton:
                 moves[w] = range(first, len(self.rule))
         self.distinct = sum(r is not None for r in moves)
         self.edges = sum(len(moves[w]) for w in order)
+        # the recursive closures hold themselves, and through them `ids`:
+        # break those cycles so the build's scratch goes now, not at a collection
+        visit = size = None
 
     def walk(self, cat: PointedCrossedCategory, objects: Sequence[int]
              ) -> tuple[Optional[tuple], int]:
-        """(first mismatch witness or None, components walked) at one tuple."""
+        """(first mismatch witness or None, components walked) at one tuple.
+
+        A tuple whose exponents admit a potential returns (None, the number
+        of components over `order`), decided by union-find alone; any other
+        tuple is walked by `_bfs`, whose witness and count are the result.
+        """
         nodes, M, Lt, action = self.nodes, cat.M, cat.Lambda.table, cat.action
         unit = cat.Lambda.identity
         labels: list[int] = []
@@ -210,8 +226,41 @@ class _Skeleton:
             exps.append(x % M)
             src.append(s)
 
-        # (neighbour, exponent step) pairs in the enumeration's edge order, repeats included
+        # weighted union-find over the moves in the enumeration's edge order,
+        # repeats included: a root's up is -1, any other word's up is its
+        # parent, and off[v] = potential(v) - potential(up[v]) mod M.  Climbing
+        # from both ends of a move halves each path and sums
+        # x = potential(d) - potential(s) - the move's exponent.
         dst, moves, order = self.dst, self.moves, self.order
+        up, off = [-1] * len(nodes), [0] * len(nodes)
+        for w in order:
+            for m in moves[w]:
+                s, d, x = src[m], dst[m], -exps[m]
+                while (p := up[s]) >= 0:
+                    if (q := up[p]) >= 0:
+                        up[s], off[s], p = q, off[s] + off[p], q
+                    x, s = x - off[s], p
+                while (p := up[d]) >= 0:
+                    if (q := up[p]) >= 0:
+                        up[d], off[d], p = q, off[d] + off[p], q
+                    x, d = x + off[d], p
+                if s != d:
+                    up[s], off[s] = d, x % M
+                elif x % M:
+                    return self._bfs(src, exps, M)
+        roots = set()
+        for w in order:
+            while up[w] >= 0:
+                w = up[w]
+            roots.add(w)
+        return None, len(roots)
+
+    def _bfs(self, src: list, exps: list, M: int) -> tuple[tuple, int]:
+        """(first mismatch witness, components walked) of the depth-first walk
+        over adjacency lists in the enumeration's edge order, on a tuple whose
+        exponents admit no potential."""
+        nodes, dst, moves, order = self.nodes, self.dst, self.moves, self.order
+        # (neighbour, exponent step) pairs in edge order, repeats included
         adjacency: list[list[int]] = [[] for _ in nodes]
         for w in order:
             for m in moves[w]:
@@ -238,7 +287,7 @@ class _Skeleton:
                         queue.append(v)
                     elif potential[v] != want:
                         return self._witness(src, exps, potential, parent, M, u), components
-        return None, components
+        raise AssertionError("the union-find found a cycle that the walk did not")
 
     def _edges(self, u: int, src: list) -> Iterator[tuple[int, int]]:
         """u's adjacency as (edge, neighbour): m leaves move m's source, ~m its target."""

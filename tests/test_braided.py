@@ -3,8 +3,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import pair
-from crossedcat.braided import (BraidedMatchedPair, center_braiding, center_pair,
+from crossedcat.braided import (BraidedMatchedPair, braided_pair, center_braiding, center_pair,
                                 turaev_braiding, verify_braiding)
+from crossedcat.errors import ValidationError
 from crossedcat.groups import cyclic, dihedral, group_hom, symmetric, trivial_group
 from crossedcat.matched import direct_pair, verify_matched_pair, zappa_szep
 
@@ -16,6 +17,18 @@ def test_turaev_braiding_passes(G):
 
 def test_turaev_braiding_trivial_group():
     assert verify_braiding(turaev_braiding(trivial_group())).passed
+
+
+@pytest.mark.parametrize("which", ["phi", "psi"])
+@pytest.mark.parametrize("image", [(0, 1), (0, 1, 5)], ids=["short", "out-of-range"])
+def test_braided_pair_rejects_malformed_images(which, image):
+    """The builder checks the shapes the braiding sweeps index by, so an
+    in-process pair fails as the loader does, not with an IndexError."""
+    bmp = turaev_braiding(cyclic(3))
+    images = {"phi": bmp.phi.image, "psi": bmp.psi.image, which: image}
+    with pytest.raises(ValidationError, match=f"^{which} must map all of Gamma into G$"):
+        braided_pair(bmp.mp, images["phi"], images["psi"])
+    assert braided_pair(bmp.mp, bmp.phi.image, bmp.psi.image) == bmp
 
 
 def test_direct_pair_trivial_homs_fail_on_noncommuting():

@@ -154,7 +154,8 @@ def test_word_graph_size_depends_on_arity_only(name):
 
 def test_coherence_memory_guard(monkeypatch):
     # the word-record graph this replaced peaked at 2.7-2.9 MB of traced
-    # allocations; the skeleton build plus one walk must stay under 1.7 MB
+    # allocations; the skeleton build, which frees its scratch, plus one
+    # union-find pass, which builds no adjacency lists, must stay under 1.2 MB
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-turaev-s3.json")
     monkeypatch.setattr(words, "_last", None, raising=False)  # build the skeleton afresh
     tracemalloc.start()
@@ -164,4 +165,4 @@ def test_coherence_memory_guard(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.passed and rep.stats["edges"] == 4584
-    assert peak < 1.7e6, peak
+    assert peak < 1.2e6, peak
