@@ -7,21 +7,22 @@ canonical isomorphisms, the character law carries the J-cocycle:
 
     chi(n1 n2) = J[g][n1][n2] + chi(n1) + chi(n2)      (exponents mod M)
 
-All structure maps below were obtained by composing the defining morphism
-chains in the skeletal model, peeling actions off tensors with J, collapsing
-action chains with chi-of-the-category, and moving neutral labels across a
-simple with its half-braiding.  Each chain is written once, next to the
-code that evaluates it into a table (CenterStructure's _close, _g_images,
-_sigma_row and the table properties); the exhaustive verifier is the
-arbiter for every one of them.
+These are the invertible simples; a degree whose law has no solution has
+none.  The structure maps are built in the unit-normal gauge, where phi
+and iota vanish and the units are strict (unit_normal); a simple
+(g, label, chi) of the input is (g, label, chi + u0[g]|_N) there.
+Enumeration, the oracle and every simple a witness prints stay in the
+input's gauge.
 
-Naturality conditions are not separate checks: between simples every hom
-space is scalar, so naturality squares commute identically.  Shipped
-fixtures keep iota = 1 (an explicit restriction, not a theorem).  The
-verifier does not accept every table satisfying the axioms: some valid
-categories that are gauge-equivalent to a fixture fail
-verify_center_braided (tests/test_gauge.py pins them), so these chains
-hold in the fixtures' gauge but are not yet gauge-covariant.
+Each map composes its defining morphism chain in the skeletal model
+(peeling actions off tensors with J, collapsing action chains with chi,
+moving neutral labels across a simple with its half-braiding), written
+once next to the code that evaluates it into a table; the exhaustive
+verifier is the arbiter for every one of them.  Naturality squares
+commute identically, as every hom space between simples is scalar.  The
+chains are not covariant under a gauge at (g, x) with g != e and x
+outside N, so verify_center_braided rejects some valid categories of
+that family (tests/test_gauge.py).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 from .braided import BraidedMatchedPair, center_braiding as induced_braiding, verify_braiding
 from .errors import GroupValidationError, NonSingularityViolated, UnsupportedConfiguration
 from .groups import twisted_characters, validate_group
-from .pointed import PointedCrossedCategory, verify_crossed_category
+from .pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
 from .records import Record
 from .report import VerificationReport, run_checks
 
@@ -49,38 +50,19 @@ class CenterSimple(Record):
         return (self.g, self.label, self.chi)
 
 
-def _conjugation_support(cat: PointedCrossedCategory, g: int, label: int) -> list[int]:
-    L = cat.Lambda
-    return [nu for nu in cat.neutral_labels
-            if L.mul(L.mul(label, nu), L.inv(label)) == cat.act(g, nu)]
-
-
-def _characters_for(cat: PointedCrossedCategory, g: int) -> list[tuple[int, ...]]:
-    """Root-valued solutions of the twisted character law on N for degree g.
-
-    Raises UnsupportedConfiguration when a nontrivial J|_N admits no
-    solution at all (a cocycle obstruction outside our scope).
-    """
-    solutions = twisted_characters(cat.Lambda, cat.neutral_labels, cat.M, cat.jtable[g])
-    # J|_N = 0 always admits the zero character, so no solution means J|_N != 0
-    if not solutions:
-        raise UnsupportedConfiguration(
-            f"no root-valued half-braiding exists at degree {g}: J restricted to N is obstructed")
-    return solutions
-
-
 def enumerate_center(cat: PointedCrossedCategory) -> list[CenterSimple]:
-    """All center simples, ordered lexicographically by (g, label, chi)."""
+    """All center simples, ordered lexicographically by (g, label, chi).
+    A degree whose J|_N admits no character has no simple."""
     if not cat.is_nonsingular():
         missing = next(s for s in cat.Gamma.elements() if not cat.fibers[s])
         raise NonSingularityViolated(missing)
-    out: list[CenterSimple] = []
-    chars_by_degree = {g: _characters_for(cat, g) for g in cat.G.elements()}
+    L, N, out = cat.Lambda, cat.neutral_labels, []
     for g in cat.G.elements():
-        for label in cat.Lambda.elements():
-            if len(_conjugation_support(cat, g, label)) != len(cat.neutral_labels):
+        chars = twisted_characters(L, N, cat.M, cat.jtable[g])
+        for label in L.elements():
+            if any(L.mul(L.mul(label, nu), L.inv(label)) != cat.act(g, nu) for nu in N):
                 continue
-            for chi in chars_by_degree[g]:
+            for chi in chars:
                 out.append(CenterSimple(g, label, chi))
     out.sort(key=CenterSimple.sort_key)
     return out
@@ -88,15 +70,13 @@ def enumerate_center(cat: PointedCrossedCategory) -> list[CenterSimple]:
 
 def relative_center_oracle(cat: PointedCrossedCategory) -> list[CenterSimple]:
     """Brute-force oracle: try every function N -> mu_M at every (g, label)
-    whose label has full conjugation support.
-
-    Off the support a component would land in a zero hom space, so such a
-    label has no invertible half-braiding and is skipped before the search.
-    Of the rest it keeps the functions that satisfy the character law
-    verbatim.  It shares no code with enumerate_center: the conjugation
-    test lam nu lam^-1 = ^g nu is its own, over the Cayley table, and the
-    character law is checked entry by entry instead of solved by
-    twisted_characters' generator backtracking.
+    whose label has full conjugation support, and keep those that satisfy
+    the character law verbatim.  Off the support a component would land in
+    a zero hom space, so such a label has no invertible half-braiding.  The
+    oracle shares no code with enumerate_center: the conjugation test
+    lam nu lam^-1 = ^g nu runs over the Cayley table, and the character law
+    is checked entry by entry instead of solved by twisted_characters'
+    generator backtracking.
     """
     if not cat.is_nonsingular():
         missing = next(s for s in cat.Gamma.elements() if not cat.fibers[s])
@@ -121,26 +101,59 @@ def relative_center_oracle(cat: PointedCrossedCategory) -> list[CenterSimple]:
     return out
 
 
+def unit_normal(cat: PointedCrossedCategory) -> tuple[PointedCrossedCategory, tuple]:
+    """`cat` gauged to strict units, and the gauge u0 that does it:
+    u0[g][e_L] = -phi[g], u0[e_G][x] = -iota[x], zero elsewhere (the two
+    agree at (e, e) under verify_crossed_category, by axiom3_phi).  A cochain
+    u rescales the identification of ^g x with its label by u[g][x]:
+
+        J'[g][x][y]    = J[g][x][y] + u[g][xy] - u[del(y) |>2 g][x] - u[g][y]
+        chi'[g][h][x]  = chi[g][h][x] + u[gh][x] - u[g][^h x] - u[h][x]
+        phi'[g] = phi[g] + u[g][e_L],   iota'[x] = iota[x] + u[e_G][x]
+
+    So phi' = iota' = 0, and axiom2_units, chi_units, axiom3_phi and
+    axiom3_iota_tensor then make J' and chi' vanish wherever e_G or e_L is
+    an argument.  Returns `cat` itself when u0 = 0.
+    """
+    G, L, M = cat.G, cat.Lambda, cat.M
+    Gs, Ls, eG, eL = G.elements(), L.elements(), G.identity, L.identity
+    u = tuple(tuple(-cat.ph(g) % M if x == eL else -cat.io(x) % M if g == eG else 0
+                    for x in Ls) for g in Gs)
+    if not any(map(any, u)):
+        return cat, u
+    Gt, Lt, act, deg, a2 = G.table, L.table, cat.action, cat.grading, cat.mp.act2
+    j = [[[cat.j(g, x, y) + u[g][Lt[x][y]] - u[a2[deg[y]][g]][x] - u[g][y] for y in Ls]
+          for x in Ls] for g in Gs]
+    chi = [[[cat.x(g, h, x) + u[Gt[g][h]][x] - u[g][act[h][x]] - u[h][x] for x in Ls]
+            for h in Gs] for g in Gs]
+    return pointed_category(L, cat.mp, deg, act, M, jtable=j, chitable=chi,
+                            phitable=[cat.ph(g) + u[g][eL] for g in Gs],
+                            iotatable=[cat.io(x) + u[eG][x] for x in Ls], name=cat.name), u
+
+
 # -- structure maps --------------------------------------------------------------
 
 class CenterStructure:
-    """The center with its tensor, two actions, swap scalars, and braiding.
+    """The center with its tensor, two actions, swap scalars, and braiding,
+    built on `cat` gauged by unit_normal.
 
     `section` maps each Gamma-degree to a chosen homogeneous label (default:
     least label per fiber).  All scalars are exponents mod cat.M.
+    `input_simples` is the caller's list (default: enumerate_center of the
+    input), and `simples` that list moved into the gauge by chi + u0[g]|_N,
+    in its order, so that a witness index names the caller's simple.
 
     The comments of _close and _g_images and the table docstrings give the
-    defining chains.  Each is evaluated into a dense integer table indexed
-    by *points*: the simples first, then every object the structure maps
-    lead to outside the simple list.  A correct center has no such escapes;
-    a corrupted simple list keeps them as points, so every sweep still sees
-    exactly the values the chains give, and `as_category` reports the
-    escape (verify_center_braided's center_category_axioms).
+    defining chains, each evaluated into a dense integer table indexed by
+    *points*: the simples, then every object the structure maps lead to
+    outside them.  A correct center has no such escapes; a corrupted simple
+    list keeps them as points, so every sweep sees exactly the values the
+    chains give, and `as_category` reports the escape.
     """
 
     def __init__(self, cat: PointedCrossedCategory, section: Optional[Sequence[int]] = None,
                  simples: Optional[Sequence[CenterSimple]] = None):
-        self.cat = cat
+        normal, self.u0 = unit_normal(cat)
         self.section = tuple(section) if section is not None else cat.least_section()
         for s in cat.Gamma.elements():
             if cat.deg(self.section[s]) != s:
@@ -149,27 +162,39 @@ class CenterStructure:
         # the strict-unit bookkeeping needs the unit fiber to pick the unit label
         if self.section[cat.Gamma.identity] != cat.Lambda.identity:
             raise ValueError("section must send the trivial degree to the unit label")
-        self.simples = tuple(simples) if simples is not None else tuple(enumerate_center(cat))
-        self.index = {(z.g, z.label, z.chi): i for i, z in enumerate(self.simples)}
+        self.input_simples = tuple(simples) if simples is not None \
+            else tuple(enumerate_center(cat))
+        self.cat = normal
         self.npos = {nu: i for i, nu in enumerate(cat.neutral_labels)}
-        (self.points, self.tensor_table, self.g_action_table, self._gamma_table,
-         self._unsupported) = self._close()
+        self.simples = self.input_simples if normal is cat \
+            else tuple(self._moved(z, 1) for z in self.input_simples)
+        self.points, self.tensor_table, self.g_action_table, self._gamma_table = self._close()
 
     @cached_property
     def unit(self) -> CenterSimple:
-        cat = self.cat
-        chi = tuple(cat.io(nu) for nu in cat.neutral_labels)
-        return CenterSimple(cat.G.identity, cat.Lambda.identity, chi)
+        """(e, e_L, iota|_N), and iota is zero in this gauge."""
+        return CenterSimple(self.cat.G.identity, self.cat.Lambda.identity, (0,) * len(self.npos))
 
-    def _retract_failure(self, z: CenterSimple) -> Optional[str]:
-        """Why z has no Gamma-action, or None.  The retract idempotent
-        evaluates to chi(unit) * phi[h]^-1; a root idempotent must be the
-        identity scalar, anything else is a modeling error surfaced at once."""
-        cat = self.cat
-        unit = z.chi[self.npos[cat.Lambda.identity]]
-        if (unit - cat.ph(z.g)) % cat.M:
-            return (f"retract idempotent is not the identity on {z} (chi at unit = "
-                    f"{unit}, phi[{z.g}] = {cat.ph(z.g)})")
+    def _moved(self, z: CenterSimple, sign: int) -> CenterSimple:
+        """z moved into the unit-normal gauge (sign 1) or back to the input's (-1)."""
+        u, M = self.u0[z.g], self.cat.M
+        return CenterSimple(z.g, z.label, tuple((c + sign * u[nu]) % M
+                                                for c, nu in zip(z.chi, self.cat.neutral_labels)))
+
+    @cached_property
+    def _unsupported(self) -> Optional[str]:
+        """Why there is no Gamma-action, or None.  The retract idempotent on a
+        point evaluates to its chi at e_L (phi is zero here), and a root
+        idempotent must be the identity.  Both actions keep chi at e_L and
+        tensor adds it (J and chi are zero at e_L here), so the first point
+        that breaks the guard is the first simple that does.  It is named
+        as passed, with the input's phi[g] = -u0[g][e_L]."""
+        M, eL = self.cat.M, self.cat.Lambda.identity
+        e = self.npos[eL]
+        for given, z in zip(self.input_simples, self.simples):
+            if z.chi[e] % M:
+                return (f"retract idempotent is not the identity on {given} (chi at unit = "
+                        f"{given.chi[e]}, phi[{z.g}] = {-self.u0[z.g][eL] % M})")
         return None
 
     @cached_property
@@ -233,8 +258,7 @@ class CenterStructure:
         Each row evaluates its chain from terms found once per simple, per g
         or per s (the G-action's in _g_images); points are interned on
         (g, label, chi) tuples, and a CenterSimple is built only for a new
-        point.  A point whose retract idempotent fails has no Gamma-action
-        image; its entries stay None and the first such error is kept.
+        point.  The retract guard is decided from the simples (_unsupported).
         """
         cat = self.cat
         G, L, M, npos, sec = cat.G, cat.Lambda, cat.M, self.npos, self.section
@@ -252,7 +276,7 @@ class CenterStructure:
         columns = [(w.g, w.label, w.chi, pos_n[w.g]) for w in self.simples]
 
         points = list(self.simples)
-        where = dict(self.index)
+        where = {(z.g, z.label, z.chi): i for i, z in enumerate(points)}
 
         def intern(key: tuple) -> int:
             i = where.get(key)
@@ -265,28 +289,21 @@ class CenterStructure:
         g_table = [[] for _ in G.elements()]
         gamma_table = [[] for _ in cat.Gamma.elements()]
         tensor_rows = []
-        unsupported = None
         for z in points:  # grows while it is walked
             h, lab, chi = z.g, z.label, z.chi
             for row, key in zip(g_table, self._g_images(z)):
                 row.append(intern(key))
-            failure = self._retract_failure(z)
-            if failure is not None:
-                for row in gamma_table:
-                    row.append(None)
-                unsupported = unsupported or failure
-            else:
-                # Gamma-action by the retract of zeta_s (.) zeta_s^dual.  Chain at
-                # nu: relabel zeta^-1 nu = (zeta^-1 nu zeta) zeta^-1, move the
-                # neutral part across lam with chi, then recombine with J twice:
-                #   chi'(nu) = chi(zeta^-1 nu zeta) + J[h][zeta][zeta^-1 nu zeta]
-                #              - J[h][nu][zeta]   on  (s |>2 h, ^h zeta . lam . zeta^-1)
-                Jh, acth = J[h], act[h]
-                for row, (s, zeta, zetai, conj, cpos) in zip(gamma_table, s_terms):
-                    row.append(intern((
-                        a2[s][h], Lt[Lt[acth[zeta]][lab]][zetai],
-                        tuple((chi[p] + Jh[zeta][c] - Jh[nu][zeta]) % M
-                              for nu, c, p in zip(N, conj, cpos)))))
+            # Gamma-action by the retract of zeta_s (.) zeta_s^dual.  Chain at
+            # nu: relabel zeta^-1 nu = (zeta^-1 nu zeta) zeta^-1, move the
+            # neutral part across lam with chi, then recombine with J twice:
+            #   chi'(nu) = chi(zeta^-1 nu zeta) + J[h][zeta][zeta^-1 nu zeta]
+            #              - J[h][nu][zeta]   on  (s |>2 h, ^h zeta . lam . zeta^-1)
+            Jh, acth = J[h], act[h]
+            for row, (s, zeta, zetai, conj, cpos) in zip(gamma_table, s_terms):
+                row.append(intern((
+                    a2[s][h], Lt[Lt[acth[zeta]][lab]][zetai],
+                    tuple((chi[p] + Jh[zeta][c] - Jh[nu][zeta]) % M
+                          for nu, c, p in zip(N, conj, cpos)))))
             # tensor: half-braidings compose through the acted argument,
             #   chi(nu) = X[h1][h2][nu] + chi1(^{h2} nu) + chi2(nu)
             #   on (h1 h2, lam1 . lam2)
@@ -296,16 +313,14 @@ class CenterStructure:
                 tuple((a + chi[p] + b) % M for a, p, b in zip(Xh[wg], wpos, wchi))))
                 for wg, wl, wchi, wpos in columns))
         return (tuple(points), tuple(tensor_rows), tuple(map(tuple, g_table)),
-                tuple(map(tuple, gamma_table)), unsupported)
+                tuple(map(tuple, gamma_table)))
 
     @cached_property
     def zero(self) -> bool:
-        """True when the category is zero (PointedCrossedCategory.zero) and
-        the chi of every point is zero, as on every Vec center.  Every scalar
-        table entry, and every unit term of sigma_phi_compat and
-        sigma_units, is a signed sum of these primitives, so each reads 0;
-        and with every chi and phi zero _retract_failure cannot fire, so no
-        table read raises."""
+        """True when the unit-normal category is zero and so is the chi of
+        every point, as on every Vec center.  Every scalar table entry is a
+        signed sum of these, so each reads 0, and the retract guard
+        (_unsupported) cannot fire, so no table read raises."""
         return self.cat.zero and not any(any(z.chi) for z in self.points)
 
     @property
@@ -480,20 +495,21 @@ class CenterStructure:
         self.require_members(p for row in self.action_table for p in row[:n])
         lam_z = validate_group(self.tensor_table[:n], name=f"Z({cat.name})-simples")
         cp = self.induced.mp
-        # every table is already reduced mod M, so the record is built as is
+        # every table is already reduced mod M, so the record is built as is;
+        # phi_Z[(g, s)] = phi[g] and iota_Z[z] = iota[label], zero in this gauge
         return PointedCrossedCategory(
             lam_z, cp.Gamma, cp.G, cp, self.grade_table[:n],
             tuple(row[:n] for row in self.action_table), cat.M,
-            tuple(plane[:n] for plane in self.j_table),
-            tuple(cat.ph(A // cat.Gamma.order) for A in cp.G.elements()), self.chi_table,
-            tuple(cat.io(z.label) for z in self.simples), name or f"Z({cat.name})")
+            tuple(plane[:n] for plane in self.j_table), (0,) * cp.G.order, self.chi_table,
+            (0,) * n, name or f"Z({cat.name})")
 
     def require_members(self, points: Iterable[int]) -> None:
-        """Raise a KeyError naming the first of `points` that is not a simple."""
+        """Raise a KeyError naming the first of `points` that is not a simple,
+        in the input's gauge."""
         n = len(self.simples)
         for p in points:
             if p >= n:
-                z = self.points[p]
+                z = self._moved(self.points[p], -1)
                 raise KeyError(f"simple {(z.g, z.label, z.chi)} not in the enumerated center")
 
 
@@ -509,38 +525,36 @@ def verify_center_braided(cat: PointedCrossedCategory,
     phi-compatible, both Yang-Baxter shapes, units); the center viewed as a
     crossed category, which includes the closure and group law of the
     simples, their grading and their dual law; the three crossed-braiding
-    axioms.  Sweeps run over the dense tables of CenterStructure, in the
-    order of each witness tuple.  `simples` overrides the enumeration (used
-    by mutation tests).
+    axioms.  Oracle equivalence compares simples in the input's gauge; the
+    other sweeps run over the dense tables of CenterStructure, in the
+    unit-normal gauge and in the order of each witness tuple.  `simples`
+    overrides the enumeration (used by mutation tests).
+
+    Precondition: `cat` passes verify_crossed_category, as the CLI's
+    `verify center` and `center` commands check first.
 
     Zero support: eight checks (sigma_j_compat, sigma_phi_compat, both
     Yang-Baxter shapes, sigma_units and the three braiding axioms) read
-    nothing but scalar tables and the category's unit scalars.  When
-    CenterStructure.zero holds, as on every Vec center, each of their
-    equations reads 0 = 0 and no table read can raise (the proof is at
-    that flag), so they pass without reading a table, as verify_crossed_category
-    does on PointedCrossedCategory.zero.  The flag is decided once, from the
-    input, and the combined J and chi tables are then shared zero planes,
-    so zero data builds no scalar table at all.
-
-    Precondition: `cat` passes verify_crossed_category.  Callers verify it
-    first, as the CLI's `verify center` and `center` commands both do.
+    nothing but scalar tables.  When CenterStructure.zero holds, as on
+    every Vec center, each of their equations reads 0 = 0 and no table read
+    can raise (the proof is at that flag), so they pass unread, and the
+    combined J and chi tables are shared zero planes.
 
     Three laws are implied by oracle equivalence and are not reported.  The
     oracle emits exactly the (g, label, chi) whose label has full
     conjugation support and whose chi obeys the character law, so a simple
     breaking either law is missing from it.  Under the precondition the
-    unit (e, e_L, iota|_N) is among them: conjugation by e_L is the
-    e-action by action_identity, and iota|_N obeys the law by
-    axiom3_iota_tensor.  So a simple list without the unit fails oracle
-    equivalence too.  Four more are implied by center_category_axioms; the
-    proofs are at that check.
+    unit, (e, e_L, 0) in the unit-normal gauge, is among them: conjugation
+    by e_L is the e-action by action_identity, and with iota zero
+    axiom3_iota_tensor gives J[e] = 0, which chi = 0 obeys.  So a simple
+    list without the unit fails oracle equivalence too.  Four more laws are
+    implied by center_category_axioms; the proofs are at that check.
     """
     rep = VerificationReport(subject=f"center of {cat.name}")
     Z = CenterStructure(cat, section=section, simples=simples)
     G, Gamma, M, mp = cat.G, cat.Gamma, cat.M, cat.mp
     Gt, Ginv, Gam, a1, a2 = G.table, G.inverses, Gamma.table, mp.act1, mp.act2
-    J, X = cat.jtable, cat.chitable
+    J, X = Z.cat.jtable, Z.cat.chitable
     Zs = range(len(Z.simples))
 
     def g0_s0(g: int, s: int) -> tuple[int, int]:
@@ -549,7 +563,7 @@ def verify_center_braided(cat: PointedCrossedCategory,
 
     def oracle_equivalence() -> Optional[tuple]:
         oracle = relative_center_oracle(cat)
-        mine = list(Z.simples)
+        mine = list(Z.input_simples)
         if [z.sort_key() for z in mine] != [z.sort_key() for z in oracle]:
             extra = [z.sort_key() for z in mine if z not in oracle]
             missing = [z.sort_key() for z in oracle if z not in mine]
@@ -584,17 +598,12 @@ def verify_center_braided(cat: PointedCrossedCategory,
         return None
 
     def sigma_phi_compat() -> Optional[tuple]:
-        # the unit may be missing from a corrupted simple list, so its swap
-        # scalars come from the chains themselves rather than from sigma_table
+        # sigma_{g,s} at the unit is phi[g0] - phi[g], zero in this gauge; the
+        # unit may be missing from a corrupted list, so its row comes from the chains
         unit = Z.unit
         acted = Z._g_images(unit)
-        for g in G.elements():
-            for s in Gamma.elements():
-                g0, _ = g0_s0(g, s)
-                sigma = Z._sigma_row(g, s, (unit,), (CenterSimple(*acted[g]),))[0]
-                if (sigma + cat.ph(g) - cat.ph(g0)) % M:
-                    return (g, s)
-        return None
+        return next(((g, s) for g in G.elements() for s in Gamma.elements()
+                     if Z._sigma_row(g, s, (unit,), (CenterSimple(*acted[g]),))[0]), None)
 
     def sigma_yang_baxter_gamma() -> Optional[tuple]:
         GA, SA, SG, XG = Z.g_action_table, Z.gamma_action_table, Z.sigma_table, Z.chi_gamma_table
@@ -629,30 +638,20 @@ def verify_center_braided(cat: PointedCrossedCategory,
         return None
 
     def sigma_units() -> Optional[tuple]:
-        SG = Z.sigma_table
-        for g in G.elements():
-            for i in Zs:
-                if SG[g][Gamma.identity][i]:
-                    return ("gamma-unit", g, i)
-        # only the g-unit half reads the Gamma-action
-        SA = Z.gamma_action_table
-        iota = [cat.io(z.label) for z in Z.points]
-        for s in Gamma.elements():
-            for i in Zs:
-                if SG[G.identity][s][i] != (iota[SA[s][i]] - iota[i]) % M:
-                    return ("g-unit", s, i)
-        return None
+        # sigma_{e,s} at z is iota(^s z) - iota(z), zero in this gauge
+        SG, eG, eS = Z.sigma_table, G.identity, Gamma.identity
+        return next((("gamma-unit", g, i) for g in G.elements() for i in Zs if SG[g][eS][i]),
+                    None) or next((("g-unit", s, i) for s in Gamma.elements() for i in Zs
+                                   if SG[eG][s][i]), None)
 
     def center_category_axioms() -> Optional[tuple]:
         # This check implies four laws on the center, which are not checks.
         # GA, SA and T are the G-action, Gamma-action and tensor tables.
         # - Closure of the simples under T, GA and SA: as_category requires
         #   every T image and every combined-action image to be a simple.
-        #   SA[e] is the identity on every point that passes the retract
-        #   guard (else every reader of SA reports the guard's exception),
-        #   because the precondition's axiom2_units gives
-        #   J[h][e][nu] = J[h][nu][e] = -phi[h] and the section sends e to
-        #   e_L; so the (g, e) action row is GA[g].
+        #   SA[e] is the identity on every point (or SA raises the retract
+        #   guard's exception), as J[h][e][nu] = J[h][nu][e] = 0 here and the
+        #   section sends e to e_L; so the (g, e) action row is GA[g].
         #   GA[e] keeps (h, label) and shifts chi by an amount that depends
         #   on (h, label) alone, so it is injective; it fixes every simple
         #   unless action_identity fails.  So an SA[s][i] that is not a

@@ -73,4 +73,5 @@ class SectionMissing(NonSingularityViolated):
 
 
 class UnsupportedConfiguration(CrossedCatError):
-    """Half-braiding equations admit no full character; outside supported scope."""
+    """A center simple's retract idempotent is not the identity, so the
+    Gamma-action is undefined on it (a corrupted simple list)."""

@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from conftest import category
+from crossedcat import jsonio
 from crossedcat.braided import verify_braiding
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
                                relative_center_oracle, verify_center_braided)
+from crossedcat.cli import main
 from crossedcat.errors import NonSingularityViolated, UnsupportedConfiguration
 from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, nonsingular_violation
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
-from crossedcat.pointed import PointedCrossedCategory, pointed_category
+from crossedcat.pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
 from gauge import gauge
 from reference_sweeps import ReferenceCenter
 
@@ -239,9 +242,16 @@ def _assert_tables_match_chains(cat) -> None:
 def _closure_by_chains(Z: CenterStructure) -> tuple:
     """The points and tables of Z, closed one chain call at a time by the
     reference structure's tensor, g_act and gamma_act on CenterSimple
-    values, interned on the records."""
+    values, interned on the records.
+
+    Every point has a Gamma-image.  The reference refuses a point whose chi
+    at e_L is not zero (its retract guard), so such a point's image is the
+    chain's at chi(e_L) = 0 with chi(e_L) put back: the chain reads
+    chi(e_L) only at e_L, and keeps it there.  The guard's message is the
+    reference's at the first simple it refuses."""
     cat = Z.cat
     R = ReferenceCenter(cat, section=Z.section, simples=Z.simples)
+    e = Z.npos[cat.Lambda.identity]
     points = list(Z.simples)
     where = {z: i for i, z in enumerate(points)}
 
@@ -251,16 +261,25 @@ def _closure_by_chains(Z: CenterStructure) -> tuple:
             points.append(z)
         return where[z]
 
+    def with_unit(z: CenterSimple, c: int) -> CenterSimple:
+        return CenterSimple(z.g, z.label, z.chi[:e] + (c,) + z.chi[e + 1:])
+
+    def gamma_act(s: int, z: CenterSimple) -> CenterSimple:
+        c = z.chi[e] % cat.M
+        return with_unit(R.gamma_act(s, with_unit(z, 0)), c) if c else R.gamma_act(s, z)
+
     g_rows, gamma_rows, tensor_rows = [], [], []
-    unsupported = None
     for z in points:
         g_rows.append([intern(R.g_act(g, z)) for g in cat.G.elements()])
-        try:
-            gamma_rows.append([intern(R.gamma_act(s, z)) for s in cat.Gamma.elements()])
-        except UnsupportedConfiguration as exc:
-            gamma_rows.append([None] * cat.Gamma.order)
-            unsupported = unsupported or str(exc)
+        gamma_rows.append([intern(gamma_act(s, z)) for s in cat.Gamma.elements()])
         tensor_rows.append(tuple(intern(R.tensor(z, w)) for w in Z.simples))
+    unsupported = None
+    for z in Z.simples:
+        try:
+            R.gamma_act(cat.Gamma.identity, z)
+        except UnsupportedConfiguration as exc:
+            unsupported = str(exc)
+            break
     return (tuple(points), tuple(tensor_rows), tuple(zip(*g_rows)), tuple(zip(*gamma_rows)),
             unsupported)
 
@@ -384,14 +403,24 @@ def test_frozen_scalar_regression_tables():
     assert list(Z6.sigma_table[1][1]) == [0, 2] * 12
 
 
-def test_unsupported_half_braiding_obstruction():
-    """G = Z4 with J[g][1][1] = g on Lambda = Z2 leaves odd degrees with no
-    root-valued character; enumeration must refuse rather than guess."""
+def test_obstructed_degrees_have_no_simple(tmp_path, capsys):
+    """G = Z4 with J[g][1][1] = g on Lambda = Z2 leaves the odd degrees with
+    no root-valued character.  They have no simple; the invertible part at
+    degrees 0 and 2 is the center, and it verifies, in process and from
+    the CLI."""
     Z2 = cyclic(2)
     mp = direct_pair(cyclic(4), trivial_group())
     j = [[[0, 0], [0, g]] for g in range(4)]
     cat = pointed_category(Z2, mp, [0, 0], [[0, 1]] * 4, 4, jtable=j, name="obstructed")
-    from crossedcat.pointed import verify_crossed_category
     assert verify_crossed_category(cat).passed
-    with pytest.raises(UnsupportedConfiguration):
-        enumerate_center(cat)
+    simples = enumerate_center(cat)
+    assert [(z.g, z.label, z.chi) for z in simples] == [
+        (g, label, (0, c)) for g in (0, 2) for label in (0, 1)
+        for c in ((0, 2) if g == 0 else (1, 3))]
+    assert simples == relative_center_oracle(cat)
+    assert verify_center_braided(cat).passed
+    path = tmp_path / "obstructed.json"
+    jsonio.save_category(cat, path)
+    for argv in (["verify", "center", str(path)], ["center", str(path)]):
+        assert main(argv) == 0, (argv, capsys.readouterr())
+        assert json.loads(capsys.readouterr().out)["pass"] is True
