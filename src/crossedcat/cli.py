@@ -16,7 +16,6 @@ parser for all seven commands on every run.
 from __future__ import annotations
 
 import gc
-import hashlib
 import itertools
 import json
 import os
@@ -31,9 +30,22 @@ from .records import Record
 if TYPE_CHECKING:
     from .report import VerificationReport
 
+# The input digest uses CPython's built-in SHA-256 module, `_sha2` from
+# Python 3.12 on and `_sha256` before.  The standard hash module would map
+# OpenSSL's libcrypto, which adds about 3.5 MB to the peak RSS and 3.5 ms to
+# the start-up of every command; it serves only a build without the built-in
+# hashes.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 
 def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return sha256(path.read_bytes()).hexdigest()
 
 
 def _emit(report: VerificationReport, pretty: bool) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -168,6 +169,30 @@ def test_input_digest_is_taken_before_output_overwrites_the_input(capsys, fixtur
     assert json.loads(out)["inputDigest"] == before
 
 
+@pytest.mark.parametrize("argv,source", [
+    (["verify", "group"], "group-z3.json"),
+    (["verify", "matched-pair"], "z2-z3-inversion.json"),
+    (["verify", "braided-pair"], "turaev-s3-braided.json"),
+    (["verify", "category"], "cat-vec-z2z3.json"),
+    (["verify", "center"], "cat-vec-z2z3.json"),
+    (["center"], "cat-z4-over-z2.json"),
+    (["coherence", "--objects", "0", "--category"], "cat-vec-z2z3.json"),
+    (["zappa-szep", "-o", "{out}"], "z2-z3-inversion.json"),
+    (["factorize", "--gens-g", "9", "--gens-gamma", "6,8", "-o", "{out}"], "group-s4.json"),
+    (["turaev", "-o", "{out}"], "group-d4.json"),
+    (["center-pair", "-o", "{out}"], "direct-z2-z2.json"),
+], ids=["verify-group", "verify-matched-pair", "verify-braided-pair", "verify-category",
+        "verify-center", "center", "coherence-objects", "zappa-szep", "factorize", "turaev",
+        "center-pair"])
+def test_input_digest_is_the_sha256_of_the_input_bytes(capsys, fixture_dir, tmp_path,
+                                                       argv, source):
+    # the oracle is the standard library's hash, not the CLI's own digest
+    path = fixture_dir / source
+    code, out = run(capsys, *[a.format(out=tmp_path / "out.json") for a in argv], str(path))
+    assert code == 0
+    assert json.loads(out)["inputDigest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_coherence_command(capsys, fixture_dir):
     code, out = run(capsys, "coherence", "--category", str(fixture_dir / "cat-cocycle-j.json"),
                     "--max-nodes", "6", "--arity", "2")
@@ -266,17 +291,34 @@ def _imported_after(code: str, modules: set[str]) -> list[str]:
 def test_cli_import_leaves_numpy_and_threads_out():
     # every command is a fresh process: `dataclasses` (which imports `inspect`)
     # costs a short command about a quarter of its time, and `argparse` with
-    # `gettext` and `locale`, or a module the command does not run, a few ms more
-    assert _imported_after("import crossedcat.cli",
-                           {"numpy", "concurrent.futures", "dataclasses", "inspect"}) == []
+    # `gettext` and `locale`, or a module the command does not run, a few ms more;
+    # `hashlib` maps OpenSSL, about 3.5 MB of peak RSS
+    openssl = {"hashlib", "_hashlib"}
+    assert _imported_after("import crossedcat.cli", {
+        "numpy", "concurrent.futures", "dataclasses", "inspect"} | openssl) == []
     run = "from crossedcat.cli import main\nassert main({argv!r}) == 0"
     z2 = str(FIXTURE_DIR / "group-z2.json")
     assert _imported_after(run.format(argv=["verify", "group", z2]), {
         "argparse", "gettext", "locale", "crossedcat.center", "crossedcat.words",
-        "crossedcat.braided", "crossedcat.matched", "crossedcat.pointed"}) == []
+        "crossedcat.braided", "crossedcat.matched", "crossedcat.pointed"} | openssl) == []
     cat = str(FIXTURE_DIR / "cat-vec-z2z3.json")
     assert _imported_after(run.format(argv=["verify", "category", cat]), {
         "crossedcat.center", "crossedcat.words", "crossedcat.braided"}) == []
+    assert _imported_after(run.format(argv=["verify", "center", cat]), openssl) == []
+    assert _imported_after(run.format(argv=["coherence", "--category", cat, "--objects", "0"]),
+                           openssl) == []
+
+
+def test_digest_falls_back_to_hashlib_without_the_builtin_hashes():
+    # a Python built without `_sha2` (3.12 on) or `_sha256` (before)
+    probe = ("import sys\n"
+             "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+             "from crossedcat.cli import main\n"
+             "print(main(sys.argv[1:]), 'hashlib' in sys.modules)")
+    path = FIXTURE_DIR / "group-z2.json"
+    report, status = _fresh_python(probe, "verify", "group", str(path)).stdout.splitlines()
+    assert status == "0 True"
+    assert json.loads(report)["inputDigest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_package_exports_resolve_lazily():
