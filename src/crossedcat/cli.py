@@ -11,11 +11,17 @@ most of its time.  So each command imports the modules it runs inside its
 `cmd_*` function, and `parse_args` reads the command line from the table
 COMMANDS, which also gives the --help text, instead of building an argparse
 parser for all seven commands on every run.
+
+For the same reason a command's process skips interpreter teardown: `entry`
+runs the atexit handlers, flushes stdout and stderr, and ends with
+os._exit.  A wrapper that expects the module to return, such as
+`python -m cProfile -m crossedcat.cli`, loses its output; profile `main` in
+process instead, as perfbench/traced_cli.py does.
 """
 
 from __future__ import annotations
 
-import gc
+import atexit
 import itertools
 import json
 import os
@@ -400,6 +406,11 @@ def _flush_stdout() -> None:
         raise
 
 
+def _error(exc: Exception) -> int:
+    print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
+    return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     pretty = False
     try:
@@ -413,22 +424,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         finally:
             _flush_stdout()
     except (CrossedCatError, json.JSONDecodeError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 2
+        return _error(exc)
 
 
 def entry() -> None:
     """Run the command line in this process and exit with main's code: the
-    entry of `python -m crossedcat.cli` and of the `crossedcat` script."""
+    entry of `python -m crossedcat.cli` and of the `crossedcat` script.
+
+    Interpreter teardown (full garbage collections, module teardown, the
+    finalizers of every live object) would cost the command about 3 ms
+    more, and nothing it does is needed once the report is out.  So the
+    process runs its atexit handlers, flushes stdout and stderr itself, and
+    ends with os._exit.  A flush that fails exits 2, as in main.  main()
+    leaves the process as it is, so in-process callers keep the usual exit.
+    """
     code = main()
-    # The process ends next, and interpreter shutdown runs full garbage
-    # collections over every tracked object: 10-15 ms of a 90 ms command.
-    # gc.freeze() moves them all to the permanent generation, which those
-    # collections skip; atexit handlers, the flush of stdout and module
-    # teardown still run, as os._exit would not let them.  main() does not
-    # freeze, so in-process callers keep a collectable heap.
-    gc.freeze()
-    raise SystemExit(code)
+    atexit._run_exitfuncs()
+    try:
+        _flush_stdout()
+    except OSError as exc:
+        code = _error(exc)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass  # nowhere left to report it
+    os._exit(code)
 
 
 if __name__ == "__main__":

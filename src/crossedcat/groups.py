@@ -9,11 +9,12 @@ share is swept here once, with its closure proof: the composition law of
 an action (`action_law_witness`, associativity included), the unit law
 (`unit_witness`), twisted multiplicativity (`twisted_hom_witness`) and the
 homomorphism law (`is_hom_image`).  The category's two cocycle laws keep
-their own sweeps and share one closure proof (`cocycle_witness`), and its
-axiom 3 keeps its sweep and proof in pointed.py.  No size limit is
-enforced yet, and the sweeps grow fast with the order: verifying the
-Turaev category of D8 (order 16) and its braided center takes about 0.5 s
-in process (Python 3.11, 2-vCPU VM).
+their own sweeps and share one closure proof (`cocycle_witness`), its
+axiom 3 keeps its sweep and proof in pointed.py, and the center's three
+braiding axioms keep theirs in center.py.  No size limit is enforced yet,
+and the sweeps grow fast with the order: verifying the Turaev category of
+D8 (order 16) and its braided center takes about 0.5 s in process
+(Python 3.11, 2-vCPU VM).
 """
 
 from __future__ import annotations

@@ -10,25 +10,28 @@ pass no full sweep may run at all.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 import sys
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_DIR, category, pair
-from crossedcat import groups, jsonio
-from crossedcat.center import verify_center_braided
+from crossedcat import center, groups, jsonio
+from crossedcat.center import CenterStructure, enumerate_center, verify_center_braided
 from crossedcat.errors import CrossedCatError, GroupValidationError
-from crossedcat.braided import verify_braiding
+from crossedcat.braided import BraidedMatchedPair, verify_braiding
 from crossedcat.groups import (FiniteGroup, action_law_witness, cyclic, dihedral, direct_product,
                                generators, group_hom, is_hom_image, subgroup_from_generators,
                                symmetric, trivial_group, twisted_hom_witness, validate_group)
 from crossedcat.matched import matched_pair, verify_matched_pair
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from gauge import gauge, random_cochain
-from reference_sweeps import (reference_crossed_category, reference_group_hom,
+from reference_sweeps import (ReferenceCenter, reference_center_braided,
+                              reference_crossed_category, reference_group_hom,
                               reference_is_hom_image, reference_matched_pair,
                               reference_validate_group)
 
@@ -444,6 +447,216 @@ def test_axiom3_certificate_with_an_action_that_does_not_compose():
             assert passed["axiom3_j_chi"] == (count == 0)
 
 
+# -- the center's braiding axioms, certified on the actor and on generators
+
+NONZERO_CENTERS = ["z6-over-z3", "z4-over-z2", "cocycle-j", "cocycle-chi", "equivariant-s3"]
+BRAIDING_LAWS = ("braiding_axiom_1", "braiding_axiom_2", "braiding_axiom_3")
+
+
+def _center_sweeps(monkeypatch) -> dict[str, tuple]:
+    """Run each certified sweep of center.py in full as well, and record
+    (sweep, gens, certified result, full result) by the law's name."""
+    runs = {}
+
+    def both(sweep, gens, elements):
+        full = sweep(elements)
+        got = groups.certified_sweep(lambda r: full if r is elements else sweep(r),
+                                     gens, elements)
+        runs[sweep.__qualname__.split(".<locals>.")[-2]] = (sweep, gens, got, full)
+        return got
+
+    monkeypatch.setattr(center, "certified_sweep", both)
+    return runs
+
+
+def _certified_as_full(runs: dict[str, tuple]) -> bool:
+    """Each braiding law ran under its certificate and returned the full
+    sweep's result."""
+    return sorted(runs) == list(BRAIDING_LAWS) and all(
+        gens is not None and got == full for _, gens, got, full in runs.values())
+
+
+@pytest.mark.parametrize("name", NONZERO_CENTERS)
+def test_braiding_certificates_on_braid_table_mutants(name, monkeypatch):
+    """Every single-entry mutant of the braid table over the simples (one
+    drawn nonzero delta per entry) leaves the center as a category as it
+    is, so the three braiding axioms run under their certificates, and each
+    must return the full sweep's witness.  A seeded sample of the mutants
+    is checked against the reference sweeps too; they take over a second a
+    run on the 24-simple center, which is left out of the sample."""
+    cat = category(name)
+    simples = enumerate_center(cat)
+    n, M = len(simples), cat.M
+    entry = [0, 0, 0]  # (a, b, delta): B[a][b] += delta
+    # a mutant differs from the center in its braid table alone, so every
+    # run shares the center's other tables and its report as a category
+    Z = CenterStructure(cat)
+    for attr, value in vars(CenterStructure).items():
+        if isinstance(value, cached_property):
+            getattr(Z, attr)
+    center_report = verify_crossed_category(Z.as_category())
+
+    def mutant(*_args, **_kwargs) -> CenterStructure:
+        a, b, d = entry
+        row = list(Z.braid_table[a])
+        row[b] = (row[b] + d) % M
+        mutated = copy.copy(Z)
+        mutated.braid_table = Z.braid_table[:a] + (tuple(row),) + Z.braid_table[a + 1:]
+        return mutated
+
+    reference_braiding = ReferenceCenter.braiding
+
+    def mutated_braiding(self, z1, z2):
+        target, exponent = reference_braiding(self, z1, z2)
+        a, b, d = entry
+        if z1 == simples[a] and z2 == simples[b]:
+            exponent = (exponent + d) % M
+        return target, exponent
+
+    monkeypatch.setattr(center, "CenterStructure", mutant)
+    monkeypatch.setattr(center, "verify_crossed_category", lambda _: center_report)
+    monkeypatch.setattr(ReferenceCenter, "braiding", mutated_braiding)
+    runs = _center_sweeps(monkeypatch)
+    rng = random.Random(f"braid:{name}")
+    sample = set(rng.sample(range(n * n), 4)) if n < 24 else set()
+    for a, b in itertools.product(range(n), repeat=2):
+        entry[:] = a, b, rng.randrange(1, M)
+        runs.clear()
+        rep = verify_center_braided(cat)
+        passed = {c.name: c.passed for c in rep.checks}
+        assert passed["induced_pair_braided"] and passed["center_category_axioms"]
+        assert _certified_as_full(runs), entry
+        if a * n + b in sample:
+            assert triples(rep) == triples(reference_center_braided(cat)), entry
+
+
+def test_braiding_axioms_sweep_in_full_when_the_center_is_no_category(monkeypatch):
+    """With one J entry of the center moved at a simple that is no
+    generator of the simples' group, center_category_axioms fails, and
+    both hexagons hold at e and the generators and fail elsewhere: the gate
+    sends all three braiding axioms to the full sweep, which reports its
+    first witness."""
+    cat = category("z6-over-z3")
+    Z = CenterStructure(cat)
+    n = len(Z.simples)
+    e = Z.simples.index(Z.unit)
+    gens = generators(Z.tensor_table[:n], e)
+    assert (e, gens) == (0, [1, 2, 12])
+    j_table = CenterStructure.j_table.func
+
+    def moved(self):
+        planes = j_table(self)
+        plane = [list(row) for row in planes[0]]
+        plane[0][3] = (plane[0][3] + 1) % cat.M  # J[(e, e)][0][3]
+        return (tuple(map(tuple, plane)),) + planes[1:]
+
+    monkeypatch.setattr(CenterStructure, "j_table", property(moved))
+    runs = _center_sweeps(monkeypatch)
+    rep = verify_center_braided(cat)
+    assert [(c.name, c.witness) for c in rep.checks if not c.passed] == [
+        ("center_category_axioms", ("axiom2_j_cocycle", 0, 0, 0, 3)),
+        ("braiding_axiom_1", (0, 0, 3)),
+        ("braiding_axiom_2", (0, 3, 0)),
+        ("braiding_axiom_3", (0, 0, 3))]
+    assert all(gens is None and got == full for _, gens, got, full in runs.values())
+    assert [runs[law][0]([e, *gens]) for law in BRAIDING_LAWS[1:]] == [None, None]
+
+
+def test_braiding_axiom_1_needs_well_typed_braidings(monkeypatch):
+    """(phi, phi) is a braided pair on the induced pair of z4-over-z2, but
+    under it 96 braidings have a source phi(S_k).i (x) k other than their
+    target phi(S_i).k (x) i, and the closure proof at braiding_axiom_1 needs
+    the two equal.  Its gate sends it to the full sweep; the hexagons, whose
+    proofs do not need it, stay certified."""
+    cat = category("z4-over-z2")
+    Z = CenterStructure(cat)
+    bmp = Z.induced
+    doubled = BraidedMatchedPair(bmp.mp, bmp.phi, bmp.phi)
+    assert verify_braiding(doubled).passed
+    T, act, grade, phi = Z.tensor_table, Z.action_table, Z.grade_table, bmp.phi.image
+    n = len(Z.simples)
+    assert sum(T[act[phi[grade[k]]][i]][k] != T[act[phi[grade[i]]][k]][i]
+               for i in range(n) for k in range(n)) == 96
+    monkeypatch.setattr(CenterStructure, "induced", doubled)
+    runs = _center_sweeps(monkeypatch)
+    rep = verify_center_braided(cat)
+    passed = {c.name: c.passed for c in rep.checks}
+    assert passed["induced_pair_braided"] and passed["center_category_axioms"]
+    assert [(law, runs[law][1] is None, runs[law][2] == runs[law][3])
+            for law in BRAIDING_LAWS] == [("braiding_axiom_1", True, True),
+                                          ("braiding_axiom_2", False, True),
+                                          ("braiding_axiom_3", False, True)]
+
+
+def braiding_holds_at(Z, J, X) -> tuple[set[int], set[int], set[int]]:
+    """The actors A at which braiding_axiom_1 holds for every (i, k), the k
+    at which braiding_axiom_2 holds for every (i, l), and the l at which
+    braiding_axiom_3 holds for every (i, k), evaluated entry by entry on
+    Z's braid, tensor and action tables and the combined J and X."""
+    B, T, act, grade, M = Z.braid_table, Z.tensor_table, Z.action_table, Z.grade_table, Z.cat.M
+    bmp = Z.induced
+    phi, psi, a1, a2 = bmp.phi.image, bmp.psi.image, bmp.mp.act1, bmp.mp.act2
+    Zs = range(len(Z.simples))
+    good1, good2, good3 = set(bmp.mp.G.elements()), set(Zs), set(Zs)
+    for A, i, k in itertools.product(bmp.mp.G.elements(), Zs, Zs):
+        Si, Sk = grade[i], grade[k]
+        if (B[i][k] + J[A][act[phi[Sk]][i]][k] - X[a2[Sk][A]][phi[Sk]][i] + X[phi[a1[A][Sk]]][A][i]
+                - J[A][act[psi[Si]][k]][i] + X[a2[Si][A]][psi[Si]][k] - X[psi[a1[A][Si]]][A][k]
+                - B[act[A][i]][act[A][k]]) % M:
+            good1.discard(A)
+    for i, k, l in itertools.product(Zs, repeat=3):
+        Si, Sk, Sl = grade[i], grade[k], grade[l]
+        if (B[T[i][k]][l] + J[phi[Sl]][i][k] - X[psi[Si]][psi[Sk]][l]
+                - B[i][act[psi[Sk]][l]] - B[k][l]) % M:
+            good2.discard(k)
+        if (B[i][T[k][l]] + X[phi[Sk]][phi[Sl]][i] - J[psi[Si]][k][l] - B[i][l]
+                - B[act[phi[Sl]][i]][k]) % M:
+            good3.discard(l)
+    return good1, good2, good3
+
+
+def test_braiding_axioms_hold_on_product_closed_sets(monkeypatch):
+    """The closure proofs at the braiding axioms, as a property.  A gauge of
+    the center viewed as a category (tests/gauge.py, by a cochain zero at
+    the unit simple and at the unit actor, so that phi and iota stay zero)
+    keeps every premise, and with the braid table left as it is the
+    axioms fail on part of the actors or simples.  The actors at which
+    axiom 1 holds everywhere, and the k and l at which the hexagons do,
+    must be closed under products (49 of the 90 sets are proper and
+    nonempty), and each certified sweep must return the full sweep's
+    witness."""
+    rng = random.Random("hexagon-closure")
+    centers = [(category(name), CenterStructure(category(name))) for name in NONZERO_CENTERS]
+    centers = [(cat, Z, Z.as_category()) for cat, Z in centers]  # before any table is patched
+    runs = _center_sweeps(monkeypatch)
+    checked = proper = 0
+    for cat, Z, as_cat in centers:
+        n, e = len(Z.simples), Z.simples.index(Z.unit)
+        K, T = as_cat.G, Z.tensor_table
+        actors = [A for A in K.elements() if A != K.identity]
+        others = [x for x in range(n) if x != e]
+        for _ in range(6):
+            u = [[0] * n for _ in K.elements()]
+            for _ in range(rng.randint(1, 2)):
+                u[rng.choice(actors)][rng.choice(others)] = rng.randrange(1, cat.M)
+            gauged = gauge(as_cat, u)
+            assert not any(gauged.phitable) and not any(gauged.iotatable)
+            monkeypatch.setattr(CenterStructure, "j_table", gauged.jtable)
+            monkeypatch.setattr(CenterStructure, "chi_table", gauged.chitable)
+            runs.clear()
+            rep = verify_center_braided(cat)
+            passed = {c.name: c.passed for c in rep.checks}
+            assert passed["induced_pair_braided"] and passed["center_category_axioms"]
+            assert _certified_as_full(runs)
+            for law, table, good in zip(BRAIDING_LAWS, (K.table, T, T),
+                                        braiding_holds_at(Z, gauged.jtable, gauged.chitable)):
+                assert all(table[a][b] in good for a in good for b in good), (cat.name, law)
+                assert passed[law] == (len(good) == len(table))
+                checked += 1
+                proper += 0 < len(good) < len(table)
+    assert (checked, proper) == (90, 49)
+
+
 # -- no silent fallback
 
 def test_passing_fixtures_run_no_full_sweep(monkeypatch):
@@ -497,5 +710,5 @@ def test_passing_fixtures_run_no_full_sweep(monkeypatch):
         passing.append(name)
         assert full == [], name
     assert len(passing) == 38, passing
-    # the nonzero fixtures and centers certify axiom 3 too
-    assert {"axiom3_j", "axiom2_cocycle", "chi_cocycle"} <= laws, laws
+    # the nonzero fixtures and centers certify axiom 3 and the braiding axioms too
+    assert {"axiom3_j", "axiom2_cocycle", "chi_cocycle", *BRAIDING_LAWS} <= laws, laws

@@ -342,16 +342,32 @@ def test_package_exports_resolve_lazily():
     assert _fresh_python(probe).stdout.split() == ["CenterStructure", "crossedcat.words"]
 
 
-def test_cli_process_freezes_its_heap_before_exit():
-    # an atexit hook runs after the entry has raised SystemExit
-    probe = ("import atexit, gc, runpy\n"
-             "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+def test_cli_process_ends_without_teardown(tmp_path):
+    # the entry runs atexit hooks and flushes, then leaves by os._exit: the
+    # hook's line follows the report, main's code is the exit code, and no
+    # module is torn down.  The object sits on the package, whose dict
+    # teardown clears; in the probe's globals it would sit in a reference
+    # cycle that only a garbage collection frees, and so show whether
+    # teardown collected rather than whether it ran.
+    probe = ("import atexit, crossedcat, runpy\n"
+             "class Loud:\n"
+             "    def __del__(self):\n"
+             "        print('finalized')\n"
+             "crossedcat.loud = Loud()\n"
+             "atexit.register(lambda: print('hook'))\n"
              "runpy.run_module('crossedcat.cli', run_name='__main__')")
-    done = _fresh_python(probe, "verify", "group", str(FIXTURE_DIR / "group-z3.json"))
-    report, frozen = done.stdout.splitlines()
-    assert json.loads(report)["pass"] is True
-    word, count = frozen.split()
-    assert word == "frozen" and int(count) > 0
+    obj = json.loads((FIXTURE_DIR / "z2-z3-inversion.json").read_text())
+    obj["act1"][1][2] = (obj["act1"][1][2] + 1) % 3
+    bad = tmp_path / "corrupted.json"
+    bad.write_text(json.dumps(obj))
+    for path, code in ((FIXTURE_DIR / "group-z3.json", 0), (bad, 1)):
+        kind = "group" if code == 0 else "matched-pair"
+        done = subprocess.run([sys.executable, "-c", probe, "verify", kind, str(path)],
+                              capture_output=True, text=True, timeout=60,
+                              env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")})
+        report, hook = done.stdout.splitlines()
+        assert (done.returncode, json.loads(report)["pass"], hook) == (code, code == 0, "hook")
+        assert done.stderr == ""
 
 
 def test_main_leaves_the_heap_collectable(capsys):
