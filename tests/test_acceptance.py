@@ -125,8 +125,7 @@ def _center_well_graded(Z: CenterStructure) -> bool:
 
 def test_criterion_6_center_braided_everywhere():
     ok = True
-    needed = {"sigma_yang_baxter_gamma", "sigma_yang_baxter_g",
-              "braiding_axiom_1", "braiding_axiom_2", "braiding_axiom_3",
+    needed = {"braiding_axiom_1", "braiding_axiom_2", "braiding_axiom_3",
               "center_category_axioms"}
     for name in CENTER_FIXTURES:
         cat = category(name)

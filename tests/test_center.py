@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
-from conftest import category
+from conftest import ROOT, category
 from crossedcat import jsonio
 from crossedcat.braided import verify_braiding
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
@@ -424,3 +425,15 @@ def test_obstructed_degrees_have_no_simple(tmp_path, capsys):
     for argv in (["verify", "center", str(path)], ["center", str(path)]):
         assert main(argv) == 0, (argv, capsys.readouterr())
         assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_readme_check_counts():
+    """The README's count of report checks is the verifiers' on a passing
+    fixture."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+    found = re.search(r"the category report has (\d+) checks and the center report (\d+)\.", text)
+    assert found, "README sentence with the check counts is missing"
+    cat = category("z4-over-z2")
+    rep, center = verify_crossed_category(cat), verify_center_braided(cat)
+    assert rep.passed and center.passed
+    assert (int(found[1]), int(found[2])) == (len(rep.checks), len(center.checks))

@@ -50,8 +50,8 @@ def test_verify_center_report_sections(capsys, fixture_dir):
     code, out = run(capsys, "verify", "center", str(fixture_dir / "cat-z4-over-z2.json"))
     assert code == 0
     names = [c["name"] for c in json.loads(out)["checks"]]
-    assert "sigma_yang_baxter_gamma" in names
-    assert "braiding_axiom_1" in names
+    assert names == ["oracle_equivalence", "induced_pair_braided", "center_category_axioms",
+                     "braiding_axiom_1", "braiding_axiom_2", "braiding_axiom_3"]
 
 
 def test_center_nonsurjective_exit_2(capsys, fixture_dir):

@@ -198,7 +198,7 @@ def test_retract_witness_names_the_simple_as_passed():
                    f"{bad.chi[unit_pos]}, phi[{bad.g}] = {cat.ph(bad.g)})")
         witness = ("exception", "UnsupportedConfiguration", message[:120])
         checks = {c.name: c.witness for c in verify_center_braided(cat, simples=mutated).checks}
-        assert checks["sigma_j_compat"] == witness, k
+        assert checks["braiding_axiom_1"] == witness, k
 
 
 def test_escape_witness_is_in_the_input_gauge():

@@ -27,10 +27,11 @@ from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.matched import matched_pair, verify_matched_pair, zappa_szep
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from crossedcat.words import check_coherence
-from reference_sweeps import (ReferenceCenter, reference_braiding, reference_center_braided,
-                              reference_center_braiding, reference_coherence,
-                              reference_crossed_category, reference_matched_pair,
-                              reference_zappa_szep)
+from gauge import gauge
+from reference_sweeps import (ReferenceCenter, ReferenceSwapLaws, reference_braiding,
+                              reference_center_braided, reference_center_braiding,
+                              reference_coherence, reference_crossed_category,
+                              reference_matched_pair, reference_swap_laws, reference_zappa_szep)
 
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
 CENTER_FILES = [n for n in CATEGORY_FILES if n != "cat-nonsurjective.json"]
@@ -372,13 +373,12 @@ def test_unit_actions_on_points(name):
 def test_zero_support_skips_never_mask_an_exception():
     """A simple of a Vec fixture whose unit exponent breaks the retract
     idempotent makes the center's data nonzero, so no check is skipped:
-    each of the six scalar sweeps reports the same exception as the
+    each of the three scalar sweeps reports the same exception as the
     reference sweeps, and every other check the reference's witness."""
     cat = category("vec-z2z3")
     simples = enumerate_center(cat)
     unit_pos = cat.neutral_labels.index(cat.Lambda.identity)
-    sweeps = ("sigma_j_compat", "sigma_yang_baxter_gamma", "sigma_yang_baxter_g",
-              "braiding_axiom_1", "braiding_axiom_2", "braiding_axiom_3")
+    sweeps = ("braiding_axiom_1", "braiding_axiom_2", "braiding_axiom_3")
     for k, z in enumerate(simples):
         chi = list(z.chi)
         chi[unit_pos] = (chi[unit_pos] + 1) % cat.M
@@ -389,8 +389,7 @@ def test_zero_support_skips_never_mask_an_exception():
             if name in sweeps:
                 assert witness[:2] == ("exception", "UnsupportedConfiguration"), (k, name)
         assert mine == triples(reference_center_braided(cat, simples=mutated)), k
-    # without the unit, sigma_phi_compat evaluates its swap scalars off the
-    # point list
+    # so is the report on a list without the unit
     unit = simples.index(CenterStructure(cat).unit)
     mutated = simples[:unit] + simples[unit + 1:]
     assert triples(verify_center_braided(cat, simples=mutated)) == \
@@ -428,6 +427,128 @@ def test_criterion_9_center_mutants(monkeypatch):
         if name.startswith("center:"):
             assert check(), name
     assert seen
+
+
+# -- the swap scalars' laws, which center_category_axioms restates
+#
+# ReferenceSwapLaws evaluates the laws in the input's gauge, so it agrees
+# with the center's swap scalars on unit-normal inputs only: the fixtures,
+# their sigma-table mutants and corrupted simple lists, and their gauges
+# off the units and off N (family iii), which keep phi = iota = 0.
+
+SIGMA_MUTANT_FIXTURES = ("z6-over-z3", "z4-over-z2", "cocycle-j", "equivariant-s3", "vec-z2z3")
+
+
+def _center_axioms_pass(cat, simples=None) -> bool:
+    return next(c.passed for c in verify_center_braided(cat, simples=simples).checks
+                if c.name == "center_category_axioms")
+
+
+def _restated_residues(cat):
+    """(swap-law residue, residue of the center law that restates it) at
+    every instance of the four swap laws off the unit actors (every group
+    argument is not e).  The center's actor (g, s) is g * |Gamma| + s."""
+    laws = ReferenceSwapLaws(cat)
+    C = CenterStructure(cat).as_category()
+    X, J, act, deg, Lt, M = C.chitable, C.jtable, C.action, C.grading, C.Lambda.table, C.M
+    Kt, a1, a2, phi, eZ = C.G.table, C.mp.act1, C.mp.act2, C.phitable, C.Lambda.identity
+    Zs, order = range(len(laws.Z.simples)), cat.Gamma.order
+    Gs = [g for g in cat.G.elements() if g != cat.G.identity]
+    Ss = [s for s in cat.Gamma.elements() if s != cat.Gamma.identity]
+    eG, eS = cat.G.identity, cat.Gamma.identity
+
+    def j_chi(g, h, x, y):  # axiom3_j_chi
+        t = a2[deg[y]][h]
+        return (X[g][h][Lt[x][y]] + J[h][x][y] + J[g][act[t][x]][act[h][y]]
+                - J[Kt[g][h]][x][y] - X[a2[a1[h][deg[y]]][g]][t][x] - X[g][h][y]) % M
+
+    def cocycle(g, h, k, x):  # chi_cocycle
+        return (X[Kt[g][h]][k][x] + X[g][h][act[k][x]] - X[g][Kt[h][k]][x] - X[h][k][x]) % M
+
+    for g, s in itertools.product(Gs, Ss):
+        A, B = eG * order + s, g * order + eS
+        yield laws.phi_compat(g, s), (X[A][B][eZ] + phi[B] + phi[A] - phi[Kt[A][B]]) % M
+        for i, k in itertools.product(Zs, Zs):
+            yield laws.j_compat(g, s, i, k), j_chi(A, B, i, k)
+        for s2, i in itertools.product(Ss, Zs):
+            yield laws.yang_baxter_gamma(g, s, s2, i), cocycle(A, eG * order + s2, B, i)
+        for g2, i in itertools.product(Gs, Zs):
+            yield laws.yang_baxter_g(g, g2, s, i), cocycle(A, B, g2 * order + eS, i)
+
+
+def _assert_restated(cat):
+    residues = list(_restated_residues(cat))
+    assert all((a == 0) == (b == 0) for a, b in residues), cat.name
+    return sum(a != 0 for a, _ in residues)
+
+
+@pytest.mark.parametrize("name", SIGMA_MUTANT_FIXTURES)
+def test_sigma_mutants_fail_center_category_axioms(name, monkeypatch):
+    """sigma moved by one at two seeded simples per (g, s), in the center's
+    table and in the reference's alike, with the zero flag forced off:
+    every mutant fails a swap law and center_category_axioms, and off the
+    unit actors each law vanishes where the center law that restates it
+    does."""
+    cat = category(name)
+    simples = enumerate_center(cat)
+    table = CenterStructure(cat).sigma_table
+    reference_sigma = ReferenceCenter.sigma
+    rng = random.Random(f"sigma:{name}")
+    monkeypatch.setattr(CenterStructure, "zero", property(lambda self: False))
+    nonzero = 0
+    for g, s, _ in itertools.product(cat.G.elements(), cat.Gamma.elements(), range(2)):
+        i = rng.randrange(len(simples))
+        mutated = [[list(row) for row in plane] for plane in table]
+        mutated[g][s][i] = (mutated[g][s][i] + 1) % cat.M
+        monkeypatch.setattr(CenterStructure, "sigma_table", property(lambda self, t=mutated: t))
+
+        def sigma(self, g2, s2, z, at=(g, s, simples[i])):
+            return (reference_sigma(self, g2, s2, z) + ((g2, s2, z) == at)) % cat.M
+
+        monkeypatch.setattr(ReferenceCenter, "sigma", sigma)
+        assert not reference_swap_laws(cat).passed, (g, s, i)
+        assert not _center_axioms_pass(cat), (g, s, i)
+        if g != cat.G.identity and s != cat.Gamma.identity:
+            nonzero += _assert_restated(cat)
+    assert nonzero or cat.G.order == 1 or cat.Gamma.order == 1
+
+
+@pytest.mark.parametrize("name", [n for n in CENTER_FIXTURES
+                                  if n not in ("vec-s4-pair", "z6-over-z3")])
+def test_corrupted_simples_failing_swap_laws_fail_center_category_axioms(name):
+    """Changed exponents, dropped simples and a repeated simple: some fail
+    a swap law, and each of those fails center_category_axioms too."""
+    cat = category(name)
+    simples = enumerate_center(cat)
+    rng = random.Random(f"swap-simples:{name}")
+    dropped = [simples[:k] + simples[k + 1:] for k in rng.sample(range(len(simples)),
+                                                                 min(2, len(simples)))]
+    failing = [m for m in [*_corrupted_simples(cat, 2, rng), *dropped,
+                           *_duplicated_simple(cat, rng)]
+               if not reference_swap_laws(cat, m).passed]
+    assert failing
+    assert not any(_center_axioms_pass(cat, m) for m in failing)
+
+
+def test_family_iii_gauges_failing_swap_laws_fail_center_category_axioms():
+    """Gauges at (g, x) with g != e and x outside N keep the units strict.
+    Where such a gauge fails a swap law, it fails center_category_axioms,
+    and off the unit actors each law vanishes where its restatement does."""
+    cases = [gauge(category("vec-z2z3"), [[0, 0, 0], [0, 0, 1]])]
+    for name in ("vec-z2z3", "z4-over-z2", "z6-over-z3"):
+        cat, rng = category(name), random.Random(f"family-iii:{name}")
+        off_n = [x for x in cat.Lambda.elements() if x not in cat.neutral_labels]
+        for _ in range(3):
+            cases.append(gauge(cat, [[rng.randrange(cat.M) if g != cat.G.identity and x in off_n
+                                      else 0 for x in cat.Lambda.elements()]
+                                     for g in cat.G.elements()]))
+    failing = 0
+    for cat in cases:
+        if not reference_swap_laws(cat).passed:
+            failing += 1
+            assert not _center_axioms_pass(cat), cat.name
+        _assert_restated(cat)
+    assert failing
 
 
 # -- coherence: the interned skeleton against the word-record graph
