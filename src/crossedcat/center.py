@@ -106,16 +106,17 @@ def relative_center_oracle(cat: PointedCrossedCategory) -> list[CenterSimple]:
 def unit_normal(cat: PointedCrossedCategory) -> tuple[PointedCrossedCategory, tuple]:
     """`cat` gauged to strict units, and the gauge u0 that does it:
     u0[g][e_L] = -phi[g], u0[e_G][x] = -iota[x], zero elsewhere (the two
-    agree at (e, e) under verify_crossed_category, by axiom3_phi).  A cochain
-    u rescales the identification of ^g x with its label by u[g][x]:
+    agree at (e, e) under verify_crossed_category, by the unit law at
+    axiom3_j_chi).  A cochain u rescales the identification of ^g x with its
+    label by u[g][x]:
 
         J'[g][x][y]    = J[g][x][y] + u[g][xy] - u[del(y) |>2 g][x] - u[g][y]
         chi'[g][h][x]  = chi[g][h][x] + u[gh][x] - u[g][^h x] - u[h][x]
         phi'[g] = phi[g] + u[g][e_L],   iota'[x] = iota[x] + u[e_G][x]
 
-    So phi' = iota' = 0, and axiom2_units, chi_units, axiom3_phi and
-    axiom3_iota_tensor then make J' and chi' vanish wherever e_G or e_L is
-    an argument.  Returns `cat` itself when u0 = 0.
+    So phi' = iota' = 0, and axiom2_units, chi_units and axiom3_j_chi at
+    units (comment there) then make J' and chi' vanish wherever e_G or e_L
+    is an argument.  Returns `cat` itself when u0 = 0.
     """
     G, L, M = cat.G, cat.Lambda, cat.M
     Gs, Ls, eG, eL = G.elements(), L.elements(), G.identity, L.identity
@@ -140,17 +141,18 @@ class CenterStructure:
     built on `cat` gauged by unit_normal.
 
     `section` maps each Gamma-degree to a chosen homogeneous label (default:
-    least label per fiber).  All scalars are exponents mod cat.M.
+    least label per fiber); a label is split by it only in half_braiding,
+    which the other tables read.  All scalars are exponents mod cat.M.
     `input_simples` is the caller's list (default: enumerate_center of the
     input), and `simples` that list moved into the gauge by chi + u0[g]|_N,
     in its order, so that a witness index names the caller's simple.
 
-    The comments and docstrings of _close and the tables give the defining
-    chains, each evaluated into a dense integer table indexed by *points*:
-    the simples, then every object the structure maps lead to outside
-    them.  A correct center has no such escapes; a corrupted simple list
-    keeps them as points, so every sweep sees exactly the values the chains
-    give, and `as_category` reports the escape.
+    The comments and docstrings of _close, half_braiding and the tables
+    give the defining chains, each evaluated into a dense integer table
+    indexed by *points*: the simples, then every object the structure maps
+    lead to outside them.  A correct center has no such escapes; a
+    corrupted simple list keeps them as points, so every sweep sees exactly
+    the values the chains give, and `as_category` reports the escape.
     """
 
     def __init__(self, cat: PointedCrossedCategory, section: Optional[Sequence[int]] = None,
@@ -170,12 +172,8 @@ class CenterStructure:
         self.npos = {nu: i for i, nu in enumerate(cat.neutral_labels)}
         self.simples = self.input_simples if normal is cat \
             else tuple(self._moved(z, 1) for z in self.input_simples)
-        self.points, self.tensor_table, self.g_action_table, self._gamma_table = self._close()
-
-    @cached_property
-    def unit(self) -> CenterSimple:
-        """(e, e_L, iota|_N), and iota is zero in this gauge."""
-        return CenterSimple(self.cat.G.identity, self.cat.Lambda.identity, (0,) * len(self.npos))
+        (self.points, self.tensor_table, self.g_action_table, self._gamma_table,
+         self._half_braiding) = self._close()
 
     def _moved(self, z: CenterSimple, sign: int) -> CenterSimple:
         """z moved into the unit-normal gauge (sign 1) or back to the input's (-1)."""
@@ -203,12 +201,13 @@ class CenterStructure:
     def _close(self) -> tuple:
         """Points closed under both actions and under tensoring with a simple
         on the right, with those maps as tables: tensor [point][simple],
-        G-action [g][point], Gamma-action [s][point] -> point.
+        G-action [g][point], Gamma-action [s][point] -> point, and the
+        half_braiding row of each point.
 
-        Each row evaluates its chain from terms found once per simple, per g
-        or per s; points are interned on (g, label, chi) tuples, and a
-        CenterSimple is built only for a new point.  The retract guard is
-        decided from the simples (_unsupported).
+        Each row evaluates its chain from terms found once per simple, per g,
+        per s or per label; points are interned on (g, label, chi) tuples,
+        and a CenterSimple is built only for a new point.  The retract guard
+        is decided from the simples (_unsupported).
         """
         cat = self.cat
         G, L, M, npos, sec = cat.G, cat.Lambda, cat.M, self.npos, self.section
@@ -221,12 +220,13 @@ class CenterStructure:
         # per g: g^-1, ^g, J[g], and the labels ^{g^-1} nu with their positions
         g_terms = [(g, gi, act[g], J[g], on_n[gi], pos_n[gi])
                    for g, gi in zip(G.elements(), G.inverses)]
-        # per s: zeta_s, zeta_s^-1, and the labels zeta_s^-1 nu zeta_s with their positions
-        s_terms = []
-        for s in cat.Gamma.elements():
-            zeta = sec[s]
-            conj = [Lt[Lt[Linv[zeta]][nu]][zeta] for nu in N]
-            s_terms.append((s, zeta, Linv[zeta], conj, [npos[c] for c in conj]))
+        # per s: zeta_s, zeta_s^-1, and the labels nu zeta_s
+        s_terms = [(s, zeta, Linv[zeta], [Lt[nu][zeta] for nu in N])
+                   for s, zeta in zip(cat.Gamma.elements(), sec)]
+        # per label x: half_braiding's split x = zeta . nu, and nu's position
+        zetas = [sec[d] for d in cat.grading]
+        nus = [Lt[Linv[zeta]][x] for x, zeta in enumerate(zetas)]
+        splits = [(zeta, nu, npos[nu]) for zeta, nu in zip(zetas, nus)]
         columns = [(w.g, w.label, w.chi, pos_n[w.g]) for w in self.simples]
 
         points = list(self.simples)
@@ -242,9 +242,12 @@ class CenterStructure:
         # a row per actor, so that an empty simple list still gets every row
         g_table = [[] for _ in G.elements()]
         gamma_table = [[] for _ in cat.Gamma.elements()]
-        tensor_rows = []
+        tensor_rows, hb_rows = [], []
         for z in points:  # grows while it is walked
             h, lab, chi = z.g, z.label, z.chi
+            Jh, acth = J[h], act[h]
+            hb = tuple((chi[p] + Jh[zeta][nu]) % M for zeta, nu, p in splits)
+            hb_rows.append(hb)
             # G-action.  Chain for the new half-braiding at nu:
             #    ^g lam . nu -> ^g(lam . ^{g^-1} nu)            J[g][lam][a(g^-1)nu]
             #    -> ^g(^h(^{g^-1} nu) . lam)                    chi(a(g^-1) nu)
@@ -254,27 +257,41 @@ class CenterStructure:
                 row.append(intern((Gt[Gt[a2t[g]][h]][gi], actg[lab],
                                    tuple((Jg[lab][b] + chi[p] - Jg[f][lab]) % M
                                          for b, p, f in zip(back, back_pos, on_n[Gh[gi]])))))
-            # Gamma-action by the retract of zeta_s (.) zeta_s^dual.  Chain at
-            # nu: relabel zeta^-1 nu = (zeta^-1 nu zeta) zeta^-1, move the
-            # neutral part across lam with chi, then recombine with J twice:
-            #   chi'(nu) = chi(zeta^-1 nu zeta) + J[h][zeta][zeta^-1 nu zeta]
-            #              - J[h][nu][zeta]   on  (s |>2 h, ^h zeta . lam . zeta^-1)
-            Jh, acth = J[h], act[h]
-            for row, (s, zeta, zetai, conj, cpos) in zip(gamma_table, s_terms):
+            # Gamma-action by the retract of zeta_s (.) zeta_s^dual, on
+            # (s |>2 h, ^h zeta . lam . zeta^-1): chi'(nu) = HB[z][nu zeta] - J[h][nu][zeta]
+            for row, (s, zeta, zetai, nu_zeta) in zip(gamma_table, s_terms):
                 row.append(intern((
                     a2[s][h], Lt[Lt[acth[zeta]][lab]][zetai],
-                    tuple((chi[p] + Jh[zeta][c] - Jh[nu][zeta]) % M
-                          for nu, c, p in zip(N, conj, cpos)))))
+                    tuple((hb[x] - Jh[nu][zeta]) % M for nu, x in zip(N, nu_zeta)))))
             # tensor: half-braidings compose through the acted argument,
             #   chi(nu) = X[h1][h2][nu] + chi1(^{h2} nu) + chi2(nu)
             #   on (h1 h2, lam1 . lam2)
-            Lab, Xh, Gh = Lt[lab], x_n[h], Gt[h]
+            Lab, Xh = Lt[lab], x_n[h]
             tensor_rows.append(tuple(intern((
                 Gh[wg], Lab[wl],
                 tuple((a + chi[p] + b) % M for a, p, b in zip(Xh[wg], wpos, wchi))))
                 for wg, wl, wchi, wpos in columns))
         return (tuple(points), tuple(tensor_rows), tuple(map(tuple, g_table)),
-                tuple(map(tuple, gamma_table)))
+                tuple(map(tuple, gamma_table)), tuple(hb_rows))
+
+    @property
+    def half_braiding(self) -> tuple[tuple[int, ...], ...]:
+        """HB[point][x]: the point's half-braiding extended to every label x,
+        the one place where the section splits a label.  With x = zeta . nu,
+        zeta = section[del x] and nu in N, move nu across lam with chi, then
+        recombine zeta . nu with J: HB[z][x] = chi(nu) + J[h][zeta][nu].
+        The tables read it as follows:
+        - braid_table[z1][z2] = HB[z1][lam2]: unpack ^{del lam2} z1; the
+          chain lands on ^{h1} z2 (x) z1;
+        - j_gamma_table[s][z1][z2] = HB[z1][^{h2} zeta_s], split at
+          section[h2 |>1 s] by axiom1_grading_compat;
+        - chi_gamma_table[s][s2][z] = J[h][zeta_s][zeta_s2] - HB[z][zeta_s zeta_s2];
+        - sigma_table[g][s][z] has left side HB[^g z][^g zeta_0], of degree s;
+        - the Gamma-action's chi'(nu) = HB[z][nu zeta_s] - J[h][nu][zeta_s]:
+          relabel zeta^-1 nu = (zeta^-1 nu zeta) zeta^-1, move the neutral
+          part across lam with chi, and recombine with J twice.
+        """
+        return self._half_braiding
 
     @cached_property
     def zero(self) -> bool:
@@ -306,99 +323,62 @@ class CenterStructure:
 
     @cached_property
     def braid_table(self) -> tuple[tuple[int, ...], ...]:
-        """[point][point] -> exponent of the braiding coefficient.
-
-        Chain at (z1, z2): unpack ^{u} z1, move nu_b = zeta_u^-1 . lam2
-        across lam1 with chi1, recombine with J; lands on ^{h1} z2 (x) z1.
-        The exponent chi1(nu_b) + J[h1][zeta_u][nu_b] reads z2 only through
-        (zeta_u, nu_b), which are found once per column.
-        """
-        cat = self.cat
-        Lt, Linv, J, M = cat.Lambda.table, cat.Lambda.inverses, cat.jtable, cat.M
-        cols = []
-        for b in self.points:
-            zeta = self.section[cat.grading[b.label]]
-            nu_b = Lt[Linv[zeta]][b.label]
-            cols.append((zeta, nu_b, self.npos[nu_b]))
-        rows = [(a.chi, J[a.g]) for a in self.points]
-        return tuple(tuple((chi[pos] + Ja[zeta][nu_b]) % M for zeta, nu_b, pos in cols)
-                     for chi, Ja in rows)
+        """[point][point] -> exponent of the braiding coefficient,
+        HB[z1][lam2] (half_braiding)."""
+        labels = [b.label for b in self.points]
+        return tuple(tuple(hb[x] for x in labels) for hb in self.half_braiding)
 
     # -- swap scalar sigma_{g,s}: gamma(s) o g-action  ~  g0-action o gamma(s0)
     #    with s0 = g^-1 |>1 s and g0 = (s |>2 g^-1)^-1.
     @cached_property
     def sigma_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """[g][s][point] -> swap scalar, with each acted point read from
-        g_action_table."""
+        """[g][s][point] -> swap scalar: HB at the acted point read from
+        g_action_table (half_braiding), minus the canonical right side."""
         cat = self.cat
         L, M, mp, J, X = cat.Lambda, cat.M, cat.mp, cat.jtable, cat.chitable
         Lt, Linv, act, deg, a2 = L.table, L.inverses, cat.action, cat.grading, mp.act2
-        P, GA, npos, Ginv = self.points, self.g_action_table, self.npos, cat.G.inverses
+        P, GA, HB, Ginv = self.points, self.g_action_table, self.half_braiding, cat.G.inverses
         out = []
         for g in cat.G.elements():
-            gi, Jg, acted = Ginv[g], J[g], [P[q] for q in GA[g]]
+            gi, Jg = Ginv[g], J[g]
             rows = []
             for s in cat.Gamma.elements():
                 Jg0 = J[Ginv[a2[s][gi]]]
-                zeta_s, zeta_0 = self.section[s], self.section[mp.act1[gi][s]]
-                nu0 = Lt[Linv[zeta_s]][act[g][zeta_0]]   # zeta_s^-1 . ^g zeta_0
-                zeta_0i, row = Linv[zeta_0], []
-                for z, zp in zip(P, acted):
-                    # zp carries chi' on degree h' = (t |>2 g) h g^-1
-                    lhs = zp.chi[npos[nu0]] + J[zp.g][zeta_s][nu0]
+                zeta_0 = self.section[mp.act1[gi][s]]
+                x, zeta_0i, row = act[g][zeta_0], Linv[zeta_0], []
+                for z, q in zip(P, GA[g]):
                     a_h_zeta0 = act[z.g][zeta_0]
                     canon_rhs = -Jg0[Lt[a_h_zeta0][z.label]][zeta_0i] - Jg[a_h_zeta0][z.label] \
                         + X[a2[deg[z.label]][g]][z.g][zeta_0]
-                    row.append((lhs - canon_rhs) % M)
+                    row.append((HB[q][x] - canon_rhs) % M)
                 rows.append(tuple(row))
             out.append(tuple(rows))
         return tuple(out)
 
     @cached_property
     def j_gamma_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """[s][point][point] -> J-scalar of the Gamma-action.
-
-        Chain at (s, z1, z2), with s_tw = h2 |>1 s and
-        nu* = zeta_{s_tw}^-1 . ^{h2} zeta_s: chi1(nu*) + J[h1][zeta_{s_tw}][nu*].
-        z2 enters only through (zeta_{s_tw}, nu*), found once per column.
-        """
-        cat = self.cat
-        Lt, Linv, J, M = cat.Lambda.table, cat.Lambda.inverses, cat.jtable, cat.M
-        a1, act, sec, P = cat.mp.act1, cat.action, self.section, self.points
-        rows = [(a.chi, J[a.g]) for a in P]
+        """[s][point][point] -> J-scalar of the Gamma-action,
+        HB[z1][^{h2} zeta_s] (half_braiding)."""
+        act, zetas, HB = self.cat.action, self.section, self.half_braiding
         out = []
-        for s in cat.Gamma.elements():
-            cols = []
-            for b in P:
-                zeta_tw = sec[a1[b.g][s]]
-                nu_star = Lt[Linv[zeta_tw]][act[b.g][sec[s]]]
-                cols.append((zeta_tw, nu_star, self.npos[nu_star]))
-            out.append(tuple(tuple((chi[pos] + Ja[zeta][nu]) % M for zeta, nu, pos in cols)
-                             for chi, Ja in rows))
+        for zeta in zetas:
+            cols = [act[b.g][zeta] for b in self.points]
+            out.append(tuple(tuple(hb[x] for x in cols) for hb in HB))
         return tuple(out)
 
     @cached_property
     def chi_gamma_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """[s][s2][point] -> chi-scalar of the Gamma-action.
-
-        Chain at (s, s2, z), with nu = zeta_{s s2}^-1 . zeta_s . zeta_s2:
-        J[h][zeta_s][zeta_s2] - J[h][zeta_{s s2}][nu] - chi(nu).  (s, s2)
-        enters only through the three section labels and nu, found once
-        per pair.
-        """
+        """[s][s2][point] -> chi-scalar of the Gamma-action,
+        J[h][zeta_s][zeta_s2] - HB[z][zeta_s zeta_s2] (half_braiding)."""
         cat = self.cat
-        Lt, Linv, Gam, J, M = cat.Lambda.table, cat.Lambda.inverses, cat.Gamma.table, \
-            cat.jtable, cat.M
-        sec, rows = self.section, [(z.chi, J[z.g]) for z in self.points]
+        Lt, J, M, zetas = cat.Lambda.table, cat.jtable, cat.M, self.section
+        rows = [(J[z.g], hb) for z, hb in zip(self.points, self.half_braiding)]
         out = []
-        for s in cat.Gamma.elements():
+        for zs in zetas:
             plane = []
-            for s2 in cat.Gamma.elements():
-                zs, zs2, zss2 = sec[s], sec[s2], sec[Gam[s][s2]]
-                nu = Lt[Linv[zss2]][Lt[zs][zs2]]
-                pos = self.npos[nu]
-                plane.append(tuple((Jz[zs][zs2] - Jz[zss2][nu] - chi[pos]) % M
-                                   for chi, Jz in rows))
+            for zs2 in zetas:
+                x = Lt[zs][zs2]
+                plane.append(tuple((Jz[zs][zs2] - hb[x]) % M for Jz, hb in rows))
             out.append(tuple(plane))
         return tuple(out)
 
@@ -532,10 +512,10 @@ def verify_center_braided(cat: PointedCrossedCategory,
     breaking either law is missing from it.  Under the precondition the
     unit, (e, e_L, 0) in the unit-normal gauge, is among them: conjugation
     by e_L is the e-action by action_identity, and with iota zero
-    axiom3_iota_tensor gives J[e] = 0, which chi = 0 obeys.  So a simple
-    list without the unit fails oracle equivalence too.  Four more laws and
-    the five laws of the swap scalars are implied by center_category_axioms;
-    the proofs are at that check.
+    axiom3_j_chi at (e, e) gives J[e] = 0 (comment there), which chi = 0
+    obeys.  So a simple list without the unit fails oracle equivalence too.
+    Four more laws and the five laws of the swap scalars are implied by
+    center_category_axioms; the proofs are at that check.
     """
     rep = VerificationReport(subject=f"center of {cat.name}")
     Z = CenterStructure(cat, section=section, simples=simples)
@@ -589,7 +569,8 @@ def verify_center_braided(cat: PointedCrossedCategory,
         # at (e, s).  So each law is a law of the center:
         # - sigma is monoidal at (g, s; i, k): axiom3_j_chi at
         #   ((e, s), (g, e); i, k);
-        # - sigma is 0 at the unit: axiom3_phi at ((e, s), (g, e)), phi_Z = 0;
+        # - sigma is 0 at the unit: axiom3_j_chi at ((e, s), (g, e); e, e)
+        #   with axiom2_units "right", phi_Z = 0 (comment at axiom3_j_chi);
         # - the Gamma Yang-Baxter shape at (g, s, s2; i): chi_cocycle at
         #   ((e, s), (e, s2), (g, e); i);
         # - the G Yang-Baxter shape at (g, g2, s; i): chi_cocycle at

@@ -8,6 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from crossedcat.center import CenterSimple  # noqa: E402
 from crossedcat.fixtures import CATEGORIES, MATCHED_PAIRS  # noqa: E402
 from crossedcat.groups import FiniteGroup  # noqa: E402
 from crossedcat.matched import MatchedPair  # noqa: E402
@@ -28,6 +29,13 @@ def pair(name: str):
     if name not in _mp_cache:
         _mp_cache[name] = MATCHED_PAIRS[name]()
     return _mp_cache[name]
+
+
+def unit_index(Z) -> int:
+    """Index in Z.simples of the center's unit, (e_G, e_L, 0) in the
+    unit-normal gauge of a CenterStructure."""
+    cat = Z.cat
+    return Z.simples.index(CenterSimple(cat.G.identity, cat.Lambda.identity, (0,) * len(Z.npos)))
 
 
 def duals_hold(cat) -> bool:

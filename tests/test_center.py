@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conftest import ROOT, category
+from conftest import ROOT, category, unit_index
 from crossedcat import jsonio
 from crossedcat.braided import verify_braiding
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
@@ -51,7 +51,7 @@ def test_tensor_unit_and_membership():
     cat = category("z4-over-z2")
     Z = CenterStructure(cat)
     T, n = Z.tensor_table, len(Z.simples)
-    u = Z.simples.index(Z.unit)
+    u = unit_index(Z)
     for i in range(n):
         assert T[u][i] == i
         assert T[i][u] == i
@@ -202,42 +202,58 @@ def test_half_braiding_mutation_detected():
     assert not rep.passed
 
 
-def test_structure_tables_match_chains():
-    for name in ("z4-over-z2", "cocycle-j", "z6-over-z3"):
-        cat = category(name)
-        assert CenterStructure(cat).points == tuple(enumerate_center(cat))
-        _assert_tables_match_chains(cat)
-        # a gauge that keeps phi and iota makes J nonzero where the chains
-        # read it, such as J[h][zeta_{s s2}][nu] of chi_gamma_table on
-        # z6-over-z3, whose section is not a homomorphism
-        rng = random.Random(f"tables:{name}")
-        u = [[rng.randrange(cat.M) if g != cat.G.identity and x != cat.Lambda.identity else 0
-              for x in cat.Lambda.elements()] for g in cat.G.elements()]
+@pytest.mark.parametrize("name", CENTER_FIXTURES)
+def test_structure_tables_match_chains(name):
+    """Every table read from half_braiding equals the per-entry chain of the
+    reference structure: on the fixture, on gauges off the units and on
+    corrupted simple lists, whose escape points sigma and the combined chi
+    read too."""
+    from test_reference_equivalence import _corrupted_simples
+    cat = category(name)
+    assert CenterStructure(cat).points == tuple(enumerate_center(cat))
+    rng = random.Random(f"tables:{name}")
+    _assert_tables_match_chains(cat)
+    for simples in _corrupted_simples(cat, 2, rng):
+        _assert_tables_match_chains(cat, simples)
+    # gauges that keep phi and iota make J nonzero where the chains read it:
+    # a seeded one, and u = 1 at labels off N and off the section, which
+    # makes J[g][zeta_s][nu] = 1, read by half_braiding, for g, s, nu != e
+    eG, eL, N, sec = cat.G.identity, cat.Lambda.identity, cat.neutral_labels, cat.least_section()
+    for at in (lambda x: rng.randrange(cat.M) if x != eL else 0,
+               lambda x: int(x not in N and x not in sec)):
+        u = [[at(x) if g != eG else 0 for x in cat.Lambda.elements()] for g in cat.G.elements()]
         _assert_tables_match_chains(gauge(cat, u))
-    # on zero data the verifier reads none of these tables, so check them here
-    _assert_tables_match_chains(category("vec-s4-pair"))
 
 
-def _assert_tables_match_chains(cat) -> None:
-    # the scalar tables hoist each chain's per-column terms; every entry must
-    # still equal the per-entry chain of the reference structure
-    Z, R = CenterStructure(cat), ReferenceCenter(cat)
-    for i, z1 in enumerate(Z.simples):
+def _assert_tables_match_chains(cat, simples=None) -> None:
+    # the scalar tables read each chain from half_braiding; every entry at
+    # every point must still equal the per-entry chain of the reference
+    # structure, and half_braiding on N is the point's chi
+    Z = CenterStructure(cat, simples=simples)
+    R = ReferenceCenter(Z.cat, simples=Z.simples)
+    P, N = Z.points, Z.cat.neutral_labels
+    assert len(Z.half_braiding) == len(P)
+    for i, z1 in enumerate(P):
+        assert [Z.half_braiding[i][nu] for nu in N] == [z1.chi[Z.npos[nu]] for nu in N]
         for g in cat.G.elements():
-            assert Z.points[Z.g_action_table[g][i]] == R.g_act(g, z1)
+            assert P[Z.g_action_table[g][i]] == R.g_act(g, z1)
             for s in cat.Gamma.elements():
                 assert Z.sigma_table[g][s][i] == R.sigma(g, s, z1)
         for s in cat.Gamma.elements():
-            assert Z.points[Z.gamma_action_table[s][i]] == R.gamma_act(s, z1)
             for s2 in cat.Gamma.elements():
                 assert Z.chi_gamma_table[s][s2][i] == R.chi_gamma(s, s2, z1)
-        for k, z2 in enumerate(Z.simples):
-            assert Z.points[Z.tensor_table[i][k]] == R.tensor(z1, z2)
+        for k, z2 in enumerate(P):
             assert Z.braid_table[i][k] == R.braiding(z1, z2)[1]
-            assert Z.points[Z.tensor_table[Z.g_action_table[z1.g][k]][i]] == \
-                R.braiding(z1, z2)[0]
             for s in cat.Gamma.elements():
                 assert Z.j_gamma_table[s][i][k] == R.j_gamma(s, z1, z2)
+        for k, z2 in enumerate(Z.simples):
+            assert P[Z.tensor_table[i][k]] == R.tensor(z1, z2)
+            if i < len(Z.simples):  # the braiding's target tensors with z1
+                assert P[Z.tensor_table[Z.g_action_table[z1.g][k]][i]] == \
+                    R.braiding(z1, z2)[0]
+    if Z._unsupported is None:
+        for s in cat.Gamma.elements():
+            assert [P[p] for p in Z.gamma_action_table[s]] == [R.gamma_act(s, z) for z in P]
 
 
 def _closure_by_chains(Z: CenterStructure) -> tuple:

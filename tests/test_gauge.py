@@ -31,7 +31,7 @@ from crossedcat.matched import direct_pair
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from crossedcat.words import check_coherence
 from gauge import gauge, random_cochain
-from reference_sweeps import reference_center_braided
+from reference_sweeps import ReferenceCenter, reference_center_braided
 
 CENTER_NOT_GAUGE_COVARIANT = pytest.mark.xfail(
     strict=True, raises=AssertionError,
@@ -167,6 +167,20 @@ def test_unit_gauge_census(name):
         assert triples(rep) == references[key], (name, u)
         seen += 1
     assert seen, name
+
+
+def test_reference_center_refuses_a_gauge_of_the_units():
+    """ReferenceCenter's chains hold only with strict units: it refuses a
+    gauge of family (i), and takes that gauge's unit-normal category."""
+    cat = category("z4-over-z2")
+    gauged = gauge(cat, [[0] * cat.Lambda.order, [1] + [0] * (cat.Lambda.order - 1)])
+    assert gauged.phitable == (0, 1)
+    with pytest.raises(ValueError, match="unit-normal"):
+        ReferenceCenter(gauged)
+    with pytest.raises(ValueError, match="unit-normal"):
+        reference_center_braided(gauged)
+    normal = gauge(gauged, _unit_normal_gauge(gauged))
+    assert set(ReferenceCenter(normal).simples) == set(CenterStructure(gauged).simples)
 
 
 def test_fixtures_are_unit_normal():

@@ -87,11 +87,12 @@ def test_single_entry_mutations_detected():
         assert not verify_crossed_category(mut).passed
 
 
-def test_unit_law_implied_by_chi_units_and_axiom3_phi():
-    """The unit law iota[e_L] = phi[e] is not a check of its own: axiom3_phi
-    at (e, e) and chi_units ("right", e, e_L) imply it.  So every phi or
-    iota mutant that breaks it fails one of those two, and every phi or
-    iota mutant fails some check."""
+def test_unit_law_implied_by_chi_units_and_axiom3_j_chi():
+    """The unit law iota[e_L] = phi[e] is not a check of its own:
+    axiom3_j_chi at (e, e, e_L, e_L), axiom2_units ("right", e, e_L) and
+    chi_units ("right", e, e_L) imply it.  So every phi or iota mutant that
+    breaks it fails one of those three, and every phi or iota mutant fails
+    some check."""
     broken = 0
     for path in sorted(FIXTURE_DIR.glob("cat-*.json")):
         cat = jsonio.load_category(path)
@@ -108,7 +109,8 @@ def test_unit_law_implied_by_chi_units_and_axiom3_phi():
                     assert failed, (path.name, i, delta)
                     if (iota[eL] - phi[eG]) % M:
                         broken += 1
-                        assert failed & {"chi_units", "axiom3_phi"}, (path.name, i, delta)
+                        assert failed & {"chi_units", "axiom2_units", "axiom3_j_chi"}, \
+                            (path.name, i, delta)
                 row[i] = v
     assert broken
 

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURE_DIR, category, pair
+from conftest import FIXTURE_DIR, category, pair, unit_index
 from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
 from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
@@ -30,7 +30,7 @@ from crossedcat.words import check_coherence
 from gauge import gauge
 from reference_sweeps import (ReferenceCenter, ReferenceSwapLaws, reference_braiding,
                               reference_center_braided, reference_center_braiding,
-                              reference_coherence, reference_crossed_category,
+                              reference_coherence, reported_crossed_category,
                               reference_matched_pair, reference_swap_laws, reference_zappa_szep)
 
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
@@ -49,7 +49,7 @@ def verdicts(rep) -> list[tuple]:
 
 
 def assert_same_category_report(cat) -> None:
-    assert triples(verify_crossed_category(cat)) == triples(reference_crossed_category(cat)), \
+    assert triples(verify_crossed_category(cat)) == triples(reported_crossed_category(cat)), \
         cat.name
 
 
@@ -182,7 +182,7 @@ def test_criterion_9_category_mutants(monkeypatch):
 
     def both(cat):
         rep = verify_crossed_category(cat)
-        assert triples(rep) == triples(reference_crossed_category(cat)), cat.name
+        assert triples(rep) == triples(reported_crossed_category(cat)), cat.name
         seen.append(cat)
         return rep
 
@@ -228,7 +228,7 @@ def test_single_entry_mutants(name, entries):
     seen = 0
     for mut in _entry_mutants(cat):
         assert not mut.zero and not dense_zero(mut)
-        assert triples(verify_crossed_category(mut)) == triples(reference_crossed_category(mut))
+        assert triples(verify_crossed_category(mut)) == triples(reported_crossed_category(mut))
         seen += 1
     assert seen == entries * (cat.M - 1)
 
@@ -286,7 +286,7 @@ def test_center_category_table_mutants(name, count):
     failing = 0
     for mut in _table_mutants(name, count, random.Random(f"mutants:{name}")):
         rep = verify_crossed_category(mut)
-        assert triples(rep) == triples(reference_crossed_category(mut)), mut.name
+        assert triples(rep) == triples(reported_crossed_category(mut)), mut.name
         failing += not rep.passed
     assert failing == count
 
@@ -390,7 +390,7 @@ def test_zero_support_skips_never_mask_an_exception():
                 assert witness[:2] == ("exception", "UnsupportedConfiguration"), (k, name)
         assert mine == triples(reference_center_braided(cat, simples=mutated)), k
     # so is the report on a list without the unit
-    unit = simples.index(CenterStructure(cat).unit)
+    unit = unit_index(CenterStructure(cat))
     mutated = simples[:unit] + simples[unit + 1:]
     assert triples(verify_center_braided(cat, simples=mutated)) == \
         triples(reference_center_braided(cat, simples=mutated))
