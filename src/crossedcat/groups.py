@@ -2,19 +2,21 @@
 
 Everything downstream (matched pairs, pointed categories, centers) indexes
 into these tables, so all verification here is exact.  A law that holds on
-a whole group once it holds on generators is certified there first
-(`generators`, `certified_sweep`), and its exhaustive witness-order sweep
-runs only when the certificate finds a witness.  Each law the layers
-share is swept here once, with its closure proof: the composition law of
-an action (`action_law_witness`, associativity included), the unit law
+a whole group once it holds on generators is certified by one rule
+(`certified_sweep`): the caller names the group of the certified variable
+by its Cayley table and identity, or passes None when the closure proof's
+premises failed, and the law is swept at the identity and the greedy
+generators (`generators`) first; its exhaustive witness-order sweep runs
+only when that finds a witness.  Each law the layers share is swept here
+once, with its closure proof: the composition law of an action
+(`action_law_witness`, associativity included), the unit law
 (`unit_witness`), twisted multiplicativity (`twisted_hom_witness`) and the
-homomorphism law (`is_hom_image`).  The category's two cocycle laws keep
-their own sweeps and share one closure proof (`cocycle_witness`), its
-axiom 3 keeps its sweep and proof in pointed.py, and the center's three
-braiding axioms keep theirs in center.py.  No size limit is enforced yet,
-and the sweeps grow fast with the order: verifying the Turaev category of
-D8 (order 16) and its braided center takes about 0.5 s in process
-(Python 3.11, 2-vCPU VM).
+homomorphism law (`is_hom_image`).  The category's two cocycle laws and
+its axiom 3 keep their sweeps and proofs in pointed.py, and the center's
+three braiding axioms keep theirs in center.py.  No size limit is enforced
+yet, and the sweeps grow fast with the order: verifying the Turaev
+category of D8 (order 16) and its braided center takes about 0.5 s in
+process (Python 3.11, 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -71,8 +73,7 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
     with the first witness of an exhaustive sweep.  Associativity is the
     composition law of the group acting on itself, a (b c) = (a b) c, so
     `action_law_witness` sweeps it with act = the table, certified on the
-    left factor a after the identity law has passed; neither associativity
-    nor inverses is assumed.
+    left factor a; neither associativity nor inverses is assumed.
     """
     t = _freeze(table)
     n = len(t)
@@ -95,7 +96,7 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
         for a in range(n):
             if t[identity][a] != a or t[a][identity] != a:
                 raise NoIdentity(identity, a)
-    bad = action_law_witness(t, t, generators(t, identity))
+    bad = action_law_witness(t, t, identity)
     if bad is not None:
         raise AssocViolation(*bad)
     inverses = []
@@ -135,56 +136,26 @@ def generators(table: Sequence[Sequence[int]], identity: int,
 
 
 def certified_sweep(sweep: Callable[[Sequence[int]], Optional[tuple]],
-                    gens: Optional[Sequence[int]], elements: Sequence[int]) -> Optional[tuple]:
-    """The first witness of a law, certified on generators first.
+                    Kt: Table, e: Optional[int]) -> Optional[tuple]:
+    """The first witness of a law, certified on e and generators first.
 
-    `sweep(r)` runs the law's witness-order loop with one variable over r.
-    The caller proves that the values of that variable at which the law
-    holds everywhere are closed under products, and passes in `gens` a set
-    whose left-bracketed products reach every element, or None when the
-    proof's premises failed.  If the sweep over `gens` passes, the law
-    holds; otherwise the sweep over `elements` finds the first witness, so
-    a failing report is the same as without the certificate.
+    `sweep(r)` runs the law's witness-order loop with one variable over r,
+    which ranges over the group K with Cayley table Kt.  The caller proves
+    that the values of that variable at which the law holds everywhere are
+    closed under products, and passes K's identity e, or None when the
+    proof's premises failed.  If the sweep over e and `generators(Kt, e)`
+    passes, the law holds: their left-bracketed products from e reach every
+    element.  Sweeping e is the base case, so no law needs its unit case
+    proved by an earlier check.  Otherwise the sweep over every element
+    finds the first witness, so a failing report is the same as without
+    the certificate.
     """
-    if gens is not None and sweep(gens) is None:
+    if e is not None and sweep([e, *generators(Kt, e)]) is None:
         return None
-    return sweep(elements)
+    return sweep(range(len(Kt)))
 
 
-def cocycle_witness(sweep: Callable[[Sequence[int]], Optional[tuple]], Kt: Table, e: int,
-                    gated: bool) -> Optional[tuple]:
-    """The first witness of a 2-cocycle law, certified on its last argument.
-
-    The law says D = 0, where for a 2-cochain c of the group K (Cayley
-    table Kt, identity e) with values in a right K-module, F.z being F
-    acted on by z,
-
-        D(x, y, z) = c(x y, z) + c(x, y).z - c(x, y z) - c(y, z),
-
-    so D is minus the coboundary of c.  Every 2-cochain's D obeys
-
-        D(y, z, w) - D(x y, z, w) + D(x, y z, w) - D(x, y, z w) + D(x, y, z).w = 0
-
-    (the coboundary of a coboundary is zero, which takes associativity of
-    K and (F.z).w = F.(z w) only).  So if D(x, y, z) and D(x, y, w) vanish
-    for every (x, y), so does D(x, y, z w): the last arguments at which D
-    vanishes everywhere are closed under products, and the law is
-    certified on e and generators of K (certified_sweep).  The identity is
-    swept too, since D(x, y, e) = c(x y, e) - c(y, e) needs no earlier
-    check to vanish.  `sweep(zs)` runs the witness-order loop with the last
-    argument over zs; `gated` says that the caller's action is a right
-    action.  Two laws of pointed.py take this form:
-
-    - axiom2_j_cocycle: K = Lambda, c(x, y) = (g -> J[g][x][y]) and
-      (F.z)(g) = F(del(z) |>2 g), a right action once del is a
-      homomorphism and |>2 a left action;
-    - chi_cocycle: K = G, c(g, h) = (x -> chi[g][h][x]) and
-      (F.k)(x) = F(^k x), a right action once the action composes.
-    """
-    return certified_sweep(sweep, [e, *generators(Kt, e)] if gated else None, range(len(Kt)))
-
-
-def action_law_witness(Kt: Table, act: Table, gens: Optional[Sequence[int]]) -> Optional[tuple]:
+def action_law_witness(Kt: Table, act: Table, e: int) -> Optional[tuple]:
     """First (k, h, x) with k(h x) != (k h)x, where Kt is the Cayley table of
     K and act[k][x] is k acting on a set X; with act = Kt, the first (a, b, c)
     with a (b c) != (a b) c.
@@ -196,9 +167,7 @@ def action_law_witness(Kt: Table, act: Table, gens: Optional[Sequence[int]]) -> 
 
     using k at (k', h x), k' at (h, x), k at (k' h, x), and k (k' h) =
     (k k') h, which is associativity of K when K is a group and k at
-    (k', h) when act = Kt.  The identity is good once its rows in act and
-    Kt are identity rows; a caller that has not checked both sweeps it with
-    the generators.
+    (k', h) when act = Kt.
     """
     def sweep(ks: Sequence[int]) -> Optional[tuple]:
         for k in ks:
@@ -209,7 +178,7 @@ def action_law_witness(Kt: Table, act: Table, gens: Optional[Sequence[int]]) -> 
                     return (k, h, next(x for x in range(len(acth)) if actk[acth[x]] != actkh[x]))
         return None
 
-    return certified_sweep(sweep, gens, range(len(Kt)))
+    return certified_sweep(sweep, Kt, e)
 
 
 def unit_witness(act: Table, e: int) -> Optional[tuple]:
@@ -218,13 +187,13 @@ def unit_witness(act: Table, e: int) -> Optional[tuple]:
 
 
 def twisted_hom_witness(Xt: Table, act: Table, back: Table,
-                        gens: Optional[Sequence[int]]) -> Optional[tuple]:
+                        e: Optional[int]) -> Optional[tuple]:
     """First (k, x, y) with k |> (x y) != ((y |>' k) |> x)(k |> y), where Xt
     is the Cayley table of X, act[k][x] = k |> x (K on X) and
     back[y][k] = y |>' k (X on K).
 
-    Certified on y (certified_sweep); the caller passes `gens` only when
-    |>' is a left action.  Call y good when the relation holds at every
+    Certified on y (certified_sweep); the caller passes X's identity e only
+    when |>' is a left action.  Call y good when the relation holds at every
     (k, x).  If y and y' are good, so is y y': for every (k, x), with
     k' = y' |>' k,
 
@@ -233,8 +202,7 @@ def twisted_hom_witness(Xt: Table, act: Table, back: Table,
                       = (((y y') |>' k) |> x)(k |> (y y')),
 
     using y' at (k, x y), y at (k', x), the left-action law of |>', and y'
-    at (k, y).  Callers sweep the identity with the generators, so that no
-    unit law is needed.
+    at (k, y).
     """
     cols = tuple(zip(*Xt))  # cols[c][x] = x c
     Xs = range(len(Xt))
@@ -253,7 +221,7 @@ def twisted_hom_witness(Xt: Table, act: Table, back: Table,
                 return (k, first[0], ys[first[1]])
         return None
 
-    return certified_sweep(sweep, gens, Xs)
+    return certified_sweep(sweep, Xt, e)
 
 
 # -- constructors -------------------------------------------------------------
@@ -357,11 +325,9 @@ def is_hom_image(source: FiniteGroup, target: FiniteGroup, image: Sequence[int])
     Certified on b (certified_sweep): if f(a b) = f(a) f(b) and
     f(a b') = f(a) f(b') for every a, then
     f(a b b') = f(a b) f(b') = f(a) f(b) f(b') = f(a) f(b b'), since the
-    target is a group.  The identity is swept with the generators, because
-    the law at b = e says f(e) is the identity, which no earlier check
-    establishes.
+    target is a group.
     """
-    St, Tt, e = source.table, target.table, source.identity
+    St, Tt = source.table, target.table
 
     def sweep(bs: Sequence[int]) -> Optional[tuple]:
         for a in source.elements():
@@ -371,7 +337,7 @@ def is_hom_image(source: FiniteGroup, target: FiniteGroup, image: Sequence[int])
                     return (a, b)
         return None
 
-    return certified_sweep(sweep, [e, *generators(St, e)], source.elements())
+    return certified_sweep(sweep, St, source.identity)
 
 
 def identity_hom(G: FiniteGroup) -> GroupHom:

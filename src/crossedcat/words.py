@@ -135,16 +135,16 @@ class _Skeleton:
         self.key = (max_nodes, arity, G)
         ids: dict[tuple[int, int, int], int] = {}
         nodes = self.nodes = []
+        sizes: list[int] = []  # word i's node count, recorded when it is interned
 
         def node(*key) -> int:
             i = ids.setdefault(key, len(nodes))
             if i == len(nodes):
+                k, a, b = key
                 nodes.append(key)
+                sizes.append(1 + (sizes[a] + sizes[b] if k == _TENSOR else
+                                  sizes[b] if k == _ACT else 0))
             return i
-
-        def size(i: int) -> int:
-            k, a, b = nodes[i]
-            return 1 + (size(a) + size(b) if k == _TENSOR else size(b) if k == _ACT else 0)
 
         elements = list(G.elements())
         order = self.order = _enumerate(
@@ -185,14 +185,14 @@ class _Skeleton:
         moves = self.moves = [None] * len(nodes)
         for w in order:
             if moves[w] is None:
-                first, room = len(self.rule), size(w) < max_nodes  # a J split adds a node
+                first, room = len(self.rule), sizes[w] < max_nodes  # a J split adds a node
                 visit(w, lambda x: x)
                 moves[w] = range(first, len(self.rule))
         self.distinct = sum(r is not None for r in moves)
         self.edges = sum(len(moves[w]) for w in order)
-        # the recursive closures hold themselves, and through them `ids`:
-        # break those cycles so the build's scratch goes now, not at a collection
-        visit = size = None
+        # the recursive closure holds itself, and through `node` the interning
+        # dict: break that cycle so the build's scratch goes now, not at a collection
+        visit = None
 
     def walk(self, cat: PointedCrossedCategory, objects: Sequence[int]
              ) -> tuple[Optional[tuple], int]:
@@ -230,9 +230,12 @@ class _Skeleton:
         # repeats included: a root's up is -1, any other word's up is its
         # parent, and off[v] = potential(v) - potential(up[v]) mod M.  Climbing
         # from both ends of a move halves each path and sums
-        # x = potential(d) - potential(s) - the move's exponent.
+        # x = potential(d) - potential(s) - the move's exponent.  A move
+        # keeps the holes and stays within the budget, so both its ends are
+        # words of `order`, and each union of two trees joins two components.
         dst, moves, order = self.dst, self.moves, self.order
         up, off = [-1] * len(nodes), [0] * len(nodes)
+        components = self.distinct
         for w in order:
             for m in moves[w]:
                 s, d, x = src[m], dst[m], -exps[m]
@@ -246,14 +249,10 @@ class _Skeleton:
                     x, d = x + off[d], p
                 if s != d:
                     up[s], off[s] = d, x % M
+                    components -= 1
                 elif x % M:
                     return self._bfs(src, exps, M)
-        roots = set()
-        for w in order:
-            while up[w] >= 0:
-                w = up[w]
-            roots.add(w)
-        return None, len(roots)
+        return None, components
 
     def _bfs(self, src: list, exps: list, M: int) -> tuple[tuple, int]:
         """(first mismatch witness, components walked) of the depth-first walk

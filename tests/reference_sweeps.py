@@ -540,8 +540,7 @@ class ReferenceCenter:
     @cached_property
     def unit(self) -> CenterSimple:
         cat = self.cat
-        chi = tuple(cat.io(nu) % cat.M for nu in cat.neutral_labels)
-        return CenterSimple(cat.G.identity, cat.Lambda.identity, chi)
+        return CenterSimple(cat.G.identity, cat.Lambda.identity, (0,) * len(cat.neutral_labels))
 
     # -- tensor: half-braidings compose through the acted argument
     def tensor(self, z1: CenterSimple, z2: CenterSimple) -> CenterSimple:
@@ -598,13 +597,13 @@ class ReferenceCenter:
         L, M, mp = cat.Lambda, cat.M, cat.mp
         h = z.g
         zeta = self.section[s]
-        # the retract idempotent evaluates to chi(unit) * phi[h]^-1; a root
-        # idempotent must be the identity scalar, anything else is a modeling
-        # error surfaced immediately
-        if (self.chi_at(z, L.identity) - cat.ph(h)) % M:
+        # the retract idempotent evaluates to chi(unit) * phi[h]^-1, and phi is
+        # zero; a root idempotent must be the identity scalar, anything else is
+        # a modeling error surfaced immediately
+        if self.chi_at(z, L.identity) % M:
             raise UnsupportedConfiguration(
                 f"retract idempotent is not the identity on {z} (chi at unit = "
-                f"{self.chi_at(z, L.identity)}, phi[{h}] = {cat.ph(h)})")
+                f"{self.chi_at(z, L.identity)}, phi[{h}] = 0)")
         new_g = mp.a2(s, h)
         label = L.mul(L.mul(cat.act(h, zeta), z.label), L.inv(zeta))
         chi = []
@@ -681,9 +680,6 @@ class ReferenceCenter:
         w2 = self.gamma_act(s, z2)
         return (self.j_gamma(s, z1, z2) + cat.j(g, w1.label, w2.label)) % cat.M
 
-    def phi_combined(self, g: int, s: int) -> int:
-        return self.cat.ph(g)
-
     def x_combined(self, g: int, s: int, g2: int, s2: int, z: CenterSimple) -> int:
         cat = self.cat
         G, Gamma, mp = cat.G, cat.Gamma, cat.mp
@@ -694,9 +690,6 @@ class ReferenceCenter:
         w = self.gamma_act(Gamma.mul(s_hat, s2), z)
         part_chi_g = cat.x(g, g_hat, w.label)
         return (part_sigma + part_chi_gamma + part_chi_g) % cat.M
-
-    def iota_combined(self, z: CenterSimple) -> int:
-        return self.cat.io(z.label)
 
     # -- braiding.  Chain: unpack ^{u} z1, move zeta_u^-1 . mu2 across lam1
     #    with chi1, recombine with J; lands on ^{h1} z2 (x) z1.
@@ -748,10 +741,7 @@ class ReferenceCenter:
                     for s2 in cat.Gamma.elements():
                         A2 = g2 * gamma_ord + s2
                         xt[A][A2] = [self.x_combined(g, s, g2, s2, z) for z in self.simples]
-        phit = [self.phi_combined(A // gamma_ord, A % gamma_ord) for A in range(cp.G.order)]
-        iot = [self.iota_combined(z) for z in self.simples]
-        return pointed_category(lam_z, cp, grading, action, cat.M,
-                                jtable=jt, phitable=phit, chitable=xt, iotatable=iot,
+        return pointed_category(lam_z, cp, grading, action, cat.M, jtable=jt, chitable=xt,
                                 name=name or f"Z({cat.name})")
 
 
@@ -909,9 +899,7 @@ class ReferenceSwapLaws:
         return (lhs - rhs) % M
 
     def phi_compat(self, g: int, s: int) -> int:
-        cat, Z, G = self.cat, self.Z, self.cat.G
-        g0 = G.inv(cat.mp.a2(s, G.inv(g)))
-        return (Z.sigma(g, s, Z.unit) + cat.ph(g) - cat.ph(g0)) % cat.M
+        return self.Z.sigma(g, s, self.Z.unit)
 
     def yang_baxter_gamma(self, g: int, s: int, s2: int, i: int) -> int:
         cat, Z, G, M = self.cat, self.Z, self.cat.G, self.cat.M
@@ -942,12 +930,11 @@ class ReferenceSwapLaws:
 
     def units(self, side: str, x: int, i: int) -> int:
         """sigma_{x,e} ("gamma-unit") or sigma_{e,x} ("g-unit") at simple i."""
-        cat, Z, M = self.cat, self.Z, self.cat.M
+        cat, Z = self.cat, self.Z
         z = Z.simples[i]
         if side == "gamma-unit":
-            return Z.sigma(x, cat.Gamma.identity, z) % M
-        want = (cat.io(Z.gamma_act(x, z).label) - cat.io(z.label)) % M
-        return (Z.sigma(cat.G.identity, x, z) - want) % M
+            return Z.sigma(x, cat.Gamma.identity, z)
+        return Z.sigma(cat.G.identity, x, z)
 
     def report(self) -> VerificationReport:
         cat, Zs = self.cat, range(len(self.Z.simples))

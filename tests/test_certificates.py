@@ -178,8 +178,10 @@ def test_matching_certificate_needs_a_left_action_back():
     K, X = cyclic(2), cyclic(3)
     act = ((0, 1, 2), (0, 2, 1))     # Z2 inverts Z3
     back = ((0, 1), (0, 1), (0, 0))  # 2 |>' 1 = 0, so 2 |>' (2 |>' 1) != (2 2) |>' 1
-    assert action_law_witness(X.table, back, generators(X.table, X.identity)) == (1, 1, 1)
-    assert twisted_hom_witness(X.table, act, back, [0, 1]) is None  # at 0 and the generator 1
+    assert action_law_witness(X.table, back, X.identity) == (1, 1, 1)
+    # ungated, the certificate passes at 0 and the generator 1
+    assert generators(X.table, X.identity) == [1]
+    assert twisted_hom_witness(X.table, act, back, X.identity) is None
     assert twisted_hom_witness(X.table, act, back, None) == (1, 1, 2)
     mp = matched_pair(K, X, act, back)
     assert triples(verify_matched_pair(mp)) == triples(reference_matched_pair(mp))
@@ -253,8 +255,8 @@ def test_object_compat_certificate_needs_a_grading_homomorphism():
 
 def _coboundary_shifted(cat, rng: random.Random):
     """`cat` with J += d(alpha) and chi += d(beta), for random 1-cochains
-    alpha of Lambda and beta of G in the right modules of
-    groups.cocycle_witness, both zero at the unit.  D(d(alpha)) = 0, so each
+    alpha of Lambda and beta of G in the right modules of the cocycle
+    laws' closure proof (at pointed.axiom2_cocycle), both zero at the unit.  D(d(alpha)) = 0, so each
     cocycle law reads the same sums as on `cat`, now over nonzero data; the
     unit entries of J and chi do not move."""
     L, G, M, a2, deg, act = cat.Lambda, cat.G, cat.M, cat.mp.act2, cat.grading, cat.action
@@ -455,14 +457,14 @@ BRAIDING_LAWS = ("braiding_axiom_1", "braiding_axiom_2", "braiding_axiom_3")
 
 def _center_sweeps(monkeypatch) -> dict[str, tuple]:
     """Run each certified sweep of center.py in full as well, and record
-    (sweep, gens, certified result, full result) by the law's name."""
+    (sweep, identity or None, certified result, full result) by the law's
+    name."""
     runs = {}
 
-    def both(sweep, gens, elements):
-        full = sweep(elements)
-        got = groups.certified_sweep(lambda r: full if r is elements else sweep(r),
-                                     gens, elements)
-        runs[sweep.__qualname__.split(".<locals>.")[-2]] = (sweep, gens, got, full)
+    def both(sweep, Kt, e):
+        full = sweep(range(len(Kt)))
+        got = groups.certified_sweep(lambda r: full if isinstance(r, range) else sweep(r), Kt, e)
+        runs[sweep.__qualname__.split(".<locals>.")[-2]] = (sweep, e, got, full)
         return got
 
     monkeypatch.setattr(center, "certified_sweep", both)
@@ -473,7 +475,7 @@ def _certified_as_full(runs: dict[str, tuple]) -> bool:
     """Each braiding law ran under its certificate and returned the full
     sweep's result."""
     return sorted(runs) == list(BRAIDING_LAWS) and all(
-        gens is not None and got == full for _, gens, got, full in runs.values())
+        e is not None and got == full for _, e, got, full in runs.values())
 
 
 @pytest.mark.parametrize("name", NONZERO_CENTERS)
@@ -667,14 +669,14 @@ def test_passing_fixtures_run_no_full_sweep(monkeypatch):
     full, laws = [], set()
     original = groups.certified_sweep
 
-    def counting(sweep, gens, elements):
+    def counting(sweep, Kt, e):
         laws.add(sweep.__qualname__.split(".<locals>.")[-2])
 
         def recorded(r):
-            if r is elements:
+            if isinstance(r, range):
                 full.append(sweep)
             return sweep(r)
-        return original(recorded, gens, elements)
+        return original(recorded, Kt, e)
 
     patched = [module for name, module in list(sys.modules.items())
                if name.startswith("crossedcat")

@@ -104,8 +104,8 @@ def test_one_matching_sweep_per_pair(monkeypatch):
     # the pairs' calls only: pointed binds the shared sweep under its own name
     sweep = matched.twisted_hom_witness
     monkeypatch.setattr(matched, "twisted_hom_witness",
-                        lambda Xt, act, back, gens: calls.append((Xt, act))
-                        or sweep(Xt, act, back, gens))
+                        lambda Xt, act, back, e: calls.append((Xt, act))
+                        or sweep(Xt, act, back, e))
     # loaded afresh: no record of it has been verified in this process
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-turaev-s3.json", validate=False)
     assert verify_crossed_category(cat).passed
@@ -587,6 +587,21 @@ def test_coherence_criterion_8_mutant():
     mut = pointed_category(base.Lambda, base.mp, base.grading, base.action, base.M,
                            chitable=chi)
     assert not assert_same_coherence(mut, 6, (1,)).passed
+
+
+def test_coherence_deepest_witness_paths():
+    # turaev-s3 over one object is the fixtures' largest graph at budget 6
+    # (14,829 word entries, 57,282 edges), and the witness's two composites
+    # are the longest any test walks
+    base = category("vec-turaev-s3")
+    chi = [[list(r) for r in plane] for plane in base.chitable]
+    chi[1][2][3] = 1
+    mut = pointed_category(base.Lambda, base.mp, base.grading, base.action, base.M,
+                           jtable=base.jtable, phitable=base.phitable, chitable=chi,
+                           iotatable=base.iotatable)
+    rep = assert_same_coherence(mut, 6, (3,))
+    assert (rep.stats["words"], rep.stats["edges"]) == (14829, 57282)
+    assert [len(path.split(" . ")) for path in rep.checks[0].witness[3:]] == [73, 50]
 
 
 def _coherence_mutant(cat, rng: random.Random):
