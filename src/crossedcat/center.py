@@ -22,9 +22,7 @@ verifier is the arbiter for every one of them.  The swap scalars are the
 center's composition isomorphisms between a Gamma- and a G-actor, so
 their laws are checked as laws of the center viewed as a category.
 Naturality squares commute identically, as every hom space between
-simples is scalar.  The chains are not covariant under a gauge at (g, x)
-with g != e and x outside N, so verify_center_braided rejects some valid
-categories of that family (tests/test_gauge.py).
+simples is scalar.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .braided import BraidedMatchedPair, center_braiding as induced_braiding, verify_braiding
-from .errors import GroupValidationError, NonSingularityViolated, UnsupportedConfiguration
+from .errors import GroupValidationError, UnsupportedConfiguration
 from .groups import certified_sweep, twisted_characters, validate_group
 from .pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
 from .records import Record
@@ -55,9 +53,7 @@ class CenterSimple(Record):
 def enumerate_center(cat: PointedCrossedCategory) -> list[CenterSimple]:
     """All center simples, ordered lexicographically by (g, label, chi).
     A degree whose J|_N admits no character has no simple."""
-    if not cat.is_nonsingular():
-        missing = next(s for s in cat.Gamma.elements() if not cat.fibers[s])
-        raise NonSingularityViolated(missing)
+    cat.least_section()  # raises NonSingularityViolated if a degree has no label
     L, N, out = cat.Lambda, cat.neutral_labels, []
     for g in cat.G.elements():
         chars = twisted_characters(L, N, cat.M, cat.jtable[g])
@@ -75,14 +71,13 @@ def relative_center_oracle(cat: PointedCrossedCategory) -> list[CenterSimple]:
     whose label has full conjugation support, and keep those that satisfy
     the character law verbatim.  Off the support a component would land in
     a zero hom space, so such a label has no invertible half-braiding.  The
-    oracle shares no code with enumerate_center: the conjugation test
+    oracle shares only its precondition with enumerate_center, the
+    nonsingularity check of cat.least_section: the conjugation test
     lam nu lam^-1 = ^g nu runs over the Cayley table, and the character law
     is checked entry by entry instead of solved by twisted_characters'
     generator backtracking.
     """
-    if not cat.is_nonsingular():
-        missing = next(s for s in cat.Gamma.elements() if not cat.fibers[s])
-        raise NonSingularityViolated(missing)
+    cat.least_section()  # raises NonSingularityViolated if a degree has no label
     L, M = cat.Lambda, cat.M
     Lt, Linv = L.table, L.inverses
     members = list(cat.neutral_labels)
@@ -283,10 +278,14 @@ class CenterStructure:
         The tables read it as follows:
         - braid_table[z1][z2] = HB[z1][lam2]: unpack ^{del lam2} z1; the
           chain lands on ^{h1} z2 (x) z1;
-        - j_gamma_table[s][z1][z2] = HB[z1][^{h2} zeta_s], split at
-          section[h2 |>1 s] by axiom1_grading_compat;
+        - j_gamma_table[s][z1][z2] = HB[z1][^{h2} zeta_s] + X[h1][h2][zeta_s],
+          split at section[h2 |>1 s] by axiom1_grading_compat; the X term
+          composes the half-braidings of z1 (x) z2 at zeta_s, as tensor does on N;
         - chi_gamma_table[s][s2][z] = J[h][zeta_s][zeta_s2] - HB[z][zeta_s zeta_s2];
-        - sigma_table[g][s][z] has left side HB[^g z][^g zeta_0], of degree s;
+        - sigma_table[g][s][z] has left side HB[^g z][^g zeta_0] + X[h'][g][zeta_0]
+          - J[g0][zeta_0][zeta_0^-1], of degree s, with h' the G-degree of
+          ^g z: the same tensor term for ^g z, and the duality isomorphism
+          ^{g0}(zeta_0^dual) ~ (^{g0} zeta_0)^dual that the retract needs;
         - the Gamma-action's chi'(nu) = HB[z][nu zeta_s] - J[h][nu][zeta_s]:
           relabel zeta^-1 nu = (zeta^-1 nu zeta) zeta^-1, move the neutral
           part across lam with chi, and recombine with J twice.
@@ -332,8 +331,8 @@ class CenterStructure:
     #    with s0 = g^-1 |>1 s and g0 = (s |>2 g^-1)^-1.
     @cached_property
     def sigma_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """[g][s][point] -> swap scalar: HB at the acted point read from
-        g_action_table (half_braiding), minus the canonical right side."""
+        """[g][s][point] -> swap scalar: the left side at the acted point read
+        from g_action_table (half_braiding), minus the canonical right side."""
         cat = self.cat
         L, M, mp, J, X = cat.Lambda, cat.M, cat.mp, cat.jtable, cat.chitable
         Lt, Linv, act, deg, a2 = L.table, L.inverses, cat.action, cat.grading, mp.act2
@@ -346,11 +345,12 @@ class CenterStructure:
                 Jg0 = J[Ginv[a2[s][gi]]]
                 zeta_0 = self.section[mp.act1[gi][s]]
                 x, zeta_0i, row = act[g][zeta_0], Linv[zeta_0], []
+                dual = Jg0[zeta_0][zeta_0i]
                 for z, q in zip(P, GA[g]):
                     a_h_zeta0 = act[z.g][zeta_0]
                     canon_rhs = -Jg0[Lt[a_h_zeta0][z.label]][zeta_0i] - Jg[a_h_zeta0][z.label] \
                         + X[a2[deg[z.label]][g]][z.g][zeta_0]
-                    row.append((HB[q][x] - canon_rhs) % M)
+                    row.append((HB[q][x] - canon_rhs + X[P[q].g][g][zeta_0] - dual) % M)
                 rows.append(tuple(row))
             out.append(tuple(rows))
         return tuple(out)
@@ -358,12 +358,14 @@ class CenterStructure:
     @cached_property
     def j_gamma_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """[s][point][point] -> J-scalar of the Gamma-action,
-        HB[z1][^{h2} zeta_s] (half_braiding)."""
-        act, zetas, HB = self.cat.action, self.section, self.half_braiding
+        HB[z1][^{h2} zeta_s] + X[h1][h2][zeta_s] (half_braiding)."""
+        act, X, M, HB = self.cat.action, self.cat.chitable, self.cat.M, self.half_braiding
+        degrees = [z.g for z in self.points]
         out = []
-        for zeta in zetas:
-            cols = [act[b.g][zeta] for b in self.points]
-            out.append(tuple(tuple(hb[x] for x in cols) for hb in HB))
+        for zeta in self.section:
+            cols = [(act[h2][zeta], h2) for h2 in degrees]
+            out.append(tuple(tuple((hb[x] + X[h1][h2][zeta]) % M for x, h2 in cols)
+                             for h1, hb in zip(degrees, HB)))
         return tuple(out)
 
     @cached_property

@@ -68,10 +68,6 @@ class NonSingularityViolated(CrossedCatError):
         super().__init__(f"grading not surjective: no simple of degree {missing_degree}")
 
 
-class SectionMissing(NonSingularityViolated):
-    pass
-
-
 class UnsupportedConfiguration(CrossedCatError):
     """A center simple's retract idempotent is not the identity, so the
     Gamma-action is undefined on it (a corrupted simple list)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import NotMatched, SectionMissing
+from .errors import NonSingularityViolated, NotMatched
 from .groups import (FiniteGroup, Table, action_law_witness, certified_sweep, is_hom_image,
                      twisted_hom_witness, unit_witness)
 from .matched import MatchedPair, verify_matched_pair
@@ -96,14 +96,13 @@ class PointedCrossedCategory(Record):
             out[self.grading[l]].append(l)
         return {s: tuple(v) for s, v in out.items()}
 
-    def is_nonsingular(self) -> bool:
-        return all(self.fibers[s] for s in self.Gamma.elements())
-
     def least_section(self) -> tuple[int, ...]:
-        """Least label in each grading fiber; the default family zeta."""
+        """Least label in each grading fiber; the default family zeta.  The one
+        nonsingularity check: raises NonSingularityViolated at the first
+        degree with no label."""
         missing = next((s for s in self.Gamma.elements() if not self.fibers[s]), None)
         if missing is not None:
-            raise SectionMissing(missing)
+            raise NonSingularityViolated(missing)
         return tuple(min(self.fibers[s]) for s in self.Gamma.elements())
 
 

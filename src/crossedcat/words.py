@@ -13,7 +13,8 @@ agree iff the exponents admit a potential on the words, that is, iff every
 cycle's exponents sum to zero.  A weighted union-find decides that in one
 pass over the moves (Tarjan & van Leeuwen, J. ACM 1984).  Only a tuple that
 fails is walked depth-first, and the walk's first edge that disagrees with
-its potentials is reported with the two explicit composites.
+its potentials is reported with the two explicit composites, each the
+walk's own path from its root.
 
 The graph is built on interned words: a word is the integer id of its
 (kind, a, b) triple over child ids (hash-consing).  The words and moves of
@@ -27,7 +28,7 @@ mismatch's witness.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .pointed import PointedCrossedCategory
 from .records import Record
@@ -259,16 +260,15 @@ class _Skeleton:
         over adjacency lists in the enumeration's edge order, on a tuple whose
         exponents admit no potential."""
         nodes, dst, moves, order = self.nodes, self.dst, self.moves, self.order
-        # (neighbour, exponent step) pairs in edge order, repeats included
+        # edge ids in edge order, repeats included: m at move m's source, ~m at its target
         adjacency: list[list[int]] = [[] for _ in nodes]
         for w in order:
             for m in moves[w]:
-                s, d, x = src[m], dst[m], exps[m]
-                adjacency[s] += d, x
-                adjacency[d] += s, -x % M
+                adjacency[src[m]].append(m)
+                adjacency[dst[m]].append(~m)
 
         potential = [-1] * len(nodes)
-        parent: list[Optional[int]] = [None] * len(nodes)
+        via: list[Optional[int]] = [None] * len(nodes)  # the edge that first reached each word
         components = 0
         for root in order:
             if potential[root] >= 0:
@@ -278,38 +278,27 @@ class _Skeleton:
             while queue:
                 u = queue.pop()
                 pu = potential[u]
-                pairs = iter(adjacency[u])
-                for v, x in zip(pairs, pairs):
-                    want = (pu + x) % M
+                for e in adjacency[u]:
+                    if e >= 0:
+                        v, want = dst[e], (pu + exps[e]) % M
+                    else:
+                        v, want = src[~e], (pu - exps[~e]) % M
                     if potential[v] < 0:
-                        potential[v], parent[v] = want, u
+                        potential[v], via[v] = want, e
                         queue.append(v)
                     elif potential[v] != want:
-                        return self._witness(src, exps, potential, parent, M, u), components
+                        return self._witness(src, via, u, v, e), components
         raise AssertionError("the union-find found a cycle that the walk did not")
 
-    def _edges(self, u: int, src: list) -> Iterator[tuple[int, int]]:
-        """u's adjacency as (edge, neighbour): m leaves move m's source, ~m its target."""
-        for w in self.order:
-            for m in self.moves[w]:
-                if src[m] == u:
-                    yield m, self.dst[m]
-                elif self.dst[m] == u:
-                    yield ~m, src[m]
-
-    def _witness(self, src, exps, potential, parent, M, u) -> tuple:
-        # potentials never change once set, so the walk stopped at u's first edge
-        # that disagrees, and a node's parent edge is its parent's first edge to it
+    def _witness(self, src: list, via: list, u: int, v: int, e: int) -> tuple:
         def trace(w: int) -> str:
+            # back to the root along the walk's edges; ~m was taken from move m's target
             steps = []
-            while parent[w] is not None:
-                e = next(e for e, x in self._edges(parent[w], src) if x == w)
-                steps.append(("" if e >= 0 else "~") + self._rule(e))
-                w = parent[w]
+            while (step := via[w]) is not None:
+                steps.append(("" if step >= 0 else "~") + self._rule(step))
+                w = src[step] if step >= 0 else self.dst[~step]
             return " . ".join(reversed(steps)) or "id"
 
-        e, v = next((e, v) for e, v in self._edges(u, src)
-                    if potential[v] != (potential[u] + (exps[e] if e >= 0 else -exps[~e])) % M)
         return self._print(u), self._print(v), self._rule(e), trace(u), trace(v)
 
     def _print(self, i: int) -> str:

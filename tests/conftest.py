@@ -38,6 +38,11 @@ def unit_index(Z) -> int:
     return Z.simples.index(CenterSimple(cat.G.identity, cat.Lambda.identity, (0,) * len(Z.npos)))
 
 
+def triples(rep) -> list[tuple]:
+    """A report's checks as (name, passed, witness), for comparing two reports."""
+    return [(c.name, c.passed, c.witness) for c in rep.checks]
+
+
 def duals_hold(cat) -> bool:
     """The dual law: the left dual of ^g x, ^{del(x) |>2 g}(x^-1), is the
     inverse label of ^g x, for every (x, g)."""

@@ -640,7 +640,7 @@ class ReferenceCenter:
         a_h_zeta0 = cat.act(z.g, zeta_0)
         canon_rhs = -cat.j(g0, L.mul(a_h_zeta0, z.label), L.inv(zeta_0)) \
             - cat.j(g, a_h_zeta0, z.label) + cat.x(mp.a2(t, g), z.g, zeta_0)
-        out = (lhs - canon_rhs) % M
+        out = (lhs - canon_rhs + cat.x(h_p, g, zeta_0) - cat.j(g0, zeta_0, L.inv(zeta_0))) % M
         self._sigma_cache[key] = out
         return out
 
@@ -654,7 +654,8 @@ class ReferenceCenter:
         L, M, mp = cat.Lambda, cat.M, cat.mp
         s_tw = mp.a1(z2.g, s)
         nu_star = L.mul(L.inv(self.section[s_tw]), cat.act(z2.g, self.section[s]))
-        out = (self.chi_at(z1, nu_star) + cat.j(z1.g, self.section[s_tw], nu_star)) % M
+        out = (self.chi_at(z1, nu_star) + cat.j(z1.g, self.section[s_tw], nu_star)
+               + cat.x(z1.g, z2.g, self.section[s])) % M
         self._jg_cache[key] = out
         return out
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURE_DIR, category, pair, unit_index
+from conftest import FIXTURE_DIR, category, pair, triples, unit_index
 from crossedcat import center, groups, jsonio
 from crossedcat.center import CenterStructure, enumerate_center, verify_center_braided
 from crossedcat.errors import CrossedCatError, GroupValidationError
@@ -43,10 +43,6 @@ CATEGORIES = ["vec-z2z3", "z4-over-z2", "z6-over-z3", "cocycle-j", "equivariant-
               "vec-z3-gtrivial"]
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
-
-
-def triples(rep) -> list[tuple]:
-    return [(c.name, c.passed, c.witness) for c in rep.checks]
 
 
 def outcome(fn, *args):

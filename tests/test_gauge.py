@@ -5,12 +5,7 @@ The category side holds: every gauged fixture is a valid category with the
 same center.  The center is built in the unit-normal gauge
 (center.unit_normal), so every gauge of the units verifies: the census
 below draws cochains on (G - e) x {e_L} (family i) and on {e} x Lambda
-(family ii) for every center fixture.  Gauges at (g, x) with g != e and x
-outside N (family iii) do not all verify yet: verify_center_braided
-rejects the seeded gauges of vec-s4-pair, z4-over-z2 and z6-over-z3 and
-named case (b), although each is a valid category.  Those four tests are
-strict xfails, so a fix of the center's structure maps makes them fail
-until their markers are removed.
+(family ii) for every center fixture.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURE_DIR, category
+from conftest import FIXTURE_DIR, category, triples
 from crossedcat import jsonio
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
                                relative_center_oracle, unit_normal, verify_center_braided)
@@ -32,18 +27,6 @@ from crossedcat.pointed import pointed_category, verify_crossed_category
 from crossedcat.words import check_coherence
 from gauge import gauge, random_cochain
 from reference_sweeps import ReferenceCenter, reference_center_braided
-
-CENTER_NOT_GAUGE_COVARIANT = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="the center's structure maps are not covariant under gauges off the units and "
-           "off N: verify_center_braided rejects valid categories gauge-equivalent to a fixture")
-FAMILY_III = ("vec-s4-pair", "z4-over-z2", "z6-over-z3", "b-vec-z2z3-gauged")
-
-
-def _marked(names):
-    return [pytest.param(n, marks=CENTER_NOT_GAUGE_COVARIANT) if n in FAMILY_III else n
-            for n in names]
-
 
 @pytest.mark.parametrize("name", sorted(CATEGORIES))
 def test_gauge_keeps_category_and_center(name):
@@ -98,14 +81,18 @@ def test_named_cases_are_valid_categories():
             assert check_coherence(cat, 6, objects).passed, (name, objects)
 
 
-@pytest.mark.parametrize("name", _marked(CENTER_FIXTURES))
+@pytest.mark.parametrize("name", CENTER_FIXTURES)
 def test_gauged_center_is_braided(name):
+    """A census of ten seeded random gauges, every family at once."""
     cat = category(name)
-    u = random_cochain(cat, random.Random(f"gauge-center:{name}"))
-    assert verify_center_braided(gauge(cat, u)).passed
+    rng = random.Random(f"gauge-center:{name}")
+    for draw in range(10):
+        u = random_cochain(cat, rng)
+        rep = verify_center_braided(gauge(cat, u))
+        assert rep.passed, (name, draw, rep.first_failure())
 
 
-@pytest.mark.parametrize("name", _marked(sorted(NAMED)))
+@pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_case_center_is_braided(name):
     assert verify_center_braided(NAMED[name]()).passed
 
@@ -113,10 +100,6 @@ def test_named_case_center_is_braided(name):
 # -- gauges of the units
 
 SCALAR_TABLES = ("jtable", "phitable", "chitable", "iotatable")
-
-
-def triples(rep) -> list[tuple]:
-    return [(c.name, c.passed, c.witness) for c in rep.checks]
 
 
 def _unit_gauges(cat, draws: int = 3):

@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURE_DIR, category, pair, unit_index
+from conftest import FIXTURE_DIR, category, pair, triples, unit_index
 from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
 from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
@@ -38,10 +38,6 @@ CENTER_FILES = [n for n in CATEGORY_FILES if n != "cat-nonsurjective.json"]
 PAIR_FILES = sorted(p.name for p in FIXTURE_DIR.glob("*.json")
                     if not p.name.startswith(("cat-", "group-")))
 BRAIDED_FILES = [n for n in PAIR_FILES if n.endswith(("-braided.json", "-center.json"))]
-
-
-def triples(rep) -> list[tuple]:
-    return [(c.name, c.passed, c.witness) for c in rep.checks]
 
 
 def verdicts(rep) -> list[tuple]:
@@ -530,10 +526,11 @@ def test_corrupted_simples_failing_swap_laws_fail_center_category_axioms(name):
     assert not any(_center_axioms_pass(cat, m) for m in failing)
 
 
-def test_family_iii_gauges_failing_swap_laws_fail_center_category_axioms():
+def test_family_iii_gauges_pass_swap_laws_and_center_category_axioms():
     """Gauges at (g, x) with g != e and x outside N keep the units strict.
-    Where such a gauge fails a swap law, it fails center_category_axioms,
-    and off the unit actors each law vanishes where its restatement does."""
+    Each is a valid category, so it passes every swap law and
+    center_category_axioms, and off the unit actors each law vanishes
+    where its restatement does."""
     cases = [gauge(category("vec-z2z3"), [[0, 0, 0], [0, 0, 1]])]
     for name in ("vec-z2z3", "z4-over-z2", "z6-over-z3"):
         cat, rng = category(name), random.Random(f"family-iii:{name}")
@@ -542,13 +539,10 @@ def test_family_iii_gauges_failing_swap_laws_fail_center_category_axioms():
             cases.append(gauge(cat, [[rng.randrange(cat.M) if g != cat.G.identity and x in off_n
                                       else 0 for x in cat.Lambda.elements()]
                                      for g in cat.G.elements()]))
-    failing = 0
     for cat in cases:
-        if not reference_swap_laws(cat).passed:
-            failing += 1
-            assert not _center_axioms_pass(cat), cat.name
+        assert reference_swap_laws(cat).passed, cat.name
+        assert _center_axioms_pass(cat), cat.name
         _assert_restated(cat)
-    assert failing
 
 
 # -- coherence: the interned skeleton against the word-record graph
