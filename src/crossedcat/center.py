@@ -32,8 +32,8 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .braided import BraidedMatchedPair, center_braiding as induced_braiding, verify_braiding
-from .errors import GroupValidationError, UnsupportedConfiguration
-from .groups import certified_sweep, twisted_characters, validate_group
+from .errors import CenterTooLarge, GroupValidationError, UnsupportedConfiguration
+from .groups import certified_sweep, character_tries, twisted_characters, validate_group
 from .pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
 from .records import Record
 from .report import VerificationReport, run_checks
@@ -50,10 +50,38 @@ class CenterSimple(Record):
         return (self.g, self.label, self.chi)
 
 
+# the most candidates a search for the simples may try: exponent tuples for
+# enumerate_center, functions N -> mu_M for relative_center_oracle.  On
+# Python 3.11 (2 vCPUs) the first ran at 136-330 thousand tries a second and
+# the second at 390-580 thousand, so a search at the bound takes 3-15 s;
+# every fixture needs at most 768 tries (the oracle on cat-equivariant-s3)
+MAX_CENTER_TRIES = 2_000_000
+
+
+def oracle_tries(cat: PointedCrossedCategory) -> int:
+    """|G| |Lambda| M^|N|: the oracle's tries if every label had full
+    conjugation support."""
+    return cat.G.order * cat.Lambda.order * cat.M ** len(cat.neutral_labels)
+
+
+def enumeration_tries(cat: PointedCrossedCategory) -> int:
+    """|G| M^k, k the number of generators of N that twisted_characters
+    backtracks over: enumerate_center's tries."""
+    return cat.G.order * character_tries(cat.Lambda, cat.neutral_labels, cat.M)
+
+
+def _searchable(cat: PointedCrossedCategory, search: str, tries: int) -> None:
+    """The preconditions of a search for the simples: nonsingularity (raises
+    NonSingularityViolated) and the size bound (raises CenterTooLarge)."""
+    cat.least_section()
+    if tries > MAX_CENTER_TRIES:
+        raise CenterTooLarge(search, tries, MAX_CENTER_TRIES)
+
+
 def enumerate_center(cat: PointedCrossedCategory) -> list[CenterSimple]:
     """All center simples, ordered lexicographically by (g, label, chi).
     A degree whose J|_N admits no character has no simple."""
-    cat.least_section()  # raises NonSingularityViolated if a degree has no label
+    _searchable(cat, "enumerate_center", enumeration_tries(cat))
     L, N, out = cat.Lambda, cat.neutral_labels, []
     for g in cat.G.elements():
         chars = twisted_characters(L, N, cat.M, cat.jtable[g])
@@ -71,13 +99,13 @@ def relative_center_oracle(cat: PointedCrossedCategory) -> list[CenterSimple]:
     whose label has full conjugation support, and keep those that satisfy
     the character law verbatim.  Off the support a component would land in
     a zero hom space, so such a label has no invertible half-braiding.  The
-    oracle shares only its precondition with enumerate_center, the
-    nonsingularity check of cat.least_section: the conjugation test
-    lam nu lam^-1 = ^g nu runs over the Cayley table, and the character law
-    is checked entry by entry instead of solved by twisted_characters'
-    generator backtracking.
+    oracle shares only its preconditions with enumerate_center, the
+    nonsingularity check of cat.least_section and a size bound, here on its
+    own tries: the conjugation test lam nu lam^-1 = ^g nu runs over the
+    Cayley table, and the character law is checked entry by entry instead
+    of solved by twisted_characters' generator backtracking.
     """
-    cat.least_section()  # raises NonSingularityViolated if a degree has no label
+    _searchable(cat, "relative_center_oracle", oracle_tries(cat))
     L, M = cat.Lambda, cat.M
     Lt, Linv = L.table, L.inverses
     members = list(cat.neutral_labels)

@@ -22,7 +22,6 @@ process instead, as perfbench/traced_cli.py does.
 from __future__ import annotations
 
 import atexit
-import itertools
 import json
 import os
 import sys
@@ -181,56 +180,28 @@ def cmd_center(file: str, out: Optional[str], pretty: bool) -> int:
     return 0 if rep.passed else 1
 
 
-def cmd_coherence(category: str, max_nodes: int, arity: int, objects: Optional[str],
-                  tuple_cap: int, pretty: bool) -> int:
+def cmd_coherence(category: str, objects: Optional[str], pretty: bool) -> int:
     from . import jsonio
-    from .words import check_coherence, min_word_nodes
-    cat = jsonio.load_category(category)
-    tuples: list[tuple[int, ...]]
+    from .words import verify_coherence
+    cat = jsonio.load_category(category)   # raises ValidationError on bad axioms
+    labels = None
     if objects is not None:
-        labels = tuple(_int_list(objects, "--objects"))
+        labels = _int_list(objects, "--objects")
         if not labels:
             raise ValidationError(f"--objects names no label, got {objects!r}")
         n = cat.Lambda.order
         for x in labels:
             if not 0 <= x < n:
                 raise ValidationError(f"--objects label {x} out of range 0..{n - 1}")
-        tuples = [labels]
-        k = len(labels)
-    else:
-        if arity < 1 or tuple_cap < 1:
-            raise ValidationError("--arity and --tuple-cap must be at least 1, got "
-                                  f"{arity} and {tuple_cap}")
-        k = arity
-    need = min_word_nodes(k)
-    if max_nodes < need:
-        raise ValidationError(f"--max-nodes {max_nodes} is below {need}: "
-                              f"a {k}-object tuple has no word with fewer nodes")
-    if objects is None:
-        # the first tuple_cap tuples of each arity, without building the rest
-        elements = list(cat.Lambda.elements())
-        tuples = [t for a in range(1, arity + 1)
-                  for t in itertools.islice(itertools.product(elements, repeat=a), tuple_cap)]
-    all_pass = True
-    stats = {"tuplesChecked": len(tuples), "maxNodes": max_nodes}
-    failures = []
-    for objs in tuples:
-        try:
-            rep = check_coherence(cat, max_nodes, objs)
-        except RecursionError:
-            # the word enumeration recurses once per node of the budget
-            raise ValidationError(f"--max-nodes {max_nodes} is too large: enumerating its "
-                                  "words exceeds the recursion limit") from None
-        if not rep.passed:
-            all_pass = False
-            failures.append({"objects": list(objs),
-                             "witness": list(rep.first_failure().witness or ())})
-            break
-    payload = {"subject": f"coherence {cat.name}", "pass": all_pass,
-               "stats": stats, "failures": failures,
+    # the branchings restate the scalar checks the load has just passed, so
+    # this re-checks the load's verdict: on every input the command accepts
+    # it passes, and a failing branching shows only in process
+    rep = verify_coherence(cat, labels)
+    payload = {"subject": rep.subject, "pass": rep.passed, "stats": rep.stats,
+               "failures": [c.to_json() for c in rep.checks if not c.passed],
                "inputDigest": _digest(Path(category))}
     _emit_json(payload, pretty)
-    return 0 if all_pass else 1
+    return 0 if rep.passed else 1
 
 
 # -- the command line ------------------------------------------------------------
@@ -276,13 +247,10 @@ COMMANDS = {
         Arg("file", "matched-pair JSON"), _out(True))),
     "center": Command(cmd_center, "enumerate and verify the center of a category", (
         Arg("file", "category JSON"), _out(False, "also write the report to this path"))),
-    "coherence": Command(cmd_coherence, "bounded parallel-composite uniqueness check", (
+    "coherence": Command(cmd_coherence, "check that every critical branching commutes", (
         Arg("category", flags=("--category",), required=True),
-        Arg("max_nodes", flags=("--max-nodes",), type=int, default=6),
-        Arg("arity", flags=("--arity",), type=int, default=3),
-        Arg("objects", "comma-separated labels; overrides the sweep", ("--objects",)),
-        Arg("tuple_cap", "deterministic cap per arity when sweeping tuples", ("--tuple-cap",),
-            type=int, default=64))),
+        Arg("objects", "comma-separated labels the holes range over; default every label",
+            ("--objects",)))),
 }
 HELP_FLAGS = ("-h", "--help")
 
@@ -306,7 +274,7 @@ def usage() -> str:
              "verify and build group-crossed structures", "",
              "  --pretty    human-readable rendering",
              "  -h, --help  print this text and exit", "",
-             "An option's value is the next argument, or follows '=' as in --arity=2.",
+             "An option's value is the next argument, or follows '=' as in --objects=0,1.",
              "Bad arguments exit 2 with {\"error\": ...} on stderr.", "", "commands:"]
     for name, command in COMMANDS.items():
         lines.append(f"  crossedcat {name} " + " ".join(map(_synopsis, command.args)))

@@ -68,6 +68,13 @@ class NonSingularityViolated(CrossedCatError):
         super().__init__(f"grading not surjective: no simple of degree {missing_degree}")
 
 
+class CenterTooLarge(CrossedCatError):
+    def __init__(self, search: str, tries: int, limit: int):
+        self.tries = tries
+        super().__init__(f"center too large to enumerate: {search} would try {tries} "
+                         f"candidates, over the limit of {limit}")
+
+
 class UnsupportedConfiguration(CrossedCatError):
     """A center simple's retract idempotent is not the identity, so the
     Gamma-action is undefined on it (a corrupted simple list)."""

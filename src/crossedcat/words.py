@@ -1,34 +1,76 @@
-"""Words of crossed-monoidal functors and the bounded coherence check.
+"""Words of crossed-monoidal functors, their seven structural moves, and
+the exact coherence check by critical branchings.
 
-Printed form:  `1` (unit), `_i` (hole i), `(w * w)` (tensor), and `g<w>`
-(action by the group element of index g).  Holes are linear and numbered
-left to right, matching how substitution sums arities.
+Printed form: `1` (unit), `_i` (hole i; holes are linear and numbered left
+to right), `(w * w)` (tensor) and `g<w>` (action by the element of index g).
 
-The bounded coherence check walks the graph whose nodes are all words up to
-a node budget instantiated at a fixed object tuple and whose edges are
-single structural moves (associator and unit moves, action-composition,
-action-over-tensor, action unit, action on the monoidal unit) applied at any
-position, each carrying its scalar's exponent.  All parallel composites
-agree iff the exponents admit a potential on the words, that is, iff every
-cycle's exponents sum to zero.  A weighted union-find decides that in one
-pass over the moves (Tarjan & van Leeuwen, J. ACM 1984).  Only a tuple that
-fails is walked depth-first, and the walk's first edge that disagrees with
-its potentials is reported with the two explicit composites, each the
-walk's own path from its root.
+The moves, oriented toward a normal form; in an exponent a letter stands
+for the label of the word it matches, and t = deg(y) |>2 g:
 
-The graph is built on interned words: a word is the integer id of its
-(kind, a, b) triple over child ids (hash-consing).  The words and moves of
-one (budget, arity, G) form a skeleton, built once for every tuple of that
-arity; a J split's source depends on labels, so the skeleton keeps one per
-twisting element.  Each tuple computes its labels bottom-up over the ids,
-reads the exponents from the tables and unites the words move by move;
-adjacency lists, words, rule texts and paths are built only for a
-mismatch's witness.
+    chi    g<h<c>>      -> gh<c>            + chi[g][h][c]
+    J      g<x * y>     -> t<x> * g<y>      - J[g][x][y]
+    phi    g<1>         -> 1                - phi[g]
+    iota   e<x>         -> x                - iota[x]
+    l, r   1 * x, x * 1 -> x                0
+    assoc  (a * b) * c  -> a * (b * c)      0
+
+J, phi and iota run from the split, unit or bare side (pointed.py), so
+their steps here carry minus the exponent and print with a leading `~`,
+as the walk prints an edge taken backwards.  Once the object-level axioms
+hold every move keeps labels, so its exponent reads only group elements
+and the labels of its letters.
+
+Termination: with 1 and each hole worth 1, a * b worth 2a + b + 3 and g<w>
+worth 2w + 1, each move lowers its redex's value (chi 4c + 3 > 2c + 1, J
+4x + 2y + 7 > 4x + 2y + 6, phi 3 > 1, iota 2x + 1 > x, l x + 5 > x, r
+2x + 4 > x, assoc 4a + 2b + c + 9 > 2a + 2b + c + 6), and both worths grow
+strictly in every argument, so a move anywhere lowers the whole word's
+value, a positive integer.  The normal forms are 1 and right-nested
+tensors of factors _i or g<_i>, g not the identity.
+
+Critical branchings: a redex inside a letter of another commutes with it,
+as every move is linear in its letters and keeps labels.  Unifying each
+left side with a non-letter subterm of another, or of itself below the
+root, gives 15 overlaps (overlap word; its two moves):
+
+    chi/chi   g<h<k<_1>>>           chi, chi inside
+    chi/J     g<h<(_1 * _2)>>       chi, J inside
+    chi/phi   g<h<1>>               chi, phi inside
+    chi/iota  g<e<_1>>              chi, iota inside
+    iota/chi  e<h<_1>>              iota, chi
+    J/iota    e<(_1 * _2)>          J, iota
+    phi/iota  e<1>                  phi, iota
+    J/l, J/r  g<(1 * _1)>, g<(_1 * 1)>    J, l or r inside
+    J/assoc   g<((_1 * _2) * _3)>   J, assoc inside
+    l/r       (1 * 1)               l, r
+    r/assoc   ((_1 * _2) * 1)       r, assoc
+    assoc/l, assoc/r  ((1 * _1) * _2), ((_1 * 1) * _2)  assoc, l or r inside
+    pentagon  (((_1 * _2) * _3) * _4)   assoc, assoc inside
+
+The last five have no action: every move they reach is l, r or assoc, of
+exponent 0, and both sides reach the right-nested tensor of their holes,
+so they commute in every category.  `verify_coherence` takes the first
+ten, BRANCHINGS, at every tuple of group elements and hole labels and
+compares the normal forms and exponents of both sides.  When all commute,
+Newman's lemma makes the moves confluent, and by induction along the
+termination order all paths from a word to its normal form carry one
+exponent (Squier, J. Pure Appl. Algebra 1987): minus it is a potential, so
+parallel composites of any size agree.  A closing path with holes for
+letters closes every instance with the same exponent.  The ten restate
+verify_crossed_category's scalar checks (chi/chi chi_cocycle, chi/J
+axiom3_j_chi, J/assoc axiom2_j_cocycle, J/l and J/r axiom2_units, chi/iota
+and iota/chi chi_units) and three unit laws they imply, as Galindo's
+coherence theorem (J. Algebra 2017) predicts.
+
+`check_coherence` is the bounded walk this check replaced, the tests'
+reference: every word up to a node budget at one object tuple, an edge
+per move, walked depth-first.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+import itertools
+from typing import Iterator, Optional, Sequence, Union
 
 from .pointed import PointedCrossedCategory
 from .records import Record
@@ -59,288 +101,268 @@ Word = Union[Unit, Hole, Tensor, Act]
 
 
 def print_word(w: Word) -> str:
-    if isinstance(w, Unit):
-        return "1"
-    if isinstance(w, Hole):
-        return f"_{w.index}"
-    if isinstance(w, Tensor):
+    if type(w) is Tensor:
         return f"({print_word(w.left)} * {print_word(w.right)})"
-    if isinstance(w, Act):
+    if type(w) is Act:
         return f"{w.g}<{print_word(w.body)}>"
+    if type(w) is Hole:
+        return f"_{w.index}"
+    if type(w) is Unit:
+        return "1"
     raise TypeError(f"not a word: {w!r}")
 
 
-# -- bounded coherence check ------------------------------------------------------------
+def label(w: Word, cat: PointedCrossedCategory, objects: Sequence[int]) -> int:
+    """The label of w with hole i bound to objects[i - 1]."""
+    if type(w) is Act:
+        return cat.action[w.g][label(w.body, cat, objects)]
+    if type(w) is Tensor:
+        return cat.Lambda.table[label(w.left, cat, objects)][label(w.right, cat, objects)]
+    return objects[w.index - 1] if type(w) is Hole else cat.Lambda.identity
 
-def min_word_nodes(arity: int) -> int:
-    """Nodes in the smallest word over arity objects: the unit for none, else
-    the arity holes joined by arity - 1 tensors."""
-    return max(1, 2 * arity - 1)
 
+# -- the seven moves ----------------------------------------------------------------
+
+# rules whose step toward the normal form runs against their scalar's isomorphism
+_BACKWARD = ("J", "phi", "iota")
+
+
+def _root_moves(w: Word, cat: PointedCrossedCategory, objects: Sequence[int]
+                ) -> Iterator[tuple[Word, int, tuple]]:
+    """(result, exponent, rule) of each move whose redex is w itself, toward
+    the normal form; a rule is its name, its printed form's template and
+    the group elements and words that fill it."""
+    if type(w) is Act:
+        g, body = w.g, w.body
+        if type(body) is Act:
+            yield (Act(cat.G.table[g][body.g], body.body),
+                   cat.chitable[g][body.g][label(body.body, cat, objects)],
+                   ("chi", "chi({},{})@{}", g, body.g, body.body))
+        elif type(body) is Tensor:
+            x, y = label(body.left, cat, objects), label(body.right, cat, objects)
+            t = cat.mp.act2[cat.grading[y]][g]
+            yield (Tensor(Act(t, body.left), Act(g, body.right)), -cat.jtable[g][x][y],
+                   ("J", "J({})@({},{})", g, body.left, body.right))
+        elif type(body) is Unit:
+            yield body, -cat.phitable[g], ("phi", "phi({})", g)
+        if g == cat.G.identity:
+            yield body, -cat.iotatable[label(body, cat, objects)], ("iota", "iota@{}", body)
+    elif type(w) is Tensor:
+        left, right = w.left, w.right
+        if type(left) is Unit:
+            yield right, 0, ("l", "l@{}", right)
+        if type(right) is Unit:
+            yield left, 0, ("r", "r@{}", left)
+        if type(left) is Tensor:
+            yield Tensor(left.left, Tensor(left.right, right)), 0, ("assoc", "assoc")
+
+
+def moves(w: Word, cat: PointedCrossedCategory, objects: Sequence[int]
+          ) -> Iterator[tuple[tuple[int, ...], Word, int, tuple]]:
+    """(position, result, exponent, rule) of every move inside w, redexes in
+    preorder; a position is the path to the redex, 0 and 1 for the left and
+    right of a tensor and 2 for the body of an action."""
+    for v, x, rule in _root_moves(w, cat, objects):
+        yield (), v, x, rule
+    if type(w) is Tensor:
+        for p, v, x, rule in moves(w.left, cat, objects):
+            yield (0, *p), Tensor(v, w.right), x, rule
+        for p, v, x, rule in moves(w.right, cat, objects):
+            yield (1, *p), Tensor(w.left, v), x, rule
+    elif type(w) is Act:
+        for p, v, x, rule in moves(w.body, cat, objects):
+            yield (2, *p), Act(w.g, v), x, rule
+
+
+def rule_text(rule: tuple, backward: bool = False) -> str:
+    """A rule as the walk prints an edge, with `~` when taken backwards."""
+    _, template, *args = rule
+    return ("~" if backward else "") + template.format(
+        *(a if type(a) is int else print_word(a) for a in args))
+
+
+# -- the exact check ----------------------------------------------------------------
+
+def normal_form(w: Word, cat: PointedCrossedCategory, objects: Sequence[int],
+                steps: list) -> tuple[Word, int]:
+    """(normal form of w, the exponent of the composite that reaches it),
+    subterms first; appends the rule of each step taken to `steps`."""
+    if type(w) is Tensor:
+        left, a = normal_form(w.left, cat, objects, steps)
+        right, b = normal_form(w.right, cat, objects, steps)
+        if left is not w.left or right is not w.right:
+            w = Tensor(left, right)
+        x = a + b
+    elif type(w) is Act:
+        body, x = normal_form(w.body, cat, objects, steps)
+        if body is not w.body:
+            w = Act(w.g, body)
+    else:
+        return w, 0
+    for v, y, rule in _root_moves(w, cat, objects):
+        steps.append(rule)
+        v, z = normal_form(v, cat, objects, steps)
+        return v, x + y + z
+    return w, x
+
+
+H1, H2, H3 = Hole(1), Hole(2), Hole(3)
+
+# the branchings with an action: name, free group elements, holes, the
+# overlap word of the identity e and the free elements, and the (rule,
+# position) of its two first moves
+BRANCHINGS = (
+    ("chi/chi", 3, 1, lambda e, g, h, k: Act(g, Act(h, Act(k, H1))), ("chi", ()), ("chi", (2,))),
+    ("chi/J", 2, 2, lambda e, g, h: Act(g, Act(h, Tensor(H1, H2))), ("chi", ()), ("J", (2,))),
+    ("chi/phi", 2, 0, lambda e, g, h: Act(g, Act(h, Unit())), ("chi", ()), ("phi", (2,))),
+    ("chi/iota", 1, 1, lambda e, g: Act(g, Act(e, H1)), ("chi", ()), ("iota", (2,))),
+    ("iota/chi", 1, 1, lambda e, h: Act(e, Act(h, H1)), ("iota", ()), ("chi", ())),
+    ("J/iota", 0, 2, lambda e: Act(e, Tensor(H1, H2)), ("J", ()), ("iota", ())),
+    ("phi/iota", 0, 0, lambda e: Act(e, Unit()), ("phi", ()), ("iota", ())),
+    ("J/l", 1, 1, lambda e, g: Act(g, Tensor(Unit(), H1)), ("J", ()), ("l", (2,))),
+    ("J/r", 1, 1, lambda e, g: Act(g, Tensor(H1, Unit())), ("J", ()), ("r", (2,))),
+    ("J/assoc", 1, 3, lambda e, g: Act(g, Tensor(Tensor(H1, H2), H3)), ("J", ()),
+     ("assoc", (2,))),
+)
+
+
+def _first_move(w: Word, cat: PointedCrossedCategory, objects: Sequence[int],
+                name: str, position: tuple[int, ...]) -> tuple[Word, int, tuple]:
+    """(result, exponent, rule) of the move of rule `name` at `position` in
+    w: the root, or the body of the action there for each 2 in it."""
+    if position:
+        v, x, rule = _first_move(w.body, cat, objects, name, position[1:])
+        return Act(w.g, v), x, rule
+    return next(m for m in _root_moves(w, cat, objects) if m[2][0] == name)
+
+
+def verify_coherence(cat: PointedCrossedCategory,
+                     labels: Optional[Sequence[int]] = None) -> VerificationReport:
+    """One check per branching with an action, as the module docstring
+    describes, with the holes ranging over `labels` (every label when None)
+    and the free group elements over G.  A check's witness is the hole
+    labels, the overlap word, its two composites to their normal forms and
+    their two exponents.  The stats count the branchings and the instances
+    compared."""
+    labels = list(cat.Lambda.elements()) if labels is None else sorted(set(labels))
+    Gs, e, M = cat.G.elements(), cat.G.identity, cat.M
+    rep = VerificationReport(subject=f"coherence {cat.name}")
+    instances = 0
+    for name, free, holes, overlap, first, second in BRANCHINGS:
+        witness = None
+        overlaps = [overlap(e, *elements) for elements in itertools.product(Gs, repeat=free)]
+        for w, objects in itertools.product(overlaps, itertools.product(labels, repeat=holes)):
+            instances += 1
+            ends, paths = [], []
+            for rule, position in (first, second):
+                v, x, step = _first_move(w, cat, objects, rule, position)
+                steps = [step]
+                v, y = normal_form(v, cat, objects, steps)
+                ends.append((v, (x + y) % M))
+                paths.append(steps)
+            if ends[0] != ends[1]:
+                witness = (objects, print_word(w),
+                           *(" . ".join(rule_text(r, r[0] in _BACKWARD) for r in steps)
+                             for steps in paths),
+                           ends[0][1], ends[1][1])
+                break
+        rep.add(name, witness is None, witness)
+    rep.stats = {"branchings": len(BRANCHINGS), "instances": instances}
+    return rep
+
+
+# -- the bounded walk ---------------------------------------------------------------
 
 def enumerate_words(max_nodes: int, arity: int, elements: Sequence[int]) -> list[Word]:
-    """All linear words with holes exactly 1..arity, at most max_nodes nodes."""
-    return _enumerate(max_nodes, arity, elements, Unit, Hole, Tensor, Act)
+    """All linear words with holes exactly 1..arity, at most max_nodes nodes,
+    a word listed once per budget split that yields it."""
+    cache: dict[tuple[int, int, int], list[Word]] = {}
 
-
-def _enumerate(max_nodes: int, arity: int, elements: Sequence[int],
-               unit, hole, tensor, act) -> list:
-    """`enumerate_words` by the given constructors; repeats included."""
-    cache: dict[tuple[int, int, int], list] = {}
-
-    def gen(budget: int, lo: int, hi: int) -> list:
+    def gen(budget: int, lo: int, hi: int) -> list[Word]:
         key = (budget, lo, hi)
         if key in cache:
             return cache[key]
-        out: list = []
+        out: list[Word] = []
         if budget >= 1:
             if hi == lo:
-                out.append(unit())
+                out.append(Unit())
             elif hi == lo + 1:
-                out.append(hole(lo))
+                out.append(Hole(lo))
         if budget >= 2:
             for body in gen(budget - 1, lo, hi):
-                out.extend(act(g, body) for g in elements)
+                out.extend(Act(g, body) for g in elements)
         if budget >= 3:
             for mid in range(lo, hi + 1):
                 for b1 in range(1, budget - 1):
                     for left in gen(b1, lo, mid):
                         for right in gen(budget - 1 - b1, mid, hi):
-                            out.append(tensor(left, right))
+                            out.append(Tensor(left, right))
         cache[key] = out
         return out
 
-    words = gen(max_nodes, 1, arity + 1)
-    gen = None  # gen holds itself, so its cache would wait for a collection
-    return words
-
-
-# an interned word is the id of its triple over child ids: (_UNIT, 0, 0),
-# (_HOLE, index, 0), (_TENSOR, left, right) or (_ACT, g, body)
-_UNIT, _HOLE, _TENSOR, _ACT = range(4)
-# move rules; the last three carry exponent 0
-_CHI, _J, _PHI, _IOTA, _LEFT, _RIGHT, _ASSOC = range(7)
-
-
-class _Skeleton:
-    """The words and moves of one (max_nodes, arity, G), without labels.
-
-    `nodes[i]` is word i's triple, children first; `order` is the enumeration
-    as ids, repeats included.  Move m rewrites subterm `sub[m]` by `rule[m]`
-    from `src[m]` (for J, a tuple of sources by twisting element) to `dst[m]`;
-    word w's moves are `moves[w]`, counted again for each repeat of w.
-    The interning dict and the enumeration's cache are gone once it is built.
-    """
-
-    def __init__(self, max_nodes: int, arity: int, G):
-        self.key = (max_nodes, arity, G)
-        ids: dict[tuple[int, int, int], int] = {}
-        nodes = self.nodes = []
-        sizes: list[int] = []  # word i's node count, recorded when it is interned
-
-        def node(*key) -> int:
-            i = ids.setdefault(key, len(nodes))
-            if i == len(nodes):
-                k, a, b = key
-                nodes.append(key)
-                sizes.append(1 + (sizes[a] + sizes[b] if k == _TENSOR else
-                                  sizes[b] if k == _ACT else 0))
-            return i
-
-        elements = list(G.elements())
-        order = self.order = _enumerate(
-            max_nodes, arity, elements, lambda: node(_UNIT, 0, 0), lambda i: node(_HOLE, i, 0),
-            lambda a, b: node(_TENSOR, a, b), lambda g, b: node(_ACT, g, b))
-        columns = self.rule, self.sub, self.src, self.dst = [], [], [], []
-
-        def add(*move) -> None:
-            for column, value in zip(columns, move):
-                column.append(value)
-
-        def visit(at: int, rebuild) -> None:
-            # w's moves inside subterm `at`, which `rebuild` puts back into w, in preorder
-            k, a, b = nodes[at]
-            if k == _ACT:
-                bk, ba, bb = nodes[b]
-                if bk == _ACT:
-                    add(_CHI, at, w, rebuild(node(_ACT, G.table[a][ba], bb)))
-                elif bk == _TENSOR and room:
-                    add(_J, at, tuple(rebuild(node(_TENSOR, node(_ACT, tw, ba), node(_ACT, a, bb)))
-                                      for tw in elements), w)
-                elif bk == _UNIT:
-                    add(_PHI, at, rebuild(node(_UNIT, 0, 0)), w)
-                if a == G.identity:
-                    add(_IOTA, at, rebuild(b), w)
-                visit(b, lambda x: rebuild(node(_ACT, a, x)))
-            elif k == _TENSOR:
-                if nodes[a][0] == _UNIT:
-                    add(_LEFT, at, w, rebuild(b))
-                if nodes[b][0] == _UNIT:
-                    add(_RIGHT, at, w, rebuild(a))
-                if nodes[a][0] == _TENSOR:
-                    _, al, ar = nodes[a]
-                    add(_ASSOC, at, w, rebuild(node(_TENSOR, al, node(_TENSOR, ar, b))))
-                visit(a, lambda x: rebuild(node(_TENSOR, x, b)))
-                visit(b, lambda x: rebuild(node(_TENSOR, a, x)))
-
-        moves = self.moves = [None] * len(nodes)
-        for w in order:
-            if moves[w] is None:
-                first, room = len(self.rule), sizes[w] < max_nodes  # a J split adds a node
-                visit(w, lambda x: x)
-                moves[w] = range(first, len(self.rule))
-        self.distinct = sum(r is not None for r in moves)
-        self.edges = sum(len(moves[w]) for w in order)
-        # the recursive closure holds itself, and through `node` the interning
-        # dict: break that cycle so the build's scratch goes now, not at a collection
-        visit = None
-
-    def walk(self, cat: PointedCrossedCategory, objects: Sequence[int]
-             ) -> tuple[Optional[tuple], int]:
-        """(first mismatch witness or None, components walked) at one tuple.
-
-        A tuple whose exponents admit a potential returns (None, the number
-        of components over `order`), decided by union-find alone; any other
-        tuple is walked by `_bfs`, whose witness and count are the result.
-        """
-        nodes, M, Lt, action = self.nodes, cat.M, cat.Lambda.table, cat.action
-        unit = cat.Lambda.identity
-        labels: list[int] = []
-        for k, a, b in nodes:
-            labels.append(Lt[labels[a]][labels[b]] if k == _TENSOR else
-                          action[a][labels[b]] if k == _ACT else
-                          objects[a - 1] if k == _HOLE else unit)
-        J, X, phi, iota = cat.jtable, cat.chitable, cat.phitable, cat.iotatable
-        twist, deg = cat.mp.act2, cat.grading
-        exps, src = [], []
-        for r, at, s in zip(self.rule, self.sub, self.src):
-            x = 0
-            if r < _LEFT:
-                _, g, body = nodes[at]
-                _, b1, b2 = nodes[body]
-                if r == _CHI:
-                    x = X[g][b1][labels[b2]]
-                elif r == _J:
-                    x, s = J[g][labels[b1]][labels[b2]], s[twist[deg[labels[b2]]][g]]
-                else:
-                    x = phi[g] if r == _PHI else iota[labels[body]]
-            exps.append(x % M)
-            src.append(s)
-
-        # weighted union-find over the moves in the enumeration's edge order,
-        # repeats included: a root's up is -1, any other word's up is its
-        # parent, and off[v] = potential(v) - potential(up[v]) mod M.  Climbing
-        # from both ends of a move halves each path and sums
-        # x = potential(d) - potential(s) - the move's exponent.  A move
-        # keeps the holes and stays within the budget, so both its ends are
-        # words of `order`, and each union of two trees joins two components.
-        dst, moves, order = self.dst, self.moves, self.order
-        up, off = [-1] * len(nodes), [0] * len(nodes)
-        components = self.distinct
-        for w in order:
-            for m in moves[w]:
-                s, d, x = src[m], dst[m], -exps[m]
-                while (p := up[s]) >= 0:
-                    if (q := up[p]) >= 0:
-                        up[s], off[s], p = q, off[s] + off[p], q
-                    x, s = x - off[s], p
-                while (p := up[d]) >= 0:
-                    if (q := up[p]) >= 0:
-                        up[d], off[d], p = q, off[d] + off[p], q
-                    x, d = x + off[d], p
-                if s != d:
-                    up[s], off[s] = d, x % M
-                    components -= 1
-                elif x % M:
-                    return self._bfs(src, exps, M)
-        return None, components
-
-    def _bfs(self, src: list, exps: list, M: int) -> tuple[tuple, int]:
-        """(first mismatch witness, components walked) of the depth-first walk
-        over adjacency lists in the enumeration's edge order, on a tuple whose
-        exponents admit no potential."""
-        nodes, dst, moves, order = self.nodes, self.dst, self.moves, self.order
-        # edge ids in edge order, repeats included: m at move m's source, ~m at its target
-        adjacency: list[list[int]] = [[] for _ in nodes]
-        for w in order:
-            for m in moves[w]:
-                adjacency[src[m]].append(m)
-                adjacency[dst[m]].append(~m)
-
-        potential = [-1] * len(nodes)
-        via: list[Optional[int]] = [None] * len(nodes)  # the edge that first reached each word
-        components = 0
-        for root in order:
-            if potential[root] >= 0:
-                continue
-            components += 1
-            potential[root], queue = 0, [root]
-            while queue:
-                u = queue.pop()
-                pu = potential[u]
-                for e in adjacency[u]:
-                    if e >= 0:
-                        v, want = dst[e], (pu + exps[e]) % M
-                    else:
-                        v, want = src[~e], (pu - exps[~e]) % M
-                    if potential[v] < 0:
-                        potential[v], via[v] = want, e
-                        queue.append(v)
-                    elif potential[v] != want:
-                        return self._witness(src, via, u, v, e), components
-        raise AssertionError("the union-find found a cycle that the walk did not")
-
-    def _witness(self, src: list, via: list, u: int, v: int, e: int) -> tuple:
-        def trace(w: int) -> str:
-            # back to the root along the walk's edges; ~m was taken from move m's target
-            steps = []
-            while (step := via[w]) is not None:
-                steps.append(("" if step >= 0 else "~") + self._rule(step))
-                w = src[step] if step >= 0 else self.dst[~step]
-            return " . ".join(reversed(steps)) or "id"
-
-        return self._print(u), self._print(v), self._rule(e), trace(u), trace(v)
-
-    def _print(self, i: int) -> str:
-        def word(i: int) -> Word:
-            k, a, b = self.nodes[i]
-            if k == _TENSOR:
-                return Tensor(word(a), word(b))
-            return Act(a, word(b)) if k == _ACT else Hole(a) if k == _HOLE else Unit()
-        return print_word(word(i))
-
-    def _rule(self, e: int) -> str:
-        m = e if e >= 0 else ~e
-        r, (_, a, b), p = self.rule[m], self.nodes[self.sub[m]], self._print
-        if r in (_CHI, _J):
-            _, b1, b2 = self.nodes[b]
-            return f"chi({a},{b1})@{p(b2)}" if r == _CHI else f"J({a})@({p(b1)},{p(b2)})"
-        if r in (_IOTA, _LEFT):
-            return ("iota@" if r == _IOTA else "l@") + p(b)
-        return f"phi({a})" if r == _PHI else "r@" + p(a) if r == _RIGHT else "assoc"
-
-
-# only the latest skeleton is kept: a default sweep asks for arity 1, 2, 3 in turn
-_last: Optional[_Skeleton] = None
+    return gen(max_nodes, 1, arity + 1)
 
 
 def check_coherence(cat: PointedCrossedCategory, max_nodes: int,
                     objects: Sequence[int]) -> VerificationReport:
-    """Bounded uniqueness of parallel structural composites at one object tuple,
-    as the module docstring describes; the report counts nodes, edges, and
-    independent cycles."""
-    global _last
+    """Bounded uniqueness of parallel composites at one object tuple: the
+    words of `enumerate_words` are nodes, each move between two of them an
+    edge from its scalar's source side, walked depth-first until an edge
+    disagrees with the potentials.  The witness is that edge's words and
+    rule and the walk's paths to both; the stats count word entries,
+    edges, components walked and, after a full walk, independent cycles."""
     rep = VerificationReport(subject=f"coherence {cat.name} objects={list(objects)}")
-    if _last is None or _last.key != (max_nodes, len(objects), cat.G):
-        _last = None  # let the old graph go before the next is built
-        _last = _Skeleton(max_nodes, len(objects), cat.G)
-    sk = _last
-    mismatch, components = sk.walk(cat, objects)
+    words = enumerate_words(max_nodes, len(objects), list(cat.G.elements()))
+    # nodes are keyed by their printed form, whose hash is computed once
+    names = [print_word(w) for w in words]
+    adjacency: dict[str, list[tuple[str, int, tuple, int]]] = {n: [] for n in names}
+    n_edges = 0
+    for w, name in zip(words, names):
+        for _, v, x, rule in moves(w, cat, objects):
+            other = print_word(v)
+            if other in adjacency:
+                src, dst, x = (other, name, -x) if rule[0] in _BACKWARD else (name, other, x)
+                adjacency[src].append((dst, x, rule, +1))
+                adjacency[dst].append((src, x, rule, -1))
+                n_edges += 1
+
+    potential: dict[str, int] = {}
+    parent: dict[str, tuple[str, tuple, int]] = {}
+    mismatch: Optional[tuple] = None
+    components = 0
+    for root in names:
+        if root in potential:
+            continue
+        components += 1
+        potential[root] = 0
+        queue = [root]
+        while queue and mismatch is None:
+            u = queue.pop()
+            for v, x, rule, sign in adjacency[u]:
+                want = (potential[u] + sign * x) % cat.M
+                if v not in potential:
+                    potential[v] = want
+                    parent[v] = (u, rule, sign)
+                    queue.append(v)
+                elif potential[v] != want:
+                    mismatch = (u, v, rule_text(rule), _trace(parent, u), _trace(parent, v))
+                    break
+        if mismatch is not None:
+            break
+
     rep.add("parallel_composites_agree", mismatch is None, mismatch)
-    rep.add("search_space_nonempty", len(sk.order) > 0, (max_nodes, len(objects)))
-    # E - N + C over the distinct words; known only once every component
-    # is walked, so None after a mismatch
-    rep.stats = {"words": len(sk.order), "edges": sk.edges, "components": components,
-                 "independent_cycles": (sk.edges - sk.distinct + components
+    rep.add("search_space_nonempty", len(words) > 0, (max_nodes, len(objects)))
+    rep.stats = {"words": len(words), "edges": n_edges, "components": components,
+                 "independent_cycles": (n_edges - len(adjacency) + components
                                         if mismatch is None else None)}
     return rep
+
+
+def _trace(parent: dict, w: str) -> str:
+    """The walk's path from its root to w, edges taken backwards marked `~`."""
+    steps = []
+    while w in parent:
+        u, rule, sign = parent[w]
+        steps.append(rule_text(rule, sign < 0))
+        w = u
+    return " . ".join(reversed(steps)) or "id"

@@ -12,6 +12,7 @@ from crossedcat.center import CenterSimple  # noqa: E402
 from crossedcat.fixtures import CATEGORIES, MATCHED_PAIRS  # noqa: E402
 from crossedcat.groups import FiniteGroup  # noqa: E402
 from crossedcat.matched import MatchedPair  # noqa: E402
+from crossedcat.pointed import pointed_category  # noqa: E402
 
 FIXTURE_DIR = ROOT / "fixtures"
 
@@ -41,6 +42,23 @@ def unit_index(Z) -> int:
 def triples(rep) -> list[tuple]:
     """A report's checks as (name, passed, witness), for comparing two reports."""
     return [(c.name, c.passed, c.witness) for c in rep.checks]
+
+
+def entry_mutants(cat):
+    """Every category that differs from cat in one J, chi, phi or iota
+    exponent, by every nonzero delta mod M."""
+    M = cat.M
+    j = [[list(r) for r in plane] for plane in cat.jtable]
+    chi = [[list(r) for r in plane] for plane in cat.chitable]
+    phi, iota = list(cat.phitable), list(cat.iotatable)
+    for row in [*(r for plane in j for r in plane), *(r for plane in chi for r in plane), phi, iota]:
+        for i, v in enumerate(row):
+            for delta in range(1, M):
+                row[i] = (v + delta) % M
+                yield pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, M,
+                                       jtable=j, phitable=phi, chitable=chi, iotatable=iota,
+                                       name=cat.name)
+            row[i] = v
 
 
 def duals_hold(cat) -> bool:

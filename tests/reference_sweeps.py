@@ -7,9 +7,6 @@ checks are now `ReferenceSwapLaws`; `reference_matched_pair`,
 `reference_zappa_szep`, `reference_braiding`, `reference_center_pair` and
 `reference_center_braiding` are the previous `verify_matched_pair`,
 `zappa_szep`, `verify_braiding`, `center_pair` and `center_braiding`;
-`reference_coherence` is the previous `check_coherence`, which built its
-word graph from `Word` records (it enumerates with the package's
-`enumerate_words`, whose order both graphs must share);
 `reference_validate_group`, `reference_group_hom` and
 `reference_is_hom_image` are the previous `validate_group`, `group_hom`
 and `is_hom_image`, which swept every element where the package now
@@ -23,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from crossedcat.braided import BraidedMatchedPair
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle
@@ -33,7 +30,6 @@ from crossedcat.groups import FiniteGroup, GroupHom, direct_product
 from crossedcat.matched import MatchedPair, matched_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category
 from crossedcat.report import VerificationReport, run_checks
-from crossedcat.words import Act, Hole, Tensor, Unit, Word, enumerate_words, print_word
 
 
 # -- group laws
@@ -970,145 +966,3 @@ def _sigma_first_index(cat: PointedCrossedCategory, g: int, s: int, z2: CenterSi
     t2 = cat.deg(z2.label)
     h_new = G.mul(G.mul(mp.a2(t2, g), z2.g), G.inv(g))
     return mp.a1(h_new, s)
-
-
-# -- bounded coherence
-
-def word_nodes(w: Word) -> int:
-    if isinstance(w, (Unit, Hole)):
-        return 1
-    if isinstance(w, Tensor):
-        return 1 + word_nodes(w.left) + word_nodes(w.right)
-    return 1 + word_nodes(w.body)
-
-
-def _substitute(w: Word, path: tuple[int, ...], replacement: Word) -> Word:
-    if not path:
-        return replacement
-    head, rest = path[0], path[1:]
-    if isinstance(w, Tensor):
-        if head == 0:
-            return Tensor(_substitute(w.left, rest, replacement), w.right)
-        return Tensor(w.left, _substitute(w.right, rest, replacement))
-    if isinstance(w, Act):
-        return Act(w.g, _substitute(w.body, rest, replacement))
-    raise ValueError("bad path")
-
-
-def _subterms(w: Word, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Word]]:
-    yield path, w
-    if isinstance(w, Tensor):
-        yield from _subterms(w.left, path + (0,))
-        yield from _subterms(w.right, path + (1,))
-    elif isinstance(w, Act):
-        yield from _subterms(w.body, path + (2,))
-
-
-def _eval_raw(w: Word, objects: Sequence[int], cat: PointedCrossedCategory) -> int:
-    """Evaluate with holes bound positionally, no linearity checks."""
-    if isinstance(w, Unit):
-        return cat.Lambda.identity
-    if isinstance(w, Hole):
-        return objects[w.index - 1]
-    if isinstance(w, Tensor):
-        return cat.Lambda.mul(_eval_raw(w.left, objects, cat), _eval_raw(w.right, objects, cat))
-    return cat.act(w.g, _eval_raw(w.body, objects, cat))
-
-
-def _moves_from(w: Word, objects: Sequence[int], cat: PointedCrossedCategory,
-                max_nodes: int) -> Iterator[tuple[Word, Word, int, str]]:
-    """Single structural moves (source, target, exponent, rule) available
-    anywhere inside w (canonical side)."""
-
-    def label_of(u: Word) -> int:
-        return _eval_raw(u, objects, cat)
-
-    for path, sub in _subterms(w):
-        if isinstance(sub, Act):
-            g = sub.g  # enumeration uses int tokens
-            body = sub.body
-            if isinstance(body, Act):
-                new = _substitute(w, path, Act(cat.G.mul(g, body.g), body.body))
-                yield (w, new, cat.x(g, body.g, label_of(body.body)),
-                       f"chi({g},{body.g})@{print_word(body.body)}")
-            if isinstance(body, Tensor):
-                l1, l2 = label_of(body.left), label_of(body.right)
-                tw = cat.mp.a2(cat.deg(l2), g)
-                split = _substitute(w, path, Tensor(Act(tw, body.left), Act(g, body.right)))
-                if word_nodes(split) <= max_nodes:
-                    # oriented split -> joined, scalar J
-                    yield (split, w, cat.j(g, l1, l2),
-                           f"J({g})@({print_word(body.left)},{print_word(body.right)})")
-            if isinstance(body, Unit):
-                new = _substitute(w, path, Unit())
-                yield (new, w, cat.ph(g), f"phi({g})")
-            if g == cat.G.identity:
-                new = _substitute(w, path, body)
-                yield (new, w, cat.io(label_of(body)), f"iota@{print_word(body)}")
-        if isinstance(sub, Tensor):
-            if isinstance(sub.left, Unit):
-                new = _substitute(w, path, sub.right)
-                yield (w, new, 0, f"l@{print_word(sub.right)}")
-            if isinstance(sub.right, Unit):
-                new = _substitute(w, path, sub.left)
-                yield (w, new, 0, f"r@{print_word(sub.left)}")
-            if isinstance(sub.left, Tensor):
-                new = _substitute(w, path, Tensor(sub.left.left, Tensor(sub.left.right, sub.right)))
-                yield (w, new, 0, "assoc")
-    return
-
-
-def reference_coherence(cat: PointedCrossedCategory, max_nodes: int,
-                        objects: Sequence[int]) -> VerificationReport:
-    rep = VerificationReport(subject=f"coherence {cat.name} objects={list(objects)}")
-    words = enumerate_words(max_nodes, len(objects), list(cat.G.elements()))
-    node_index = {w: i for i, w in enumerate(words)}
-    adjacency: dict[Word, list[tuple[Word, int, str, int]]] = {w: [] for w in words}
-    n_edges = 0
-    for w in words:
-        for src, dst, exponent, rule in _moves_from(w, objects, cat, max_nodes):
-            if src in node_index and dst in node_index:
-                adjacency[src].append((dst, exponent, rule, +1))
-                adjacency[dst].append((src, exponent, rule, -1))
-                n_edges += 1
-
-    potential: dict[Word, int] = {}
-    parent: dict[Word, tuple[Word, str, int]] = {}
-    mismatch: Optional[tuple] = None
-    components = 0
-    for root in words:
-        if root in potential:
-            continue
-        components += 1
-        potential[root] = 0
-        queue = [root]
-        while queue and mismatch is None:
-            u = queue.pop()
-            for (v, exp, rule, sign) in adjacency[u]:
-                want = (potential[u] + sign * exp) % cat.M
-                if v not in potential:
-                    potential[v] = want
-                    parent[v] = (u, rule, sign)
-                    queue.append(v)
-                elif potential[v] != want:
-                    mismatch = (print_word(u), print_word(v), rule,
-                                _trace(parent, u), _trace(parent, v))
-                    break
-        if mismatch is not None:
-            break
-
-    rep.add("parallel_composites_agree", mismatch is None, mismatch)
-    rep.add("search_space_nonempty", len(words) > 0, (max_nodes, len(objects)))
-    rep.stats = {"words": len(words), "edges": n_edges, "components": components,
-                 "independent_cycles": (n_edges - len(adjacency) + components
-                                        if mismatch is None else None)}
-    return rep
-
-
-def _trace(parent: dict, w: Word) -> str:
-    steps = []
-    while w in parent:
-        u, rule, sign = parent[w]
-        steps.append(("" if sign > 0 else "~") + rule)
-        w = u
-    return " . ".join(reversed(steps)) or "id"

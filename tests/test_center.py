@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
@@ -7,17 +8,17 @@ import re
 import pytest
 
 from conftest import ROOT, category, unit_index
-from crossedcat import jsonio
+from crossedcat import center, jsonio
 from crossedcat.braided import verify_braiding
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
                                relative_center_oracle, verify_center_braided)
 from crossedcat.cli import main
-from crossedcat.errors import NonSingularityViolated, UnsupportedConfiguration
+from crossedcat.errors import CenterTooLarge, NonSingularityViolated, UnsupportedConfiguration
 from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, nonsingular_violation
-from crossedcat.groups import cyclic, trivial_group
+from crossedcat.groups import cyclic, direct_product, trivial_group
 from crossedcat.matched import direct_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
-from gauge import gauge
+from gauge import gauge, random_cochain
 from reference_sweeps import ReferenceCenter
 
 
@@ -374,6 +375,67 @@ def test_section_independence():
         images2 = set(Z2.gamma_action_table[s])
         assert images2 == set(range(len(Z2.simples)))  # a permutation
     assert verify_center_braided(cat, section=other).passed
+
+
+def _sections(cat):
+    """Every section: one label per Gamma-fiber, e_L on the trivial degree's."""
+    e = cat.Gamma.identity
+    return list(itertools.product(*((cat.Lambda.identity,) if s == e else cat.fibers[s]
+                                    for s in cat.Gamma.elements())))
+
+
+@pytest.mark.parametrize("name", CENTER_FIXTURES)
+def test_every_section_gives_the_least_sections_report(name):
+    """Section independence on each center fixture and three seeded gauges
+    of it: every section's report is the least section's, byte for byte."""
+    cat = category(name)
+    rng = random.Random(f"sections:{name}")
+    for case in [cat, *(gauge(cat, random_cochain(cat, rng)) for _ in range(3))]:
+        least = verify_center_braided(case).to_json()
+        assert least["pass"], case.name
+        for section in _sections(case):
+            assert verify_center_braided(case, section=section).to_json() == least, section
+
+
+@pytest.mark.parametrize("Lambda,M", [(cyclic(3), 3), (cyclic(4), 4), (cyclic(4), 8),
+                                      (direct_product(cyclic(2), cyclic(2)), 2)],
+                         ids=["z3-m3", "z4-m4", "z4-m8", "z2xz2-m2"])
+def test_drinfeld_center_of_vec_lambda(Lambda, M):
+    """G = Gamma = 1 and Lambda abelian: the center is Z(Vec_Lambda), whose
+    simples are Lambda x Hom(Lambda, Z/M) and whose braiding exponent from
+    z to w is chi_z(lambda_w)."""
+    one, n = trivial_group(), Lambda.order
+    cat = pointed_category(Lambda, direct_pair(one, one), [0] * n, [list(range(n))], M,
+                           name=f"Vec[{Lambda.name}]")
+    chars = [c for c in itertools.product(range(M), repeat=n)
+             if all(c[Lambda.mul(a, b)] == (c[a] + c[b]) % M for a in range(n) for b in range(n))]
+    Z = CenterStructure(cat)
+    assert cat.neutral_labels == tuple(range(n))
+    assert sorted(Z.simples, key=CenterSimple.sort_key) == \
+        [CenterSimple(0, x, c) for x in range(n) for c in chars]
+    for i, z in enumerate(Z.simples):
+        for k, w in enumerate(Z.simples):
+            assert Z.braid_table[i][k] == z.chi[w.label]
+    assert verify_center_braided(cat).passed
+
+
+def test_center_size_bounds_refuse_at_their_edges(monkeypatch):
+    """Each search refuses a category whose own tries pass the bound and
+    admits one at it: |G| |Lambda| M^|N| for the oracle, and |G| M^k for
+    enumerate_center, k the generators of N its characters are solved on."""
+    cat = category("z4-over-z2")
+    simples = enumerate_center(cat)
+    assert (center.oracle_tries(cat), center.enumeration_tries(cat)) == (2 * 4 * 4 ** 2, 2 * 4)
+    assert max(center.oracle_tries(category(n)) for n in CATEGORIES) == 768
+    for search, tries in ((relative_center_oracle, 128), (enumerate_center, 8)):
+        monkeypatch.setattr(center, "MAX_CENTER_TRIES", tries)
+        assert search(cat) == simples
+        monkeypatch.setattr(center, "MAX_CENTER_TRIES", tries - 1)
+        with pytest.raises(CenterTooLarge, match=f"{search.__name__} would try {tries} "):
+            search(cat)
+    # an input the oracle refuses can still be enumerated
+    monkeypatch.setattr(center, "MAX_CENTER_TRIES", 127)
+    assert enumerate_center(cat) == simples
 
 
 def test_partial_conjugation_support_excludes_labels():

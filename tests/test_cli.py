@@ -194,10 +194,14 @@ def test_input_digest_is_the_sha256_of_the_input_bytes(capsys, fixture_dir, tmp_
 
 
 def test_coherence_command(capsys, fixture_dir):
-    code, out = run(capsys, "coherence", "--category", str(fixture_dir / "cat-cocycle-j.json"),
-                    "--max-nodes", "6", "--arity", "2")
+    code, out = run(capsys, "coherence", "--category", str(fixture_dir / "cat-cocycle-j.json"))
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    report = json.loads(out)
+    assert report["pass"] is True and report["failures"] == []
+    assert report["stats"] == {"branchings": 10, "instances": 73}
+    code, out = run(capsys, "coherence", "--category", str(fixture_dir / "cat-cocycle-j.json"),
+                    "--objects", "1,1")
+    assert code == 0 and json.loads(out)["stats"] == {"branchings": 10, "instances": 28}
 
 
 def test_pretty_flag_renders_text(capsys, fixture_dir):
@@ -423,25 +427,18 @@ def test_help_prints_the_usage_of_every_command(capsys):
      "--objects names no label, got ''"),
     (["factorize", "{s4}", "--gens-g", "x", "--gens-gamma", "6,8", "-o", "{out}"],
      "--gens-g must be comma-separated integers, got 'x'"),
-    (["coherence", "--category", "{cat}", "--arity", "1", "--max-nodes", "0"],
-     "--max-nodes 0 is below 1: a 1-object tuple has no word with fewer nodes"),
-    (["coherence", "--category", "{cat}", "--arity", "3", "--max-nodes", "4"],
-     "--max-nodes 4 is below 5: a 3-object tuple has no word with fewer nodes"),
-    (["coherence", "--category", "{cat}", "--arity", "0"],
-     "--arity and --tuple-cap must be at least 1, got 0 and 64"),
-    (["coherence", "--category", "{cat}", "--tuple-cap", "-1"],
-     "--arity and --tuple-cap must be at least 1, got 3 and -1"),
-    # refused before any tuple is built: 4^40 tuples of arity 40 exist
-    (["coherence", "--category", "{cat}", "--arity", "40"],
-     "--max-nodes 6 is below 79: a 40-object tuple has no word with fewer nodes"),
-    (["coherence", "--category", "{vec}", "--objects", "0", "--max-nodes", "1200"],
-     "--max-nodes 1200 is too large: enumerating its words exceeds the recursion limit"),
+    # the budget options of the bounded walk are gone
+    (["coherence", "--category", "{cat}", "--max-nodes", "6"],
+     "coherence: unknown option '--max-nodes'"),
+    (["coherence", "--category", "{cat}", "--arity=2"],
+     "coherence: unknown option '--arity'"),
+    (["coherence", "--category", "{cat}", "--tuple-cap", "64"],
+     "coherence: unknown option '--tuple-cap'"),
 ], ids=["objects-not-int", "objects-out-of-range", "objects-commas", "objects-empty",
-        "gens-not-int", "max-nodes-0", "max-nodes-below-arity", "arity-0", "tuple-cap-negative",
-        "arity-40", "max-nodes-past-recursion-limit"])
+        "gens-not-int", "max-nodes-unknown", "arity-unknown", "tuple-cap-unknown"])
 def test_malformed_arguments_exit_2(capsys, fixture_dir, tmp_path, argv, error):
     paths = {"cat": fixture_dir / "cat-z4-over-z2.json", "s4": fixture_dir / "group-s4.json",
-             "vec": fixture_dir / "cat-vec-trivial.json", "out": tmp_path / "out.json"}
+             "out": tmp_path / "out.json"}
     assert main([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,14 +1,12 @@
-"""The dense-table verification core and the interned coherence graph
-against the per-element sweeps and the word-record graph they replaced
-(tests/reference_sweeps.py).
+"""The dense-table verification core against the per-element sweeps it
+replaced (tests/reference_sweeps.py).
 
 Category, matched-pair and braided-pair reports must agree check by check
 on (name, pass, witness), so the table loops keep every first witness; this
 is exercised on failing inputs too, where witnesses are nontrivial.  The
 constructions (twisted product, induced pair, induced braiding) must build
 the same tables.  Center reports on corrupted simple lists must agree on
-pass/fail for each check.  Coherence reports must agree on the verdict,
-all five witness strings and every stat.
+pass/fail for each check.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURE_DIR, category, pair, triples, unit_index
+from conftest import FIXTURE_DIR, category, entry_mutants, pair, triples, unit_index
 from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
 from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
@@ -26,11 +24,10 @@ from crossedcat.errors import UnsupportedConfiguration
 from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.matched import matched_pair, verify_matched_pair, zappa_szep
 from crossedcat.pointed import pointed_category, verify_crossed_category
-from crossedcat.words import check_coherence
 from gauge import gauge
 from reference_sweeps import (ReferenceCenter, ReferenceSwapLaws, reference_braiding,
                               reference_center_braided, reference_center_braiding,
-                              reference_coherence, reported_crossed_category,
+                              reported_crossed_category,
                               reference_matched_pair, reference_swap_laws, reference_zappa_szep)
 
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
@@ -189,23 +186,6 @@ def test_criterion_9_category_mutants(monkeypatch):
     assert len(seen) >= 15
 
 
-def _entry_mutants(cat):
-    """Every category that differs from cat in one J, chi, phi or iota
-    exponent, by every nonzero delta mod M."""
-    M = cat.M
-    j = [[list(r) for r in plane] for plane in cat.jtable]
-    chi = [[list(r) for r in plane] for plane in cat.chitable]
-    phi, iota = list(cat.phitable), list(cat.iotatable)
-    for row in [*(r for plane in j for r in plane), *(r for plane in chi for r in plane), phi, iota]:
-        for i, v in enumerate(row):
-            for delta in range(1, M):
-                row[i] = (v + delta) % M
-                yield pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, M,
-                                       jtable=j, phitable=phi, chitable=chi, iotatable=iota,
-                                       name=cat.name)
-            row[i] = v
-
-
 def dense_zero(cat) -> bool:
     """PointedCrossedCategory.zero, by a scan of every entry."""
     return not any(v for table in (cat.jtable, cat.chitable) for plane in table
@@ -222,7 +202,7 @@ def test_single_entry_mutants(name, entries):
     cat = jsonio.load_category(FIXTURE_DIR / name)
     assert cat.zero
     seen = 0
-    for mut in _entry_mutants(cat):
+    for mut in entry_mutants(cat):
         assert not mut.zero and not dense_zero(mut)
         assert triples(verify_crossed_category(mut)) == triples(reported_crossed_category(mut))
         seen += 1
@@ -543,93 +523,3 @@ def test_family_iii_gauges_pass_swap_laws_and_center_category_axioms():
         assert reference_swap_laws(cat).passed, cat.name
         assert _center_axioms_pass(cat), cat.name
         _assert_restated(cat)
-
-
-# -- coherence: the interned skeleton against the word-record graph
-
-# the reference takes seconds per 1-tuple where |G| >= 4 (14,829 words on
-# turaev-s3), so its 1-tuples run at a smaller budget there, or not at all
-ONE_TUPLE_NODES = {"cat-vec-turaev-s3.json": None, "cat-vec-s4-pair.json": 5}
-SAMPLED_PAIRS = 1
-
-
-def assert_same_coherence(cat, max_nodes: int, objects: tuple):
-    rep = check_coherence(cat, max_nodes, objects)
-    ref = reference_coherence(cat, max_nodes, objects)
-    assert triples(rep) == triples(ref), (cat.name, max_nodes, objects)
-    assert rep.stats == ref.stats, (cat.name, max_nodes, objects)
-    return rep
-
-
-@pytest.mark.parametrize("name", CATEGORY_FILES)
-def test_coherence_fixtures(name):
-    cat = jsonio.load_category(FIXTURE_DIR / name)
-    labels = list(cat.Lambda.elements())
-    nodes = ONE_TUPLE_NODES.get(name, 6)
-    if nodes is not None:
-        for x in labels:
-            assert_same_coherence(cat, nodes, (x,))
-    pairs = list(itertools.product(labels, repeat=2))
-    for objs in random.Random(name).sample(pairs, min(SAMPLED_PAIRS + (nodes is None), len(pairs))):
-        assert_same_coherence(cat, 6, objs)
-
-
-def test_coherence_criterion_8_mutant():
-    base = category("cocycle-chi")
-    chi = [[list(r) for r in plane] for plane in base.chitable]
-    chi[1][0][1] = 1
-    mut = pointed_category(base.Lambda, base.mp, base.grading, base.action, base.M,
-                           chitable=chi)
-    assert not assert_same_coherence(mut, 6, (1,)).passed
-
-
-def test_coherence_deepest_witness_paths():
-    # turaev-s3 over one object is the fixtures' largest graph at budget 6
-    # (14,829 word entries, 57,282 edges), and the witness's two composites
-    # are the longest any test walks
-    base = category("vec-turaev-s3")
-    chi = [[list(r) for r in plane] for plane in base.chitable]
-    chi[1][2][3] = 1
-    mut = pointed_category(base.Lambda, base.mp, base.grading, base.action, base.M,
-                           jtable=base.jtable, phitable=base.phitable, chitable=chi,
-                           iotatable=base.iotatable)
-    rep = assert_same_coherence(mut, 6, (3,))
-    assert (rep.stats["words"], rep.stats["edges"]) == (14829, 57282)
-    assert [len(path.split(" . ")) for path in rep.checks[0].witness[3:]] == [73, 50]
-
-
-def _coherence_mutant(cat, rng: random.Random):
-    """One J, chi, phi or iota exponent of cat bumped by a nonzero delta, and
-    a 2-tuple holding the labels the entry is read at."""
-    tables = {"J": [[list(r) for r in plane] for plane in cat.jtable],
-              "chi": [[list(r) for r in plane] for plane in cat.chitable],
-              "phi": [list(cat.phitable)], "iota": [list(cat.iotatable)]}
-    key = rng.choice(sorted(tables))
-    rows = [row for plane in tables[key] for row in plane] if key in ("J", "chi") \
-        else tables[key]
-    r = rng.randrange(len(rows))
-    i = rng.randrange(len(rows[r]))
-    rows[r][i] = (rows[r][i] + rng.randrange(1, cat.M)) % cat.M
-    n = cat.Lambda.order
-    objects = {"J": (r % n, i), "chi": (i, rng.randrange(n)), "iota": (i, rng.randrange(n)),
-               "phi": (rng.randrange(n), rng.randrange(n))}[key]
-    mut = pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, cat.M,
-                           jtable=tables["J"], chitable=tables["chi"],
-                           phitable=tables["phi"][0], iotatable=tables["iota"][0],
-                           name=f"{cat.name} {key} row {r} entry {i}")
-    return mut, objects
-
-
-@pytest.mark.parametrize("name,count", [("cat-cocycle-j.json", 6), ("cat-cocycle-chi.json", 6),
-                                        ("cat-vec-turaev-s3.json", 2), ("cat-z4-over-z2.json", 6),
-                                        ("cat-equivariant-s3.json", 6), ("cat-z6-over-z3.json", 6)])
-def test_coherence_entry_mutants(name, count):
-    # a failing mutant takes the union-find's fallback walk, whose witness
-    # and partial component count must be the reference's
-    cat = jsonio.load_category(FIXTURE_DIR / name)
-    rng = random.Random(name)
-    failing = 0
-    for _ in range(count):
-        mut, objects = _coherence_mutant(cat, rng)
-        failing += not assert_same_coherence(mut, 6, objects).passed
-    assert failing, name
