@@ -14,9 +14,8 @@ _EXPORTS = {
     "center": ("CenterSimple", "CenterStructure", "enumerate_center", "relative_center_oracle",
                "verify_center_braided"),
     "errors": (),
-    "groups": ("FiniteGroup", "GroupHom", "cyclic", "dihedral", "direct_product", "group_hom",
-               "identity_hom", "subgroup_from_generators", "symmetric", "trivial_group",
-               "twisted_characters", "validate_group"),
+    "groups": ("FiniteGroup", "cyclic", "dihedral", "direct_product", "subgroup_from_generators",
+               "symmetric", "trivial_group", "twisted_characters", "validate_group"),
     "jsonio": ("load_braided", "load_category", "load_group", "load_matched", "save_braided",
                "save_category", "save_group", "save_matched"),
     "matched": ("MatchedPair", "direct_pair", "from_exact_factorization", "matched_pair",

@@ -21,28 +21,30 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .groups import FiniteGroup, GroupHom, direct_product, identity_hom, is_hom_image
+from .groups import FiniteGroup, direct_product, is_hom_image
 from .matched import MatchedPair, matched_pair, turaev_pair, verify_matched_pair, zappa_szep
 from .records import Record
 from .report import VerificationReport, run_checks
 
 
 class BraidedMatchedPair(Record):
+    """A matched pair with its two braiding maps Gamma -> G, each stored as
+    its image tuple: phi[s] is the image of s in Gamma."""
     mp: MatchedPair
-    phi: GroupHom  # Gamma -> G
-    psi: GroupHom  # Gamma -> G
+    phi: tuple[int, ...]
+    psi: tuple[int, ...]
 
 
 def braided_pair(mp: MatchedPair, phi: Sequence[int], psi: Sequence[int]) -> BraidedMatchedPair:
     """The pair with braiding images phi and psi; raises ValidationError unless
     each maps all of Gamma into G.  The axioms are verify_braiding's."""
-    homs = []
+    images = []
     for name, image in (("phi", phi), ("psi", psi)):
         image = tuple(int(v) for v in image)
         if len(image) != mp.Gamma.order or any(not 0 <= v < mp.G.order for v in image):
             raise ValidationError(f"{name} must map all of Gamma into G")
-        homs.append(GroupHom(mp.Gamma, mp.G, image))
-    return BraidedMatchedPair(mp, *homs)
+        images.append(image)
+    return BraidedMatchedPair(mp, *images)
 
 
 def verify_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
@@ -51,7 +53,7 @@ def verify_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
     G, M = mp.G, mp.Gamma
     Gt, Mt, a1, a2 = G.table, M.table, mp.act1, mp.act2
     Gs, Ms = G.elements(), M.elements()
-    phi, psi = bmp.phi.image, bmp.psi.image
+    phi, psi = bmp.phi, bmp.psi
     rep = VerificationReport(subject="braided-matched-pair")
 
     pre = verify_matched_pair(mp)
@@ -98,8 +100,7 @@ def verify_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
 
 def turaev_braiding(G: FiniteGroup) -> BraidedMatchedPair:
     """Adjoint pair with phi trivial and psi the identity."""
-    phi = GroupHom(G, G, (G.identity,) * G.order)
-    return BraidedMatchedPair(turaev_pair(G), phi, identity_hom(G))
+    return BraidedMatchedPair(turaev_pair(G), (G.identity,) * G.order, tuple(G.elements()))
 
 
 # -- the induced pair on (G><Gamma, G x Gamma) ----------------------------------
@@ -143,4 +144,4 @@ def center_braiding(mp: MatchedPair) -> BraidedMatchedPair:
     G, M = mp.G, mp.Gamma
     phi = tuple(G.identity * M.order + t for h in G.elements() for t in M.elements())
     psi = tuple(h * M.order + M.identity for h in G.elements() for t in M.elements())
-    return BraidedMatchedPair(cp, GroupHom(cp.Gamma, cp.G, phi), GroupHom(cp.Gamma, cp.G, psi))
+    return BraidedMatchedPair(cp, phi, psi)

@@ -487,7 +487,7 @@ class CenterStructure:
         # every table is already reduced mod M, so the record is built as is;
         # phi_Z[(g, s)] = phi[g] and iota_Z[z] = iota[label], zero in this gauge
         return PointedCrossedCategory(
-            lam_z, cp.Gamma, cp.G, cp, self.grade_table[:n],
+            lam_z, cp, self.grade_table[:n],
             tuple(row[:n] for row in self.action_table), cat.M,
             tuple(plane[:n] for plane in self.j_table), (0,) * cp.G.order, self.chi_table,
             (0,) * n, name or f"Z({cat.name})")
@@ -621,7 +621,7 @@ def verify_center_braided(cat: PointedCrossedCategory,
         return (c.name,) + tuple(c.witness or ())
 
     bmp = Z.induced
-    phi_img, psi_img = bmp.phi.image, bmp.psi.image
+    phi_img, psi_img = bmp.phi, bmp.psi
     cpa1, cpa2 = bmp.mp.act1, bmp.mp.act2
 
     def premises_passed() -> bool:

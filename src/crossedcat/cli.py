@@ -208,14 +208,12 @@ def cmd_coherence(category: str, objects: Optional[str], pretty: bool) -> int:
 
 class Arg(Record):
     """One argument of a command: a positional when `flags` is empty, else an
-    option that takes a value.  Its value is passed to the command's function
-    as the keyword `dest`."""
+    option that takes a value.  Its text is passed to the command's function
+    as the keyword `dest`, None for an option not given."""
     dest: str
     help: str = ""
     flags: tuple = ()
-    type: type = str
     choices: tuple = ()
-    default: object = None
     required: bool = False
 
 
@@ -280,12 +278,9 @@ def usage() -> str:
         lines.append(f"  crossedcat {name} " + " ".join(map(_synopsis, command.args)))
         lines.append(f"      {command.help}")
         for arg in command.args:
-            what = ", ".join(arg.flags) if arg.flags else arg.dest.upper()
-            notes = [arg.help] if arg.help else []
-            if arg.default is not None:
-                notes.append(f"default {arg.default}")
-            if notes:
-                lines.append(f"      {what}: {'; '.join(notes)}")
+            if arg.help:
+                what = ", ".join(arg.flags) if arg.flags else arg.dest.upper()
+                lines.append(f"      {what}: {arg.help}")
     return "\n".join(lines)
 
 
@@ -294,15 +289,11 @@ def _print_usage(pretty: bool) -> int:
     return 0
 
 
-def _value(arg: Arg, name: str, text: str):
-    """`text` as the value of `arg`, which the command line calls `name`."""
+def _value(arg: Arg, name: str, text: str) -> str:
+    """`text`, checked against the choices of `arg`, which the command line
+    calls `name`."""
     if arg.choices and text not in arg.choices:
         raise ValidationError(f"{name} must be one of {', '.join(arg.choices)}, got {text!r}")
-    if arg.type is int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ValidationError(f"{name} must be an integer, got {text!r}") from None
     return text
 
 
@@ -353,7 +344,7 @@ def parse_args(argv: Sequence[str]) -> tuple[Callable[..., int], dict]:
         if arg.dest not in values:
             if arg.required or not arg.flags:
                 raise ValidationError(f"{name} needs {_name(arg)}")
-            values[arg.dest] = arg.default
+            values[arg.dest] = None
     return command.run, values
 
 

@@ -302,30 +302,8 @@ def subgroup_as_group(G: FiniteGroup, members: Sequence[int], name: str = "sub")
 
 # -- homomorphisms -------------------------------------------------------------
 
-class GroupHom(Record):
-    source: FiniteGroup
-    target: FiniteGroup
-    image: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.image[a]
-
-
-def group_hom(source: FiniteGroup, target: FiniteGroup, image: Sequence[int]) -> GroupHom:
-    """Validated homomorphism; raises ValueError with a witness pair."""
-    img = tuple(int(x) for x in image)
-    if len(img) != source.order:
-        raise ValueError("image array has wrong length")
-    if img[source.identity] != target.identity:
-        raise ValueError("identity is not preserved")
-    bad = is_hom_image(source, target, img)
-    if bad is not None:
-        raise ValueError(f"not a homomorphism at ({bad[0]},{bad[1]})")
-    return GroupHom(source, target, img)
-
-
 def is_hom_image(source: FiniteGroup, target: FiniteGroup, image: Sequence[int]) -> Optional[tuple]:
-    """Witness (a, b) where the hom law fails, or None.
+    """Witness (a, b) where the map a -> image[a] fails the hom law, or None.
 
     Certified on b (certified_sweep): if f(a b) = f(a) f(b) and
     f(a b') = f(a) f(b') for every a, then
@@ -343,10 +321,6 @@ def is_hom_image(source: FiniteGroup, target: FiniteGroup, image: Sequence[int])
         return None
 
     return certified_sweep(sweep, St, source.identity)
-
-
-def identity_hom(G: FiniteGroup) -> GroupHom:
-    return GroupHom(G, G, tuple(G.elements()))
 
 
 # -- characters ----------------------------------------------------------------

@@ -86,14 +86,19 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 
 def group_fields(obj: Any) -> tuple[list, Optional[int], Any]:
-    """Table, identity (or None) and name of a group object, shape-checked."""
+    """Table, identity (or None) and name of a group object, shape-checked;
+    an `order` field, when present, must be the number of table rows."""
     obj = _object(obj, "group")
     if "table" not in obj:
         raise ValidationError("group object missing field 'table'")
     identity = obj.get("identity")
     if identity is not None:
         _ints(identity, 0, "group identity")
-    return _ints(obj["table"], 2, "group table"), identity, obj.get("name", "G")
+    table = _ints(obj["table"], 2, "group table")
+    n = len(table)
+    if _ints(obj.get("order", n), 0, "group order") != n:
+        raise ValidationError(f"group order {obj['order']} does not match the table's {n} rows")
+    return table, identity, obj.get("name", "G")
 
 
 def group_from_json(obj: Any, base: Optional[Path] = None) -> FiniteGroup:
@@ -148,8 +153,8 @@ def load_matched(path: PathLike) -> MatchedPair:
 
 def braided_to_json(bmp: BraidedMatchedPair) -> dict:
     body = matched_to_json(bmp.mp)
-    body["phi"] = list(bmp.phi.image)
-    body["psi"] = list(bmp.psi.image)
+    body["phi"] = list(bmp.phi)
+    body["psi"] = list(bmp.psi)
     return body
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import NoUniqueFactorization, NotExact, NotMatched, ValidationError
-from .groups import (FiniteGroup, GroupHom, Table, action_law_witness, subgroup_as_group,
+from .groups import (FiniteGroup, Table, action_law_witness, subgroup_as_group,
                      twisted_hom_witness, unit_witness)
 from .records import Record
 from .report import VerificationReport, run_checks
@@ -113,8 +113,9 @@ def _left_action_witness(K: FiniteGroup, act: Table) -> Optional[tuple]:
 
 # -- Zappa-Szep product ---------------------------------------------------------
 
-def zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, GroupHom, GroupHom]:
-    """The twisted product on G x Gamma with its two subgroup embeddings.
+def zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
+    """The twisted product H on G x Gamma with the image tuples of its two
+    subgroup embeddings, G -> H and Gamma -> H.
 
     (g, s)(g', s') = (g * (s |>2 g'^-1)^-1, (g'^-1 |>1 s) * s').
 
@@ -143,9 +144,8 @@ def zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, GroupHom, GroupHom]:
                      for g in G.elements() for s in M.elements())
     H = FiniteGroup(G.order * m, tuple(table), G.identity * m + M.identity, inverses,
                     f"{G.name}><{M.name}")
-    embed_g = GroupHom(G, H, tuple(g * m + M.identity for g in G.elements()))
-    embed_m = GroupHom(M, H, tuple(G.identity * m + s for s in M.elements()))
-    return H, embed_g, embed_m
+    return (H, tuple(g * m + M.identity for g in G.elements()),
+            tuple(G.identity * m + s for s in M.elements()))
 
 
 def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],

@@ -44,8 +44,6 @@ class PointedCrossedCategory(Record):
     """
 
     Lambda: FiniteGroup
-    Gamma: FiniteGroup
-    G: FiniteGroup
     mp: MatchedPair
     grading: tuple[int, ...]        # del: Lambda -> Gamma
     action: Table                   # [g][lam] -> lam
@@ -55,6 +53,14 @@ class PointedCrossedCategory(Record):
     chitable: Exp3                  # [g][h][x]
     iotatable: tuple[int, ...]      # [x]
     name: str = "cat"
+
+    @property
+    def G(self) -> FiniteGroup:
+        return self.mp.G
+
+    @property
+    def Gamma(self) -> FiniteGroup:
+        return self.mp.Gamma
 
     # exponent accessors
     def j(self, g: int, x: int, y: int) -> int:
@@ -111,8 +117,7 @@ def pointed_category(Lambda: FiniteGroup, mp: MatchedPair, grading: Sequence[int
                      jtable=None, phitable=None, chitable=None, iotatable=None,
                      name: str = "cat") -> PointedCrossedCategory:
     """Assemble a category, expanding omitted scalar tables to all-ones."""
-    G, Gamma = mp.G, mp.Gamma
-    n, ng = Lambda.order, G.order
+    n, ng = Lambda.order, mp.G.order
     j = _const3(ng, n, n) if jtable is None else tuple(
         tuple(tuple(int(v) % M for v in row) for row in plane) for plane in jtable)
     chi = _const3(ng, ng, n) if chitable is None else tuple(
@@ -120,7 +125,7 @@ def pointed_category(Lambda: FiniteGroup, mp: MatchedPair, grading: Sequence[int
     phi = tuple([0] * ng) if phitable is None else tuple(int(v) % M for v in phitable)
     iota = tuple([0] * n) if iotatable is None else tuple(int(v) % M for v in iotatable)
     return PointedCrossedCategory(
-        Lambda, Gamma, G, mp, tuple(int(x) for x in grading),
+        Lambda, mp, tuple(int(x) for x in grading),
         tuple(tuple(int(x) for x in row) for row in action),
         M, j, phi, chi, iota, name)
 
@@ -138,9 +143,7 @@ def vec_gamma(mp: MatchedPair, M: int = 1, name: Optional[str] = None) -> Pointe
 
 
 def _well_formed(cat: PointedCrossedCategory) -> Optional[tuple]:
-    L, G, Gamma, mp, deg, act = cat.Lambda, cat.G, cat.Gamma, cat.mp, cat.grading, cat.action
-    if mp.G is not G or mp.Gamma is not Gamma:
-        return ("matched-pair groups differ from category groups",)
+    L, G, Gamma, deg, act = cat.Lambda, cat.G, cat.Gamma, cat.grading, cat.action
     if len(deg) != L.order or len(act) != G.order:
         return ("table shape",)
     if any(len(row) != L.order for row in act):

@@ -131,11 +131,12 @@ def _root_moves(w: Word, cat: PointedCrossedCategory, objects: Sequence[int]
                 ) -> Iterator[tuple[Word, int, tuple]]:
     """(result, exponent, rule) of each move whose redex is w itself, toward
     the normal form; a rule is its name, its printed form's template and
-    the group elements and words that fill it."""
+    the group elements and words that fill it.  It runs once per move, so
+    it reads cat.mp.G rather than calling the cat.G property."""
     if type(w) is Act:
         g, body = w.g, w.body
         if type(body) is Act:
-            yield (Act(cat.G.table[g][body.g], body.body),
+            yield (Act(cat.mp.G.table[g][body.g], body.body),
                    cat.chitable[g][body.g][label(body.body, cat, objects)],
                    ("chi", "chi({},{})@{}", g, body.g, body.body))
         elif type(body) is Tensor:
@@ -145,7 +146,7 @@ def _root_moves(w: Word, cat: PointedCrossedCategory, objects: Sequence[int]
                    ("J", "J({})@({},{})", g, body.left, body.right))
         elif type(body) is Unit:
             yield body, -cat.phitable[g], ("phi", "phi({})", g)
-        if g == cat.G.identity:
+        if g == cat.mp.G.identity:
             yield body, -cat.iotatable[label(body, cat, objects)], ("iota", "iota@{}", body)
     elif type(w) is Tensor:
         left, right = w.left, w.right

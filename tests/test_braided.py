@@ -6,7 +6,7 @@ from conftest import pair
 from crossedcat.braided import (BraidedMatchedPair, braided_pair, center_braiding, center_pair,
                                 turaev_braiding, verify_braiding)
 from crossedcat.errors import ValidationError
-from crossedcat.groups import cyclic, dihedral, group_hom, symmetric, trivial_group
+from crossedcat.groups import cyclic, dihedral, symmetric, trivial_group
 from crossedcat.matched import direct_pair, verify_matched_pair, zappa_szep
 
 
@@ -25,16 +25,16 @@ def test_braided_pair_rejects_malformed_images(which, image):
     """The builder checks the shapes the braiding sweeps index by, so an
     in-process pair fails as the loader does, not with an IndexError."""
     bmp = turaev_braiding(cyclic(3))
-    images = {"phi": bmp.phi.image, "psi": bmp.psi.image, which: image}
+    images = {"phi": bmp.phi, "psi": bmp.psi, which: image}
     with pytest.raises(ValidationError, match=f"^{which} must map all of Gamma into G$"):
         braided_pair(bmp.mp, images["phi"], images["psi"])
-    assert braided_pair(bmp.mp, bmp.phi.image, bmp.psi.image) == bmp
+    assert braided_pair(bmp.mp, bmp.phi, bmp.psi) == bmp
 
 
 def test_direct_pair_trivial_homs_fail_on_noncommuting():
     S3 = symmetric(3)
     mp = direct_pair(S3, S3)
-    triv = group_hom(S3, S3, [S3.identity] * 6)
+    triv = (S3.identity,) * 6
     rep = verify_braiding(BraidedMatchedPair(mp, triv, triv))
     assert not rep.passed
     fail = next(c for c in rep.checks if c.name == "braiding_axiom_1")
@@ -46,7 +46,7 @@ def test_gamma_trivial_is_vacuous():
     G = symmetric(3)
     T = trivial_group()
     mp = direct_pair(G, T)
-    bmp = BraidedMatchedPair(mp, group_hom(T, G, [G.identity]), group_hom(T, G, [G.identity]))
+    bmp = BraidedMatchedPair(mp, (G.identity,), (G.identity,))
     assert verify_braiding(bmp).passed
 
 
@@ -101,4 +101,4 @@ def test_turaev_case_restriction_data():
                 A = g * n + G.identity
                 assert cp.a2(S, A) % n == G.identity  # Gamma-component is e
     for h in range(n):
-        assert bmp.phi(h * n + G.identity) == G.identity * n + G.identity
+        assert bmp.phi[h * n + G.identity] == G.identity * n + G.identity

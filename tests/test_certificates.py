@@ -25,15 +25,14 @@ from crossedcat.center import CenterStructure, enumerate_center, verify_center_b
 from crossedcat.errors import CrossedCatError, GroupValidationError
 from crossedcat.braided import BraidedMatchedPair, verify_braiding
 from crossedcat.groups import (FiniteGroup, action_law_witness, cyclic, dihedral, direct_product,
-                               generators, group_hom, is_hom_image, subgroup_from_generators,
-                               symmetric, trivial_group, twisted_hom_witness, validate_group)
+                               generators, is_hom_image, subgroup_from_generators, symmetric,
+                               trivial_group, twisted_hom_witness, validate_group)
 from crossedcat.matched import matched_pair, verify_matched_pair
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from gauge import gauge, random_cochain
 from reference_sweeps import (ReferenceCenter, reference_center_braided,
-                              reported_crossed_category, reference_group_hom,
-                              reference_is_hom_image, reference_matched_pair,
-                              reference_validate_group)
+                              reported_crossed_category, reference_is_hom_image,
+                              reference_matched_pair, reference_validate_group)
 
 GROUPS = [trivial_group(), cyclic(2), cyclic(3), cyclic(4), direct_product(cyclic(2), cyclic(2)),
           cyclic(6), symmetric(3), dihedral(4)]
@@ -198,8 +197,6 @@ def test_hom_image_on_random_images(source, target, data):
             image[data.draw(st.integers(0, source.order - 1))] = \
                 data.draw(st.integers(0, target.order - 1))
     assert is_hom_image(source, target, image) == reference_is_hom_image(source, target, image)
-    assert outcome(group_hom, source, target, image) == \
-        outcome(reference_group_hom, source, target, image)
 
 
 @SETTINGS
@@ -571,7 +568,7 @@ def test_braiding_axiom_1_needs_well_typed_braidings(monkeypatch):
     bmp = Z.induced
     doubled = BraidedMatchedPair(bmp.mp, bmp.phi, bmp.phi)
     assert verify_braiding(doubled).passed
-    T, act, grade, phi = Z.tensor_table, Z.action_table, Z.grade_table, bmp.phi.image
+    T, act, grade, phi = Z.tensor_table, Z.action_table, Z.grade_table, bmp.phi
     n = len(Z.simples)
     assert sum(T[act[phi[grade[k]]][i]][k] != T[act[phi[grade[i]]][k]][i]
                for i in range(n) for k in range(n)) == 96
@@ -593,7 +590,7 @@ def braiding_holds_at(Z, J, X) -> tuple[set[int], set[int], set[int]]:
     Z's braid, tensor and action tables and the combined J and X."""
     B, T, act, grade, M = Z.braid_table, Z.tensor_table, Z.action_table, Z.grade_table, Z.cat.M
     bmp = Z.induced
-    phi, psi, a1, a2 = bmp.phi.image, bmp.psi.image, bmp.mp.act1, bmp.mp.act2
+    phi, psi, a1, a2 = bmp.phi, bmp.psi, bmp.mp.act1, bmp.mp.act2
     Zs = range(len(Z.simples))
     good1, good2, good3 = set(bmp.mp.G.elements()), set(Zs), set(Zs)
     for A, i, k in itertools.product(bmp.mp.G.elements(), Zs, Zs):

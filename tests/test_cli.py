@@ -13,7 +13,7 @@ import pytest
 
 from conftest import FIXTURE_DIR
 from crossedcat import cli, jsonio
-from crossedcat.cli import COMMANDS, main, usage
+from crossedcat.cli import COMMANDS, main
 from crossedcat.matched import verify_matched_pair
 
 
@@ -253,9 +253,14 @@ def _fixture_with(name, value, *path):
     ("category", _fixture_with("cat-vec-z2z3", True, "M"), "M must be a positive integer"),
     ("category", _fixture_with("cat-cocycle-j", True, "J", 1, 1, 1),
      "J must be a list of lists of lists of integers"),
+    ("group", _fixture_with("group-z3", 99, "order"),
+     "group order 99 does not match the table's 3 rows"),
+    ("group", _fixture_with("group-z3", "x", "order"), "group order must be an integer"),
+    ("group", _fixture_with("group-z3", True, "order"), "group order must be an integer"),
 ], ids=["group-not-object", "identity-out-of-range", "G-not-object", "category-not-object",
         "G-names-a-directory", "bool-in-group-table", "bool-identity", "bool-in-action",
-        "ragged-act1", "ragged-act2", "act1-range", "act2-range", "bool-M", "bool-in-J"])
+        "ragged-act1", "ragged-act2", "act1-range", "act2-range", "bool-M", "bool-in-J",
+        "order-not-rows", "order-not-integer", "bool-order"])
 def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj, error):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -278,6 +283,16 @@ def test_verify_group_law_failure_exit_1(capsys, tmp_path, obj, witness):
     assert captured.err == ""
     assert json.loads(captured.out)["checks"] == [{"name": "group_laws", "pass": False,
                                                    "witness": witness}]
+
+
+def test_group_without_order_loads(capsys, tmp_path):
+    obj = json.loads((FIXTURE_DIR / "group-z3.json").read_text())
+    del obj["order"]
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", "group", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert jsonio.load_group(path) == jsonio.load_group(FIXTURE_DIR / "group-z3.json")
 
 
 def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -392,12 +407,50 @@ def test_console_script_runs_the_entry_of_the_main_block():
     assert callable(getattr(cli, entry))
 
 
+# the --help text byte for byte, which usage() builds from COMMANDS
+HELP = """\
+usage: crossedcat [--pretty] COMMAND ARGUMENTS
+
+verify and build group-crossed structures
+
+  --pretty    human-readable rendering
+  -h, --help  print this text and exit
+
+An option's value is the next argument, or follows '=' as in --objects=0,1.
+Bad arguments exit 2 with {"error": ...} on stderr.
+
+commands:
+  crossedcat verify {group,matched-pair,braided-pair,category,center} FILE
+      run a verifier on a file
+  crossedcat zappa-szep FILE -o OUT
+      twisted product of a matched pair
+  crossedcat factorize FILE --gens-g GENS_G --gens-gamma GENS_GAMMA -o OUT
+      extract the matched pair of an exact factorization
+      FILE: group JSON
+      --gens-g: comma-separated generator indices for G
+      --gens-gamma: comma-separated generator indices for Gamma
+  crossedcat turaev FILE -o OUT
+      adjoint braided pair of a group
+      FILE: group JSON
+  crossedcat center-pair FILE -o OUT
+      the induced braided pair on (G><Gamma, G x Gamma)
+      FILE: matched-pair JSON
+  crossedcat center FILE [-o OUT]
+      enumerate and verify the center of a category
+      FILE: category JSON
+      -o, --out: also write the report to this path
+  crossedcat coherence --category CATEGORY [--objects OBJECTS]
+      check that every critical branching commutes
+      --objects: comma-separated labels the holes range over; default every label
+"""
+
+
 def test_help_prints_the_usage_of_every_command(capsys):
     done = subprocess.run([sys.executable, "-m", "crossedcat.cli", "--help"],
                           capture_output=True, text=True,
                           env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")})
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == usage() + "\n"
+    assert done.stdout == HELP
     # one synopsis per command, naming each argument of the table in order
     synopses = [line.split() for line in done.stdout.splitlines()
                 if line.startswith("  crossedcat ")]

@@ -12,7 +12,7 @@ from crossedcat.errors import ValidationError
 from crossedcat.fixtures import CATEGORIES
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
-from crossedcat.pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
+from crossedcat.pointed import pointed_category, verify_crossed_category
 from reference_sweeps import reference_crossed_category
 
 ALL_CATS = sorted(CATEGORIES)
@@ -220,13 +220,11 @@ def test_matched_pair_group_mismatch_rejected(tmp_path):
     ("grading", "grading range"),
     ("action-entry", "action range"),
     ("short-row", "action shape"),
-    ("other-groups", "matched-pair groups differ from category groups"),
     ("j-planes", "scalar shape"),
     ("phi", "scalar shape"),
     ("iota", "scalar shape"),
     ("chi-planes", "scalar shape"),
-], ids=["grading", "action-entry", "short-row", "other-groups", "j-planes", "phi", "iota",
-        "chi-planes"])
+], ids=["grading", "action-entry", "short-row", "j-planes", "phi", "iota", "chi-planes"])
 def test_malformed_category_reports_well_formed_alone(shape, witness):
     """A category that fails well_formed gets a report holding that one
     check, from the package and from the reference, where every later check
@@ -244,11 +242,6 @@ def test_malformed_category_reports_well_formed_alone(shape, witness):
                "chi-planes": {"chitable": cat.chitable[:1]}}
     mut = pointed_category(cat.Lambda, cat.mp, grading, action, cat.M, name="bad",
                            **scalars.get(shape, {}))
-    if shape == "other-groups":
-        mut = PointedCrossedCategory(cat.Lambda, cat.Gamma, cat.G,
-                                     direct_pair(trivial_group(), trivial_group()), mut.grading,
-                                     mut.action, mut.M, mut.jtable, mut.phitable, mut.chitable,
-                                     mut.iotatable, "bad")
     for verify in (verify_crossed_category, reference_crossed_category):
         rep = verify(mut)
         assert [(c.name, c.passed, c.witness) for c in rep.checks] == \

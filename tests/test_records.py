@@ -11,7 +11,7 @@ from crossedcat import braided, center, groups, matched, pointed, report, words
 from crossedcat.records import Record
 
 RECORDS = [
-    groups.FiniteGroup, groups.GroupHom, matched.MatchedPair, braided.BraidedMatchedPair,
+    groups.FiniteGroup, matched.MatchedPair, braided.BraidedMatchedPair,
     pointed.PointedCrossedCategory, center.CenterSimple, report.Check, words.Unit, words.Hole,
     words.Tensor, words.Act,
 ]
@@ -54,7 +54,7 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
 def test_different_classes_with_equal_fields_are_unequal():
     pairs = [(a, b) for a, b in itertools.permutations(RECORDS, 2)
              if len(a._fields) == len(b._fields)]
-    assert len(pairs) > 10
+    assert len(pairs) == 8  # three records of 3 fields, two of 2
     for a, b in pairs:
         assert a(*values(a)) != b(*values(b)), (a.__name__, b.__name__)
 
