@@ -470,7 +470,7 @@ class CenterStructure:
     def induced(self) -> BraidedMatchedPair:
         return induced_braiding(self.cat.mp)
 
-    def as_category(self, name: Optional[str] = None) -> PointedCrossedCategory:
+    def as_category(self) -> PointedCrossedCategory:
         """Package the center's tables as a pointed crossed category.
 
         Every tensor and combined-action image of a simple must be a simple
@@ -490,7 +490,7 @@ class CenterStructure:
             lam_z, cp, self.grade_table[:n],
             tuple(row[:n] for row in self.action_table), cat.M,
             tuple(plane[:n] for plane in self.j_table), (0,) * cp.G.order, self.chi_table,
-            (0,) * n, name or f"Z({cat.name})")
+            (0,) * n, f"Z({cat.name})")
 
     def require_members(self, points: Iterable[int]) -> None:
         """Raise a KeyError naming the first of `points` that is not a simple,
@@ -552,13 +552,19 @@ def verify_center_braided(cat: PointedCrossedCategory,
     M, Zs = cat.M, range(len(Z.simples))
 
     def oracle_equivalence() -> Optional[tuple]:
-        oracle = relative_center_oracle(cat)
-        mine = list(Z.input_simples)
-        if [z.sort_key() for z in mine] != [z.sort_key() for z in oracle]:
-            extra = [z.sort_key() for z in mine if z not in oracle]
-            missing = [z.sort_key() for z in oracle if z not in mine]
+        keys = [z.sort_key() for z in Z.input_simples]
+        expected = [z.sort_key() for z in relative_center_oracle(cat)]
+        if keys == expected:
+            return None
+        extra = [k for k in keys if k not in expected]
+        missing = [k for k in expected if k not in keys]
+        if extra or missing:
             return (tuple(extra[:1]), tuple(missing[:1]))
-        return None
+        # the same simples, reordered or one repeated: the first index where
+        # the lists differ, with both keys there (None past a list's end)
+        i = next((i for i, (a, b) in enumerate(zip(keys, expected)) if a != b),
+                 min(len(keys), len(expected)))
+        return (i, *(k[i] if i < len(k) else None for k in (keys, expected)))
 
     def induced_pair_braided() -> Optional[tuple]:
         r = verify_braiding(Z.induced)
@@ -691,7 +697,9 @@ def verify_center_braided(cat: PointedCrossedCategory,
         # chi_cocycle at (psi S_i, psi S_k, psi S_k'; l); and the J terms form
         # axiom2_j_cocycle at (phi S_l; i, k, k'), once
         # phi(S_{psi(S_k').l}) = S_k' |>2 phi(S_l), which follows from
-        # axiom1_grading_compat and braided-pair axiom 4.  Those laws are the
+        # axiom1_grading_compat and the law s |>2 phi(t) = phi(psi(s) |>1 t)
+        # of a braided pair, implied by verify_braiding's checks (proof at its
+        # braiding_axiom_2) and so by induced_pair_braided.  Those laws are the
         # center's as a category, with (ik)k' = i(kk'), so the gate is
         # center_category_axioms with induced_pair_braided.
         B, act, grade, T = Z.braid_table, Z.action_table, Z.grade_table, Z.tensor_table
@@ -721,7 +729,8 @@ def verify_center_braided(cat: PointedCrossedCategory,
         # terms forming chi_cocycle at (phi S_k, phi S_l, phi S_l'; i) and the
         # J terms axiom2_j_cocycle at (psi S_i; k, l, l'), once
         # psi(S_{phi(S_l').i}) = S_l' |>2 psi(S_i) by axiom1_grading_compat
-        # and braided-pair axiom 5.  Same gate.
+        # and the mirror law s |>2 psi(t) = psi(phi(s) |>1 t), which
+        # induced_pair_braided implies likewise.  Same gate.
         B, act, grade, T = Z.braid_table, Z.action_table, Z.grade_table, Z.tensor_table
         Jc, Xc = Z.j_table, Z.chi_table
         phi_of = [phi_img[grade[l]] for l in Zs]

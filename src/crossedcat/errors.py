@@ -47,10 +47,6 @@ class NotExact(CrossedCatError):
         super().__init__(f"not an exact factorization: {reason}")
 
 
-class NoUniqueFactorization(CrossedCatError):
-    """Internal invariant: cannot happen once NotExact preconditions pass."""
-
-
 class ValidationError(CrossedCatError):
     """A loaded object or a command-line argument is malformed, or an input fails
     verification."""

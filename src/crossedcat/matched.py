@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import NoUniqueFactorization, NotExact, NotMatched, ValidationError
+from .errors import NotExact, NotMatched, ValidationError
 from .groups import (FiniteGroup, Table, action_law_witness, subgroup_as_group,
                      twisted_hom_witness, unit_witness)
 from .records import Record
@@ -155,14 +155,17 @@ def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],
     For each (s, g), factor s*g^-1 = a*b with a in G, b in Gamma; then
     s |>2 g := a^-1 and g |>1 s := b.  Subgroups keep the order given in
     g_set / gamma_set when reindexed.  Raises NotExact unless the subsets
-    are subgroups with H = G * Gamma exactly.  The actions of an exact
-    factorization form a matched pair, so the result is returned without
-    a verification sweep; verify_matched_pair reports on it.
+    are subgroups, each listed once, with H = G * Gamma exactly.  The
+    actions of an exact factorization form a matched pair, so the result
+    is returned without a verification sweep; verify_matched_pair reports
+    on it.
     """
     g_set = list(g_set)
     gamma_set = list(gamma_set)
     gs, ms = set(g_set), set(gamma_set)
-    for name, sub in (("G", gs), ("Gamma", ms)):
+    for name, sub, listed in (("G", gs, g_set), ("Gamma", ms, gamma_set)):
+        if len(sub) != len(listed):
+            raise NotExact(f"{name} lists an element twice")
         if H.identity not in sub:
             raise NotExact(f"{name} does not contain the identity")
         for a in sub:
@@ -178,14 +181,9 @@ def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],
 
     gpos = {x: i for i, x in enumerate(g_set)}
     mpos = {x: i for i, x in enumerate(gamma_set)}
-    factor: dict[int, tuple[int, int]] = {}
-    for a in g_set:
-        for b in gamma_set:
-            x = H.mul(a, b)
-            if x in factor:
-                raise NoUniqueFactorization(f"element {x} factors twice")
-            factor[x] = (a, b)
-    assert len(factor) == H.order
+    # a b = a' b' gives a'^-1 a = b' b^-1 in G & Gamma = {e}, so the |G| |Gamma|
+    # = |H| products are distinct and factor every element once
+    factor = {H.mul(a, b): (a, b) for a in g_set for b in gamma_set}
 
     a1 = [[0] * len(gamma_set) for _ in g_set]
     a2 = [[0] * len(g_set) for _ in gamma_set]

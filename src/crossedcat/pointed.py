@@ -130,7 +130,7 @@ def pointed_category(Lambda: FiniteGroup, mp: MatchedPair, grading: Sequence[int
         M, j, phi, chi, iota, name)
 
 
-def vec_gamma(mp: MatchedPair, M: int = 1, name: Optional[str] = None) -> PointedCrossedCategory:
+def vec_gamma(mp: MatchedPair, M: int, name: Optional[str] = None) -> PointedCrossedCategory:
     """Graded vector spaces over Gamma: Lambda = Gamma, identity grading,
     the G-action is |>1 on labels, and every structure scalar is one."""
     pre = verify_matched_pair(mp)

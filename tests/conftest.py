@@ -61,6 +61,18 @@ def entry_mutants(cat):
             row[i] = v
 
 
+def table_mutants(table, size: int):
+    """Every table that differs from `table` in one entry, by every other
+    value in range(size), as lists of lists."""
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            for new in range(size):
+                if new != v:
+                    out = [list(r) for r in table]
+                    out[i][j] = new
+                    yield out
+
+
 def duals_hold(cat) -> bool:
     """The dual law: the left dual of ^g x, ^{del(x) |>2 g}(x^-1), is the
     inverse label of ^g x, for every (x, g)."""

@@ -9,7 +9,9 @@ checks are now `ReferenceSwapLaws`; `reference_matched_pair`,
 `zappa_szep`, `verify_braiding`, `center_pair` and `center_braiding`;
 `reference_validate_group` and `reference_is_hom_image` are the previous
 `validate_group` and `is_hom_image`, which swept every element where the
-package now certifies a law on a generating set.
+package now certifies a law on a generating set.  `reported_crossed_category`
+and `reported_braiding` are the reference reports without the laws the
+core proves from its other checks instead of reporting them.
 Loop bodies are unchanged and call only each other, never the code they
 are compared with, so that tests/test_reference_equivalence.py can require
 the table-driven core to return the same (name, pass, witness) lists.
@@ -234,6 +236,22 @@ def reference_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
         ("braiding_axiom_4", braid4),
         ("braiding_axiom_5", braid5),
     ])
+
+
+# laws of the reference checklist that verify_braiding proves at
+# braiding_axiom_2 and braiding_axiom_3 instead of reporting them
+IMPLIED_BRAIDING_LAWS = ("braiding_axiom_4", "braiding_axiom_5")
+
+
+def reported_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
+    """reference_braiding without IMPLIED_BRAIDING_LAWS, which is the report
+    verify_braiding must give.  Every check before them is a premise of
+    their proofs, so neither may be the first to fail."""
+    rep = reference_braiding(bmp)
+    first = rep.first_failure()
+    assert first is None or first.name not in IMPLIED_BRAIDING_LAWS, first
+    rep.checks = [c for c in rep.checks if c.name not in IMPLIED_BRAIDING_LAWS]
+    return rep
 
 
 def _one_sided_actions(mp: MatchedPair):
@@ -692,7 +710,7 @@ class ReferenceCenter:
     def induced(self) -> BraidedMatchedPair:
         return reference_center_braiding(self.cat.mp)
 
-    def as_category(self, name: Optional[str] = None) -> PointedCrossedCategory:
+    def as_category(self) -> PointedCrossedCategory:
         """Package the center's tables as a pointed crossed category.
 
         Simples must form a group under tensor (checked by reference_validate_group);
@@ -726,7 +744,7 @@ class ReferenceCenter:
                         A2 = g2 * gamma_ord + s2
                         xt[A][A2] = [self.x_combined(g, s, g2, s2, z) for z in self.simples]
         return pointed_category(lam_z, cp, grading, action, cat.M, jtable=jt, chitable=xt,
-                                name=name or f"Z({cat.name})")
+                                name=f"Z({cat.name})")
 
 
 def reference_center_braided(cat: PointedCrossedCategory,
@@ -747,11 +765,18 @@ def reference_center_braided(cat: PointedCrossedCategory,
     def oracle_equivalence() -> Optional[tuple]:
         oracle = relative_center_oracle(cat)
         mine = list(Z.simples)
-        if [z.sort_key() for z in mine] != [z.sort_key() for z in oracle]:
-            extra = [z.sort_key() for z in mine if z not in oracle]
-            missing = [z.sort_key() for z in oracle if z not in mine]
+        if [z.sort_key() for z in mine] == [z.sort_key() for z in oracle]:
+            return None
+        extra = [z.sort_key() for z in mine if z not in oracle]
+        missing = [z.sort_key() for z in oracle if z not in mine]
+        if extra or missing:
             return (tuple(extra[:1]), tuple(missing[:1]))
-        return None
+        # reordered or repeated: the first index where the lists differ
+        for i in range(max(len(mine), len(oracle))):
+            a = mine[i].sort_key() if i < len(mine) else None
+            b = oracle[i].sort_key() if i < len(oracle) else None
+            if a != b:
+                return (i, a, b)
 
     def induced_pair_braided() -> Optional[tuple]:
         r = reference_braiding(Z.induced)

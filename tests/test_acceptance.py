@@ -66,7 +66,7 @@ def test_criterion_3_induced_pair_and_braiding():
         ok = ok and verify_braiding(center_braiding(mp)).passed
     dt = time.monotonic() - t0
     ok = ok and dt < 60.0 and covered >= 5
-    _line(3, ok, f"induced pair + five braiding axioms on {covered} fixtures in {dt:.1f} s (< 60 s)")
+    _line(3, ok, f"induced pair + braided-pair checks on {covered} fixtures in {dt:.1f} s (< 60 s)")
 
 
 def test_criterion_4_turaev_degeneration():

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import ROOT, category, unit_index
 from crossedcat import center, jsonio
-from crossedcat.braided import verify_braiding
+from crossedcat.braided import center_braiding, verify_braiding
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
                                relative_center_oracle, verify_center_braided)
 from crossedcat.cli import main
@@ -515,3 +515,7 @@ def test_readme_check_counts():
     rep, center = verify_crossed_category(cat), verify_center_braided(cat)
     assert rep.passed and center.passed
     assert (int(found[1]), int(found[2])) == (len(rep.checks), len(center.checks))
+    found = re.search(r"The braided-pair report has (\d+) checks\.", text)
+    assert found, "README sentence with the braided-pair check count is missing"
+    braided = verify_braiding(center_braiding(cat.mp))
+    assert braided.passed and int(found[1]) == len(braided.checks)

@@ -3,18 +3,25 @@
 Subgroups of groups this size are all generated by at most two elements, so
 closing every 1- and 2-element subset enumerates them completely.  Each
 factorization must extract to a verified matched pair, round-trip through
-the twisted product, and induce a braided pair passing all five axioms.
+the twisted product, and induce a braided pair that passes verify_braiding.
+On every factorization, every pair of homomorphisms (phi, psi) must give
+verify_braiding's report with its two implied laws never the first to fail.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import pytest
 
-from crossedcat.braided import center_braiding, verify_braiding
-from crossedcat.groups import FiniteGroup, dihedral, subgroup_from_generators, symmetric
-from crossedcat.matched import from_exact_factorization, verify_matched_pair, zappa_szep
+from conftest import triples
+from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
+from crossedcat.groups import (FiniteGroup, cyclic, dihedral, direct_product, generators,
+                               is_hom_image, subgroup_from_generators, symmetric)
+from crossedcat.matched import (from_exact_factorization, turaev_pair, verify_matched_pair,
+                                zappa_szep)
+from reference_sweeps import reported_braiding
 
 
 def all_subgroups(G: FiniteGroup) -> list[tuple[int, ...]]:
@@ -57,3 +64,62 @@ def test_all_s4_factorizations_round_trip_and_braid():
         mp = from_exact_factorization(G, list(A), list(B))
         assert verify_matched_pair(mp).passed
         assert verify_braiding(center_braiding(mp)).passed, (len(A), len(B))
+
+
+def homomorphisms(S: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
+    """The image tuples of every homomorphism S -> T: each choice of images
+    t_i for a generating set g_i of S, extended by f(x g_i) = f(x) t_i and
+    kept when that is consistent on every edge."""
+    gens = generators(S.table, S.identity)
+    out = []
+    for images in itertools.product(T.elements(), repeat=len(gens)):
+        f, todo, consistent = {S.identity: T.identity}, [S.identity], True
+        while todo and consistent:
+            x = todo.pop()
+            for g, t in zip(gens, images):
+                y, v = S.mul(x, g), T.mul(f[x], t)
+                if y not in f:
+                    f[y] = v
+                    todo.append(y)
+                elif f[y] != v:
+                    consistent = False
+                    break
+        if consistent:
+            image = tuple(f[x] for x in S.elements())
+            assert is_hom_image(S, T, image) is None
+            out.append(image)
+    return out
+
+
+def test_braiding_census():
+    """Every pair of homomorphisms Gamma -> G on every exact factorization of
+    S3, D4, Z6, Z2 x Z4, D6 and S4 and on four Turaev pairs: 150 matched
+    pairs, 2,924 braided pairs.  verify_braiding gives reported_braiding's
+    report, so neither implied law is ever the first to fail, and each of
+    braiding axioms 1-3 is the only failing check on some of them, axioms 2
+    and 3 on the factorization of D6 by a subgroup of order 6 and one of
+    order 2."""
+    pairs = [from_exact_factorization(H, list(A), list(B))
+             for H in (symmetric(3), dihedral(4), cyclic(6), direct_product(cyclic(2), cyclic(4)),
+                       dihedral(6), symmetric(4))
+             for A, B in exact_factorizations(H)]
+    pairs += [turaev_pair(K) for K in (symmetric(3), dihedral(4), cyclic(4),
+                                       direct_product(cyclic(2), cyclic(2)))]
+    alone = collections.Counter()
+    count = 0
+    for mp in pairs:
+        homs = homomorphisms(mp.Gamma, mp.G)
+        for phi, psi in itertools.product(homs, repeat=2):
+            bmp = BraidedMatchedPair(mp, phi, psi)
+            rep = verify_braiding(bmp)
+            assert triples(rep) == triples(reported_braiding(bmp))
+            failing = [c.name for c in rep.checks if not c.passed]
+            if len(failing) == 1:
+                alone[failing[0], mp.G.order, mp.Gamma.order] += 1
+            count += 1
+    assert (len(pairs), count) == (150, 2924)
+    by_axiom = collections.Counter()
+    for (name, _, _), n in alone.items():
+        by_axiom[name] += n
+    assert by_axiom == {"braiding_axiom_1": 104, "braiding_axiom_2": 24, "braiding_axiom_3": 24}
+    assert alone["braiding_axiom_2", 6, 2] == alone["braiding_axiom_3", 6, 2] == 24

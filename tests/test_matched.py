@@ -135,6 +135,11 @@ def test_from_exact_rejects_bad_input():
     t12 = perms.index((1, 0, 2))
     with pytest.raises(NotExact):
         from_exact_factorization(S3, [0, t12], [0, t12])  # intersects, wrong size
+    # |G| |Gamma| = |H| only by counting the repeat; the two subgroups
+    # factor half of S3, so no element may be left unfactored
+    c3 = perms.index((1, 2, 0))
+    with pytest.raises(NotExact, match="G lists an element twice"):
+        from_exact_factorization(S3, [0, 0], subgroup_from_generators(S3, [c3]))
 
 
 def test_turaev_pair_examples():

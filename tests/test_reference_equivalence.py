@@ -16,7 +16,8 @@ import random
 
 import pytest
 
-from conftest import FIXTURE_DIR, category, entry_mutants, pair, triples, unit_index
+from conftest import (FIXTURE_DIR, category, entry_mutants, pair, table_mutants, triples,
+                      unit_index)
 from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
 from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
@@ -25,10 +26,10 @@ from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.matched import matched_pair, verify_matched_pair, zappa_szep
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from gauge import gauge
-from reference_sweeps import (ReferenceCenter, ReferenceSwapLaws, reference_braiding,
-                              reference_center_braided, reference_center_braiding,
-                              reported_crossed_category,
-                              reference_matched_pair, reference_swap_laws, reference_zappa_szep)
+from reference_sweeps import (ReferenceCenter, ReferenceSwapLaws, reference_center_braided,
+                              reference_center_braiding, reported_braiding,
+                              reported_crossed_category, reference_matched_pair,
+                              reference_swap_laws, reference_zappa_szep)
 
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
 CENTER_FILES = [n for n in CATEGORY_FILES if n != "cat-nonsurjective.json"]
@@ -48,7 +49,7 @@ def assert_same_category_report(cat) -> None:
 
 def assert_same_pair_reports(bmp: BraidedMatchedPair) -> None:
     assert triples(verify_matched_pair(bmp.mp)) == triples(reference_matched_pair(bmp.mp))
-    assert triples(verify_braiding(bmp)) == triples(reference_braiding(bmp))
+    assert triples(verify_braiding(bmp)) == triples(reported_braiding(bmp))
 
 
 @pytest.mark.parametrize("name", PAIR_FILES)
@@ -87,6 +88,24 @@ def test_induced_pair_action_mutants(name):
     for mut in _action_mutants(bmp.mp, 20, random.Random(f"induced:{name}")):
         assert not verify_matched_pair(mut).passed
         assert_same_pair_reports(BraidedMatchedPair(mut, bmp.phi, bmp.psi))
+
+
+@pytest.mark.parametrize("name", BRAIDED_FILES)
+def test_braided_entry_mutants(name):
+    """Every braided pair one table entry away from a braided-pair fixture,
+    in phi, psi, act1 or act2: the mutants small-inputs draws from."""
+    bmp = jsonio.load_braided(FIXTURE_DIR / name)
+    mp, G, M = bmp.mp, bmp.mp.G, bmp.mp.Gamma
+    mutants = [*(BraidedMatchedPair(mp, tuple(phi), bmp.psi)
+                 for (phi,) in table_mutants([bmp.phi], G.order)),
+               *(BraidedMatchedPair(mp, bmp.phi, tuple(psi))
+                 for (psi,) in table_mutants([bmp.psi], G.order)),
+               *(BraidedMatchedPair(matched_pair(G, M, a1, mp.act2), bmp.phi, bmp.psi)
+                 for a1 in table_mutants(mp.act1, M.order)),
+               *(BraidedMatchedPair(matched_pair(G, M, mp.act1, a2), bmp.phi, bmp.psi)
+                 for a2 in table_mutants(mp.act2, G.order))]
+    for mut in mutants:
+        assert triples(verify_braiding(mut)) == triples(reported_braiding(mut))
 
 
 def test_one_matching_sweep_per_pair(monkeypatch):
@@ -142,7 +161,7 @@ def test_criterion_9_pair_mutants(monkeypatch):
 
     def braided_both(bmp):
         rep = verify_braiding(bmp)
-        assert triples(rep) == triples(reference_braiding(bmp))
+        assert triples(rep) == triples(reported_braiding(bmp))
         seen.append(bmp)
         return rep
 
@@ -316,6 +335,26 @@ def test_center_reports(name):
         # oracle's list, so no later check is ever the first to see it
         assert rep.first_failure().name == "oracle_equivalence"
         assert verdicts(rep) == verdicts(reference_center_braided(cat, simples=mutated))
+
+
+@pytest.mark.parametrize("name", ["z4-over-z2", "z6-over-z3"])
+def test_reordered_or_repeated_simples_name_the_first_departure(name):
+    """A list with the oracle's simples, reordered or with one repeated, has
+    no extra or missing simple to name: oracle_equivalence names the first
+    index where the two lists differ, with both keys there (None past the
+    oracle's end).  The reference, slow on the 24-simple center, is
+    compared on the smaller one."""
+    cat = category(name)
+    simples = enumerate_center(cat)
+    keys = [z.sort_key() for z in simples]
+    for mutated, witness in [(simples[1:] + simples[:1], (0, keys[1], keys[0])),
+                             (simples + simples[:1], (len(keys), keys[0], None))]:
+        reports = [verify_center_braided(cat, simples=mutated)]
+        if name == "z4-over-z2":
+            reports.append(reference_center_braided(cat, simples=mutated))
+        for rep in reports:
+            first = rep.first_failure()
+            assert (first.name, first.witness) == ("oracle_equivalence", witness)
 
 
 @pytest.mark.parametrize("name", CENTER_FIXTURES)
