@@ -11,7 +11,6 @@ Run as `python scripts/center_survey.py`.
 from __future__ import annotations
 
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -24,15 +23,13 @@ from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES  # noqa: E402
 def main() -> None:
     for name in CENTER_FIXTURES:
         cat = CATEGORIES[name]()
-        t0 = time.monotonic()
         Z = CenterStructure(cat)
         rep = verify_center_braided(cat)
-        dt = time.monotonic() - t0
         n = len(Z.simples)
         grades = Counter(divmod(code, cat.Gamma.order) for code in Z.grade_table[:n])
         coeffs = Counter(v for row in Z.braid_table[:n] for v in row[:n])
         sigma_vals = Counter(v for plane in Z.sigma_table for row in plane for v in row[:n])
-        print(f"{name}: |Z| = {len(Z.simples)}  verified = {rep.passed}  ({dt:.2f}s)")
+        print(f"{name}: |Z| = {len(Z.simples)}  verified = {rep.passed}")
         print(f"  grades: {dict(sorted(grades.items()))}")
         print(f"  braiding exponents (mod {cat.M}): {dict(sorted(coeffs.items()))}")
         print(f"  swap-scalar exponents: {dict(sorted(sigma_vals.items()))}")

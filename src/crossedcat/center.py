@@ -517,7 +517,8 @@ def verify_center_braided(cat: PointedCrossedCategory,
     the input's gauge; the other sweeps run over the dense tables of
     CenterStructure, in the unit-normal gauge and in the order of each
     witness tuple.  `simples` overrides the enumeration (used by mutation
-    tests).
+    tests).  The oracle's size bound (CenterTooLarge) is checked after the
+    enumeration and before CenterStructure builds any table.
 
     The three braiding axioms are certified on generators once
     induced_pair_braided and center_category_axioms pass
@@ -548,6 +549,8 @@ def verify_center_braided(cat: PointedCrossedCategory,
     center_category_axioms; the proofs are at that check.
     """
     rep = VerificationReport(subject=f"center of {cat.name}")
+    simples = enumerate_center(cat) if simples is None else simples
+    _searchable(cat, "relative_center_oracle", oracle_tries(cat))
     Z = CenterStructure(cat, section=section, simples=simples)
     M, Zs = cat.M, range(len(Z.simples))
 

@@ -1,10 +1,11 @@
 """JSON file formats for groups, matched pairs, braided pairs, and categories.
 
 Values referencing another file may be given inline or as a path string,
-resolved relative to the referencing file.  Loaders check shapes and ranges
-(raising ParseError / ValidationError, the CLI's exit-2 class) but leave the
-subject's own axioms to the verifiers, so a corrupted pair still loads and
-then fails verification with a witness (the CLI's exit-1 class).  A loader
+resolved relative to the referencing file.  Loaders check the file format,
+and the record constructors they call check shapes and ranges, all raising
+ParseError / ValidationError (the CLI's exit-2 class).  The subject's own
+axioms are left to the verifiers, so a corrupted pair still loads and then
+fails verification with a witness (the CLI's exit-1 class).  A loader
 imports the module of the record it builds only when it builds one, so that
 `verify group` loads no pair or category code.
 """
@@ -204,29 +205,17 @@ def _zero3(t) -> bool:
     return all(v == 0 for plane in t for row in plane for v in row)
 
 
-def _exp3_from(obj: Any, a: int, b: int, c: int, M: int, what: str):
+def _exponents(obj: Any, depth: int, M: int, what: str):
+    """A scalar table: None for "trivial" or absent, else integers nested
+    `depth` lists deep, each in 0..M-1.  Its shape is pointed_category's check."""
     if obj == "trivial" or obj is None:
         return None
-    _ints(obj, 3, what)
-    if len(obj) != a or any(len(p) != b for p in obj) or any(len(r) != c for p in obj for r in p):
-        raise ValidationError(f"{what} must be {a}x{b}x{c}")
-    for plane in obj:
-        for row in plane:
-            for v in row:
-                if not 0 <= v < M:
-                    raise ValidationError(f"{what} exponent {v} not in 0..{M - 1}")
-    return obj
-
-
-def _exp1_from(obj: Any, a: int, M: int, what: str):
-    if obj == "trivial" or obj is None:
-        return None
-    _ints(obj, 1, what)
-    if len(obj) != a:
-        raise ValidationError(f"{what} must have length {a}")
-    for v in obj:
-        if not 0 <= v < M:
-            raise ValidationError(f"{what} exponent {v} not in 0..{M - 1}")
+    leaves = [_ints(obj, depth, what)]
+    for _ in range(depth):
+        leaves = [v for row in leaves for v in row]
+    bad = next((v for v in leaves if not 0 <= v < M), None)
+    if bad is not None:
+        raise ValidationError(f"{what} exponent {bad} not in 0..{M - 1}")
     return obj
 
 
@@ -247,17 +236,8 @@ def category_from_json(obj: Any, base: Optional[Path] = None) -> PointedCrossedC
             given = group_from_json(obj[key], base)
             if given.table != ref.table or given.identity != ref.identity:
                 raise ValidationError(f"top-level {key} disagrees with the matched pair's {key}")
-    if len(grading) != Lambda.order or any(not 0 <= v < mp.Gamma.order for v in grading):
-        raise ValidationError("grading must map Lambda into Gamma")
-    if len(action) != mp.G.order or any(len(r) != Lambda.order for r in action):
-        raise ValidationError("action must be |G| x |Lambda|")
-    if any(not 0 <= v < Lambda.order for r in action for v in r):
-        raise ValidationError("action entry out of range")
-    n, ng = Lambda.order, mp.G.order
-    j = _exp3_from(obj.get("J"), ng, n, n, M, "J")
-    chi = _exp3_from(obj.get("chi"), ng, ng, n, M, "chi")
-    phi = _exp1_from(obj.get("phi"), ng, M, "phi")
-    iota = _exp1_from(obj.get("iota"), n, M, "iota")
+    j, chi = _exponents(obj.get("J"), 3, M, "J"), _exponents(obj.get("chi"), 3, M, "chi")
+    phi, iota = _exponents(obj.get("phi"), 1, M, "phi"), _exponents(obj.get("iota"), 1, M, "iota")
     from .pointed import pointed_category
     return pointed_category(Lambda, mp, grading, action, M,
                             jtable=j, phitable=phi, chitable=chi, iotatable=iota,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import NonSingularityViolated, NotMatched
+from .errors import NonSingularityViolated, NotMatched, ValidationError
 from .groups import (FiniteGroup, Table, action_law_witness, certified_sweep, is_hom_image,
                      twisted_hom_witness, unit_witness)
 from .matched import MatchedPair, verify_matched_pair
@@ -37,10 +37,11 @@ def _const3(a: int, b: int, c: int) -> Exp3:
 class PointedCrossedCategory(Record):
     """A category in the skeletal model above, with its scalar tables.
 
-    Every J, phi, chi and iota entry is stored reduced to 0..M-1:
-    pointed_category and CenterStructure.as_category build the tables so,
-    and the JSON loader rejects any other exponent.  The accessors j, ph, x
-    and io therefore return entries as stored.
+    Every table has the shape the groups give, and every J, phi, chi and
+    iota entry is stored reduced to 0..M-1: pointed_category checks the
+    shapes and reduces the exponents, CenterStructure.as_category builds its
+    tables so, and the JSON loader rejects any other exponent.  The
+    accessors j, ph, x and io therefore return entries as stored.
     """
 
     Lambda: FiniteGroup
@@ -116,18 +117,33 @@ def pointed_category(Lambda: FiniteGroup, mp: MatchedPair, grading: Sequence[int
                      action: Sequence[Sequence[int]], M: int,
                      jtable=None, phitable=None, chitable=None, iotatable=None,
                      name: str = "cat") -> PointedCrossedCategory:
-    """Assemble a category, expanding omitted scalar tables to all-ones."""
+    """Assemble a category, expanding omitted scalar tables to all-ones and
+    reducing exponents mod M; raises ValidationError unless grading maps
+    Lambda into Gamma, action is |G| x |Lambda| with entries in range, and
+    J, chi, phi and iota have the shapes the groups give.  The axioms are
+    verify_crossed_category's."""
     n, ng = Lambda.order, mp.G.order
+    deg = tuple(int(x) for x in grading)
+    act = tuple(tuple(int(x) for x in row) for row in action)
+    if len(deg) != n or any(not 0 <= v < mp.Gamma.order for v in deg):
+        raise ValidationError("grading must map Lambda into Gamma")
+    if len(act) != ng or any(len(row) != n for row in act):
+        raise ValidationError("action must be |G| x |Lambda|")
+    if any(not 0 <= v < n for row in act for v in row):
+        raise ValidationError("action entry out of range")
     j = _const3(ng, n, n) if jtable is None else tuple(
         tuple(tuple(int(v) % M for v in row) for row in plane) for plane in jtable)
     chi = _const3(ng, ng, n) if chitable is None else tuple(
         tuple(tuple(int(v) % M for v in row) for row in plane) for plane in chitable)
     phi = tuple([0] * ng) if phitable is None else tuple(int(v) % M for v in phitable)
     iota = tuple([0] * n) if iotatable is None else tuple(int(v) % M for v in iotatable)
-    return PointedCrossedCategory(
-        Lambda, mp, tuple(int(x) for x in grading),
-        tuple(tuple(int(x) for x in row) for row in action),
-        M, j, phi, chi, iota, name)
+    for what, table, (a, b, c) in (("J", j, (ng, n, n)), ("chi", chi, (ng, ng, n))):
+        if len(table) != a or any(len(p) != b or any(len(r) != c for r in p) for p in table):
+            raise ValidationError(f"{what} must be {a}x{b}x{c}")
+    for what, table, a in (("phi", phi, ng), ("iota", iota, n)):
+        if len(table) != a:
+            raise ValidationError(f"{what} must have length {a}")
+    return PointedCrossedCategory(Lambda, mp, deg, act, M, j, phi, chi, iota, name)
 
 
 def vec_gamma(mp: MatchedPair, M: int, name: Optional[str] = None) -> PointedCrossedCategory:
@@ -142,28 +158,6 @@ def vec_gamma(mp: MatchedPair, M: int, name: Optional[str] = None) -> PointedCro
                             name=name or f"Vec[{Gamma.name}]")
 
 
-def _well_formed(cat: PointedCrossedCategory) -> Optional[tuple]:
-    L, G, Gamma, deg, act = cat.Lambda, cat.G, cat.Gamma, cat.grading, cat.action
-    if len(deg) != L.order or len(act) != G.order:
-        return ("table shape",)
-    if any(len(row) != L.order for row in act):
-        return ("action shape",)
-    if any(not 0 <= v < Gamma.order for v in deg):
-        return ("grading range",)
-    if any(not 0 <= v < L.order for row in act for v in row):
-        return ("action range",)
-    if (not _shaped(cat.jtable, G.order, L.order, L.order)
-            or not _shaped(cat.chitable, G.order, G.order, L.order)
-            or len(cat.phitable) != G.order or len(cat.iotatable) != L.order):
-        return ("scalar shape",)
-    return None
-
-
-def _shaped(table: Exp3, a: int, b: int, c: int) -> bool:
-    return len(table) == a and all(len(plane) == b and all(len(row) == c for row in plane)
-                                   for plane in table)
-
-
 def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     """Exhaustive checklist for the crossed-category axioms.
 
@@ -175,10 +169,10 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     certify a law on generators first and carry its closure proof;
     axiom2_j_cocycle and chi_cocycle keep their sweeps here and are
     certified on their last group argument, and axiom3_j_chi on y, each by
-    groups.certified_sweep with its closure proof at the sweep.  A failing
-    well_formed ends the checklist, as every other check indexes the tables
-    by their shapes.  Grading surjectivity is deliberately not part of the
-    pass/fail outcome; it only gates center construction.
+    groups.certified_sweep with its closure proof at the sweep.  The
+    sweeps index the tables by the shapes that pointed_category checks.
+    Grading surjectivity is deliberately not part of the pass/fail outcome;
+    it only gates center construction.
 
     The model fixes the pivotal scalar delta = 1 and the dimension d = 1 on
     every simple, so the pivotal compatibility ^g delta = delta holds
@@ -190,10 +184,7 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     that read only J, chi, phi and iota pass unread, since each of their
     equations is a signed sum of entries of those tables and reads 0 = 0.
     """
-    rep = run_checks(VerificationReport(subject=f"category {cat.name}"),
-                     [("well_formed", lambda: _well_formed(cat))])
-    if not rep.passed:
-        return rep
+    rep = VerificationReport(subject=f"category {cat.name}")
     L, G, Gamma, mp, M = cat.Lambda, cat.G, cat.Gamma, cat.mp, cat.M
     Lt, Gt = L.table, G.table
     act, deg, a1, a2 = cat.action, cat.grading, mp.act1, mp.act2

@@ -316,13 +316,6 @@ def reference_center_braiding(mp: MatchedPair) -> BraidedMatchedPair:
     return BraidedMatchedPair(cp, phi, psi)
 
 
-def shape_is(table, dims: tuple[int, ...]) -> bool:
-    """The nested table has length dims[0], each entry length dims[1], ..."""
-    if len(table) != dims[0]:
-        return False
-    return len(dims) == 1 or all(shape_is(entry, dims[1:]) for entry in table)
-
-
 def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     """Exhaustive checklist for the crossed-category axioms.
 
@@ -332,22 +325,6 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
     """
     L, G, Gamma, mp, M = cat.Lambda, cat.G, cat.Gamma, cat.mp, cat.M
     rep = VerificationReport(subject=f"category {cat.name}")
-
-    def well_formed() -> Optional[tuple]:
-        if len(cat.grading) != L.order or len(cat.action) != G.order:
-            return ("table shape",)
-        if any(len(row) != L.order for row in cat.action):
-            return ("action shape",)
-        if any(not 0 <= v < Gamma.order for v in cat.grading):
-            return ("grading range",)
-        if any(not 0 <= v < L.order for row in cat.action for v in row):
-            return ("action range",)
-        for table, dims in ((cat.jtable, (G.order, L.order, L.order)), (cat.phitable, (G.order,)),
-                            (cat.chitable, (G.order, G.order, L.order)),
-                            (cat.iotatable, (L.order,))):
-            if not shape_is(table, dims):
-                return ("scalar shape",)
-        return None
 
     def matched_pair_valid() -> Optional[tuple]:
         r = reference_matched_pair(mp)
@@ -452,9 +429,6 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
                 return (x, y)
         return None
 
-    # every later check indexes the tables by their shapes
-    if not run_checks(rep, [("well_formed", well_formed)]).passed:
-        return rep
     return run_checks(rep, [
         ("matched_pair_valid", matched_pair_valid),
         ("grading_is_homomorphism", grading_hom),

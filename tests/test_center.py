@@ -160,7 +160,8 @@ def test_braiding_examples():
 @pytest.mark.parametrize("name", CENTER_FIXTURES)
 def test_as_category_matches_pointed_category(name):
     # as_category builds its record directly from the reduced tables;
-    # pointed_category, which reduces every entry again, must agree with it
+    # pointed_category, which checks every shape and reduces every entry
+    # again, must accept its tables and agree with it
     Z = CenterStructure(category(name))
     cat, n, cp = Z.cat, len(Z.simples), Z.induced.mp
     zcat = Z.as_category()
@@ -436,6 +437,23 @@ def test_center_size_bounds_refuse_at_their_edges(monkeypatch):
     # an input the oracle refuses can still be enumerated
     monkeypatch.setattr(center, "MAX_CENTER_TRIES", 127)
     assert enumerate_center(cat) == simples
+
+
+def test_oracle_bound_refuses_before_the_center_tables(monkeypatch):
+    """On Lambda = Z_8 graded trivially over trivial G and Gamma, M = 8,
+    enumeration tries 8 characters and the oracle 8 * 8^8 functions:
+    verify_center_braided refuses on the oracle's bound before
+    CenterStructure builds a table."""
+    Z8, one = cyclic(8), trivial_group()
+    cat = pointed_category(Z8, direct_pair(one, one), [0] * 8, [list(range(8))], 8)
+    assert (center.enumeration_tries(cat), center.oracle_tries(cat)) == (8, 8 * 8 ** 8)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("CenterStructure built")
+
+    monkeypatch.setattr(center, "CenterStructure", unbuilt)
+    with pytest.raises(CenterTooLarge, match="relative_center_oracle would try"):
+        verify_center_braided(cat)
 
 
 def test_partial_conjugation_support_excludes_labels():

@@ -257,10 +257,25 @@ def _fixture_with(name, value, *path):
      "group order 99 does not match the table's 3 rows"),
     ("group", _fixture_with("group-z3", "x", "order"), "group order must be an integer"),
     ("group", _fixture_with("group-z3", True, "order"), "group order must be an integer"),
+    # a category's shapes are pointed_category's checks, its exponents the loader's
+    ("category", _fixture_with("cat-vec-z2z3", 7, "grading", 1),
+     "grading must map Lambda into Gamma"),
+    ("category", _fixture_with("cat-vec-z2z3", [0, 1], "grading"),
+     "grading must map Lambda into Gamma"),
+    ("category", _fixture_with("cat-vec-z2z3", [0, 2], "action", 1),
+     "action must be |G| x |Lambda|"),
+    ("category", _fixture_with("cat-vec-z2z3", 9, "action", 1, 1), "action entry out of range"),
+    ("category", _fixture_with("cat-vec-z2z3", [[[0] * 3] * 3], "J"), "J must be 2x3x3"),
+    ("category", _fixture_with("cat-vec-z2z3", [0], "phi"), "phi must have length 2"),
+    ("category", _fixture_with("cat-vec-z2z3", [0, 0], "iota"), "iota must have length 3"),
+    ("category", _fixture_with("cat-vec-z2z3", [[[0, 0, 0], [0, 5, 0]], [[0] * 3] * 2], "chi"),
+     "chi exponent 5 not in 0..1"),
 ], ids=["group-not-object", "identity-out-of-range", "G-not-object", "category-not-object",
         "G-names-a-directory", "bool-in-group-table", "bool-identity", "bool-in-action",
         "ragged-act1", "ragged-act2", "act1-range", "act2-range", "bool-M", "bool-in-J",
-        "order-not-rows", "order-not-integer", "bool-order"])
+        "order-not-rows", "order-not-integer", "bool-order", "grading-range", "short-grading",
+        "short-action-row", "action-range", "J-one-plane", "short-phi", "short-iota",
+        "chi-range"])
 def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj, error):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))

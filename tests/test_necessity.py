@@ -90,7 +90,6 @@ ALONE = {"matched": {
     "braiding_axiom_3": lambda: verify_braiding(
         BraidedMatchedPair(direct_pair(S3, Z2), (0, 0), (0, T12))),
 }, "category": {
-    "well_formed": lambda: verify_crossed_category(_vec_z2z3(phitable=[0])),
     "matched_pair_valid": lambda: verify_crossed_category(
         pointed_category(ONE, broken_act2(), [0], [[0], [0]], 2)),
     "grading_is_homomorphism": lambda: verify_crossed_category(

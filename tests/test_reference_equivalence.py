@@ -129,7 +129,7 @@ def test_one_matching_sweep_per_pair(monkeypatch):
     Z = CenterStructure(cat)
     del calls[:]
     underlying = verify_braiding(Z.induced).checks[0]
-    valid = verify_crossed_category(Z.as_category()).checks[1]
+    valid = verify_crossed_category(Z.as_category()).checks[0]
     assert (underlying.name, underlying.passed) == ("underlying_matched_pair", True)
     assert (valid.name, valid.passed) == ("matched_pair_valid", True)
     assert len(calls) == 2
