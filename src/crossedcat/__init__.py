@@ -24,7 +24,7 @@ _EXPORTS = {
                 "verify_crossed_category"),
     "records": (),
     "report": ("VerificationReport",),
-    "words": ("check_coherence", "print_word", "verify_coherence"),
+    "words": ("print_word", "verify_coherence"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -382,7 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 1
         finally:
             _flush_stdout()
-    except (CrossedCatError, json.JSONDecodeError, OSError) as exc:
+    except (CrossedCatError, OSError) as exc:
         return _error(exc)
 
 

@@ -43,7 +43,6 @@ class NotMatched(CrossedCatError):
 
 class NotExact(CrossedCatError):
     def __init__(self, reason: str):
-        self.reason = reason
         super().__init__(f"not an exact factorization: {reason}")
 
 
@@ -52,21 +51,13 @@ class ValidationError(CrossedCatError):
     verification."""
 
 
-class ParseError(CrossedCatError):
-    def __init__(self, message: str, position: int):
-        self.position = position
-        super().__init__(f"{message} (column {position})")
-
-
 class NonSingularityViolated(CrossedCatError):
     def __init__(self, missing_degree: int):
-        self.missing_degree = missing_degree
         super().__init__(f"grading not surjective: no simple of degree {missing_degree}")
 
 
 class CenterTooLarge(CrossedCatError):
     def __init__(self, search: str, tries: int, limit: int):
-        self.tries = tries
         super().__init__(f"center too large to enumerate: {search} would try {tries} "
                          f"candidates, over the limit of {limit}")
 

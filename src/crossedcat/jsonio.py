@@ -1,13 +1,14 @@
 """JSON file formats for groups, matched pairs, braided pairs, and categories.
 
-Values referencing another file may be given inline or as a path string,
-resolved relative to the referencing file.  Loaders check the file format,
+Each file is one self-contained JSON value: a group, pair or category object
+nested in another is given inline, and a string in its place is refused as
+not a JSON object, never opened as a path.  Loaders check the file format,
 and the record constructors they call check shapes and ranges, all raising
-ParseError / ValidationError (the CLI's exit-2 class).  The subject's own
-axioms are left to the verifiers, so a corrupted pair still loads and then
-fails verification with a witness (the CLI's exit-1 class).  A loader
-imports the module of the record it builds only when it builds one, so that
-`verify group` loads no pair or category code.
+ValidationError (the CLI's exit-2 class).  The subject's own axioms are left
+to the verifiers, so a corrupted pair still loads and then fails
+verification with a witness (the CLI's exit-1 class).  A loader imports the
+module of the record it builds only when it builds one, so that `verify
+group` loads no pair or category code.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Union
 
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .groups import FiniteGroup, validate_group
 
 if TYPE_CHECKING:
@@ -33,7 +34,7 @@ def read_json(path: PathLike) -> Any:
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", exc.colno) from exc
+        raise ValidationError(f"{path}: {exc.msg} (column {exc.colno})") from exc
     except (ValueError, RecursionError) as exc:
         # a NUL byte or lone surrogate in the path, bytes that are not UTF-8,
         # or nesting deeper than the decoder's recursion limit
@@ -47,15 +48,6 @@ def write_json(obj: Any, path: PathLike) -> None:
         Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
     except ValueError as exc:
         raise ValidationError(f"cannot write {str(path)!r}: {exc}") from exc
-
-
-def _resolve(obj: Any, base: Optional[Path]) -> Any:
-    if isinstance(obj, str):
-        ref = Path(obj)
-        if base is not None and not ref.is_absolute():
-            ref = base / ref
-        return read_json(ref)
-    return obj
 
 
 def _object(obj: Any, what: str) -> dict:
@@ -102,8 +94,8 @@ def group_fields(obj: Any) -> tuple[list, Optional[int], Any]:
     return table, identity, obj.get("name", "G")
 
 
-def group_from_json(obj: Any, base: Optional[Path] = None) -> FiniteGroup:
-    return validate_group(*group_fields(_resolve(obj, base)))
+def group_from_json(obj: Any) -> FiniteGroup:
+    return validate_group(*group_fields(obj))
 
 
 def save_group(G: FiniteGroup, path: PathLike) -> None:
@@ -111,7 +103,7 @@ def save_group(G: FiniteGroup, path: PathLike) -> None:
 
 
 def load_group(path: PathLike) -> FiniteGroup:
-    return group_from_json(read_json(path), Path(path).parent)
+    return group_from_json(read_json(path))
 
 
 # -- matched pairs ----------------------------------------------------------------
@@ -127,11 +119,11 @@ def matched_to_json(mp: MatchedPair) -> dict:
     }
 
 
-def matched_from_json(obj: Any, base: Optional[Path] = None) -> MatchedPair:
-    obj = _object(_resolve(obj, base), "matched pair")
+def matched_from_json(obj: Any) -> MatchedPair:
+    obj = _object(obj, "matched pair")
     try:
-        G = group_from_json(obj["G"], base)
-        Gamma = group_from_json(obj["Gamma"], base)
+        G = group_from_json(obj["G"])
+        Gamma = group_from_json(obj["Gamma"])
         act1, act2 = _ints(obj["act1"], 2, "act1"), _ints(obj["act2"], 2, "act2")
     except KeyError as exc:
         raise ValidationError(f"matched-pair object missing field {exc}") from exc
@@ -147,7 +139,7 @@ def save_matched(mp: MatchedPair, path: PathLike) -> None:
 
 
 def load_matched(path: PathLike) -> MatchedPair:
-    return matched_from_json(read_json(path), Path(path).parent)
+    return matched_from_json(read_json(path))
 
 
 # -- braided pairs ------------------------------------------------------------------
@@ -159,9 +151,8 @@ def braided_to_json(bmp: BraidedMatchedPair) -> dict:
     return body
 
 
-def braided_from_json(obj: Any, base: Optional[Path] = None) -> BraidedMatchedPair:
-    obj = _resolve(obj, base)
-    mp = matched_from_json(obj, base)
+def braided_from_json(obj: Any) -> BraidedMatchedPair:
+    mp = matched_from_json(obj)
     try:
         phi, psi = _ints(obj["phi"], 1, "phi"), _ints(obj["psi"], 1, "psi")
     except KeyError as exc:
@@ -176,7 +167,7 @@ def save_braided(bmp: BraidedMatchedPair, path: PathLike) -> None:
 
 
 def load_braided(path: PathLike) -> BraidedMatchedPair:
-    return braided_from_json(read_json(path), Path(path).parent)
+    return braided_from_json(read_json(path))
 
 
 # -- categories ----------------------------------------------------------------------
@@ -219,11 +210,11 @@ def _exponents(obj: Any, depth: int, M: int, what: str):
     return obj
 
 
-def category_from_json(obj: Any, base: Optional[Path] = None) -> PointedCrossedCategory:
-    obj = _object(_resolve(obj, base), "category")
+def category_from_json(obj: Any) -> PointedCrossedCategory:
+    obj = _object(obj, "category")
     try:
-        Lambda = group_from_json(obj["Lambda"], base)
-        mp = matched_from_json(obj["mp"], base)
+        Lambda = group_from_json(obj["Lambda"])
+        mp = matched_from_json(obj["mp"])
         grading, action = _ints(obj["grading"], 1, "grading"), _ints(obj["action"], 2, "action")
         M = obj["M"]
     except KeyError as exc:
@@ -233,7 +224,7 @@ def category_from_json(obj: Any, base: Optional[Path] = None) -> PointedCrossedC
     # the top-level G/Gamma must agree with the matched pair's
     for key, ref in (("G", mp.G), ("Gamma", mp.Gamma)):
         if key in obj:
-            given = group_from_json(obj[key], base)
+            given = group_from_json(obj[key])
             if given.table != ref.table or given.identity != ref.identity:
                 raise ValidationError(f"top-level {key} disagrees with the matched pair's {key}")
     j, chi = _exponents(obj.get("J"), 3, M, "J"), _exponents(obj.get("chi"), 3, M, "chi")
@@ -250,7 +241,7 @@ def save_category(cat: PointedCrossedCategory, path: PathLike) -> None:
 
 def load_category(path: PathLike, validate: bool = True) -> PointedCrossedCategory:
     """Load and, by default, verify; a failing axiom raises ValidationError."""
-    cat = category_from_json(read_json(path), Path(path).parent)
+    cat = category_from_json(read_json(path))
     if validate:
         from .pointed import verify_crossed_category
         rep = verify_crossed_category(cat)

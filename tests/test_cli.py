@@ -235,8 +235,8 @@ def _fixture_with(name, value, *path):
      "identity 7 out of range 0..2"),
     ("matched-pair", _fixture_with("z2-z3-inversion", 3, "G"), "group must be a JSON object"),
     ("category", 5, "category must be a JSON object"),
-    ("matched-pair", _fixture_with("z2-z3-inversion", ".", "G"),
-     "[Errno 21] Is a directory: '{dir}'"),
+    # a string where an object belongs is refused, never opened as a path
+    ("matched-pair", _fixture_with("z2-z3-inversion", ".", "G"), "group must be a JSON object"),
     # JSON true/false are not integers, though Python's bool subclasses int
     ("group", {"table": [[False, True], [True, False]]},
      "group table must be a list of lists of integers"),
@@ -271,7 +271,7 @@ def _fixture_with(name, value, *path):
     ("category", _fixture_with("cat-vec-z2z3", [[[0, 0, 0], [0, 5, 0]], [[0] * 3] * 2], "chi"),
      "chi exponent 5 not in 0..1"),
 ], ids=["group-not-object", "identity-out-of-range", "G-not-object", "category-not-object",
-        "G-names-a-directory", "bool-in-group-table", "bool-identity", "bool-in-action",
+        "G-string-not-opened", "bool-in-group-table", "bool-identity", "bool-in-action",
         "ragged-act1", "ragged-act2", "act1-range", "act2-range", "bool-M", "bool-in-J",
         "order-not-rows", "order-not-integer", "bool-order", "grading-range", "short-grading",
         "short-action-row", "action-range", "J-one-plane", "short-phi", "short-iota",
@@ -282,8 +282,42 @@ def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj, error):
     assert main(["verify", kind, str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err.strip().splitlines()[-1]) == {
-        "error": error.format(dir=tmp_path)}
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {"error": error}
+
+
+@pytest.mark.parametrize("obj,named,error", [
+    (_fixture_with("cat-vec-z2z3", "pair.json", "mp"), "z2-z3-inversion",
+     "matched pair must be a JSON object"),
+    ("pair.json", "cat-vec-z2z3", "category must be a JSON object"),
+], ids=["mp-names-a-pair-file", "file-names-a-category-file"])
+def test_path_string_is_not_opened(capsys, tmp_path, obj, named, error):
+    # pair.json holds a valid object of the kind asked for, but each file is
+    # one self-contained JSON value
+    (tmp_path / "pair.json").write_text((FIXTURE_DIR / f"{named}.json").read_text())
+    (tmp_path / "cat.json").write_text(json.dumps(obj))
+    assert main(["verify", "category", str(tmp_path / "cat.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": error}
+
+
+def test_sub_object_naming_dev_zero_exits_2(tmp_path):
+    """A group given as "/dev/zero" exits 2 without opening it.  Were the path
+    read, it would fill memory; so the command runs in a child process whose
+    address space is capped at 512 MB, with a timeout."""
+    resource = pytest.importorskip("resource")
+    (tmp_path / "cat.json").write_text(json.dumps(_fixture_with("cat-vec-z2z3", "/dev/zero",
+                                                                "Lambda")))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    done = subprocess.run([sys.executable, "-m", "crossedcat.cli", "verify", "category",
+                           str(tmp_path / "cat.json")], capture_output=True, text=True,
+                          timeout=60, preexec_fn=cap_memory,
+                          env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")})
+    assert (done.returncode, done.stdout) == (2, "")
+    assert json.loads(done.stderr) == {"error": "group must be a JSON object"}
 
 
 @pytest.mark.parametrize("obj,witness", [

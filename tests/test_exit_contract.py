@@ -37,8 +37,8 @@ COMMANDS = {
 KEYS = ["table", "identity", "name", "order", "G", "Gamma", "act1", "act2", "side1", "side2",
         "phi", "psi", "Lambda", "mp", "grading", "action", "M", "J", "chi", "iota"]
 
-# strings are also read as paths to referenced files: "." names a directory,
-# and a NUL byte or a lone surrogate cannot be a path at all
+# strings where an object belongs must be refused, never opened as paths:
+# "." would name a directory, and a NUL byte or a lone surrogate no file at all
 scalars = (st.none() | st.booleans() | st.integers(-2, 8) | st.floats(allow_nan=False)
            | st.text(max_size=4)
            | st.sampled_from(["trivial", "left", "right", ".", "\x00", "\ud800"]))
