@@ -83,10 +83,10 @@ def enumerate_center(cat: PointedCrossedCategory) -> list[CenterSimple]:
     A degree whose J|_N admits no character has no simple."""
     _searchable(cat, "enumerate_center", enumeration_tries(cat))
     L, N, out = cat.Lambda, cat.neutral_labels, []
-    for g in cat.G.elements():
+    for g, actg in zip(cat.G.elements(), cat.action):
         chars = twisted_characters(L, N, cat.M, cat.jtable[g])
         for label in L.elements():
-            if any(L.mul(L.mul(label, nu), L.inv(label)) != cat.act(g, nu) for nu in N):
+            if any(L.conj(label, nu) != actg[nu] for nu in N):
                 continue
             for chi in chars:
                 out.append(CenterSimple(g, label, chi))
@@ -112,14 +112,14 @@ def relative_center_oracle(cat: PointedCrossedCategory) -> list[CenterSimple]:
     pos = {x: i for i, x in enumerate(members)}
     out: list[CenterSimple] = []
     for g in cat.G.elements():
-        actg = cat.action[g]
+        actg, Jg = cat.action[g], cat.jtable[g]
         for label in L.elements():
             Llab, linv = Lt[label], Linv[label]
             if any(Lt[Llab[nu]][linv] != actg[nu] for nu in members):
                 continue
             for assignment in itertools.product(range(M), repeat=len(members)):
-                if all(assignment[pos[L.mul(a, b)]]
-                       == (cat.j(g, a, b) + assignment[pos[a]] + assignment[pos[b]]) % M
+                if all(assignment[pos[Lt[a][b]]]
+                       == (Jg[a][b] + assignment[pos[a]] + assignment[pos[b]]) % M
                        for a in members for b in members):
                     out.append(CenterSimple(g, label, assignment))
     out.sort(key=CenterSimple.sort_key)
@@ -141,20 +141,21 @@ def unit_normal(cat: PointedCrossedCategory) -> tuple[PointedCrossedCategory, tu
     units (comment there) then make J' and chi' vanish wherever e_G or e_L
     is an argument.  Returns `cat` itself when u0 = 0.
     """
-    G, L, M = cat.G, cat.Lambda, cat.M
+    G, L, M, phi, iota = cat.G, cat.Lambda, cat.M, cat.phitable, cat.iotatable
     Gs, Ls, eG, eL = G.elements(), L.elements(), G.identity, L.identity
-    u = tuple(tuple(-cat.ph(g) % M if x == eL else -cat.io(x) % M if g == eG else 0
+    u = tuple(tuple(-phi[g] % M if x == eL else -iota[x] % M if g == eG else 0
                     for x in Ls) for g in Gs)
     if not any(map(any, u)):
         return cat, u
     Gt, Lt, act, deg, a2 = G.table, L.table, cat.action, cat.grading, cat.mp.act2
-    j = [[[cat.j(g, x, y) + u[g][Lt[x][y]] - u[a2[deg[y]][g]][x] - u[g][y] for y in Ls]
+    J, X = cat.jtable, cat.chitable
+    j = [[[J[g][x][y] + u[g][Lt[x][y]] - u[a2[deg[y]][g]][x] - u[g][y] for y in Ls]
           for x in Ls] for g in Gs]
-    chi = [[[cat.x(g, h, x) + u[Gt[g][h]][x] - u[g][act[h][x]] - u[h][x] for x in Ls]
+    chi = [[[X[g][h][x] + u[Gt[g][h]][x] - u[g][act[h][x]] - u[h][x] for x in Ls]
             for h in Gs] for g in Gs]
     return pointed_category(L, cat.mp, deg, act, M, jtable=j, chitable=chi,
-                            phitable=[cat.ph(g) + u[g][eL] for g in Gs],
-                            iotatable=[cat.io(x) + u[eG][x] for x in Ls], name=cat.name), u
+                            phitable=[phi[g] + u[g][eL] for g in Gs],
+                            iotatable=[iota[x] + u[eG][x] for x in Ls], name=cat.name), u
 
 
 # -- structure maps --------------------------------------------------------------
@@ -170,12 +171,12 @@ class CenterStructure:
     input), and `simples` that list moved into the gauge by chi + u0[g]|_N,
     in its order, so that a witness index names the caller's simple.
 
-    The comments and docstrings of _close, half_braiding and the tables
-    give the defining chains, each evaluated into a dense integer table
-    indexed by *points*: the simples, then every object the structure maps
-    lead to outside them.  A correct center has no such escapes; a
-    corrupted simple list keeps them as points, so every sweep sees exactly
-    the values the chains give, and `as_category` reports the escape.
+    The comments and docstrings of _close and the tables give the defining
+    chains, each evaluated into a dense integer table indexed by *points*:
+    the simples, then every object the structure maps lead to outside
+    them.  A correct center has no such escapes; a corrupted simple list
+    keeps them as points, so every sweep sees exactly the values the chains
+    give, and `as_category` reports the escape.
     """
 
     def __init__(self, cat: PointedCrossedCategory, section: Optional[Sequence[int]] = None,
@@ -183,9 +184,9 @@ class CenterStructure:
         normal, self.u0 = unit_normal(cat)
         self.section = tuple(section) if section is not None else cat.least_section()
         for s in cat.Gamma.elements():
-            if cat.deg(self.section[s]) != s:
+            if cat.grading[self.section[s]] != s:
                 raise ValueError(f"section value {self.section[s]} has degree "
-                                 f"{cat.deg(self.section[s])}, wanted {s}")
+                                 f"{cat.grading[self.section[s]]}, wanted {s}")
         # the strict-unit bookkeeping needs the unit fiber to pick the unit label
         if self.section[cat.Gamma.identity] != cat.Lambda.identity:
             raise ValueError("section must send the trivial degree to the unit label")
@@ -196,7 +197,7 @@ class CenterStructure:
         self.simples = self.input_simples if normal is cat \
             else tuple(self._moved(z, 1) for z in self.input_simples)
         (self.points, self.tensor_table, self.g_action_table, self._gamma_table,
-         self._half_braiding) = self._close()
+         self.half_braiding) = self._close()
 
     def _moved(self, z: CenterSimple, sign: int) -> CenterSimple:
         """z moved into the unit-normal gauge (sign 1) or back to the input's (-1)."""
@@ -226,6 +227,25 @@ class CenterStructure:
         on the right, with those maps as tables: tensor [point][simple],
         G-action [g][point], Gamma-action [s][point] -> point, and the
         half_braiding row of each point.
+
+        half_braiding is HB[point][x]: the point's half-braiding extended to
+        every label x, the one place where the section splits a label.  With
+        x = zeta . nu, zeta = section[del x] and nu in N, move nu across lam
+        with chi, then recombine zeta . nu with J: HB[z][x] = chi(nu) +
+        J[h][zeta][nu].  The tables read it as follows:
+        - braid_table[z1][z2] = HB[z1][lam2]: unpack ^{del lam2} z1; the
+          chain lands on ^{h1} z2 (x) z1;
+        - j_gamma_table[s][z1][z2] = HB[z1][^{h2} zeta_s] + X[h1][h2][zeta_s],
+          split at section[h2 |>1 s] by axiom1_grading_compat; the X term
+          composes the half-braidings of z1 (x) z2 at zeta_s, as tensor does on N;
+        - chi_gamma_table[s][s2][z] = J[h][zeta_s][zeta_s2] - HB[z][zeta_s zeta_s2];
+        - sigma_table[g][s][z] has left side HB[^g z][^g zeta_0] + X[h'][g][zeta_0]
+          - J[g0][zeta_0][zeta_0^-1], of degree s, with h' the G-degree of
+          ^g z: the same tensor term for ^g z, and the duality isomorphism
+          ^{g0}(zeta_0^dual) ~ (^{g0} zeta_0)^dual that the retract needs;
+        - the Gamma-action's chi'(nu) = HB[z][nu zeta_s] - J[h][nu][zeta_s]:
+          relabel zeta^-1 nu = (zeta^-1 nu zeta) zeta^-1, move the neutral
+          part across lam with chi, and recombine with J twice.
 
         Each row evaluates its chain from terms found once per simple, per g,
         per s or per label; points are interned on (g, label, chi) tuples,
@@ -296,29 +316,6 @@ class CenterStructure:
                 for wg, wl, wchi, wpos in columns))
         return (tuple(points), tuple(tensor_rows), tuple(map(tuple, g_table)),
                 tuple(map(tuple, gamma_table)), tuple(hb_rows))
-
-    @property
-    def half_braiding(self) -> tuple[tuple[int, ...], ...]:
-        """HB[point][x]: the point's half-braiding extended to every label x,
-        the one place where the section splits a label.  With x = zeta . nu,
-        zeta = section[del x] and nu in N, move nu across lam with chi, then
-        recombine zeta . nu with J: HB[z][x] = chi(nu) + J[h][zeta][nu].
-        The tables read it as follows:
-        - braid_table[z1][z2] = HB[z1][lam2]: unpack ^{del lam2} z1; the
-          chain lands on ^{h1} z2 (x) z1;
-        - j_gamma_table[s][z1][z2] = HB[z1][^{h2} zeta_s] + X[h1][h2][zeta_s],
-          split at section[h2 |>1 s] by axiom1_grading_compat; the X term
-          composes the half-braidings of z1 (x) z2 at zeta_s, as tensor does on N;
-        - chi_gamma_table[s][s2][z] = J[h][zeta_s][zeta_s2] - HB[z][zeta_s zeta_s2];
-        - sigma_table[g][s][z] has left side HB[^g z][^g zeta_0] + X[h'][g][zeta_0]
-          - J[g0][zeta_0][zeta_0^-1], of degree s, with h' the G-degree of
-          ^g z: the same tensor term for ^g z, and the duality isomorphism
-          ^{g0}(zeta_0^dual) ~ (^{g0} zeta_0)^dual that the retract needs;
-        - the Gamma-action's chi'(nu) = HB[z][nu zeta_s] - J[h][nu][zeta_s]:
-          relabel zeta^-1 nu = (zeta^-1 nu zeta) zeta^-1, move the neutral
-          part across lam with chi, and recombine with J twice.
-        """
-        return self._half_braiding
 
     @cached_property
     def zero(self) -> bool:
@@ -447,6 +444,7 @@ class CenterStructure:
             plane = ((0,) * len(self.simples),) * (G.order * Gamma.order)
             return (plane,) * (G.order * Gamma.order)
         SA, SG, XG = self.gamma_action_table, self.sigma_table, self.chi_gamma_table
+        Ginv, a1, a2 = G.inverses, mp.act1, mp.act2
         label = [z.label for z in self.points]
         members = range(len(self.simples))
         # per (s, g2, s2): g_hat, sigma plus the Gamma part's chi, and the
@@ -454,10 +452,10 @@ class CenterStructure:
         pre = {s: [] for s in Gamma.elements()}
         for s in Gamma.elements():
             for g2 in G.elements():
-                g2i = G.inv(g2)
-                g_hat, s_hat = G.inv(mp.a2(s, g2i)), mp.a1(g2i, s)
+                g2i = Ginv[g2]
+                g_hat, s_hat = Ginv[a2[s][g2i]], a1[g2i][s]
                 for s2 in Gamma.elements():
-                    sig, act2, act12 = SG[g2][s], SA[s2], SA[Gamma.mul(s_hat, s2)]
+                    sig, act2, act12 = SG[g2][s], SA[s2], SA[Gamma.table[s_hat][s2]]
                     xg = XG[s_hat][s2]
                     pre[s].append((g_hat, [sig[act2[i]] + xg[i] for i in members],
                                    [label[act12[i]] for i in members]))

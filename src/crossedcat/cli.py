@@ -50,7 +50,9 @@ except ImportError:
 
 
 def _digest(path: Path) -> str:
-    return sha256(path.read_bytes()).hexdigest()
+    """SHA-256 of the input, read as the loaders read it (jsonio.read_input)."""
+    from .jsonio import read_input
+    return sha256(read_input(path)).hexdigest()
 
 
 def _emit(report: VerificationReport, pretty: bool) -> int:
@@ -165,7 +167,7 @@ def cmd_center(file: str, out: Optional[str], pretty: bool) -> int:
     rep.input_digest = _digest(Path(file))
     histogram: dict[str, int] = {}
     for z in simples:
-        key = f"{z.g},{cat.deg(z.label)}"
+        key = f"{z.g},{cat.grading[z.label]}"
         histogram[key] = histogram.get(key, 0) + 1
     payload = {
         "simples": [{"g": z.g, "label": z.label, "chi": list(z.chi)} for z in simples],

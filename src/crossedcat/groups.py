@@ -46,15 +46,10 @@ class FiniteGroup(Record):
     inverses: tuple[int, ...]
     name: str = "G"
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        t = self.table
+        return t[t[g][x]][self.inverses[g]]
 
     def elements(self) -> range:
         return range(self.order)
@@ -62,7 +57,7 @@ class FiniteGroup(Record):
     def element_order(self, a: int) -> int:
         n, x = 1, a
         while x != self.identity:
-            x = self.mul(x, a)
+            x = self.table[x][a]
             n += 1
         return n
 
@@ -129,15 +124,21 @@ def generators(table: Sequence[Sequence[int]], identity: int,
     for x in range(len(table)) if members is None else members:
         if x not in reached:
             gens.append(x)
-            frontier = list(reached)
-            while frontier:
-                row = table[frontier.pop()]
-                for s in gens:
-                    y = row[s]
-                    if y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
+            _reach(table, reached, gens)
     return gens
+
+
+def _reach(table: Sequence[Sequence[int]], reached: set[int], gens: Sequence[int]) -> set[int]:
+    """`reached`, grown in place by right products with `gens` until closed."""
+    frontier = list(reached)
+    while frontier:
+        row = table[frontier.pop()]
+        for s in gens:
+            y = row[s]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
 
 
 def certified_sweep(sweep: Callable[[Sequence[int]], Optional[tuple]],
@@ -209,21 +210,14 @@ def twisted_hom_witness(Xt: Table, act: Table, back: Table,
     using y' at (k, x y), y at (k', x), the left-action law of |>', and y'
     at (k, y).
     """
-    cols = tuple(zip(*Xt))  # cols[c][x] = x c
-    Xs = range(len(Xt))
-
     def sweep(ys: Sequence[int]) -> Optional[tuple]:
         for k in range(len(act)):
-            # each y compares whole columns over x; the first witness at k is
-            # the least (x, position of y in ys) among the failing ys
-            actk, first = act[k], None
-            for j, y in enumerate(ys):
-                tw, right, col = act[back[y][k]], cols[actk[y]], cols[y]
-                if tuple(map(actk.__getitem__, col)) != tuple(map(right.__getitem__, tw)):
-                    x = next(x for x in Xs if actk[col[x]] != right[tw[x]])
-                    first = min(first or (x, j), (x, j))
-            if first is not None:
-                return (k, first[0], ys[first[1]])
+            actk = act[k]
+            terms = [(y, act[back[y][k]], actk[y]) for y in ys]
+            for x, Xx in enumerate(Xt):
+                for y, tw, ky in terms:
+                    if actk[Xx[y]] != Xt[tw[x]][ky]:
+                        return (k, x, y)
         return None
 
     return certified_sweep(sweep, Xt, e)
@@ -276,27 +270,19 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 
 def subgroup_from_generators(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
-    """Closure of gens under product and inverse, as a sorted index list."""
-    seen = {G.identity}
-    frontier = [G.identity]
-    gens = [g for g in gens]
+    """The subgroup gens generate, as a sorted index list: in a finite group
+    the products of the generators already reach their inverses."""
+    gens = list(gens)
     for g in gens:
         if not 0 <= g < G.order:
             raise MalformedTable(f"generator {g} out of range")
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (G.mul(x, g), G.mul(x, G.inv(g))):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return sorted(seen)
+    return sorted(_reach(G.table, {G.identity}, gens))
 
 
 def subgroup_as_group(G: FiniteGroup, members: Sequence[int], name: str = "sub") -> FiniteGroup:
     """Reindex a closed subset as its own FiniteGroup (order of `members` kept)."""
-    pos = {x: i for i, x in enumerate(members)}
-    table = [[pos[G.mul(a, b)] for b in members] for a in members]
+    pos, Gt = {x: i for i, x in enumerate(members)}, G.table
+    table = [[pos[Gt[a][b]] for b in members] for a in members]
     return validate_group(table, pos[G.identity], name)
 
 
@@ -341,8 +327,8 @@ def twisted_characters(G: FiniteGroup, members: Sequence[int], modulus: int,
     generating set and closes multiplicatively using the law itself;
     solutions are then re-checked on every pair.
     """
-    members = list(members)
-    gens = generators(G.table, G.identity, members)
+    members, Gt = list(members), G.table
+    gens = generators(Gt, G.identity, members)
     base = {G.identity: (-J[G.identity][G.identity]) % modulus}
 
     def close(assign: dict[int, int]) -> Optional[dict[int, int]]:
@@ -352,7 +338,7 @@ def twisted_characters(G: FiniteGroup, members: Sequence[int], modulus: int,
         while frontier:
             x = frontier.pop()
             for h in gens:
-                y = G.mul(x, h)
+                y = Gt[x][h]
                 v = (J[x][h] + chi[x] + assign[h]) % modulus
                 if y in chi:
                     if chi[y] != v:
@@ -364,7 +350,7 @@ def twisted_characters(G: FiniteGroup, members: Sequence[int], modulus: int,
             return None
         for a in members:
             for b in members:
-                if chi[G.mul(a, b)] != (J[a][b] + chi[a] + chi[b]) % modulus:
+                if chi[Gt[a][b]] != (J[a][b] + chi[a] + chi[b]) % modulus:
                     return None
         return chi
 

@@ -30,12 +30,6 @@ class MatchedPair(Record):
     # stored on the record by its first call
     _verdict = None
 
-    def a1(self, g: int, s: int) -> int:
-        return self.act1[g][s]
-
-    def a2(self, s: int, g: int) -> int:
-        return self.act2[s][g]
-
 
 def matched_pair(G: FiniteGroup, Gamma: FiniteGroup,
                  act1: Sequence[Sequence[int]], act2: Sequence[Sequence[int]]) -> MatchedPair:
@@ -162,17 +156,17 @@ def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],
     """
     g_set = list(g_set)
     gamma_set = list(gamma_set)
-    gs, ms = set(g_set), set(gamma_set)
+    gs, ms, Ht, Hinv = set(g_set), set(gamma_set), H.table, H.inverses
     for name, sub, listed in (("G", gs, g_set), ("Gamma", ms, gamma_set)):
         if len(sub) != len(listed):
             raise NotExact(f"{name} lists an element twice")
         if H.identity not in sub:
             raise NotExact(f"{name} does not contain the identity")
         for a in sub:
-            if H.inv(a) not in sub:
+            if Hinv[a] not in sub:
                 raise NotExact(f"{name} not closed under inverse at {a}")
             for b in sub:
-                if H.mul(a, b) not in sub:
+                if Ht[a][b] not in sub:
                     raise NotExact(f"{name} not closed under product at ({a},{b})")
     if gs & ms != {H.identity}:
         raise NotExact("subgroups intersect beyond the identity")
@@ -183,14 +177,14 @@ def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],
     mpos = {x: i for i, x in enumerate(gamma_set)}
     # a b = a' b' gives a'^-1 a = b' b^-1 in G & Gamma = {e}, so the |G| |Gamma|
     # = |H| products are distinct and factor every element once
-    factor = {H.mul(a, b): (a, b) for a in g_set for b in gamma_set}
+    factor = {Ht[a][b]: (a, b) for a in g_set for b in gamma_set}
 
     a1 = [[0] * len(gamma_set) for _ in g_set]
     a2 = [[0] * len(g_set) for _ in gamma_set]
     for si, s in enumerate(gamma_set):
         for gi, g in enumerate(g_set):
-            a, b = factor[H.mul(s, H.inv(g))]
-            a2[si][gi] = gpos[H.inv(a)]
+            a, b = factor[Ht[s][Hinv[g]]]
+            a2[si][gi] = gpos[Hinv[a]]
             a1[gi][si] = mpos[b]
 
     Gg = subgroup_as_group(H, g_set, name=f"{H.name}.G")

@@ -40,8 +40,7 @@ class PointedCrossedCategory(Record):
     Every table has the shape the groups give, and every J, phi, chi and
     iota entry is stored reduced to 0..M-1: pointed_category checks the
     shapes and reduces the exponents, CenterStructure.as_category builds its
-    tables so, and the JSON loader rejects any other exponent.  The
-    accessors j, ph, x and io therefore return entries as stored.
+    tables so, and the JSON loader rejects any other exponent.
     """
 
     Lambda: FiniteGroup
@@ -62,25 +61,6 @@ class PointedCrossedCategory(Record):
     @property
     def Gamma(self) -> FiniteGroup:
         return self.mp.Gamma
-
-    # exponent accessors
-    def j(self, g: int, x: int, y: int) -> int:
-        return self.jtable[g][x][y]
-
-    def ph(self, g: int) -> int:
-        return self.phitable[g]
-
-    def x(self, g: int, h: int, lam: int) -> int:
-        return self.chitable[g][h][lam]
-
-    def io(self, lam: int) -> int:
-        return self.iotatable[lam]
-
-    def act(self, g: int, lam: int) -> int:
-        return self.action[g][lam]
-
-    def deg(self, lam: int) -> int:
-        return self.grading[lam]
 
     @cached_property
     def zero(self) -> bool:
@@ -153,8 +133,7 @@ def vec_gamma(mp: MatchedPair, M: int, name: Optional[str] = None) -> PointedCro
     if not pre.passed:
         raise NotMatched(pre)
     Gamma = mp.Gamma
-    action = tuple(tuple(mp.a1(g, s) for s in Gamma.elements()) for g in mp.G.elements())
-    return pointed_category(Gamma, mp, tuple(Gamma.elements()), action, M,
+    return pointed_category(Gamma, mp, tuple(Gamma.elements()), mp.act1, M,
                             name=name or f"Vec[{Gamma.name}]")
 
 

@@ -76,9 +76,9 @@ def table_mutants(table, size: int):
 def duals_hold(cat) -> bool:
     """The dual law: the left dual of ^g x, ^{del(x) |>2 g}(x^-1), is the
     inverse label of ^g x, for every (x, g)."""
-    L, a2 = cat.Lambda, cat.mp.a2
-    return all(cat.act(a2(cat.deg(x), g), L.inv(x)) == L.inv(cat.act(g, x))
-               for x in L.elements() for g in cat.G.elements())
+    Linv, act, deg, a2 = cat.Lambda.inverses, cat.action, cat.grading, cat.mp.act2
+    return all(act[a2[deg[x]][g]][Linv[x]] == Linv[act[g][x]]
+               for x in cat.Lambda.elements() for g in cat.G.elements())
 
 
 def renamed(mp, like):

@@ -36,11 +36,13 @@ def gauge(cat: PointedCrossedCategory, u: Sequence[Sequence[int]]) -> PointedCro
     """cat with J, phi, chi and iota moved by the cochain u[g][x] as above."""
     G, L, mp = cat.G, cat.Lambda, cat.mp
     Gs, Ls, eG, eL = G.elements(), L.elements(), G.identity, L.identity
-    j = [[[cat.j(g, x, y) + u[g][L.mul(x, y)] - u[mp.a2(cat.deg(y), g)][x] - u[g][y]
+    Gt, Lt, a2 = G.table, L.table, mp.act2
+    J, X, act, deg = cat.jtable, cat.chitable, cat.action, cat.grading
+    j = [[[J[g][x][y] + u[g][Lt[x][y]] - u[a2[deg[y]][g]][x] - u[g][y]
            for y in Ls] for x in Ls] for g in Gs]
-    phi = [cat.ph(g) + u[g][eL] for g in Gs]
-    chi = [[[cat.x(g, h, x) + u[G.mul(g, h)][x] - u[g][cat.act(h, x)] - u[h][x]
+    phi = [cat.phitable[g] + u[g][eL] for g in Gs]
+    chi = [[[X[g][h][x] + u[Gt[g][h]][x] - u[g][act[h][x]] - u[h][x]
              for x in Ls] for h in Gs] for g in Gs]
-    iota = [cat.io(x) + u[eG][x] for x in Ls]
+    iota = [cat.iotatable[x] + u[eG][x] for x in Ls]
     return pointed_category(L, mp, cat.grading, cat.action, cat.M, jtable=j, phitable=phi,
                             chitable=chi, iotatable=iota, name=f"{cat.name}:gauged")

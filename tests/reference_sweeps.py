@@ -12,9 +12,11 @@ checks are now `ReferenceSwapLaws`; `reference_matched_pair`,
 package now certifies a law on a generating set.  `reported_crossed_category`
 and `reported_braiding` are the reference reports without the laws the
 core proves from its other checks instead of reporting them.
-Loop bodies are unchanged and call only each other, never the code they
-are compared with, so that tests/test_reference_equivalence.py can require
-the table-driven core to return the same (name, pass, witness) lists.
+Loop bodies keep the equations of the code they replaced, each table read
+spelled as the core spells it, and call only each other, never the code
+they are compared with, so that tests/test_reference_equivalence.py can
+require the table-driven core to return the same (name, pass, witness)
+lists.
 """
 
 from __future__ import annotations
@@ -80,9 +82,10 @@ def reference_validate_group(table: Sequence[Sequence[int]], identity: Optional[
 def reference_is_hom_image(source: FiniteGroup, target: FiniteGroup,
                            image: Sequence[int]) -> Optional[tuple]:
     """Witness (a, b) where the hom law fails, or None."""
+    St, Tt = source.table, target.table
     for a in source.elements():
         for b in source.elements():
-            if image[source.mul(a, b)] != target.mul(image[a], image[b]):
+            if image[St[a][b]] != Tt[image[a]][image[b]]:
                 return (a, b)
     return None
 
@@ -92,49 +95,50 @@ def reference_is_hom_image(source: FiniteGroup, target: FiniteGroup,
 def reference_matched_pair(mp: MatchedPair) -> VerificationReport:
     """All matched-pair axioms, exhaustively; first lexicographic witness per axiom."""
     G, M = mp.G, mp.Gamma
+    Gt, Mt, a1, a2 = G.table, M.table, mp.act1, mp.act2
     rep = VerificationReport(subject="matched-pair")
 
     def act1_action() -> Optional[tuple]:
         for s in M.elements():
-            if mp.a1(G.identity, s) != s:
+            if a1[G.identity][s] != s:
                 return (G.identity, s)
         for g, h, s in itertools.product(G.elements(), G.elements(), M.elements()):
-            if mp.a1(g, mp.a1(h, s)) != mp.a1(G.mul(g, h), s):
+            if a1[g][a1[h][s]] != a1[Gt[g][h]][s]:
                 return (g, h, s)
         return None
 
     def act2_action() -> Optional[tuple]:
         for g in G.elements():
-            if mp.a2(M.identity, g) != g:
+            if a2[M.identity][g] != g:
                 return (M.identity, g)
         for s, t, g in itertools.product(M.elements(), M.elements(), G.elements()):
-            if mp.a2(s, mp.a2(t, g)) != mp.a2(M.mul(s, t), g):
+            if a2[s][a2[t][g]] != a2[Mt[s][t]][g]:
                 return (s, t, g)
         return None
 
     def unit1() -> Optional[tuple]:
         for g in G.elements():
-            if mp.a1(g, M.identity) != M.identity:
+            if a1[g][M.identity] != M.identity:
                 return (g,)
         return None
 
     def unit2() -> Optional[tuple]:
         for s in M.elements():
-            if mp.a2(s, G.identity) != G.identity:
+            if a2[s][G.identity] != G.identity:
                 return (s,)
         return None
 
     def match1() -> Optional[tuple]:
         # g |>1 (s t) = ((t |>2 g) |>1 s)(g |>1 t)
         for g, s, t in itertools.product(G.elements(), M.elements(), M.elements()):
-            if mp.a1(g, M.mul(s, t)) != M.mul(mp.a1(mp.a2(t, g), s), mp.a1(g, t)):
+            if a1[g][Mt[s][t]] != Mt[a1[a2[t][g]][s]][a1[g][t]]:
                 return (g, s, t)
         return None
 
     def match2() -> Optional[tuple]:
         # s |>2 (g h) = ((h |>1 s) |>2 g)(s |>2 h)
         for s, g, h in itertools.product(M.elements(), G.elements(), G.elements()):
-            if mp.a2(s, G.mul(g, h)) != G.mul(mp.a2(mp.a1(h, s), g), mp.a2(s, h)):
+            if a2[s][Gt[g][h]] != Gt[a2[a1[h][s]][g]][a2[s][h]]:
                 return (s, g, h)
         return None
 
@@ -158,17 +162,18 @@ def reference_zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, tuple[int, ...],
     if not rep.passed:
         raise NotMatched(rep)
     G, M = mp.G, mp.Gamma
+    Gt, Ginv, Mt, a1, a2 = G.table, G.inverses, M.table, mp.act1, mp.act2
     n = G.order * M.order
     table = [[0] * n for _ in range(n)]
     for g in G.elements():
         for s in M.elements():
             row = table[g * M.order + s]
             for g2 in G.elements():
-                gi = G.inv(g2)
-                first_g = G.mul(g, G.inv(mp.a2(s, gi)))
-                s_twist = mp.a1(gi, s)
+                gi = Ginv[g2]
+                first_g = Gt[g][Ginv[a2[s][gi]]]
+                s_twist = a1[gi][s]
                 for s2 in M.elements():
-                    row[g2 * M.order + s2] = first_g * M.order + M.mul(s_twist, s2)
+                    row[g2 * M.order + s2] = first_g * M.order + Mt[s_twist][s2]
     H = reference_validate_group(table, G.identity * M.order + M.identity, f"{G.name}><{M.name}")
     embed_g = tuple(g * M.order + M.identity for g in G.elements())
     embed_m = tuple(G.identity * M.order + s for s in M.elements())
@@ -181,6 +186,7 @@ def reference_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
     """Hom checks plus the five braiding axioms, exhaustive with witnesses."""
     mp = bmp.mp
     G, M = mp.G, mp.Gamma
+    Gt, Mt, a1, a2 = G.table, M.table, mp.act1, mp.act2
     phi, psi = bmp.phi, bmp.psi
     rep = VerificationReport(subject="braided-matched-pair")
 
@@ -197,33 +203,33 @@ def reference_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
     def braid1() -> Optional[tuple]:
         # (phi(s) |>1 t) s = (psi(t) |>1 s) t
         for s, t in itertools.product(M.elements(), M.elements()):
-            if M.mul(mp.a1(phi[s], t), s) != M.mul(mp.a1(psi[t], s), t):
+            if Mt[a1[phi[s]][t]][s] != Mt[a1[psi[t]][s]][t]:
                 return (s, t)
         return None
 
     def braid2() -> Optional[tuple]:
         # (s |>2 g) phi(s) = phi(g |>1 s) g
         for s, g in itertools.product(M.elements(), G.elements()):
-            if G.mul(mp.a2(s, g), phi[s]) != G.mul(phi[mp.a1(g, s)], g):
+            if Gt[a2[s][g]][phi[s]] != Gt[phi[a1[g][s]]][g]:
                 return (s, g)
         return None
 
     def braid3() -> Optional[tuple]:
         for s, g in itertools.product(M.elements(), G.elements()):
-            if G.mul(mp.a2(s, g), psi[s]) != G.mul(psi[mp.a1(g, s)], g):
+            if Gt[a2[s][g]][psi[s]] != Gt[psi[a1[g][s]]][g]:
                 return (s, g)
         return None
 
     def braid4() -> Optional[tuple]:
         # s |>2 phi(t) = phi(psi(s) |>1 t)
         for s, t in itertools.product(M.elements(), M.elements()):
-            if mp.a2(s, phi[t]) != phi[mp.a1(psi[s], t)]:
+            if a2[s][phi[t]] != phi[a1[psi[s]][t]]:
                 return (s, t)
         return None
 
     def braid5() -> Optional[tuple]:
         for s, t in itertools.product(M.elements(), M.elements()):
-            if mp.a2(s, psi[t]) != psi[mp.a1(phi[s], t)]:
+            if a2[s][psi[t]] != psi[a1[phi[s]][t]]:
                 return (s, t)
         return None
 
@@ -255,19 +261,20 @@ def reported_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
 
 
 def _one_sided_actions(mp: MatchedPair):
-    G, M = mp.G, mp.Gamma
+    Gt, Ginv, Mt, Minv = mp.G.table, mp.G.inverses, mp.Gamma.table, mp.Gamma.inverses
+    a1, a2 = mp.act1, mp.act2
 
     def g_on_pair(g: int, h: int, t: int) -> tuple[int, int]:
-        return (G.mul(G.mul(mp.a2(t, g), h), G.inv(g)), mp.a1(g, t))
+        return (Gt[Gt[a2[t][g]][h]][Ginv[g]], a1[g][t])
 
     def pair_on_g(h: int, t: int, g: int) -> int:
-        return mp.a2(t, g)
+        return a2[t][g]
 
     def s_on_pair(s: int, h: int, t: int) -> tuple[int, int]:
-        return (mp.a2(s, h), M.mul(M.mul(mp.a1(h, s), t), M.inv(s)))
+        return (a2[s][h], Mt[Mt[a1[h][s]][t]][Minv[s]])
 
     def pair_on_s(h: int, t: int, s: int) -> int:
-        return mp.a1(h, s)
+        return a1[h][s]
 
     return g_on_pair, pair_on_g, s_on_pair, pair_on_s
 
@@ -324,6 +331,9 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
     pass/fail outcome; it only gates center construction.
     """
     L, G, Gamma, mp, M = cat.Lambda, cat.G, cat.Gamma, cat.mp, cat.M
+    Gt, Lt, a1, a2 = G.table, L.table, mp.act1, mp.act2
+    J, X, act, deg = cat.jtable, cat.chitable, cat.action, cat.grading
+    phi, iota = cat.phitable, cat.iotatable
     rep = VerificationReport(subject=f"category {cat.name}")
 
     def matched_pair_valid() -> Optional[tuple]:
@@ -332,33 +342,33 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
 
     def grading_hom() -> Optional[tuple]:
         for x, y in itertools.product(L.elements(), L.elements()):
-            if cat.deg(L.mul(x, y)) != Gamma.mul(cat.deg(x), cat.deg(y)):
+            if deg[Lt[x][y]] != Gamma.table[deg[x]][deg[y]]:
                 return (x, y)
-        if cat.deg(L.identity) != Gamma.identity:
+        if deg[L.identity] != Gamma.identity:
             return (L.identity,)
         return None
 
     def action_identity() -> Optional[tuple]:
         for x in L.elements():
-            if cat.act(G.identity, x) != x:
+            if act[G.identity][x] != x:
                 return (x,)
         return None
 
     def action_composition() -> Optional[tuple]:
         for g, h, x in itertools.product(G.elements(), G.elements(), L.elements()):
-            if cat.act(g, cat.act(h, x)) != cat.act(G.mul(g, h), x):
+            if act[g][act[h][x]] != act[Gt[g][h]][x]:
                 return (g, h, x)
         return None
 
     def action_fixes_unit() -> Optional[tuple]:
         for g in G.elements():
-            if cat.act(g, L.identity) != L.identity:
+            if act[g][L.identity] != L.identity:
                 return (g,)
         return None
 
     def axiom1_grading() -> Optional[tuple]:
         for g, x in itertools.product(G.elements(), L.elements()):
-            if cat.deg(cat.act(g, x)) != mp.a1(g, cat.deg(x)):
+            if deg[act[g][x]] != a1[g][deg[x]]:
                 return (g, x)
         return None
 
@@ -366,16 +376,16 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
         # ^g(x y) = ^{del(y) |>2 g} x . ^g y as labels; J is invertible only
         # between equal simples, so this is axiom 2 at the object level.
         for g, x, y in itertools.product(G.elements(), L.elements(), L.elements()):
-            tw = mp.a2(cat.deg(y), g)
-            if cat.act(g, L.mul(x, y)) != L.mul(cat.act(tw, x), cat.act(g, y)):
+            tw = a2[deg[y]][g]
+            if act[g][Lt[x][y]] != Lt[act[tw][x]][act[g][y]]:
                 return (g, x, y)
         return None
 
     def axiom2_cocycle() -> Optional[tuple]:
         for g, x, y, z in itertools.product(G.elements(), L.elements(), L.elements(), L.elements()):
-            tw = mp.a2(cat.deg(z), g)
-            lhs = cat.j(g, L.mul(x, y), z) + cat.j(tw, x, y)
-            rhs = cat.j(g, x, L.mul(y, z)) + cat.j(g, y, z)
+            tw = a2[deg[z]][g]
+            lhs = J[g][Lt[x][y]][z] + J[tw][x][y]
+            rhs = J[g][x][Lt[y][z]] + J[g][y][z]
             if (lhs - rhs) % M:
                 return (g, x, y, z)
         return None
@@ -383,16 +393,16 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
     def axiom2_units() -> Optional[tuple]:
         e = L.identity
         for g, y in itertools.product(G.elements(), L.elements()):
-            if (cat.j(g, e, y) + cat.ph(mp.a2(cat.deg(y), g))) % M:
+            if (J[g][e][y] + phi[a2[deg[y]][g]]) % M:
                 return ("left", g, y)
-            if (cat.j(g, y, e) + cat.ph(g)) % M:
+            if (J[g][y][e] + phi[g]) % M:
                 return ("right", g, y)
         return None
 
     def chi_cocycle() -> Optional[tuple]:
         for g, h, k, x in itertools.product(G.elements(), G.elements(), G.elements(), L.elements()):
-            lhs = cat.x(G.mul(g, h), k, x) + cat.x(g, h, cat.act(k, x))
-            rhs = cat.x(g, G.mul(h, k), x) + cat.x(h, k, x)
+            lhs = X[Gt[g][h]][k][x] + X[g][h][act[k][x]]
+            rhs = X[g][Gt[h][k]][x] + X[h][k][x]
             if (lhs - rhs) % M:
                 return (g, h, k, x)
         return None
@@ -400,32 +410,32 @@ def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationRepor
     def chi_units() -> Optional[tuple]:
         e = G.identity
         for g, x in itertools.product(G.elements(), L.elements()):
-            if (cat.x(g, e, x) + cat.io(x)) % M:
+            if (X[g][e][x] + iota[x]) % M:
                 return ("right", g, x)
-            if (cat.x(e, g, x) + cat.io(cat.act(g, x))) % M:
+            if (X[e][g][x] + iota[act[g][x]]) % M:
                 return ("left", g, x)
         return None
 
     def axiom3_j() -> Optional[tuple]:
         for g, h, x, y in itertools.product(G.elements(), G.elements(), L.elements(), L.elements()):
-            dy = cat.deg(y)
-            lhs = cat.x(g, h, L.mul(x, y)) + cat.j(h, x, y) \
-                + cat.j(g, cat.act(mp.a2(dy, h), x), cat.act(h, y))
-            rhs = cat.j(G.mul(g, h), x, y) \
-                + cat.x(mp.a2(mp.a1(h, dy), g), mp.a2(dy, h), x) + cat.x(g, h, y)
+            dy = deg[y]
+            lhs = X[g][h][Lt[x][y]] + J[h][x][y] \
+                + J[g][act[a2[dy][h]][x]][act[h][y]]
+            rhs = J[Gt[g][h]][x][y] \
+                + X[a2[a1[h][dy]][g]][a2[dy][h]][x] + X[g][h][y]
             if (lhs - rhs) % M:
                 return (g, h, x, y)
         return None
 
     def axiom3_phi() -> Optional[tuple]:
         for g, h in itertools.product(G.elements(), G.elements()):
-            if (cat.x(g, h, L.identity) + cat.ph(h) + cat.ph(g) - cat.ph(G.mul(g, h))) % M:
+            if (X[g][h][L.identity] + phi[h] + phi[g] - phi[Gt[g][h]]) % M:
                 return (g, h)
         return None
 
     def axiom3_iota_tensor() -> Optional[tuple]:
         for x, y in itertools.product(L.elements(), L.elements()):
-            if (cat.io(L.mul(x, y)) - cat.j(G.identity, x, y) - cat.io(x) - cat.io(y)) % M:
+            if (iota[Lt[x][y]] - J[G.identity][x][y] - iota[x] - iota[y]) % M:
                 return (x, y)
         return None
 
@@ -483,9 +493,9 @@ class ReferenceCenter:
         self.cat = cat
         self.section = tuple(section) if section is not None else cat.least_section()
         for s in cat.Gamma.elements():
-            if cat.deg(self.section[s]) != s:
+            if cat.grading[self.section[s]] != s:
                 raise ValueError(f"section value {self.section[s]} has degree "
-                                 f"{cat.deg(self.section[s])}, wanted {s}")
+                                 f"{cat.grading[self.section[s]]}, wanted {s}")
         # the strict-unit bookkeeping needs the unit fiber to pick the unit label
         if self.section[cat.Gamma.identity] != cat.Lambda.identity:
             raise ValueError("section must send the trivial degree to the unit label")
@@ -504,7 +514,7 @@ class ReferenceCenter:
         return z.chi[self.npos[nu]]
 
     def grade(self, z: CenterSimple) -> tuple[int, int]:
-        return (z.g, self.cat.deg(z.label))
+        return (z.g, self.cat.grading[z.label])
 
     def find(self, z: CenterSimple) -> int:
         key = (z.g, z.label, z.chi)
@@ -524,11 +534,11 @@ class ReferenceCenter:
         if hit is not None:
             return hit
         cat = self.cat
-        L, M = cat.Lambda, cat.M
-        g = cat.G.mul(z1.g, z2.g)
-        label = L.mul(z1.label, z2.label)
+        M, X, act = cat.M, cat.chitable, cat.action
+        g = cat.G.table[z1.g][z2.g]
+        label = cat.Lambda.table[z1.label][z2.label]
         chi = tuple(
-            (cat.x(z1.g, z2.g, nu) + self.chi_at(z1, cat.act(z2.g, nu)) + self.chi_at(z2, nu)) % M
+            (X[z1.g][z2.g][nu] + self.chi_at(z1, act[z2.g][nu]) + self.chi_at(z2, nu)) % M
             for nu in cat.neutral_labels)
         out = CenterSimple(g, label, chi)
         self._tensor_cache[key] = out
@@ -544,17 +554,18 @@ class ReferenceCenter:
         if hit is not None:
             return hit
         cat = self.cat
-        G, L, M, mp = cat.G, cat.Lambda, cat.M, cat.mp
-        t = cat.deg(z.label)
-        gi = G.inv(g)
-        new_g = G.mul(G.mul(mp.a2(t, g), z.g), gi)
-        label = cat.act(g, z.label)
-        hgi = G.mul(z.g, gi)
+        M, J, act, deg = cat.M, cat.jtable, cat.action, cat.grading
+        Gt, Ginv, a2 = cat.G.table, cat.G.inverses, cat.mp.act2
+        t = deg[z.label]
+        gi = Ginv[g]
+        new_g = Gt[Gt[a2[t][g]][z.g]][gi]
+        label = act[g][z.label]
+        hgi = Gt[z.g][gi]
         chi = []
         for nu in cat.neutral_labels:
-            nu_back = cat.act(gi, nu)
-            e = cat.j(g, z.label, nu_back) + self.chi_at(z, nu_back) \
-                - cat.j(g, cat.act(hgi, nu), z.label)
+            nu_back = act[gi][nu]
+            e = J[g][z.label][nu_back] + self.chi_at(z, nu_back) \
+                - J[g][act[hgi][nu]][z.label]
             chi.append(e % M)
         out = CenterSimple(new_g, label, tuple(chi))
         self._g_cache[key] = out
@@ -569,7 +580,8 @@ class ReferenceCenter:
         if hit is not None:
             return hit
         cat = self.cat
-        L, M, mp = cat.Lambda, cat.M, cat.mp
+        L, M, J, act, a2 = cat.Lambda, cat.M, cat.jtable, cat.action, cat.mp.act2
+        Lt, Linv = L.table, L.inverses
         h = z.g
         zeta = self.section[s]
         # the retract idempotent evaluates to chi(unit) * phi[h]^-1, and phi is
@@ -579,12 +591,12 @@ class ReferenceCenter:
             raise UnsupportedConfiguration(
                 f"retract idempotent is not the identity on {z} (chi at unit = "
                 f"{self.chi_at(z, L.identity)}, phi[{h}] = 0)")
-        new_g = mp.a2(s, h)
-        label = L.mul(L.mul(cat.act(h, zeta), z.label), L.inv(zeta))
+        new_g = a2[s][h]
+        label = Lt[Lt[act[h][zeta]][z.label]][Linv[zeta]]
         chi = []
         for nu in cat.neutral_labels:
-            conj = L.mul(L.mul(L.inv(zeta), nu), zeta)
-            e = self.chi_at(z, conj) + cat.j(h, zeta, conj) - cat.j(h, nu, zeta)
+            conj = Lt[Lt[Linv[zeta]][nu]][zeta]
+            e = self.chi_at(z, conj) + J[h][zeta][conj] - J[h][nu][zeta]
             chi.append(e % M)
         out = CenterSimple(new_g, label, tuple(chi))
         self._gamma_cache[key] = out
@@ -601,21 +613,23 @@ class ReferenceCenter:
         if hit is not None:
             return hit
         cat = self.cat
-        G, L, M, mp = cat.G, cat.Lambda, cat.M, cat.mp
-        t = cat.deg(z.label)
-        gi = G.inv(g)
-        s0 = mp.a1(gi, s)
-        g0 = G.inv(mp.a2(s, gi))
+        M, J, X, act, deg = cat.M, cat.jtable, cat.chitable, cat.action, cat.grading
+        Lt, Linv, Ginv = cat.Lambda.table, cat.Lambda.inverses, cat.G.inverses
+        a1, a2 = cat.mp.act1, cat.mp.act2
+        t = deg[z.label]
+        gi = Ginv[g]
+        s0 = a1[gi][s]
+        g0 = Ginv[a2[s][gi]]
         zp = self.g_act(g, z)           # the acted simple carrying chi'
         h_p = zp.g                       # (t |>2 g) h g^-1
         zeta_s, zeta_0 = self.section[s], self.section[s0]
-        omega = cat.act(g, zeta_0)
-        nu0 = L.mul(L.inv(zeta_s), omega)
-        lhs = self.chi_at(zp, nu0) + cat.j(h_p, zeta_s, nu0)
-        a_h_zeta0 = cat.act(z.g, zeta_0)
-        canon_rhs = -cat.j(g0, L.mul(a_h_zeta0, z.label), L.inv(zeta_0)) \
-            - cat.j(g, a_h_zeta0, z.label) + cat.x(mp.a2(t, g), z.g, zeta_0)
-        out = (lhs - canon_rhs + cat.x(h_p, g, zeta_0) - cat.j(g0, zeta_0, L.inv(zeta_0))) % M
+        omega = act[g][zeta_0]
+        nu0 = Lt[Linv[zeta_s]][omega]
+        lhs = self.chi_at(zp, nu0) + J[h_p][zeta_s][nu0]
+        a_h_zeta0 = act[z.g][zeta_0]
+        canon_rhs = -J[g0][Lt[a_h_zeta0][z.label]][Linv[zeta_0]] \
+            - J[g][a_h_zeta0][z.label] + X[a2[t][g]][z.g][zeta_0]
+        out = (lhs - canon_rhs + X[h_p][g][zeta_0] - J[g0][zeta_0][Linv[zeta_0]]) % M
         self._sigma_cache[key] = out
         return out
 
@@ -626,11 +640,12 @@ class ReferenceCenter:
         if hit is not None:
             return hit
         cat = self.cat
-        L, M, mp = cat.Lambda, cat.M, cat.mp
-        s_tw = mp.a1(z2.g, s)
-        nu_star = L.mul(L.inv(self.section[s_tw]), cat.act(z2.g, self.section[s]))
-        out = (self.chi_at(z1, nu_star) + cat.j(z1.g, self.section[s_tw], nu_star)
-               + cat.x(z1.g, z2.g, self.section[s])) % M
+        M, J, X, act, a1 = cat.M, cat.jtable, cat.chitable, cat.action, cat.mp.act1
+        Lt, Linv = cat.Lambda.table, cat.Lambda.inverses
+        s_tw = a1[z2.g][s]
+        nu_star = Lt[Linv[self.section[s_tw]]][act[z2.g][self.section[s]]]
+        out = (self.chi_at(z1, nu_star) + J[z1.g][self.section[s_tw]][nu_star]
+               + X[z1.g][z2.g][self.section[s]]) % M
         self._jg_cache[key] = out
         return out
 
@@ -640,31 +655,31 @@ class ReferenceCenter:
         if hit is not None:
             return hit
         cat = self.cat
-        L, M = cat.Lambda, cat.M
-        ss2 = cat.Gamma.mul(s, s2)
-        nu = L.mul(L.inv(self.section[ss2]), L.mul(self.section[s], self.section[s2]))
-        out = (cat.j(z.g, self.section[s], self.section[s2])
-               - cat.j(z.g, self.section[ss2], nu) - self.chi_at(z, nu)) % M
+        M, J, Lt, Linv = cat.M, cat.jtable, cat.Lambda.table, cat.Lambda.inverses
+        ss2 = cat.Gamma.table[s][s2]
+        nu = Lt[Linv[self.section[ss2]]][Lt[self.section[s]][self.section[s2]]]
+        out = (J[z.g][self.section[s]][self.section[s2]]
+               - J[z.g][self.section[ss2]][nu] - self.chi_at(z, nu)) % M
         self._xg_cache[key] = out
         return out
 
     # -- combined crossed structure on (G><Gamma, G x Gamma)
     def j_combined(self, g: int, s: int, z1: CenterSimple, z2: CenterSimple) -> int:
         cat = self.cat
-        s_tw = cat.mp.a1(z2.g, s)
+        s_tw = cat.mp.act1[z2.g][s]
         w1 = self.gamma_act(s_tw, z1)
         w2 = self.gamma_act(s, z2)
-        return (self.j_gamma(s, z1, z2) + cat.j(g, w1.label, w2.label)) % cat.M
+        return (self.j_gamma(s, z1, z2) + cat.jtable[g][w1.label][w2.label]) % cat.M
 
     def x_combined(self, g: int, s: int, g2: int, s2: int, z: CenterSimple) -> int:
         cat = self.cat
-        G, Gamma, mp = cat.G, cat.Gamma, cat.mp
-        g_hat = G.inv(mp.a2(s, G.inv(g2)))
-        s_hat = mp.a1(G.inv(g2), s)
+        Ginv, a1, a2 = cat.G.inverses, cat.mp.act1, cat.mp.act2
+        g_hat = Ginv[a2[s][Ginv[g2]]]
+        s_hat = a1[Ginv[g2]][s]
         part_sigma = self.sigma(g2, s, self.gamma_act(s2, z))
         part_chi_gamma = self.chi_gamma(s_hat, s2, z)
-        w = self.gamma_act(Gamma.mul(s_hat, s2), z)
-        part_chi_g = cat.x(g, g_hat, w.label)
+        w = self.gamma_act(cat.Gamma.table[s_hat][s2], z)
+        part_chi_g = cat.chitable[g][g_hat][w.label]
         return (part_sigma + part_chi_gamma + part_chi_g) % cat.M
 
     # -- braiding.  Chain: unpack ^{u} z1, move zeta_u^-1 . mu2 across lam1
@@ -672,10 +687,10 @@ class ReferenceCenter:
     def braiding(self, z1: CenterSimple, z2: CenterSimple) -> tuple[CenterSimple, int]:
         cat = self.cat
         L = cat.Lambda
-        u = cat.deg(z2.label)
+        u = cat.grading[z2.label]
         zeta = self.section[u]
-        nu_b = L.mul(L.inv(zeta), z2.label)
-        exponent = (self.chi_at(z1, nu_b) + cat.j(z1.g, zeta, nu_b)) % cat.M
+        nu_b = L.table[L.inverses[zeta]][z2.label]
+        exponent = (self.chi_at(z1, nu_b) + cat.jtable[z1.g][zeta][nu_b]) % cat.M
         target = self.tensor(self.g_act(z1.g, z2), z1)
         return target, exponent
 
@@ -698,7 +713,7 @@ class ReferenceCenter:
         gamma_ord = cat.Gamma.order
         tensor_table = [[self.find(self.tensor(a, b)) for b in self.simples] for a in self.simples]
         lam_z = reference_validate_group(tensor_table, name=f"Z({cat.name})-simples")
-        grading = [z.g * gamma_ord + cat.deg(z.label) for z in self.simples]
+        grading = [z.g * gamma_ord + cat.grading[z.label] for z in self.simples]
         action = [[0] * n for _ in range(cp.G.order)]
         jt = [[[0] * n for _ in range(n)] for _ in range(cp.G.order)]
         xt = [[[0] * n for _ in range(cp.G.order)] for _ in range(cp.G.order)]
@@ -769,6 +784,7 @@ def reference_center_braided(cat: PointedCrossedCategory,
     bmp = Z.induced
     phi_img, psi_img = bmp.phi, bmp.psi
     cp = bmp.mp
+    a1, a2 = cp.act1, cp.act2
 
     def _act_by(A: int, z: CenterSimple) -> CenterSimple:
         return Z.combined_act(A // gamma_ord, A % gamma_ord, z)
@@ -793,11 +809,11 @@ def reference_center_braided(cat: PointedCrossedCategory,
                     S1, S2 = _grade_idx(z1), _grade_idx(z2)
                     lhs = (_b_exp(z1, z2)
                            + _j_comb(A, _act_by(phi_img[S2], z1), z2)
-                           - _x_comb(cp.a2(S2, A), phi_img[S2], z1)
-                           + _x_comb(phi_img[cp.a1(A, S2)], A, z1)) % M
+                           - _x_comb(a2[S2][A], phi_img[S2], z1)
+                           + _x_comb(phi_img[a1[A][S2]], A, z1)) % M
                     rhs = (_j_comb(A, _act_by(psi_img[S1], z2), z1)
-                           - _x_comb(cp.a2(S1, A), psi_img[S1], z2)
-                           + _x_comb(psi_img[cp.a1(A, S1)], A, z2)
+                           - _x_comb(a2[S1][A], psi_img[S1], z2)
+                           + _x_comb(psi_img[a1[A][S1]], A, z2)
                            + _b_exp(_act_by(A, z1), _act_by(A, z2))) % M
                     if lhs != rhs:
                         return (A, i, k)
@@ -866,17 +882,18 @@ class ReferenceSwapLaws:
         self.Z = ReferenceCenter(cat, simples=simples)
 
     def j_compat(self, g: int, s: int, i: int, k: int) -> int:
-        cat, Z, G, M = self.cat, self.Z, self.cat.G, self.cat.M
-        g0 = G.inv(cat.mp.a2(s, G.inv(g)))
-        s0 = cat.mp.a1(G.inv(g), s)
+        cat, Z, M, J = self.cat, self.Z, self.cat.M, self.cat.jtable
+        Ginv, a1, a2 = cat.G.inverses, cat.mp.act1, cat.mp.act2
+        g0 = Ginv[a2[s][Ginv[g]]]
+        s0 = a1[Ginv[g]][s]
         z1, z2 = Z.simples[i], Z.simples[k]
-        g_tw = cat.mp.a2(cat.deg(z2.label), g)
+        g_tw = a2[cat.grading[z2.label]][g]
         lhs = (Z.sigma(g, s, Z.tensor(z1, z2))
-               + cat.j(g, z1.label, z2.label)
+               + J[g][z1.label][z2.label]
                + Z.j_gamma(s, Z.g_act(g_tw, z1), Z.g_act(g, z2))) % M
-        s0_tw = cat.mp.a1(z2.g, s0)
+        s0_tw = a1[z2.g][s0]
         rhs = (Z.j_gamma(s0, z1, z2)
-               + cat.j(g0, Z.gamma_act(s0_tw, z1).label, Z.gamma_act(s0, z2).label)
+               + J[g0][Z.gamma_act(s0_tw, z1).label][Z.gamma_act(s0, z2).label]
                + Z.sigma(g_tw, _sigma_first_index(cat, g, s, z2), z1)
                + Z.sigma(g, s, z2)) % M
         return (lhs - rhs) % M
@@ -885,13 +902,14 @@ class ReferenceSwapLaws:
         return self.Z.sigma(g, s, self.Z.unit)
 
     def yang_baxter_gamma(self, g: int, s: int, s2: int, i: int) -> int:
-        cat, Z, G, M = self.cat, self.Z, self.cat.G, self.cat.M
-        gi = G.inv(g)
-        g_hat = G.inv(cat.mp.a2(s2, gi))
-        s_hat1 = cat.mp.a1(cat.mp.a2(s2, gi), s)
-        s_hat2 = cat.mp.a1(gi, s2)
+        cat, Z, M = self.cat, self.Z, self.cat.M
+        Ginv, a1, a2 = cat.G.inverses, cat.mp.act1, cat.mp.act2
+        gi = Ginv[g]
+        g_hat = Ginv[a2[s2][gi]]
+        s_hat1 = a1[a2[s2][gi]][s]
+        s_hat2 = a1[gi][s2]
         z = Z.simples[i]
-        lhs = (Z.sigma(g, cat.Gamma.mul(s, s2), z)
+        lhs = (Z.sigma(g, cat.Gamma.table[s][s2], z)
                + Z.chi_gamma(s, s2, Z.g_act(g, z))) % M
         rhs = (Z.chi_gamma(s_hat1, s_hat2, z)
                + Z.sigma(g_hat, s, Z.gamma_act(s_hat2, z))
@@ -899,14 +917,15 @@ class ReferenceSwapLaws:
         return (lhs - rhs) % M
 
     def yang_baxter_g(self, g: int, g2: int, s: int, i: int) -> int:
-        cat, Z, G, M = self.cat, self.Z, self.cat.G, self.cat.M
-        g0 = G.inv(cat.mp.a2(s, G.inv(g)))
-        s0 = cat.mp.a1(G.inv(g), s)
-        g0_2 = G.inv(cat.mp.a2(s0, G.inv(g2)))
-        s0_2 = cat.mp.a1(G.inv(g2), s0)
+        cat, Z, M, X = self.cat, self.Z, self.cat.M, self.cat.chitable
+        Gt, Ginv, a1, a2 = cat.G.table, cat.G.inverses, cat.mp.act1, cat.mp.act2
+        g0 = Ginv[a2[s][Ginv[g]]]
+        s0 = a1[Ginv[g]][s]
+        g0_2 = Ginv[a2[s0][Ginv[g2]]]
+        s0_2 = a1[Ginv[g2]][s0]
         z = Z.simples[i]
-        lhs = (Z.sigma(G.mul(g, g2), s, z) + cat.x(g, g2, z.label)) % M
-        rhs = (cat.x(g0, g0_2, Z.gamma_act(s0_2, z).label)
+        lhs = (Z.sigma(Gt[g][g2], s, z) + X[g][g2][z.label]) % M
+        rhs = (X[g0][g0_2][Z.gamma_act(s0_2, z).label]
                + Z.sigma(g2, s0, z)
                + Z.sigma(g, s, Z.g_act(g2, z))) % M
         return (lhs - rhs) % M
@@ -948,7 +967,7 @@ def reference_swap_laws(cat: PointedCrossedCategory,
 def _sigma_first_index(cat: PointedCrossedCategory, g: int, s: int, z2: CenterSimple) -> int:
     """Gamma-index of the left sigma factor in the J-compatibility condition."""
     # (g |>1^G grade(z2)) |>2^Gamma s = ((t2 |>2 g) h2 g^-1) |>1 s for grade (h2, t2)
-    G, mp = cat.G, cat.mp
-    t2 = cat.deg(z2.label)
-    h_new = G.mul(G.mul(mp.a2(t2, g), z2.g), G.inv(g))
-    return mp.a1(h_new, s)
+    Gt, Ginv, a1, a2 = cat.G.table, cat.G.inverses, cat.mp.act1, cat.mp.act2
+    t2 = cat.grading[z2.label]
+    h_new = Gt[Gt[a2[t2][g]][z2.g]][Ginv[g]]
+    return a1[h_new][s]

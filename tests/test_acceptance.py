@@ -111,11 +111,11 @@ def _center_well_graded(Z: CenterStructure) -> bool:
     grade, act, T = Z.grade_table, Z.action_table, Z.tensor_table
     GA, SA, cp = Z.g_action_table, Z.gamma_action_table, Z.induced.mp
     G, Gamma = cat.G, cat.Gamma
-    ok = all(grade[act[A][i]] == cp.a1(A, grade[i]) for A in cp.G.elements() for i in range(n))
+    ok = all(grade[act[A][i]] == cp.act1[A][grade[i]] for A in cp.G.elements() for i in range(n))
     for i, z1 in enumerate(Z.simples):
         for k, z2 in enumerate(Z.simples):
             (g1, s1), (g2, s2) = divmod(grade[i], Gamma.order), divmod(grade[k], Gamma.order)
-            ok = ok and grade[T[i][k]] == G.mul(g1, g2) * Gamma.order + Gamma.mul(s1, s2)
+            ok = ok and grade[T[i][k]] == G.table[g1][g2] * Gamma.order + Gamma.table[s1][s2]
             src = T[SA[cat.grading[z2.label]][i]][k]
             tgt = T[GA[z1.g][k]][i]
             ok = ok and src < n and tgt < n and grade[src] == grade[tgt]

@@ -39,7 +39,7 @@ def test_direct_pair_trivial_homs_fail_on_noncommuting():
     assert not rep.passed
     fail = next(c for c in rep.checks if c.name == "braiding_axiom_1")
     s, t = fail.witness
-    assert S3.mul(t, s) != S3.mul(s, t)  # witness is a non-commuting pair
+    assert S3.table[t][s] != S3.table[s][t]  # witness is a non-commuting pair
 
 
 def test_gamma_trivial_is_vacuous():
@@ -55,10 +55,10 @@ def test_center_pair_trivial_actions_z2_z2():
     cp = center_pair(mp)
     assert cp.G.order == 4 and cp.Gamma.order == 4
     # all conjugations and twists collapse: both actions trivial
-    assert all(cp.a1(a, x) == x for a in range(4) for x in range(4))
-    assert all(cp.a2(x, a) == a for x in range(4) for a in range(4))
+    assert all(cp.act1[a][x] == x for a in range(4) for x in range(4))
+    assert all(cp.act2[x][a] == a for x in range(4) for a in range(4))
     H, _, _ = zappa_szep(cp)
-    assert H.order == 16 and all(H.mul(a, a) == H.identity for a in H.elements())
+    assert H.order == 16 and all(H.table[a][a] == H.identity for a in H.elements())
 
 
 @pytest.mark.parametrize("name", ["trivial-pair", "direct-z2-z2", "z2-z3-inversion",
@@ -99,6 +99,6 @@ def test_turaev_case_restriction_data():
             S = h * n + t
             for g in range(n):
                 A = g * n + G.identity
-                assert cp.a2(S, A) % n == G.identity  # Gamma-component is e
+                assert cp.act2[S][A] % n == G.identity  # Gamma-component is e
     for h in range(n):
         assert bmp.phi[h * n + G.identity] == G.identity * n + G.identity

@@ -61,7 +61,7 @@ def relabelled(draw) -> FiniteGroup:
     table = [[0] * G.order for _ in G.elements()]
     for a in G.elements():
         for b in G.elements():
-            table[p[a]][p[b]] = p[G.mul(a, b)]
+            table[p[a]][p[b]] = p[G.table[a][b]]
     return validate_group(table, p[G.identity], G.name)
 
 
@@ -235,9 +235,9 @@ def test_object_compat_certificate_needs_a_grading_homomorphism():
     cat = category("vec-s4-pair")
     grading = [*cat.grading[:5], 0]  # del(5) = 0
     mut = pointed_category(cat.Lambda, cat.mp, grading, cat.action, cat.M, name="regraded")
-    L, a2 = mut.Lambda, mut.mp.act2
-    ys = [L.identity, *generators(L.table, L.identity)]
-    assert all(mut.act(g, L.mul(x, y)) == L.mul(mut.act(a2[grading[y]][g], x), mut.act(g, y))
+    L, Lt, act, a2 = mut.Lambda, mut.Lambda.table, mut.action, mut.mp.act2
+    ys = [L.identity, *generators(Lt, L.identity)]
+    assert all(act[g][Lt[x][y]] == Lt[act[a2[grading[y]][g]][x]][act[g][y]]
                for g in mut.G.elements() for x in L.elements() for y in ys)
     rep = verify_crossed_category(mut)
     assert triples(rep) == triples(reported_crossed_category(mut))
@@ -253,15 +253,16 @@ def _coboundary_shifted(cat, rng: random.Random):
     cocycle law reads the same sums as on `cat`, now over nonzero data; the
     unit entries of J and chi do not move."""
     L, G, M, a2, deg, act = cat.Lambda, cat.G, cat.M, cat.mp.act2, cat.grading, cat.action
+    Lt, Gt = L.table, G.table
 
     def cochain(K, size):
         return [[0] * size if k == K.identity else [rng.randrange(M) for _ in range(size)]
                 for k in K.elements()]
 
     alpha, beta = cochain(L, G.order), cochain(G, L.order)
-    j = [[[(cat.j(g, x, y) + alpha[y][g] - alpha[L.mul(x, y)][g] + alpha[x][a2[deg[y]][g]]) % M
+    j = [[[(cat.jtable[g][x][y] + alpha[y][g] - alpha[Lt[x][y]][g] + alpha[x][a2[deg[y]][g]]) % M
            for y in L.elements()] for x in L.elements()] for g in G.elements()]
-    chi = [[[(cat.x(g, h, x) + beta[h][x] - beta[G.mul(g, h)][x] + beta[g][act[h][x]]) % M
+    chi = [[[(cat.chitable[g][h][x] + beta[h][x] - beta[Gt[g][h]][x] + beta[g][act[h][x]]) % M
              for x in L.elements()] for h in G.elements()] for g in G.elements()]
     return pointed_category(L, cat.mp, cat.grading, act, M, jtable=j, phitable=cat.phitable,
                             chitable=chi, iotatable=cat.iotatable, name=f"{cat.name}+d")
@@ -313,7 +314,7 @@ def test_cocycle_certificates_need_a_right_action():
     regraded = pointed_category(L, cat.mp, [*cat.grading[:5], 0], cat.action, cat.M)
     shifted = _coboundary_shifted(regraded, random.Random(5))
     J, deg = shifted.jtable, shifted.grading
-    assert not any((J[g][L.mul(x, y)][z] + J[a2[deg[z]][g]][x][y] - J[g][x][L.mul(y, z)]
+    assert not any((J[g][L.table[x][y]][z] + J[a2[deg[z]][g]][x][y] - J[g][x][L.table[y][z]]
                     - J[g][y][z]) % cat.M
                    for g in cat.G.elements() for x in L.elements() for y in L.elements()
                    for z in [L.identity, *generators(L.table, L.identity)])
@@ -327,7 +328,7 @@ def test_cocycle_certificates_need_a_right_action():
     shifted = _coboundary_shifted(pointed_category(cat.Lambda, cat.mp, cat.grading, act, cat.M),
                                   random.Random(1144))
     X = shifted.chitable
-    assert not any((X[G.mul(g, h)][k][x] + X[g][h][act[k][x]] - X[g][G.mul(h, k)][x]
+    assert not any((X[G.table[g][h]][k][x] + X[g][h][act[k][x]] - X[g][G.table[h][k]][x]
                     - X[h][k][x]) % cat.M
                    for g in G.elements() for h in G.elements()
                    for k in [G.identity, *generators(G.table, G.identity)]
@@ -347,12 +348,14 @@ AXIOM3_PREMISES = ("matched_pair_valid", "grading_is_homomorphism", "axiom1_grad
 def axiom3_holds_at(cat) -> set[int]:
     """The y at which axiom3_j_chi holds for every (g, h, x), evaluated
     entry by entry."""
-    L, G, a1, a2 = cat.Lambda, cat.G, cat.mp.a1, cat.mp.a2
+    L, G, a1, a2 = cat.Lambda, cat.G, cat.mp.act1, cat.mp.act2
+    Lt, Gt, M = L.table, G.table, cat.M
+    J, X, act, deg = cat.jtable, cat.chitable, cat.action, cat.grading
 
     def defect(g, h, x, y):
-        t, g2 = a2(cat.deg(y), h), a2(a1(h, cat.deg(y)), g)
-        return (cat.x(g, h, L.mul(x, y)) + cat.j(h, x, y) + cat.j(g, cat.act(t, x), cat.act(h, y))
-                - cat.j(G.mul(g, h), x, y) - cat.x(g2, t, x) - cat.x(g, h, y)) % cat.M
+        t, g2 = a2[deg[y]][h], a2[a1[h][deg[y]]][g]
+        return (X[g][h][Lt[x][y]] + J[h][x][y] + J[g][act[t][x]][act[h][y]]
+                - J[Gt[g][h]][x][y] - X[g2][t][x] - X[g][h][y]) % M
 
     return {y for y in L.elements()
             if not any(defect(g, h, x, y) for g in G.elements() for h in G.elements()
@@ -402,7 +405,7 @@ def test_axiom3_holds_on_a_product_closed_set():
             if not all(c.passed for c in rep.checks if c.name in AXIOM3_PREMISES):
                 continue
             L, good = mut.Lambda, axiom3_holds_at(mut)
-            assert all(L.mul(y, z) in good for y in good for z in good), mut.name
+            assert all(L.table[y][z] in good for y in good for z in good), mut.name
             assert {c.name: c.passed for c in rep.checks}["axiom3_j_chi"] == (len(good) == L.order)
             checked += 1
             proper += 0 < len(good) < L.order

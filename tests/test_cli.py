@@ -4,6 +4,7 @@ import ast
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import types
@@ -116,7 +117,7 @@ def test_zappa_szep_output_is_s3(capsys, fixture_dir, tmp_path):
     H = jsonio.load_group(out_path)
     # a group of order 6 with a non-commuting pair is S3; 3 = (1, 0) and
     # 1 = (0, 1) in the encoding g*|Gamma| + s
-    assert H.order == 6 and H.mul(3, 1) != H.mul(1, 3)
+    assert H.order == 6 and H.table[3][1] != H.table[1][3]
 
 
 def test_factorize_s4(capsys, fixture_dir, tmp_path):
@@ -149,7 +150,7 @@ def test_center_pair_command_trivial_z2z2(capsys, fixture_dir, tmp_path):
     assert code == 0
     bmp = jsonio.load_braided(out_path)
     assert bmp.mp.G.order == 4 and bmp.mp.Gamma.order == 4
-    assert all(bmp.mp.a1(a, x) == x for a in range(4) for x in range(4))
+    assert all(bmp.mp.act1[a][x] == x for a in range(4) for x in range(4))
 
 
 @pytest.mark.parametrize("argv,source", [
@@ -301,23 +302,65 @@ def test_path_string_is_not_opened(capsys, tmp_path, obj, named, error):
     assert json.loads(captured.err) == {"error": error}
 
 
+def _cli_child(*argv: str, cap_memory: bool = False, **kwargs) -> subprocess.CompletedProcess:
+    """`crossedcat argv...` in a child process with a timeout, importing the
+    package from src/; `cap_memory` caps its address space at 512 MB."""
+    if cap_memory:
+        resource = pytest.importorskip("resource")
+        kwargs["preexec_fn"] = lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                          (512 << 20, 512 << 20))
+    return subprocess.run([sys.executable, "-m", "crossedcat.cli", *argv], capture_output=True,
+                          text=True, timeout=60,
+                          env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")}, **kwargs)
+
+
+def _refused(done: subprocess.CompletedProcess) -> str:
+    """The error of a command that exited 2 and printed no report."""
+    assert (done.returncode, done.stdout) == (2, "")
+    return json.loads(done.stderr)["error"]
+
+
 def test_sub_object_naming_dev_zero_exits_2(tmp_path):
     """A group given as "/dev/zero" exits 2 without opening it.  Were the path
-    read, it would fill memory; so the command runs in a child process whose
-    address space is capped at 512 MB, with a timeout."""
-    resource = pytest.importorskip("resource")
+    read, it would fill memory; so the command runs with its address space
+    capped."""
     (tmp_path / "cat.json").write_text(json.dumps(_fixture_with("cat-vec-z2z3", "/dev/zero",
                                                                 "Lambda")))
+    done = _cli_child("verify", "category", str(tmp_path / "cat.json"), cap_memory=True)
+    assert _refused(done) == "group must be a JSON object"
 
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
-    done = subprocess.run([sys.executable, "-m", "crossedcat.cli", "verify", "category",
-                           str(tmp_path / "cat.json")], capture_output=True, text=True,
-                          timeout=60, preexec_fn=cap_memory,
-                          env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")})
-    assert (done.returncode, done.stdout) == (2, "")
-    assert json.loads(done.stderr) == {"error": "group must be a JSON object"}
+def test_input_dev_zero_exits_2():
+    # read, the device would fill the capped address space: a MemoryError
+    # traceback and exit 1
+    done = _cli_child("verify", "group", "/dev/zero", cap_memory=True)
+    assert _refused(done) == "cannot read '/dev/zero': not a regular file"
+
+
+def test_input_piped_to_dev_stdin_exits_2():
+    # read once to load and again for the digest, a pipe passed with the
+    # digest of no bytes
+    done = _cli_child("verify", "category", "/dev/stdin",
+                      input=(FIXTURE_DIR / "cat-vec-z2z3.json").read_text())
+    assert _refused(done) == "cannot read '/dev/stdin': not a regular file"
+
+
+def test_input_fifo_without_writer_exits_2(tmp_path):
+    # a blocking open would wait for a writer until the timeout
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    assert _refused(_cli_child("verify", "group", str(fifo))) == \
+        f"cannot read {str(fifo)!r}: not a regular file"
+
+
+def test_input_over_the_cap_exits_2(tmp_path):
+    # a sparse file of NUL bytes, which would fail to parse all the same; the
+    # error names the cap
+    big = tmp_path / "big.json"
+    big.touch()
+    os.truncate(big, jsonio.MAX_INPUT_BYTES + 1)
+    assert _refused(_cli_child("verify", "group", str(big))) == \
+        f"cannot read {str(big)!r}: larger than the input limit of {jsonio.MAX_INPUT_BYTES} bytes"
 
 
 @pytest.mark.parametrize("obj,witness", [

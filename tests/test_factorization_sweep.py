@@ -77,7 +77,7 @@ def homomorphisms(S: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
         while todo and consistent:
             x = todo.pop()
             for g, t in zip(gens, images):
-                y, v = S.mul(x, g), T.mul(f[x], t)
+                y, v = S.table[x][g], T.table[f[x]][t]
                 if y not in f:
                     f[y] = v
                     todo.append(y)

@@ -115,7 +115,7 @@ def _unit_normal_gauge(cat):
     """u0[g][e_L] = -phi[g] and u0[e][x] = -iota[x], written out here so
     that it checks center.unit_normal."""
     eG, eL = cat.G.identity, cat.Lambda.identity
-    return [[-cat.ph(g) if x == eL else -cat.io(x) if g == eG else 0
+    return [[-cat.phitable[g] if x == eL else -cat.iotatable[x] if g == eG else 0
              for x in cat.Lambda.elements()] for g in cat.G.elements()]
 
 
@@ -188,7 +188,7 @@ def test_retract_witness_names_the_simple_as_passed():
         bad = CenterSimple(z.g, z.label, tuple(chi))
         mutated = simples[:k] + [bad] + simples[k + 1:]
         message = (f"retract idempotent is not the identity on {bad} (chi at unit = "
-                   f"{bad.chi[unit_pos]}, phi[{bad.g}] = {cat.ph(bad.g)})")
+                   f"{bad.chi[unit_pos]}, phi[{bad.g}] = {cat.phitable[bad.g]})")
         witness = ("exception", "UnsupportedConfiguration", message[:120])
         checks = {c.name: c.witness for c in verify_center_braided(cat, simples=mutated).checks}
         assert checks["braiding_axiom_1"] == witness, k
