@@ -35,25 +35,6 @@ from .records import Record
 if TYPE_CHECKING:
     from .report import VerificationReport
 
-# The input digest uses CPython's built-in SHA-256 module, `_sha2` from
-# Python 3.12 on and `_sha256` before.  The standard hash module would map
-# OpenSSL's libcrypto, which adds about 3.5 MB to the peak RSS and 3.5 ms to
-# the start-up of every command; it serves only a build without the built-in
-# hashes.
-try:
-    from _sha2 import sha256
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-
-
-def _digest(path: Path) -> str:
-    """SHA-256 of the input, read as the loaders read it (jsonio.read_input)."""
-    from .jsonio import read_input
-    return sha256(read_input(path)).hexdigest()
-
 
 def _emit(report: VerificationReport, pretty: bool) -> int:
     print(report.render(pretty=pretty))
@@ -77,13 +58,12 @@ def _int_list(text: str, option: str) -> list[int]:
 
 def cmd_verify(kind: str, file: str, pretty: bool) -> int:
     from . import jsonio
-    path = Path(file)
     if kind == "group":
         from .groups import validate_group
         from .report import VerificationReport
-        raw = jsonio.read_json(path)
+        raw, digest = jsonio.read_json(file)
         fields = jsonio.group_fields(raw)
-        rep = VerificationReport(subject=f"group {raw.get('name', path.name)}")
+        rep = VerificationReport(subject=f"group {raw.get('name', Path(file).name)}")
         try:
             validate_group(*fields)
             rep.add("group_laws", True)
@@ -91,41 +71,42 @@ def cmd_verify(kind: str, file: str, pretty: bool) -> int:
             rep.add("group_laws", False, exc.witness)
     elif kind == "matched-pair":
         from .matched import verify_matched_pair
-        rep = verify_matched_pair(jsonio.load_matched(path))
+        mp = jsonio.load_matched(file)
+        rep, digest = verify_matched_pair(mp), mp.input_digest
     elif kind == "braided-pair":
         from .braided import verify_braiding
-        rep = verify_braiding(jsonio.load_braided(path))
+        bmp = jsonio.load_braided(file)
+        rep, digest = verify_braiding(bmp), bmp.input_digest
     else:  # category or center: parse_args admits no other kind
         from .pointed import verify_crossed_category
-        cat = jsonio.load_category(path, validate=False)
-        rep = verify_crossed_category(cat)
+        cat = jsonio.load_category(file, validate=False)
+        rep, digest = verify_crossed_category(cat), cat.input_digest
         if kind == "center" and rep.passed:
             from .center import verify_center_braided
             rep = verify_center_braided(cat)
-    rep.input_digest = _digest(path)
+    rep.input_digest = digest
     return _emit(rep, pretty)
 
 
 def cmd_zappa_szep(file: str, out: str, pretty: bool) -> int:
     from . import jsonio
     from .matched import zappa_szep
-    H, _, _ = zappa_szep(jsonio.load_matched(file))
-    digest = _digest(Path(file))  # before -o, which may name the input
+    mp = jsonio.load_matched(file)
+    H, _, _ = zappa_szep(mp)
     out_path = Path(out)
     jsonio.save_group(H, out_path)
     reloaded = jsonio.load_group(out_path)  # re-validates all group laws
     _emit_json({"written": str(out_path), "order": reloaded.order,
-                "inputDigest": digest}, pretty)
+                "inputDigest": mp.input_digest}, pretty)
     return 0
 
 
-def _save_and_verify(file: str, out: str, pretty: bool, built, save, load, verify) -> int:
-    """Write `built` to -o, then verify and emit what reads back from there."""
-    digest = _digest(Path(file))  # before -o, which may name the input
+def _save_and_verify(source, out: str, pretty: bool, built, save, load, verify) -> int:
+    """Write `built` to -o, then verify and emit what reads back, with `source`'s digest."""
     out_path = Path(out)
     save(built, out_path)
     rep = verify(load(out_path))
-    rep.input_digest = digest
+    rep.input_digest = source.input_digest
     return _emit(rep, pretty)
 
 
@@ -138,24 +119,24 @@ def cmd_factorize(file: str, gens_g: str, gens_gamma: str, out: str, pretty: boo
     gamma = _int_list(gens_gamma, "--gens-gamma")
     mp = from_exact_factorization(H, subgroup_from_generators(H, g),
                                   subgroup_from_generators(H, gamma))
-    return _save_and_verify(file, out, pretty, mp, jsonio.save_matched, jsonio.load_matched,
+    return _save_and_verify(H, out, pretty, mp, jsonio.save_matched, jsonio.load_matched,
                             verify_matched_pair)
 
 
 def cmd_turaev(file: str, out: str, pretty: bool) -> int:
     from . import jsonio
     from .braided import turaev_braiding, verify_braiding
-    bmp = turaev_braiding(jsonio.load_group(file))
-    return _save_and_verify(file, out, pretty, bmp, jsonio.save_braided, jsonio.load_braided,
-                            verify_braiding)
+    G = jsonio.load_group(file)
+    return _save_and_verify(G, out, pretty, turaev_braiding(G), jsonio.save_braided,
+                            jsonio.load_braided, verify_braiding)
 
 
 def cmd_center_pair(file: str, out: str, pretty: bool) -> int:
     from . import jsonio
     from .braided import center_braiding, verify_braiding
-    bmp = center_braiding(jsonio.load_matched(file))
-    return _save_and_verify(file, out, pretty, bmp, jsonio.save_braided, jsonio.load_braided,
-                            verify_braiding)
+    mp = jsonio.load_matched(file)
+    return _save_and_verify(mp, out, pretty, center_braiding(mp), jsonio.save_braided,
+                            jsonio.load_braided, verify_braiding)
 
 
 def cmd_center(file: str, out: Optional[str], pretty: bool) -> int:
@@ -164,7 +145,6 @@ def cmd_center(file: str, out: Optional[str], pretty: bool) -> int:
     cat = jsonio.load_category(file)   # raises ValidationError on bad axioms
     simples = enumerate_center(cat)     # raises NonSingularityViolated
     rep = verify_center_braided(cat, simples=simples)
-    rep.input_digest = _digest(Path(file))
     histogram: dict[str, int] = {}
     for z in simples:
         key = f"{z.g},{cat.grading[z.label]}"
@@ -174,7 +154,7 @@ def cmd_center(file: str, out: Optional[str], pretty: bool) -> int:
         "gradeHistogram": histogram,
         "checks": [c.to_json() for c in rep.checks],
         "pass": rep.passed,
-        "inputDigest": rep.input_digest,
+        "inputDigest": cat.input_digest,
     }
     if out:
         jsonio.write_json(payload, out)
@@ -201,7 +181,7 @@ def cmd_coherence(category: str, objects: Optional[str], pretty: bool) -> int:
     rep = verify_coherence(cat, labels)
     payload = {"subject": rep.subject, "pass": rep.passed, "stats": rep.stats,
                "failures": [c.to_json() for c in rep.checks if not c.passed],
-               "inputDigest": _digest(Path(category))}
+               "inputDigest": cat.input_digest}
     _emit_json(payload, pretty)
     return 0 if rep.passed else 1
 

@@ -2,10 +2,12 @@
 
 Each file is one self-contained JSON value: a group, pair or category object
 nested in another is given inline, and a string in its place is refused as
-not a JSON object, never opened as a path.  Loaders check the file format,
-and the record constructors they call check shapes and ranges, all raising
-ValidationError (the CLI's exit-2 class).  The subject's own axioms are left
-to the verifiers, so a corrupted pair still loads and then fails
+not a JSON object, never opened as a path.  Each input is read once: a
+loader keeps the SHA-256 of the bytes it parsed on its record as
+`input_digest`, an attribute that is not a field.  Loaders check the file
+format, and the record constructors they call check shapes and ranges, all
+raising ValidationError (the CLI's exit-2 class).  The subject's own axioms
+are left to the verifiers, so a corrupted pair still loads and then fails
 verification with a witness (the CLI's exit-1 class).  A loader imports the
 module of the record it builds only when it builds one, so that `verify
 group` loads no pair or category code.
@@ -17,7 +19,7 @@ import json
 import os
 import stat
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from .errors import ValidationError
 from .groups import FiniteGroup, validate_group
@@ -28,6 +30,18 @@ if TYPE_CHECKING:
     from .pointed import PointedCrossedCategory
 
 PathLike = Union[str, Path]
+
+# The input digest uses CPython's built-in SHA-256 module, `_sha2` from
+# Python 3.12 on and `_sha256` before.  `hashlib` would map OpenSSL's
+# libcrypto, adding about 3.5 MB to the peak RSS and 3.5 ms to the start-up
+# of every command; it serves only a build without the built-in hashes.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 # The most bytes an input file may hold, a thousand times the largest
 # fixture (4 KB).  Measured in a fresh process (Python 3.11, 2 vCPUs; VmHWM
@@ -40,12 +54,16 @@ PathLike = Union[str, Path]
 MAX_INPUT_BYTES = 4 << 20
 
 
+def _nonblocking(path: str, flags: int) -> int:
+    return os.open(path, flags | os.O_NONBLOCK, 0o666)  # the mode of open()'s own opener
+
+
 def read_input(path: PathLike) -> bytes:
     """The bytes of the regular file `path`, read once and at most
     MAX_INPUT_BYTES + 1 of them.  A pipe, device, FIFO or socket, or a file
     over the cap, raises an exit-2 error before its content is read.  The
     open does not block: a FIFO with no writer is refused at once."""
-    with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as fh:
+    with open(path, "rb", opener=_nonblocking) as fh:
         st = os.fstat(fh.fileno())
         if not stat.S_ISREG(st.st_mode):
             raise ValidationError(f"cannot read {str(path)!r}: not a regular file")
@@ -58,27 +76,42 @@ def read_input(path: PathLike) -> bytes:
     return data
 
 
-def read_json(path: PathLike) -> Any:
-    """The JSON value in `path`; unreadable or undecodable input raises an exit-2 error."""
+def read_json(path: PathLike) -> tuple[Any, str]:
+    """The JSON value in `path` and its bytes' SHA-256; bad input raises an exit-2 error."""
     path = Path(path)
     try:
+        data = read_input(path)
         # universal newlines, as a text-mode read gives, so that every
         # parse error names the same column
-        text = read_input(path).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text)
+        value = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: {exc.msg} (column {exc.colno})") from exc
     except (ValueError, RecursionError) as exc:
         # a NUL byte or lone surrogate in the path, bytes that are not UTF-8,
         # or nesting deeper than the decoder's recursion limit
         raise ValidationError(f"cannot read {str(path)!r}: {exc}") from exc
+    return value, sha256(data).hexdigest()
+
+
+def _load(path: PathLike, from_json: Callable[[Any], Any]) -> Any:
+    obj, digest = read_json(path)
+    record = from_json(obj)
+    object.__setattr__(record, "input_digest", digest)
+    return record
 
 
 def write_json(obj: Any, path: PathLike) -> None:
-    """Write `obj` to `path` as indented JSON with sorted keys; a path that
-    cannot name a file (a NUL byte, a lone surrogate) raises an exit-2 error."""
+    """Write `obj` to `path` as indented JSON with sorted keys.  Text over
+    MAX_INPUT_BYTES, which no loader reads back, and a path that cannot name a
+    file raise an exit-2 error; a FIFO with no reader raises ENXIO at once."""
+    text = json.dumps(obj, sort_keys=True, indent=1) + "\n"  # ASCII: one byte a character
+    if len(text) > MAX_INPUT_BYTES:
+        raise ValidationError(f"cannot write {str(path)!r}: {len(text)} bytes, larger than the "
+                              f"input limit of {MAX_INPUT_BYTES} bytes")
     try:
-        Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+        with open(path, "w", encoding="utf-8", opener=_nonblocking) as fh:
+            os.set_blocking(fh.fileno(), True)
+            fh.write(text)
     except ValueError as exc:
         raise ValidationError(f"cannot write {str(path)!r}: {exc}") from exc
 
@@ -136,7 +169,7 @@ def save_group(G: FiniteGroup, path: PathLike) -> None:
 
 
 def load_group(path: PathLike) -> FiniteGroup:
-    return group_from_json(read_json(path))
+    return _load(path, group_from_json)
 
 
 # -- matched pairs ----------------------------------------------------------------
@@ -172,7 +205,7 @@ def save_matched(mp: MatchedPair, path: PathLike) -> None:
 
 
 def load_matched(path: PathLike) -> MatchedPair:
-    return matched_from_json(read_json(path))
+    return _load(path, matched_from_json)
 
 
 # -- braided pairs ------------------------------------------------------------------
@@ -200,7 +233,7 @@ def save_braided(bmp: BraidedMatchedPair, path: PathLike) -> None:
 
 
 def load_braided(path: PathLike) -> BraidedMatchedPair:
-    return braided_from_json(read_json(path))
+    return _load(path, braided_from_json)
 
 
 # -- categories ----------------------------------------------------------------------
@@ -274,7 +307,7 @@ def save_category(cat: PointedCrossedCategory, path: PathLike) -> None:
 
 def load_category(path: PathLike, validate: bool = True) -> PointedCrossedCategory:
     """Load and, by default, verify; a failing axiom raises ValidationError."""
-    cat = category_from_json(read_json(path))
+    cat = _load(path, category_from_json)
     if validate:
         from .pointed import verify_crossed_category
         rep = verify_crossed_category(cat)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import gc
 import hashlib
 import json
@@ -158,19 +159,21 @@ def test_center_pair_command_trivial_z2z2(capsys, fixture_dir, tmp_path):
     (["zappa-szep"], "z2-z3-inversion.json"),
     (["factorize", "--gens-g", "9", "--gens-gamma", "6,8"], "group-s4.json"),
     (["center-pair"], "direct-z2-z2.json"),
-], ids=["turaev", "zappa-szep", "factorize", "center-pair"])
+    (["center"], "cat-vec-z2z3.json"),
+], ids=["turaev", "zappa-szep", "factorize", "center-pair", "center"])
 def test_input_digest_is_taken_before_output_overwrites_the_input(capsys, fixture_dir,
                                                                   tmp_path, argv, source):
     path = tmp_path / source
     path.write_bytes((fixture_dir / source).read_bytes())
-    before = cli._digest(path)
+    before = hashlib.sha256(path.read_bytes()).hexdigest()
     code, out = run(capsys, argv[0], str(path), *argv[1:], "-o", str(path))
     assert code == 0
-    assert cli._digest(path) != before
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != before
     assert json.loads(out)["inputDigest"] == before
 
 
-@pytest.mark.parametrize("argv,source", [
+# every command form that reads an input file; "{out}" stands for its -o path
+INPUT_FORMS = pytest.mark.parametrize("argv,source", [
     (["verify", "group"], "group-z3.json"),
     (["verify", "matched-pair"], "z2-z3-inversion.json"),
     (["verify", "braided-pair"], "turaev-s3-braided.json"),
@@ -185,6 +188,9 @@ def test_input_digest_is_taken_before_output_overwrites_the_input(capsys, fixtur
 ], ids=["verify-group", "verify-matched-pair", "verify-braided-pair", "verify-category",
         "verify-center", "center", "coherence-objects", "zappa-szep", "factorize", "turaev",
         "center-pair"])
+
+
+@INPUT_FORMS
 def test_input_digest_is_the_sha256_of_the_input_bytes(capsys, fixture_dir, tmp_path,
                                                        argv, source):
     # the oracle is the standard library's hash, not the CLI's own digest
@@ -192,6 +198,66 @@ def test_input_digest_is_the_sha256_of_the_input_bytes(capsys, fixture_dir, tmp_
     code, out = run(capsys, *[a.format(out=tmp_path / "out.json") for a in argv], str(path))
     assert code == 0
     assert json.loads(out)["inputDigest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@INPUT_FORMS
+def test_each_command_reads_and_hashes_its_input_once(capsys, monkeypatch, fixture_dir,
+                                                      tmp_path, argv, source):
+    # the input is replaced, still valid, right after it is read, so a second
+    # read for the digest would hash the replacement; the commands that write
+    # -o read it back once, to verify what they wrote
+    path, out = tmp_path / source, tmp_path / "out.json"
+    first = (fixture_dir / source).read_bytes()
+    path.write_bytes(first)
+    real, reads = jsonio.read_input, []
+
+    def read_input(read):
+        data = real(read)
+        reads.append(Path(read))
+        if Path(read) == path:
+            path.write_bytes(data + b"\n")
+        return data
+    monkeypatch.setattr(jsonio, "read_input", read_input)
+    code, report = run(capsys, *[a.format(out=out) for a in argv], str(path))
+    assert code == 0
+    assert reads == [path] + ([out] if "-o" in argv else [])
+    assert json.loads(report)["inputDigest"] == hashlib.sha256(first).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [
+    ["zappa-szep", str(FIXTURE_DIR / "z2-z3-inversion.json")],
+    ["center", str(FIXTURE_DIR / "cat-vec-z2z3.json")],
+], ids=["zappa-szep", "center"])
+def test_output_fifo_without_reader_exits_2(tmp_path, argv):
+    # a blocking open would wait for a reader until the timeout
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    assert _refused(_cli_child(*argv, "-o", str(fifo))) == \
+        f"[Errno {errno.ENXIO}] {os.strerror(errno.ENXIO)}: {str(fifo)!r}"
+
+
+def test_center_output_to_dev_null_exits_0(capsys):
+    code, out = run(capsys, "center", str(FIXTURE_DIR / "cat-vec-z2z3.json"), "-o", os.devnull)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_output_over_the_input_limit_is_not_written(capsys, monkeypatch, tmp_path):
+    # S4 from its factorization Z4 x S3: a 1,061-byte input, a 4,059-byte group;
+    # written, the group could not be read back
+    source, out = FIXTURE_DIR / "s4-z4-s3.json", tmp_path / "s4.json"
+    monkeypatch.setattr(jsonio, "MAX_INPUT_BYTES", 2000)
+    assert main(["zappa-szep", str(source), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": f"cannot write {str(out)!r}: 4059 bytes, "
+                                                 "larger than the input limit of 2000 bytes"}
+    assert not out.exists()
+    # under the limit it is written as open() writes a file, with no execute bit
+    monkeypatch.setattr(jsonio, "MAX_INPUT_BYTES", 5000)
+    assert main(["zappa-szep", str(source), "-o", str(out)]) == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_coherence_command(capsys, fixture_dir):
@@ -418,6 +484,11 @@ def test_cli_import_leaves_numpy_and_threads_out():
     assert _imported_after(run.format(argv=["verify", "center", cat]), openssl) == []
     assert _imported_after(run.format(argv=["coherence", "--category", cat, "--objects", "0"]),
                            openssl) == []
+
+
+def test_digest_uses_the_builtin_sha256_of_this_python():
+    # CI runs every supported Python, so each side of the split is checked
+    assert jsonio.sha256.__module__ == ("_sha2" if sys.version_info >= (3, 12) else "_sha256")
 
 
 def test_digest_falls_back_to_hashlib_without_the_builtin_hashes():
