@@ -93,19 +93,19 @@ def cmd_zappa_szep(file: str, out: str, pretty: bool) -> int:
     from .matched import zappa_szep
     mp = jsonio.load_matched(file)
     H, _, _ = zappa_szep(mp)
-    out_path = Path(out)
-    jsonio.save_group(H, out_path)
-    reloaded = jsonio.load_group(out_path)  # re-validates all group laws
-    _emit_json({"written": str(out_path), "order": reloaded.order,
+    text = jsonio.write_json(jsonio.group_to_json(H), out)
+    written = jsonio.group_from_json(json.loads(text))  # re-validates all group laws
+    _emit_json({"written": str(Path(out)), "order": written.order,
                 "inputDigest": mp.input_digest}, pretty)
     return 0
 
 
-def _save_and_verify(source, out: str, pretty: bool, built, save, load, verify) -> int:
-    """Write `built` to -o, then verify and emit what reads back, with `source`'s digest."""
-    out_path = Path(out)
-    save(built, out_path)
-    rep = verify(load(out_path))
+def _save_and_verify(source, out: str, pretty: bool, built, to_json, from_json, verify) -> int:
+    """Write `built` to -o, then verify and emit the record parsed again from
+    the text written, with `source`'s digest; -o itself is never read."""
+    from . import jsonio
+    text = jsonio.write_json(to_json(built), out)
+    rep = verify(from_json(json.loads(text)))
     rep.input_digest = source.input_digest
     return _emit(rep, pretty)
 
@@ -119,24 +119,24 @@ def cmd_factorize(file: str, gens_g: str, gens_gamma: str, out: str, pretty: boo
     gamma = _int_list(gens_gamma, "--gens-gamma")
     mp = from_exact_factorization(H, subgroup_from_generators(H, g),
                                   subgroup_from_generators(H, gamma))
-    return _save_and_verify(H, out, pretty, mp, jsonio.save_matched, jsonio.load_matched,
-                            verify_matched_pair)
+    return _save_and_verify(H, out, pretty, mp, jsonio.matched_to_json,
+                            jsonio.matched_from_json, verify_matched_pair)
 
 
 def cmd_turaev(file: str, out: str, pretty: bool) -> int:
     from . import jsonio
     from .braided import turaev_braiding, verify_braiding
     G = jsonio.load_group(file)
-    return _save_and_verify(G, out, pretty, turaev_braiding(G), jsonio.save_braided,
-                            jsonio.load_braided, verify_braiding)
+    return _save_and_verify(G, out, pretty, turaev_braiding(G), jsonio.braided_to_json,
+                            jsonio.braided_from_json, verify_braiding)
 
 
 def cmd_center_pair(file: str, out: str, pretty: bool) -> int:
     from . import jsonio
     from .braided import center_braiding, verify_braiding
     mp = jsonio.load_matched(file)
-    return _save_and_verify(mp, out, pretty, center_braiding(mp), jsonio.save_braided,
-                            jsonio.load_braided, verify_braiding)
+    return _save_and_verify(mp, out, pretty, center_braiding(mp), jsonio.braided_to_json,
+                            jsonio.braided_from_json, verify_braiding)
 
 
 def cmd_center(file: str, out: Optional[str], pretty: bool) -> int:
@@ -156,7 +156,7 @@ def cmd_center(file: str, out: Optional[str], pretty: bool) -> int:
         "pass": rep.passed,
         "inputDigest": cat.input_digest,
     }
-    if out:
+    if out is not None:
         jsonio.write_json(payload, out)
     _emit_json(payload, pretty)
     return 0 if rep.passed else 1

@@ -78,7 +78,6 @@ def read_input(path: PathLike) -> bytes:
 
 def read_json(path: PathLike) -> tuple[Any, str]:
     """The JSON value in `path` and its bytes' SHA-256; bad input raises an exit-2 error."""
-    path = Path(path)
     try:
         data = read_input(path)
         # universal newlines, as a text-mode read gives, so that every
@@ -100,10 +99,10 @@ def _load(path: PathLike, from_json: Callable[[Any], Any]) -> Any:
     return record
 
 
-def write_json(obj: Any, path: PathLike) -> None:
-    """Write `obj` to `path` as indented JSON with sorted keys.  Text over
-    MAX_INPUT_BYTES, which no loader reads back, and a path that cannot name a
-    file raise an exit-2 error; a FIFO with no reader raises ENXIO at once."""
+def write_json(obj: Any, path: PathLike) -> str:
+    """Write `obj` to `path` as indented JSON with sorted keys; return the text.
+    Text over MAX_INPUT_BYTES, which no loader reads, or a path that cannot name
+    a file raises an exit-2 error; a FIFO with no reader raises ENXIO at once."""
     text = json.dumps(obj, sort_keys=True, indent=1) + "\n"  # ASCII: one byte a character
     if len(text) > MAX_INPUT_BYTES:
         raise ValidationError(f"cannot write {str(path)!r}: {len(text)} bytes, larger than the "
@@ -114,6 +113,7 @@ def write_json(obj: Any, path: PathLike) -> None:
             fh.write(text)
     except ValueError as exc:
         raise ValidationError(f"cannot write {str(path)!r}: {exc}") from exc
+    return text
 
 
 def _object(obj: Any, what: str) -> dict:

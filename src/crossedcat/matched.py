@@ -116,7 +116,7 @@ def zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, tuple[int, ...], tuple[int
     Raises NotMatched unless mp is a matched pair.  The product of a matched
     pair is a group, with (g s)^-1 = s^-1 g^-1 and the two factors embedded
     as subgroups, so the result is built without a group-law sweep;
-    load_group re-validates a saved product.
+    group_from_json re-validates the product that `zappa-szep` writes.
     """
     rep = verify_matched_pair(mp)
     if not rep.passed:

@@ -204,8 +204,7 @@ def test_input_digest_is_the_sha256_of_the_input_bytes(capsys, fixture_dir, tmp_
 def test_each_command_reads_and_hashes_its_input_once(capsys, monkeypatch, fixture_dir,
                                                       tmp_path, argv, source):
     # the input is replaced, still valid, right after it is read, so a second
-    # read for the digest would hash the replacement; the commands that write
-    # -o read it back once, to verify what they wrote
+    # read for the digest would hash the replacement
     path, out = tmp_path / source, tmp_path / "out.json"
     first = (fixture_dir / source).read_bytes()
     path.write_bytes(first)
@@ -220,7 +219,7 @@ def test_each_command_reads_and_hashes_its_input_once(capsys, monkeypatch, fixtu
     monkeypatch.setattr(jsonio, "read_input", read_input)
     code, report = run(capsys, *[a.format(out=out) for a in argv], str(path))
     assert code == 0
-    assert reads == [path] + ([out] if "-o" in argv else [])
+    assert reads == [path]
     assert json.loads(report)["inputDigest"] == hashlib.sha256(first).hexdigest()
 
 
@@ -236,14 +235,56 @@ def test_output_fifo_without_reader_exits_2(tmp_path, argv):
         f"[Errno {errno.ENXIO}] {os.strerror(errno.ENXIO)}: {str(fifo)!r}"
 
 
-def test_center_output_to_dev_null_exits_0(capsys):
-    code, out = run(capsys, "center", str(FIXTURE_DIR / "cat-vec-z2z3.json"), "-o", os.devnull)
-    assert code == 0 and json.loads(out)["pass"] is True
+# every command that writes -o, with the input its tests use
+OUTPUT_FORMS = pytest.mark.parametrize("argv", [
+    ["zappa-szep", str(FIXTURE_DIR / "z2-z3-inversion.json")],
+    ["factorize", str(FIXTURE_DIR / "group-s4.json"), "--gens-g", "9", "--gens-gamma", "6,8"],
+    ["turaev", str(FIXTURE_DIR / "group-d4.json")],
+    ["center-pair", str(FIXTURE_DIR / "direct-z2-z2.json")],
+    ["center", str(FIXTURE_DIR / "cat-vec-z2z3.json")],
+], ids=["zappa-szep", "factorize", "turaev", "center-pair", "center"])
+
+
+@OUTPUT_FORMS
+def test_output_fifo_with_reader_exits_0(tmp_path, argv):
+    # the read end is open before the command runs and drained after it
+    # exits; each output fits in the pipe's buffer
+    regular, fifo = tmp_path / "out.json", tmp_path / "fifo.json"
+    expected = _cli_child(*argv, "-o", str(regular))
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        done = _cli_child(*argv, "-o", str(fifo))
+        received = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == _written_as(expected.stdout, regular, fifo)
+    assert received == regular.read_bytes()
+    if argv[0] == "zappa-szep":
+        assert len(received) == 330
+
+
+def _written_as(report: str, regular: Path, path: str) -> str:
+    """`report` of a command that wrote `regular`, as it reads for -o `path`:
+    only zappa-szep names the file it wrote."""
+    return report.replace(json.dumps(str(regular)), json.dumps(str(path)))
+
+
+@OUTPUT_FORMS
+def test_output_to_dev_null_exits_0(capsys, tmp_path, argv):
+    # the report is the one a regular file gets; no command reads -o back
+    regular = tmp_path / "out.json"
+    code, expected = run(capsys, *argv, "-o", str(regular))
+    assert code == 0
+    code, out = run(capsys, *argv, "-o", os.devnull)
+    assert code == 0
+    assert out == _written_as(expected, regular, os.devnull)
 
 
 def test_output_over_the_input_limit_is_not_written(capsys, monkeypatch, tmp_path):
     # S4 from its factorization Z4 x S3: a 1,061-byte input, a 4,059-byte group;
-    # written, the group could not be read back
+    # written, the group could not be read as an input
     source, out = FIXTURE_DIR / "s4-z4-s3.json", tmp_path / "s4.json"
     monkeypatch.setattr(jsonio, "MAX_INPUT_BYTES", 2000)
     assert main(["zappa-szep", str(source), "-o", str(out)]) == 2
@@ -643,6 +684,9 @@ def test_help_prints_the_usage_of_every_command(capsys):
      "--objects names no label, got ''"),
     (["factorize", "{s4}", "--gens-g", "x", "--gens-gamma", "6,8", "-o", "{out}"],
      "--gens-g must be comma-separated integers, got 'x'"),
+    # an empty path names no file: the error names the path as typed
+    (["center", "{cat}", "--out="], f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"),
+    (["verify", "group", ""], f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"),
     # the budget options of the bounded walk are gone
     (["coherence", "--category", "{cat}", "--max-nodes", "6"],
      "coherence: unknown option '--max-nodes'"),
@@ -651,7 +695,8 @@ def test_help_prints_the_usage_of_every_command(capsys):
     (["coherence", "--category", "{cat}", "--tuple-cap", "64"],
      "coherence: unknown option '--tuple-cap'"),
 ], ids=["objects-not-int", "objects-out-of-range", "objects-commas", "objects-empty",
-        "gens-not-int", "max-nodes-unknown", "arity-unknown", "tuple-cap-unknown"])
+        "gens-not-int", "center-out-empty", "verify-group-empty", "max-nodes-unknown",
+        "arity-unknown", "tuple-cap-unknown"])
 def test_malformed_arguments_exit_2(capsys, fixture_dir, tmp_path, argv, error):
     paths = {"cat": fixture_dir / "cat-z4-over-z2.json", "s4": fixture_dir / "group-s4.json",
              "out": tmp_path / "out.json"}
