@@ -515,8 +515,9 @@ def verify_center_braided(cat: PointedCrossedCategory,
     the input's gauge; the other sweeps run over the dense tables of
     CenterStructure, in the unit-normal gauge and in the order of each
     witness tuple.  `simples` overrides the enumeration (used by mutation
-    tests).  The oracle's size bound (CenterTooLarge) is checked after the
-    enumeration and before CenterStructure builds any table.
+    tests).  The oracle runs first, so its size bound (CenterTooLarge)
+    refuses before the enumeration searches and before CenterStructure
+    builds any table.
 
     The three braiding axioms are certified on generators once
     induced_pair_braided and center_category_axioms pass
@@ -547,14 +548,12 @@ def verify_center_braided(cat: PointedCrossedCategory,
     center_category_axioms; the proofs are at that check.
     """
     rep = VerificationReport(subject=f"center of {cat.name}")
-    simples = enumerate_center(cat) if simples is None else simples
-    _searchable(cat, "relative_center_oracle", oracle_tries(cat))
+    expected = [z.sort_key() for z in relative_center_oracle(cat)]
     Z = CenterStructure(cat, section=section, simples=simples)
     M, Zs = cat.M, range(len(Z.simples))
 
     def oracle_equivalence() -> Optional[tuple]:
         keys = [z.sort_key() for z in Z.input_simples]
-        expected = [z.sort_key() for z in relative_center_oracle(cat)]
         if keys == expected:
             return None
         extra = [k for k in keys if k not in expected]

@@ -13,15 +13,12 @@ once, with its closure proof: the composition law of an action
 (`unit_witness`), twisted multiplicativity (`twisted_hom_witness`) and the
 homomorphism law (`is_hom_image`).  The category's two cocycle laws and
 its axiom 3 keep their sweeps and proofs in pointed.py, and the center's
-three braiding axioms keep theirs in center.py.  One size limit is
-enforced: enumerate_center and relative_center_oracle each refuse, with
-errors.CenterTooLarge, a category on which they would try more than
-center.MAX_CENTER_TRIES = 2,000,000 candidates (|G| M^k for the k
-generators of N that twisted_characters backtracks over, and |G| |Lambda|
-M^|N| for the oracle; 3-15 s of either, and every fixture needs at most
-768).  The sweeps grow fast with the order: verifying the Turaev category
-of D8 (order 16) and its braided center takes about 0.5 s in process
-(Python 3.11, 2-vCPU VM).
+three braiding axioms keep theirs in center.py.  No size limit is
+enforced here: the center's searches are bounded in center.py
+(MAX_CENTER_TRIES), which counts twisted_characters' tries with
+character_tries.  The sweeps grow fast with the order: verifying the
+Turaev category of D8 (order 16) and its braided center takes about 0.5 s
+in process (Python 3.11, 2-vCPU VM).
 """
 
 from __future__ import annotations

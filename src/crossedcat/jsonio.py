@@ -306,11 +306,14 @@ def save_category(cat: PointedCrossedCategory, path: PathLike) -> None:
 
 
 def load_category(path: PathLike, validate: bool = True) -> PointedCrossedCategory:
-    """Load and, by default, verify; a failing axiom raises ValidationError."""
+    """Load and, by default, verify; a failing axiom raises ValidationError
+    naming the first failing check and its witness as the report lists them."""
     cat = _load(path, category_from_json)
     if validate:
         from .pointed import verify_crossed_category
         rep = verify_crossed_category(cat)
         if not rep.passed:
-            raise ValidationError(f"category axioms fail: {rep.first_failure()}")
+            check = rep.first_failure().to_json()
+            raise ValidationError(f"category axioms fail: {check['name']} "
+                                  f"at {json.dumps(check['witness'])}")
     return cat

@@ -28,12 +28,11 @@ class VerificationReport:
     timings, so identical inputs serialize byte-identically.
     """
 
-    def __init__(self, subject: str, checks: Optional[list[Check]] = None,
-                 input_digest: Optional[str] = None, stats: Optional[dict] = None):
+    def __init__(self, subject: str, checks: Optional[list[Check]] = None):
         self.subject = subject
         self.checks: list[Check] = [] if checks is None else checks
-        self.input_digest = input_digest
-        self.stats = stats
+        self.input_digest: Optional[str] = None
+        self.stats: Optional[dict] = None
 
     @property
     def passed(self) -> bool:

@@ -72,6 +72,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence, Union
 
+from .errors import ValidationError
 from .pointed import PointedCrossedCategory
 from .records import Record
 from .report import VerificationReport
@@ -209,6 +210,13 @@ def normal_form(w: Word, cat: PointedCrossedCategory, objects: Sequence[int],
 
 H1, H2, H3 = Hole(1), Hole(2), Hole(3)
 
+# the most instances verify_coherence compares.  On Python 3.11 (2 vCPUs)
+# it compared 26-48 thousand instances a second (the 14 cat-* fixtures, and
+# Lambda = Z_n over trivial groups: 101,800 in 3.6 s at n = 46), so a check
+# at the bound takes 2-4 s; every fixture needs at most 4,105
+# (cat-vec-turaev-s3)
+MAX_COHERENCE_INSTANCES = 100_000
+
 # the branchings with an action: name, free group elements, holes, the
 # overlap word of the identity e and the free elements, and the (rule,
 # position) of its two first moves
@@ -244,9 +252,15 @@ def verify_coherence(cat: PointedCrossedCategory,
     and the free group elements over G.  A check's witness is the hole
     labels, the overlap word, its two composites to their normal forms and
     their two exponents.  The stats count the branchings and the instances
-    compared."""
+    compared.  Before the first branching, a category with more instances
+    to compare than MAX_COHERENCE_INSTANCES raises ValidationError."""
     labels = list(cat.Lambda.elements()) if labels is None else sorted(set(labels))
     Gs, e, M = cat.G.elements(), cat.G.identity, cat.M
+    # the instances stat of a run in which every branching commutes
+    total = sum(len(Gs) ** free * len(labels) ** holes for _, free, holes, *_ in BRANCHINGS)
+    if total > MAX_COHERENCE_INSTANCES:
+        raise ValidationError(f"coherence would compare {total} instances, over the limit "
+                              f"of {MAX_COHERENCE_INSTANCES}")
     rep = VerificationReport(subject=f"coherence {cat.name}")
     instances = 0
     for name, free, holes, overlap, first, second in BRANCHINGS:

@@ -458,21 +458,49 @@ def test_center_size_bounds_refuse_at_their_edges(monkeypatch):
     assert enumerate_center(cat) == simples
 
 
-def test_oracle_bound_refuses_before_the_center_tables(monkeypatch):
-    """On Lambda = Z_8 graded trivially over trivial G and Gamma, M = 8,
-    enumeration tries 8 characters and the oracle 8 * 8^8 functions:
-    verify_center_braided refuses on the oracle's bound before
-    CenterStructure builds a table."""
+def _z8_over_trivial_groups():
+    """Lambda = Z_8 graded trivially over trivial G and Gamma, M = 8."""
     Z8, one = cyclic(8), trivial_group()
-    cat = pointed_category(Z8, direct_pair(one, one), [0] * 8, [list(range(8))], 8)
+    return pointed_category(Z8, direct_pair(one, one), [0] * 8, [list(range(8))], 8)
+
+
+def _unsearched(monkeypatch):
+    """Make enumerate_center and CenterStructure raise if they are called."""
+    def fail(what):
+        def run(*args, **kwargs):
+            raise AssertionError(f"{what} ran")
+        return run
+
+    monkeypatch.setattr(center, "enumerate_center", fail("enumerate_center"))
+    monkeypatch.setattr(center, "CenterStructure", fail("CenterStructure"))
+
+
+def test_oracle_bound_refuses_before_the_center_tables(monkeypatch):
+    """On Z_8 over trivial groups with M = 8, enumeration tries 8
+    characters and the oracle 8 * 8^8 functions: verify_center_braided
+    refuses on the oracle's bound before enumerate_center searches and
+    before CenterStructure builds a table."""
+    cat = _z8_over_trivial_groups()
     assert (center.enumeration_tries(cat), center.oracle_tries(cat)) == (8, 8 * 8 ** 8)
-
-    def unbuilt(*args, **kwargs):
-        raise AssertionError("CenterStructure built")
-
-    monkeypatch.setattr(center, "CenterStructure", unbuilt)
+    _unsearched(monkeypatch)
     with pytest.raises(CenterTooLarge, match="relative_center_oracle would try"):
         verify_center_braided(cat)
+
+
+@pytest.mark.parametrize("command", [["verify", "center"], ["center"]])
+def test_center_commands_refuse_on_the_oracle_bound_before_any_search(
+        monkeypatch, capsys, tmp_path, command):
+    """Both center commands exit 2 on the Z_8 category, naming the oracle's
+    count, with no enumeration and no center table."""
+    path = tmp_path / "z8.json"
+    jsonio.save_category(_z8_over_trivial_groups(), path)
+    _unsearched(monkeypatch)
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": (
+        f"center too large to enumerate: relative_center_oracle would try {8 * 8 ** 8} "
+        f"candidates, over the limit of {center.MAX_CENTER_TRIES}")}
 
 
 def test_partial_conjugation_support_excludes_labels():

@@ -312,6 +312,43 @@ def test_coherence_command(capsys, fixture_dir):
     assert code == 0 and json.loads(out)["stats"] == {"branchings": 10, "instances": 28}
 
 
+def test_coherence_refuses_over_the_instance_bound(capsys, monkeypatch, fixture_dir):
+    """cat-vec-turaev-s3 compares 4,105 instances: at that bound it passes,
+    and one below it exits 2 naming the count before any branching is
+    normalized."""
+    from crossedcat import words
+    path = str(fixture_dir / "cat-vec-turaev-s3.json")
+    monkeypatch.setattr(words, "MAX_COHERENCE_INSTANCES", 4105)
+    code, out = run(capsys, "coherence", "--category", path)
+    assert code == 0 and json.loads(out)["stats"]["instances"] == 4105
+
+    def unreached(*args):
+        raise AssertionError("a branching was normalized")
+
+    monkeypatch.setattr(words, "MAX_COHERENCE_INSTANCES", 4104)
+    monkeypatch.setattr(words, "normal_form", unreached)
+    assert main(["coherence", "--category", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "coherence would compare 4105 instances, over the limit of 4104"}
+
+
+@pytest.mark.parametrize("argv", [["center"], ["coherence", "--category"]])
+def test_failing_category_names_its_check_and_witness(capsys, fixture_dir, tmp_path, argv):
+    """A command that loads a validated category names the first failing
+    check and its witness as the report lists them."""
+    obj = json.loads((fixture_dir / "cat-cocycle-chi.json").read_text())
+    obj["chi"][1][0][1] = 1
+    path = tmp_path / "chi-mutant.json"
+    path.write_text(json.dumps(obj))
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "category axioms fail: chi_cocycle at [1, 0, 0, 1]"}
+
+
 def test_pretty_flag_renders_text(capsys, fixture_dir):
     code, out = run(capsys, "--pretty", "verify", "matched-pair",
                     str(fixture_dir / "z2-z3-inversion.json"))
