@@ -250,7 +250,11 @@ class CenterStructure:
         Each row evaluates its chain from terms found once per simple, per g,
         per s or per label; points are interned on (g, label, chi) tuples,
         and a CenterSimple is built only for a new point.  The retract guard
-        is decided from the simples (_unsupported).
+        is decided from the simples (_unsupported).  The tests compare every
+        table with chains composed by the rewriting system of words.py
+        (tests/derived_center.py): each is a path between explicit words,
+        so none can skip a structural isomorphism, such as the G-action's
+        nu ~ ^g(^{g^-1} nu) and ^{g'}(^h b) ~ ^{g'h g^-1} nu.
         """
         cat = self.cat
         G, L, M, npos, sec = cat.G, cat.Lambda, cat.M, self.npos, self.section
@@ -260,8 +264,9 @@ class CenterStructure:
         on_n = [[act[x][nu] for nu in N] for x in G.elements()]
         pos_n = [[npos[v] for v in row] for row in on_n]
         x_n = [[[Xgh[nu] for nu in N] for Xgh in Xg] for Xg in X]
-        # per g: g^-1, ^g, J[g], and the labels ^{g^-1} nu with their positions
-        g_terms = [(g, gi, act[g], J[g], on_n[gi], pos_n[gi])
+        # per g: g^-1, ^g, J[g], the labels ^{g^-1} nu with their positions,
+        # and X[g][g^-1] on N
+        g_terms = [(g, gi, act[g], J[g], on_n[gi], pos_n[gi], x_n[g][gi])
                    for g, gi in zip(G.elements(), G.inverses)]
         # per s: zeta_s, zeta_s^-1, and the labels nu zeta_s
         s_terms = [(s, zeta, Linv[zeta], [Lt[nu][zeta] for nu in N])
@@ -291,15 +296,21 @@ class CenterStructure:
             Jh, acth = J[h], act[h]
             hb = tuple((chi[p] + Jh[zeta][nu]) % M for zeta, nu, p in splits)
             hb_rows.append(hb)
-            # G-action.  Chain for the new half-braiding at nu:
-            #    ^g lam . nu -> ^g(lam . ^{g^-1} nu)            J[g][lam][a(g^-1)nu]
-            #    -> ^g(^h(^{g^-1} nu) . lam)                    chi(a(g^-1) nu)
-            #    -> ^{(t|>2 g) h g^-1} nu . ^g lam              -J[g][a(h g^-1)nu][lam]
+            # G-action.  Chain for the new half-braiding at nu, with
+            # b = ^{g^-1} nu and g' = t |>2 g:
+            #    ^g lam . nu -> ^g lam . ^g(b)                  -X[g][g^-1][nu]
+            #    -> ^g(lam . b)                                 J[g][lam][b]
+            #    -> ^g(^h b . lam)                              chi(b)
+            #    -> ^{g'}(^h b) . ^g lam                        -J[g][a(h g^-1)nu][lam]
+            #    -> ^{g'h} b . ^g lam                           X[g'][h][b]
+            #    -> ^{g' h g^-1} nu . ^g lam                    X[g'h][g^-1][nu]
             a2t, Gh = a2[cat.grading[lab]], Gt[h]
-            for row, (g, gi, actg, Jg, back, back_pos) in zip(g_table, g_terms):
-                row.append(intern((Gt[Gt[a2t[g]][h]][gi], actg[lab],
-                                   tuple((Jg[lab][b] + chi[p] - Jg[f][lab]) % M
-                                         for b, p, f in zip(back, back_pos, on_n[Gh[gi]])))))
+            for row, (g, gi, actg, Jg, back, back_pos, x_back) in zip(g_table, g_terms):
+                gp = a2t[g]
+                Xa, Xb = X[gp][h], X[Gt[gp][h]][gi]
+                row.append(intern((Gt[Gt[gp][h]][gi], actg[lab], tuple(
+                    (Jg[lab][b] + chi[p] - Jg[f][lab] + Xa[b] + Xb[nu] - xb) % M
+                    for nu, b, p, f, xb in zip(N, back, back_pos, on_n[Gh[gi]], x_back)))))
             # Gamma-action by the retract of zeta_s (.) zeta_s^dual, on
             # (s |>2 h, ^h zeta . lam . zeta^-1): chi'(nu) = HB[z][nu zeta] - J[h][nu][zeta]
             for row, (s, zeta, zetai, nu_zeta) in zip(gamma_table, s_terms):

@@ -1,10 +1,10 @@
 """The per-element verifier sweeps that the dense-table core replaced.
 
-Test-only reference: `reference_crossed_category`, `ReferenceCenter` and
-`reference_center_braided` are the previous `verify_crossed_category`,
-`CenterStructure` and `verify_center_braided`, whose five swap-scalar
-checks are now `ReferenceSwapLaws`; `reference_matched_pair`,
-`reference_zappa_szep`, `reference_braiding`, `reference_center_pair` and
+Test-only reference: `reference_crossed_category` and
+`reference_center_braided` are the previous `verify_crossed_category` and
+`verify_center_braided`, whose five swap-scalar checks are now
+`ReferenceSwapLaws`; `reference_matched_pair`, `reference_zappa_szep`,
+`reference_braiding`, `reference_center_pair` and
 `reference_center_braiding` are the previous `verify_matched_pair`,
 `zappa_szep`, `verify_braiding`, `center_pair` and `center_braiding`;
 `reference_validate_group` and `reference_is_hom_image` are the previous
@@ -12,11 +12,13 @@ checks are now `ReferenceSwapLaws`; `reference_matched_pair`,
 package now certifies a law on a generating set.  `reported_crossed_category`
 and `reported_braiding` are the reference reports without the laws the
 core proves from its other checks instead of reporting them.
-Loop bodies keep the equations of the code they replaced, each table read
-spelled as the core spells it, and call only each other, never the code
-they are compared with, so that tests/test_reference_equivalence.py can
-require the table-driven core to return the same (name, pass, witness)
-lists.
+`ReferenceCenter` reads the center's structure maps from
+tests/derived_center.py, which composes them with `words.normal_form` and
+never with center.py's chains.  Loop bodies keep the equations of the
+code they replaced, each table read spelled as the core spells it, and
+call only each other, never the code they are compared with, so that
+tests/test_reference_equivalence.py can require the table-driven core to
+return the same (name, pass, witness) lists.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from crossedcat.groups import FiniteGroup, direct_product
 from crossedcat.matched import MatchedPair, matched_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category
 from crossedcat.report import VerificationReport, run_checks
+from derived_center import DerivedCenter
 
 
 # -- group laws
@@ -475,278 +478,67 @@ def reported_crossed_category(cat: PointedCrossedCategory) -> VerificationReport
 
 # -- the center
 
-class ReferenceCenter:
-    """The center with its tensor, two actions, swap scalars, and braiding.
-
-    `section` maps each Gamma-degree to a chosen homogeneous label (default:
-    least label per fiber).  All scalars are exponents mod cat.M.  The
-    chains hold only with strict units, so `cat` must be unit-normal
-    (phi = iota = 0); a category with a gauge of its units is refused.
-    """
+class ReferenceCenter(DerivedCenter):
+    """The derived structure maps on `simples` (default: enumerate_center),
+    packaged as a category.  The actor A of G >< Gamma is g * |Gamma| + s."""
 
     def __init__(self, cat: PointedCrossedCategory, section: Optional[Sequence[int]] = None,
                  simples: Optional[Sequence[CenterSimple]] = None):
-        if any(cat.phitable) or any(cat.iotatable):
-            raise ValueError(f"{cat.name}: ReferenceCenter needs phi = iota = 0; gauge the "
-                             "category to its unit-normal gauge first (tests/test_gauge.py, "
-                             "_unit_normal_gauge)")
-        self.cat = cat
-        self.section = tuple(section) if section is not None else cat.least_section()
-        for s in cat.Gamma.elements():
-            if cat.grading[self.section[s]] != s:
-                raise ValueError(f"section value {self.section[s]} has degree "
-                                 f"{cat.grading[self.section[s]]}, wanted {s}")
-        # the strict-unit bookkeeping needs the unit fiber to pick the unit label
-        if self.section[cat.Gamma.identity] != cat.Lambda.identity:
-            raise ValueError("section must send the trivial degree to the unit label")
+        super().__init__(cat, section)
         self.simples = tuple(simples) if simples is not None else tuple(enumerate_center(cat))
-        self.index = {(z.g, z.label, z.chi): i for i, z in enumerate(self.simples)}
-        self.npos = {nu: i for i, nu in enumerate(cat.neutral_labels)}
-        self._tensor_cache: dict = {}
-        self._g_cache: dict = {}
-        self._gamma_cache: dict = {}
-        self._sigma_cache: dict = {}
-        self._jg_cache: dict = {}
-        self._xg_cache: dict = {}
-
-    # -- small helpers
-    def chi_at(self, z: CenterSimple, nu: int) -> int:
-        return z.chi[self.npos[nu]]
-
-    def grade(self, z: CenterSimple) -> tuple[int, int]:
-        return (z.g, self.cat.grading[z.label])
+        self.index = {z: i for i, z in enumerate(self.simples)}
 
     def find(self, z: CenterSimple) -> int:
-        key = (z.g, z.label, z.chi)
-        if key not in self.index:
-            raise KeyError(f"simple {key} not in the enumerated center")
-        return self.index[key]
-
-    @cached_property
-    def unit(self) -> CenterSimple:
-        cat = self.cat
-        return CenterSimple(cat.G.identity, cat.Lambda.identity, (0,) * len(cat.neutral_labels))
-
-    # -- tensor: half-braidings compose through the acted argument
-    def tensor(self, z1: CenterSimple, z2: CenterSimple) -> CenterSimple:
-        key = (z1, z2)
-        hit = self._tensor_cache.get(key)
-        if hit is not None:
-            return hit
-        cat = self.cat
-        M, X, act = cat.M, cat.chitable, cat.action
-        g = cat.G.table[z1.g][z2.g]
-        label = cat.Lambda.table[z1.label][z2.label]
-        chi = tuple(
-            (X[z1.g][z2.g][nu] + self.chi_at(z1, act[z2.g][nu]) + self.chi_at(z2, nu)) % M
-            for nu in cat.neutral_labels)
-        out = CenterSimple(g, label, chi)
-        self._tensor_cache[key] = out
-        return out
-
-    # -- G-action.  Chain for the new half-braiding at nu:
-    #    ^g lam . nu -> ^g(lam . ^{g^-1} nu)            J[g][lam][a(g^-1)nu]
-    #    -> ^g(^h(^{g^-1} nu) . lam)                    chi(a(g^-1) nu)
-    #    -> ^{(t|>2 g) h g^-1} nu . ^g lam              -J[g][a(h g^-1)nu][lam]
-    def g_act(self, g: int, z: CenterSimple) -> CenterSimple:
-        key = (g, z)
-        hit = self._g_cache.get(key)
-        if hit is not None:
-            return hit
-        cat = self.cat
-        M, J, act, deg = cat.M, cat.jtable, cat.action, cat.grading
-        Gt, Ginv, a2 = cat.G.table, cat.G.inverses, cat.mp.act2
-        t = deg[z.label]
-        gi = Ginv[g]
-        new_g = Gt[Gt[a2[t][g]][z.g]][gi]
-        label = act[g][z.label]
-        hgi = Gt[z.g][gi]
-        chi = []
-        for nu in cat.neutral_labels:
-            nu_back = act[gi][nu]
-            e = J[g][z.label][nu_back] + self.chi_at(z, nu_back) \
-                - J[g][act[hgi][nu]][z.label]
-            chi.append(e % M)
-        out = CenterSimple(new_g, label, tuple(chi))
-        self._g_cache[key] = out
-        return out
-
-    # -- Gamma-action by the retract of zeta_s (.) zeta_s^dual.  Chain at nu:
-    #    relabel zeta^-1 nu = (zeta^-1 nu zeta) zeta^-1, move the neutral part
-    #    across lam with chi, then recombine with J twice.
-    def gamma_act(self, s: int, z: CenterSimple) -> CenterSimple:
-        key = (s, z)
-        hit = self._gamma_cache.get(key)
-        if hit is not None:
-            return hit
-        cat = self.cat
-        L, M, J, act, a2 = cat.Lambda, cat.M, cat.jtable, cat.action, cat.mp.act2
-        Lt, Linv = L.table, L.inverses
-        h = z.g
-        zeta = self.section[s]
-        # the retract idempotent evaluates to chi(unit) * phi[h]^-1, and phi is
-        # zero; a root idempotent must be the identity scalar, anything else is
-        # a modeling error surfaced immediately
-        if self.chi_at(z, L.identity) % M:
-            raise UnsupportedConfiguration(
-                f"retract idempotent is not the identity on {z} (chi at unit = "
-                f"{self.chi_at(z, L.identity)}, phi[{h}] = 0)")
-        new_g = a2[s][h]
-        label = Lt[Lt[act[h][zeta]][z.label]][Linv[zeta]]
-        chi = []
-        for nu in cat.neutral_labels:
-            conj = Lt[Lt[Linv[zeta]][nu]][zeta]
-            e = self.chi_at(z, conj) + J[h][zeta][conj] - J[h][nu][zeta]
-            chi.append(e % M)
-        out = CenterSimple(new_g, label, tuple(chi))
-        self._gamma_cache[key] = out
-        return out
-
-    def combined_act(self, g: int, s: int, z: CenterSimple) -> CenterSimple:
-        return self.g_act(g, self.gamma_act(s, z))
-
-    # -- swap scalar sigma_{g,s}: gamma(s) o g-action  ~  g0-action o gamma(s0)
-    #    with s0 = g^-1 |>1 s and g0 = (s |>2 g^-1)^-1.
-    def sigma(self, g: int, s: int, z: CenterSimple) -> int:
-        key = (g, s, z)
-        hit = self._sigma_cache.get(key)
-        if hit is not None:
-            return hit
-        cat = self.cat
-        M, J, X, act, deg = cat.M, cat.jtable, cat.chitable, cat.action, cat.grading
-        Lt, Linv, Ginv = cat.Lambda.table, cat.Lambda.inverses, cat.G.inverses
-        a1, a2 = cat.mp.act1, cat.mp.act2
-        t = deg[z.label]
-        gi = Ginv[g]
-        s0 = a1[gi][s]
-        g0 = Ginv[a2[s][gi]]
-        zp = self.g_act(g, z)           # the acted simple carrying chi'
-        h_p = zp.g                       # (t |>2 g) h g^-1
-        zeta_s, zeta_0 = self.section[s], self.section[s0]
-        omega = act[g][zeta_0]
-        nu0 = Lt[Linv[zeta_s]][omega]
-        lhs = self.chi_at(zp, nu0) + J[h_p][zeta_s][nu0]
-        a_h_zeta0 = act[z.g][zeta_0]
-        canon_rhs = -J[g0][Lt[a_h_zeta0][z.label]][Linv[zeta_0]] \
-            - J[g][a_h_zeta0][z.label] + X[a2[t][g]][z.g][zeta_0]
-        out = (lhs - canon_rhs + X[h_p][g][zeta_0] - J[g0][zeta_0][Linv[zeta_0]]) % M
-        self._sigma_cache[key] = out
-        return out
-
-    # -- crossed-structure scalars of the Gamma-action
-    def j_gamma(self, s: int, z1: CenterSimple, z2: CenterSimple) -> int:
-        key = (s, z1, z2)
-        hit = self._jg_cache.get(key)
-        if hit is not None:
-            return hit
-        cat = self.cat
-        M, J, X, act, a1 = cat.M, cat.jtable, cat.chitable, cat.action, cat.mp.act1
-        Lt, Linv = cat.Lambda.table, cat.Lambda.inverses
-        s_tw = a1[z2.g][s]
-        nu_star = Lt[Linv[self.section[s_tw]]][act[z2.g][self.section[s]]]
-        out = (self.chi_at(z1, nu_star) + J[z1.g][self.section[s_tw]][nu_star]
-               + X[z1.g][z2.g][self.section[s]]) % M
-        self._jg_cache[key] = out
-        return out
-
-    def chi_gamma(self, s: int, s2: int, z: CenterSimple) -> int:
-        key = (s, s2, z)
-        hit = self._xg_cache.get(key)
-        if hit is not None:
-            return hit
-        cat = self.cat
-        M, J, Lt, Linv = cat.M, cat.jtable, cat.Lambda.table, cat.Lambda.inverses
-        ss2 = cat.Gamma.table[s][s2]
-        nu = Lt[Linv[self.section[ss2]]][Lt[self.section[s]][self.section[s2]]]
-        out = (J[z.g][self.section[s]][self.section[s2]]
-               - J[z.g][self.section[ss2]][nu] - self.chi_at(z, nu)) % M
-        self._xg_cache[key] = out
-        return out
+        if z not in self.index:
+            raise KeyError(f"simple {(z.g, z.label, z.chi)} not in the enumerated center")
+        return self.index[z]
 
     # -- combined crossed structure on (G><Gamma, G x Gamma)
-    def j_combined(self, g: int, s: int, z1: CenterSimple, z2: CenterSimple) -> int:
-        cat = self.cat
-        s_tw = cat.mp.act1[z2.g][s]
-        w1 = self.gamma_act(s_tw, z1)
-        w2 = self.gamma_act(s, z2)
+    def combined_act(self, A: int, z: CenterSimple) -> CenterSimple:
+        g, s = divmod(A, self.cat.Gamma.order)
+        return self.g_act(g, self.gamma_act(s, z))
+
+    def j_combined(self, A: int, z1: CenterSimple, z2: CenterSimple) -> int:
+        cat, (g, s) = self.cat, divmod(A, self.cat.Gamma.order)
+        w1, w2 = self.gamma_act(cat.mp.act1[z2.g][s], z1), self.gamma_act(s, z2)
         return (self.j_gamma(s, z1, z2) + cat.jtable[g][w1.label][w2.label]) % cat.M
 
-    def x_combined(self, g: int, s: int, g2: int, s2: int, z: CenterSimple) -> int:
-        cat = self.cat
-        Ginv, a1, a2 = cat.G.inverses, cat.mp.act1, cat.mp.act2
-        g_hat = Ginv[a2[s][Ginv[g2]]]
-        s_hat = a1[Ginv[g2]][s]
-        part_sigma = self.sigma(g2, s, self.gamma_act(s2, z))
-        part_chi_gamma = self.chi_gamma(s_hat, s2, z)
+    def x_combined(self, A: int, B: int, z: CenterSimple) -> int:
+        cat, order = self.cat, self.cat.Gamma.order
+        (g, s), (g2, s2) = divmod(A, order), divmod(B, order)
+        g2i = cat.G.inverses[g2]
+        g_hat, s_hat = cat.G.inverses[cat.mp.act2[s][g2i]], cat.mp.act1[g2i][s]
         w = self.gamma_act(cat.Gamma.table[s_hat][s2], z)
-        part_chi_g = cat.chitable[g][g_hat][w.label]
-        return (part_sigma + part_chi_gamma + part_chi_g) % cat.M
+        return (self.sigma(g2, s, self.gamma_act(s2, z)) + self.chi_gamma(s_hat, s2, z)
+                + cat.chitable[g][g_hat][w.label]) % cat.M
 
-    # -- braiding.  Chain: unpack ^{u} z1, move zeta_u^-1 . mu2 across lam1
-    #    with chi1, recombine with J; lands on ^{h1} z2 (x) z1.
-    def braiding(self, z1: CenterSimple, z2: CenterSimple) -> tuple[CenterSimple, int]:
-        cat = self.cat
-        L = cat.Lambda
-        u = cat.grading[z2.label]
-        zeta = self.section[u]
-        nu_b = L.table[L.inverses[zeta]][z2.label]
-        exponent = (self.chi_at(z1, nu_b) + cat.jtable[z1.g][zeta][nu_b]) % cat.M
-        target = self.tensor(self.g_act(z1.g, z2), z1)
-        return target, exponent
-
-    # -- the center as a pointed crossed category over the induced pair
     @cached_property
     def induced(self) -> BraidedMatchedPair:
         return reference_center_braiding(self.cat.mp)
 
     def as_category(self) -> PointedCrossedCategory:
-        """Package the center's tables as a pointed crossed category.
-
-        Simples must form a group under tensor (checked by reference_validate_group);
-        the grading is the (G-degree, Gamma-degree) pair and the action is
-        the combined one.
-        """
-        cat = self.cat
-        bmp = self.induced
-        cp = bmp.mp
-        n = len(self.simples)
-        gamma_ord = cat.Gamma.order
-        tensor_table = [[self.find(self.tensor(a, b)) for b in self.simples] for a in self.simples]
-        lam_z = reference_validate_group(tensor_table, name=f"Z({cat.name})-simples")
-        grading = [z.g * gamma_ord + cat.grading[z.label] for z in self.simples]
-        action = [[0] * n for _ in range(cp.G.order)]
-        jt = [[[0] * n for _ in range(n)] for _ in range(cp.G.order)]
-        xt = [[[0] * n for _ in range(cp.G.order)] for _ in range(cp.G.order)]
-        for g in cat.G.elements():
-            for s in cat.Gamma.elements():
-                A = g * gamma_ord + s
-                for i, z in enumerate(self.simples):
-                    action[A][i] = self.find(self.combined_act(g, s, z))
-                for i, a in enumerate(self.simples):
-                    for k, b in enumerate(self.simples):
-                        jt[A][i][k] = self.j_combined(g, s, a, b)
-        for g in cat.G.elements():
-            for s in cat.Gamma.elements():
-                A = g * gamma_ord + s
-                for g2 in cat.G.elements():
-                    for s2 in cat.Gamma.elements():
-                        A2 = g2 * gamma_ord + s2
-                        xt[A][A2] = [self.x_combined(g, s, g2, s2, z) for z in self.simples]
-        return pointed_category(lam_z, cp, grading, action, cat.M, jtable=jt, chitable=xt,
-                                name=f"Z({cat.name})")
+        """Simples must form a group under tensor (checked by
+        reference_validate_group); the grading is the (G-degree,
+        Gamma-degree) pair and the action is the combined one."""
+        cat, Zs, actors = self.cat, self.simples, self.induced.mp.G.elements()
+        lam_z = reference_validate_group([[self.find(self.tensor(a, b)) for b in Zs] for a in Zs],
+                                         name=f"Z({cat.name})-simples")
+        action = [[self.find(self.combined_act(A, z)) for z in Zs] for A in actors]
+        jt = [[[self.j_combined(A, a, b) for b in Zs] for a in Zs] for A in actors]
+        xt = [[[self.x_combined(A, B, z) for z in Zs] for B in actors] for A in actors]
+        return pointed_category(lam_z, self.induced.mp,
+                                [z.g * cat.Gamma.order + cat.grading[z.label] for z in Zs],
+                                action, cat.M, jtable=jt, chitable=xt, name=f"Z({cat.name})")
 
 
 def reference_center_braided(cat: PointedCrossedCategory,
                              simples: Optional[Sequence[CenterSimple]] = None,
                              section: Optional[Sequence[int]] = None) -> VerificationReport:
-    """Full verification of the braided structure on the center.
-
-    Checks, exhaustively over enumerated simples: oracle equivalence, the
-    induced pair's braiding, the combined crossed-category axioms (closure,
-    group structure and grading of the simples among them), the three
-    crossed-braiding axioms.  `simples` overrides the enumeration (used by
-    mutation tests).
-    """
+    """Full verification of the braided structure on the center, exhaustive
+    over the simples (`simples` overrides the enumeration): oracle
+    equivalence, the induced pair's braiding, the combined crossed-category
+    axioms (closure, group law and grading of the simples among them) and
+    the three crossed-braiding axioms."""
     rep = VerificationReport(subject=f"center of {cat.name}")
     Z = ReferenceCenter(cat, section=section, simples=simples)
     M, gamma_ord = cat.M, cat.Gamma.order
@@ -781,68 +573,46 @@ def reference_center_braided(cat: PointedCrossedCategory,
         c = r.first_failure()
         return (c.name,) + tuple(c.witness or ())
 
-    bmp = Z.induced
-    phi_img, psi_img = bmp.phi, bmp.psi
-    cp = bmp.mp
+    phi_img, psi_img, cp = Z.induced.phi, Z.induced.psi, Z.induced.mp
     a1, a2 = cp.act1, cp.act2
-
-    def _act_by(A: int, z: CenterSimple) -> CenterSimple:
-        return Z.combined_act(A // gamma_ord, A % gamma_ord, z)
+    _act_by, _j_comb, _x_comb = Z.combined_act, Z.j_combined, Z.x_combined
 
     def _grade_idx(z: CenterSimple) -> int:
-        gz, sz = Z.grade(z)
-        return gz * gamma_ord + sz
-
-    def _j_comb(A: int, a: CenterSimple, b: CenterSimple) -> int:
-        return Z.j_combined(A // gamma_ord, A % gamma_ord, a, b)
-
-    def _x_comb(A: int, B: int, z: CenterSimple) -> int:
-        return Z.x_combined(A // gamma_ord, A % gamma_ord, B // gamma_ord, B % gamma_ord, z)
+        return z.g * gamma_ord + cat.grading[z.label]
 
     def _b_exp(a: CenterSimple, b: CenterSimple) -> int:
         return Z.braiding(a, b)[1]
 
     def braiding_axiom_1() -> Optional[tuple]:
-        for A in cp.G.elements():
-            for i, z1 in enumerate(Z.simples):
-                for k, z2 in enumerate(Z.simples):
-                    S1, S2 = _grade_idx(z1), _grade_idx(z2)
-                    lhs = (_b_exp(z1, z2)
-                           + _j_comb(A, _act_by(phi_img[S2], z1), z2)
-                           - _x_comb(a2[S2][A], phi_img[S2], z1)
-                           + _x_comb(phi_img[a1[A][S2]], A, z1)) % M
-                    rhs = (_j_comb(A, _act_by(psi_img[S1], z2), z1)
-                           - _x_comb(a2[S1][A], psi_img[S1], z2)
-                           + _x_comb(psi_img[a1[A][S1]], A, z2)
-                           + _b_exp(_act_by(A, z1), _act_by(A, z2))) % M
-                    if lhs != rhs:
-                        return (A, i, k)
+        for A, (i, z1), (k, z2) in itertools.product(cp.G.elements(), enumerate(Z.simples),
+                                                     enumerate(Z.simples)):
+            S1, S2 = _grade_idx(z1), _grade_idx(z2)
+            lhs = (_b_exp(z1, z2) + _j_comb(A, _act_by(phi_img[S2], z1), z2)
+                   - _x_comb(a2[S2][A], phi_img[S2], z1) + _x_comb(phi_img[a1[A][S2]], A, z1))
+            rhs = (_j_comb(A, _act_by(psi_img[S1], z2), z1) - _x_comb(a2[S1][A], psi_img[S1], z2)
+                   + _x_comb(psi_img[a1[A][S1]], A, z2) + _b_exp(_act_by(A, z1), _act_by(A, z2)))
+            if (lhs - rhs) % M:
+                return (A, i, k)
         return None
 
     def braiding_axiom_2() -> Optional[tuple]:
-        for i, z1 in enumerate(Z.simples):
-            for k, z2 in enumerate(Z.simples):
-                for l, z3 in enumerate(Z.simples):
-                    S1, S2, S3 = _grade_idx(z1), _grade_idx(z2), _grade_idx(z3)
-                    lhs = (_b_exp(Z.tensor(z1, z2), z3) + _j_comb(phi_img[S3], z1, z2)) % M
-                    rhs = (_x_comb(psi_img[S1], psi_img[S2], z3)
-                           + _b_exp(z1, _act_by(psi_img[S2], z3))
-                           + _b_exp(z2, z3)) % M
-                    if lhs != rhs:
-                        return (i, k, l)
+        for (i, z1), (k, z2), (l, z3) in itertools.product(enumerate(Z.simples), repeat=3):
+            S1, S2, S3 = _grade_idx(z1), _grade_idx(z2), _grade_idx(z3)
+            lhs = _b_exp(Z.tensor(z1, z2), z3) + _j_comb(phi_img[S3], z1, z2)
+            rhs = (_x_comb(psi_img[S1], psi_img[S2], z3) + _b_exp(z1, _act_by(psi_img[S2], z3))
+                   + _b_exp(z2, z3))
+            if (lhs - rhs) % M:
+                return (i, k, l)
         return None
 
     def braiding_axiom_3() -> Optional[tuple]:
-        for i, z1 in enumerate(Z.simples):
-            for k, z2 in enumerate(Z.simples):
-                for l, z3 in enumerate(Z.simples):
-                    S1, S2, S3 = _grade_idx(z1), _grade_idx(z2), _grade_idx(z3)
-                    lhs = (_b_exp(z1, Z.tensor(z2, z3)) + _x_comb(phi_img[S2], phi_img[S3], z1)) % M
-                    rhs = (_j_comb(psi_img[S1], z2, z3)
-                           + _b_exp(z1, z3)
-                           + _b_exp(_act_by(phi_img[S3], z1), z2)) % M
-                    if lhs != rhs:
-                        return (i, k, l)
+        for (i, z1), (k, z2), (l, z3) in itertools.product(enumerate(Z.simples), repeat=3):
+            S1, S2, S3 = _grade_idx(z1), _grade_idx(z2), _grade_idx(z3)
+            lhs = _b_exp(z1, Z.tensor(z2, z3)) + _x_comb(phi_img[S2], phi_img[S3], z1)
+            rhs = (_j_comb(psi_img[S1], z2, z3) + _b_exp(z1, z3)
+                   + _b_exp(_act_by(phi_img[S3], z1), z2))
+            if (lhs - rhs) % M:
+                return (i, k, l)
         return None
 
     return run_checks(rep, [(name, _guarded(fn)) for name, fn in [
@@ -867,14 +637,11 @@ def _guarded(fn):
 
 
 class ReferenceSwapLaws:
-    """The five laws of the swap scalars sigma_{g,s}, which the center
-    report checked until each was found to restate a law of the center
-    viewed as a category (the proofs are at center_category_axioms in
-    crossedcat/center.py).  Kept to name a failing swap law when a center
-    fails, and to test that restatement.  Each law is a residue at its
-    witness tuple, zero where the law holds; `report` sweeps them in
-    witness order.
-    """
+    """The five laws of the swap scalars sigma_{g,s}, each a restated law
+    of the center viewed as a category (proofs at center_category_axioms in
+    crossedcat/center.py), kept to name a failing swap law and to test that
+    restatement.  Each law is a residue at its witness tuple, zero where it
+    holds; `report` sweeps them in witness order."""
 
     def __init__(self, cat: PointedCrossedCategory,
                  simples: Optional[Sequence[CenterSimple]] = None):
@@ -884,9 +651,7 @@ class ReferenceSwapLaws:
     def j_compat(self, g: int, s: int, i: int, k: int) -> int:
         cat, Z, M, J = self.cat, self.Z, self.cat.M, self.cat.jtable
         Ginv, a1, a2 = cat.G.inverses, cat.mp.act1, cat.mp.act2
-        g0 = Ginv[a2[s][Ginv[g]]]
-        s0 = a1[Ginv[g]][s]
-        z1, z2 = Z.simples[i], Z.simples[k]
+        g0, s0, z1, z2 = Ginv[a2[s][Ginv[g]]], a1[Ginv[g]][s], Z.simples[i], Z.simples[k]
         g_tw = a2[cat.grading[z2.label]][g]
         lhs = (Z.sigma(g, s, Z.tensor(z1, z2))
                + J[g][z1.label][z2.label]
@@ -894,21 +659,20 @@ class ReferenceSwapLaws:
         s0_tw = a1[z2.g][s0]
         rhs = (Z.j_gamma(s0, z1, z2)
                + J[g0][Z.gamma_act(s0_tw, z1).label][Z.gamma_act(s0, z2).label]
-               + Z.sigma(g_tw, _sigma_first_index(cat, g, s, z2), z1)
+               + Z.sigma(g_tw, a1[Z.g_act(g, z2).g][s], z1)
                + Z.sigma(g, s, z2)) % M
         return (lhs - rhs) % M
 
     def phi_compat(self, g: int, s: int) -> int:
-        return self.Z.sigma(g, s, self.Z.unit)
+        unit = CenterSimple(self.cat.G.identity, self.cat.Lambda.identity,
+                            (0,) * len(self.cat.neutral_labels))
+        return self.Z.sigma(g, s, unit)
 
     def yang_baxter_gamma(self, g: int, s: int, s2: int, i: int) -> int:
         cat, Z, M = self.cat, self.Z, self.cat.M
         Ginv, a1, a2 = cat.G.inverses, cat.mp.act1, cat.mp.act2
-        gi = Ginv[g]
-        g_hat = Ginv[a2[s2][gi]]
-        s_hat1 = a1[a2[s2][gi]][s]
-        s_hat2 = a1[gi][s2]
-        z = Z.simples[i]
+        gi, z = Ginv[g], Z.simples[i]
+        g_hat, s_hat1, s_hat2 = Ginv[a2[s2][gi]], a1[a2[s2][gi]][s], a1[gi][s2]
         lhs = (Z.sigma(g, cat.Gamma.table[s][s2], z)
                + Z.chi_gamma(s, s2, Z.g_act(g, z))) % M
         rhs = (Z.chi_gamma(s_hat1, s_hat2, z)
@@ -919,11 +683,8 @@ class ReferenceSwapLaws:
     def yang_baxter_g(self, g: int, g2: int, s: int, i: int) -> int:
         cat, Z, M, X = self.cat, self.Z, self.cat.M, self.cat.chitable
         Gt, Ginv, a1, a2 = cat.G.table, cat.G.inverses, cat.mp.act1, cat.mp.act2
-        g0 = Ginv[a2[s][Ginv[g]]]
-        s0 = a1[Ginv[g]][s]
-        g0_2 = Ginv[a2[s0][Ginv[g2]]]
-        s0_2 = a1[Ginv[g2]][s0]
-        z = Z.simples[i]
+        g0, s0, z = Ginv[a2[s][Ginv[g]]], a1[Ginv[g]][s], Z.simples[i]
+        g0_2, s0_2 = Ginv[a2[s0][Ginv[g2]]], a1[Ginv[g2]][s0]
         lhs = (Z.sigma(Gt[g][g2], s, z) + X[g][g2][z.label]) % M
         rhs = (X[g0][g0_2][Z.gamma_act(s0_2, z).label]
                + Z.sigma(g2, s0, z)
@@ -932,11 +693,10 @@ class ReferenceSwapLaws:
 
     def units(self, side: str, x: int, i: int) -> int:
         """sigma_{x,e} ("gamma-unit") or sigma_{e,x} ("g-unit") at simple i."""
-        cat, Z = self.cat, self.Z
-        z = Z.simples[i]
+        cat, z = self.cat, self.Z.simples[i]
         if side == "gamma-unit":
-            return Z.sigma(x, cat.Gamma.identity, z)
-        return Z.sigma(cat.G.identity, x, z)
+            return self.Z.sigma(x, cat.Gamma.identity, z)
+        return self.Z.sigma(cat.G.identity, x, z)
 
     def report(self) -> VerificationReport:
         cat, Zs = self.cat, range(len(self.Z.simples))
@@ -963,11 +723,3 @@ def reference_swap_laws(cat: PointedCrossedCategory,
     report had them."""
     return ReferenceSwapLaws(cat, simples).report()
 
-
-def _sigma_first_index(cat: PointedCrossedCategory, g: int, s: int, z2: CenterSimple) -> int:
-    """Gamma-index of the left sigma factor in the J-compatibility condition."""
-    # (g |>1^G grade(z2)) |>2^Gamma s = ((t2 |>2 g) h2 g^-1) |>1 s for grade (h2, t2)
-    Gt, Ginv, a1, a2 = cat.G.table, cat.G.inverses, cat.mp.act1, cat.mp.act2
-    t2 = cat.grading[z2.label]
-    h_new = Gt[Gt[a2[t2][g]][z2.g]][Ginv[g]]
-    return a1[h_new][s]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import re
 
@@ -193,12 +194,10 @@ def test_verify_center_braided_all_fixtures(name):
 
 
 @pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, reason="C' fails braiding_axiom_1 at (4, 128, 4); cause open"))
-    if name == "z4-over-z2" else name
-    for name in CENTER_FIXTURES
-    # z6-over-z3's C' (|Lambda'| = 24, 576 simples) takes over two minutes until
-    # verify_center_braided is faster on nonzero data (ROADMAP item 19)
+    name for name in CENTER_FIXTURES
+    # z6-over-z3's C' (|Lambda'| = 24, 576 simples) takes over 20 s until
+    # verify_center_braided is faster on nonzero data (ROADMAP item 19); the
+    # slow test_center_of_a_center_is_braided_at_every_section covers it
     if name != "z6-over-z3"])
 def test_center_of_a_center_is_braided(name):
     """The center C' of a center fixture, viewed as a category, is a valid
@@ -223,13 +222,57 @@ def test_half_braiding_mutation_detected():
     assert not rep.passed
 
 
-@pytest.mark.parametrize("name", CENTER_FIXTURES)
+def noncyclic_chi(n: int) -> PointedCrossedCategory:
+    """G = Z_n x Z_n acting trivially on Lambda = Z_n, with Gamma = 1, M = n,
+    J = 0 and chi[g][h][x] = g1 h2 x for g = n g1 + g2 (direct_product's
+    encoding): a bilinear 2-cocycle that is not symmetric.  With an abelian
+    G acting trivially, chi(g, h) - chi(h, g) is a cohomology invariant, so
+    neither a fixture (each has a cyclic G or chi = 0) nor a gauge of one
+    reaches this."""
+    G, L = direct_product(cyclic(n), cyclic(n)), cyclic(n)
+    chi = [[[(g // n) * (h % n) * x % n for x in L.elements()] for h in G.elements()]
+           for g in G.elements()]
+    return pointed_category(L, direct_pair(G, trivial_group()), [0] * n,
+                            [list(L.elements())] * G.order, n, chitable=chi,
+                            name=f"noncyclic-chi-z{n}")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_center_of_a_noncyclic_chi_is_braided(n):
+    """The G-action charges chi for ^g(^{g^-1} nu) ~ nu and for collapsing
+    ^{g'}(^h(^{g^-1} nu)); without those three terms this valid category's
+    center failed braiding_axiom_1, at (1, 8, 2) for n = 2 and at (1, 27, 3)
+    for n = 3.  Mod 2 the terms' signs are invisible; n = 3 pins them."""
+    cat = noncyclic_chi(n)
+    assert verify_crossed_category(cat).passed
+    rep = verify_center_braided(cat)
+    assert rep.passed, rep.first_failure()
+
+
+# categories off the fixtures whose tables are compared with the chains: the
+# two noncyclic chi shapes in full, and 12 x 12 seeded rows of three centers
+# C' = Z(name) viewed as categories
+TABLE_CASES = {"noncyclic-chi-z2": lambda: noncyclic_chi(2),
+               "noncyclic-chi-z3": lambda: noncyclic_chi(3),
+               **{f"Z({name})": (lambda name=name: CenterStructure(category(name)).as_category())
+                  for name in ("z4-over-z2", "equivariant-s3", "vec-z2z3")}}
+
+
+@pytest.mark.parametrize("name", [*CENTER_FIXTURES, *TABLE_CASES])
 def test_structure_tables_match_chains(name):
-    """Every table read from half_braiding equals the per-entry chain of the
-    reference structure: on the fixture, on gauges off the units and on
-    corrupted simple lists, whose escape points sigma and the combined chi
-    read too."""
+    """Every table read from half_braiding equals the chain that the
+    rewriting system derives (tests/derived_center.py): on the fixture, on
+    gauges off the units and on corrupted simple lists, whose escape points
+    sigma and the combined chi read too; and on the cases off the fixtures,
+    at every point or at seeded rows of a C'."""
     from test_reference_equivalence import _corrupted_simples
+    if name in TABLE_CASES:
+        cat = TABLE_CASES[name]()
+        n = len(CenterStructure(cat).points)
+        rng = random.Random(f"tables:{name}")
+        _assert_tables_match_chains(cat, rows=None if name.startswith("noncyclic") else
+                                    [sorted(rng.sample(range(n), min(12, n))) for _ in range(2)])
+        return
     cat = category(name)
     assert CenterStructure(cat).points == tuple(enumerate_center(cat))
     rng = random.Random(f"tables:{name}")
@@ -246,15 +289,18 @@ def test_structure_tables_match_chains(name):
         _assert_tables_match_chains(gauge(cat, u))
 
 
-def _assert_tables_match_chains(cat, simples=None) -> None:
+def _assert_tables_match_chains(cat, simples=None, rows=None) -> None:
     # the scalar tables read each chain from half_braiding; every entry at
-    # every point must still equal the per-entry chain of the reference
-    # structure, and half_braiding on N is the point's chi
+    # every point (or at the two index lists `rows`, for the first and the
+    # second point) must equal the derived chain, and half_braiding on N is
+    # the point's chi
     Z = CenterStructure(cat, simples=simples)
     R = ReferenceCenter(Z.cat, simples=Z.simples)
     P, N = Z.points, Z.cat.neutral_labels
+    first, second = rows or (range(len(P)), range(len(P)))
     assert len(Z.half_braiding) == len(P)
-    for i, z1 in enumerate(P):
+    for i in first:
+        z1 = P[i]
         assert [Z.half_braiding[i][nu] for nu in N] == [z1.chi[Z.npos[nu]] for nu in N]
         for g in cat.G.elements():
             assert P[Z.g_action_table[g][i]] == R.g_act(g, z1)
@@ -263,18 +309,21 @@ def _assert_tables_match_chains(cat, simples=None) -> None:
         for s in cat.Gamma.elements():
             for s2 in cat.Gamma.elements():
                 assert Z.chi_gamma_table[s][s2][i] == R.chi_gamma(s, s2, z1)
-        for k, z2 in enumerate(P):
+        for k in second:
+            z2 = P[k]
             assert Z.braid_table[i][k] == R.braiding(z1, z2)[1]
             for s in cat.Gamma.elements():
                 assert Z.j_gamma_table[s][i][k] == R.j_gamma(s, z1, z2)
-        for k, z2 in enumerate(Z.simples):
+            if k >= len(Z.simples):
+                continue
             assert P[Z.tensor_table[i][k]] == R.tensor(z1, z2)
             if i < len(Z.simples):  # the braiding's target tensors with z1
                 assert P[Z.tensor_table[Z.g_action_table[z1.g][k]][i]] == \
                     R.braiding(z1, z2)[0]
     if Z._unsupported is None:
         for s in cat.Gamma.elements():
-            assert [P[p] for p in Z.gamma_action_table[s]] == [R.gamma_act(s, z) for z in P]
+            assert [P[Z.gamma_action_table[s][i]] for i in first] == \
+                [R.gamma_act(s, P[i]) for i in first]
 
 
 def _closure_by_chains(Z: CenterStructure) -> tuple:
@@ -415,6 +464,28 @@ def test_every_section_gives_the_least_sections_report(name):
         assert least["pass"], case.name
         for section in _sections(case):
             assert verify_center_braided(case, section=section).to_json() == least, section
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", CENTER_FIXTURES)
+def test_center_of_a_center_is_braided_at_every_section(name):
+    """The center C' of a center fixture, viewed as a category, is valid,
+    and its own center is braided at every section of C', or at 64 seeded
+    sections where C' has more.  Slow: z4-over-z2's C' has 64 sections, and
+    z6-over-z3's C' takes about 20 s per section."""
+    cat = CenterStructure(category(name)).as_category()
+    assert verify_crossed_category(cat).passed
+    e, rng = cat.Gamma.identity, random.Random(f"c-prime-sections:{name}")
+    fibers = [(cat.Lambda.identity,) if s == e else cat.fibers[s] for s in cat.Gamma.elements()]
+    if math.prod(map(len, fibers)) <= 64:
+        sections = set(itertools.product(*fibers))
+    else:
+        sections = set()
+        while len(sections) < 64:
+            sections.add(tuple(rng.choice(fiber) for fiber in fibers))
+    for section in sorted(sections):
+        rep = verify_center_braided(cat, section=section)
+        assert rep.passed, (section, rep.first_failure())
 
 
 @pytest.mark.parametrize("Lambda,M", [(cyclic(3), 3), (cyclic(4), 4), (cyclic(4), 8),
