@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .groups import FiniteGroup, direct_product, is_hom_image
+from .groups import FiniteGroup, direct_product, frozen, in_range, is_hom_image
 from .matched import MatchedPair, matched_pair, turaev_pair, verify_matched_pair, zappa_szep
 from .records import Record
 from .report import VerificationReport, run_checks
@@ -37,13 +37,11 @@ class BraidedMatchedPair(Record):
 
 def braided_pair(mp: MatchedPair, phi: Sequence[int], psi: Sequence[int]) -> BraidedMatchedPair:
     """The pair with braiding images phi and psi; raises ValidationError unless
-    each maps all of Gamma into G.  The axioms are verify_braiding's."""
-    images = []
-    for name, image in (("phi", phi), ("psi", psi)):
-        image = tuple(int(v) for v in image)
-        if len(image) != mp.Gamma.order or any(not 0 <= v < mp.G.order for v in image):
+    each is integers mapping all of Gamma into G.  The axioms are verify_braiding's."""
+    images = frozen(phi, 1, "phi"), frozen(psi, 1, "psi")
+    for name, image in zip(("phi", "psi"), images):
+        if len(image) != mp.Gamma.order or not in_range(image, mp.G.order):
             raise ValidationError(f"{name} must map all of Gamma into G")
-        images.append(image)
     return BraidedMatchedPair(mp, *images)
 
 

@@ -24,16 +24,31 @@ in process (Python 3.11, 2-vCPU VM).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import AssocViolation, MalformedTable, NoIdentity, NoInverse
+from .errors import AssocViolation, MalformedTable, NoIdentity, NoInverse, ValidationError
 from .records import Record
 
 Table = tuple[tuple[int, ...], ...]
 
 
-def _freeze(table: Sequence[Sequence[int]]) -> Table:
-    return tuple(tuple(int(x) for x in row) for row in table)
+def frozen(table: Any, depth: int, what: str) -> tuple:
+    """`table` as tuples; raises ValidationError naming `what` unless it is
+    integers nested `depth` lists or tuples deep.  No entry is coerced: a
+    float or a bool (JSON true/false, though bool subclasses int) is refused."""
+    def freeze(t: Any, d: int) -> tuple:
+        if isinstance(t, (list, tuple)):
+            if d > 1:
+                return tuple([freeze(r, d - 1) for r in t])
+            if {int}.issuperset(map(type, t)):
+                return tuple(t)
+        raise ValidationError(f"{what} must be a list of " + "lists of " * (depth - 1) + "integers")
+    return freeze(table, depth)
+
+
+def in_range(row: Sequence[int], n: int) -> bool:
+    """Whether every entry of the integer row lies in 0..n-1."""
+    return min(row, default=0) >= 0 and max(row, default=0) < n
 
 
 class FiniteGroup(Record):
@@ -66,22 +81,23 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
                    name: str = "G") -> FiniteGroup:
     """Check all three group laws exactly and derive inverses.
 
-    Raises MalformedTable / NoIdentity / AssocViolation / NoInverse, each
-    with the first witness of an exhaustive sweep.  Associativity is the
-    composition law of the group acting on itself, a (b c) = (a b) c, so
+    Raises ValidationError for an entry that is not an integer, then
+    MalformedTable / NoIdentity / AssocViolation / NoInverse, each with the
+    first witness of an exhaustive sweep.  Associativity is the composition
+    law of the group acting on itself, a (b c) = (a b) c, so
     `action_law_witness` sweeps it with act = the table, certified on the
     left factor a; neither associativity nor inverses is assumed.
     """
-    t = _freeze(table)
+    t = frozen(table, 2, "group table")
     n = len(t)
     if n == 0:
         raise MalformedTable("empty table")
     for row in t:
         if len(row) != n:
             raise MalformedTable(f"table is not square: row of length {len(row)} in order-{n} table")
-        for x in row:
-            if not (0 <= x < n):
-                raise MalformedTable(f"entry {x} out of range 0..{n - 1}")
+        if not in_range(row, n):
+            x = next(x for x in row if not 0 <= x < n)
+            raise MalformedTable(f"entry {x} out of range 0..{n - 1}")
     if identity is None:
         identity = next((e for e in range(n)
                          if all(t[e][a] == a and t[a][e] == a for a in range(n))), -1)
@@ -96,13 +112,13 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
     bad = action_law_witness(t, t, identity)
     if bad is not None:
         raise AssocViolation(*bad)
-    inverses = []
-    for a in range(n):
-        b = next((b for b in range(n) if t[a][b] == identity and t[b][a] == identity), -1)
-        if b < 0:
+    # with associativity, a right inverse b of a (a b = e) equals any left
+    # inverse c (c a = e): c = c (a b) = (c a) b = b.  So the first b with
+    # a b = e is the one candidate, and a has no inverse unless b a = e.
+    for a, row in enumerate(t):
+        if identity not in row or t[row.index(identity)][a] != identity:
             raise NoInverse(a)
-        inverses.append(b)
-    return FiniteGroup(n, t, identity, tuple(inverses), name)
+    return FiniteGroup(n, t, identity, tuple(row.index(identity) for row in t), name)
 
 
 def generators(table: Sequence[Sequence[int]], identity: int,

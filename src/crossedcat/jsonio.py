@@ -4,13 +4,14 @@ Each file is one self-contained JSON value: a group, pair or category object
 nested in another is given inline, and a string in its place is refused as
 not a JSON object, never opened as a path.  Each input is read once: a
 loader keeps the SHA-256 of the bytes it parsed on its record as
-`input_digest`, an attribute that is not a field.  Loaders check the file
-format, and the record constructors they call check shapes and ranges, all
-raising ValidationError (the CLI's exit-2 class).  The subject's own axioms
-are left to the verifiers, so a corrupted pair still loads and then fails
-verification with a witness (the CLI's exit-1 class).  A loader imports the
-module of the record it builds only when it builds one, so that `verify
-group` loads no pair or category code.
+`input_digest`, an attribute that is not a field.  Loaders check objects,
+fields and scalars (identity, order, M, sides) and that exponents are in
+0..M-1; each index table is checked once, entries, shape and ranges, by
+the record constructor that freezes it.  Either raises an exit-2 error.
+The subject's own axioms are left to the verifiers, so a corrupted pair
+still loads and then fails verification with a witness (the CLI's exit-1
+class).  A loader imports the module of the record it builds only when it
+builds one, so that `verify group` loads no pair or category code.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
 from .errors import ValidationError
-from .groups import FiniteGroup, validate_group
+from .groups import FiniteGroup, in_range, validate_group
 
 if TYPE_CHECKING:
     from .braided import BraidedMatchedPair
@@ -46,11 +47,11 @@ except ImportError:
 # The most bytes an input file may hold, a thousand times the largest
 # fixture (4 KB).  Measured in a fresh process (Python 3.11, 2 vCPUs; VmHWM
 # counts the interpreter's 14 MB): a category just under the cap, Lambda =
-# Z_925 over trivial groups, parses in 0.11 s at a VmHWM of 43 MB and passes
-# `verify category` in 0.63 s at 57 MB; the JSON with the most objects per
-# byte, a list of empty lists, parses in 0.6 s at 119 MB.  At 16 MiB the
-# same three read 0.34 s at 136 MB (Z_1766), 1.9-2.4 s at 168 MB and 3.1 s
-# at 434 MB.
+# Z_925 over trivial groups, parses in 0.10-0.15 s at a VmHWM of 47 MB and
+# passes `verify category` in 0.30-0.37 s at 47 MB; the JSON with the most
+# objects per byte, a list of empty lists, parses in 0.64-0.66 s at 118 MB.
+# At 16 MiB the same three read 0.55 s at 151 MB (Z_1766), 1.0-1.2 s at
+# 152 MB and 3.2-3.4 s at 431 MB.
 MAX_INPUT_BYTES = 4 << 20
 
 
@@ -122,19 +123,11 @@ def _object(obj: Any, what: str) -> dict:
     return obj
 
 
-def _ints(obj: Any, depth: int, what: str) -> Any:
-    """`obj`, checked to be integers nested `depth` lists deep."""
-    if not _is_ints(obj, depth):
-        shape = "a list of " + "lists of " * (depth - 1) + "integers" if depth else "an integer"
-        raise ValidationError(f"{what} must be {shape}")
+def _int(obj: Any, what: str) -> int:
+    # JSON true/false load as bool, a subclass of int; they are not integers here
+    if type(obj) is not int:
+        raise ValidationError(f"{what} must be an integer")
     return obj
-
-
-def _is_ints(obj: Any, depth: int) -> bool:
-    if depth == 0:
-        # JSON true/false load as bool, a subclass of int; they are not integers here
-        return isinstance(obj, int) and not isinstance(obj, bool)
-    return isinstance(obj, list) and all(_is_ints(v, depth - 1) for v in obj)
 
 
 # -- groups ---------------------------------------------------------------------
@@ -144,19 +137,20 @@ def group_to_json(G: FiniteGroup) -> dict:
             "table": [list(row) for row in G.table]}
 
 
-def group_fields(obj: Any) -> tuple[list, Optional[int], Any]:
-    """Table, identity (or None) and name of a group object, shape-checked;
-    an `order` field, when present, must be the number of table rows."""
+def group_fields(obj: Any) -> tuple[Any, Optional[int], Any]:
+    """Table, identity (or None) and name of a group object.  The identity
+    must be an integer, and an `order` field, when present, the number of
+    table rows; the table's entries are validate_group's check."""
     obj = _object(obj, "group")
     if "table" not in obj:
         raise ValidationError("group object missing field 'table'")
     identity = obj.get("identity")
     if identity is not None:
-        _ints(identity, 0, "group identity")
-    table = _ints(obj["table"], 2, "group table")
-    n = len(table)
-    if _ints(obj.get("order", n), 0, "group order") != n:
-        raise ValidationError(f"group order {obj['order']} does not match the table's {n} rows")
+        _int(identity, "group identity")
+    table = obj["table"]
+    if isinstance(table, list) and _int(obj.get("order", len(table)), "group order") != len(table):
+        raise ValidationError(f"group order {obj['order']} does not match the table's "
+                              f"{len(table)} rows")
     return table, identity, obj.get("name", "G")
 
 
@@ -188,9 +182,8 @@ def matched_to_json(mp: MatchedPair) -> dict:
 def matched_from_json(obj: Any) -> MatchedPair:
     obj = _object(obj, "matched pair")
     try:
-        G = group_from_json(obj["G"])
-        Gamma = group_from_json(obj["Gamma"])
-        act1, act2 = _ints(obj["act1"], 2, "act1"), _ints(obj["act2"], 2, "act2")
+        G, Gamma = group_from_json(obj["G"]), group_from_json(obj["Gamma"])
+        act1, act2 = obj["act1"], obj["act2"]
     except KeyError as exc:
         raise ValidationError(f"matched-pair object missing field {exc}") from exc
     for key in ("side1", "side2"):
@@ -220,7 +213,7 @@ def braided_to_json(bmp: BraidedMatchedPair) -> dict:
 def braided_from_json(obj: Any) -> BraidedMatchedPair:
     mp = matched_from_json(obj)
     try:
-        phi, psi = _ints(obj["phi"], 1, "phi"), _ints(obj["psi"], 1, "psi")
+        phi, psi = obj["phi"], obj["psi"]
     except KeyError as exc:
         raise ValidationError(f"braided-pair object missing field {exc}") from exc
     # hom axioms are the verifier's business, not the loader's
@@ -238,11 +231,16 @@ def load_braided(path: PathLike) -> BraidedMatchedPair:
 
 # -- categories ----------------------------------------------------------------------
 
-def category_to_json(cat: PointedCrossedCategory) -> dict:
-    def flat3(t):
-        return [[list(r) for r in plane] for plane in t]
+# the scalar tables in pointed_category's order, with the depth of their lists
+SCALARS = (("J", 3), ("phi", 1), ("chi", 3), ("iota", 1))
 
-    return {
+
+def _rows(table: Any, depth: int) -> list:
+    return [table] if depth == 1 else [row for plane in table for row in plane]
+
+
+def category_to_json(cat: PointedCrossedCategory) -> dict:
+    body = {
         "name": cat.name,
         "Lambda": group_to_json(cat.Lambda),
         "Gamma": group_to_json(cat.Gamma),
@@ -251,29 +249,14 @@ def category_to_json(cat: PointedCrossedCategory) -> dict:
         "grading": list(cat.grading),
         "action": [list(r) for r in cat.action],
         "M": cat.M,
-        "J": "trivial" if _zero3(cat.jtable) else flat3(cat.jtable),
-        "phi": "trivial" if all(v == 0 for v in cat.phitable) else list(cat.phitable),
-        "chi": "trivial" if _zero3(cat.chitable) else flat3(cat.chitable),
-        "iota": "trivial" if all(v == 0 for v in cat.iotatable) else list(cat.iotatable),
     }
-
-
-def _zero3(t) -> bool:
-    return all(v == 0 for plane in t for row in plane for v in row)
-
-
-def _exponents(obj: Any, depth: int, M: int, what: str):
-    """A scalar table: None for "trivial" or absent, else integers nested
-    `depth` lists deep, each in 0..M-1.  Its shape is pointed_category's check."""
-    if obj == "trivial" or obj is None:
-        return None
-    leaves = [_ints(obj, depth, what)]
-    for _ in range(depth):
-        leaves = [v for row in leaves for v in row]
-    bad = next((v for v in leaves if not 0 <= v < M), None)
-    if bad is not None:
-        raise ValidationError(f"{what} exponent {bad} not in 0..{M - 1}")
-    return obj
+    # "trivial" stands for all zeros
+    for (key, depth), t in zip(SCALARS, (cat.jtable, cat.phitable, cat.chitable, cat.iotatable)):
+        if not any(map(any, _rows(t, depth))):
+            body[key] = "trivial"
+        else:
+            body[key] = list(t) if depth == 1 else [[list(r) for r in plane] for plane in t]
+    return body
 
 
 def category_from_json(obj: Any) -> PointedCrossedCategory:
@@ -281,11 +264,10 @@ def category_from_json(obj: Any) -> PointedCrossedCategory:
     try:
         Lambda = group_from_json(obj["Lambda"])
         mp = matched_from_json(obj["mp"])
-        grading, action = _ints(obj["grading"], 1, "grading"), _ints(obj["action"], 2, "action")
-        M = obj["M"]
+        grading, action, M = obj["grading"], obj["action"], obj["M"]
     except KeyError as exc:
         raise ValidationError(f"category object missing field {exc}") from exc
-    if not _is_ints(M, 0) or M < 1:
+    if type(M) is not int or M < 1:
         raise ValidationError("M must be a positive integer")
     # the top-level G/Gamma must agree with the matched pair's
     for key, ref in (("G", mp.G), ("Gamma", mp.Gamma)):
@@ -293,12 +275,17 @@ def category_from_json(obj: Any) -> PointedCrossedCategory:
             given = group_from_json(obj[key])
             if given.table != ref.table or given.identity != ref.identity:
                 raise ValidationError(f"top-level {key} disagrees with the matched pair's {key}")
-    j, chi = _exponents(obj.get("J"), 3, M, "J"), _exponents(obj.get("chi"), 3, M, "chi")
-    phi, iota = _exponents(obj.get("phi"), 1, M, "phi"), _exponents(obj.get("iota"), 1, M, "iota")
+    # "trivial", or no table, is all zeros.  pointed_category checks each
+    # table and reduces its exponents mod M; a file holds them in 0..M-1.
+    scalars = [None if obj.get(key) == "trivial" else obj.get(key) for key, _ in SCALARS]
     from .pointed import pointed_category
-    return pointed_category(Lambda, mp, grading, action, M,
-                            jtable=j, phitable=phi, chitable=chi, iotatable=iota,
-                            name=obj.get("name", "cat"))
+    cat = pointed_category(Lambda, mp, grading, action, M, *scalars, name=obj.get("name", "cat"))
+    for (key, depth), t in zip(SCALARS, scalars):
+        for row in [] if t is None else _rows(t, depth):
+            if not in_range(row, M):
+                bad = next(v for v in row if not 0 <= v < M)
+                raise ValidationError(f"{key} exponent {bad} not in 0..{M - 1}")
+    return cat
 
 
 def save_category(cat: PointedCrossedCategory, path: PathLike) -> None:

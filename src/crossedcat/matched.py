@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import NotExact, NotMatched, ValidationError
-from .groups import (FiniteGroup, Table, action_law_witness, subgroup_as_group,
-                     twisted_hom_witness, unit_witness)
+from .groups import (FiniteGroup, Table, action_law_witness, frozen, in_range,
+                     subgroup_as_group, twisted_hom_witness, unit_witness)
 from .records import Record
 from .report import VerificationReport, run_checks
 
@@ -34,16 +34,15 @@ class MatchedPair(Record):
 def matched_pair(G: FiniteGroup, Gamma: FiniteGroup,
                  act1: Sequence[Sequence[int]], act2: Sequence[Sequence[int]]) -> MatchedPair:
     """The pair; raises ValidationError unless act1 is |G| x |Gamma| and act2
-    |Gamma| x |G|, entries in range.  The axioms are verify_matched_pair's."""
-    a1 = tuple(tuple(int(x) for x in row) for row in act1)
-    a2 = tuple(tuple(int(x) for x in row) for row in act2)
+    |Gamma| x |G|, integer entries in range.  The axioms are verify_matched_pair's."""
+    a1, a2 = frozen(act1, 2, "act1"), frozen(act2, 2, "act2")
     if len(a1) != G.order or any(len(r) != Gamma.order for r in a1):
         raise ValidationError("act1 must be |G| x |Gamma|")
     if len(a2) != Gamma.order or any(len(r) != G.order for r in a2):
         raise ValidationError("act2 must be |Gamma| x |G|")
-    if any(not 0 <= v < Gamma.order for r in a1 for v in r):
+    if not all(in_range(r, Gamma.order) for r in a1):
         raise ValidationError("act1 entry out of range")
-    if any(not 0 <= v < G.order for r in a2 for v in r):
+    if not all(in_range(r, G.order) for r in a2):
         raise ValidationError("act2 entry out of range")
     return MatchedPair(G, Gamma, a1, a2)
 

@@ -21,8 +21,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import NonSingularityViolated, NotMatched, ValidationError
-from .groups import (FiniteGroup, Table, action_law_witness, certified_sweep, is_hom_image,
-                     twisted_hom_witness, unit_witness)
+from .groups import (FiniteGroup, Table, action_law_witness, certified_sweep, frozen,
+                     in_range, is_hom_image, twisted_hom_witness, unit_witness)
 from .matched import MatchedPair, verify_matched_pair
 from .records import Record
 from .report import VerificationReport, run_checks
@@ -30,17 +30,19 @@ from .report import VerificationReport, run_checks
 Exp3 = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _const3(a: int, b: int, c: int) -> Exp3:
-    return tuple(tuple(tuple(0 for _ in range(c)) for _ in range(b)) for _ in range(a))
+def _reduced(t: Exp3, M: int) -> Exp3:
+    """t with its exponents reduced mod M; a row already in 0..M-1 is kept."""
+    return tuple(tuple(row if in_range(row, M) else tuple(v % M for v in row) for row in plane)
+                 for plane in t)
 
 
 class PointedCrossedCategory(Record):
     """A category in the skeletal model above, with its scalar tables.
 
-    Every table has the shape the groups give, and every J, phi, chi and
-    iota entry is stored reduced to 0..M-1: pointed_category checks the
-    shapes and reduces the exponents, CenterStructure.as_category builds its
-    tables so, and the JSON loader rejects any other exponent.
+    Every table holds ints in the shape the groups give, and every J, phi,
+    chi and iota entry is stored reduced to 0..M-1: pointed_category checks
+    entries and shapes and reduces exponents, CenterStructure.as_category
+    builds its tables so, and the JSON loader rejects any other exponent.
     """
 
     Lambda: FiniteGroup
@@ -98,25 +100,22 @@ def pointed_category(Lambda: FiniteGroup, mp: MatchedPair, grading: Sequence[int
                      jtable=None, phitable=None, chitable=None, iotatable=None,
                      name: str = "cat") -> PointedCrossedCategory:
     """Assemble a category, expanding omitted scalar tables to all-ones and
-    reducing exponents mod M; raises ValidationError unless grading maps
-    Lambda into Gamma, action is |G| x |Lambda| with entries in range, and
-    J, chi, phi and iota have the shapes the groups give.  The axioms are
-    verify_crossed_category's."""
+    reducing exponents mod M; raises ValidationError unless every table holds
+    integers, grading maps Lambda into Gamma, action is |G| x |Lambda| with
+    entries in range, and J, chi, phi and iota have the shapes the groups
+    give.  The axioms are verify_crossed_category's."""
     n, ng = Lambda.order, mp.G.order
-    deg = tuple(int(x) for x in grading)
-    act = tuple(tuple(int(x) for x in row) for row in action)
-    if len(deg) != n or any(not 0 <= v < mp.Gamma.order for v in deg):
+    deg, act = frozen(grading, 1, "grading"), frozen(action, 2, "action")
+    if len(deg) != n or not in_range(deg, mp.Gamma.order):
         raise ValidationError("grading must map Lambda into Gamma")
     if len(act) != ng or any(len(row) != n for row in act):
         raise ValidationError("action must be |G| x |Lambda|")
-    if any(not 0 <= v < n for row in act for v in row):
+    if not all(in_range(row, n) for row in act):
         raise ValidationError("action entry out of range")
-    j = _const3(ng, n, n) if jtable is None else tuple(
-        tuple(tuple(int(v) % M for v in row) for row in plane) for plane in jtable)
-    chi = _const3(ng, ng, n) if chitable is None else tuple(
-        tuple(tuple(int(v) % M for v in row) for row in plane) for plane in chitable)
-    phi = tuple([0] * ng) if phitable is None else tuple(int(v) % M for v in phitable)
-    iota = tuple([0] * n) if iotatable is None else tuple(int(v) % M for v in iotatable)
+    j = (((0,) * n,) * n,) * ng if jtable is None else _reduced(frozen(jtable, 3, "J"), M)
+    chi = (((0,) * n,) * ng,) * ng if chitable is None else _reduced(frozen(chitable, 3, "chi"), M)
+    phi = (0,) * ng if phitable is None else tuple(v % M for v in frozen(phitable, 1, "phi"))
+    iota = (0,) * n if iotatable is None else tuple(v % M for v in frozen(iotatable, 1, "iota"))
     for what, table, (a, b, c) in (("J", j, (ng, n, n)), ("chi", chi, (ng, ng, n))):
         if len(table) != a or any(len(p) != b or any(len(r) != c for r in p) for p in table):
             raise ValidationError(f"{what} must be {a}x{b}x{c}")

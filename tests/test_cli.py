@@ -415,12 +415,36 @@ def _fixture_with(name, value, *path):
     ("category", _fixture_with("cat-vec-z2z3", [0, 0], "iota"), "iota must have length 3"),
     ("category", _fixture_with("cat-vec-z2z3", [[[0, 0, 0], [0, 5, 0]], [[0] * 3] * 2], "chi"),
      "chi exponent 5 not in 0..1"),
+    # a category's top-level G and Gamma are validated as groups, then
+    # compared with the pair's (Z2 and Z3 in cat-vec-z2z3)
+    ("category", _fixture_with("cat-vec-z2z3", json.loads(
+        (FIXTURE_DIR / "group-z3.json").read_text()), "G"),
+     "top-level G disagrees with the matched pair's G"),
+    ("category", _fixture_with("cat-vec-z2z3", {"table": [[0]]}, "Gamma"),
+     "top-level Gamma disagrees with the matched pair's Gamma"),
+    # equal to the pair's table under ==, but JSON true/false are not integers
+    ("category", _fixture_with("cat-vec-z2z3", [[False, True], [True, False]], "G", "table"),
+     "group table must be a list of lists of integers"),
+    ("category", _fixture_with("cat-vec-z2z3", [[0.0, 1], [1, 0]], "G", "table"),
+     "group table must be a list of lists of integers"),
+    ("category", _fixture_with("cat-vec-z2z3", [[0, 1], [1, 1]], "G", "table"),
+     "element 1 has no two-sided inverse"),
+    ("category", _fixture_with("cat-vec-z2z3", [[0, 1], [1, 2]], "G", "table"),
+     "entry 2 out of range 0..1"),
+    ("category", _fixture_with("cat-vec-z2z3", 1, "G", "identity"),
+     "element 1 is not an identity (fails at 0)"),
+    ("category", _fixture_with("cat-vec-z2z3", True, "G", "identity"),
+     "group identity must be an integer"),
+    ("category", _fixture_with("cat-vec-z2z3", 3, "G", "order"),
+     "group order 3 does not match the table's 2 rows"),
 ], ids=["group-not-object", "identity-out-of-range", "G-not-object", "category-not-object",
         "G-string-not-opened", "bool-in-group-table", "bool-identity", "bool-in-action",
         "ragged-act1", "ragged-act2", "act1-range", "act2-range", "bool-M", "bool-in-J",
         "order-not-rows", "order-not-integer", "bool-order", "grading-range", "short-grading",
         "short-action-row", "action-range", "J-one-plane", "short-phi", "short-iota",
-        "chi-range"])
+        "chi-range", "differing-G-copy", "differing-Gamma-copy", "bool-in-G-copy",
+        "float-in-G-copy", "G-copy-no-inverse", "G-copy-range", "G-copy-identity",
+        "bool-G-copy-identity", "G-copy-order"])
 def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj, error):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
@@ -444,6 +468,29 @@ def test_path_string_is_not_opened(capsys, tmp_path, obj, named, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": error}
+
+
+def test_top_level_copy_without_identity_or_order_is_accepted(capsys, tmp_path):
+    obj = json.loads((FIXTURE_DIR / "cat-vec-z2z3.json").read_text())
+    for key in ("G", "Gamma"):
+        del obj[key]["identity"], obj[key]["order"]
+    (tmp_path / "cat.json").write_text(json.dumps(obj))
+    code, out = run(capsys, "verify", "category", str(tmp_path / "cat.json"))
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_category_at_the_input_cap_passes(capsys, tmp_path):
+    """Lambda = Z_925 over trivial groups with J omitted, the largest such
+    category under MAX_INPUT_BYTES, loads and verifies."""
+    n, one = 925, {"table": [[0]]}
+    obj = {"Lambda": {"table": [[(a + b) % n for b in range(n)] for a in range(n)]},
+           "mp": {"G": one, "Gamma": one, "act1": [[0]], "act2": [[0]]}, "G": one, "Gamma": one,
+           "grading": [0] * n, "action": [list(range(n))], "M": 2}
+    text = json.dumps(obj)
+    assert len(text) <= jsonio.MAX_INPUT_BYTES  # with Z_926, 4,194,866 bytes, it is over
+    (tmp_path / "cat.json").write_text(text)
+    code, out = run(capsys, "verify", "category", str(tmp_path / "cat.json"))
+    assert code == 0 and json.loads(out)["pass"] is True
 
 
 def _cli_child(*argv: str, cap_memory: bool = False, **kwargs) -> subprocess.CompletedProcess:
