@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .braided import BraidedMatchedPair, center_braiding as induced_braiding, verify_braiding
-from .errors import CenterTooLarge, GroupValidationError, UnsupportedConfiguration
+from .errors import CenterTooLarge, GroupValidationError, UnsupportedConfiguration, ValidationError
 from .groups import certified_sweep, character_tries, twisted_characters, validate_group
 from .pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
 from .records import Record
@@ -630,7 +630,7 @@ def verify_center_braided(cat: PointedCrossedCategory,
         try:
             center = Z.as_category()
             r = verify_crossed_category(center)
-        except (KeyError, GroupValidationError) as exc:
+        except (KeyError, ValidationError, GroupValidationError) as exc:
             return ("structure_tables_unbuildable", str(exc))
         if r.passed:
             return None
@@ -766,7 +766,7 @@ def verify_center_braided(cat: PointedCrossedCategory,
         def run() -> Optional[tuple]:
             try:
                 return fn()
-            except (KeyError, UnsupportedConfiguration, GroupValidationError) as exc:
+            except (KeyError, UnsupportedConfiguration) as exc:
                 return ("exception", type(exc).__name__, str(exc)[:120])
         return run
 

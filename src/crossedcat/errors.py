@@ -8,7 +8,7 @@ class CrossedCatError(Exception):
 
 
 class GroupValidationError(CrossedCatError):
-    """A Cayley table fails one of the group laws."""
+    """A Cayley table fails one of the group laws; `.witness` is where."""
 
 
 class NoIdentity(GroupValidationError):
@@ -27,10 +27,6 @@ class NoInverse(GroupValidationError):
     def __init__(self, a: int):
         self.witness = (a,)
         super().__init__(f"element {a} has no two-sided inverse")
-
-
-class MalformedTable(GroupValidationError):
-    """Ragged table or out-of-range entry."""
 
 
 class NotMatched(CrossedCatError):

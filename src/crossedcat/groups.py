@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import AssocViolation, MalformedTable, NoIdentity, NoInverse, ValidationError
+from .errors import AssocViolation, NoIdentity, NoInverse, ValidationError
 from .records import Record
 
 Table = tuple[tuple[int, ...], ...]
@@ -81,30 +81,31 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
                    name: str = "G") -> FiniteGroup:
     """Check all three group laws exactly and derive inverses.
 
-    Raises ValidationError for an entry that is not an integer, then
-    MalformedTable / NoIdentity / AssocViolation / NoInverse, each with the
-    first witness of an exhaustive sweep.  Associativity is the composition
-    law of the group acting on itself, a (b c) = (a b) c, so
-    `action_law_witness` sweeps it with act = the table, certified on the
-    left factor a; neither associativity nor inverses is assumed.
+    Raises ValidationError unless the table is a nonempty square of integers
+    in range and the identity, if given, is in range; then NoIdentity /
+    AssocViolation / NoInverse, each with the first witness of an exhaustive
+    sweep.  Associativity is the composition law of the group acting on
+    itself, a (b c) = (a b) c, so `action_law_witness` sweeps it with act =
+    the table, certified on the left factor a; neither associativity nor
+    inverses is assumed.
     """
     t = frozen(table, 2, "group table")
     n = len(t)
     if n == 0:
-        raise MalformedTable("empty table")
+        raise ValidationError("empty table")
     for row in t:
         if len(row) != n:
-            raise MalformedTable(f"table is not square: row of length {len(row)} in order-{n} table")
+            raise ValidationError(f"table is not square: row of length {len(row)} in order-{n} table")
         if not in_range(row, n):
             x = next(x for x in row if not 0 <= x < n)
-            raise MalformedTable(f"entry {x} out of range 0..{n - 1}")
+            raise ValidationError(f"entry {x} out of range 0..{n - 1}")
     if identity is None:
         identity = next((e for e in range(n)
                          if all(t[e][a] == a and t[a][e] == a for a in range(n))), -1)
         if identity < 0:
             raise NoIdentity(-1, 0)
     elif not 0 <= identity < n:
-        raise MalformedTable(f"identity {identity} out of range 0..{n - 1}")
+        raise ValidationError(f"identity {identity} out of range 0..{n - 1}")
     else:
         for a in range(n):
             if t[identity][a] != a or t[a][identity] != a:
@@ -288,7 +289,7 @@ def subgroup_from_generators(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
     gens = list(gens)
     for g in gens:
         if not 0 <= g < G.order:
-            raise MalformedTable(f"generator {g} out of range")
+            raise ValidationError(f"generator {g} out of range")
     return sorted(_reach(G.table, {G.identity}, gens))
 
 

@@ -219,7 +219,7 @@ MAX_COHERENCE_INSTANCES = 100_000
 
 # the branchings with an action: name, free group elements, holes, the
 # overlap word of the identity e and the free elements, and the (rule,
-# position) of its two first moves
+# position as in `moves`) of its two first moves
 BRANCHINGS = (
     ("chi/chi", 3, 1, lambda e, g, h, k: Act(g, Act(h, Act(k, H1))), ("chi", ()), ("chi", (2,))),
     ("chi/J", 2, 2, lambda e, g, h: Act(g, Act(h, Tensor(H1, H2))), ("chi", ()), ("J", (2,))),
@@ -235,14 +235,20 @@ BRANCHINGS = (
 )
 
 
-def _first_move(w: Word, cat: PointedCrossedCategory, objects: Sequence[int],
-                name: str, position: tuple[int, ...]) -> tuple[Word, int, tuple]:
-    """(result, exponent, rule) of the move of rule `name` at `position` in
-    w: the root, or the body of the action there for each 2 in it."""
-    if position:
-        v, x, rule = _first_move(w.body, cat, objects, name, position[1:])
-        return Act(w.g, v), x, rule
-    return next(m for m in _root_moves(w, cat, objects) if m[2][0] == name)
+def composites(w: Word, cat: PointedCrossedCategory, objects: Sequence[int],
+               first: tuple, second: tuple) -> list[tuple[Word, int, list]]:
+    """The two composites of a branching at its overlap w, one from each of
+    its first moves (rule, position), as (normal form, exponent mod M, the
+    rules of its steps)."""
+    out = []
+    for name, position in (first, second):
+        # every first move is at the root, (), or in its action's body, (2,)
+        v, x, step = next(m for m in _root_moves(w.body if position else w, cat, objects)
+                          if m[2][0] == name)
+        steps = [step]
+        v, y = normal_form(Act(w.g, v) if position else v, cat, objects, steps)
+        out.append((v, (x + y) % cat.M, steps))
+    return out
 
 
 def verify_coherence(cat: PointedCrossedCategory,
@@ -255,7 +261,7 @@ def verify_coherence(cat: PointedCrossedCategory,
     compared.  Before the first branching, a category with more instances
     to compare than MAX_COHERENCE_INSTANCES raises ValidationError."""
     labels = list(cat.Lambda.elements()) if labels is None else sorted(set(labels))
-    Gs, e, M = cat.G.elements(), cat.G.identity, cat.M
+    Gs, e = cat.G.elements(), cat.G.identity
     # the instances stat of a run in which every branching commutes
     total = sum(len(Gs) ** free * len(labels) ** holes for _, free, holes, *_ in BRANCHINGS)
     if total > MAX_COHERENCE_INSTANCES:
@@ -268,18 +274,12 @@ def verify_coherence(cat: PointedCrossedCategory,
         overlaps = [overlap(e, *elements) for elements in itertools.product(Gs, repeat=free)]
         for w, objects in itertools.product(overlaps, itertools.product(labels, repeat=holes)):
             instances += 1
-            ends, paths = [], []
-            for rule, position in (first, second):
-                v, x, step = _first_move(w, cat, objects, rule, position)
-                steps = [step]
-                v, y = normal_form(v, cat, objects, steps)
-                ends.append((v, (x + y) % M))
-                paths.append(steps)
-            if ends[0] != ends[1]:
+            (v1, x1, path1), (v2, x2, path2) = composites(w, cat, objects, first, second)
+            if (v1, x1) != (v2, x2):
                 witness = (objects, print_word(w),
                            *(" . ".join(rule_text(r, r[0] in _BACKWARD) for r in steps)
-                             for steps in paths),
-                           ends[0][1], ends[1][1])
+                             for steps in (path1, path2)),
+                           x1, x2)
                 break
         rep.add(name, witness is None, witness)
     rep.stats = {"branchings": len(BRANCHINGS), "instances": instances}

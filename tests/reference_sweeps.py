@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence
 
 from crossedcat.braided import BraidedMatchedPair
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle
-from crossedcat.errors import (AssocViolation, GroupValidationError, MalformedTable, NoIdentity,
-                               NoInverse, NotMatched, UnsupportedConfiguration)
+from crossedcat.errors import (AssocViolation, GroupValidationError, NoIdentity, NoInverse,
+                               NotMatched, UnsupportedConfiguration, ValidationError)
 from crossedcat.groups import FiniteGroup, direct_product
 from crossedcat.matched import MatchedPair, matched_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category
@@ -44,26 +44,27 @@ def reference_validate_group(table: Sequence[Sequence[int]], identity: Optional[
                              name: str = "G") -> FiniteGroup:
     """Check all three group laws exhaustively and derive inverses.
 
-    Raises MalformedTable / NoIdentity / AssocViolation / NoInverse, each
-    with a concrete witness.
+    Raises ValidationError for a table that is empty, not square or out of
+    range, then NoIdentity / AssocViolation / NoInverse, each with a
+    concrete witness.
     """
     t = tuple(tuple(int(x) for x in row) for row in table)
     n = len(t)
     if n == 0:
-        raise MalformedTable("empty table")
+        raise ValidationError("empty table")
     for row in t:
         if len(row) != n:
-            raise MalformedTable(f"table is not square: row of length {len(row)} in order-{n} table")
+            raise ValidationError(f"table is not square: row of length {len(row)} in order-{n} table")
         for x in row:
             if not (0 <= x < n):
-                raise MalformedTable(f"entry {x} out of range 0..{n - 1}")
+                raise ValidationError(f"entry {x} out of range 0..{n - 1}")
     if identity is None:
         identity = next((e for e in range(n)
                          if all(t[e][a] == a and t[a][e] == a for a in range(n))), -1)
         if identity < 0:
             raise NoIdentity(-1, 0)
     elif not 0 <= identity < n:
-        raise MalformedTable(f"identity {identity} out of range 0..{n - 1}")
+        raise ValidationError(f"identity {identity} out of range 0..{n - 1}")
     else:
         for a in range(n):
             if t[identity][a] != a or t[a][identity] != a:
@@ -566,7 +567,7 @@ def reference_center_braided(cat: PointedCrossedCategory,
     def center_category_axioms() -> Optional[tuple]:
         try:
             r = reference_crossed_category(Z.as_category())
-        except (KeyError, GroupValidationError) as exc:
+        except (KeyError, ValidationError, GroupValidationError) as exc:
             return ("structure_tables_unbuildable", str(exc))
         if r.passed:
             return None

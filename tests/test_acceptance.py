@@ -7,12 +7,11 @@ enforced with a wall clock.
 
 from __future__ import annotations
 
-import random
 import time
 
-from conftest import category, duals_hold, pair, renamed
+from conftest import category, duals_hold, mutation_pool, pair, renamed
 from crossedcat.braided import center_braiding, center_pair, turaev_braiding, verify_braiding
-from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, \
+from crossedcat.center import CenterStructure, enumerate_center, \
     relative_center_oracle, verify_center_braided
 from crossedcat.errors import GroupValidationError
 from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, MATCHED_PAIRS
@@ -155,143 +154,25 @@ def test_criterion_8_coherence():
                  "mutation is detected")
 
 
-def _mutation_pool() -> list[tuple[str, callable]]:
-    """Deterministic single-entry mutations across fixture tables, each paired
-    with the verifier that must reject it."""
-    rng = random.Random(20260811)
-    pool: list[tuple[str, callable]] = []
-
-    def group_mutations(name, count):
-        from crossedcat.fixtures import GROUPS
-        G = GROUPS[name]()
-        for _ in range(count):
-            a, b = rng.randrange(G.order), rng.randrange(G.order)
-            delta = rng.randrange(1, G.order)
-
-            def check(G=G, a=a, b=b, delta=delta):
-                table = [list(r) for r in G.table]
-                table[a][b] = (table[a][b] + delta) % G.order
-                try:
-                    validate_group(table, G.identity)
-                    return False
-                except GroupValidationError:
-                    return True
-            pool.append((f"group:{name}[{a}][{b}]", check))
-
-    def pair_mutations(name, count):
-        mp = pair(name)
-        for _ in range(count):
-            which = rng.choice(("act1", "act2"))
-            act = mp.act1 if which == "act1" else mp.act2
-            size = mp.Gamma.order if which == "act1" else mp.G.order
-            i, j = rng.randrange(len(act)), rng.randrange(len(act[0]))
-            delta = rng.randrange(1, size)
-
-            def check(mp=mp, which=which, i=i, j=j, delta=delta, size=size):
-                from crossedcat.matched import matched_pair
-                a1 = [list(r) for r in mp.act1]
-                a2 = [list(r) for r in mp.act2]
-                (a1 if which == "act1" else a2)[i][j] = \
-                    ((a1 if which == "act1" else a2)[i][j] + delta) % size
-                return not verify_matched_pair(matched_pair(mp.G, mp.Gamma, a1, a2)).passed
-            pool.append((f"pair:{name}:{which}[{i}][{j}]", check))
-
-    def braided_mutations(name, count):
-        bmp = center_braiding(pair(name))
-        for _ in range(count):
-            which = rng.choice(("phi", "psi"))
-            i = rng.randrange(bmp.mp.Gamma.order)
-            delta = rng.randrange(1, bmp.mp.G.order)
-
-            def check(bmp=bmp, which=which, i=i, delta=delta):
-                from crossedcat.braided import BraidedMatchedPair
-                img = list(bmp.phi if which == "phi" else bmp.psi)
-                img[i] = (img[i] + delta) % bmp.mp.G.order
-                img = tuple(img)
-                mutated = BraidedMatchedPair(bmp.mp, img, bmp.psi) if which == "phi" \
-                    else BraidedMatchedPair(bmp.mp, bmp.phi, img)
-                return not verify_braiding(mutated).passed
-            pool.append((f"braided:{name}:{which}[{i}]", check))
-
-    def category_mutations(name, count):
-        cat = category(name)
-        kinds = ["action", "grading"]
-        if any(v for plane in cat.jtable for row in plane for v in row) or cat.M > 1:
-            kinds += ["J", "chi", "phi", "iota"]
-        for _ in range(count):
-            kind = rng.choice(kinds)
-
-            def check(cat=cat, kind=kind, r=rng.random()):
-                rng2 = random.Random(r)
-                action = [list(x) for x in cat.action]
-                grading = list(cat.grading)
-                j = [[list(x) for x in plane] for plane in cat.jtable]
-                chi = [[list(x) for x in plane] for plane in cat.chitable]
-                phi = list(cat.phitable)
-                iota = list(cat.iotatable)
-                n, ng, M = cat.Lambda.order, cat.G.order, cat.M
-                if kind == "action":
-                    g, l = rng2.randrange(ng), rng2.randrange(n)
-                    action[g][l] = (action[g][l] + rng2.randrange(1, max(n, 2))) % n
-                elif kind == "grading":
-                    l = rng2.randrange(n)
-                    grading[l] = (grading[l] + rng2.randrange(1, max(cat.Gamma.order, 2))) \
-                        % cat.Gamma.order
-                elif kind == "J":
-                    g, x, y = rng2.randrange(ng), rng2.randrange(n), rng2.randrange(n)
-                    j[g][x][y] = (j[g][x][y] + rng2.randrange(1, M)) % M
-                elif kind == "chi":
-                    g, h, x = rng2.randrange(ng), rng2.randrange(ng), rng2.randrange(n)
-                    chi[g][h][x] = (chi[g][h][x] + rng2.randrange(1, M)) % M
-                elif kind == "phi":
-                    g = rng2.randrange(ng)
-                    phi[g] = (phi[g] + rng2.randrange(1, M)) % M
-                else:
-                    l = rng2.randrange(n)
-                    iota[l] = (iota[l] + rng2.randrange(1, M)) % M
-                if (kind == "grading" and cat.Gamma.order == 1) or \
-                        (kind == "action" and n == 1):
-                    return True  # nothing to mutate
-                mut = pointed_category(cat.Lambda, cat.mp, grading, action, M,
-                                       jtable=j, phitable=phi, chitable=chi, iotatable=iota)
-                return not verify_crossed_category(mut).passed
-            pool.append((f"category:{name}:{kind}", check))
-
-    def center_mutations(name, count):
-        cat = category(name)
-        simples = enumerate_center(cat)
-        for _ in range(count):
-            idx = rng.randrange(len(simples))
-            pos = rng.randrange(max(len(simples[idx].chi), 1))
-            delta = rng.randrange(1, cat.M) if cat.M > 1 else 0
-
-            def check(cat=cat, simples=simples, idx=idx, pos=pos, delta=delta):
-                z = simples[idx]
-                if not z.chi or delta == 0:
-                    return True
-                chi = list(z.chi)
-                chi[pos] = (chi[pos] + delta) % cat.M
-                mutated = list(simples)
-                mutated[idx] = CenterSimple(z.g, z.label, tuple(chi))
-                return not verify_center_braided(cat, simples=mutated).passed
-            pool.append((f"center:{name}:simple[{idx}].chi[{pos}]", check))
-
-    group_mutations("s3", 6)
-    group_mutations("d4", 6)
-    pair_mutations("z2-z3-inversion", 8)
-    pair_mutations("s4-z4-s3", 8)
-    braided_mutations("z2-z3-inversion", 6)
-    category_mutations("z4-over-z2", 8)
-    category_mutations("cocycle-j", 6)
-    category_mutations("cocycle-chi", 6)
-    center_mutations("z4-over-z2", 6)
-    return pool
+def _detected(kind: str, mutant) -> bool:
+    """Whether the verifier of a mutation_pool() kind rejects `mutant`."""
+    if kind == "group":
+        try:
+            validate_group(*mutant)
+        except GroupValidationError:
+            return True
+        return False
+    if kind == "center":
+        return not verify_center_braided(*mutant).passed
+    verify = {"pair": verify_matched_pair, "braided": verify_braiding,
+              "category": verify_crossed_category}[kind]
+    return not verify(mutant).passed
 
 
 def test_criterion_9_mutation_robustness():
-    pool = _mutation_pool()
+    pool = mutation_pool()
     assert len(pool) >= 50
-    undetected = [name for name, check in pool if not check()]
+    undetected = [name for name, kind, mutant in pool if not _detected(kind, mutant)]
     _line(9, not undetected,
           f"{len(pool)} single-entry mutations sampled, all detected "
           f"(undetected: {undetected if undetected else 'none'})")

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from conftest import ROOT, category, unit_index
+from conftest import ROOT, category, triples, unit_index
 from crossedcat import center, jsonio
 from crossedcat.braided import center_braiding, verify_braiding
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
@@ -220,6 +220,20 @@ def test_half_braiding_mutation_detected():
     mutated[5] = CenterSimple(z.g, z.label, tuple(chi))
     rep = verify_center_braided(cat, simples=mutated)
     assert not rep.passed
+
+
+def test_empty_simple_list_report():
+    """An empty simple list misses the unit, and the empty tensor table is
+    no group table: the center cannot be built as a category."""
+    rep = verify_center_braided(category("z4-over-z2"), simples=[])
+    assert triples(rep) == [
+        ("oracle_equivalence", False, ((), ((0, 0, (0, 0)),))),
+        ("induced_pair_braided", True, None),
+        ("center_category_axioms", False, ("structure_tables_unbuildable", "empty table")),
+        ("braiding_axiom_1", True, None),
+        ("braiding_axiom_2", True, None),
+        ("braiding_axiom_3", True, None),
+    ]
 
 
 def noncyclic_chi(n: int) -> PointedCrossedCategory:

@@ -557,7 +557,8 @@ def test_input_over_the_cap_exits_2(tmp_path):
 @pytest.mark.parametrize("obj,witness", [
     ({"table": [[0, 1], [1, 1]]}, [1]),
     ({"table": [[0, 0], [1, 1]], "identity": 0}, [0, 1]),
-], ids=["no-inverse", "identity-fails"])
+    ({"table": [[0, 1, 2], [1, 0, 0], [2, 0, 0]]}, [1, 1, 2]),
+], ids=["no-inverse", "identity-fails", "associativity-fails"])
 def test_verify_group_law_failure_exit_1(capsys, tmp_path, obj, witness):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))

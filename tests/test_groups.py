@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from crossedcat.errors import AssocViolation, NoInverse, NoIdentity
+from crossedcat.errors import (AssocViolation, GroupValidationError, NoIdentity, NoInverse,
+                               ValidationError)
 from crossedcat.groups import (cyclic, dihedral, direct_product, subgroup_from_generators,
                                symmetric, trivial_group, twisted_characters, validate_group)
 
@@ -39,6 +40,22 @@ def test_validate_group_perturbed_s3_reports_witness():
     with pytest.raises((AssocViolation, NoInverse, NoIdentity)) as exc:
         validate_group(table, 0)
     assert getattr(exc.value, "witness", None) is not None
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: validate_group([]), "empty table"),
+    (lambda: validate_group([[0, 1], [1]]), "table is not square: row of length 1 in order-2 table"),
+    (lambda: validate_group([[0, 2], [1, 0]]), "entry 2 out of range 0..1"),
+    (lambda: validate_group([[0, 1], [1, 0]], 5), "identity 5 out of range 0..1"),
+    (lambda: subgroup_from_generators(cyclic(2), [9]), "generator 9 out of range"),
+], ids=["empty", "ragged", "entry", "identity", "generator"])
+def test_unusable_table_is_a_validation_error_not_a_law(call, message):
+    """A table the laws cannot be asked of is an unusable input (exit 2),
+    not a failed group law with a witness (exit 1)."""
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert not isinstance(exc.value, GroupValidationError)
 
 
 def test_direct_product_z2_z3_is_z6():

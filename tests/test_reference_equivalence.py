@@ -16,8 +16,8 @@ import random
 
 import pytest
 
-from conftest import (FIXTURE_DIR, category, entry_mutants, pair, table_mutants, triples,
-                      unit_index)
+from conftest import (FIXTURE_DIR, category, entry_mutants, mutation_pool, pair, table_mutants,
+                      triples, unit_index)
 from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
 from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
@@ -148,29 +148,15 @@ def test_one_matching_sweep_per_pair(monkeypatch):
     assert verify_matched_pair(Z.induced.mp).passed
 
 
-def test_criterion_9_pair_mutants(monkeypatch):
-    import test_acceptance
-
-    seen = []
-
-    def matched_both(mp):
-        rep = verify_matched_pair(mp)
-        assert triples(rep) == triples(reference_matched_pair(mp))
-        seen.append(mp)
-        return rep
-
-    def braided_both(bmp):
-        rep = verify_braiding(bmp)
-        assert triples(rep) == triples(reported_braiding(bmp))
-        seen.append(bmp)
-        return rep
-
-    monkeypatch.setattr(test_acceptance, "verify_matched_pair", matched_both)
-    monkeypatch.setattr(test_acceptance, "verify_braiding", braided_both)
-    for name, check in test_acceptance._mutation_pool():
-        if name.startswith(("pair:", "braided:")):
-            assert check(), name
-    assert len(seen) >= 20
+def test_criterion_9_pair_mutants():
+    mutants = [(name, kind, m) for name, kind, m in mutation_pool()
+               if kind in ("pair", "braided")]
+    assert len(mutants) >= 20
+    for name, kind, m in mutants:
+        if kind == "pair":
+            assert triples(verify_matched_pair(m)) == triples(reference_matched_pair(m)), name
+        else:
+            assert triples(verify_braiding(m)) == triples(reported_braiding(m)), name
 
 
 @pytest.mark.parametrize("name", CATEGORY_FILES)
@@ -187,22 +173,12 @@ def test_center_viewed_as_category(name):
     assert_same_category_report(zcat)
 
 
-def test_criterion_9_category_mutants(monkeypatch):
-    import test_acceptance
-
-    seen = []
-
-    def both(cat):
-        rep = verify_crossed_category(cat)
-        assert triples(rep) == triples(reported_crossed_category(cat)), cat.name
-        seen.append(cat)
-        return rep
-
-    monkeypatch.setattr(test_acceptance, "verify_crossed_category", both)
-    for name, check in test_acceptance._mutation_pool():
-        if name.startswith("category:"):
-            assert check(), name
-    assert len(seen) >= 15
+def test_criterion_9_category_mutants():
+    mutants = [(name, m) for name, kind, m in mutation_pool() if kind == "category"]
+    assert len(mutants) >= 15
+    for name, cat in mutants:
+        assert triples(verify_crossed_category(cat)) == \
+            triples(reported_crossed_category(cat)), name
 
 
 def dense_zero(cat) -> bool:
@@ -426,22 +402,12 @@ def test_zero_data_builds_no_scalar_table(name, monkeypatch):
     assert verify_center_braided(cat).passed
 
 
-def test_criterion_9_center_mutants(monkeypatch):
-    import test_acceptance
-
-    seen = []
-
-    def both(cat, simples=None):
-        rep = verify_center_braided(cat, simples=simples)
-        assert verdicts(rep) == verdicts(reference_center_braided(cat, simples=simples))
-        seen.append(cat)
-        return rep
-
-    monkeypatch.setattr(test_acceptance, "verify_center_braided", both)
-    for name, check in test_acceptance._mutation_pool():
-        if name.startswith("center:"):
-            assert check(), name
-    assert seen
+def test_criterion_9_center_mutants():
+    mutants = [(name, m) for name, kind, m in mutation_pool() if kind == "center"]
+    assert mutants
+    for name, (cat, simples) in mutants:
+        assert verdicts(verify_center_braided(cat, simples=simples)) == \
+            verdicts(reference_center_braided(cat, simples=simples)), name
 
 
 # -- the swap scalars' laws, which center_category_axioms restates

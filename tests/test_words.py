@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from conftest import FIXTURE_DIR, category, entry_mutants
+from conftest import FIXTURE_DIR, category, entry_mutants, pair
 from crossedcat import jsonio
 from crossedcat.pointed import pointed_category, verify_crossed_category
-from crossedcat.words import (BRANCHINGS, Act, Hole, Tensor, Unit, check_coherence,
+from crossedcat.words import (BRANCHINGS, Act, Hole, Tensor, Unit, check_coherence, composites,
                               enumerate_words, moves, normal_form, print_word, verify_coherence)
 
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
@@ -195,6 +195,73 @@ def test_verdict_is_the_category_verdict_on_entry_mutants(name):
         muts = random.Random(name).sample(muts, SAMPLED_MUTANTS)
     for mut in muts:
         assert verify_coherence(mut).passed == verify_crossed_category(mut).passed
+
+
+def _chi_j_against_axiom3(cat):
+    """At every (g, h, x, y): the chi/J branching's exponent difference, as
+    verify_coherence computes it, and axiom3_j_chi's residue, its left side
+    minus its right side (pointed.py)."""
+    name, _, _, overlap, first, second = BRANCHINGS[1]
+    assert name == "chi/J"
+    J, X, act, deg, a1, a2 = cat.jtable, cat.chitable, cat.action, cat.grading, \
+        cat.mp.act1, cat.mp.act2
+    Lt, Gt, M = cat.Lambda.table, cat.G.table, cat.M
+    for g, h in itertools.product(cat.G.elements(), repeat=2):
+        w = overlap(cat.G.identity, g, h)
+        for x, y in itertools.product(cat.Lambda.elements(), repeat=2):
+            (v1, x1, _), (v2, x2, _) = composites(w, cat, (x, y), first, second)
+            assert v1 == v2
+            t, u = a2[deg[y]][h], a2[a1[h][deg[y]]][g]
+            residue = (X[g][h][Lt[x][y]] + J[h][x][y] + J[g][act[t][x]][act[h][y]]
+                       - J[Gt[g][h]][x][y] - X[u][t][x] - X[g][h][y]) % M
+            yield (x1 - x2) % M, residue
+
+
+def _unit_normal(cat, rng, M: int = 5):
+    """cat's object-level data with J and chi drawn by rng mod M and zero at
+    the units (J[g][e_L][.], J[g][.][e_L], chi[g][e][.], chi[e][g][.]),
+    phi = iota = 0."""
+    n, ng, eL, e = cat.Lambda.order, cat.G.order, cat.Lambda.identity, cat.G.identity
+    chi = [[[0 if e in (g, h) else rng.randrange(M) for _ in range(n)] for h in range(ng)]
+           for g in range(ng)]
+    j = [[[0 if eL in (x, y) else rng.randrange(M) for y in range(n)] for x in range(n)]
+         for _ in range(ng)]
+    return pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, M,
+                            jtable=j, chitable=chi)
+
+
+@pytest.mark.parametrize("name", CATEGORY_FILES)
+def test_chi_j_branching_is_axiom3_on_unit_normal_data(name):
+    """The chi/J branching commutes exactly where axiom3_j_chi holds: on the
+    fixture, and on random J and chi that vanish at the units over its
+    shape, where the difference is the residue itself."""
+    cat = jsonio.load_category(FIXTURE_DIR / name)
+    assert all(diff == residue == 0 for diff, residue in _chi_j_against_axiom3(cat))
+    mut = _unit_normal(cat, random.Random(name))
+    assert all(diff == residue for diff, residue in _chi_j_against_axiom3(mut))
+
+
+def test_chi_j_branching_drops_unit_terms():
+    """Once a unit law fails the two disagree: normal_form takes the iota
+    and unit moves, so the branching drops the terms that vanish only under
+    the unit laws.  Lambda = Gamma with the identity grading and act1 as the
+    action, M = 5, phi = iota = 0, and chi then J drawn by one
+    random.Random(7); with chi and J zero at the units none disagree."""
+    rng = random.Random(7)
+    for name, disagree in [("s3-factorized", 6), ("s4-z4-s3", 39), ("z2-z3-inversion", 3)]:
+        mp = pair(name)
+        n, ng = mp.Gamma.order, mp.G.order
+        chi = [[[rng.randrange(5) for _ in range(n)] for _ in range(ng)] for _ in range(ng)]
+        j = [[[rng.randrange(5) for _ in range(n)] for _ in range(n)] for _ in range(ng)]
+        grading = tuple(mp.Gamma.elements())
+        cats = [pointed_category(mp.Gamma, mp, grading, mp.act1, 5, jtable=j, chitable=chi)]
+        e, eL = mp.G.identity, mp.Gamma.identity
+        for g in mp.G.elements():
+            for z in mp.Gamma.elements():
+                j[g][eL][z] = j[g][z][eL] = chi[g][e][z] = chi[e][g][z] = 0
+        cats.append(pointed_category(mp.Gamma, mp, grading, mp.act1, 5, jtable=j, chitable=chi))
+        assert [sum((diff == 0) != (residue == 0) for diff, residue in _chi_j_against_axiom3(c))
+                for c in cats] == [disagree, 0], name
 
 
 @pytest.mark.parametrize("name", ["cat-cocycle-chi.json", "cat-cocycle-j.json",
