@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .braided import BraidedMatchedPair, center_braiding as induced_braiding, verify_braiding
-from .errors import CenterTooLarge, GroupValidationError, UnsupportedConfiguration, ValidationError
+from .errors import GroupValidationError, UnsupportedConfiguration, ValidationError
 from .groups import certified_sweep, character_tries, twisted_characters, validate_group
 from .pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
 from .records import Record
@@ -71,11 +71,12 @@ def enumeration_tries(cat: PointedCrossedCategory) -> int:
 
 
 def _searchable(cat: PointedCrossedCategory, search: str, tries: int) -> None:
-    """The preconditions of a search for the simples: nonsingularity (raises
-    NonSingularityViolated) and the size bound (raises CenterTooLarge)."""
+    """The preconditions of a search for the simples, nonsingularity and the
+    size bound; each raises ValidationError."""
     cat.least_section()
     if tries > MAX_CENTER_TRIES:
-        raise CenterTooLarge(search, tries, MAX_CENTER_TRIES)
+        raise ValidationError(f"center too large to enumerate: {search} would try {tries} "
+                              f"candidates, over the limit of {MAX_CENTER_TRIES}")
 
 
 def enumerate_center(cat: PointedCrossedCategory) -> list[CenterSimple]:
@@ -526,7 +527,7 @@ def verify_center_braided(cat: PointedCrossedCategory,
     the input's gauge; the other sweeps run over the dense tables of
     CenterStructure, in the unit-normal gauge and in the order of each
     witness tuple.  `simples` overrides the enumeration (used by mutation
-    tests).  The oracle runs first, so its size bound (CenterTooLarge)
+    tests).  The oracle runs first, so its size bound (a ValidationError)
     refuses before the enumeration searches and before CenterStructure
     builds any table.
 

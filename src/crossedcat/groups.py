@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import AssocViolation, NoIdentity, NoInverse, ValidationError
+from .errors import GroupValidationError, ValidationError
 from .records import Record
 
 Table = tuple[tuple[int, ...], ...]
@@ -82,8 +82,9 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
     """Check all three group laws exactly and derive inverses.
 
     Raises ValidationError unless the table is a nonempty square of integers
-    in range and the identity, if given, is in range; then NoIdentity /
-    AssocViolation / NoInverse, each with the first witness of an exhaustive
+    in range and the identity, if given, is in range; then
+    GroupValidationError at the first law that fails (identity,
+    associativity, inverses), with the first witness of an exhaustive
     sweep.  Associativity is the composition law of the group acting on
     itself, a (b c) = (a b) c, so `action_law_witness` sweeps it with act =
     the table, certified on the left factor a; neither associativity nor
@@ -103,22 +104,23 @@ def validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = Non
         identity = next((e for e in range(n)
                          if all(t[e][a] == a and t[a][e] == a for a in range(n))), -1)
         if identity < 0:
-            raise NoIdentity(-1, 0)
+            raise GroupValidationError("element -1 is not an identity (fails at 0)", (-1, 0))
     elif not 0 <= identity < n:
         raise ValidationError(f"identity {identity} out of range 0..{n - 1}")
     else:
         for a in range(n):
             if t[identity][a] != a or t[a][identity] != a:
-                raise NoIdentity(identity, a)
+                raise GroupValidationError(
+                    f"element {identity} is not an identity (fails at {a})", (identity, a))
     bad = action_law_witness(t, t, identity)
     if bad is not None:
-        raise AssocViolation(*bad)
+        raise GroupValidationError("associativity fails at (a,b,c)=({},{},{})".format(*bad), bad)
     # with associativity, a right inverse b of a (a b = e) equals any left
     # inverse c (c a = e): c = c (a b) = (c a) b = b.  So the first b with
     # a b = e is the one candidate, and a has no inverse unless b a = e.
     for a, row in enumerate(t):
         if identity not in row or t[row.index(identity)][a] != identity:
-            raise NoInverse(a)
+            raise GroupValidationError(f"element {a} has no two-sided inverse", (a,))
     return FiniteGroup(n, t, identity, tuple(row.index(identity) for row in t), name)
 
 

@@ -300,7 +300,5 @@ def load_category(path: PathLike, validate: bool = True) -> PointedCrossedCatego
         from .pointed import verify_crossed_category
         rep = verify_crossed_category(cat)
         if not rep.passed:
-            check = rep.first_failure().to_json()
-            raise ValidationError(f"category axioms fail: {check['name']} "
-                                  f"at {json.dumps(check['witness'])}")
+            raise ValidationError(f"category axioms fail: {rep.first_failure()}")
     return cat

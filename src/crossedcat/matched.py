@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import NotExact, NotMatched, ValidationError
+from .errors import NotMatched, ValidationError
 from .groups import (FiniteGroup, Table, action_law_witness, frozen, in_range,
                      subgroup_as_group, twisted_hom_witness, unit_witness)
 from .records import Record
@@ -147,8 +147,8 @@ def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],
 
     For each (s, g), factor s*g^-1 = a*b with a in G, b in Gamma; then
     s |>2 g := a^-1 and g |>1 s := b.  Subgroups keep the order given in
-    g_set / gamma_set when reindexed.  Raises NotExact unless the subsets
-    are subgroups, each listed once, with H = G * Gamma exactly.  The
+    g_set / gamma_set when reindexed.  Raises ValidationError unless the
+    subsets are subgroups, each listed once, with H = G * Gamma exactly.  The
     actions of an exact factorization form a matched pair, so the result
     is returned without a verification sweep; verify_matched_pair reports
     on it.
@@ -156,21 +156,24 @@ def from_exact_factorization(H: FiniteGroup, g_set: Sequence[int],
     g_set = list(g_set)
     gamma_set = list(gamma_set)
     gs, ms, Ht, Hinv = set(g_set), set(gamma_set), H.table, H.inverses
+    not_exact = "not an exact factorization: "
     for name, sub, listed in (("G", gs, g_set), ("Gamma", ms, gamma_set)):
         if len(sub) != len(listed):
-            raise NotExact(f"{name} lists an element twice")
+            raise ValidationError(f"{not_exact}{name} lists an element twice")
         if H.identity not in sub:
-            raise NotExact(f"{name} does not contain the identity")
+            raise ValidationError(f"{not_exact}{name} does not contain the identity")
         for a in sub:
             if Hinv[a] not in sub:
-                raise NotExact(f"{name} not closed under inverse at {a}")
+                raise ValidationError(f"{not_exact}{name} not closed under inverse at {a}")
             for b in sub:
                 if Ht[a][b] not in sub:
-                    raise NotExact(f"{name} not closed under product at ({a},{b})")
+                    raise ValidationError(
+                        f"{not_exact}{name} not closed under product at ({a},{b})")
     if gs & ms != {H.identity}:
-        raise NotExact("subgroups intersect beyond the identity")
+        raise ValidationError(f"{not_exact}subgroups intersect beyond the identity")
     if len(g_set) * len(gamma_set) != H.order:
-        raise NotExact(f"|G|*|Gamma| = {len(g_set) * len(gamma_set)} != |H| = {H.order}")
+        raise ValidationError(f"{not_exact}|G|*|Gamma| = {len(g_set) * len(gamma_set)} "
+                              f"!= |H| = {H.order}")
 
     gpos = {x: i for i, x in enumerate(g_set)}
     mpos = {x: i for i, x in enumerate(gamma_set)}

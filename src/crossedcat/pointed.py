@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import NonSingularityViolated, NotMatched, ValidationError
+from .errors import NotMatched, ValidationError
 from .groups import (FiniteGroup, Table, action_law_witness, certified_sweep, frozen,
                      in_range, is_hom_image, twisted_hom_witness, unit_witness)
 from .matched import MatchedPair, verify_matched_pair
@@ -87,11 +87,11 @@ class PointedCrossedCategory(Record):
 
     def least_section(self) -> tuple[int, ...]:
         """Least label in each grading fiber; the default family zeta.  The one
-        nonsingularity check: raises NonSingularityViolated at the first
-        degree with no label."""
+        nonsingularity check: raises ValidationError at the first degree
+        with no label."""
         missing = next((s for s in self.Gamma.elements() if not self.fibers[s]), None)
         if missing is not None:
-            raise NonSingularityViolated(missing)
+            raise ValidationError(f"grading not surjective: no simple of degree {missing}")
         return tuple(min(self.fibers[s]) for s in self.Gamma.elements())
 
 

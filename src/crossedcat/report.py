@@ -19,6 +19,10 @@ class Check(Record):
             d["witness"] = list(self.witness) if self.witness is not None else None
         return d
 
+    def __str__(self) -> str:
+        """The check's name and its witness as the report's JSON writes it."""
+        return f"{self.name} at {json.dumps(self.witness)}"
+
 
 class VerificationReport:
     """Outcome of one verifier run.

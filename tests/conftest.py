@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import functools
 import random
 import sys
@@ -82,11 +83,18 @@ def mutation_pool() -> tuple[tuple[str, str, object], ...]:
     criterion 9), as (name, kind, mutant).  The mutant of kind "group" is a
     (table, identity) pair, of "pair" a MatchedPair, of "braided" a
     BraidedMatchedPair, of "category" a PointedCrossedCategory and of
-    "center" a (category, simples) pair.  A draw that changes nothing (a
+    "center" a (category, simples) pair.  Each name says which entry the
+    mutant changed; a repeated draw gets a "#k" suffix at its k-th
+    occurrence, so the names are unique.  A draw that changes nothing (a
     grading onto a trivial Gamma, an action on one label, a simple without
     chi, M = 1) makes no mutant."""
     rng = random.Random(20260811)
     pool: list[tuple[str, str, object]] = []
+    uses: collections.Counter[str] = collections.Counter()
+
+    def add(name, kind, mutant):
+        uses[name] += 1
+        pool.append((name if uses[name] == 1 else f"{name}#{uses[name]}", kind, mutant))
 
     def group_mutations(name, count):
         G = GROUPS[name]()
@@ -95,8 +103,7 @@ def mutation_pool() -> tuple[tuple[str, str, object], ...]:
             delta = rng.randrange(1, G.order)
             table = [list(r) for r in G.table]
             table[a][b] = (table[a][b] + delta) % G.order
-            pool.append((f"group:{name}[{a}][{b}]", "group",
-                         (tuple(map(tuple, table)), G.identity)))
+            add(f"group:{name}[{a}][{b}]", "group", (tuple(map(tuple, table)), G.identity))
 
     def pair_mutations(name, count):
         mp = pair(name)
@@ -109,8 +116,7 @@ def mutation_pool() -> tuple[tuple[str, str, object], ...]:
             a1, a2 = [list(r) for r in mp.act1], [list(r) for r in mp.act2]
             mutated = a1 if which == "act1" else a2
             mutated[i][j] = (mutated[i][j] + delta) % size
-            pool.append((f"pair:{name}:{which}[{i}][{j}]", "pair",
-                         matched_pair(mp.G, mp.Gamma, a1, a2)))
+            add(f"pair:{name}:{which}[{i}][{j}]", "pair", matched_pair(mp.G, mp.Gamma, a1, a2))
 
     def braided_mutations(name, count):
         bmp = center_braiding(pair(name))
@@ -120,8 +126,8 @@ def mutation_pool() -> tuple[tuple[str, str, object], ...]:
             delta = rng.randrange(1, bmp.mp.G.order)
             images = {"phi": list(bmp.phi), "psi": list(bmp.psi)}
             images[which][i] = (images[which][i] + delta) % bmp.mp.G.order
-            pool.append((f"braided:{name}:{which}[{i}]", "braided",
-                         BraidedMatchedPair(bmp.mp, tuple(images["phi"]), tuple(images["psi"]))))
+            add(f"braided:{name}:{which}[{i}]", "braided",
+                BraidedMatchedPair(bmp.mp, tuple(images["phi"]), tuple(images["psi"])))
 
     def category_mutations(name, count):
         cat = category(name)
@@ -143,24 +149,30 @@ def mutation_pool() -> tuple[tuple[str, str, object], ...]:
             if kind == "action":
                 g, l = rng2.randrange(ng), rng2.randrange(n)
                 action[g][l] = (action[g][l] + rng2.randrange(1, n)) % n
+                entry = (g, l)
             elif kind == "grading":
                 l = rng2.randrange(n)
                 grading[l] = (grading[l] + rng2.randrange(1, cat.Gamma.order)) % cat.Gamma.order
+                entry = (l,)
             elif kind == "J":
                 g, x, y = rng2.randrange(ng), rng2.randrange(n), rng2.randrange(n)
                 j[g][x][y] = (j[g][x][y] + rng2.randrange(1, M)) % M
+                entry = (g, x, y)
             elif kind == "chi":
                 g, h, x = rng2.randrange(ng), rng2.randrange(ng), rng2.randrange(n)
                 chi[g][h][x] = (chi[g][h][x] + rng2.randrange(1, M)) % M
+                entry = (g, h, x)
             elif kind == "phi":
                 g = rng2.randrange(ng)
                 phi[g] = (phi[g] + rng2.randrange(1, M)) % M
+                entry = (g,)
             else:
                 l = rng2.randrange(n)
                 iota[l] = (iota[l] + rng2.randrange(1, M)) % M
-            pool.append((f"category:{name}:{kind}", "category",
-                         pointed_category(cat.Lambda, cat.mp, grading, action, M, jtable=j,
-                                          phitable=phi, chitable=chi, iotatable=iota)))
+                entry = (l,)
+            add(f"category:{name}:{kind}" + "".join(f"[{i}]" for i in entry), "category",
+                pointed_category(cat.Lambda, cat.mp, grading, action, M, jtable=j,
+                                 phitable=phi, chitable=chi, iotatable=iota))
 
     def center_mutations(name, count):
         cat = category(name)
@@ -176,8 +188,7 @@ def mutation_pool() -> tuple[tuple[str, str, object], ...]:
             chi[pos] = (chi[pos] + delta) % cat.M
             mutated = list(simples)
             mutated[idx] = CenterSimple(z.g, z.label, tuple(chi))
-            pool.append((f"center:{name}:simple[{idx}].chi[{pos}]", "center",
-                         (cat, tuple(mutated))))
+            add(f"center:{name}:simple[{idx}].chi[{pos}]", "center", (cat, tuple(mutated)))
 
     group_mutations("s3", 6)
     group_mutations("d4", 6)

@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence
 
 from crossedcat.braided import BraidedMatchedPair
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle
-from crossedcat.errors import (AssocViolation, GroupValidationError, NoIdentity, NoInverse,
-                               NotMatched, UnsupportedConfiguration, ValidationError)
+from crossedcat.errors import (GroupValidationError, NotMatched, UnsupportedConfiguration,
+                               ValidationError)
 from crossedcat.groups import FiniteGroup, direct_product
 from crossedcat.matched import MatchedPair, matched_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category
@@ -45,7 +45,7 @@ def reference_validate_group(table: Sequence[Sequence[int]], identity: Optional[
     """Check all three group laws exhaustively and derive inverses.
 
     Raises ValidationError for a table that is empty, not square or out of
-    range, then NoIdentity / AssocViolation / NoInverse, each with a
+    range, then GroupValidationError at the first law that fails, with a
     concrete witness.
     """
     t = tuple(tuple(int(x) for x in row) for row in table)
@@ -62,23 +62,25 @@ def reference_validate_group(table: Sequence[Sequence[int]], identity: Optional[
         identity = next((e for e in range(n)
                          if all(t[e][a] == a and t[a][e] == a for a in range(n))), -1)
         if identity < 0:
-            raise NoIdentity(-1, 0)
+            raise GroupValidationError("element -1 is not an identity (fails at 0)", (-1, 0))
     elif not 0 <= identity < n:
         raise ValidationError(f"identity {identity} out of range 0..{n - 1}")
     else:
         for a in range(n):
             if t[identity][a] != a or t[a][identity] != a:
-                raise NoIdentity(identity, a)
+                raise GroupValidationError(
+                    f"element {identity} is not an identity (fails at {a})", (identity, a))
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise AssocViolation(a, b, c)
+                    raise GroupValidationError(
+                        f"associativity fails at (a,b,c)=({a},{b},{c})", (a, b, c))
     inverses = []
     for a in range(n):
         b = next((b for b in range(n) if t[a][b] == identity and t[b][a] == identity), -1)
         if b < 0:
-            raise NoInverse(a)
+            raise GroupValidationError(f"element {a} has no two-sided inverse", (a,))
         inverses.append(b)
     return FiniteGroup(n, t, identity, tuple(inverses), name)
 

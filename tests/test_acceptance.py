@@ -172,6 +172,8 @@ def _detected(kind: str, mutant) -> bool:
 def test_criterion_9_mutation_robustness():
     pool = mutation_pool()
     assert len(pool) >= 50
+    # an undetected mutant is named below, so each name picks out one mutant
+    assert len({name for name, _, _ in pool}) == len(pool) == 56
     undetected = [name for name, kind, mutant in pool if not _detected(kind, mutant)]
     _line(9, not undetected,
           f"{len(pool)} single-entry mutations sampled, all detected "

@@ -3,7 +3,9 @@
 For any JSON value handed to `verify {group,matched-pair,braided-pair,
 category}` or `center`, and for any command line: the exit code is 0, 1 or
 2 and no exception escapes `main`; exit 1 prints a report naming a failing
-check with a witness; exit 2 prints `{"error": ...}` on stderr.
+check with a witness; exit 2 prints `{"error": ...}` on stderr.  `main`
+picks the code from the exception's type alone, so each type of
+`crossedcat.errors` is pinned to its code and each refusal to its type.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import FIXTURE_DIR
+from crossedcat import errors, jsonio
+from crossedcat.center import verify_center_braided
 from crossedcat.cli import main
+from crossedcat.errors import CrossedCatError, GroupValidationError, ValidationError
+from crossedcat.groups import cyclic, subgroup_from_generators, trivial_group, validate_group
+from crossedcat.matched import direct_pair, from_exact_factorization
+from crossedcat.pointed import pointed_category
 
 # each command with small fixtures of its format, which finish quickly
 COMMANDS = {
@@ -267,3 +275,102 @@ def test_huge_modulus_keeps_the_exit_code_contract(command):
     obj = json.loads((FIXTURE_DIR / "cat-z4-over-z2.json").read_text())
     obj["M"] = 2 ** 63
     assert_contract(tuple(command), json.dumps(obj).encode())
+
+
+# -- the exception types ---------------------------------------------------------
+
+def test_errors_defines_one_type_per_way_a_caller_handles_it():
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and value.__module__ == errors.__name__}
+    assert defined == {"CrossedCatError", "ValidationError", "GroupValidationError",
+                       "NotMatched", "UnsupportedConfiguration"}
+
+
+def _z8_over_trivial_groups():
+    """Lambda = Z_8 graded trivially over trivial G and Gamma, M = 8: the
+    oracle would try 8 * 8^8 functions."""
+    one = trivial_group()
+    return pointed_category(cyclic(8), direct_pair(one, one), [0] * 8, [list(range(8))], 8)
+
+
+def _s4_with_one_subgroup_twice():
+    S4 = jsonio.load_group(FIXTURE_DIR / "group-s4.json")
+    gens = subgroup_from_generators(S4, [1])
+    return from_exact_factorization(S4, gens, gens)
+
+
+# each refusal with its type and exact text, and a failed law with its witness
+@pytest.mark.parametrize("call,kind,message,witness", [
+    (lambda: jsonio.load_category(FIXTURE_DIR / "cat-nonsurjective.json").least_section(),
+     ValidationError, "grading not surjective: no simple of degree 1", None),
+    (_s4_with_one_subgroup_twice, ValidationError,
+     "not an exact factorization: subgroups intersect beyond the identity", None),
+    (lambda: verify_center_braided(_z8_over_trivial_groups()), ValidationError,
+     "center too large to enumerate: relative_center_oracle would try 134217728 candidates, "
+     "over the limit of 2000000", None),
+    (lambda: validate_group([[1, 0], [0, 0]]), GroupValidationError,
+     "element -1 is not an identity (fails at 0)", (-1, 0)),
+    (lambda: validate_group([[0, 0], [1, 1]], 0), GroupValidationError,
+     "element 0 is not an identity (fails at 1)", (0, 1)),
+    (lambda: validate_group([[0, 1, 2], [1, 0, 0], [2, 0, 0]]), GroupValidationError,
+     "associativity fails at (a,b,c)=(1,1,2)", (1, 1, 2)),
+    (lambda: validate_group([[0, 1], [1, 1]]), GroupValidationError,
+     "element 1 has no two-sided inverse", (1,)),
+], ids=["nonsurjective", "not-exact", "oracle-bound", "no-identity", "identity-fails",
+        "associativity", "no-inverse"])
+def test_each_refusal_has_its_type_and_text(call, kind, message, witness):
+    with pytest.raises(CrossedCatError) as exc:
+        call()
+    assert type(exc.value) is kind
+    assert str(exc.value) == message
+    assert getattr(exc.value, "witness", None) == witness
+
+
+def _written(tmp_path: Path, obj: dict) -> str:
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _pair(keys: tuple, value) -> dict:
+    """z2-z3-inversion.json with the node at the key path `keys` set to `value`."""
+    obj = json.loads((FIXTURE_DIR / "z2-z3-inversion.json").read_text())
+    node = obj
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return obj
+
+
+# through main: the exit code of each type that reaches it, with the stream it
+# writes; exit 1 prints a report whose first failing check has a witness
+@pytest.mark.parametrize("argv,code,error,failing", [
+    (lambda p: ["verify", "group", _written(p, {"table": [[0, 1], [1]]})], 2,
+     "table is not square: row of length 1 in order-2 table", None),
+    (lambda p: ["verify", "group", _written(p, {"table": [[0, 1], [1, 1]]})], 1, None,
+     {"name": "group_laws", "pass": False, "witness": [1]}),
+    (lambda p: ["verify", "matched-pair", _written(p, _pair(("G", "table"), [[0, 1], [1, 1]]))], 2,
+     "element 1 has no two-sided inverse", None),
+    (lambda p: ["zappa-szep", _written(p, _pair(("act1", 1, 2), 2)), "-o", str(p / "out.json")],
+     1, None, {"name": "act1_is_left_action", "pass": False, "witness": [1, 1, 1]}),
+    (lambda p: ["verify", "center", str(FIXTURE_DIR / "cat-nonsurjective.json")], 2,
+     "grading not surjective: no simple of degree 1", None),
+    (lambda p: ["center", str(FIXTURE_DIR / "cat-nonsurjective.json"), "-o",
+                str(p / "out.json")], 2, "grading not surjective: no simple of degree 1", None),
+    (lambda p: ["factorize", str(FIXTURE_DIR / "group-s4.json"), "--gens-g", "1",
+                "--gens-gamma", "1", "-o", str(p / "out.json")], 2,
+     "not an exact factorization: subgroups intersect beyond the identity", None),
+], ids=["bad-table", "group-law", "group-law-in-pair", "zappa-szep-not-matched",
+        "verify-center-nonsurjective", "center-nonsurjective", "factorize-not-exact"])
+def test_each_type_keeps_its_exit_code(tmp_path, argv, code, error, failing):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv(tmp_path)) == code
+    if code == 2:
+        assert (out.getvalue(), err.getvalue()) == ("", json.dumps({"error": error}) + "\n")
+    else:
+        report = json.loads(out.getvalue())
+        assert err.getvalue() == ""
+        assert not report["pass"]
+        assert next(c for c in report["checks"] if not c["pass"]) == failing
+    assert not (tmp_path / "out.json").exists()

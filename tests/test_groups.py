@@ -4,8 +4,7 @@ import itertools
 
 import pytest
 
-from crossedcat.errors import (AssocViolation, GroupValidationError, NoIdentity, NoInverse,
-                               ValidationError)
+from crossedcat.errors import GroupValidationError, ValidationError
 from crossedcat.groups import (cyclic, dihedral, direct_product, subgroup_from_generators,
                                symmetric, trivial_group, twisted_characters, validate_group)
 
@@ -37,9 +36,9 @@ def test_validate_group_perturbed_s3_reports_witness():
     table = brute_force_s3_table()
     # swap one interior entry; re-check exhaustively via the validator
     table[2][3], table[2][4] = table[2][4], table[2][3]
-    with pytest.raises((AssocViolation, NoInverse, NoIdentity)) as exc:
+    with pytest.raises(GroupValidationError) as exc:
         validate_group(table, 0)
-    assert getattr(exc.value, "witness", None) is not None
+    assert exc.value.witness is not None
 
 
 @pytest.mark.parametrize("call,message", [

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from conftest import pair, renamed
-from crossedcat.errors import NotExact, ValidationError
+from crossedcat.errors import NotMatched, ValidationError
 from crossedcat.fixtures import MATCHED_PAIRS
 from crossedcat.groups import (cyclic, dihedral, direct_product, is_hom_image,
                                subgroup_from_generators, symmetric, trivial_group,
@@ -37,6 +37,10 @@ def test_corrupted_pair_reports_first_witness():
     assert not rep.passed
     fail = rep.first_failure()
     assert fail.witness is not None and len(fail.witness) >= 2
+    # the refusal names the check and witness as load_category's does
+    with pytest.raises(NotMatched) as exc:
+        zappa_szep(bad)
+    assert str(exc.value) == "matched-pair verification failed: act1_is_left_action at [1, 1, 1]"
 
 
 @pytest.mark.parametrize("table,row,value,error", [
@@ -129,16 +133,17 @@ def test_from_exact_s4_sizes():
 
 def test_from_exact_rejects_bad_input():
     S3 = symmetric(3)
-    with pytest.raises(NotExact):
+    with pytest.raises(ValidationError, match="^not an exact factorization: "):
         from_exact_factorization(S3, [0, 1], [0, 1, 2])  # not closed
     perms = sorted(itertools.permutations(range(3)))
     t12 = perms.index((1, 0, 2))
-    with pytest.raises(NotExact):
+    with pytest.raises(ValidationError, match="^not an exact factorization: "):
         from_exact_factorization(S3, [0, t12], [0, t12])  # intersects, wrong size
     # |G| |Gamma| = |H| only by counting the repeat; the two subgroups
     # factor half of S3, so no element may be left unfactored
     c3 = perms.index((1, 2, 0))
-    with pytest.raises(NotExact, match="G lists an element twice"):
+    with pytest.raises(ValidationError,
+                       match="^not an exact factorization: G lists an element twice$"):
         from_exact_factorization(S3, [0, 0], subgroup_from_generators(S3, [c3]))
 
 
