@@ -59,8 +59,7 @@ def verify_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
     rep = VerificationReport(subject="braided-matched-pair")
 
     pre = verify_matched_pair(mp)
-    rep.add("underlying_matched_pair", pre.passed,
-            None if pre.passed else tuple(pre.first_failure().witness or ()))
+    rep.add("underlying_matched_pair", None if pre.passed else tuple(pre.first_failure().witness))
 
     def braid1() -> Optional[tuple]:
         # (phi(s) |>1 t) s = (psi(t) |>1 s) t

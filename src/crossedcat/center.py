@@ -636,17 +636,15 @@ def verify_center_braided(cat: PointedCrossedCategory,
         if r.passed:
             return None
         c = r.first_failure()
-        return (c.name,) + tuple(c.witness or ())
+        return (c.name,) + tuple(c.witness)
 
     bmp = Z.induced
     phi_img, psi_img = bmp.phi, bmp.psi
     cpa1, cpa2 = bmp.mp.act1, bmp.mp.act2
 
-    def premises_passed() -> bool:
-        # the closure proofs of the three braiding axioms use laws of the
-        # induced pair and of the center viewed as a category
-        return all(c.passed for c in rep.checks
-                   if c.name in ("induced_pair_braided", "center_category_axioms"))
+    # the closure proofs of the three braiding axioms use laws of the
+    # induced pair and of the center viewed as a category
+    premises = ("induced_pair_braided", "center_category_axioms")
 
     def braiding_axiom_1() -> Optional[tuple]:
         # T_A carries the braiding of (i, k) to that of (A.i, A.k).  Certified
@@ -692,7 +690,7 @@ def verify_center_braided(cat: PointedCrossedCategory,
             return None
 
         K = bmp.mp.G
-        typed = premises_passed() and all(
+        typed = rep.all_passed(*premises) and all(
             T[act[phi_img[grade[k]]][i]][k] == T[act[psi_img[grade[i]]][k]][i]
             for i in Zs for k in Zs)
         return certified_sweep(sweep, K.table, K.identity if typed else None)
@@ -730,7 +728,7 @@ def verify_center_braided(cat: PointedCrossedCategory,
             return None
 
         # without the premises the simples may form no group, and have no identity
-        e = center.Lambda.identity if premises_passed() else None
+        e = center.Lambda.identity if rep.all_passed(*premises) else None
         return certified_sweep(sweep, T[:len(Zs)], e)
 
     def braiding_axiom_3() -> Optional[tuple]:
@@ -758,7 +756,7 @@ def verify_center_braided(cat: PointedCrossedCategory,
                             return (i, k, l)
             return None
 
-        e = center.Lambda.identity if premises_passed() else None
+        e = center.Lambda.identity if rep.all_passed(*premises) else None
         return certified_sweep(sweep, T[:len(Zs)], e)
 
     def guarded(fn):

@@ -65,9 +65,9 @@ def cmd_verify(kind: str, file: str, pretty: bool) -> int:
         rep = VerificationReport(subject=f"group {raw.get('name', Path(file).name)}")
         try:
             validate_group(*fields)
-            rep.add("group_laws", True)
+            rep.add("group_laws", None)
         except GroupValidationError as exc:
-            rep.add("group_laws", False, exc.witness)
+            rep.add("group_laws", exc.witness)
     elif kind == "matched-pair":
         from .matched import verify_matched_pair
         mp = jsonio.load_matched(file)
@@ -187,15 +187,15 @@ def cmd_coherence(category: str, objects: Optional[str], pretty: bool) -> int:
 
 # -- the command line ------------------------------------------------------------
 
-class Arg(Record):
+class Arg:
     """One argument of a command: a positional when `flags` is empty, else an
     option that takes a value.  Its text is passed to the command's function
     as the keyword `dest`, None for an option not given."""
-    dest: str
-    help: str = ""
-    flags: tuple = ()
-    choices: tuple = ()
-    required: bool = False
+
+    def __init__(self, dest: str, help: str = "", flags: tuple = (), choices: tuple = (),
+                 required: bool = False):
+        self.dest, self.help, self.flags = dest, help, flags
+        self.choices, self.required = choices, required
 
 
 class Command(Record):

@@ -56,7 +56,7 @@ class FiniteGroup(Record):
     table: Table  # table[a][b] = index of a*b
     identity: int
     inverses: tuple[int, ...]
-    name: str = "G"
+    name: str
 
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""

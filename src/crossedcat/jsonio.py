@@ -139,8 +139,9 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 def group_fields(obj: Any) -> tuple[Any, Optional[int], Any]:
     """Table, identity (or None) and name of a group object.  The identity
-    must be an integer, and an `order` field, when present, the number of
-    table rows; the table's entries are validate_group's check."""
+    must be an integer, an `order` field, when present, the number of table
+    rows, and a name a string; the table's entries are validate_group's
+    check."""
     obj = _object(obj, "group")
     if "table" not in obj:
         raise ValidationError("group object missing field 'table'")
@@ -151,7 +152,10 @@ def group_fields(obj: Any) -> tuple[Any, Optional[int], Any]:
     if isinstance(table, list) and _int(obj.get("order", len(table)), "group order") != len(table):
         raise ValidationError(f"group order {obj['order']} does not match the table's "
                               f"{len(table)} rows")
-    return table, identity, obj.get("name", "G")
+    name = obj.get("name", "G")
+    if not isinstance(name, str):
+        raise ValidationError("group name must be a string")
+    return table, identity, name
 
 
 def group_from_json(obj: Any) -> FiniteGroup:
@@ -278,8 +282,11 @@ def category_from_json(obj: Any) -> PointedCrossedCategory:
     # "trivial", or no table, is all zeros.  pointed_category checks each
     # table and reduces its exponents mod M; a file holds them in 0..M-1.
     scalars = [None if obj.get(key) == "trivial" else obj.get(key) for key, _ in SCALARS]
+    name = obj.get("name", "cat")
+    if not isinstance(name, str):
+        raise ValidationError("category name must be a string")
     from .pointed import pointed_category
-    cat = pointed_category(Lambda, mp, grading, action, M, *scalars, name=obj.get("name", "cat"))
+    cat = pointed_category(Lambda, mp, grading, action, M, *scalars, name=name)
     for (key, depth), t in zip(SCALARS, scalars):
         for row in [] if t is None else _rows(t, depth):
             if not in_range(row, M):

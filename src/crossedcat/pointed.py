@@ -54,7 +54,7 @@ class PointedCrossedCategory(Record):
     phitable: tuple[int, ...]       # [g]
     chitable: Exp3                  # [g][h][x]
     iotatable: tuple[int, ...]      # [x]
-    name: str = "cat"
+    name: str
 
     @property
     def G(self) -> FiniteGroup:
@@ -169,9 +169,6 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
     J, X, phi, iota = cat.jtable, cat.chitable, cat.phitable, cat.iotatable
     Ls, Gs, eL, eG = L.elements(), G.elements(), L.identity, G.identity
 
-    def passed(*names: str) -> bool:
-        return all(c.passed for c in rep.checks if c.name in names)
-
     def matched_pair_valid() -> Optional[tuple]:
         r = verify_matched_pair(mp)
         return None if r.passed else (r.first_failure().name,)
@@ -196,7 +193,7 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
         #
         # The certificate needs y |>' g = del(y) |>2 g to be a left action of
         # Lambda, which it is once del is a homomorphism and |>2 a left action.
-        gated = passed("grading_is_homomorphism", "matched_pair_valid")
+        gated = rep.all_passed("grading_is_homomorphism", "matched_pair_valid")
         return twisted_hom_witness(Lt, act, [a2[d] for d in deg], eL if gated else None)
 
     def axiom2_cocycle() -> Optional[tuple]:
@@ -226,7 +223,7 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
                                 return (g, x, y, z)
             return None
 
-        gated = passed("grading_is_homomorphism", "matched_pair_valid")
+        gated = rep.all_passed("grading_is_homomorphism", "matched_pair_valid")
         return certified_sweep(sweep, Lt, eL if gated else None)
 
     def axiom2_units() -> Optional[tuple]:
@@ -256,7 +253,7 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
                                 return (g, h, k, x)
             return None
 
-        return certified_sweep(sweep, Gt, eG if passed("action_composition") else None)
+        return certified_sweep(sweep, Gt, eG if rep.all_passed("action_composition") else None)
 
     def chi_units() -> Optional[tuple]:
         for g in Gs:
@@ -317,8 +314,9 @@ def verify_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
                                 return (g, h, x, y)
             return None
 
-        gated = passed("matched_pair_valid", "grading_is_homomorphism", "axiom1_grading_compat",
-                       "axiom2_object_compat", "axiom2_j_cocycle")
+        gated = rep.all_passed("matched_pair_valid", "grading_is_homomorphism",
+                               "axiom1_grading_compat", "axiom2_object_compat",
+                               "axiom2_j_cocycle")
         return certified_sweep(sweep, Lt, eL if gated else None)
 
     def scalar(fn):

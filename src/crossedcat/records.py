@@ -9,8 +9,8 @@ class Record:
     """An immutable record compared and hashed by its field values.
 
     The fields are the class's annotated names, in order, after those of a
-    record base class; a class attribute of the same name is the field's
-    default.  Instances compare equal when they have the same class and
+    record base class, and a record is built with every field, in order and
+    positionally.  Instances compare equal when they have the same class and
     equal field values, hash like the tuple of their field values, and
     raise AttributeError on assigning or deleting an attribute.
     `functools.cached_property` still works: it writes the instance
@@ -38,27 +38,12 @@ class Record:
             one = attrgetter(names[0])
             cls._values = staticmethod(lambda record: (one(record),))
 
-    def __init__(self, *args, **kwargs):
-        cls = type(self)
-        names = cls._fields
-        if len(args) == len(names) and not kwargs:
-            for name, value in zip(names, args):
-                object.__setattr__(self, name, value)
-            return
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__qualname__} takes {len(names)} fields, got {len(args)}")
-        for name in kwargs:
-            if name not in names[len(args):]:
-                raise TypeError(f"{cls.__qualname__} got an unexpected or repeated field {name!r}")
-        for i, name in enumerate(names):
-            if i < len(args):
-                value = args[i]
-            elif name in kwargs:
-                value = kwargs[name]
-            elif hasattr(cls, name):
-                value = getattr(cls, name)
-            else:
-                raise TypeError(f"{cls.__qualname__} is missing field {name!r}")
+    def __init__(self, *args):
+        names = self._fields
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} fields, "
+                            f"got {len(args)}")
+        for name, value in zip(names, args):
             # never through self.__dict__: materializing it slows every
             # later attribute read
             object.__setattr__(self, name, value)

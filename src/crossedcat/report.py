@@ -9,14 +9,18 @@ from .records import Record
 
 
 class Check(Record):
+    """One named check; it passes exactly when it has no witness."""
     name: str
-    passed: bool
-    witness: Optional[tuple] = None
+    witness: Optional[tuple]
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {"name": self.name, "pass": self.passed}
         if not self.passed:
-            d["witness"] = list(self.witness) if self.witness is not None else None
+            d["witness"] = list(self.witness)
         return d
 
     def __str__(self) -> str:
@@ -36,14 +40,22 @@ class VerificationReport:
         self.subject = subject
         self.checks: list[Check] = [] if checks is None else checks
         self.input_digest: Optional[str] = None
+        # counts that verify_coherence and check_coherence keep beside
+        # their checks; the report's JSON leaves them out
         self.stats: Optional[dict] = None
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, witness: Optional[tuple] = None) -> None:
-        self.checks.append(Check(name, passed, None if passed else witness))
+    def add(self, name: str, witness: Optional[tuple]) -> None:
+        self.checks.append(Check(name, witness))
+
+    def all_passed(self, *names: str) -> bool:
+        """Whether every named check passed; a name that no check added so
+        far carries raises KeyError."""
+        verdicts = {c.name: c.passed for c in self.checks}
+        return all([verdicts[name] for name in names])
 
     def first_failure(self) -> Optional[Check]:
         for c in self.checks:
@@ -57,8 +69,6 @@ class VerificationReport:
             "pass": self.passed,
             "checks": [c.to_json() for c in self.checks],
         }
-        if self.stats is not None:
-            body["stats"] = self.stats
         if self.input_digest is not None:
             body["inputDigest"] = self.input_digest
         return body
@@ -78,6 +88,5 @@ def run_checks(report: VerificationReport,
                named: Sequence[tuple[str, Callable[[], Optional[tuple]]]]) -> VerificationReport:
     """Run (name, callable) checks in order; a callable returns a witness or None."""
     for name, fn in named:
-        witness = fn()
-        report.add(name, witness is None, witness)
+        report.add(name, fn())
     return report

@@ -281,7 +281,7 @@ def verify_coherence(cat: PointedCrossedCategory,
                              for steps in (path1, path2)),
                            x1, x2)
                 break
-        rep.add(name, witness is None, witness)
+        rep.add(name, witness)
     rep.stats = {"branchings": len(BRANCHINGS), "instances": instances}
     return rep
 
@@ -365,8 +365,8 @@ def check_coherence(cat: PointedCrossedCategory, max_nodes: int,
         if mismatch is not None:
             break
 
-    rep.add("parallel_composites_agree", mismatch is None, mismatch)
-    rep.add("search_space_nonempty", len(words) > 0, (max_nodes, len(objects)))
+    rep.add("parallel_composites_agree", mismatch)
+    rep.add("search_space_nonempty", None if words else (max_nodes, len(objects)))
     rep.stats = {"words": len(words), "edges": n_edges, "components": components,
                  "independent_cycles": (n_edges - len(adjacency) + components
                                         if mismatch is None else None)}

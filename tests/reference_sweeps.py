@@ -197,8 +197,7 @@ def reference_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
     rep = VerificationReport(subject="braided-matched-pair")
 
     pre = reference_matched_pair(mp)
-    rep.add("underlying_matched_pair", pre.passed,
-            None if pre.passed else tuple(pre.first_failure().witness or ()))
+    rep.add("underlying_matched_pair", None if pre.passed else tuple(pre.first_failure().witness))
 
     def phi_hom() -> Optional[tuple]:
         return reference_is_hom_image(M, G, phi)
@@ -574,7 +573,7 @@ def reference_center_braided(cat: PointedCrossedCategory,
         if r.passed:
             return None
         c = r.first_failure()
-        return (c.name,) + tuple(c.witness or ())
+        return (c.name,) + tuple(c.witness)
 
     phi_img, psi_img, cp = Z.induced.phi, Z.induced.psi, Z.induced.mp
     a1, a2 = cp.act1, cp.act2

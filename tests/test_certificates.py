@@ -29,6 +29,7 @@ from crossedcat.groups import (FiniteGroup, action_law_witness, cyclic, dihedral
                                trivial_group, twisted_hom_witness, validate_group)
 from crossedcat.matched import matched_pair, verify_matched_pair
 from crossedcat.pointed import pointed_category, verify_crossed_category
+from crossedcat.report import VerificationReport
 from gauge import gauge, random_cochain
 from reference_sweeps import (ReferenceCenter, reference_center_braided,
                               reported_crossed_category, reference_is_hom_image,
@@ -656,6 +657,19 @@ def test_braiding_axioms_hold_on_product_closed_sets(monkeypatch):
 
 
 # -- no silent fallback
+
+def test_a_gate_refuses_a_premise_the_report_does_not_hold():
+    """A misspelt or reordered premise raises KeyError instead of opening a
+    certificate, as `all()` over no matching check would."""
+    rep = VerificationReport("gates")
+    rep.add("first", None)
+    rep.add("second", (0,))
+    assert rep.all_passed("first") and rep.all_passed()
+    assert not rep.all_passed("first", "second")
+    for names in (("third",), ("first", "third"), ("second", "third")):
+        with pytest.raises(KeyError, match="third"):
+            rep.all_passed(*names)
+
 
 def test_passing_fixtures_run_no_full_sweep(monkeypatch):
     """On every category fixture whose `verify category` and `verify center`

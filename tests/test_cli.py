@@ -437,6 +437,20 @@ def _fixture_with(name, value, *path):
      "group identity must be an integer"),
     ("category", _fixture_with("cat-vec-z2z3", 3, "G", "order"),
      "group order 3 does not match the table's 2 rows"),
+    # a name is a JSON string wherever a group or category object sits
+    ("group", {"table": [[0, 1], [1, 0]], "name": {"x": [1]}}, "group name must be a string"),
+    ("matched-pair", _fixture_with("z2-z3-inversion", None, "G", "name"),
+     "group name must be a string"),
+    ("braided-pair", _fixture_with("turaev-z2-braided", ["Z2"], "Gamma", "name"),
+     "group name must be a string"),
+    ("category", _fixture_with("cat-vec-z2z3", 5, "name"), "category name must be a string"),
+    ("category", _fixture_with("cat-vec-z2z3", True, "Lambda", "name"),
+     "group name must be a string"),
+    ("category", _fixture_with("cat-vec-z2z3", 0, "mp", "Gamma", "name"),
+     "group name must be a string"),
+    ("category", _fixture_with("cat-vec-z2z3", None, "G", "name"), "group name must be a string"),
+    ("category", _fixture_with("cat-vec-z2z3", {}, "Gamma", "name"),
+     "group name must be a string"),
 ], ids=["group-not-object", "identity-out-of-range", "G-not-object", "category-not-object",
         "G-string-not-opened", "bool-in-group-table", "bool-identity", "bool-in-action",
         "ragged-act1", "ragged-act2", "act1-range", "act2-range", "bool-M", "bool-in-J",
@@ -444,7 +458,9 @@ def _fixture_with(name, value, *path):
         "short-action-row", "action-range", "J-one-plane", "short-phi", "short-iota",
         "chi-range", "differing-G-copy", "differing-Gamma-copy", "bool-in-G-copy",
         "float-in-G-copy", "G-copy-no-inverse", "G-copy-range", "G-copy-identity",
-        "bool-G-copy-identity", "G-copy-order"])
+        "bool-G-copy-identity", "G-copy-order", "group-name-object", "pair-G-name-null",
+        "braided-Gamma-name-list", "category-name-number", "Lambda-name-bool",
+        "mp-Gamma-name-number", "G-copy-name-null", "Gamma-copy-name-object"])
 def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj, error):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))

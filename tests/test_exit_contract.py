@@ -25,12 +25,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import FIXTURE_DIR
 from crossedcat import errors, jsonio
-from crossedcat.center import verify_center_braided
-from crossedcat.cli import main
-from crossedcat.errors import CrossedCatError, GroupValidationError, ValidationError
+from crossedcat.center import CenterStructure, verify_center_braided
+from crossedcat.cli import main, parse_args
+from crossedcat.errors import GroupValidationError, NotMatched, ValidationError
 from crossedcat.groups import cyclic, subgroup_from_generators, trivial_group, validate_group
 from crossedcat.matched import direct_pair, from_exact_factorization
-from crossedcat.pointed import pointed_category
+from crossedcat.pointed import pointed_category, vec_gamma
 
 # each command with small fixtures of its format, which finish quickly
 COMMANDS = {
@@ -293,17 +293,28 @@ def _z8_over_trivial_groups():
     return pointed_category(cyclic(8), direct_pair(one, one), [0] * 8, [list(range(8))], 8)
 
 
-def _s4_with_one_subgroup_twice():
+def _s4_factored_by(gens_g: list, gens_gamma: list):
     S4 = jsonio.load_group(FIXTURE_DIR / "group-s4.json")
-    gens = subgroup_from_generators(S4, [1])
-    return from_exact_factorization(S4, gens, gens)
+    return from_exact_factorization(S4, subgroup_from_generators(S4, gens_g),
+                                    subgroup_from_generators(S4, gens_gamma))
 
 
-# each refusal with its type and exact text, and a failed law with its witness
+def _z4_over_z2_with_section(section: tuple):
+    return CenterStructure(jsonio.load_category(FIXTURE_DIR / "cat-z4-over-z2.json"), section)
+
+
+def _without(obj: dict, key: str) -> dict:
+    del obj[key]
+    return obj
+
+
+# each refusal with its type and exact text, and a failed law with its witness;
+# CenterStructure's section checks are ValueError, a caller's mistake that no
+# command line can make
 @pytest.mark.parametrize("call,kind,message,witness", [
     (lambda: jsonio.load_category(FIXTURE_DIR / "cat-nonsurjective.json").least_section(),
      ValidationError, "grading not surjective: no simple of degree 1", None),
-    (_s4_with_one_subgroup_twice, ValidationError,
+    (lambda: _s4_factored_by([1], [1]), ValidationError,
      "not an exact factorization: subgroups intersect beyond the identity", None),
     (lambda: verify_center_braided(_z8_over_trivial_groups()), ValidationError,
      "center too large to enumerate: relative_center_oracle would try 134217728 candidates, "
@@ -316,10 +327,29 @@ def _s4_with_one_subgroup_twice():
      "associativity fails at (a,b,c)=(1,1,2)", (1, 1, 2)),
     (lambda: validate_group([[0, 1], [1, 1]]), GroupValidationError,
      "element 1 has no two-sided inverse", (1,)),
+    (lambda: from_exact_factorization(cyclic(3), [1], [0]), ValidationError,
+     "not an exact factorization: G does not contain the identity", None),
+    (lambda: from_exact_factorization(cyclic(3), [0, 1], [0]), ValidationError,
+     "not an exact factorization: G not closed under inverse at 1", None),
+    (lambda: _s4_factored_by([3], [6]), ValidationError,
+     "not an exact factorization: |G|*|Gamma| = 6 != |H| = 24", None),
+    (lambda: jsonio.braided_from_json(
+        _without(json.loads((FIXTURE_DIR / "turaev-z2-braided.json").read_text()), "psi")),
+     ValidationError, "braided-pair object missing field 'psi'", None),
+    (lambda: parse_args(["coherence", "--category"]), ValidationError,
+     "coherence: --category needs a value", None),
+    (lambda: vec_gamma(jsonio.matched_from_json(_pair(("act1", 1, 2), 2)), 2), NotMatched,
+     "matched-pair verification failed: act1_is_left_action at [1, 1, 1]", None),
+    (lambda: _z4_over_z2_with_section((0, 2)), ValueError,
+     "section value 2 has degree 0, wanted 1", None),
+    (lambda: _z4_over_z2_with_section((2, 1)), ValueError,
+     "section must send the trivial degree to the unit label", None),
 ], ids=["nonsurjective", "not-exact", "oracle-bound", "no-identity", "identity-fails",
-        "associativity", "no-inverse"])
+        "associativity", "no-inverse", "factor-without-identity", "factor-without-inverse",
+        "factor-orders", "braided-without-psi", "option-without-value", "vec-gamma-not-matched",
+        "section-degree", "section-unit"])
 def test_each_refusal_has_its_type_and_text(call, kind, message, witness):
-    with pytest.raises(CrossedCatError) as exc:
+    with pytest.raises(Exception) as exc:
         call()
     assert type(exc.value) is kind
     assert str(exc.value) == message
@@ -360,8 +390,20 @@ def _pair(keys: tuple, value) -> dict:
     (lambda p: ["factorize", str(FIXTURE_DIR / "group-s4.json"), "--gens-g", "1",
                 "--gens-gamma", "1", "-o", str(p / "out.json")], 2,
      "not an exact factorization: subgroups intersect beyond the identity", None),
+    (lambda p: ["factorize", str(FIXTURE_DIR / "group-s4.json"), "--gens-g", "3",
+                "--gens-gamma", "6", "-o", str(p / "out.json")], 2,
+     "not an exact factorization: |G|*|Gamma| = 6 != |H| = 24", None),
+    (lambda p: ["verify", "braided-pair", _written(p, _without(json.loads(
+        (FIXTURE_DIR / "turaev-z2-braided.json").read_text()), "psi"))], 2,
+     "braided-pair object missing field 'psi'", None),
+    (lambda p: ["coherence", "--category"], 2, "coherence: --category needs a value", None),
+    # once a Python repr, "None><Z3", in the -o file
+    (lambda p: ["zappa-szep", _written(p, _pair(("G", "name"), None)), "-o",
+                str(p / "out.json")], 2, "group name must be a string", None),
 ], ids=["bad-table", "group-law", "group-law-in-pair", "zappa-szep-not-matched",
-        "verify-center-nonsurjective", "center-nonsurjective", "factorize-not-exact"])
+        "verify-center-nonsurjective", "center-nonsurjective", "factorize-not-exact",
+        "factorize-orders", "braided-without-psi", "option-without-value",
+        "zappa-szep-name-null"])
 def test_each_type_keeps_its_exit_code(tmp_path, argv, code, error, failing):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -1,5 +1,6 @@
 """Value semantics of the record types: equality, hashing, immutability,
-defaults and the field-style repr that error messages print."""
+construction from every field in order and the field-style repr that error
+messages print."""
 
 from __future__ import annotations
 
@@ -54,31 +55,49 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
 def test_different_classes_with_equal_fields_are_unequal():
     pairs = [(a, b) for a, b in itertools.permutations(RECORDS, 2)
              if len(a._fields) == len(b._fields)]
-    assert len(pairs) == 8  # three records of 3 fields, two of 2
+    assert len(pairs) == 8  # two records of 3 fields, three of 2
     for a, b in pairs:
         assert a(*values(a)) != b(*values(b)), (a.__name__, b.__name__)
 
 
-def test_defaulted_fields_take_their_default():
-    assert groups.FiniteGroup(1, ((0,),), 0, (0,)).name == "G"
-    assert report.Check("c", True).witness is None
-    assert report.Check("c", False, witness=(1,)) == report.Check("c", False, (1,))
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_no_field_has_a_default(cls):
+    assert not [name for name in cls._fields if name in vars(cls)]
 
 
 def test_constructor_rejects_wrong_arguments():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^Check takes 2 fields, got 1$"):
         report.Check("c")
+    with pytest.raises(TypeError, match=r"^Check takes 2 fields, got 3$"):
+        report.Check("c", None, 4)
     with pytest.raises(TypeError):
-        report.Check("c", True, None, 4)
+        report.Check("c", witness=None)
     with pytest.raises(TypeError):
-        report.Check("c", True, wit=None)
-    with pytest.raises(TypeError):
-        report.Check("c", True, passed=True)
+        report.Check("c", None, witness=None)
+    with pytest.raises(TypeError, match=r"^FiniteGroup takes 5 fields, got 4$"):
+        groups.FiniteGroup(1, ((0,),), 0, (0,))
+
+
+def test_a_check_passes_exactly_when_it_has_no_witness():
+    assert report.Check._fields == ("name", "witness")
+    assert report.Check("c", None).passed
+    for witness in ((1,), (), ("exception", "KeyError", "x")):
+        assert not report.Check("c", witness).passed
+        assert report.Check("c", witness).to_json() == {"name": "c", "pass": False,
+                                                        "witness": list(witness)}
+    assert report.Check("c", None).to_json() == {"name": "c", "pass": True}
+    rep = report.VerificationReport("s")
+    rep.add("a", None)
+    rep.add("b", (1,))
+    rep.stats = {"instances": 2}  # kept beside the checks, never rendered
+    assert [c.passed for c in rep.checks] == [True, False] and rep.first_failure().name == "b"
+    assert rep.to_json() == {"subject": "s", "pass": False, "checks": [
+        {"name": "a", "pass": True}, {"name": "b", "pass": False, "witness": [1]}]}
 
 
 def test_repr_lists_fields_in_order():
-    assert repr(report.Check("well_formed", False, ("m",))) == \
-        "Check(name='well_formed', passed=False, witness=('m',))"
+    assert repr(report.Check("well_formed", ("m",))) == \
+        "Check(name='well_formed', witness=('m',))"
     assert repr(center.CenterSimple(0, 2, (0, 2))) == "CenterSimple(g=0, label=2, chi=(0, 2))"
     assert repr(words.Tensor(words.Hole(1), words.Unit())) == \
         "Tensor(left=Hole(index=1), right=Unit())"
