@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .braided import BraidedMatchedPair, center_braiding as induced_braiding, verify_braiding
-from .errors import GroupValidationError, UnsupportedConfiguration, ValidationError
+from .errors import GroupValidationError, ValidationError
 from .groups import certified_sweep, character_tries, twisted_characters, validate_group
 from .pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
 from .records import Record
@@ -186,18 +186,18 @@ class CenterStructure:
         self.section = tuple(section) if section is not None else cat.least_section()
         for s in cat.Gamma.elements():
             if cat.grading[self.section[s]] != s:
-                raise ValueError(f"section value {self.section[s]} has degree "
-                                 f"{cat.grading[self.section[s]]}, wanted {s}")
+                raise ValidationError(f"section value {self.section[s]} has degree "
+                                      f"{cat.grading[self.section[s]]}, wanted {s}")
         # the strict-unit bookkeeping needs the unit fiber to pick the unit label
         if self.section[cat.Gamma.identity] != cat.Lambda.identity:
-            raise ValueError("section must send the trivial degree to the unit label")
+            raise ValidationError("section must send the trivial degree to the unit label")
         self.input_simples = tuple(simples) if simples is not None \
             else tuple(enumerate_center(cat))
         self.cat = normal
         self.npos = {nu: i for i, nu in enumerate(cat.neutral_labels)}
         self.simples = self.input_simples if normal is cat \
             else tuple(self._moved(z, 1) for z in self.input_simples)
-        (self.points, self.tensor_table, self.g_action_table, self._gamma_table,
+        (self.points, self.tensor_table, self.g_action_table, self.gamma_action_table,
          self.half_braiding) = self._close()
 
     def _moved(self, z: CenterSimple, sign: int) -> CenterSimple:
@@ -205,22 +205,6 @@ class CenterStructure:
         u, M = self.u0[z.g], self.cat.M
         return CenterSimple(z.g, z.label, tuple((c + sign * u[nu]) % M
                                                 for c, nu in zip(z.chi, self.cat.neutral_labels)))
-
-    @cached_property
-    def _unsupported(self) -> Optional[str]:
-        """Why there is no Gamma-action, or None.  The retract idempotent on a
-        point evaluates to its chi at e_L (phi is zero here), and a root
-        idempotent must be the identity.  Both actions keep chi at e_L and
-        tensor adds it (J and chi are zero at e_L here), so the first point
-        that breaks the guard is the first simple that does.  It is named
-        as passed, with the input's phi[g] = -u0[g][e_L]."""
-        M, eL = self.cat.M, self.cat.Lambda.identity
-        e = self.npos[eL]
-        for given, z in zip(self.input_simples, self.simples):
-            if z.chi[e] % M:
-                return (f"retract idempotent is not the identity on {given} (chi at unit = "
-                        f"{given.chi[e]}, phi[{z.g}] = {-self.u0[z.g][eL] % M})")
-        return None
 
     # -- dense tables over points
     def _close(self) -> tuple:
@@ -250,9 +234,8 @@ class CenterStructure:
 
         Each row evaluates its chain from terms found once per simple, per g,
         per s or per label; points are interned on (g, label, chi) tuples,
-        and a CenterSimple is built only for a new point.  The retract guard
-        is decided from the simples (_unsupported).  The tests compare every
-        table with chains composed by the rewriting system of words.py
+        and a CenterSimple is built only for a new point.  The tests compare
+        every table with chains composed by the rewriting system of words.py
         (tests/derived_center.py): each is a path between explicit words,
         so none can skip a structural isomorphism, such as the G-action's
         nu ~ ^g(^{g^-1} nu) and ^{g'}(^h b) ~ ^{g'h g^-1} nu.
@@ -333,16 +316,8 @@ class CenterStructure:
     def zero(self) -> bool:
         """True when the unit-normal category is zero and so is the chi of
         every point, as on every Vec center.  Every scalar table entry is a
-        signed sum of these, so each reads 0, and the retract guard
-        (_unsupported) cannot fire, so no table read raises."""
+        signed sum of these, so each reads 0."""
         return self.cat.zero and not any(any(z.chi) for z in self.points)
-
-    @property
-    def gamma_action_table(self) -> tuple[tuple[int, ...], ...]:
-        """[s][point] -> point; raises when some point has no Gamma-action."""
-        if self._unsupported is not None:
-            raise UnsupportedConfiguration(self._unsupported)
-        return self._gamma_table
 
     @cached_property
     def grade_table(self) -> tuple[int, ...]:
@@ -484,9 +459,9 @@ class CenterStructure:
         """Package the center's tables as a pointed crossed category.
 
         Every tensor and combined-action image of a simple must be a simple
-        (require_members' KeyError otherwise), and the simples must form a group
-        under tensor (checked by validate_group); the grading is the
-        (G-degree, Gamma-degree) pair and the action is the combined one.
+        (require_members' ValidationError otherwise), and the simples must
+        form a group under tensor (checked by validate_group); the grading is
+        the (G-degree, Gamma-degree) pair and the action is the combined one.
         """
         cat = self.cat
         n = len(self.simples)
@@ -503,13 +478,14 @@ class CenterStructure:
             (0,) * n, f"Z({cat.name})")
 
     def require_members(self, points: Iterable[int]) -> None:
-        """Raise a KeyError naming the first of `points` that is not a simple,
-        in the input's gauge."""
+        """Raise a ValidationError naming the first of `points` that is not a
+        simple, in the input's gauge."""
         n = len(self.simples)
         for p in points:
             if p >= n:
                 z = self._moved(self.points[p], -1)
-                raise KeyError(f"simple {(z.g, z.label, z.chi)} not in the enumerated center")
+                raise ValidationError(
+                    f"simple {(z.g, z.label, z.chi)} not in the enumerated center")
 
 
 # -- verification ------------------------------------------------------------------
@@ -544,11 +520,10 @@ def verify_center_braided(cat: PointedCrossedCategory,
 
     Zero support: the three braiding axioms read nothing but scalar
     tables.  When CenterStructure.zero holds, as on every Vec center, each
-    of their equations reads 0 = 0 and no table read can raise (the proof
-    is at that flag), so they pass unread, and the combined J and chi
-    tables are shared zero planes.
+    of their equations reads 0 = 0, so they pass unread, and the combined
+    J and chi tables are shared zero planes.
 
-    Three laws are implied by oracle equivalence and are not reported.  The
+    Four laws are implied by oracle equivalence and are not reported.  The
     oracle emits exactly the (g, label, chi) whose label has full
     conjugation support and whose chi obeys the character law, so a simple
     breaking either law is missing from it.  Under the precondition the
@@ -556,6 +531,13 @@ def verify_center_braided(cat: PointedCrossedCategory,
     by e_L is the e-action by action_identity, and with iota zero
     axiom3_j_chi at (e, e) gives J[e] = 0 (comment there), which chi = 0
     obeys.  So a simple list without the unit fails oracle equivalence too.
+    So does one with a simple whose retract idempotent (zeta_s (.) z (.)
+    zeta_s^dual onto ^s z) is not the identity, that is whose chi at e_L
+    is not 0 in the unit-normal gauge: axiom2_units "right" at (g, e_L)
+    gives J[g][e_L][e_L] = -phi[g], so the character law at (e_L, e_L)
+    gives every oracle simple chi(e_L) = phi[g], which u0[g][e_L] = -phi[g]
+    moves to 0.  The Gamma-action's formula in _close is computed on every
+    point all the same.
     Four more laws and the five laws of the swap scalars are implied by
     center_category_axioms; the proofs are at that check.
     """
@@ -589,9 +571,9 @@ def verify_center_braided(cat: PointedCrossedCategory,
         # GA, SA and T are the G-action, Gamma-action and tensor tables.
         # - Closure of the simples under T, GA and SA: as_category requires
         #   every T image and every combined-action image to be a simple.
-        #   SA[e] is the identity on every point (or SA raises the retract
-        #   guard's exception), as J[h][e][nu] = J[h][nu][e] = 0 here and the
-        #   section sends e to e_L; so the (g, e) action row is GA[g].
+        #   SA[e] is the identity on every point, as J[h][e][nu] =
+        #   J[h][nu][e] = 0 here and the section sends e to e_L; so the
+        #   (g, e) action row is GA[g].
         #   GA[e] keeps (h, label) and shifts chi by an amount that depends
         #   on (h, label) alone, so it is injective; it fixes every simple
         #   unless action_identity fails.  So an SA[s][i] that is not a
@@ -611,8 +593,8 @@ def verify_center_braided(cat: PointedCrossedCategory,
         # It implies the five laws of the swap scalars sigma too.  Write
         # the actor (g, s) of G >< Gamma for g * |Gamma| + s, and X_Z for
         # chi_table.  X_Z[(e, s)][(g, e)][i] = sigma_{g,s}(i), as SA[e] is
-        # the identity, chi_gamma_table[s][e][i] = -chi_i(e_L) = 0 (or the
-        # retract guard fails this check) and X[e][.] = 0 by chi_units with
+        # the identity, chi_gamma_table[s][e][i] = -chi_i(e_L) = 0 (or
+        # oracle_equivalence fails) and X[e][.] = 0 by chi_units with
         # iota = 0; likewise j_table is J[g] at (g, e) and j_gamma_table[s]
         # at (e, s).  So each law is a law of the center:
         # - sigma is monoidal at (g, s; i, k): axiom3_j_chi at
@@ -630,9 +612,9 @@ def verify_center_braided(cat: PointedCrossedCategory,
         nonlocal center
         try:
             center = Z.as_category()
-            r = verify_crossed_category(center)
-        except (KeyError, ValidationError, GroupValidationError) as exc:
+        except (ValidationError, GroupValidationError) as exc:
             return ("structure_tables_unbuildable", str(exc))
+        r = verify_crossed_category(center)
         if r.passed:
             return None
         c = r.first_failure()
@@ -759,26 +741,16 @@ def verify_center_braided(cat: PointedCrossedCategory,
         e = center.Lambda.identity if rep.all_passed(*premises) else None
         return certified_sweep(sweep, T[:len(Zs)], e)
 
-    def guarded(fn):
-        # corrupted simple lists may trip the idempotent guard or leave the
-        # simples unclosed; report that as the witness
-        def run() -> Optional[tuple]:
-            try:
-                return fn()
-            except (KeyError, UnsupportedConfiguration) as exc:
-                return ("exception", type(exc).__name__, str(exc)[:120])
-        return run
-
     def scalar(fn):
         # a check that reads only scalar data passes unread on zero data
         return (lambda: None) if Z.zero else fn
 
-    return run_checks(rep, [(name, guarded(fn)) for name, fn in [
+    return run_checks(rep, [
         ("oracle_equivalence", oracle_equivalence),
         ("induced_pair_braided", induced_pair_braided),
         ("center_category_axioms", center_category_axioms),
         ("braiding_axiom_1", scalar(braiding_axiom_1)),
         ("braiding_axiom_2", scalar(braiding_axiom_2)),
         ("braiding_axiom_3", scalar(braiding_axiom_3)),
-    ]])
+    ])
 

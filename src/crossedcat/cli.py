@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks pass, 1 an axiom fails (report carries the
 witness), 2 the input or the command line cannot be parsed or validated at
-all, or the report cannot be written.  Reports are JSON with sorted keys and no timestamps, so identical
-inputs produce byte-identical output; --pretty renders the same data for
-humans.
+all, or the report cannot be written, 3 a fault in crossedcat itself (any
+exception that is not a CrossedCatError or an OSError).  Reports are JSON
+with sorted keys and no timestamps, so identical inputs produce
+byte-identical output; --pretty renders the same data for humans.
 
 Every command runs in a fresh process, and on desk-scale inputs start-up is
 most of its time.  So each command imports the modules it runs inside its
@@ -365,6 +366,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _flush_stdout()
     except (CrossedCatError, OSError) as exc:
         return _error(exc)
+    except Exception as exc:
+        # a program error is never a verdict: its traceback, then the error line
+        import traceback
+        traceback.print_exc()
+        print(json.dumps({"error": f"internal error: {type(exc).__name__}: {exc}"}),
+              file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

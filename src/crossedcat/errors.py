@@ -1,7 +1,8 @@
 """Exception types shared across the library, one per way a caller handles
 a failure: the CLI exits 2 on ValidationError (and on any other
 CrossedCatError), reports a GroupValidationError's witness under
-`verify group`, and prints a NotMatched's report with exit 1."""
+`verify group`, and prints a NotMatched's report with exit 1.  Any other
+exception is a program error, which the CLI exits 3 on."""
 
 from __future__ import annotations
 
@@ -13,8 +14,10 @@ class CrossedCatError(Exception):
 class ValidationError(CrossedCatError):
     """An input the library cannot use: a malformed object or command-line
     argument, an input over a size bound, a failed precondition (a grading
-    that is not surjective, subgroups that do not factor a group exactly),
-    or an input that fails verification where a valid one is required."""
+    that is not surjective, subgroups that do not factor a group exactly,
+    a section that does not split the grading), a simple list passed to
+    the center that it does not close, or an input that fails verification
+    where a valid one is required."""
 
 
 class GroupValidationError(CrossedCatError):
@@ -32,7 +35,3 @@ class NotMatched(CrossedCatError):
         self.report = report
         super().__init__(f"matched-pair verification failed: {report.first_failure()}")
 
-
-class UnsupportedConfiguration(CrossedCatError):
-    """A center simple's retract idempotent is not the identity, so the
-    Gamma-action is undefined on it (a corrupted simple list)."""

@@ -123,6 +123,12 @@ def _object(obj: Any, what: str) -> dict:
     return obj
 
 
+def _field(obj: dict, key: str, what: str) -> Any:
+    if key not in obj:
+        raise ValidationError(f"{what} object missing field {key!r}")
+    return obj[key]
+
+
 def _int(obj: Any, what: str) -> int:
     # JSON true/false load as bool, a subclass of int; they are not integers here
     if type(obj) is not int:
@@ -143,12 +149,10 @@ def group_fields(obj: Any) -> tuple[Any, Optional[int], Any]:
     rows, and a name a string; the table's entries are validate_group's
     check."""
     obj = _object(obj, "group")
-    if "table" not in obj:
-        raise ValidationError("group object missing field 'table'")
+    table = _field(obj, "table", "group")
     identity = obj.get("identity")
     if identity is not None:
         _int(identity, "group identity")
-    table = obj["table"]
     if isinstance(table, list) and _int(obj.get("order", len(table)), "group order") != len(table):
         raise ValidationError(f"group order {obj['order']} does not match the table's "
                               f"{len(table)} rows")
@@ -185,11 +189,9 @@ def matched_to_json(mp: MatchedPair) -> dict:
 
 def matched_from_json(obj: Any) -> MatchedPair:
     obj = _object(obj, "matched pair")
-    try:
-        G, Gamma = group_from_json(obj["G"]), group_from_json(obj["Gamma"])
-        act1, act2 = obj["act1"], obj["act2"]
-    except KeyError as exc:
-        raise ValidationError(f"matched-pair object missing field {exc}") from exc
+    G = group_from_json(_field(obj, "G", "matched-pair"))
+    Gamma = group_from_json(_field(obj, "Gamma", "matched-pair"))
+    act1, act2 = _field(obj, "act1", "matched-pair"), _field(obj, "act2", "matched-pair")
     for key in ("side1", "side2"):
         if obj.get(key, "left") != "left":
             raise ValidationError(f"{key} must be 'left'; right-action files are not accepted")
@@ -216,10 +218,7 @@ def braided_to_json(bmp: BraidedMatchedPair) -> dict:
 
 def braided_from_json(obj: Any) -> BraidedMatchedPair:
     mp = matched_from_json(obj)
-    try:
-        phi, psi = obj["phi"], obj["psi"]
-    except KeyError as exc:
-        raise ValidationError(f"braided-pair object missing field {exc}") from exc
+    phi, psi = _field(obj, "phi", "braided-pair"), _field(obj, "psi", "braided-pair")
     # hom axioms are the verifier's business, not the loader's
     from .braided import braided_pair
     return braided_pair(mp, phi, psi)
@@ -265,12 +264,9 @@ def category_to_json(cat: PointedCrossedCategory) -> dict:
 
 def category_from_json(obj: Any) -> PointedCrossedCategory:
     obj = _object(obj, "category")
-    try:
-        Lambda = group_from_json(obj["Lambda"])
-        mp = matched_from_json(obj["mp"])
-        grading, action, M = obj["grading"], obj["action"], obj["M"]
-    except KeyError as exc:
-        raise ValidationError(f"category object missing field {exc}") from exc
+    Lambda = group_from_json(_field(obj, "Lambda", "category"))
+    mp = matched_from_json(_field(obj, "mp", "category"))
+    grading, action, M = (_field(obj, key, "category") for key in ("grading", "action", "M"))
     if type(M) is not int or M < 1:
         raise ValidationError("M must be a positive integer")
     # the top-level G/Gamma must agree with the matched pair's

@@ -29,7 +29,6 @@ import weakref
 from typing import Optional, Sequence
 
 from crossedcat.center import CenterSimple
-from crossedcat.errors import UnsupportedConfiguration
 from crossedcat.pointed import PointedCrossedCategory
 from crossedcat.words import Act, Hole, Tensor, Unit, normal_form
 
@@ -178,14 +177,8 @@ class DerivedCenter:
         """The retract of zeta (.) z (.) zeta^dual, on (s |>2 h, ^h zeta .
         lam . zeta^-1): at nu, take nu' = zeta^-1 nu zeta across lam."""
         cat = self.cat
-        L, M, h, lam, zeta = cat.Lambda, cat.M, z.g, z.label, self.section[s]
+        L, h, lam, zeta = cat.Lambda, z.g, z.label, self.section[s]
         Lt, zi, h2 = L.table, L.inverses[zeta], cat.mp.act2[s][h]
-        # the retract idempotent is chi(unit) * phi[h]^-1, phi is zero, and a
-        # root idempotent must be the identity
-        if z.chi[self.npos[L.identity]] % M:
-            raise UnsupportedConfiguration(
-                f"retract idempotent is not the identity on {z} (chi at unit = "
-                f"{z.chi[self.npos[L.identity]]}, phi[{h}] = 0)")
         return CenterSimple(h2, Lt[Lt[cat.action[h][zeta]][lam]][zi], tuple(
             self.path([act(h, zeta), lam, zi, nu], RELABEL, [act(h, zeta), lam, nu1, zi],
                       self.hb(z, nu1), [act(h, zeta), act(h, nu1), lam, zi],

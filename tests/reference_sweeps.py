@@ -29,8 +29,7 @@ from typing import Callable, Optional, Sequence
 
 from crossedcat.braided import BraidedMatchedPair
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle
-from crossedcat.errors import (GroupValidationError, NotMatched, UnsupportedConfiguration,
-                               ValidationError)
+from crossedcat.errors import GroupValidationError, NotMatched, ValidationError
 from crossedcat.groups import FiniteGroup, direct_product
 from crossedcat.matched import MatchedPair, matched_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category
@@ -492,7 +491,7 @@ class ReferenceCenter(DerivedCenter):
 
     def find(self, z: CenterSimple) -> int:
         if z not in self.index:
-            raise KeyError(f"simple {(z.g, z.label, z.chi)} not in the enumerated center")
+            raise ValidationError(f"simple {(z.g, z.label, z.chi)} not in the enumerated center")
         return self.index[z]
 
     # -- combined crossed structure on (G><Gamma, G x Gamma)
@@ -568,7 +567,7 @@ def reference_center_braided(cat: PointedCrossedCategory,
     def center_category_axioms() -> Optional[tuple]:
         try:
             r = reference_crossed_category(Z.as_category())
-        except (KeyError, ValidationError, GroupValidationError) as exc:
+        except (ValidationError, GroupValidationError) as exc:
             return ("structure_tables_unbuildable", str(exc))
         if r.passed:
             return None
@@ -628,12 +627,12 @@ def reference_center_braided(cat: PointedCrossedCategory,
 
 
 def _guarded(fn):
-    # corrupted simple lists may escape the enumerated set or trip the
-    # idempotent guard mid-sweep; report that as the witness
+    # corrupted simple lists may escape the enumerated set mid-sweep;
+    # report that as the witness
     def run() -> Optional[tuple]:
         try:
             return fn()
-        except (KeyError, UnsupportedConfiguration, GroupValidationError) as exc:
+        except (ValidationError, GroupValidationError) as exc:
             return ("exception", type(exc).__name__, str(exc)[:120])
     return run
 

@@ -14,7 +14,7 @@ from crossedcat.braided import center_braiding, verify_braiding
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
                                relative_center_oracle, verify_center_braided)
 from crossedcat.cli import main
-from crossedcat.errors import UnsupportedConfiguration, ValidationError
+from crossedcat.errors import ValidationError
 from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, nonsingular_violation
 from crossedcat.groups import cyclic, direct_product, trivial_group
 from crossedcat.matched import direct_pair
@@ -334,25 +334,17 @@ def _assert_tables_match_chains(cat, simples=None, rows=None) -> None:
             if i < len(Z.simples):  # the braiding's target tensors with z1
                 assert P[Z.tensor_table[Z.g_action_table[z1.g][k]][i]] == \
                     R.braiding(z1, z2)[0]
-    if Z._unsupported is None:
-        for s in cat.Gamma.elements():
-            assert [P[Z.gamma_action_table[s][i]] for i in first] == \
-                [R.gamma_act(s, P[i]) for i in first]
+    for s in cat.Gamma.elements():
+        assert [P[Z.gamma_action_table[s][i]] for i in first] == \
+            [R.gamma_act(s, P[i]) for i in first]
 
 
 def _closure_by_chains(Z: CenterStructure) -> tuple:
     """The points and tables of Z, closed one chain call at a time by the
     reference structure's tensor, g_act and gamma_act on CenterSimple
-    values, interned on the records.
-
-    Every point has a Gamma-image.  The reference refuses a point whose chi
-    at e_L is not zero (its retract guard), so such a point's image is the
-    chain's at chi(e_L) = 0 with chi(e_L) put back: the chain reads
-    chi(e_L) only at e_L, and keeps it there.  The guard's message is the
-    reference's at the first simple it refuses."""
+    values, interned on the records."""
     cat = Z.cat
     R = ReferenceCenter(cat, section=Z.section, simples=Z.simples)
-    e = Z.npos[cat.Lambda.identity]
     points = list(Z.simples)
     where = {z: i for i, z in enumerate(points)}
 
@@ -362,41 +354,26 @@ def _closure_by_chains(Z: CenterStructure) -> tuple:
             points.append(z)
         return where[z]
 
-    def with_unit(z: CenterSimple, c: int) -> CenterSimple:
-        return CenterSimple(z.g, z.label, z.chi[:e] + (c,) + z.chi[e + 1:])
-
-    def gamma_act(s: int, z: CenterSimple) -> CenterSimple:
-        c = z.chi[e] % cat.M
-        return with_unit(R.gamma_act(s, with_unit(z, 0)), c) if c else R.gamma_act(s, z)
-
     g_rows, gamma_rows, tensor_rows = [], [], []
     for z in points:
         g_rows.append([intern(R.g_act(g, z)) for g in cat.G.elements()])
-        gamma_rows.append([intern(gamma_act(s, z)) for s in cat.Gamma.elements()])
+        gamma_rows.append([intern(R.gamma_act(s, z)) for s in cat.Gamma.elements()])
         tensor_rows.append(tuple(intern(R.tensor(z, w)) for w in Z.simples))
-    unsupported = None
-    for z in Z.simples:
-        try:
-            R.gamma_act(cat.Gamma.identity, z)
-        except UnsupportedConfiguration as exc:
-            unsupported = str(exc)
-            break
-    return (tuple(points), tuple(tensor_rows), tuple(zip(*g_rows)), tuple(zip(*gamma_rows)),
-            unsupported)
+    return tuple(points), tuple(tensor_rows), tuple(zip(*g_rows)), tuple(zip(*gamma_rows))
 
 
 @pytest.mark.parametrize("name", CENTER_FIXTURES)
 def test_closure_matches_chains(name):
     """The interned closure builds the points and tables that the per-simple
     chains give, on corrupted and duplicated simple lists too, where points
-    escape the list, some fail the retract guard, and one index is named
+    escape the list, some have a nonzero chi at e_L, and one index is named
     twice."""
     from test_reference_equivalence import _corrupted_simples, _duplicated_simple
     cat = category(name)
     rng = random.Random(f"closure:{name}")
     for simples in [None, *_corrupted_simples(cat, 3, rng), *_duplicated_simple(cat, rng)]:
         Z = CenterStructure(cat, simples=simples)
-        assert (Z.points, Z.tensor_table, Z.g_action_table, Z._gamma_table, Z._unsupported) \
+        assert (Z.points, Z.tensor_table, Z.g_action_table, Z.gamma_action_table) \
             == _closure_by_chains(Z)
 
 

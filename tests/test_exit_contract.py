@@ -6,6 +6,8 @@ category}` or `center`, and for any command line: the exit code is 0, 1 or
 check with a witness; exit 2 prints `{"error": ...}` on stderr.  `main`
 picks the code from the exception's type alone, so each type of
 `crossedcat.errors` is pinned to its code and each refusal to its type.
+Any other exception is a fault in crossedcat and exits 3, whichever layer
+raises it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from crossedcat.errors import GroupValidationError, NotMatched, ValidationError
 from crossedcat.groups import cyclic, subgroup_from_generators, trivial_group, validate_group
 from crossedcat.matched import direct_pair, from_exact_factorization
 from crossedcat.pointed import pointed_category, vec_gamma
+from crossedcat.report import VerificationReport
 
 # each command with small fixtures of its format, which finish quickly
 COMMANDS = {
@@ -283,7 +286,7 @@ def test_errors_defines_one_type_per_way_a_caller_handles_it():
     defined = {name for name, value in vars(errors).items()
                if isinstance(value, type) and value.__module__ == errors.__name__}
     assert defined == {"CrossedCatError", "ValidationError", "GroupValidationError",
-                       "NotMatched", "UnsupportedConfiguration"}
+                       "NotMatched"}
 
 
 def _z8_over_trivial_groups():
@@ -309,8 +312,8 @@ def _without(obj: dict, key: str) -> dict:
 
 
 # each refusal with its type and exact text, and a failed law with its witness;
-# CenterStructure's section checks are ValueError, a caller's mistake that no
-# command line can make
+# CenterStructure's section checks are a caller's mistake that no command line
+# can make
 @pytest.mark.parametrize("call,kind,message,witness", [
     (lambda: jsonio.load_category(FIXTURE_DIR / "cat-nonsurjective.json").least_section(),
      ValidationError, "grading not surjective: no simple of degree 1", None),
@@ -340,16 +343,16 @@ def _without(obj: dict, key: str) -> dict:
      "coherence: --category needs a value", None),
     (lambda: vec_gamma(jsonio.matched_from_json(_pair(("act1", 1, 2), 2)), 2), NotMatched,
      "matched-pair verification failed: act1_is_left_action at [1, 1, 1]", None),
-    (lambda: _z4_over_z2_with_section((0, 2)), ValueError,
+    (lambda: _z4_over_z2_with_section((0, 2)), ValidationError,
      "section value 2 has degree 0, wanted 1", None),
-    (lambda: _z4_over_z2_with_section((2, 1)), ValueError,
+    (lambda: _z4_over_z2_with_section((2, 1)), ValidationError,
      "section must send the trivial degree to the unit label", None),
 ], ids=["nonsurjective", "not-exact", "oracle-bound", "no-identity", "identity-fails",
         "associativity", "no-inverse", "factor-without-identity", "factor-without-inverse",
         "factor-orders", "braided-without-psi", "option-without-value", "vec-gamma-not-matched",
         "section-degree", "section-unit"])
 def test_each_refusal_has_its_type_and_text(call, kind, message, witness):
-    with pytest.raises(Exception) as exc:
+    with pytest.raises(errors.CrossedCatError) as exc:
         call()
     assert type(exc.value) is kind
     assert str(exc.value) == message
@@ -416,3 +419,56 @@ def test_each_type_keeps_its_exit_code(tmp_path, argv, code, error, failing):
         assert not report["pass"]
         assert next(c for c in report["checks"] if not c["pass"]) == failing
     assert not (tmp_path / "out.json").exists()
+
+
+# -- program errors ----------------------------------------------------------------
+
+def _injected_fault(*args, **kwargs):
+    raise IndexError("injected fault")
+
+
+def _internal_error_exit(argv: list[str], error: str) -> None:
+    """main exits 3, prints nothing on stdout, and ends stderr with the
+    traceback and then the error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv) == 3
+    assert out.getvalue() == ""
+    *trace, last = err.getvalue().splitlines()
+    assert trace[0] == "Traceback (most recent call last):"
+    assert json.loads(last) == {"error": f"internal error: {error}"}
+
+
+# a fault injected into each layer in turn, under a command that reaches it
+@pytest.mark.parametrize("target,argv", [
+    ("crossedcat.jsonio.read_input", ["verify", "category", "cat-z4-over-z2.json"]),
+    ("crossedcat.groups.validate_group", ["verify", "group", "group-s3.json"]),
+    ("crossedcat.pointed.certified_sweep", ["verify", "category", "cat-cocycle-j.json"]),
+    ("crossedcat.center.CenterStructure._close", ["verify", "center", "cat-z4-over-z2.json"]),
+    ("crossedcat.center.certified_sweep", ["verify", "center", "cat-z6-over-z3.json"]),
+    ("crossedcat.words.normal_form", ["coherence", "--category", "cat-cocycle-j.json"]),
+], ids=["loader", "validate-group", "category-sweep", "center-tables", "braiding-sweep",
+        "coherence-normal-form"])
+def test_a_program_error_in_any_layer_exits_3(monkeypatch, target, argv):
+    monkeypatch.setattr(target, _injected_fault)
+    _internal_error_exit([*argv[:-1], str(FIXTURE_DIR / argv[-1])], "IndexError: injected fault")
+
+
+def test_a_misspelt_premise_raises_out_of_the_center_and_exits_3(monkeypatch):
+    """A premise the center's report does not hold raises KeyError out of
+    verify_center_braided, on a center whose braiding axioms read their
+    gates, instead of turning into a failed check's witness."""
+    original = VerificationReport.all_passed
+
+    def misspelt(self, *names):
+        if self.subject.startswith("center of "):   # the center's own gates only
+            names += ("center_category_axiom",)
+        return original(self, *names)
+
+    path = FIXTURE_DIR / "cat-z6-over-z3.json"
+    cat = jsonio.load_category(path)
+    assert not CenterStructure(cat).zero
+    monkeypatch.setattr(VerificationReport, "all_passed", misspelt)
+    with pytest.raises(KeyError, match="center_category_axiom"):
+        verify_center_braided(cat)
+    _internal_error_exit(["verify", "center", str(path)], "KeyError: 'center_category_axiom'")

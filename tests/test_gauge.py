@@ -173,25 +173,33 @@ def test_fixtures_are_unit_normal():
         assert not any(map(any, u0)), path.name
 
 
-def test_retract_witness_names_the_simple_as_passed():
-    """On a gauge of the units, a simple whose unit exponent breaks the
-    retract guard is named in the input's gauge, exactly as it was passed,
-    with the input's phi."""
-    base = category("vec-z2z3")
-    cat = gauge(base, [[1, 1, 0], [0, 0, 0]])   # family (ii)
-    assert cat.iotatable == (1, 1, 0) and cat.phitable == (1, 0)
-    simples = enumerate_center(cat)
-    unit_pos = cat.neutral_labels.index(cat.Lambda.identity)
-    for k, z in enumerate(simples):
-        chi = list(z.chi)
-        chi[unit_pos] = (chi[unit_pos] + 1) % cat.M
-        bad = CenterSimple(z.g, z.label, tuple(chi))
-        mutated = simples[:k] + [bad] + simples[k + 1:]
-        message = (f"retract idempotent is not the identity on {bad} (chi at unit = "
-                   f"{bad.chi[unit_pos]}, phi[{bad.g}] = {cat.phitable[bad.g]})")
-        witness = ("exception", "UnsupportedConfiguration", message[:120])
-        checks = {c.name: c.witness for c in verify_center_braided(cat, simples=mutated).checks}
-        assert checks["braiding_axiom_1"] == witness, k
+RETRACT_CASES = [*((n, False) for n in CENTER_FIXTURES), ("vec-z2z3", True), ("cocycle-j", True)]
+
+
+@pytest.mark.parametrize("name,gauged", RETRACT_CASES,
+                         ids=[n + "-unit-gauges" * g for n, g in RETRACT_CASES])
+def test_a_simple_whose_retract_is_not_the_identity_fails_oracle_equivalence(name, gauged):
+    """The retract law is implied by oracle equivalence (proof at
+    verify_center_braided): a simple whose unit exponent is moved off the
+    oracle's, phi[g], is no oracle simple.  So the report's first failure
+    is oracle_equivalence, with that simple, as passed, as its extra
+    witness.  Run on the fixture, or on its gauges of the units, where phi
+    is not zero, at up to four seeded simples of each."""
+    base = category(name)
+    cats = [gauge(base, u) for u in _unit_gauges(base)] if gauged else [base]
+    rng = random.Random(f"retract:{name}")
+    for cat in cats:
+        simples = enumerate_center(cat)
+        unit_pos = cat.neutral_labels.index(cat.Lambda.identity)
+        for k in rng.sample(range(len(simples)), min(4, len(simples))):
+            z, chi = simples[k], list(simples[k].chi)
+            assert chi[unit_pos] == cat.phitable[z.g]
+            chi[unit_pos] = (chi[unit_pos] + rng.randrange(1, cat.M)) % cat.M
+            bad = CenterSimple(z.g, z.label, tuple(chi))
+            first = verify_center_braided(cat, simples=simples[:k] + [bad] + simples[k + 1:]) \
+                .first_failure()
+            assert (first.name, first.witness[0]) == ("oracle_equivalence", (bad.sort_key(),)), \
+                (name, cat.phitable, k)
 
 
 def test_escape_witness_is_in_the_input_gauge():
