@@ -14,9 +14,15 @@ and `reported_braiding` are the reference reports without the laws the
 core proves from its other checks instead of reporting them.
 `ReferenceCenter` reads the center's structure maps from
 tests/derived_center.py, which composes them with `words.normal_form` and
-never with center.py's chains.  Loop bodies keep the equations of the
-code they replaced, each table read spelled as the core spells it, and
-call only each other, never the code they are compared with, so that
+never with center.py's chains.
+
+Each law of a crossed category (`CategoryLaws`), of the center's braiding
+(`BraidingLaws`) and of the swap scalars (`ReferenceSwapLaws`) is stated
+once here, as its residue at a witness tuple: zero (or False) where it
+holds.  The reports sweep those statements in witness order through
+`first`; the certificate, restatement and branching tests read the same
+statements rather than write a law out again.  The statements call only
+each other, never the code they are compared with, so that
 tests/test_reference_equivalence.py can require the table-driven core to
 return the same (name, pass, witness) lists.
 """
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from crossedcat.braided import BraidedMatchedPair
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle
@@ -258,8 +264,8 @@ def reported_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
     verify_braiding must give.  Every check before them is a premise of
     their proofs, so neither may be the first to fail."""
     rep = reference_braiding(bmp)
-    first = rep.first_failure()
-    assert first is None or first.name not in IMPLIED_BRAIDING_LAWS, first
+    failed = rep.first_failure()
+    assert failed is None or failed.name not in IMPLIED_BRAIDING_LAWS, failed
     rep.checks = [c for c in rep.checks if c.name not in IMPLIED_BRAIDING_LAWS]
     return rep
 
@@ -327,138 +333,121 @@ def reference_center_braiding(mp: MatchedPair) -> BraidedMatchedPair:
     return BraidedMatchedPair(cp, phi, psi)
 
 
-def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
-    """Exhaustive checklist for the crossed-category axioms.
+def first(law: Callable[..., object], domain: Iterable[tuple]) -> Callable[[], Optional[tuple]]:
+    """The check that sweeps `domain` in order: the first tuple at which
+    `law`'s residue is nonzero (or True), or None."""
+    return lambda: next((w for w in domain if law(*w)), None)
 
-    Witnesses are lexicographically first in the loop order shown by each
-    check's tuple.  Grading surjectivity is deliberately not part of the
-    pass/fail outcome; it only gates center construction.
-    """
-    L, G, Gamma, mp, M = cat.Lambda, cat.G, cat.Gamma, cat.mp, cat.M
-    Gt, Lt, a1, a2 = G.table, L.table, mp.act1, mp.act2
-    J, X, act, deg = cat.jtable, cat.chitable, cat.action, cat.grading
-    phi, iota = cat.phitable, cat.iotatable
-    rep = VerificationReport(subject=f"category {cat.name}")
 
-    def matched_pair_valid() -> Optional[tuple]:
-        r = reference_matched_pair(mp)
-        return None if r.passed else (r.first_failure().name,)
+class CategoryLaws:
+    """The crossed-category laws of `cat`, each its residue at its witness
+    tuple: zero (or False) where it holds.  `report` sweeps them in
+    witness order; grading surjectivity is deliberately not a law, it only
+    gates center construction."""
 
-    def grading_hom() -> Optional[tuple]:
-        for x, y in itertools.product(L.elements(), L.elements()):
-            if deg[Lt[x][y]] != Gamma.table[deg[x]][deg[y]]:
-                return (x, y)
-        if deg[L.identity] != Gamma.identity:
-            return (L.identity,)
-        return None
+    def __init__(self, cat: PointedCrossedCategory):
+        self.cat, self.M = cat, cat.M
+        self.Lt, self.Gt, self.a1, self.a2 = cat.Lambda.table, cat.G.table, cat.mp.act1, cat.mp.act2
+        self.J, self.X, self.act, self.deg = cat.jtable, cat.chitable, cat.action, cat.grading
+        self.phi, self.iota = cat.phitable, cat.iotatable
 
-    def action_identity() -> Optional[tuple]:
-        for x in L.elements():
-            if act[G.identity][x] != x:
-                return (x,)
-        return None
+    def grading_is_homomorphism(self, x: int, y: int) -> bool:
+        # del(e) = del(e) del(e) forces del(e) = e, so the unit needs no tuple
+        deg = self.deg
+        return deg[self.Lt[x][y]] != self.cat.Gamma.table[deg[x]][deg[y]]
 
-    def action_composition() -> Optional[tuple]:
-        for g, h, x in itertools.product(G.elements(), G.elements(), L.elements()):
-            if act[g][act[h][x]] != act[Gt[g][h]][x]:
-                return (g, h, x)
-        return None
+    def action_identity(self, x: int) -> bool:
+        return self.act[self.cat.G.identity][x] != x
 
-    def action_fixes_unit() -> Optional[tuple]:
-        for g in G.elements():
-            if act[g][L.identity] != L.identity:
-                return (g,)
-        return None
+    def action_composition(self, g: int, h: int, x: int) -> bool:
+        act = self.act
+        return act[g][act[h][x]] != act[self.Gt[g][h]][x]
 
-    def axiom1_grading() -> Optional[tuple]:
-        for g, x in itertools.product(G.elements(), L.elements()):
-            if deg[act[g][x]] != a1[g][deg[x]]:
-                return (g, x)
-        return None
+    def action_fixes_unit(self, g: int) -> bool:
+        eL = self.cat.Lambda.identity
+        return self.act[g][eL] != eL
 
-    def twisted_multiplicativity() -> Optional[tuple]:
+    def axiom1_grading_compat(self, g: int, x: int) -> bool:
+        return self.deg[self.act[g][x]] != self.a1[g][self.deg[x]]
+
+    def axiom2_object_compat(self, g: int, x: int, y: int) -> bool:
         # ^g(x y) = ^{del(y) |>2 g} x . ^g y as labels; J is invertible only
         # between equal simples, so this is axiom 2 at the object level.
-        for g, x, y in itertools.product(G.elements(), L.elements(), L.elements()):
-            tw = a2[deg[y]][g]
-            if act[g][Lt[x][y]] != Lt[act[tw][x]][act[g][y]]:
-                return (g, x, y)
-        return None
+        act, Lt = self.act, self.Lt
+        return act[g][Lt[x][y]] != Lt[act[self.a2[self.deg[y]][g]][x]][act[g][y]]
 
-    def axiom2_cocycle() -> Optional[tuple]:
-        for g, x, y, z in itertools.product(G.elements(), L.elements(), L.elements(), L.elements()):
-            tw = a2[deg[z]][g]
-            lhs = J[g][Lt[x][y]][z] + J[tw][x][y]
-            rhs = J[g][x][Lt[y][z]] + J[g][y][z]
-            if (lhs - rhs) % M:
-                return (g, x, y, z)
-        return None
+    def axiom2_j_cocycle(self, g: int, x: int, y: int, z: int) -> int:
+        J, Lt = self.J, self.Lt
+        lhs = J[g][Lt[x][y]][z] + J[self.a2[self.deg[z]][g]][x][y]
+        rhs = J[g][x][Lt[y][z]] + J[g][y][z]
+        return (lhs - rhs) % self.M
 
-    def axiom2_units() -> Optional[tuple]:
-        e = L.identity
-        for g, y in itertools.product(G.elements(), L.elements()):
-            if (J[g][e][y] + phi[a2[deg[y]][g]]) % M:
-                return ("left", g, y)
-            if (J[g][y][e] + phi[g]) % M:
-                return ("right", g, y)
-        return None
+    def axiom2_units(self, side: str, g: int, y: int) -> int:
+        eL = self.cat.Lambda.identity
+        if side == "left":
+            return (self.J[g][eL][y] + self.phi[self.a2[self.deg[y]][g]]) % self.M
+        return (self.J[g][y][eL] + self.phi[g]) % self.M
 
-    def chi_cocycle() -> Optional[tuple]:
-        for g, h, k, x in itertools.product(G.elements(), G.elements(), G.elements(), L.elements()):
-            lhs = X[Gt[g][h]][k][x] + X[g][h][act[k][x]]
-            rhs = X[g][Gt[h][k]][x] + X[h][k][x]
-            if (lhs - rhs) % M:
-                return (g, h, k, x)
-        return None
+    def chi_cocycle(self, g: int, h: int, k: int, x: int) -> int:
+        X, Gt = self.X, self.Gt
+        lhs = X[Gt[g][h]][k][x] + X[g][h][self.act[k][x]]
+        rhs = X[g][Gt[h][k]][x] + X[h][k][x]
+        return (lhs - rhs) % self.M
 
-    def chi_units() -> Optional[tuple]:
-        e = G.identity
-        for g, x in itertools.product(G.elements(), L.elements()):
-            if (X[g][e][x] + iota[x]) % M:
-                return ("right", g, x)
-            if (X[e][g][x] + iota[act[g][x]]) % M:
-                return ("left", g, x)
-        return None
+    def chi_units(self, side: str, g: int, x: int) -> int:
+        eG = self.cat.G.identity
+        if side == "right":
+            return (self.X[g][eG][x] + self.iota[x]) % self.M
+        return (self.X[eG][g][x] + self.iota[self.act[g][x]]) % self.M
 
-    def axiom3_j() -> Optional[tuple]:
-        for g, h, x, y in itertools.product(G.elements(), G.elements(), L.elements(), L.elements()):
-            dy = deg[y]
-            lhs = X[g][h][Lt[x][y]] + J[h][x][y] \
-                + J[g][act[a2[dy][h]][x]][act[h][y]]
-            rhs = J[Gt[g][h]][x][y] \
-                + X[a2[a1[h][dy]][g]][a2[dy][h]][x] + X[g][h][y]
-            if (lhs - rhs) % M:
-                return (g, h, x, y)
-        return None
+    def axiom3_j_chi(self, g: int, h: int, x: int, y: int) -> int:
+        J, X, act, a2, dy = self.J, self.X, self.act, self.a2, self.deg[y]
+        lhs = X[g][h][self.Lt[x][y]] + J[h][x][y] + J[g][act[a2[dy][h]][x]][act[h][y]]
+        rhs = J[self.Gt[g][h]][x][y] + X[a2[self.a1[h][dy]][g]][a2[dy][h]][x] + X[g][h][y]
+        return (lhs - rhs) % self.M
 
-    def axiom3_phi() -> Optional[tuple]:
-        for g, h in itertools.product(G.elements(), G.elements()):
-            if (X[g][h][L.identity] + phi[h] + phi[g] - phi[Gt[g][h]]) % M:
-                return (g, h)
-        return None
+    def axiom3_phi(self, g: int, h: int) -> int:
+        phi, eL = self.phi, self.cat.Lambda.identity
+        return (self.X[g][h][eL] + phi[h] + phi[g] - phi[self.Gt[g][h]]) % self.M
 
-    def axiom3_iota_tensor() -> Optional[tuple]:
-        for x, y in itertools.product(L.elements(), L.elements()):
-            if (iota[Lt[x][y]] - J[G.identity][x][y] - iota[x] - iota[y]) % M:
-                return (x, y)
-        return None
+    def axiom3_iota_tensor(self, x: int, y: int) -> int:
+        iota, eG = self.iota, self.cat.G.identity
+        return (iota[self.Lt[x][y]] - self.J[eG][x][y] - iota[x] - iota[y]) % self.M
 
-    return run_checks(rep, [
-        ("matched_pair_valid", matched_pair_valid),
-        ("grading_is_homomorphism", grading_hom),
-        ("action_identity", action_identity),
-        ("action_composition", action_composition),
-        ("action_fixes_unit", action_fixes_unit),
-        ("axiom1_grading_compat", axiom1_grading),
-        ("axiom2_object_compat", twisted_multiplicativity),
-        ("axiom2_j_cocycle", axiom2_cocycle),
-        ("axiom2_units", axiom2_units),
-        ("chi_cocycle", chi_cocycle),
-        ("chi_units", chi_units),
-        ("axiom3_j_chi", axiom3_j),
-        ("axiom3_phi", axiom3_phi),
-        ("axiom3_iota_tensor", axiom3_iota_tensor),
-    ])
+    def report(self) -> VerificationReport:
+        cat, product = self.cat, itertools.product
+        Ls, Gs = cat.Lambda.elements(), cat.G.elements()
+
+        def matched_pair_valid() -> Optional[tuple]:
+            r = reference_matched_pair(cat.mp)
+            return None if r.passed else (r.first_failure().name,)
+
+        def sided(*sides: str):
+            return ((side, g, x) for g, x in product(Gs, Ls) for side in sides)
+
+        return run_checks(VerificationReport(subject=f"category {cat.name}"), [
+            ("matched_pair_valid", matched_pair_valid),
+            *[(name, first(getattr(self, name), domain)) for name, domain in [
+                ("grading_is_homomorphism", product(Ls, Ls)),
+                ("action_identity", product(Ls)),
+                ("action_composition", product(Gs, Gs, Ls)),
+                ("action_fixes_unit", product(Gs)),
+                ("axiom1_grading_compat", product(Gs, Ls)),
+                ("axiom2_object_compat", product(Gs, Ls, Ls)),
+                ("axiom2_j_cocycle", product(Gs, Ls, Ls, Ls)),
+                ("axiom2_units", sided("left", "right")),
+                ("chi_cocycle", product(Gs, Gs, Gs, Ls)),
+                ("chi_units", sided("right", "left")),
+                ("axiom3_j_chi", product(Gs, Gs, Ls, Ls)),
+                ("axiom3_phi", product(Gs, Gs)),
+                ("axiom3_iota_tensor", product(Ls, Ls)),
+            ]]])
+
+
+def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
+    """The exhaustive checklist of the crossed-category axioms, each law's
+    witness the first in its sweep's order (CategoryLaws)."""
+    return CategoryLaws(cat).report()
 
 
 # laws of the reference checklist that verify_crossed_category proves at
@@ -471,13 +460,70 @@ def reported_crossed_category(cat: PointedCrossedCategory) -> VerificationReport
     report verify_crossed_category must give.  Every check before them is
     a premise of their proofs, so neither may be the first to fail."""
     rep = reference_crossed_category(cat)
-    first = rep.first_failure()
-    assert first is None or first.name not in IMPLIED_CATEGORY_LAWS, (cat.name, first)
+    failed = rep.first_failure()
+    assert failed is None or failed.name not in IMPLIED_CATEGORY_LAWS, (cat.name, failed)
     rep.checks = [c for c in rep.checks if c.name not in IMPLIED_CATEGORY_LAWS]
     return rep
 
 
 # -- the center
+
+class BraidingLaws:
+    """The three crossed-braiding axioms of a braided category over the
+    braided pair `bmp`, each its residue at its witness tuple: zero where
+    it holds.  The category's maps are callables on its simples, so that
+    one statement reads CenterStructure's tables and ReferenceCenter's
+    derived maps alike: B(a, b) the braiding's exponent, T(a, b) the
+    tensor, act(A, a) the action, grade(a) the degree, J(A, a, b) and
+    X(A, B, a) the scalars; witnesses index `simples`."""
+
+    def __init__(self, simples: Sequence, B: Callable, T: Callable, act: Callable,
+                 grade: Callable, J: Callable, X: Callable, bmp: BraidedMatchedPair, M: int):
+        self.simples, self.bmp, self.M = simples, bmp, M
+        self.B, self.T, self.act, self.grade, self.J, self.X = B, T, act, grade, J, X
+
+    @classmethod
+    def on_tables(cls, n: int, braid, tensor, action, grade, J, X, bmp: BraidedMatchedPair,
+                  M: int) -> BraidingLaws:
+        """The laws on n simples, read from tables indexed by position."""
+        return cls(range(n), lambda a, b: braid[a][b], lambda a, b: tensor[a][b],
+                   lambda A, a: action[A][a], grade.__getitem__, lambda A, a, b: J[A][a][b],
+                   lambda A, B, a: X[A][B][a], bmp, M)
+
+    def braiding_axiom_1(self, A: int, i: int, k: int) -> int:
+        B, act, J, X = self.B, self.act, self.J, self.X
+        phi, psi, a1, a2 = self.bmp.phi, self.bmp.psi, self.bmp.mp.act1, self.bmp.mp.act2
+        z1, z2 = self.simples[i], self.simples[k]
+        S1, S2 = self.grade(z1), self.grade(z2)
+        lhs = (B(z1, z2) + J(A, act(phi[S2], z1), z2)
+               - X(a2[S2][A], phi[S2], z1) + X(phi[a1[A][S2]], A, z1))
+        rhs = (J(A, act(psi[S1], z2), z1) - X(a2[S1][A], psi[S1], z2)
+               + X(psi[a1[A][S1]], A, z2) + B(act(A, z1), act(A, z2)))
+        return (lhs - rhs) % self.M
+
+    def braiding_axiom_2(self, i: int, k: int, l: int) -> int:
+        B, phi, psi = self.B, self.bmp.phi, self.bmp.psi
+        z1, z2, z3 = self.simples[i], self.simples[k], self.simples[l]
+        lhs = B(self.T(z1, z2), z3) + self.J(phi[self.grade(z3)], z1, z2)
+        rhs = (self.X(psi[self.grade(z1)], psi[self.grade(z2)], z3)
+               + B(z1, self.act(psi[self.grade(z2)], z3)) + B(z2, z3))
+        return (lhs - rhs) % self.M
+
+    def braiding_axiom_3(self, i: int, k: int, l: int) -> int:
+        B, phi, psi = self.B, self.bmp.phi, self.bmp.psi
+        z1, z2, z3 = self.simples[i], self.simples[k], self.simples[l]
+        lhs = B(z1, self.T(z2, z3)) + self.X(phi[self.grade(z2)], phi[self.grade(z3)], z1)
+        rhs = (self.J(psi[self.grade(z1)], z2, z3) + B(z1, z3)
+               + B(self.act(phi[self.grade(z3)], z1), z2))
+        return (lhs - rhs) % self.M
+
+    def sweeps(self) -> list[tuple[str, Callable[..., int], Iterable[tuple]]]:
+        """(name, law, its witness tuples in sweep order) per axiom."""
+        Zs, Ks, product = range(len(self.simples)), self.bmp.mp.G.elements(), itertools.product
+        return [("braiding_axiom_1", self.braiding_axiom_1, product(Ks, Zs, Zs)),
+                ("braiding_axiom_2", self.braiding_axiom_2, product(Zs, Zs, Zs)),
+                ("braiding_axiom_3", self.braiding_axiom_3, product(Zs, Zs, Zs))]
+
 
 class ReferenceCenter(DerivedCenter):
     """The derived structure maps on `simples` (default: enumerate_center),
@@ -495,6 +541,9 @@ class ReferenceCenter(DerivedCenter):
         return self.index[z]
 
     # -- combined crossed structure on (G><Gamma, G x Gamma)
+    def grade(self, z: CenterSimple) -> int:
+        return z.g * self.cat.Gamma.order + self.cat.grading[z.label]
+
     def combined_act(self, A: int, z: CenterSimple) -> CenterSimple:
         g, s = divmod(A, self.cat.Gamma.order)
         return self.g_act(g, self.gamma_act(s, z))
@@ -517,6 +566,13 @@ class ReferenceCenter(DerivedCenter):
     def induced(self) -> BraidedMatchedPair:
         return reference_center_braiding(self.cat.mp)
 
+    def braiding_laws(self, bmp: Optional[BraidedMatchedPair] = None) -> BraidingLaws:
+        """The braiding axioms on the derived maps, over `bmp` (default: the
+        induced pair)."""
+        return BraidingLaws(self.simples, lambda a, b: self.braiding(a, b)[1], self.tensor,
+                            self.combined_act, self.grade, self.j_combined, self.x_combined,
+                            self.induced if bmp is None else bmp, self.cat.M)
+
     def as_category(self) -> PointedCrossedCategory:
         """Simples must form a group under tensor (checked by
         reference_validate_group); the grading is the (G-degree,
@@ -527,8 +583,7 @@ class ReferenceCenter(DerivedCenter):
         action = [[self.find(self.combined_act(A, z)) for z in Zs] for A in actors]
         jt = [[[self.j_combined(A, a, b) for b in Zs] for a in Zs] for A in actors]
         xt = [[[self.x_combined(A, B, z) for z in Zs] for B in actors] for A in actors]
-        return pointed_category(lam_z, self.induced.mp,
-                                [z.g * cat.Gamma.order + cat.grading[z.label] for z in Zs],
+        return pointed_category(lam_z, self.induced.mp, [self.grade(z) for z in Zs],
                                 action, cat.M, jtable=jt, chitable=xt, name=f"Z({cat.name})")
 
 
@@ -539,10 +594,10 @@ def reference_center_braided(cat: PointedCrossedCategory,
     over the simples (`simples` overrides the enumeration): oracle
     equivalence, the induced pair's braiding, the combined crossed-category
     axioms (closure, group law and grading of the simples among them) and
-    the three crossed-braiding axioms."""
+    the three crossed-braiding axioms (BraidingLaws) on ReferenceCenter's
+    derived maps."""
     rep = VerificationReport(subject=f"center of {cat.name}")
     Z = ReferenceCenter(cat, section=section, simples=simples)
-    M, gamma_ord = cat.M, cat.Gamma.order
 
     def oracle_equivalence() -> Optional[tuple]:
         oracle = relative_center_oracle(cat)
@@ -574,67 +629,12 @@ def reference_center_braided(cat: PointedCrossedCategory,
         c = r.first_failure()
         return (c.name,) + tuple(c.witness)
 
-    phi_img, psi_img, cp = Z.induced.phi, Z.induced.psi, Z.induced.mp
-    a1, a2 = cp.act1, cp.act2
-    _act_by, _j_comb, _x_comb = Z.combined_act, Z.j_combined, Z.x_combined
-
-    def _grade_idx(z: CenterSimple) -> int:
-        return z.g * gamma_ord + cat.grading[z.label]
-
-    def _b_exp(a: CenterSimple, b: CenterSimple) -> int:
-        return Z.braiding(a, b)[1]
-
-    def braiding_axiom_1() -> Optional[tuple]:
-        for A, (i, z1), (k, z2) in itertools.product(cp.G.elements(), enumerate(Z.simples),
-                                                     enumerate(Z.simples)):
-            S1, S2 = _grade_idx(z1), _grade_idx(z2)
-            lhs = (_b_exp(z1, z2) + _j_comb(A, _act_by(phi_img[S2], z1), z2)
-                   - _x_comb(a2[S2][A], phi_img[S2], z1) + _x_comb(phi_img[a1[A][S2]], A, z1))
-            rhs = (_j_comb(A, _act_by(psi_img[S1], z2), z1) - _x_comb(a2[S1][A], psi_img[S1], z2)
-                   + _x_comb(psi_img[a1[A][S1]], A, z2) + _b_exp(_act_by(A, z1), _act_by(A, z2)))
-            if (lhs - rhs) % M:
-                return (A, i, k)
-        return None
-
-    def braiding_axiom_2() -> Optional[tuple]:
-        for (i, z1), (k, z2), (l, z3) in itertools.product(enumerate(Z.simples), repeat=3):
-            S1, S2, S3 = _grade_idx(z1), _grade_idx(z2), _grade_idx(z3)
-            lhs = _b_exp(Z.tensor(z1, z2), z3) + _j_comb(phi_img[S3], z1, z2)
-            rhs = (_x_comb(psi_img[S1], psi_img[S2], z3) + _b_exp(z1, _act_by(psi_img[S2], z3))
-                   + _b_exp(z2, z3))
-            if (lhs - rhs) % M:
-                return (i, k, l)
-        return None
-
-    def braiding_axiom_3() -> Optional[tuple]:
-        for (i, z1), (k, z2), (l, z3) in itertools.product(enumerate(Z.simples), repeat=3):
-            S1, S2, S3 = _grade_idx(z1), _grade_idx(z2), _grade_idx(z3)
-            lhs = _b_exp(z1, Z.tensor(z2, z3)) + _x_comb(phi_img[S2], phi_img[S3], z1)
-            rhs = (_j_comb(psi_img[S1], z2, z3) + _b_exp(z1, z3)
-                   + _b_exp(_act_by(phi_img[S3], z1), z2))
-            if (lhs - rhs) % M:
-                return (i, k, l)
-        return None
-
-    return run_checks(rep, [(name, _guarded(fn)) for name, fn in [
+    return run_checks(rep, [
         ("oracle_equivalence", oracle_equivalence),
         ("induced_pair_braided", induced_pair_braided),
         ("center_category_axioms", center_category_axioms),
-        ("braiding_axiom_1", braiding_axiom_1),
-        ("braiding_axiom_2", braiding_axiom_2),
-        ("braiding_axiom_3", braiding_axiom_3),
-    ]])
-
-
-def _guarded(fn):
-    # corrupted simple lists may escape the enumerated set mid-sweep;
-    # report that as the witness
-    def run() -> Optional[tuple]:
-        try:
-            return fn()
-        except (ValidationError, GroupValidationError) as exc:
-            return ("exception", type(exc).__name__, str(exc)[:120])
-    return run
+        *[(name, first(law, domain)) for name, law, domain in Z.braiding_laws().sweeps()],
+    ])
 
 
 class ReferenceSwapLaws:
@@ -702,13 +702,9 @@ class ReferenceSwapLaws:
     def report(self) -> VerificationReport:
         cat, Zs = self.cat, range(len(self.Z.simples))
         Gs, Ss, product = cat.G.elements(), cat.Gamma.elements(), itertools.product
-
-        def first(law, domain) -> Callable[[], Optional[tuple]]:
-            return lambda: next((w for w in domain if law(*w)), None)
-
         return run_checks(
             VerificationReport(subject=f"swap scalars of the center of {cat.name}"),
-            [(name, _guarded(first(law, domain))) for name, law, domain in [
+            [(name, first(law, domain)) for name, law, domain in [
                 ("sigma_j_compat", self.j_compat, product(Gs, Ss, Zs, Zs)),
                 ("sigma_phi_compat", self.phi_compat, product(Gs, Ss)),
                 ("sigma_yang_baxter_gamma", self.yang_baxter_gamma, product(Gs, Ss, Ss, Zs)),

@@ -31,9 +31,10 @@ from crossedcat.matched import matched_pair, verify_matched_pair
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from crossedcat.report import VerificationReport
 from gauge import gauge, random_cochain
-from reference_sweeps import (ReferenceCenter, reference_center_braided,
-                              reported_crossed_category, reference_is_hom_image,
-                              reference_matched_pair, reference_validate_group)
+from reference_sweeps import (BraidingLaws, CategoryLaws, ReferenceCenter,
+                              reference_center_braided, reported_crossed_category,
+                              reference_is_hom_image, reference_matched_pair,
+                              reference_validate_group)
 
 GROUPS = [trivial_group(), cyclic(2), cyclic(3), cyclic(4), direct_product(cyclic(2), cyclic(2)),
           cyclic(6), symmetric(3), dihedral(4)]
@@ -236,10 +237,9 @@ def test_object_compat_certificate_needs_a_grading_homomorphism():
     cat = category("vec-s4-pair")
     grading = [*cat.grading[:5], 0]  # del(5) = 0
     mut = pointed_category(cat.Lambda, cat.mp, grading, cat.action, cat.M, name="regraded")
-    L, Lt, act, a2 = mut.Lambda, mut.Lambda.table, mut.action, mut.mp.act2
-    ys = [L.identity, *generators(Lt, L.identity)]
-    assert all(act[g][Lt[x][y]] == Lt[act[a2[grading[y]][g]][x]][act[g][y]]
-               for g in mut.G.elements() for x in L.elements() for y in ys)
+    L, law = mut.Lambda, CategoryLaws(mut).axiom2_object_compat
+    ys = [L.identity, *generators(L.table, L.identity)]
+    assert not any(law(*w) for w in itertools.product(mut.G.elements(), L.elements(), ys))
     rep = verify_crossed_category(mut)
     assert triples(rep) == triples(reported_crossed_category(mut))
     assert {c.name: c.witness for c in rep.checks}["axiom2_object_compat"] == (1, 1, 5)
@@ -311,14 +311,13 @@ def test_cocycle_certificates_need_a_right_action():
     compose, a coboundary shift can keep a cocycle law at e and the
     generators and break it elsewhere, so the gates sweep in full."""
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-s4-pair.json")
-    L, a2 = cat.Lambda, cat.mp.act2
+    L = cat.Lambda
     regraded = pointed_category(L, cat.mp, [*cat.grading[:5], 0], cat.action, cat.M)
     shifted = _coboundary_shifted(regraded, random.Random(5))
-    J, deg = shifted.jtable, shifted.grading
-    assert not any((J[g][L.table[x][y]][z] + J[a2[deg[z]][g]][x][y] - J[g][x][L.table[y][z]]
-                    - J[g][y][z]) % cat.M
-                   for g in cat.G.elements() for x in L.elements() for y in L.elements()
-                   for z in [L.identity, *generators(L.table, L.identity)])
+    law = CategoryLaws(shifted).axiom2_j_cocycle
+    zs = [L.identity, *generators(L.table, L.identity)]
+    assert not any(law(*w) for w in itertools.product(cat.G.elements(), L.elements(),
+                                                       L.elements(), zs))
     rep = verify_crossed_category(shifted)
     assert triples(rep) == triples(reported_crossed_category(shifted))
     assert {c.name: c.witness for c in rep.checks}["axiom2_j_cocycle"] == (1, 1, 1, 5)
@@ -328,12 +327,10 @@ def test_cocycle_certificates_need_a_right_action():
     act[4] = [0, 3, 5, 2, 4, 1]  # 4 is no generator of G, and ^1(^2 1) != ^4 1
     shifted = _coboundary_shifted(pointed_category(cat.Lambda, cat.mp, cat.grading, act, cat.M),
                                   random.Random(1144))
-    X = shifted.chitable
-    assert not any((X[G.table[g][h]][k][x] + X[g][h][act[k][x]] - X[g][G.table[h][k]][x]
-                    - X[h][k][x]) % cat.M
-                   for g in G.elements() for h in G.elements()
-                   for k in [G.identity, *generators(G.table, G.identity)]
-                   for x in cat.Lambda.elements())
+    law = CategoryLaws(shifted).chi_cocycle
+    assert not any(law(*w) for w in itertools.product(
+        G.elements(), G.elements(), [G.identity, *generators(G.table, G.identity)],
+        cat.Lambda.elements()))
     rep = verify_crossed_category(shifted)
     assert triples(rep) == triples(reported_crossed_category(shifted))
     witnesses = {c.name: c.witness for c in rep.checks}
@@ -348,19 +345,9 @@ AXIOM3_PREMISES = ("matched_pair_valid", "grading_is_homomorphism", "axiom1_grad
 
 def axiom3_holds_at(cat) -> set[int]:
     """The y at which axiom3_j_chi holds for every (g, h, x), evaluated
-    entry by entry."""
-    L, G, a1, a2 = cat.Lambda, cat.G, cat.mp.act1, cat.mp.act2
-    Lt, Gt, M = L.table, G.table, cat.M
-    J, X, act, deg = cat.jtable, cat.chitable, cat.action, cat.grading
-
-    def defect(g, h, x, y):
-        t, g2 = a2[deg[y]][h], a2[a1[h][deg[y]]][g]
-        return (X[g][h][Lt[x][y]] + J[h][x][y] + J[g][act[t][x]][act[h][y]]
-                - J[Gt[g][h]][x][y] - X[g2][t][x] - X[g][h][y]) % M
-
-    return {y for y in L.elements()
-            if not any(defect(g, h, x, y) for g in G.elements() for h in G.elements()
-                       for x in L.elements())}
+    tuple by tuple."""
+    law, Gs, Ls = CategoryLaws(cat).axiom3_j_chi, cat.G.elements(), cat.Lambda.elements()
+    return {y for y in Ls if not any(law(g, h, x, y) for g, h, x in itertools.product(Gs, Gs, Ls))}
 
 
 def _noncomposing_equivariant_s3():
@@ -590,28 +577,15 @@ def test_braiding_axiom_1_needs_well_typed_braidings(monkeypatch):
 def braiding_holds_at(Z, J, X) -> tuple[set[int], set[int], set[int]]:
     """The actors A at which braiding_axiom_1 holds for every (i, k), the k
     at which braiding_axiom_2 holds for every (i, l), and the l at which
-    braiding_axiom_3 holds for every (i, k), evaluated entry by entry on
+    braiding_axiom_3 holds for every (i, k), evaluated tuple by tuple on
     Z's braid, tensor and action tables and the combined J and X."""
-    B, T, act, grade, M = Z.braid_table, Z.tensor_table, Z.action_table, Z.grade_table, Z.cat.M
-    bmp = Z.induced
-    phi, psi, a1, a2 = bmp.phi, bmp.psi, bmp.mp.act1, bmp.mp.act2
-    Zs = range(len(Z.simples))
-    good1, good2, good3 = set(bmp.mp.G.elements()), set(Zs), set(Zs)
-    for A, i, k in itertools.product(bmp.mp.G.elements(), Zs, Zs):
-        Si, Sk = grade[i], grade[k]
-        if (B[i][k] + J[A][act[phi[Sk]][i]][k] - X[a2[Sk][A]][phi[Sk]][i] + X[phi[a1[A][Sk]]][A][i]
-                - J[A][act[psi[Si]][k]][i] + X[a2[Si][A]][psi[Si]][k] - X[psi[a1[A][Si]]][A][k]
-                - B[act[A][i]][act[A][k]]) % M:
-            good1.discard(A)
-    for i, k, l in itertools.product(Zs, repeat=3):
-        Si, Sk, Sl = grade[i], grade[k], grade[l]
-        if (B[T[i][k]][l] + J[phi[Sl]][i][k] - X[psi[Si]][psi[Sk]][l]
-                - B[i][act[psi[Sk]][l]] - B[k][l]) % M:
-            good2.discard(k)
-        if (B[i][T[k][l]] + X[phi[Sk]][phi[Sl]][i] - J[psi[Si]][k][l] - B[i][l]
-                - B[act[phi[Sl]][i]][k]) % M:
-            good3.discard(l)
-    return good1, good2, good3
+    Zs, product = range(len(Z.simples)), itertools.product
+    laws = BraidingLaws.on_tables(len(Zs), Z.braid_table, Z.tensor_table, Z.action_table,
+                                  Z.grade_table, J, X, Z.induced, Z.cat.M)
+    return ({A for A in Z.induced.mp.G.elements()
+             if not any(laws.braiding_axiom_1(A, i, k) for i, k in product(Zs, Zs))},
+            {k for k in Zs if not any(laws.braiding_axiom_2(i, k, l) for i, l in product(Zs, Zs))},
+            {l for l in Zs if not any(laws.braiding_axiom_3(i, k, l) for i, k in product(Zs, Zs))})
 
 
 def test_braiding_axioms_hold_on_product_closed_sets(monkeypatch):

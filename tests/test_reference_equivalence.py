@@ -25,10 +25,10 @@ from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.matched import matched_pair, verify_matched_pair, zappa_szep
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from gauge import gauge
-from reference_sweeps import (ReferenceCenter, ReferenceSwapLaws, reference_center_braided,
-                              reference_center_braiding, reported_braiding,
-                              reported_crossed_category, reference_matched_pair,
-                              reference_swap_laws, reference_zappa_szep)
+from reference_sweeps import (BraidingLaws, CategoryLaws, ReferenceCenter, ReferenceSwapLaws,
+                              reference_center_braided, reference_center_braiding,
+                              reported_braiding, reported_crossed_category,
+                              reference_matched_pair, reference_swap_laws, reference_zappa_szep)
 
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
 CENTER_FILES = [n for n in CATEGORY_FILES if n != "cat-nonsurjective.json"]
@@ -332,6 +332,34 @@ def test_reordered_or_repeated_simples_name_the_first_departure(name):
             assert (first.name, first.witness) == ("oracle_equivalence", witness)
 
 
+# nonzero residues per braiding law, under the induced pair and then (phi, phi)
+BRAIDING_RESIDUES = {"z4-over-z2": [0, 0, 0, 192, 1024, 512], "cocycle-j": [0, 0, 0, 0, 0, 64],
+                     "equivariant-s3": [0] * 6, "vec-z2z3": [0] * 6}
+
+
+@pytest.mark.parametrize("name", BRAIDING_RESIDUES)
+def test_one_braiding_statement_on_tables_and_derived_maps(name):
+    """BraidingLaws gives the same residue on CenterStructure's tables as on
+    ReferenceCenter's derived maps at every (A, i, k) and (i, k, l), under
+    the induced pair and under its (phi, phi) pair, which breaks the laws
+    on z4-over-z2 and cocycle-j (test_certificates.py's
+    test_braiding_axiom_1_needs_well_typed_braidings)."""
+    cat = category(name)
+    Z, R = CenterStructure(cat), ReferenceCenter(cat)
+    assert Z.simples == R.simples
+    bmp, counts = Z.induced, []
+    for braided in (bmp, BraidedMatchedPair(bmp.mp, bmp.phi, bmp.phi)):
+        tables = BraidingLaws.on_tables(len(Z.simples), Z.braid_table, Z.tensor_table,
+                                        Z.action_table, Z.grade_table, Z.j_table, Z.chi_table,
+                                        braided, cat.M)
+        for (law, on_tables, domain), (_, on_maps, _) in zip(tables.sweeps(),
+                                                             R.braiding_laws(braided).sweeps()):
+            residues = [(on_tables(*w), on_maps(*w)) for w in domain]
+            assert all(a == b for a, b in residues), (law, braided == bmp)
+            counts.append(sum(a != 0 for a, _ in residues))
+    assert counts == BRAIDING_RESIDUES[name]
+
+
 @pytest.mark.parametrize("name", CENTER_FIXTURES)
 def test_unit_actions_on_points(name):
     """The closure and well-formed-swap proofs at center_category_axioms
@@ -417,32 +445,20 @@ def _restated_residues(cat):
     """(swap-law residue, residue of the center law that restates it) at
     every instance of the four swap laws off the unit actors (every group
     argument is not e).  The center's actor (g, s) is g * |Gamma| + s."""
-    laws = ReferenceSwapLaws(cat)
-    C = CenterStructure(cat).as_category()
-    X, J, act, deg, Lt, M = C.chitable, C.jtable, C.action, C.grading, C.Lambda.table, C.M
-    Kt, a1, a2, phi, eZ = C.G.table, C.mp.act1, C.mp.act2, C.phitable, C.Lambda.identity
+    laws, center = ReferenceSwapLaws(cat), CategoryLaws(CenterStructure(cat).as_category())
     Zs, order = range(len(laws.Z.simples)), cat.Gamma.order
     Gs = [g for g in cat.G.elements() if g != cat.G.identity]
     Ss = [s for s in cat.Gamma.elements() if s != cat.Gamma.identity]
     eG, eS = cat.G.identity, cat.Gamma.identity
-
-    def j_chi(g, h, x, y):  # axiom3_j_chi
-        t = a2[deg[y]][h]
-        return (X[g][h][Lt[x][y]] + J[h][x][y] + J[g][act[t][x]][act[h][y]]
-                - J[Kt[g][h]][x][y] - X[a2[a1[h][deg[y]]][g]][t][x] - X[g][h][y]) % M
-
-    def cocycle(g, h, k, x):  # chi_cocycle
-        return (X[Kt[g][h]][k][x] + X[g][h][act[k][x]] - X[g][Kt[h][k]][x] - X[h][k][x]) % M
-
     for g, s in itertools.product(Gs, Ss):
         A, B = eG * order + s, g * order + eS
-        yield laws.phi_compat(g, s), (X[A][B][eZ] + phi[B] + phi[A] - phi[Kt[A][B]]) % M
+        yield laws.phi_compat(g, s), center.axiom3_phi(A, B)
         for i, k in itertools.product(Zs, Zs):
-            yield laws.j_compat(g, s, i, k), j_chi(A, B, i, k)
+            yield laws.j_compat(g, s, i, k), center.axiom3_j_chi(A, B, i, k)
         for s2, i in itertools.product(Ss, Zs):
-            yield laws.yang_baxter_gamma(g, s, s2, i), cocycle(A, eG * order + s2, B, i)
+            yield laws.yang_baxter_gamma(g, s, s2, i), center.chi_cocycle(A, eG * order + s2, B, i)
         for g2, i in itertools.product(Gs, Zs):
-            yield laws.yang_baxter_g(g, g2, s, i), cocycle(A, B, g2 * order + eS, i)
+            yield laws.yang_baxter_g(g, g2, s, i), center.chi_cocycle(A, B, g2 * order + eS, i)
 
 
 def _assert_restated(cat):

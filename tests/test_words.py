@@ -12,6 +12,7 @@ from crossedcat import jsonio
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from crossedcat.words import (BRANCHINGS, Act, Hole, Tensor, Unit, check_coherence, composites,
                               enumerate_words, moves, normal_form, print_word, verify_coherence)
+from reference_sweeps import CategoryLaws
 
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
 
@@ -200,21 +201,16 @@ def test_verdict_is_the_category_verdict_on_entry_mutants(name):
 def _chi_j_against_axiom3(cat):
     """At every (g, h, x, y): the chi/J branching's exponent difference, as
     verify_coherence computes it, and axiom3_j_chi's residue, its left side
-    minus its right side (pointed.py)."""
+    minus its right side (CategoryLaws)."""
     name, _, _, overlap, first, second = BRANCHINGS[1]
     assert name == "chi/J"
-    J, X, act, deg, a1, a2 = cat.jtable, cat.chitable, cat.action, cat.grading, \
-        cat.mp.act1, cat.mp.act2
-    Lt, Gt, M = cat.Lambda.table, cat.G.table, cat.M
+    law = CategoryLaws(cat).axiom3_j_chi
     for g, h in itertools.product(cat.G.elements(), repeat=2):
         w = overlap(cat.G.identity, g, h)
         for x, y in itertools.product(cat.Lambda.elements(), repeat=2):
             (v1, x1, _), (v2, x2, _) = composites(w, cat, (x, y), first, second)
             assert v1 == v2
-            t, u = a2[deg[y]][h], a2[a1[h][deg[y]]][g]
-            residue = (X[g][h][Lt[x][y]] + J[h][x][y] + J[g][act[t][x]][act[h][y]]
-                       - J[Gt[g][h]][x][y] - X[u][t][x] - X[g][h][y]) % M
-            yield (x1 - x2) % M, residue
+            yield (x1 - x2) % cat.M, law(g, h, x, y)
 
 
 def _unit_normal(cat, rng, M: int = 5):
