@@ -31,9 +31,10 @@ import itertools
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .braided import BraidedMatchedPair, center_braiding as induced_braiding, verify_braiding
+from .braided import (BRAIDING_AXIOMS, BraidedMatchedPair, braiding_witnesses,
+                      center_braiding as induced_braiding, verify_braiding)
 from .errors import GroupValidationError, ValidationError
-from .groups import certified_sweep, character_tries, twisted_characters, validate_group
+from .groups import character_tries, frozen, in_range, twisted_characters, validate_group
 from .pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
 from .records import Record
 from .report import VerificationReport, run_checks
@@ -183,7 +184,9 @@ class CenterStructure:
     def __init__(self, cat: PointedCrossedCategory, section: Optional[Sequence[int]] = None,
                  simples: Optional[Sequence[CenterSimple]] = None):
         normal, self.u0 = unit_normal(cat)
-        self.section = tuple(section) if section is not None else cat.least_section()
+        self.section = cat.least_section() if section is None else frozen(section, 1, "section")
+        if len(self.section) != cat.Gamma.order or not in_range(self.section, cat.Lambda.order):
+            raise ValidationError("section must map all of Gamma into Lambda")
         for s in cat.Gamma.elements():
             if cat.grading[self.section[s]] != s:
                 raise ValidationError(f"section value {self.section[s]} has degree "
@@ -507,21 +510,18 @@ def verify_center_braided(cat: PointedCrossedCategory,
     refuses before the enumeration searches and before CenterStructure
     builds any table.
 
-    The three braiding axioms are certified on generators once
-    induced_pair_braided and center_category_axioms pass
-    (groups.certified_sweep): braiding_axiom_1 on the actor, over G >< Gamma,
-    when also every braiding is well typed, and the two hexagons,
-    braiding_axiom_2 and braiding_axiom_3, over the simples' tensor group.
-    Each sweeps in full otherwise or when the generators find a witness;
-    the closure proofs are at the sweeps.
+    The three braiding axioms are braided.braiding_witnesses on
+    CenterStructure's tables, certified on generators once
+    induced_pair_braided and center_category_axioms pass, as their closure
+    proofs use laws of the induced pair and of the center as a category.
 
     Precondition: `cat` passes verify_crossed_category, as the CLI's
     `verify center` and `center` commands check first.
 
     Zero support: the three braiding axioms read nothing but scalar
     tables.  When CenterStructure.zero holds, as on every Vec center, each
-    of their equations reads 0 = 0, so they pass unread, and the combined
-    J and chi tables are shared zero planes.
+    of their equations reads 0 = 0, so they pass with no table built, and
+    the combined J and chi tables are shared zero planes.
 
     Four laws are implied by oracle equivalence and are not reported.  The
     oracle emits exactly the (g, label, chi) whose label has full
@@ -544,7 +544,6 @@ def verify_center_braided(cat: PointedCrossedCategory,
     rep = VerificationReport(subject=f"center of {cat.name}")
     expected = [z.sort_key() for z in relative_center_oracle(cat)]
     Z = CenterStructure(cat, section=section, simples=simples)
-    M, Zs = cat.M, range(len(Z.simples))
 
     def oracle_equivalence() -> Optional[tuple]:
         keys = [z.sort_key() for z in Z.input_simples]
@@ -620,137 +619,19 @@ def verify_center_braided(cat: PointedCrossedCategory,
         c = r.first_failure()
         return (c.name,) + tuple(c.witness)
 
-    bmp = Z.induced
-    phi_img, psi_img = bmp.phi, bmp.psi
-    cpa1, cpa2 = bmp.mp.act1, bmp.mp.act2
-
-    # the closure proofs of the three braiding axioms use laws of the
-    # induced pair and of the center viewed as a category
-    premises = ("induced_pair_braided", "center_category_axioms")
-
-    def braiding_axiom_1() -> Optional[tuple]:
-        # T_A carries the braiding of (i, k) to that of (A.i, A.k).  Certified
-        # on the actor A (certified_sweep).  Write E_A(i, k) for the left side
-        # minus the right side, and N_A(i, k) for its J and chi terms that
-        # read phi, J[A][phi(S_k).i][k] - X[S_k |>2 A][phi S_k][i]
-        # + X[phi(A |>1 S_k)][A][i]; so E_A(i, k) = B[i][k] - B[A.i][A.k]
-        # + N_A(i, k) - N'_A(k, i), N' the same terms with psi.  With
-        # S' = A' |>1 S_k, P = S' |>2 A and Q = S_k |>2 A', axiom3_j_chi at
-        # (A, A'; phi(S_k).i, k) and chi_cocycle at (P, Q, phi S_k; i),
-        # (P, phi S', A'; i) and (phi(A |>1 S'), A, A'; i) give
-        #   N_AA'(i, k) = N_A'(i, k) + N_A(A'.i, A'.k)
-        #                 + X[A][A'][src] - X[A][A'][i] - X[A][A'][k],
-        # src = phi(S_k).i (x) k, once the objects are identified:
-        # S_k |>2 AA' = PQ (matched_pair_valid), (S |>2 A) phi(S) =
-        # phi(A |>1 S) A (braided-pair axiom 2), axiom1_grading_compat and
-        # action_composition.  With N' alike (braided-pair axiom 3) and
-        # B[A.(A'.i)][A.(A'.k)] = B[AA'.i][AA'.k],
-        #   E_AA'(i, k) = E_A'(i, k) + E_A(A'.i, A'.k) + X[A][A'][src] - X[A][A'][tgt],
-        # tgt = psi(S_i).k (x) i.  So the A at which E vanishes everywhere are
-        # closed under products once every braiding is well typed, src = tgt
-        # as simples.  No check implies that, so the gate tests it with the
-        # premises of the hexagons.
-        B, act, grade, T = Z.braid_table, Z.action_table, Z.grade_table, Z.tensor_table
-        Jc, Xc = Z.j_table, Z.chi_table
-
-        def sweep(As: Sequence[int]) -> Optional[tuple]:
-            for A in As:
-                JA, actA, cpA = Jc[A], act[A], cpa1[A]
-                for i in Zs:
-                    S1 = grade[i]
-                    Bi, ai = B[i], actA[i]
-                    right1 = Xc[cpa2[S1][A]][psi_img[S1]]
-                    right2 = Xc[psi_img[cpA[S1]]][A]
-                    act_psi = act[psi_img[S1]]
-                    for k in Zs:
-                        S2 = grade[k]
-                        lhs = Bi[k] + JA[act[phi_img[S2]][i]][k] \
-                            - Xc[cpa2[S2][A]][phi_img[S2]][i] + Xc[phi_img[cpA[S2]]][A][i]
-                        rhs = JA[act_psi[k]][i] - right1[k] + right2[k] + B[ai][actA[k]]
-                        if (lhs - rhs) % M:
-                            return (A, i, k)
-            return None
-
-        K = bmp.mp.G
-        typed = rep.all_passed(*premises) and all(
-            T[act[phi_img[grade[k]]][i]][k] == T[act[psi_img[grade[i]]][k]][i]
-            for i in Zs for k in Zs)
-        return certified_sweep(sweep, K.table, K.identity if typed else None)
-
-    def braiding_axiom_2() -> Optional[tuple]:
-        # B[ik][l] + J[phi S_l][i][k] = X[psi S_i][psi S_k][l] + B[i][psi(S_k).l] + B[k][l],
-        # S_i the grade of i.  Certified on k (certified_sweep): with
-        # D(i, k, l) the left side minus the right side, if D vanishes at k
-        # and at k' for every (i, l), then D(ik, k', l), D(i, k, psi(S_k').l)
-        # and D(k, k', l) expand B[(ik)k'][l], B[ik][psi(S_k').l] and
-        # B[kk'][l], and D(i, kk', l) = 0: the B terms match, as
-        # psi(S_k).(psi(S_k').l) = psi(S_kk').l (psi a homomorphism,
-        # grading_is_homomorphism and action_composition); the chi terms form
-        # chi_cocycle at (psi S_i, psi S_k, psi S_k'; l); and the J terms form
-        # axiom2_j_cocycle at (phi S_l; i, k, k'), once
-        # phi(S_{psi(S_k').l}) = S_k' |>2 phi(S_l), which follows from
-        # axiom1_grading_compat and the law s |>2 phi(t) = phi(psi(s) |>1 t)
-        # of a braided pair, implied by verify_braiding's checks (proof at its
-        # braiding_axiom_2) and so by induced_pair_braided.  Those laws are the
-        # center's as a category, with (ik)k' = i(kk'), so the gate is
-        # center_category_axioms with induced_pair_braided.
-        B, act, grade, T = Z.braid_table, Z.action_table, Z.grade_table, Z.tensor_table
-        Jc, Xc = Z.j_table, Z.chi_table
-        phi_of = [phi_img[grade[l]] for l in Zs]
-
-        def sweep(ks: Sequence[int]) -> Optional[tuple]:
-            for i in Zs:
-                S1, Bi, Ti = grade[i], B[i], T[i]
-                for k in ks:
-                    S2, Bk, Bik = grade[k], B[k], B[Ti[k]]
-                    X12, act2 = Xc[psi_img[S1]][psi_img[S2]], act[psi_img[S2]]
-                    for l in Zs:
-                        if (Bik[l] + Jc[phi_of[l]][i][k] - X12[l] - Bi[act2[l]] - Bk[l]) % M:
-                            return (i, k, l)
-            return None
-
-        # without the premises the simples may form no group, and have no identity
-        e = center.Lambda.identity if rep.all_passed(*premises) else None
-        return certified_sweep(sweep, T[:len(Zs)], e)
-
-    def braiding_axiom_3() -> Optional[tuple]:
-        # B[i][kl] + X[phi S_k][phi S_l][i] = J[psi S_i][k][l] + B[i][l] + B[phi(S_l).i][k].
-        # Certified on l, the mirror image of axiom 2: D(i, kl, l'),
-        # D(phi(S_l').i, k, l) and D(i, l, l') expand B[i][(kl)l'],
-        # B[phi(S_l').i][kl] and B[i][ll'], and D(i, k, ll') = 0, the chi
-        # terms forming chi_cocycle at (phi S_k, phi S_l, phi S_l'; i) and the
-        # J terms axiom2_j_cocycle at (psi S_i; k, l, l'), once
-        # psi(S_{phi(S_l').i}) = S_l' |>2 psi(S_i) by axiom1_grading_compat
-        # and the mirror law s |>2 psi(t) = psi(phi(s) |>1 t), which
-        # induced_pair_braided implies likewise.  Same gate.
-        B, act, grade, T = Z.braid_table, Z.action_table, Z.grade_table, Z.tensor_table
-        Jc, Xc = Z.j_table, Z.chi_table
-        phi_of = [phi_img[grade[l]] for l in Zs]
-
-        def sweep(ls: Sequence[int]) -> Optional[tuple]:
-            for i in Zs:
-                Bi, Jpsi = B[i], Jc[psi_img[grade[i]]]
-                for k in Zs:
-                    Tk, Xk, Jk = T[k], Xc[phi_of[k]], Jpsi[k]
-                    for l in ls:
-                        if (Bi[Tk[l]] + Xk[phi_of[l]][i] - Jk[l] - Bi[l]
-                                - B[act[phi_of[l]][i]][k]) % M:
-                            return (i, k, l)
-            return None
-
-        e = center.Lambda.identity if rep.all_passed(*premises) else None
-        return certified_sweep(sweep, T[:len(Zs)], e)
-
-    def scalar(fn):
-        # a check that reads only scalar data passes unread on zero data
-        return (lambda: None) if Z.zero else fn
-
-    return run_checks(rep, [
+    run_checks(rep, [
         ("oracle_equivalence", oracle_equivalence),
         ("induced_pair_braided", induced_pair_braided),
         ("center_category_axioms", center_category_axioms),
-        ("braiding_axiom_1", scalar(braiding_axiom_1)),
-        ("braiding_axiom_2", scalar(braiding_axiom_2)),
-        ("braiding_axiom_3", scalar(braiding_axiom_3)),
     ])
+    if Z.zero:
+        braidings = [(name, None) for name in BRAIDING_AXIOMS]
+    else:
+        premises = rep.all_passed("induced_pair_braided", "center_category_axioms")
+        braidings = braiding_witnesses(
+            len(Z.simples), Z.braid_table, Z.tensor_table, Z.action_table, Z.grade_table,
+            Z.j_table, Z.chi_table, Z.induced, cat.M, center.Lambda.identity if premises else None)
+    for name, witness in braidings:
+        rep.add(name, witness)
+    return rep
 

@@ -12,8 +12,8 @@ once, with its closure proof: the composition law of an action
 (`action_law_witness`, associativity included), the unit law
 (`unit_witness`), twisted multiplicativity (`twisted_hom_witness`) and the
 homomorphism law (`is_hom_image`).  The category's two cocycle laws and
-its axiom 3 keep their sweeps and proofs in pointed.py, and the center's
-three braiding axioms keep theirs in center.py.  No size limit is
+its axiom 3 keep their sweeps and proofs in pointed.py, and the three
+crossed-braiding axioms keep theirs in braided.py.  No size limit is
 enforced here: the center's searches are bounded in center.py
 (MAX_CENTER_TRIES), which counts twisted_characters' tries with
 character_tries.  The sweeps grow fast with the order: verifying the

@@ -8,10 +8,14 @@ loader keeps the SHA-256 of the bytes it parsed on its record as
 fields and scalars (identity, order, M, sides) and that exponents are in
 0..M-1; each index table is checked once, entries, shape and ranges, by
 the record constructor that freezes it.  Either raises an exit-2 error.
-The subject's own axioms are left to the verifiers, so a corrupted pair
-still loads and then fails verification with a witness (the CLI's exit-1
-class).  A loader imports the module of the record it builds only when it
-builds one, so that `verify group` loads no pair or category code.
+A pair's axioms are left to the verifiers, so a corrupted pair still
+loads and then fails verification with a witness (the CLI's exit-1
+class).  A category's are not: load_category verifies them by default and
+raises an exit-2 error naming the first failing check, which `center` and
+`coherence` rely on; `verify category` and `verify center` load with
+validate=False and report that check with its witness instead.  A
+loader imports the module of the record it builds only when it builds
+one, so that `verify group` loads no pair or category code.
 """
 
 from __future__ import annotations

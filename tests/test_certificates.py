@@ -10,20 +10,18 @@ pass no full sweep may run at all.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import random
 import sys
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_DIR, category, pair, triples, unit_index
-from crossedcat import center, groups, jsonio
-from crossedcat.center import CenterStructure, enumerate_center, verify_center_braided
+from crossedcat import braided, groups, jsonio
+from crossedcat.center import CenterStructure, verify_center_braided
 from crossedcat.errors import CrossedCatError, GroupValidationError
-from crossedcat.braided import BraidedMatchedPair, verify_braiding
+from crossedcat.braided import BraidedMatchedPair, braiding_witnesses, verify_braiding
 from crossedcat.groups import (FiniteGroup, action_law_witness, cyclic, dihedral, direct_product,
                                generators, is_hom_image, subgroup_from_generators, symmetric,
                                trivial_group, twisted_hom_witness, validate_group)
@@ -31,8 +29,7 @@ from crossedcat.matched import matched_pair, verify_matched_pair
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from crossedcat.report import VerificationReport
 from gauge import gauge, random_cochain
-from reference_sweeps import (BraidingLaws, CategoryLaws, ReferenceCenter,
-                              reference_center_braided, reported_crossed_category,
+from reference_sweeps import (BraidingLaws, CategoryLaws, first, reported_crossed_category,
                               reference_is_hom_image, reference_matched_pair,
                               reference_validate_group)
 
@@ -440,26 +437,36 @@ BRAIDING_LAWS = ("braiding_axiom_1", "braiding_axiom_2", "braiding_axiom_3")
 
 
 def _center_sweeps(monkeypatch) -> dict[str, tuple]:
-    """Run each certified sweep of center.py in full as well, and record
-    (sweep, identity or None, certified result, full result) by the law's
-    name."""
+    """Record (sweep, identity or None) of each certified sweep of
+    braided.py by the law's name."""
     runs = {}
 
-    def both(sweep, Kt, e):
-        full = sweep(range(len(Kt)))
-        got = groups.certified_sweep(lambda r: full if isinstance(r, range) else sweep(r), Kt, e)
-        runs[sweep.__qualname__.split(".<locals>.")[-2]] = (sweep, e, got, full)
-        return got
+    def spy(sweep, Kt, e):
+        runs[sweep.__qualname__.split(".<locals>.")[-2]] = (sweep, e)
+        return groups.certified_sweep(sweep, Kt, e)
 
-    monkeypatch.setattr(center, "certified_sweep", both)
+    monkeypatch.setattr(braided, "certified_sweep", spy)
     return runs
 
 
-def _certified_as_full(runs: dict[str, tuple]) -> bool:
-    """Each braiding law ran under its certificate and returned the full
-    sweep's result."""
-    return sorted(runs) == list(BRAIDING_LAWS) and all(
-        e is not None and got == full for _, e, got, full in runs.values())
+def _center_args(Z: CenterStructure, **tables) -> tuple:
+    """braiding_witnesses' arguments but the unit, which are those of
+    BraidingLaws.on_tables, read from Z's tables unless `tables` names them."""
+    args = dict(n=len(Z.simples), B=Z.braid_table, T=Z.tensor_table, act=Z.action_table,
+                grade=Z.grade_table, J=Z.j_table, X=Z.chi_table, bmp=Z.induced, M=Z.cat.M)
+    args.update(tables)
+    return tuple(args.values())
+
+
+def _certified_as_full(runs: dict[str, tuple], args: tuple, e: int) -> list[tuple]:
+    """braiding_witnesses under the unit e; each law must run under its
+    certificate and return what the full sweep (e = None) returns."""
+    runs.clear()
+    got = braiding_witnesses(*args, e)
+    assert sorted(runs) == list(BRAIDING_LAWS)
+    assert all(gate is not None for _, gate in runs.values())
+    assert got == braiding_witnesses(*args, None)
+    return got
 
 
 @pytest.mark.parametrize("name", NONZERO_CENTERS)
@@ -468,52 +475,23 @@ def test_braiding_certificates_on_braid_table_mutants(name, monkeypatch):
     drawn nonzero delta per entry) leaves the center as a category as it
     is, so the three braiding axioms run under their certificates, and each
     must return the full sweep's witness.  A seeded sample of the mutants
-    is checked against the reference sweeps too; they take over a second a
-    run on the 24-simple center, which is left out of the sample."""
+    is checked against BraidingLaws on the same tables too, except on the
+    24-simple center, which is left out of the sample."""
     cat = category(name)
-    simples = enumerate_center(cat)
-    n, M = len(simples), cat.M
-    entry = [0, 0, 0]  # (a, b, delta): B[a][b] += delta
-    # a mutant differs from the center in its braid table alone, so every
-    # run shares the center's other tables and its report as a category
     Z = CenterStructure(cat)
-    for attr, value in vars(CenterStructure).items():
-        if isinstance(value, cached_property):
-            getattr(Z, attr)
-    center_report = verify_crossed_category(Z.as_category())
-
-    def mutant(*_args, **_kwargs) -> CenterStructure:
-        a, b, d = entry
-        row = list(Z.braid_table[a])
-        row[b] = (row[b] + d) % M
-        mutated = copy.copy(Z)
-        mutated.braid_table = Z.braid_table[:a] + (tuple(row),) + Z.braid_table[a + 1:]
-        return mutated
-
-    reference_braiding = ReferenceCenter.braiding
-
-    def mutated_braiding(self, z1, z2):
-        target, exponent = reference_braiding(self, z1, z2)
-        a, b, d = entry
-        if z1 == simples[a] and z2 == simples[b]:
-            exponent = (exponent + d) % M
-        return target, exponent
-
-    monkeypatch.setattr(center, "CenterStructure", mutant)
-    monkeypatch.setattr(center, "verify_crossed_category", lambda _: center_report)
-    monkeypatch.setattr(ReferenceCenter, "braiding", mutated_braiding)
+    n, M, center = len(Z.simples), cat.M, Z.as_category()
+    assert verify_braiding(Z.induced).passed and verify_crossed_category(center).passed
     runs = _center_sweeps(monkeypatch)
     rng = random.Random(f"braid:{name}")
     sample = set(rng.sample(range(n * n), 4)) if n < 24 else set()
     for a, b in itertools.product(range(n), repeat=2):
-        entry[:] = a, b, rng.randrange(1, M)
-        runs.clear()
-        rep = verify_center_braided(cat)
-        passed = {c.name: c.passed for c in rep.checks}
-        assert passed["induced_pair_braided"] and passed["center_category_axioms"]
-        assert _certified_as_full(runs), entry
+        row = list(Z.braid_table[a])
+        row[b] = (row[b] + rng.randrange(1, M)) % M
+        args = _center_args(Z, B=Z.braid_table[:a] + (tuple(row),) + Z.braid_table[a + 1:])
+        got = _certified_as_full(runs, args, center.Lambda.identity)
         if a * n + b in sample:
-            assert triples(rep) == triples(reference_center_braided(cat)), entry
+            laws = BraidingLaws.on_tables(*args).sweeps()
+            assert got == [(law, first(residue, domain)()) for law, residue, domain in laws], (a, b)
 
 
 def test_braiding_axioms_sweep_in_full_when_the_center_is_no_category(monkeypatch):
@@ -544,7 +522,8 @@ def test_braiding_axioms_sweep_in_full_when_the_center_is_no_category(monkeypatc
         ("braiding_axiom_1", (0, 0, 3)),
         ("braiding_axiom_2", (0, 3, 0)),
         ("braiding_axiom_3", (0, 0, 3))]
-    assert all(gens is None and got == full for _, gens, got, full in runs.values())
+    assert sorted(runs) == list(BRAIDING_LAWS)
+    assert all(gate is None for _, gate in runs.values())
     assert [runs[law][0]([e, *gens]) for law in BRAIDING_LAWS[1:]] == [None, None]
 
 
@@ -558,31 +537,28 @@ def test_braiding_axiom_1_needs_well_typed_braidings(monkeypatch):
     Z = CenterStructure(cat)
     bmp = Z.induced
     doubled = BraidedMatchedPair(bmp.mp, bmp.phi, bmp.phi)
-    assert verify_braiding(doubled).passed
+    center = Z.as_category()
+    assert verify_braiding(doubled).passed and verify_crossed_category(center).passed
     T, act, grade, phi = Z.tensor_table, Z.action_table, Z.grade_table, bmp.phi
     n = len(Z.simples)
     assert sum(T[act[phi[grade[k]]][i]][k] != T[act[phi[grade[i]]][k]][i]
                for i in range(n) for k in range(n)) == 96
-    monkeypatch.setattr(CenterStructure, "induced", doubled)
     runs = _center_sweeps(monkeypatch)
-    rep = verify_center_braided(cat)
-    passed = {c.name: c.passed for c in rep.checks}
-    assert passed["induced_pair_braided"] and passed["center_category_axioms"]
-    assert [(law, runs[law][1] is None, runs[law][2] == runs[law][3])
-            for law in BRAIDING_LAWS] == [("braiding_axiom_1", True, True),
-                                          ("braiding_axiom_2", False, True),
-                                          ("braiding_axiom_3", False, True)]
+    args = _center_args(Z, bmp=doubled)
+    got = braiding_witnesses(*args, center.Lambda.identity)
+    assert [(law, runs[law][1] is None) for law in BRAIDING_LAWS] == [
+        ("braiding_axiom_1", True), ("braiding_axiom_2", False), ("braiding_axiom_3", False)]
+    assert got == braiding_witnesses(*args, None)
 
 
-def braiding_holds_at(Z, J, X) -> tuple[set[int], set[int], set[int]]:
+def braiding_holds_at(args: tuple) -> tuple[set[int], set[int], set[int]]:
     """The actors A at which braiding_axiom_1 holds for every (i, k), the k
     at which braiding_axiom_2 holds for every (i, l), and the l at which
     braiding_axiom_3 holds for every (i, k), evaluated tuple by tuple on
-    Z's braid, tensor and action tables and the combined J and X."""
-    Zs, product = range(len(Z.simples)), itertools.product
-    laws = BraidingLaws.on_tables(len(Zs), Z.braid_table, Z.tensor_table, Z.action_table,
-                                  Z.grade_table, J, X, Z.induced, Z.cat.M)
-    return ({A for A in Z.induced.mp.G.elements()
+    braiding_witnesses' arguments."""
+    laws, product = BraidingLaws.on_tables(*args), itertools.product
+    Zs = laws.simples
+    return ({A for A in laws.bmp.mp.G.elements()
              if not any(laws.braiding_axiom_1(A, i, k) for i, k in product(Zs, Zs))},
             {k for k in Zs if not any(laws.braiding_axiom_2(i, k, l) for i, l in product(Zs, Zs))},
             {l for l in Zs if not any(laws.braiding_axiom_3(i, k, l) for i, k in product(Zs, Zs))})
@@ -599,31 +575,26 @@ def test_braiding_axioms_hold_on_product_closed_sets(monkeypatch):
     nonempty), and each certified sweep must return the full sweep's
     witness."""
     rng = random.Random("hexagon-closure")
-    centers = [(category(name), CenterStructure(category(name))) for name in NONZERO_CENTERS]
-    centers = [(cat, Z, Z.as_category()) for cat, Z in centers]  # before any table is patched
     runs = _center_sweeps(monkeypatch)
     checked = proper = 0
-    for cat, Z, as_cat in centers:
-        n, e = len(Z.simples), unit_index(Z)
+    for name in NONZERO_CENTERS:
+        Z = CenterStructure(category(name))
+        as_cat, n, e = Z.as_category(), len(Z.simples), unit_index(Z)
+        assert verify_braiding(Z.induced).passed
         K, T = as_cat.G, Z.tensor_table
         actors = [A for A in K.elements() if A != K.identity]
         others = [x for x in range(n) if x != e]
         for _ in range(6):
             u = [[0] * n for _ in K.elements()]
             for _ in range(rng.randint(1, 2)):
-                u[rng.choice(actors)][rng.choice(others)] = rng.randrange(1, cat.M)
+                u[rng.choice(actors)][rng.choice(others)] = rng.randrange(1, as_cat.M)
             gauged = gauge(as_cat, u)
             assert not any(gauged.phitable) and not any(gauged.iotatable)
-            monkeypatch.setattr(CenterStructure, "j_table", gauged.jtable)
-            monkeypatch.setattr(CenterStructure, "chi_table", gauged.chitable)
-            runs.clear()
-            rep = verify_center_braided(cat)
-            passed = {c.name: c.passed for c in rep.checks}
-            assert passed["induced_pair_braided"] and passed["center_category_axioms"]
-            assert _certified_as_full(runs)
-            for law, table, good in zip(BRAIDING_LAWS, (K.table, T, T),
-                                        braiding_holds_at(Z, gauged.jtable, gauged.chitable)):
-                assert all(table[a][b] in good for a in good for b in good), (cat.name, law)
+            assert verify_crossed_category(gauged).passed
+            args = _center_args(Z, J=gauged.jtable, X=gauged.chitable)
+            passed = {law: w is None for law, w in _certified_as_full(runs, args, e)}
+            for law, table, good in zip(BRAIDING_LAWS, (K.table, T, T), braiding_holds_at(args)):
+                assert all(table[a][b] in good for a in good for b in good), (name, law)
                 assert passed[law] == (len(good) == len(table))
                 checked += 1
                 proper += 0 < len(good) < len(table)

@@ -347,10 +347,14 @@ def _without(obj: dict, key: str) -> dict:
      "section value 2 has degree 0, wanted 1", None),
     (lambda: _z4_over_z2_with_section((2, 1)), ValidationError,
      "section must send the trivial degree to the unit label", None),
+    *[(lambda s=section: _z4_over_z2_with_section(s), ValidationError,
+       "section must map all of Gamma into Lambda", None)
+      for section in ((0, -1), (0, 1, 2), (0,), (0, 7))],
 ], ids=["nonsurjective", "not-exact", "oracle-bound", "no-identity", "identity-fails",
         "associativity", "no-inverse", "factor-without-identity", "factor-without-inverse",
         "factor-orders", "braided-without-psi", "option-without-value", "vec-gamma-not-matched",
-        "section-degree", "section-unit"])
+        "section-degree", "section-unit", "section-negative", "section-long", "section-short",
+        "section-out-of-range"])
 def test_each_refusal_has_its_type_and_text(call, kind, message, witness):
     with pytest.raises(errors.CrossedCatError) as exc:
         call()
@@ -445,7 +449,7 @@ def _internal_error_exit(argv: list[str], error: str) -> None:
     ("crossedcat.groups.validate_group", ["verify", "group", "group-s3.json"]),
     ("crossedcat.pointed.certified_sweep", ["verify", "category", "cat-cocycle-j.json"]),
     ("crossedcat.center.CenterStructure._close", ["verify", "center", "cat-z4-over-z2.json"]),
-    ("crossedcat.center.certified_sweep", ["verify", "center", "cat-z6-over-z3.json"]),
+    ("crossedcat.braided.certified_sweep", ["verify", "center", "cat-z6-over-z3.json"]),
     ("crossedcat.words.normal_form", ["coherence", "--category", "cat-cocycle-j.json"]),
 ], ids=["loader", "validate-group", "category-sweep", "center-tables", "braiding-sweep",
         "coherence-normal-form"])
