@@ -296,10 +296,14 @@ def subgroup_from_generators(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
 
 
 def subgroup_as_group(G: FiniteGroup, members: Sequence[int], name: str = "sub") -> FiniteGroup:
-    """Reindex a closed subset as its own FiniteGroup (order of `members` kept)."""
+    """Reindex a subset closed under G's product and inverses as its own
+    FiniteGroup (order of `members` kept).  A subgroup of a group is a
+    group, so it is built without a group-law sweep; the caller checks
+    closure."""
     pos, Gt = {x: i for i, x in enumerate(members)}, G.table
-    table = [[pos[Gt[a][b]] for b in members] for a in members]
-    return validate_group(table, pos[G.identity], name)
+    table = tuple(tuple(pos[Gt[a][b]] for b in members) for a in members)
+    return FiniteGroup(len(members), table, pos[G.identity],
+                       tuple(pos[G.inverses[a]] for a in members), name)
 
 
 # -- homomorphisms -------------------------------------------------------------

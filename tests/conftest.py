@@ -11,29 +11,70 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from crossedcat.braided import BraidedMatchedPair, center_braiding  # noqa: E402
+from crossedcat.braided import BraidedMatchedPair, braided_pair, center_braiding  # noqa: E402
 from crossedcat.center import CenterSimple, enumerate_center  # noqa: E402
 from crossedcat.fixtures import CATEGORIES, GROUPS, MATCHED_PAIRS  # noqa: E402
 from crossedcat.groups import FiniteGroup  # noqa: E402
 from crossedcat.matched import MatchedPair, matched_pair  # noqa: E402
-from crossedcat.pointed import pointed_category  # noqa: E402
+from crossedcat.pointed import PointedCrossedCategory, pointed_category  # noqa: E402
 
 FIXTURE_DIR = ROOT / "fixtures"
 
-_cat_cache: dict[str, object] = {}
-_mp_cache: dict[str, object] = {}
 
-
+@functools.cache
 def category(name: str):
-    if name not in _cat_cache:
-        _cat_cache[name] = CATEGORIES[name]()
-    return _cat_cache[name]
+    return CATEGORIES[name]()
 
 
+@functools.cache
 def pair(name: str):
-    if name not in _mp_cache:
-        _mp_cache[name] = MATCHED_PAIRS[name]()
-    return _mp_cache[name]
+    return MATCHED_PAIRS[name]()
+
+
+def rebuilt(record, **fields):
+    """`record`, a category, matched pair or braided pair, built afresh by its
+    constructor with the named fields replaced and every other field carried
+    over.  The constructors take the record's fields as parameters of the
+    same names, so a misspelled field raises TypeError."""
+    build = {PointedCrossedCategory: pointed_category, MatchedPair: matched_pair,
+             BraidedMatchedPair: braided_pair}[type(record)]
+    return build(**{**{name: getattr(record, name) for name in record._fields}, **fields})
+
+
+def indices(table) -> list[tuple[int, ...]]:
+    """Every index of a nested table's entries, in row-major order."""
+    if not isinstance(table[0], (tuple, list)):
+        return [(i,) for i in range(len(table))]
+    return [(i, *rest) for i, row in enumerate(table) for rest in indices(row)]
+
+
+def moved(table, index, delta: int, size: int) -> list:
+    """A copy of the nested table with the entry at `index` moved by delta
+    mod size; the rows on the index's path are copied as lists."""
+    i, *rest = index
+    out = list(table)
+    out[i] = moved(table[i], rest, delta, size) if rest else (table[i] + delta) % size
+    return out
+
+
+def randomly_moved(table, size: int, rng: random.Random) -> tuple[tuple[int, ...], list]:
+    """(index, moved(table, index, delta, size)), drawing the index by one
+    rng.randrange per axis, outermost first, and then delta by
+    rng.randrange(1, size)."""
+    index, row = [], table
+    while isinstance(row, (tuple, list)):
+        index.append(rng.randrange(len(row)))
+        row = row[0]
+    return tuple(index), moved(table, index, rng.randrange(1, size), size)
+
+
+def action_mutant(mp, rng: random.Random):
+    """(which, index, mutant): mp with one entry of act1 or act2, as `which`
+    says, moved by randomly_moved."""
+    which = rng.choice(("act1", "act2"))
+    size = mp.Gamma.order if which == "act1" else mp.G.order
+    index, table = randomly_moved(getattr(mp, which), size, rng)
+    return which, index, rebuilt(mp, **{which: table})
 
 
 def unit_index(Z) -> int:
@@ -48,21 +89,19 @@ def triples(rep) -> list[tuple]:
     return [(c.name, c.passed, c.witness) for c in rep.checks]
 
 
-def entry_mutants(cat):
-    """Every category that differs from cat in one J, chi, phi or iota
-    exponent, by every nonzero delta mod M."""
-    M = cat.M
-    j = [[list(r) for r in plane] for plane in cat.jtable]
-    chi = [[list(r) for r in plane] for plane in cat.chitable]
-    phi, iota = list(cat.phitable), list(cat.iotatable)
-    for row in [*(r for plane in j for r in plane), *(r for plane in chi for r in plane), phi, iota]:
-        for i, v in enumerate(row):
-            for delta in range(1, M):
-                row[i] = (v + delta) % M
-                yield pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, M,
-                                       jtable=j, phitable=phi, chitable=chi, iotatable=iota,
-                                       name=cat.name)
-            row[i] = v
+def entry_moved(cat, field: str, index, delta: int):
+    """cat with the exponent at `index` of the scalar table `field` moved by
+    delta mod M."""
+    return rebuilt(cat, **{field: moved(getattr(cat, field), index, delta, cat.M)})
+
+
+def entry_mutants(cat, fields=("jtable", "chitable", "phitable", "iotatable")):
+    """Every category that differs from cat in one exponent of the named
+    scalar tables, by every nonzero delta mod M."""
+    for field in fields:
+        for index in indices(getattr(cat, field)):
+            for delta in range(1, cat.M):
+                yield entry_moved(cat, field, index, delta)
 
 
 def table_mutants(table, size: int):
@@ -86,8 +125,8 @@ def mutation_pool() -> tuple[tuple[str, str, object], ...]:
     "center" a (category, simples) pair.  Each name says which entry the
     mutant changed; a repeated draw gets a "#k" suffix at its k-th
     occurrence, so the names are unique.  A draw that changes nothing (a
-    grading onto a trivial Gamma, an action on one label, a simple without
-    chi, M = 1) makes no mutant."""
+    grading onto a trivial Gamma, an action on one label, a scalar with
+    M = 1, a simple without chi) makes no mutant."""
     rng = random.Random(20260811)
     pool: list[tuple[str, str, object]] = []
     uses: collections.Counter[str] = collections.Counter()
@@ -99,80 +138,36 @@ def mutation_pool() -> tuple[tuple[str, str, object], ...]:
     def group_mutations(name, count):
         G = GROUPS[name]()
         for _ in range(count):
-            a, b = rng.randrange(G.order), rng.randrange(G.order)
-            delta = rng.randrange(1, G.order)
-            table = [list(r) for r in G.table]
-            table[a][b] = (table[a][b] + delta) % G.order
+            (a, b), table = randomly_moved(G.table, G.order, rng)
             add(f"group:{name}[{a}][{b}]", "group", (tuple(map(tuple, table)), G.identity))
 
     def pair_mutations(name, count):
         mp = pair(name)
         for _ in range(count):
-            which = rng.choice(("act1", "act2"))
-            act = mp.act1 if which == "act1" else mp.act2
-            size = mp.Gamma.order if which == "act1" else mp.G.order
-            i, j = rng.randrange(len(act)), rng.randrange(len(act[0]))
-            delta = rng.randrange(1, size)
-            a1, a2 = [list(r) for r in mp.act1], [list(r) for r in mp.act2]
-            mutated = a1 if which == "act1" else a2
-            mutated[i][j] = (mutated[i][j] + delta) % size
-            add(f"pair:{name}:{which}[{i}][{j}]", "pair", matched_pair(mp.G, mp.Gamma, a1, a2))
+            which, (i, j), mutant = action_mutant(mp, rng)
+            add(f"pair:{name}:{which}[{i}][{j}]", "pair", mutant)
 
     def braided_mutations(name, count):
         bmp = center_braiding(pair(name))
         for _ in range(count):
             which = rng.choice(("phi", "psi"))
-            i = rng.randrange(bmp.mp.Gamma.order)
-            delta = rng.randrange(1, bmp.mp.G.order)
-            images = {"phi": list(bmp.phi), "psi": list(bmp.psi)}
-            images[which][i] = (images[which][i] + delta) % bmp.mp.G.order
-            add(f"braided:{name}:{which}[{i}]", "braided",
-                BraidedMatchedPair(bmp.mp, tuple(images["phi"]), tuple(images["psi"])))
+            (i,), images = randomly_moved(getattr(bmp, which), bmp.mp.G.order, rng)
+            add(f"braided:{name}:{which}[{i}]", "braided", rebuilt(bmp, **{which: images}))
 
     def category_mutations(name, count):
         cat = category(name)
-        n, ng, M = cat.Lambda.order, cat.G.order, cat.M
-        kinds = ["action", "grading"]
-        if any(v for plane in cat.jtable for row in plane for v in row) or M > 1:
-            kinds += ["J", "chi", "phi", "iota"]
+        tables = {"action": ("action", cat.Lambda.order), "grading": ("grading", cat.Gamma.order),
+                  "J": ("jtable", cat.M), "chi": ("chitable", cat.M),
+                  "phi": ("phitable", cat.M), "iota": ("iotatable", cat.M)}
         for _ in range(count):
-            kind = rng.choice(kinds)
+            kind = rng.choice(list(tables))
             rng2 = random.Random(rng.random())
-            if (kind == "grading" and cat.Gamma.order == 1) or (kind == "action" and n == 1):
+            field, size = tables[kind]
+            if size == 1:
                 continue
-            action = [list(x) for x in cat.action]
-            grading = list(cat.grading)
-            j = [[list(x) for x in plane] for plane in cat.jtable]
-            chi = [[list(x) for x in plane] for plane in cat.chitable]
-            phi = list(cat.phitable)
-            iota = list(cat.iotatable)
-            if kind == "action":
-                g, l = rng2.randrange(ng), rng2.randrange(n)
-                action[g][l] = (action[g][l] + rng2.randrange(1, n)) % n
-                entry = (g, l)
-            elif kind == "grading":
-                l = rng2.randrange(n)
-                grading[l] = (grading[l] + rng2.randrange(1, cat.Gamma.order)) % cat.Gamma.order
-                entry = (l,)
-            elif kind == "J":
-                g, x, y = rng2.randrange(ng), rng2.randrange(n), rng2.randrange(n)
-                j[g][x][y] = (j[g][x][y] + rng2.randrange(1, M)) % M
-                entry = (g, x, y)
-            elif kind == "chi":
-                g, h, x = rng2.randrange(ng), rng2.randrange(ng), rng2.randrange(n)
-                chi[g][h][x] = (chi[g][h][x] + rng2.randrange(1, M)) % M
-                entry = (g, h, x)
-            elif kind == "phi":
-                g = rng2.randrange(ng)
-                phi[g] = (phi[g] + rng2.randrange(1, M)) % M
-                entry = (g,)
-            else:
-                l = rng2.randrange(n)
-                iota[l] = (iota[l] + rng2.randrange(1, M)) % M
-                entry = (l,)
+            entry, table = randomly_moved(getattr(cat, field), size, rng2)
             add(f"category:{name}:{kind}" + "".join(f"[{i}]" for i in entry), "category",
-                pointed_category(cat.Lambda, cat.mp, grading, action, M, jtable=j,
-                                 phitable=phi, chitable=chi, iotatable=iota))
+                rebuilt(cat, **{field: table}))
 
     def center_mutations(name, count):
         cat = category(name)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import category, duals_hold, mutation_pool, pair, renamed
+from conftest import category, duals_hold, entry_moved, mutation_pool, pair, rebuilt, renamed
 from crossedcat.braided import center_braiding, center_pair, turaev_braiding, verify_braiding
 from crossedcat.center import CenterStructure, enumerate_center, \
     relative_center_oracle, verify_center_braided
@@ -17,7 +17,7 @@ from crossedcat.errors import GroupValidationError
 from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.groups import cyclic, dihedral, symmetric, validate_group
 from crossedcat.matched import from_exact_factorization, verify_matched_pair, zappa_szep
-from crossedcat.pointed import pointed_category, verify_crossed_category
+from crossedcat.pointed import verify_crossed_category
 from crossedcat.words import verify_coherence
 
 
@@ -75,10 +75,10 @@ def test_criterion_4_turaev_degeneration():
     # checks: the twisted label compatibility is the automorphism law
     cat = category("cocycle-chi")  # Gamma trivial fixture
     ok = ok and verify_crossed_category(cat).passed
-    bad_action = [[0, 1], [1, 0]]  # sends unit to non-unit: not an automorphism
-    mut = pointed_category(cat.Lambda, cat.mp, cat.grading, bad_action, cat.M)
+    # sends unit to non-unit: not an automorphism; chi stays cocycle-chi's
+    mut = rebuilt(cat, action=[[0, 1], [1, 0]])
     witness = {c.name: c.witness for c in verify_crossed_category(mut).checks}
-    ok = ok and witness["action_fixes_unit"] == (1,)
+    ok = ok and mut.chitable == cat.chitable and witness["action_fixes_unit"] == (1,)
     ok = ok and witness["axiom2_object_compat"] == (1, 0, 0)
     _line(4, ok, "Turaev braidings pass for Z2/S3/D4; Gamma-trivial verifier = action checks")
 
@@ -145,10 +145,7 @@ def test_criterion_7_duals():
 def test_criterion_8_coherence():
     ok = all(verify_coherence(category(name)).passed for name in CATEGORIES)
     # injected single-entry chi mutation is detected
-    base = category("cocycle-chi")
-    chi = [[list(r) for r in plane] for plane in base.chitable]
-    chi[1][0][1] = 1
-    mut = pointed_category(base.Lambda, base.mp, base.grading, base.action, base.M, chitable=chi)
+    mut = entry_moved(category("cocycle-chi"), "chitable", (1, 0, 1), 1)
     ok = ok and not verify_coherence(mut).passed
     _line(8, ok, "every critical branching commutes on all fixtures, and an injected chi "
                  "mutation is detected")

@@ -17,16 +17,16 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURE_DIR, category, pair, triples, unit_index
+from conftest import FIXTURE_DIR, category, indices, moved, pair, rebuilt, triples, unit_index
 from crossedcat import braided, groups, jsonio
 from crossedcat.center import CenterStructure, verify_center_braided
 from crossedcat.errors import CrossedCatError, GroupValidationError
-from crossedcat.braided import BraidedMatchedPair, braiding_witnesses, verify_braiding
+from crossedcat.braided import braiding_witnesses, verify_braiding
 from crossedcat.groups import (FiniteGroup, action_law_witness, cyclic, dihedral, direct_product,
                                generators, is_hom_image, subgroup_from_generators, symmetric,
                                trivial_group, twisted_hom_witness, validate_group)
 from crossedcat.matched import matched_pair, verify_matched_pair
-from crossedcat.pointed import pointed_category, verify_crossed_category
+from crossedcat.pointed import verify_crossed_category
 from crossedcat.report import VerificationReport
 from gauge import gauge, random_cochain
 from reference_sweeps import (BraidingLaws, CategoryLaws, first, reported_crossed_category,
@@ -162,7 +162,7 @@ def test_matched_pair_on_random_actions(name, data):
     mp = pair(name)
     a1 = _rows(data, mp.G, mp.Gamma, mp.act1)
     a2 = _rows(data, mp.Gamma, mp.G, mp.act2)
-    mut = matched_pair(mp.G, mp.Gamma, a1, a2)
+    mut = rebuilt(mp, act1=a1, act2=a2)
     assert triples(verify_matched_pair(mut)) == triples(reference_matched_pair(mut))
 
 
@@ -221,9 +221,7 @@ def test_category_on_random_action_tables(name, data):
         # gates axiom2_object_compat's certificate on grading_is_homomorphism
         grading[data.draw(st.integers(0, cat.Lambda.order - 1))] = \
             data.draw(st.integers(0, cat.Gamma.order - 1))
-    mut = pointed_category(cat.Lambda, cat.mp, grading, action, cat.M, jtable=cat.jtable,
-                           phitable=cat.phitable, chitable=cat.chitable,
-                           iotatable=cat.iotatable, name=name)
+    mut = rebuilt(cat, grading=grading, action=action, name=name)
     assert triples(verify_crossed_category(mut)) == triples(reported_crossed_category(mut))
 
 
@@ -232,8 +230,7 @@ def test_object_compat_certificate_needs_a_grading_homomorphism():
     can hold at the generators of Lambda and fail elsewhere, so the gate
     sweeps in full."""
     cat = category("vec-s4-pair")
-    grading = [*cat.grading[:5], 0]  # del(5) = 0
-    mut = pointed_category(cat.Lambda, cat.mp, grading, cat.action, cat.M, name="regraded")
+    mut = rebuilt(cat, grading=[*cat.grading[:5], 0], name="regraded")  # del(5) = 0
     L, law = mut.Lambda, CategoryLaws(mut).axiom2_object_compat
     ys = [L.identity, *generators(L.table, L.identity)]
     assert not any(law(*w) for w in itertools.product(mut.G.elements(), L.elements(), ys))
@@ -262,22 +259,18 @@ def _coboundary_shifted(cat, rng: random.Random):
            for y in L.elements()] for x in L.elements()] for g in G.elements()]
     chi = [[[(cat.chitable[g][h][x] + beta[h][x] - beta[Gt[g][h]][x] + beta[g][act[h][x]]) % M
              for x in L.elements()] for h in G.elements()] for g in G.elements()]
-    return pointed_category(L, cat.mp, cat.grading, act, M, jtable=j, phitable=cat.phitable,
-                            chitable=chi, iotatable=cat.iotatable, name=f"{cat.name}+d")
+    return rebuilt(cat, jtable=j, chitable=chi, name=f"{cat.name}+d")
 
 
 def _moved(cat, table: str, count: int, rng: random.Random):
     """`cat` with `count` distinct entries of its J or chi table moved by
     nonzero deltas."""
-    t = [[list(r) for r in plane] for plane in (cat.jtable if table == "J" else cat.chitable)]
-    cells = [(a, b, c) for a, plane in enumerate(t) for b, row in enumerate(plane)
-             for c in range(len(row))]
-    for a, b, c in rng.sample(cells, min(count, len(cells))):
-        t[a][b][c] = (t[a][b][c] + rng.randrange(1, cat.M)) % cat.M
-    j, chi = (t, cat.chitable) if table == "J" else (cat.jtable, t)
-    return pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, cat.M, jtable=j,
-                            phitable=cat.phitable, chitable=chi, iotatable=cat.iotatable,
-                            name=f"{cat.name}:{table}x{count}")
+    field = "jtable" if table == "J" else "chitable"
+    t = getattr(cat, field)
+    cells = indices(t)
+    for index in rng.sample(cells, min(count, len(cells))):
+        t = moved(t, index, rng.randrange(1, cat.M), cat.M)
+    return rebuilt(cat, **{field: t}, name=f"{cat.name}:{table}x{count}")
 
 
 COCYCLE_LAWS = ("axiom2_j_cocycle", "chi_cocycle")
@@ -309,7 +302,7 @@ def test_cocycle_certificates_need_a_right_action():
     generators and break it elsewhere, so the gates sweep in full."""
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-s4-pair.json")
     L = cat.Lambda
-    regraded = pointed_category(L, cat.mp, [*cat.grading[:5], 0], cat.action, cat.M)
+    regraded = rebuilt(cat, grading=[*cat.grading[:5], 0])
     shifted = _coboundary_shifted(regraded, random.Random(5))
     law = CategoryLaws(shifted).axiom2_j_cocycle
     zs = [L.identity, *generators(L.table, L.identity)]
@@ -320,10 +313,9 @@ def test_cocycle_certificates_need_a_right_action():
     assert {c.name: c.witness for c in rep.checks}["axiom2_j_cocycle"] == (1, 1, 1, 5)
 
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-turaev-s3.json")
-    G, act = cat.G, [list(row) for row in cat.action]
+    G, act = cat.G, list(cat.action)
     act[4] = [0, 3, 5, 2, 4, 1]  # 4 is no generator of G, and ^1(^2 1) != ^4 1
-    shifted = _coboundary_shifted(pointed_category(cat.Lambda, cat.mp, cat.grading, act, cat.M),
-                                  random.Random(1144))
+    shifted = _coboundary_shifted(rebuilt(cat, action=act), random.Random(1144))
     law = CategoryLaws(shifted).chi_cocycle
     assert not any(law(*w) for w in itertools.product(
         G.elements(), G.elements(), [G.identity, *generators(G.table, G.identity)],
@@ -355,7 +347,7 @@ def _noncomposing_equivariant_s3():
     L = cat.Lambda
     c = next(x for x in L.elements() if L.element_order(x) == 3)
     action = [list(L.elements()), [L.conj(c, x) for x in L.elements()]]
-    return pointed_category(L, cat.mp, cat.grading, action, cat.M, name="equivariant-s3:c3")
+    return rebuilt(cat, action=action, name="equivariant-s3:c3")
 
 
 @pytest.mark.parametrize("name", CATEGORY_FILES)
@@ -536,7 +528,7 @@ def test_braiding_axiom_1_needs_well_typed_braidings(monkeypatch):
     cat = category("z4-over-z2")
     Z = CenterStructure(cat)
     bmp = Z.induced
-    doubled = BraidedMatchedPair(bmp.mp, bmp.phi, bmp.phi)
+    doubled = rebuilt(bmp, psi=bmp.phi)
     center = Z.as_category()
     assert verify_braiding(doubled).passed and verify_crossed_category(center).passed
     T, act, grade, phi = Z.tensor_table, Z.action_table, Z.grade_table, bmp.phi
@@ -641,7 +633,7 @@ def test_passing_fixtures_run_no_full_sweep(monkeypatch):
         monkeypatch.setattr(module, "certified_sweep", counting)
     # a known-failing mutant sweeps in full, so the patch is live
     cat = category("vec-s4-pair")
-    mut = pointed_category(cat.Lambda, cat.mp, [*cat.grading[:5], 0], cat.action, cat.M)
+    mut = rebuilt(cat, grading=[*cat.grading[:5], 0])
     assert not verify_crossed_category(mut).passed
     assert full != []
     passing = []

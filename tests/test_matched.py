@@ -5,7 +5,9 @@ import re
 
 import pytest
 
-from conftest import pair, renamed
+from conftest import moved, pair, rebuilt, renamed
+from crossedcat import groups
+from crossedcat.braided import turaev_braiding
 from crossedcat.errors import NotMatched, ValidationError
 from crossedcat.fixtures import MATCHED_PAIRS
 from crossedcat.groups import (cyclic, dihedral, direct_product, is_hom_image,
@@ -23,6 +25,12 @@ def test_all_pairs_verify(name):
     assert verify_matched_pair(pair(name)).passed
 
 
+@pytest.mark.parametrize("name", ALL_PAIRS)
+def test_rebuilt_pair_names_no_field(name):
+    mp, bmp = pair(name), turaev_braiding(pair(name).G)
+    assert rebuilt(mp) == mp and rebuilt(bmp) == bmp
+
+
 def test_trivial_gamma_always_passes():
     mp = direct_pair(symmetric(3), trivial_group())
     assert verify_matched_pair(mp).passed
@@ -30,9 +38,7 @@ def test_trivial_gamma_always_passes():
 
 def test_corrupted_pair_reports_first_witness():
     mp = pair("z2-z3-inversion")
-    a1 = [list(r) for r in mp.act1]
-    a1[1][1] = (a1[1][1] + 1) % 3
-    bad = matched_pair(mp.G, mp.Gamma, a1, [list(r) for r in mp.act2])
+    bad = rebuilt(mp, act1=moved(mp.act1, (1, 1), 1, 3))
     rep = verify_matched_pair(bad)
     assert not rep.passed
     fail = rep.first_failure()
@@ -157,9 +163,12 @@ def test_turaev_pair_examples():
 
 
 @pytest.mark.parametrize("name", ALL_PAIRS)
-def test_round_trip_a_reextraction_is_identical(name):
+def test_round_trip_a_reextraction_is_identical(name, monkeypatch):
+    # the extracted subgroups are built without a group-law sweep, and
+    # still equal the fixture's validated groups
     mp = pair(name)
     H, eg, em = zappa_szep(mp)
+    monkeypatch.setattr(groups, "validate_group", lambda *a, **k: pytest.fail("group-law sweep"))
     mp2 = from_exact_factorization(H, list(eg), list(em))
     assert mp2 == renamed(mp, mp2)
 

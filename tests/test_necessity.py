@@ -26,7 +26,7 @@ import itertools
 
 import pytest
 
-from conftest import FIXTURE_DIR, category, pair, table_mutants
+from conftest import FIXTURE_DIR, category, entry_moved, pair, rebuilt, table_mutants
 from crossedcat import jsonio
 from crossedcat.braided import BraidedMatchedPair, verify_braiding
 from crossedcat.center import enumerate_center, verify_center_braided
@@ -50,18 +50,13 @@ def broken_act2() -> object:
 
 
 def _vec_z2z3(**tables):
-    base = vec_gamma(z2_on_z3_by_inversion(), 2)
-    return pointed_category(base.Lambda, base.mp, base.grading, base.action, 2, **tables)
+    return rebuilt(vec_gamma(z2_on_z3_by_inversion(), 2), **tables)
 
 
 def _center_input():
     # equivariant-s3 with iota moved at one label: it fails chi_units, so it
     # breaks verify_center_braided's precondition
-    cat = category("equivariant-s3")
-    iota = list(cat.iotatable)
-    iota[2] = (iota[2] + 1) % cat.M
-    return pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, cat.M,
-                            jtable=cat.jtable, chitable=cat.chitable, iotatable=iota)
+    return entry_moved(category("equivariant-s3"), "iotatable", (2,), 1)
 
 
 # report -> check -> a thunk giving the report on which that check alone fails
@@ -154,9 +149,9 @@ def _pairs():
     for name in MATCHED_PAIRS:
         mp = pair(name)
         for a1 in table_mutants(mp.act1, mp.Gamma.order):
-            yield matched_pair(mp.G, mp.Gamma, a1, mp.act2)
+            yield rebuilt(mp, act1=a1)
         for a2 in table_mutants(mp.act2, mp.G.order):
-            yield matched_pair(mp.G, mp.Gamma, mp.act1, a2)
+            yield rebuilt(mp, act2=a2)
 
 
 def _categories():
@@ -166,16 +161,10 @@ def _categories():
         yield pointed_category(Z2, direct_pair(Z2, ONE), [0, 0], action, 2)
     for path in sorted(FIXTURE_DIR.glob("cat-*.json")):
         cat = jsonio.load_category(path, validate=False)
-
-        def rebuilt(grading, action):
-            return pointed_category(cat.Lambda, cat.mp, grading, action, cat.M,
-                                    jtable=cat.jtable, phitable=cat.phitable,
-                                    chitable=cat.chitable, iotatable=cat.iotatable)
-
         for action in table_mutants(cat.action, cat.Lambda.order):
-            yield rebuilt(cat.grading, action)
+            yield rebuilt(cat, action=action)
         for (grading,) in table_mutants([cat.grading], cat.Gamma.order):
-            yield rebuilt(grading, cat.action)
+            yield rebuilt(cat, grading=grading)
 
 
 def test_unit_checks_never_fail_alone():

@@ -6,7 +6,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FIXTURE_DIR, category, duals_hold
+from conftest import (FIXTURE_DIR, category, duals_hold, entry_mutants, indices, moved, rebuilt,
+                      table_mutants)
 from crossedcat import jsonio
 from crossedcat.errors import ValidationError
 from crossedcat.fixtures import CATEGORIES
@@ -21,6 +22,17 @@ ALL_CATS = sorted(CATEGORIES)
 def test_all_fixture_categories_verify(name):
     rep = verify_crossed_category(category(name))
     assert rep.passed, rep.first_failure()
+
+
+@pytest.mark.parametrize("name", ALL_CATS)
+def test_rebuilt_replaces_only_the_named_fields(name):
+    cat = category(name)
+    assert rebuilt(cat) == cat
+    action = moved(cat.action, (0, 0), 1, cat.Lambda.order)
+    mut = rebuilt(cat, action=action)
+    assert mut.action == tuple(map(tuple, action))
+    assert (mut.jtable, mut.chitable, mut.phitable, mut.iotatable) == \
+        (cat.jtable, cat.chitable, cat.phitable, cat.iotatable)
 
 
 def test_vec_gamma_z2z3_shape():
@@ -60,8 +72,7 @@ def test_cocycle_j_found_by_brute_force_search():
     solutions = []
     for values in itertools.product((0, 2), repeat=4):
         j1 = [[values[0], values[1]], [values[2], values[3]]]
-        cand = pointed_category(base.Lambda, base.mp, base.grading, base.action, 4,
-                                jtable=[[[0, 0], [0, 0]], j1])
+        cand = rebuilt(base, jtable=[[[0, 0], [0, 0]], j1])
         if verify_crossed_category(cand).passed:
             solutions.append(tuple(values))
     assert (0, 0, 0, 0) in solutions
@@ -72,18 +83,11 @@ def test_cocycle_j_found_by_brute_force_search():
 def test_single_entry_mutations_detected():
     """Corrupting any single action or grading entry trips some axiom."""
     cat = category("z4-over-z2")
-    n = cat.Lambda.order
-    for g in cat.G.elements():
-        for l in range(n):
-            action = [list(r) for r in cat.action]
-            action[g][l] = (action[g][l] + 1) % n
-            mut = pointed_category(cat.Lambda, cat.mp, cat.grading, action, cat.M)
-            assert not verify_crossed_category(mut).passed
-    for l in range(n):
-        grading = list(cat.grading)
-        grading[l] = 1 - grading[l]
-        mut = pointed_category(cat.Lambda, cat.mp, grading, cat.action, cat.M)
-        assert not verify_crossed_category(mut).passed
+    muts = [*(rebuilt(cat, action=moved(cat.action, index, 1, cat.Lambda.order))
+              for index in indices(cat.action)),
+            *(rebuilt(cat, grading=moved(cat.grading, index, 1, cat.Gamma.order))
+              for index in indices(cat.grading))]
+    assert not any(verify_crossed_category(mut).passed for mut in muts)
 
 
 def test_unit_law_implied_by_chi_units_and_axiom3_j_chi():
@@ -95,22 +99,14 @@ def test_unit_law_implied_by_chi_units_and_axiom3_j_chi():
     broken = 0
     for path in sorted(FIXTURE_DIR.glob("cat-*.json")):
         cat = jsonio.load_category(path)
-        M, eL, eG = cat.M, cat.Lambda.identity, cat.G.identity
-        phi, iota = list(cat.phitable), list(cat.iotatable)
-        for row in (phi, iota):
-            for i, v in enumerate(row):
-                for delta in range(1, M):
-                    row[i] = (v + delta) % M
-                    mut = pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, M,
-                                           jtable=cat.jtable, phitable=phi,
-                                           chitable=cat.chitable, iotatable=iota)
-                    failed = {c.name for c in verify_crossed_category(mut).checks if not c.passed}
-                    assert failed, (path.name, i, delta)
-                    if (iota[eL] - phi[eG]) % M:
-                        broken += 1
-                        assert failed & {"chi_units", "axiom2_units", "axiom3_j_chi"}, \
-                            (path.name, i, delta)
-                row[i] = v
+        eL, eG = cat.Lambda.identity, cat.G.identity
+        for mut in entry_mutants(cat, ("phitable", "iotatable")):
+            failed = {c.name for c in verify_crossed_category(mut).checks if not c.passed}
+            where = (path.name, mut.phitable, mut.iotatable)
+            assert failed, where
+            if (mut.iotatable[eL] - mut.phitable[eG]) % cat.M:
+                broken += 1
+                assert failed & {"chi_units", "axiom2_units", "axiom3_j_chi"}, where
     assert broken
 
 
@@ -144,24 +140,13 @@ def test_dual_law_implied_by_object_compat_and_unit():
     broken = 0
     for path in sorted(FIXTURE_DIR.glob("cat-*.json")):
         cat = jsonio.load_category(path, validate=False)
-        n = cat.Lambda.order
-        for g in cat.G.elements():
-            for x in range(n):
-                for v in range(n):
-                    if v == cat.action[g][x]:
-                        continue
-                    action = [list(r) for r in cat.action]
-                    action[g][x] = v
-                    mut = pointed_category(cat.Lambda, cat.mp, cat.grading, action, cat.M,
-                                           jtable=cat.jtable, phitable=cat.phitable,
-                                           chitable=cat.chitable, iotatable=cat.iotatable)
-                    if duals_hold(mut):
-                        continue
-                    broken += 1
-                    failed = {c.name for c in verify_crossed_category(mut).checks
-                              if not c.passed}
-                    assert failed & {"axiom2_object_compat", "action_fixes_unit"}, \
-                        (path.name, g, x, v)
+        for action in table_mutants(cat.action, cat.Lambda.order):
+            mut = rebuilt(cat, action=action)
+            if duals_hold(mut):
+                continue
+            broken += 1
+            failed = {c.name for c in verify_crossed_category(mut).checks if not c.passed}
+            assert failed & {"axiom2_object_compat", "action_fixes_unit"}, (path.name, action)
     assert broken
 
 

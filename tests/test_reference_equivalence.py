@@ -16,14 +16,14 @@ import random
 
 import pytest
 
-from conftest import (FIXTURE_DIR, category, entry_mutants, mutation_pool, pair, table_mutants,
-                      triples, unit_index)
+from conftest import (FIXTURE_DIR, action_mutant, category, entry_mutants, mutation_pool, pair,
+                      randomly_moved, rebuilt, table_mutants, triples, unit_index)
 from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
 from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
 from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
-from crossedcat.matched import matched_pair, verify_matched_pair, zappa_szep
-from crossedcat.pointed import pointed_category, verify_crossed_category
+from crossedcat.matched import verify_matched_pair, zappa_szep
+from crossedcat.pointed import verify_crossed_category
 from gauge import gauge
 from reference_sweeps import (BraidingLaws, CategoryLaws, ReferenceCenter, ReferenceSwapLaws,
                               reference_center_braided, reference_center_braiding,
@@ -69,24 +69,12 @@ def test_induced_pairs(name):
     assert_same_pair_reports(bmp)
 
 
-def _action_mutants(mp, count: int, rng: random.Random):
-    """Single-entry mutants of the act1 and act2 tables of a matched pair."""
-    for _ in range(count):
-        which = rng.choice(("act1", "act2"))
-        a1 = [list(r) for r in mp.act1]
-        a2 = [list(r) for r in mp.act2]
-        act, size = (a1, mp.Gamma.order) if which == "act1" else (a2, mp.G.order)
-        i, j = rng.randrange(len(act)), rng.randrange(size)
-        act[i][j] = (act[i][j] + rng.randrange(1, size)) % size
-        yield matched_pair(mp.G, mp.Gamma, a1, a2)
-
-
 @pytest.mark.parametrize("name", ["turaev-s3", "s4-z4-s3"])
 def test_induced_pair_action_mutants(name):
-    bmp = center_braiding(pair(name))
-    for mut in _action_mutants(bmp.mp, 20, random.Random(f"induced:{name}")):
+    bmp, rng = center_braiding(pair(name)), random.Random(f"induced:{name}")
+    for _, _, mut in (action_mutant(bmp.mp, rng) for _ in range(20)):
         assert not verify_matched_pair(mut).passed
-        assert_same_pair_reports(BraidedMatchedPair(mut, bmp.phi, bmp.psi))
+        assert_same_pair_reports(rebuilt(bmp, mp=mut))
 
 
 @pytest.mark.parametrize("name", BRAIDED_FILES)
@@ -95,14 +83,10 @@ def test_braided_entry_mutants(name):
     in phi, psi, act1 or act2: the mutants small-inputs draws from."""
     bmp = jsonio.load_braided(FIXTURE_DIR / name)
     mp, G, M = bmp.mp, bmp.mp.G, bmp.mp.Gamma
-    mutants = [*(BraidedMatchedPair(mp, tuple(phi), bmp.psi)
-                 for (phi,) in table_mutants([bmp.phi], G.order)),
-               *(BraidedMatchedPair(mp, bmp.phi, tuple(psi))
-                 for (psi,) in table_mutants([bmp.psi], G.order)),
-               *(BraidedMatchedPair(matched_pair(G, M, a1, mp.act2), bmp.phi, bmp.psi)
-                 for a1 in table_mutants(mp.act1, M.order)),
-               *(BraidedMatchedPair(matched_pair(G, M, mp.act1, a2), bmp.phi, bmp.psi)
-                 for a2 in table_mutants(mp.act2, G.order))]
+    mutants = [*(rebuilt(bmp, phi=phi) for (phi,) in table_mutants([bmp.phi], G.order)),
+               *(rebuilt(bmp, psi=psi) for (psi,) in table_mutants([bmp.psi], G.order)),
+               *(rebuilt(bmp, mp=rebuilt(mp, act1=a1)) for a1 in table_mutants(mp.act1, M.order)),
+               *(rebuilt(bmp, mp=rebuilt(mp, act2=a2)) for a2 in table_mutants(mp.act2, G.order))]
     for mut in mutants:
         assert triples(verify_braiding(mut)) == triples(reported_braiding(mut))
 
@@ -138,7 +122,8 @@ def test_one_matching_sweep_per_pair(monkeypatch):
     assert verify_matched_pair(Z.induced.mp).input_digest is None
     assert len(calls) == 2
 
-    for mut in _action_mutants(Z.induced.mp, 5, random.Random("one-sweep")):
+    rng = random.Random("one-sweep")
+    for _, _, mut in (action_mutant(Z.induced.mp, rng) for _ in range(5)):
         before = len(calls)
         rep = verify_matched_pair(mut)
         assert len(calls) > before
@@ -231,24 +216,13 @@ def test_zero_flag_is_a_dense_scan():
 def _table_mutants(name: str, count: int, rng: random.Random):
     """Single-entry mutants of the J, chi and action tables of a center category."""
     zcat = CenterStructure(jsonio.load_category(FIXTURE_DIR / f"cat-{name}.json")).as_category()
-    n, ng, M = zcat.Lambda.order, zcat.G.order, zcat.M
+    tables = {"J": ("jtable", zcat.M), "chi": ("chitable", zcat.M),
+              "action": ("action", zcat.Lambda.order)}
     for _ in range(count):
-        j = [[list(r) for r in plane] for plane in zcat.jtable]
-        chi = [[list(r) for r in plane] for plane in zcat.chitable]
-        action = [list(r) for r in zcat.action]
-        kind = rng.choice(("J", "chi", "action"))
-        if kind == "J":
-            g, x, y = rng.randrange(ng), rng.randrange(n), rng.randrange(n)
-            j[g][x][y] = (j[g][x][y] + rng.randrange(1, M)) % M
-        elif kind == "chi":
-            g, h, x = rng.randrange(ng), rng.randrange(ng), rng.randrange(n)
-            chi[g][h][x] = (chi[g][h][x] + rng.randrange(1, M)) % M
-        else:
-            g, x = rng.randrange(ng), rng.randrange(n)
-            action[g][x] = (action[g][x] + rng.randrange(1, n)) % n
-        yield pointed_category(zcat.Lambda, zcat.mp, zcat.grading, action, M, jtable=j,
-                               phitable=zcat.phitable, chitable=chi,
-                               iotatable=zcat.iotatable, name=f"{zcat.name}:{kind}")
+        kind = rng.choice(list(tables))
+        field, size = tables[kind]
+        _, table = randomly_moved(getattr(zcat, field), size, rng)
+        yield rebuilt(zcat, **{field: table}, name=f"{zcat.name}:{kind}")
 
 
 @pytest.mark.parametrize("name,count", [("vec-turaev-s3", 2), ("vec-s4-pair", 18)])
@@ -348,7 +322,7 @@ def test_one_braiding_statement_on_tables_and_derived_maps(name):
     Z, R = CenterStructure(cat), ReferenceCenter(cat)
     assert Z.simples == R.simples
     bmp, counts = Z.induced, []
-    for braided in (bmp, BraidedMatchedPair(bmp.mp, bmp.phi, bmp.phi)):
+    for braided in (bmp, rebuilt(bmp, psi=bmp.phi)):
         tables = BraidingLaws.on_tables(len(Z.simples), Z.braid_table, Z.tensor_table,
                                         Z.action_table, Z.grade_table, Z.j_table, Z.chi_table,
                                         braided, cat.M)

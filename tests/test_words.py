@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import FIXTURE_DIR, category, entry_mutants, pair
+from conftest import FIXTURE_DIR, category, entry_moved, entry_mutants, pair, rebuilt
 from crossedcat import jsonio
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from crossedcat.words import (BRANCHINGS, Act, Hole, Tensor, Unit, check_coherence, composites,
@@ -25,33 +25,13 @@ def test_print_word_examples():
     assert print_word(Act(0, Act(2, Tensor(Unit(), Hole(1))))) == "0<2<(1 * _1)>>"
 
 
-def _mutant(cat, **tables):
-    """cat with the given scalar tables replaced."""
-    return pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, cat.M,
-                            **{"jtable": cat.jtable, "chitable": cat.chitable,
-                               "phitable": cat.phitable, "iotatable": cat.iotatable, **tables},
-                            name="mutated")
-
-
-def _entry_moved(cat, table: str, g: int, x: int, y: int, delta: int):
-    """cat with table[g][x][y] moved by delta."""
-    t = [[list(r) for r in plane] for plane in getattr(cat, table)]
-    t[g][x][y] = (t[g][x][y] + delta) % cat.M
-    return _mutant(cat, **{table: t})
-
-
 def _axiom3_square_mutant():
-    cat = category("cocycle-chi")
-    j = [[list(r) for r in plane] for plane in cat.jtable]
-    j[1][1][1] = (j[1][1][1] + 1) % cat.M
-    return _mutant(cat, jtable=j)
+    return entry_moved(category("cocycle-chi"), "jtable", (1, 1, 1), 1)
 
 
 def _chi_unit_mutant():
-    cat = category("cocycle-chi")
-    chi = [[list(r) for r in plane] for plane in cat.chitable]
-    chi[1][0][1] = 1  # unit-coherence entry
-    return _mutant(cat, chitable=chi)
+    # a unit-coherence entry, 0 in cocycle-chi
+    return entry_moved(category("cocycle-chi"), "chitable", (1, 0, 1), 1)
 
 
 # -- the exact check by critical branchings
@@ -98,7 +78,7 @@ def test_branching_witness_follows_the_j_twist():
     # J(1) at (_1, _2) with _2 of label 1 acts by 2 on _1, and the outer J(1)
     # then by 3
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-s4-pair.json")
-    failure = verify_coherence(_entry_moved(cat, "jtable", 1, 0, 1, 1)).first_failure()
+    failure = verify_coherence(entry_moved(cat, "jtable", (1, 0, 1), 1)).first_failure()
     assert (failure.name, failure.witness) == ("chi/J", (
         (0, 1), "1<1<(_1 * _2)>>",
         "chi(1,1)@(_1 * _2) . ~J(2)@(_1,_2)",
@@ -222,8 +202,7 @@ def _unit_normal(cat, rng, M: int = 5):
            for g in range(ng)]
     j = [[[0 if eL in (x, y) else rng.randrange(M) for y in range(n)] for x in range(n)]
          for _ in range(ng)]
-    return pointed_category(cat.Lambda, cat.mp, cat.grading, cat.action, M,
-                            jtable=j, chitable=chi)
+    return rebuilt(cat, M=M, jtable=j, chitable=chi, phitable=[0] * ng, iotatable=[0] * n)
 
 
 @pytest.mark.parametrize("name", CATEGORY_FILES)
@@ -255,7 +234,7 @@ def test_chi_j_branching_drops_unit_terms():
         for g in mp.G.elements():
             for z in mp.Gamma.elements():
                 j[g][eL][z] = j[g][z][eL] = chi[g][e][z] = chi[e][g][z] = 0
-        cats.append(pointed_category(mp.Gamma, mp, grading, mp.act1, 5, jtable=j, chitable=chi))
+        cats.append(rebuilt(cats[0], jtable=j, chitable=chi))
         assert [sum((diff == 0) != (residue == 0) for diff, residue in _chi_j_against_axiom3(c))
                 for c in cats] == [disagree, 0], name
 
@@ -340,7 +319,7 @@ def _pinned_walk(name, entry, max_nodes, objects):
     """check_coherence on a fixture, or on it with one entry moved, and the
     first 16 hex digits of the SHA-256 of its checks' JSON."""
     cat = jsonio.load_category(FIXTURE_DIR / f"cat-{name}.json")
-    rep = check_coherence(_entry_moved(cat, *entry) if entry else cat, max_nodes, objects)
+    rep = check_coherence(entry_moved(cat, *entry) if entry else cat, max_nodes, objects)
     body = json.dumps([c.to_json() for c in rep.checks], sort_keys=True)
     return rep, hashlib.sha256(body.encode()).hexdigest()[:16]
 
@@ -354,15 +333,15 @@ def _pinned_walk(name, entry, max_nodes, objects):
 PASSED = "a8023f209292cc36"
 PINNED_WALKS = [
     ("vec-s4-pair", None, 7, (0, 1), (7327, 19246, 16, 13077), PASSED),
-    ("vec-s4-pair", ("jtable", 1, 0, 1, 1), 7, (0, 1), (7327, 19246, 1, None),
+    ("vec-s4-pair", ("jtable", (1, 0, 1), 1), 7, (0, 1), (7327, 19246, 1, None),
      "7009cd10365ff73a"),
-    ("vec-s4-pair", ("jtable", 1, 0, 5, 1), 7, (0, 5), (7327, 19246, 1, None),
+    ("vec-s4-pair", ("jtable", (1, 0, 5), 1), 7, (0, 5), (7327, 19246, 1, None),
      "9fe8ef6901d7e8de"),
-    ("vec-s4-pair", ("chitable", 1, 2, 3, 1), 5, (3,), (593, 1706, 1, None),
+    ("vec-s4-pair", ("chitable", (1, 2, 3), 1), 5, (3,), (593, 1706, 1, None),
      "53adf64e3604e21c"),
     ("z4-over-z2", None, 6, (1, 2), (228, 468, 4, 295), PASSED),
-    ("z6-over-z3", ("chitable", 1, 1, 4, 3), 5, (4,), (115, 302, 1, None), "d697fb39bf8ed8aa"),
-    ("cocycle-j", ("jtable", 1, 0, 1, 1), 6, (1,), (441, 1498, 1, None), "d862cc1b27b4f4bd"),
+    ("z6-over-z3", ("chitable", (1, 1, 4), 3), 5, (4,), (115, 302, 1, None), "d697fb39bf8ed8aa"),
+    ("cocycle-j", ("jtable", (1, 0, 1), 1), 6, (1,), (441, 1498, 1, None), "d862cc1b27b4f4bd"),
 ]
 
 
@@ -376,16 +355,13 @@ def test_walk_matches_the_pinned_skeleton(name, entry, max_nodes, objects, stats
 def test_coherence_deepest_witness_paths():
     # turaev-s3 over one object is the fixtures' largest graph at budget 6,
     # and the witness's two composites are the longest any test walks
-    rep, got = _pinned_walk("vec-turaev-s3", ("chitable", 1, 2, 3, 1), 6, (3,))
+    rep, got = _pinned_walk("vec-turaev-s3", ("chitable", (1, 2, 3), 1), 6, (3,))
     assert (rep.stats["words"], rep.stats["edges"]) == (14829, 57282)
     assert [len(path.split(" . ")) for path in rep.checks[0].witness[3:]] == [73, 50]
     assert got == "89e18b66954be8e2"
 
 
 def test_coherence_independent_cycles_unknown_after_mismatch():
-    cat = category("cocycle-j")
-    j = [[list(r) for r in plane] for plane in cat.jtable]
-    j[1][0][1] = (j[1][0][1] + 1) % cat.M
-    rep = check_coherence(_mutant(cat, jtable=j), 6, (1,))
+    rep = check_coherence(entry_moved(category("cocycle-j"), "jtable", (1, 0, 1), 1), 6, (1,))
     assert not rep.passed
     assert rep.stats["independent_cycles"] is None
