@@ -231,7 +231,7 @@ def center_pair(mp: MatchedPair) -> MatchedPair:
     """The induced matched pair (G><Gamma, G x Gamma), from the combined
     formulas in the module docstring.
 
-    zappa_szep raises NotMatched unless mp is a matched pair.  The induced
+    zappa_szep raises ValidationError unless mp is a matched pair.  The induced
     pair of a matched pair is matched (the main theorem), so it is returned
     without a verification sweep; verify_braiding reports on it.
     """

@@ -3,9 +3,11 @@
 Exit codes: 0 all checks pass, 1 an axiom fails (report carries the
 witness), 2 the input or the command line cannot be parsed or validated at
 all, or the report cannot be written, 3 a fault in crossedcat itself (any
-exception that is not a CrossedCatError or an OSError).  Reports are JSON
-with sorted keys and no timestamps, so identical inputs produce
-byte-identical output; --pretty renders the same data for humans.
+exception that is not a CrossedCatError or an OSError).  Exits 0 and 1 are
+the value a command returns with its report; `main` turns exceptions into
+2 and 3 only.  Reports are JSON with sorted keys and no timestamps, so
+identical inputs produce byte-identical output; --pretty renders the same
+data for humans.
 
 Every command runs in a fresh process, and on desk-scale inputs start-up is
 most of its time.  So each command imports the modules it runs inside its
@@ -29,7 +31,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .errors import CrossedCatError, GroupValidationError, NotMatched, ValidationError
+from .errors import CrossedCatError, GroupValidationError, ValidationError
 from .records import Record
 
 if TYPE_CHECKING:
@@ -90,8 +92,11 @@ def cmd_verify(kind: str, file: str, pretty: bool) -> int:
 
 def cmd_zappa_szep(file: str, out: str, pretty: bool) -> int:
     from . import jsonio
-    from .matched import zappa_szep
+    from .matched import verify_matched_pair, zappa_szep
     mp = jsonio.load_matched(file)
+    rep = verify_matched_pair(mp)
+    if not rep.passed:   # the pair's own report, without a digest; -o is not written
+        return _emit(rep, pretty)
     H, _, _ = zappa_szep(mp)
     text = jsonio.write_json(jsonio.group_to_json(H), out)
     written = jsonio.group_from_json(json.loads(text))  # re-validates all group laws
@@ -134,7 +139,11 @@ def cmd_turaev(file: str, out: str, pretty: bool) -> int:
 def cmd_center_pair(file: str, out: str, pretty: bool) -> int:
     from . import jsonio
     from .braided import center_braiding, verify_braiding
+    from .matched import verify_matched_pair
     mp = jsonio.load_matched(file)
+    rep = verify_matched_pair(mp)
+    if not rep.passed:
+        return _emit(rep, pretty)
     return _save_and_verify(mp, out, pretty, center_braiding(mp), jsonio.braided_to_json,
                             jsonio.braided_from_json, verify_braiding)
 
@@ -353,15 +362,10 @@ def _error(exc: Exception) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    pretty = False
     try:
         try:
             run, kwargs = parse_args(sys.argv[1:] if argv is None else argv)
-            pretty = kwargs["pretty"]
             return run(**kwargs)
-        except NotMatched as exc:
-            print(exc.report.render(pretty=pretty))
-            return 1
         finally:
             _flush_stdout()
     except (CrossedCatError, OSError) as exc:

@@ -1,8 +1,9 @@
 """Exception types shared across the library, one per way a caller handles
 a failure: the CLI exits 2 on ValidationError (and on any other
-CrossedCatError), reports a GroupValidationError's witness under
-`verify group`, and prints a NotMatched's report with exit 1.  Any other
-exception is a program error, which the CLI exits 3 on."""
+CrossedCatError) and reports a GroupValidationError's witness under
+`verify group`.  Any other exception is a program error, which the CLI
+exits 3 on.  A failed axiom is never an exception to the CLI: a command
+returns exit 1 with the report it printed."""
 
 from __future__ import annotations
 
@@ -26,12 +27,4 @@ class GroupValidationError(CrossedCatError):
     def __init__(self, message: str, witness: tuple):
         self.witness = witness
         super().__init__(message)
-
-
-class NotMatched(CrossedCatError):
-    """A matched-pair precondition failed; carries the offending report."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(f"matched-pair verification failed: {report.first_failure()}")
 

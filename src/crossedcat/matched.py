@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import NotMatched, ValidationError
+from .errors import ValidationError
 from .groups import (FiniteGroup, Table, action_law_witness, frozen, in_range,
                      subgroup_as_group, twisted_hom_witness, unit_witness)
 from .records import Record
@@ -112,14 +112,15 @@ def zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, tuple[int, ...], tuple[int
 
     (g, s)(g', s') = (g * (s |>2 g'^-1)^-1, (g'^-1 |>1 s) * s').
 
-    Raises NotMatched unless mp is a matched pair.  The product of a matched
-    pair is a group, with (g s)^-1 = s^-1 g^-1 and the two factors embedded
-    as subgroups, so the result is built without a group-law sweep;
-    group_from_json re-validates the product that `zappa-szep` writes.
+    Raises ValidationError, naming the first failing check and its witness,
+    unless mp is a matched pair.  The product of a matched pair is a group,
+    with (g s)^-1 = s^-1 g^-1 and the two factors embedded as subgroups, so
+    the result is built without a group-law sweep; group_from_json
+    re-validates the product that `zappa-szep` writes.
     """
     rep = verify_matched_pair(mp)
     if not rep.passed:
-        raise NotMatched(rep)
+        raise ValidationError(f"matched-pair verification failed: {rep.first_failure()}")
     G, M = mp.G, mp.Gamma
     m, Gt, Mt, Ginv, Minv = M.order, G.table, M.table, G.inverses, M.inverses
     a1, a2 = mp.act1, mp.act2

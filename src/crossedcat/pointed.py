@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import NotMatched, ValidationError
+from .errors import ValidationError
 from .groups import (FiniteGroup, Table, action_law_witness, certified_sweep, frozen,
                      in_range, is_hom_image, twisted_hom_witness, unit_witness)
 from .matched import MatchedPair, verify_matched_pair
@@ -127,10 +127,11 @@ def pointed_category(Lambda: FiniteGroup, mp: MatchedPair, grading: Sequence[int
 
 def vec_gamma(mp: MatchedPair, M: int, name: Optional[str] = None) -> PointedCrossedCategory:
     """Graded vector spaces over Gamma: Lambda = Gamma, identity grading,
-    the G-action is |>1 on labels, and every structure scalar is one."""
-    pre = verify_matched_pair(mp)
-    if not pre.passed:
-        raise NotMatched(pre)
+    the G-action is |>1 on labels, and every structure scalar is one.
+    Raises ValidationError, as zappa_szep does, unless mp is a matched pair."""
+    rep = verify_matched_pair(mp)
+    if not rep.passed:
+        raise ValidationError(f"matched-pair verification failed: {rep.first_failure()}")
     Gamma = mp.Gamma
     return pointed_category(Gamma, mp, tuple(Gamma.elements()), mp.act1, M,
                             name=name or f"Vec[{Gamma.name}]")

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from crossedcat.braided import BraidedMatchedPair
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle
-from crossedcat.errors import GroupValidationError, NotMatched, ValidationError
+from crossedcat.errors import GroupValidationError, ValidationError
 from crossedcat.groups import FiniteGroup, direct_product
 from crossedcat.matched import MatchedPair, matched_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category
@@ -171,7 +171,7 @@ def reference_zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, tuple[int, ...],
     """
     rep = reference_matched_pair(mp)
     if not rep.passed:
-        raise NotMatched(rep)
+        raise ValidationError(f"matched-pair verification failed: {rep.first_failure()}")
     G, M = mp.G, mp.Gamma
     Gt, Ginv, Mt, a1, a2 = G.table, G.inverses, M.table, mp.act1, mp.act2
     n = G.order * M.order
@@ -290,7 +290,7 @@ def _one_sided_actions(mp: MatchedPair):
 
 
 def reference_center_pair(mp: MatchedPair) -> MatchedPair:
-    """The induced matched pair (G><Gamma, G x Gamma); raises NotMatched unless mp is one."""
+    """The induced matched pair (G><Gamma, G x Gamma); raises ValidationError unless mp is one."""
     G, M = mp.G, mp.Gamma
     GP, _, _ = reference_zappa_szep(mp)           # elements g*|Gamma| + s
     GXM = direct_product(G, M)          # elements h*|Gamma| + t
@@ -313,7 +313,7 @@ def reference_center_pair(mp: MatchedPair) -> MatchedPair:
     out = matched_pair(GP, GXM, a1, a2)
     rep = reference_matched_pair(out)
     if not rep.passed:
-        raise NotMatched(rep)
+        raise ValidationError(f"matched-pair verification failed: {rep.first_failure()}")
     return out
 
 

@@ -15,7 +15,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import FIXTURE_DIR, category, indices, moved, pair, rebuilt, triples, unit_index
 from crossedcat import braided, groups, jsonio
@@ -40,7 +40,10 @@ PAIRS = ["trivial-pair", "direct-z2-z2", "turaev-z2", "turaev-s3", "s3-factorize
 CATEGORIES = ["vec-z2z3", "z4-over-z2", "z6-over-z3", "cocycle-j", "equivariant-s3",
               "vec-z3-gtrivial"]
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
-SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+# each test draws from its own explicit seed, with no example database, so
+# that editing a test's body keeps the inputs it checks (derandomize=True
+# would seed the draws from the test's source text)
+SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
 
 def outcome(fn, *args):
@@ -79,6 +82,7 @@ def reached(table, identity: int, gens) -> set[int]:
 # -- the generator routine
 
 @SETTINGS
+@seed(1)
 @given(G=relabelled(), data=st.data())
 def test_generators_reach_every_member(G, data):
     gens = generators(G.table, G.identity)
@@ -94,6 +98,7 @@ def test_generators_reach_every_member(G, data):
 
 
 @SETTINGS
+@seed(2)
 @given(n=st.integers(1, 6), data=st.data())
 def test_generators_reach_every_element_of_a_magma_with_identity(n, data):
     e = data.draw(st.integers(0, n - 1))
@@ -112,6 +117,7 @@ def _associative(table) -> bool:
 
 
 @SETTINGS
+@seed(3)
 @given(n=st.integers(2, 6), data=st.data())
 def test_light_on_random_tables_with_identity(n, data):
     e = data.draw(st.integers(0, n - 1))
@@ -126,6 +132,7 @@ def test_light_on_random_tables_with_identity(n, data):
 
 
 @SETTINGS
+@seed(4)
 @given(G=relabelled(), data=st.data())
 def test_light_on_group_tables_with_one_entry_changed(G, data):
     table = [list(row) for row in G.table]
@@ -155,6 +162,7 @@ def _rows(data, K: FiniteGroup, X: FiniteGroup, base) -> list[list[int]]:
 
 
 @SETTINGS
+@seed(5)
 @given(name=st.sampled_from(PAIRS), data=st.data())
 def test_matched_pair_on_random_actions(name, data):
     # when one table is kept and the other drawn, the matching relation
@@ -185,6 +193,7 @@ def test_matching_certificate_needs_a_left_action_back():
 # -- homomorphisms
 
 @SETTINGS
+@seed(6)
 @given(source=relabelled(), target=relabelled(), data=st.data())
 def test_hom_image_on_random_images(source, target, data):
     kind = data.draw(st.sampled_from(["maps", "trivial", "entry"]))
@@ -199,6 +208,7 @@ def test_hom_image_on_random_images(source, target, data):
 
 
 @SETTINGS
+@seed(7)
 @given(G=relabelled(), data=st.data())
 def test_hom_image_on_automorphisms_with_one_entry_changed(G, data):
     # conjugation by a drawn element is a homomorphism G -> G
@@ -211,7 +221,8 @@ def test_hom_image_on_automorphisms_with_one_entry_changed(G, data):
 
 # -- categories: action composition and the object-level axiom 2
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(SETTINGS, max_examples=150)
+@seed(8)
 @given(name=st.sampled_from(CATEGORIES), data=st.data())
 def test_category_on_random_action_tables(name, data):
     cat = category(name)

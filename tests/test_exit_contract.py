@@ -1,13 +1,13 @@
 """The CLI's exit-code contract on hostile input.
 
-For any JSON value handed to `verify {group,matched-pair,braided-pair,
-category}` or `center`, and for any command line: the exit code is 0, 1 or
-2 and no exception escapes `main`; exit 1 prints a report naming a failing
-check with a witness; exit 2 prints `{"error": ...}` on stderr.  `main`
-picks the code from the exception's type alone, so each type of
-`crossedcat.errors` is pinned to its code and each refusal to its type.
-Any other exception is a fault in crossedcat and exits 3, whichever layer
-raises it.
+For any JSON value handed to a command that reads a file, and for any
+command line: the exit code is 0, 1 or 2 and no exception escapes `main`;
+exit 1 prints a report naming a failing check with a witness; exit 2
+prints `{"error": ...}` on stderr.  Exits 0 and 1 are a command's own
+return value, and `main` picks 2 or 3 from the exception's type alone, so
+each type of `crossedcat.errors` is pinned to its code and each refusal to
+its type.  Any other exception is a fault in crossedcat and exits 3,
+whichever layer raises it.
 """
 
 from __future__ import annotations
@@ -29,20 +29,27 @@ from conftest import FIXTURE_DIR
 from crossedcat import errors, jsonio
 from crossedcat.center import CenterStructure, verify_center_braided
 from crossedcat.cli import main, parse_args
-from crossedcat.errors import GroupValidationError, NotMatched, ValidationError
+from crossedcat.errors import GroupValidationError, ValidationError
 from crossedcat.groups import cyclic, subgroup_from_generators, trivial_group, validate_group
 from crossedcat.matched import direct_pair, from_exact_factorization
 from crossedcat.pointed import pointed_category, vec_gamma
 from crossedcat.report import VerificationReport
 
-# each command with small fixtures of its format, which finish quickly
+# each command that reads a file, with small fixtures of its format, which
+# finish quickly; the commands in WRITES also get -o into the input's directory
 COMMANDS = {
     ("verify", "group"): ["group-z3", "group-s3"],
     ("verify", "matched-pair"): ["z2-z3-inversion"],
     ("verify", "braided-pair"): ["turaev-z2-braided"],
     ("verify", "category"): ["cat-vec-z2z3", "cat-z4-over-z2"],
+    ("verify", "center"): ["cat-vec-z2z3", "cat-z4-over-z2"],
     ("center",): ["cat-vec-z2z3", "cat-z4-over-z2"],
+    ("coherence", "--category"): ["cat-vec-z2z3", "cat-z4-over-z2"],
+    ("zappa-szep",): ["z2-z3-inversion"],
+    ("center-pair",): ["z2-z3-inversion"],
+    ("turaev",): ["group-z3", "group-s3"],
 }
+WRITES = {("zappa-szep",), ("center-pair",), ("turaev",)}
 
 # field names of every file format, so that objects reach past the first lookup
 KEYS = ["table", "identity", "name", "order", "G", "Gamma", "act1", "act2", "side1", "side2",
@@ -118,13 +125,17 @@ def assert_contract(command: tuple[str, ...], data: bytes) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         path.write_bytes(data)
+        argv = [*command, str(path)]
+        if command in WRITES:
+            argv += ["-o", str(Path(tmp) / "out.json")]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = main([*command, str(path)])
+            code = main(argv)
     assert code in (0, 1, 2)
     if code == 1:
         report = json.loads(out.getvalue())
-        assert any(not c["pass"] and c.get("witness") is not None for c in report["checks"])
+        checks = report["failures"] if command[0] == "coherence" else report["checks"]
+        assert any(not c["pass"] and c.get("witness") is not None for c in checks)
     if code == 2:
         assert out.getvalue() == ""
         assert "error" in json.loads(err.getvalue().strip().splitlines()[-1])
@@ -285,8 +296,7 @@ def test_huge_modulus_keeps_the_exit_code_contract(command):
 def test_errors_defines_one_type_per_way_a_caller_handles_it():
     defined = {name for name, value in vars(errors).items()
                if isinstance(value, type) and value.__module__ == errors.__name__}
-    assert defined == {"CrossedCatError", "ValidationError", "GroupValidationError",
-                       "NotMatched"}
+    assert defined == {"CrossedCatError", "ValidationError", "GroupValidationError"}
 
 
 def _z8_over_trivial_groups():
@@ -341,7 +351,7 @@ def _without(obj: dict, key: str) -> dict:
      ValidationError, "braided-pair object missing field 'psi'", None),
     (lambda: parse_args(["coherence", "--category"]), ValidationError,
      "coherence: --category needs a value", None),
-    (lambda: vec_gamma(jsonio.matched_from_json(_pair(("act1", 1, 2), 2)), 2), NotMatched,
+    (lambda: vec_gamma(jsonio.matched_from_json(_pair(("act1", 1, 2), 2)), 2), ValidationError,
      "matched-pair verification failed: act1_is_left_action at [1, 1, 1]", None),
     (lambda: _z4_over_z2_with_section((0, 2)), ValidationError,
      "section value 2 has degree 0, wanted 1", None),
@@ -390,6 +400,8 @@ def _pair(keys: tuple, value) -> dict:
      "element 1 has no two-sided inverse", None),
     (lambda p: ["zappa-szep", _written(p, _pair(("act1", 1, 2), 2)), "-o", str(p / "out.json")],
      1, None, {"name": "act1_is_left_action", "pass": False, "witness": [1, 1, 1]}),
+    (lambda p: ["center-pair", _written(p, _pair(("act1", 1, 2), 2)), "-o", str(p / "out.json")],
+     1, None, {"name": "act1_is_left_action", "pass": False, "witness": [1, 1, 1]}),
     (lambda p: ["verify", "center", str(FIXTURE_DIR / "cat-nonsurjective.json")], 2,
      "grading not surjective: no simple of degree 1", None),
     (lambda p: ["center", str(FIXTURE_DIR / "cat-nonsurjective.json"), "-o",
@@ -408,8 +420,8 @@ def _pair(keys: tuple, value) -> dict:
     (lambda p: ["zappa-szep", _written(p, _pair(("G", "name"), None)), "-o",
                 str(p / "out.json")], 2, "group name must be a string", None),
 ], ids=["bad-table", "group-law", "group-law-in-pair", "zappa-szep-not-matched",
-        "verify-center-nonsurjective", "center-nonsurjective", "factorize-not-exact",
-        "factorize-orders", "braided-without-psi", "option-without-value",
+        "center-pair-not-matched", "verify-center-nonsurjective", "center-nonsurjective",
+        "factorize-not-exact", "factorize-orders", "braided-without-psi", "option-without-value",
         "zappa-szep-name-null"])
 def test_each_type_keeps_its_exit_code(tmp_path, argv, code, error, failing):
     out, err = io.StringIO(), io.StringIO()

@@ -8,7 +8,7 @@ import pytest
 from conftest import moved, pair, rebuilt, renamed
 from crossedcat import groups
 from crossedcat.braided import turaev_braiding
-from crossedcat.errors import NotMatched, ValidationError
+from crossedcat.errors import ValidationError
 from crossedcat.fixtures import MATCHED_PAIRS
 from crossedcat.groups import (cyclic, dihedral, direct_product, is_hom_image,
                                subgroup_from_generators, symmetric, trivial_group,
@@ -44,7 +44,7 @@ def test_corrupted_pair_reports_first_witness():
     fail = rep.first_failure()
     assert fail.witness is not None and len(fail.witness) >= 2
     # the refusal names the check and witness as load_category's does
-    with pytest.raises(NotMatched) as exc:
+    with pytest.raises(ValidationError) as exc:
         zappa_szep(bad)
     assert str(exc.value) == "matched-pair verification failed: act1_is_left_action at [1, 1, 1]"
 
