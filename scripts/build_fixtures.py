@@ -6,13 +6,14 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crossedcat import jsonio  # noqa: E402
 from crossedcat.braided import center_braiding, turaev_braiding  # noqa: E402
-from crossedcat.fixtures import CATEGORIES, GROUPS, MATCHED_PAIRS, nonsingular_violation  # noqa: E402
+from fixture_builders import CATEGORIES, GROUPS, MATCHED_PAIRS, nonsingular_violation  # noqa: E402
 
-OUT = Path(__file__).resolve().parent.parent / "fixtures"
+OUT = ROOT / "fixtures"
 
 
 def main() -> None:

@@ -14,10 +14,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from crossedcat.center import CenterStructure, verify_center_braided  # noqa: E402
-from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES  # noqa: E402
+from fixture_builders import CATEGORIES, CENTER_FIXTURES  # noqa: E402
 
 
 def main() -> None:

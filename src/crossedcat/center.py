@@ -166,8 +166,9 @@ class CenterStructure:
     """The center with its tensor, two actions, swap scalars, and braiding,
     built on `cat` gauged by unit_normal.
 
-    `section` maps each Gamma-degree to a chosen homogeneous label (default:
-    least label per fiber); a label is split by it only in half_braiding,
+    `section` maps each Gamma-degree to a chosen homogeneous label, the unit
+    label at the trivial degree (default: cat.least_section, the least label
+    of every other fiber); a label is split by it only in half_braiding,
     which the other tables read.  All scalars are exponents mod cat.M.
     `input_simples` is the caller's list (default: enumerate_center of the
     input), and `simples` that list moved into the gauge by chi + u0[g]|_N,

@@ -86,13 +86,15 @@ class PointedCrossedCategory(Record):
         return {s: tuple(v) for s, v in out.items()}
 
     def least_section(self) -> tuple[int, ...]:
-        """Least label in each grading fiber; the default family zeta.  The one
+        """The default family zeta: Lambda's identity at Gamma's identity, and
+        the least label of the fiber at every other degree.  The one
         nonsingularity check: raises ValidationError at the first degree
         with no label."""
         missing = next((s for s in self.Gamma.elements() if not self.fibers[s]), None)
         if missing is not None:
             raise ValidationError(f"grading not surjective: no simple of degree {missing}")
-        return tuple(min(self.fibers[s]) for s in self.Gamma.elements())
+        eGamma, eL = self.Gamma.identity, self.Lambda.identity
+        return tuple(eL if s == eGamma else min(self.fibers[s]) for s in self.Gamma.elements())
 
 
 def pointed_category(Lambda: FiniteGroup, mp: MatchedPair, grading: Sequence[int],

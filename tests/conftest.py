@@ -13,10 +13,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from crossedcat.braided import BraidedMatchedPair, braided_pair, center_braiding  # noqa: E402
 from crossedcat.center import CenterSimple, enumerate_center  # noqa: E402
-from crossedcat.fixtures import CATEGORIES, GROUPS, MATCHED_PAIRS  # noqa: E402
 from crossedcat.groups import FiniteGroup  # noqa: E402
 from crossedcat.matched import MatchedPair, matched_pair  # noqa: E402
 from crossedcat.pointed import PointedCrossedCategory, pointed_category  # noqa: E402
+from fixture_builders import CATEGORIES, GROUPS, MATCHED_PAIRS  # noqa: E402
 
 FIXTURE_DIR = ROOT / "fixtures"
 
@@ -39,6 +39,51 @@ def rebuilt(record, **fields):
     build = {PointedCrossedCategory: pointed_category, MatchedPair: matched_pair,
              BraidedMatchedPair: braided_pair}[type(record)]
     return build(**{**{name: getattr(record, name) for name in record._fields}, **fields})
+
+
+def carried(table, axes, values=None) -> tuple:
+    """The nested table, as tuples, with the entry at (i, j, ...) moved to (axes[0][i],
+    axes[1][j], ...) and, when `values` is given, renamed to values[entry]."""
+    if not axes:
+        return table if values is None else values[table]
+    out = [None] * len(table)
+    for i, row in enumerate(table):
+        out[axes[0][i]] = carried(row, axes[1:], values)
+    return tuple(out)
+
+
+def relabeled(record, perms):
+    """`record`, a matched pair or a category, with the labels of its groups
+    renamed: perms[0][g] is the new label of g in G, perms[1] renames Gamma
+    and, for a category, perms[2] renames Lambda.  Every table is carried
+    across: the group tables, identities and inverses, both actions, and
+    the grading, action, J, chi, phi and iota of a category."""
+    def group(H, p):
+        return FiniteGroup(H.order, carried(H.table, (p, p), p), p[H.identity],
+                           carried(H.inverses, (p,), p), H.name)
+
+    if isinstance(record, MatchedPair):
+        pG, pS = perms
+        return rebuilt(record, G=group(record.G, pG), Gamma=group(record.Gamma, pS),
+                       act1=carried(record.act1, (pG, pS), pS),
+                       act2=carried(record.act2, (pS, pG), pG))
+    pG, pS, pL = perms
+    return rebuilt(record, Lambda=group(record.Lambda, pL), mp=relabeled(record.mp, (pG, pS)),
+                   grading=carried(record.grading, (pL,), pS),
+                   action=carried(record.action, (pG, pL), pL),
+                   jtable=carried(record.jtable, (pG, pL, pL)),
+                   phitable=carried(record.phitable, (pG,)),
+                   chitable=carried(record.chitable, (pG, pG, pL)),
+                   iotatable=carried(record.iotatable, (pL,)))
+
+
+def random_perms(record, rng: random.Random) -> tuple[list[int], ...]:
+    """A random relabeling of each group of a matched pair or category, in
+    the order relabeled takes them."""
+    groups = [record.G, record.Gamma]
+    if isinstance(record, PointedCrossedCategory):
+        groups.append(record.Lambda)
+    return tuple(rng.sample(range(H.order), H.order) for H in groups)
 
 
 def indices(table) -> list[tuple[int, ...]]:

@@ -58,8 +58,9 @@ def _kept(chain):
 
 class DerivedCenter:
     """The seven structure maps of the center of a unit-normal `cat`
-    (phi = iota = 0), on CenterSimple points, over `section` (default: the
-    least label per Gamma-fiber).  Scalars are exponents mod cat.M."""
+    (phi = iota = 0), on CenterSimple points, over `section` (default:
+    cat.least_section, the unit label at the trivial degree and the least
+    label of every other Gamma-fiber).  Scalars are exponents mod cat.M."""
 
     def __init__(self, cat: PointedCrossedCategory, section: Optional[Sequence[int]] = None):
         if any(cat.phitable) or any(cat.iotatable):

@@ -1,8 +1,9 @@
 """Named desk-scale fixtures: groups, matched pairs, and categories.
 
-Every entry is rebuilt from first principles on demand; scripts/build_fixtures.py
-serializes them under fixtures/ and the test suite asserts that each one
-passes its module's verifier.
+Every entry is rebuilt from first principles on demand.  The test suite
+asserts that each one passes its module's verifier, and
+scripts/build_fixtures.py, which puts tests/ on sys.path, serializes them
+under fixtures/.  No module of the package imports them.
 """
 
 from __future__ import annotations
@@ -10,10 +11,11 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .groups import (FiniteGroup, cyclic, dihedral, direct_product, subgroup_from_generators,
-                     symmetric, trivial_group)
-from .matched import MatchedPair, direct_pair, from_exact_factorization, matched_pair, turaev_pair
-from .pointed import PointedCrossedCategory, pointed_category, vec_gamma
+from crossedcat.groups import (FiniteGroup, cyclic, dihedral, direct_product,
+                               subgroup_from_generators, symmetric, trivial_group)
+from crossedcat.matched import (MatchedPair, direct_pair, from_exact_factorization, matched_pair,
+                                turaev_pair)
+from crossedcat.pointed import PointedCrossedCategory, pointed_category, vec_gamma
 
 
 def z2_on_z3_by_inversion() -> MatchedPair:

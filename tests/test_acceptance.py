@@ -14,11 +14,11 @@ from crossedcat.braided import center_braiding, center_pair, turaev_braiding, ve
 from crossedcat.center import CenterStructure, enumerate_center, \
     relative_center_oracle, verify_center_braided
 from crossedcat.errors import GroupValidationError
-from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.groups import cyclic, dihedral, symmetric, validate_group
 from crossedcat.matched import from_exact_factorization, verify_matched_pair, zappa_szep
 from crossedcat.pointed import verify_crossed_category
 from crossedcat.words import verify_coherence
+from fixture_builders import CATEGORIES, CENTER_FIXTURES, MATCHED_PAIRS
 
 
 def _line(n: int, ok: bool, text: str) -> None:

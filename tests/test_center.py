@@ -15,10 +15,10 @@ from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
                                relative_center_oracle, verify_center_braided)
 from crossedcat.cli import main
 from crossedcat.errors import ValidationError
-from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES, nonsingular_violation
 from crossedcat.groups import cyclic, direct_product, trivial_group
 from crossedcat.matched import direct_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
+from fixture_builders import CATEGORIES, CENTER_FIXTURES, nonsingular_violation
 from gauge import gauge, random_cochain
 from reference_sweeps import ReferenceCenter
 

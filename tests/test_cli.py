@@ -859,7 +859,7 @@ def test_build_fixtures_reproduces_every_fixture(fixture_dir, tmp_path, monkeypa
 def test_center_survey_script_verifies_every_center(fixture_dir):
     import subprocess
     import sys
-    from crossedcat.fixtures import CENTER_FIXTURES
+    from fixture_builders import CENTER_FIXTURES
     script = fixture_dir.parent / "scripts" / "center_survey.py"
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                           timeout=120)

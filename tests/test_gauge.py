@@ -19,11 +19,11 @@ from conftest import FIXTURE_DIR, category, triples
 from crossedcat import jsonio
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
                                relative_center_oracle, unit_normal, verify_center_braided)
-from crossedcat.fixtures import CATEGORIES, CENTER_FIXTURES
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
 from crossedcat.pointed import pointed_category, verify_crossed_category
 from crossedcat.words import verify_coherence
+from fixture_builders import CATEGORIES, CENTER_FIXTURES
 from gauge import gauge, random_cochain
 from reference_sweeps import ReferenceCenter, reference_center_braided
 

@@ -9,12 +9,12 @@ from conftest import moved, pair, rebuilt, renamed
 from crossedcat import groups
 from crossedcat.braided import turaev_braiding
 from crossedcat.errors import ValidationError
-from crossedcat.fixtures import MATCHED_PAIRS
 from crossedcat.groups import (cyclic, dihedral, direct_product, is_hom_image,
                                subgroup_from_generators, symmetric, trivial_group,
                                validate_group)
 from crossedcat.matched import (direct_pair, from_exact_factorization, matched_pair,
                                 turaev_pair, verify_matched_pair, zappa_szep)
+from fixture_builders import MATCHED_PAIRS
 
 ALL_PAIRS = ["trivial-pair", "direct-z2-z2", "z2-z3-inversion", "s3-factorized",
              "s4-z4-s3", "d4-z4-z2", "turaev-z2", "turaev-s3", "turaev-d4"]
@@ -175,7 +175,7 @@ def test_round_trip_a_reextraction_is_identical(name, monkeypatch):
 
 def factorization(name):
     """The group a fixture pair factors and its two subgroup lists, as
-    src/crossedcat/fixtures.py builds them."""
+    tests/fixture_builders.py builds them."""
     if name == "s3-factorized":
         S3 = symmetric(3)
         perms = sorted(itertools.permutations(range(3)))

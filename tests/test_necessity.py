@@ -30,10 +30,10 @@ from conftest import FIXTURE_DIR, category, entry_moved, pair, rebuilt, table_mu
 from crossedcat import jsonio
 from crossedcat.braided import BraidedMatchedPair, verify_braiding
 from crossedcat.center import enumerate_center, verify_center_braided
-from crossedcat.fixtures import MATCHED_PAIRS, z2_on_z3_by_inversion
 from crossedcat.groups import cyclic, symmetric, trivial_group
 from crossedcat.matched import direct_pair, matched_pair, verify_matched_pair
 from crossedcat.pointed import pointed_category, vec_gamma, verify_crossed_category
+from fixture_builders import MATCHED_PAIRS, z2_on_z3_by_inversion
 
 Z2, Z3, Z4, Z7, ONE, S3 = cyclic(2), cyclic(3), cyclic(4), cyclic(7), trivial_group(), symmetric(3)
 SWAP_1_2 = (0, 2, 1, 3)  # an involution of the set Z4 that is no automorphism

@@ -10,10 +10,10 @@ from conftest import (FIXTURE_DIR, category, duals_hold, entry_mutants, indices,
                       table_mutants)
 from crossedcat import jsonio
 from crossedcat.errors import ValidationError
-from crossedcat.fixtures import CATEGORIES
 from crossedcat.groups import cyclic, trivial_group
 from crossedcat.matched import direct_pair
 from crossedcat.pointed import pointed_category, verify_crossed_category
+from fixture_builders import CATEGORIES
 
 ALL_CATS = sorted(CATEGORIES)
 

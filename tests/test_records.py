@@ -104,7 +104,7 @@ def test_repr_lists_fields_in_order():
 
 
 def test_cached_property_still_works_on_a_record():
-    from crossedcat.fixtures import CATEGORIES
+    from fixture_builders import CATEGORIES
     a, b = CATEGORIES["z4-over-z2"](), CATEGORIES["z4-over-z2"]()
     assert a.fibers is a.fibers
     assert a == b and hash(a) == hash(b)

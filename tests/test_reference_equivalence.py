@@ -21,9 +21,9 @@ from conftest import (FIXTURE_DIR, action_mutant, category, entry_mutants, mutat
 from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
 from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
-from crossedcat.fixtures import CENTER_FIXTURES, MATCHED_PAIRS
 from crossedcat.matched import verify_matched_pair, zappa_szep
 from crossedcat.pointed import verify_crossed_category
+from fixture_builders import CENTER_FIXTURES, MATCHED_PAIRS
 from gauge import gauge
 from reference_sweeps import (BraidingLaws, CategoryLaws, ReferenceCenter, ReferenceSwapLaws,
                               reference_center_braided, reference_center_braiding,
