@@ -66,13 +66,6 @@ class FiniteGroup(Record):
     def elements(self) -> range:
         return range(self.order)
 
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
-        while x != self.identity:
-            x = self.table[x][a]
-            n += 1
-        return n
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 

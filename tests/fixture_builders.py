@@ -18,6 +18,15 @@ from crossedcat.matched import (MatchedPair, direct_pair, from_exact_factorizati
 from crossedcat.pointed import PointedCrossedCategory, pointed_category, vec_gamma
 
 
+
+def element_order(G: FiniteGroup, a: int) -> int:
+    """The least n >= 1 with a^n the identity of G."""
+    n, x = 1, a
+    while x != G.identity:
+        x = G.table[x][a]
+        n += 1
+    return n
+
 def z2_on_z3_by_inversion() -> MatchedPair:
     Z2, Z3 = cyclic(2), cyclic(3)
     a1 = [[s for s in range(3)], [(-s) % 3 for s in range(3)]]
@@ -48,9 +57,9 @@ def s4_z4_s3() -> MatchedPair:
 def d4_z4_z2() -> MatchedPair:
     """D4 = <rotation> . <reflection>, sizes (4, 2)."""
     D4 = dihedral(4)
-    rot = next(a for a in D4.elements() if D4.element_order(a) == 4)
+    rot = next(a for a in D4.elements() if element_order(D4, a) == 4)
     ref = next(a for a in D4.elements()
-               if D4.element_order(a) == 2 and a not in subgroup_from_generators(D4, [rot]))
+               if element_order(D4, a) == 2 and a not in subgroup_from_generators(D4, [rot]))
     return from_exact_factorization(D4, subgroup_from_generators(D4, [rot]),
                                     subgroup_from_generators(D4, [ref]))
 
@@ -139,7 +148,7 @@ def equivariant_s3() -> PointedCrossedCategory:
     only on one coset per degree: the center keeps just the unit label at
     the trivial degree and the transposition at the other."""
     S3 = symmetric(3)
-    t12 = next(a for a in S3.elements() if S3.element_order(a) == 2)
+    t12 = next(a for a in S3.elements() if element_order(S3, a) == 2)
     mp = direct_pair(cyclic(2), trivial_group())
     action = [[l for l in S3.elements()],
               [S3.conj(t12, l) for l in S3.elements()]]

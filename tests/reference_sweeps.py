@@ -16,11 +16,16 @@ core proves from its other checks instead of reporting them.
 tests/derived_center.py, which composes them with `words.normal_form` and
 never with center.py's chains.
 
-Each law of a crossed category (`CategoryLaws`), of the center's braiding
-(`BraidingLaws`) and of the swap scalars (`ReferenceSwapLaws`) is stated
-once here, as its residue at a witness tuple: zero (or False) where it
-holds.  The reports sweep those statements in witness order through
-`first`; the certificate, restatement and branching tests read the same
+Each law is stated once here, as its residue at its witness tuple: zero
+(or False) where it holds.  The group laws are `GroupLaws`, the
+homomorphism law `homomorphism`; the laws of a matched pair, a braided
+pair, a crossed category, the center's braiding and the swap scalars are
+`PairLaws`, `BraidedPairLaws`, `CategoryLaws`, `BraidingLaws` and
+`ReferenceSwapLaws`.  Every reference check of a law, and every group-law
+witness raised, is `first` over one of those statements in witness order;
+a check that gates on another report reads that report's first failure,
+and `oracle_equivalence` finds its first difference with `first` too.  The
+certificate, restatement, relabeling and branching tests read the same
 statements rather than write a law out again.  The statements call only
 each other, never the code they are compared with, so that
 tests/test_reference_equivalence.py can require the table-driven core to
@@ -31,7 +36,8 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from crossedcat.braided import BraidedMatchedPair
 from crossedcat.center import CenterSimple, enumerate_center, relative_center_oracle
@@ -43,7 +49,74 @@ from crossedcat.report import VerificationReport, run_checks
 from derived_center import DerivedCenter
 
 
+def first(law: Callable[..., object], domain: Iterable[tuple]) -> Callable[[], Optional[tuple]]:
+    """The check that sweeps `domain` in order: the first tuple at which
+    `law`'s residue is nonzero (or True), or None."""
+    def check() -> Optional[tuple]:
+        for w in domain:
+            if law(*w):
+                return w
+        return None
+    return check
+
+
+class Laws:
+    """The laws of a record, each an attribute named as its check (a
+    method, or a function bound at construction) that returns its residue
+    at a witness tuple: zero (or False) where it holds.  AXES lists the
+    checks in report order, each with its witness axes: one tuple per part
+    of its sweep, the parts swept in turn.  An axis is a group of the
+    record, swept in element order; "<group>.identity", its identity alone;
+    or a tuple of side tags, which vary fastest."""
+
+    AXES: dict[str, list[tuple]] = {}
+
+    def __init__(self, **groups: FiniteGroup):
+        self.axis = {}
+        for name, H in groups.items():
+            self.axis[name], self.axis[f"{name}.identity"] = H.elements(), (H.identity,)
+
+    def domain(self, name: str) -> Iterator[tuple]:
+        """The witness tuples of check `name`, in sweep order."""
+        return itertools.chain(*map(self._part, self.AXES[name]))
+
+    def _part(self, axes: tuple) -> Iterator[tuple]:
+        # sweep with the tag axes fastest, then put each tuple in witness order
+        tags = [i for i, a in enumerate(axes) if isinstance(a, tuple)]
+        if not tags:
+            return itertools.product(*map(self.axis.__getitem__, axes))
+        order = [i for i in range(len(axes)) if i not in tags] + tags
+        tuples = itertools.product(*[self.axis.get(axes[i], axes[i]) for i in order])
+        return map(itemgetter(*map(order.index, range(len(axes)))), tuples)
+
+    def checks(self) -> list[tuple[str, Callable[[], Optional[tuple]]]]:
+        """(name, `first` over its domain) per check, in report order."""
+        return [(name, first(getattr(self, name), self.domain(name))) for name in self.AXES]
+
+
 # -- group laws
+
+class GroupLaws:
+    """The group laws of the Cayley table t with identity e, each its
+    residue at its witness tuple: False where it holds."""
+
+    def __init__(self, t: Sequence[Sequence[int]], e: Optional[int]):
+        self.t, self.e = t, e
+
+    def identity(self, e: int, a: int) -> bool:
+        return self.t[e][a] != a or self.t[a][e] != a
+
+    def associativity(self, a: int, b: int, c: int) -> bool:
+        t = self.t
+        return t[t[a][b]][c] != t[a][t[b][c]]
+
+    def inverse_of(self, a: int) -> Optional[tuple]:
+        t, e = self.t, self.e
+        return first(lambda b: t[a][b] == e and t[b][a] == e, zip(range(len(t))))()
+
+    def inverse(self, a: int) -> bool:
+        return self.inverse_of(a) is None
+
 
 def reference_validate_group(table: Sequence[Sequence[int]], identity: Optional[int] = None,
                              name: str = "G") -> FiniteGroup:
@@ -63,104 +136,95 @@ def reference_validate_group(table: Sequence[Sequence[int]], identity: Optional[
         for x in row:
             if not (0 <= x < n):
                 raise ValidationError(f"entry {x} out of range 0..{n - 1}")
+    Ts, product = range(n), itertools.product
     if identity is None:
-        identity = next((e for e in range(n)
-                         if all(t[e][a] == a and t[a][e] == a for a in range(n))), -1)
-        if identity < 0:
+        # the first e at which the identity law holds everywhere
+        unit = GroupLaws(t, None).identity
+        found = first(lambda e: first(unit, product([e], Ts))() is None, zip(Ts))()
+        if found is None:
             raise GroupValidationError("element -1 is not an identity (fails at 0)", (-1, 0))
+        identity = found[0]
     elif not 0 <= identity < n:
         raise ValidationError(f"identity {identity} out of range 0..{n - 1}")
-    else:
-        for a in range(n):
-            if t[identity][a] != a or t[a][identity] != a:
-                raise GroupValidationError(
-                    f"element {identity} is not an identity (fails at {a})", (identity, a))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise GroupValidationError(
-                        f"associativity fails at (a,b,c)=({a},{b},{c})", (a, b, c))
-    inverses = []
-    for a in range(n):
-        b = next((b for b in range(n) if t[a][b] == identity and t[b][a] == identity), -1)
-        if b < 0:
-            raise GroupValidationError(f"element {a} has no two-sided inverse", (a,))
-        inverses.append(b)
-    return FiniteGroup(n, t, identity, tuple(inverses), name)
+    laws = GroupLaws(t, identity)
+    for law, domain, message in [
+            (laws.identity, product([identity], Ts), "element {} is not an identity (fails at {})"),
+            (laws.associativity, product(Ts, Ts, Ts), "associativity fails at (a,b,c)=({},{},{})"),
+            (laws.inverse, zip(Ts), "element {} has no two-sided inverse")]:
+        witness = first(law, domain)()
+        if witness is not None:
+            raise GroupValidationError(message.format(*witness), witness)
+    return FiniteGroup(n, t, identity, tuple(laws.inverse_of(a)[0] for a in Ts), name)
+
+
+def homomorphism(source: FiniteGroup, target: FiniteGroup,
+                 image: Sequence[int]) -> Callable[[int, int], bool]:
+    """The homomorphism law of the map `image` from source to target: its
+    residue at (a, b), False where it holds."""
+    St, Tt = source.table, target.table
+    return lambda a, b: image[St[a][b]] != Tt[image[a]][image[b]]
 
 
 def reference_is_hom_image(source: FiniteGroup, target: FiniteGroup,
                            image: Sequence[int]) -> Optional[tuple]:
     """Witness (a, b) where the hom law fails, or None."""
-    St, Tt = source.table, target.table
-    for a in source.elements():
-        for b in source.elements():
-            if image[St[a][b]] != Tt[image[a]][image[b]]:
-                return (a, b)
-    return None
+    domain = itertools.product(source.elements(), repeat=2)
+    return first(homomorphism(source, target, image), domain)()
 
 
 # -- matched and braided pairs
 
+class PairLaws(Laws):
+    """The six matched-pair laws of `mp`.  Each law of one action mirrors
+    the other's, so each is stated once, for K acting on X by `act`, with X
+    acting back on K by `back`, and bound once per side."""
+
+    AXES = {
+        "act1_is_left_action": [("G.identity", "Gamma"), ("G", "G", "Gamma")],
+        "act2_is_left_action": [("Gamma.identity", "G"), ("Gamma", "Gamma", "G")],
+        "act1_fixes_unit": [("G",)],
+        "act2_fixes_unit": [("Gamma",)],
+        "matching_relation_1": [("G", "Gamma", "Gamma")],
+        "matching_relation_2": [("Gamma", "G", "G")],
+    }
+
+    def __init__(self, mp: MatchedPair):
+        super().__init__(G=mp.G, Gamma=mp.Gamma)
+        G, M = mp.G, mp.Gamma
+        self.act1_is_left_action, self.act1_fixes_unit, self.matching_relation_1 = self.one_side(
+            G.table, M.table, M.identity, mp.act1, mp.act2)
+        self.act2_is_left_action, self.act2_fixes_unit, self.matching_relation_2 = self.one_side(
+            M.table, G.table, G.identity, mp.act2, mp.act1)
+
+    @staticmethod
+    def one_side(Kt, Xt, eX, act, back) -> tuple[Callable[..., bool], ...]:
+        def left_action(k: int, l: int, x: Optional[int] = None) -> bool:
+            # k |> (l |> x) = kl |> x; at (e, x), two arguments, e fixes x
+            if x is None:
+                return act[k][l] != l
+            return act[k][act[l][x]] != act[Kt[k][l]][x]
+
+        def fixes_unit(k: int) -> bool:
+            return act[k][eX] != eX
+
+        def matching_relation(k: int, x: int, y: int) -> bool:
+            # k |> (x y) = ((y |>back k) |> x)(k |> y)
+            return act[k][Xt[x][y]] != Xt[act[back[y][k]][x]][act[k][y]]
+
+        return left_action, fixes_unit, matching_relation
+
+
 def reference_matched_pair(mp: MatchedPair) -> VerificationReport:
-    """All matched-pair axioms, exhaustively; first lexicographic witness per axiom."""
-    G, M = mp.G, mp.Gamma
-    Gt, Mt, a1, a2 = G.table, M.table, mp.act1, mp.act2
-    rep = VerificationReport(subject="matched-pair")
-
-    def act1_action() -> Optional[tuple]:
-        for s in M.elements():
-            if a1[G.identity][s] != s:
-                return (G.identity, s)
-        for g, h, s in itertools.product(G.elements(), G.elements(), M.elements()):
-            if a1[g][a1[h][s]] != a1[Gt[g][h]][s]:
-                return (g, h, s)
-        return None
-
-    def act2_action() -> Optional[tuple]:
-        for g in G.elements():
-            if a2[M.identity][g] != g:
-                return (M.identity, g)
-        for s, t, g in itertools.product(M.elements(), M.elements(), G.elements()):
-            if a2[s][a2[t][g]] != a2[Mt[s][t]][g]:
-                return (s, t, g)
-        return None
-
-    def unit1() -> Optional[tuple]:
-        for g in G.elements():
-            if a1[g][M.identity] != M.identity:
-                return (g,)
-        return None
-
-    def unit2() -> Optional[tuple]:
-        for s in M.elements():
-            if a2[s][G.identity] != G.identity:
-                return (s,)
-        return None
-
-    def match1() -> Optional[tuple]:
-        # g |>1 (s t) = ((t |>2 g) |>1 s)(g |>1 t)
-        for g, s, t in itertools.product(G.elements(), M.elements(), M.elements()):
-            if a1[g][Mt[s][t]] != Mt[a1[a2[t][g]][s]][a1[g][t]]:
-                return (g, s, t)
-        return None
-
-    def match2() -> Optional[tuple]:
-        # s |>2 (g h) = ((h |>1 s) |>2 g)(s |>2 h)
-        for s, g, h in itertools.product(M.elements(), G.elements(), G.elements()):
-            if a2[s][Gt[g][h]] != Gt[a2[a1[h][s]][g]][a2[s][h]]:
-                return (s, g, h)
-        return None
-
-    return run_checks(rep, [
-        ("act1_is_left_action", act1_action),
-        ("act2_is_left_action", act2_action),
-        ("act1_fixes_unit", unit1),
-        ("act2_fixes_unit", unit2),
-        ("matching_relation_1", match1),
-        ("matching_relation_2", match2),
-    ])
+    """All matched-pair axioms, exhaustively; first lexicographic witness per
+    axiom (PairLaws).  Each record is swept once: its checks are kept on it
+    under the reference's own attribute, as verify_matched_pair keeps its
+    own, and each call returns a fresh report."""
+    checks = getattr(mp, "_reference_verdict", None)
+    if checks is None:
+        rep = run_checks(VerificationReport(subject="matched-pair"), PairLaws(mp).checks())
+        checks = tuple(rep.checks)
+        object.__setattr__(mp, "_reference_verdict", checks)
+    return VerificationReport(subject="matched-pair", checks=list(checks))
 
 
 def reference_zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, tuple[int, ...], tuple[int, ...]]:
@@ -174,17 +238,11 @@ def reference_zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, tuple[int, ...],
         raise ValidationError(f"matched-pair verification failed: {rep.first_failure()}")
     G, M = mp.G, mp.Gamma
     Gt, Ginv, Mt, a1, a2 = G.table, G.inverses, M.table, mp.act1, mp.act2
-    n = G.order * M.order
+    n, m = G.order * M.order, M.order
     table = [[0] * n for _ in range(n)]
-    for g in G.elements():
-        for s in M.elements():
-            row = table[g * M.order + s]
-            for g2 in G.elements():
-                gi = Ginv[g2]
-                first_g = Gt[g][Ginv[a2[s][gi]]]
-                s_twist = a1[gi][s]
-                for s2 in M.elements():
-                    row[g2 * M.order + s2] = first_g * M.order + Mt[s_twist][s2]
+    for g, s, g2, s2 in itertools.product(G.elements(), M.elements(), G.elements(), M.elements()):
+        gi = Ginv[g2]
+        table[g * m + s][g2 * m + s2] = Gt[g][Ginv[a2[s][gi]]] * m + Mt[a1[gi][s]][s2]
     H = reference_validate_group(table, G.identity * M.order + M.identity, f"{G.name}><{M.name}")
     embed_g = tuple(g * M.order + M.identity for g in G.elements())
     embed_m = tuple(G.identity * M.order + s for s in M.elements())
@@ -193,65 +251,52 @@ def reference_zappa_szep(mp: MatchedPair) -> tuple[FiniteGroup, tuple[int, ...],
     return H, embed_g, embed_m
 
 
+class BraidedPairLaws(Laws):
+    """The laws of the braided pair `bmp` on its matched pair: phi and psi
+    are homomorphisms Gamma -> G (`homomorphism`), and the five braiding
+    axioms."""
+
+    AXES = {
+        "phi_is_homomorphism": [("Gamma", "Gamma")],
+        "psi_is_homomorphism": [("Gamma", "Gamma")],
+        "braiding_axiom_1": [("Gamma", "Gamma")],
+        "braiding_axiom_2": [("Gamma", "G")],
+        "braiding_axiom_3": [("Gamma", "G")],
+        "braiding_axiom_4": [("Gamma", "Gamma")],
+        "braiding_axiom_5": [("Gamma", "Gamma")],
+    }
+
+    def __init__(self, bmp: BraidedMatchedPair):
+        mp, phi, psi = bmp.mp, bmp.phi, bmp.psi
+        super().__init__(G=mp.G, Gamma=mp.Gamma)
+        Gt, Mt, a1, a2 = mp.G.table, mp.Gamma.table, mp.act1, mp.act2
+        self.phi_is_homomorphism = homomorphism(mp.Gamma, mp.G, phi)
+        self.psi_is_homomorphism = homomorphism(mp.Gamma, mp.G, psi)
+
+        def braiding_axiom_1(s: int, t: int) -> bool:
+            # (phi(s) |>1 t) s = (psi(t) |>1 s) t
+            return Mt[a1[phi[s]][t]][s] != Mt[a1[psi[t]][s]][t]
+
+        def compatible(f: Sequence[int]) -> Callable[[int, int], bool]:
+            # axioms 2 and 3, f = phi and psi: (s |>2 g) f(s) = f(g |>1 s) g
+            return lambda s, g: Gt[a2[s][g]][f[s]] != Gt[f[a1[g][s]]][g]
+
+        def crossed(f: Sequence[int], h: Sequence[int]) -> Callable[[int, int], bool]:
+            # axioms 4 and 5, (f, h) = (phi, psi) and (psi, phi): s |>2 f(t) = f(h(s) |>1 t)
+            return lambda s, t: a2[s][f[t]] != f[a1[h[s]][t]]
+
+        self.braiding_axiom_1 = braiding_axiom_1
+        self.braiding_axiom_2, self.braiding_axiom_3 = compatible(phi), compatible(psi)
+        self.braiding_axiom_4, self.braiding_axiom_5 = crossed(phi, psi), crossed(psi, phi)
+
+
 def reference_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
-    """Hom checks plus the five braiding axioms, exhaustive with witnesses."""
-    mp = bmp.mp
-    G, M = mp.G, mp.Gamma
-    Gt, Mt, a1, a2 = G.table, M.table, mp.act1, mp.act2
-    phi, psi = bmp.phi, bmp.psi
+    """Hom checks plus the five braiding axioms, exhaustive with witnesses
+    (BraidedPairLaws)."""
+    pre = reference_matched_pair(bmp.mp)
     rep = VerificationReport(subject="braided-matched-pair")
-
-    pre = reference_matched_pair(mp)
     rep.add("underlying_matched_pair", None if pre.passed else tuple(pre.first_failure().witness))
-
-    def phi_hom() -> Optional[tuple]:
-        return reference_is_hom_image(M, G, phi)
-
-    def psi_hom() -> Optional[tuple]:
-        return reference_is_hom_image(M, G, psi)
-
-    def braid1() -> Optional[tuple]:
-        # (phi(s) |>1 t) s = (psi(t) |>1 s) t
-        for s, t in itertools.product(M.elements(), M.elements()):
-            if Mt[a1[phi[s]][t]][s] != Mt[a1[psi[t]][s]][t]:
-                return (s, t)
-        return None
-
-    def braid2() -> Optional[tuple]:
-        # (s |>2 g) phi(s) = phi(g |>1 s) g
-        for s, g in itertools.product(M.elements(), G.elements()):
-            if Gt[a2[s][g]][phi[s]] != Gt[phi[a1[g][s]]][g]:
-                return (s, g)
-        return None
-
-    def braid3() -> Optional[tuple]:
-        for s, g in itertools.product(M.elements(), G.elements()):
-            if Gt[a2[s][g]][psi[s]] != Gt[psi[a1[g][s]]][g]:
-                return (s, g)
-        return None
-
-    def braid4() -> Optional[tuple]:
-        # s |>2 phi(t) = phi(psi(s) |>1 t)
-        for s, t in itertools.product(M.elements(), M.elements()):
-            if a2[s][phi[t]] != phi[a1[psi[s]][t]]:
-                return (s, t)
-        return None
-
-    def braid5() -> Optional[tuple]:
-        for s, t in itertools.product(M.elements(), M.elements()):
-            if a2[s][psi[t]] != psi[a1[phi[s]][t]]:
-                return (s, t)
-        return None
-
-    return run_checks(rep, [
-        ("phi_is_homomorphism", phi_hom),
-        ("psi_is_homomorphism", psi_hom),
-        ("braiding_axiom_1", braid1),
-        ("braiding_axiom_2", braid2),
-        ("braiding_axiom_3", braid3),
-        ("braiding_axiom_4", braid4),
-        ("braiding_axiom_5", braid5),
-    ])
+    return run_checks(rep, BraidedPairLaws(bmp).checks())
 
 
 # laws of the reference checklist that verify_braiding proves at
@@ -260,56 +305,31 @@ IMPLIED_BRAIDING_LAWS = ("braiding_axiom_4", "braiding_axiom_5")
 
 
 def reported_braiding(bmp: BraidedMatchedPair) -> VerificationReport:
-    """reference_braiding without IMPLIED_BRAIDING_LAWS, which is the report
-    verify_braiding must give.  Every check before them is a premise of
-    their proofs, so neither may be the first to fail."""
-    rep = reference_braiding(bmp)
+    """reference_braiding without IMPLIED_BRAIDING_LAWS: verify_braiding's report."""
+    return _without(reference_braiding(bmp), IMPLIED_BRAIDING_LAWS)
+
+
+def _without(rep: VerificationReport, implied: tuple[str, ...]) -> VerificationReport:
+    """rep without the checks `implied`.  Every check before them is a
+    premise of their proofs, so neither may be the first to fail."""
     failed = rep.first_failure()
-    assert failed is None or failed.name not in IMPLIED_BRAIDING_LAWS, failed
-    rep.checks = [c for c in rep.checks if c.name not in IMPLIED_BRAIDING_LAWS]
+    assert failed is None or failed.name not in implied, (rep.subject, failed)
+    rep.checks = [c for c in rep.checks if c.name not in implied]
     return rep
-
-
-def _one_sided_actions(mp: MatchedPair):
-    Gt, Ginv, Mt, Minv = mp.G.table, mp.G.inverses, mp.Gamma.table, mp.Gamma.inverses
-    a1, a2 = mp.act1, mp.act2
-
-    def g_on_pair(g: int, h: int, t: int) -> tuple[int, int]:
-        return (Gt[Gt[a2[t][g]][h]][Ginv[g]], a1[g][t])
-
-    def pair_on_g(h: int, t: int, g: int) -> int:
-        return a2[t][g]
-
-    def s_on_pair(s: int, h: int, t: int) -> tuple[int, int]:
-        return (a2[s][h], Mt[Mt[a1[h][s]][t]][Minv[s]])
-
-    def pair_on_s(h: int, t: int, s: int) -> int:
-        return a1[h][s]
-
-    return g_on_pair, pair_on_g, s_on_pair, pair_on_s
 
 
 def reference_center_pair(mp: MatchedPair) -> MatchedPair:
     """The induced matched pair (G><Gamma, G x Gamma); raises ValidationError unless mp is one."""
-    G, M = mp.G, mp.Gamma
+    G, M, m = mp.G, mp.Gamma, mp.Gamma.order
     GP, _, _ = reference_zappa_szep(mp)           # elements g*|Gamma| + s
     GXM = direct_product(G, M)          # elements h*|Gamma| + t
-    g_on_pair, pair_on_g, s_on_pair, pair_on_s = _one_sided_actions(mp)
-
-    n_act = GP.order
-    n_pts = GXM.order
-    a1 = [[0] * n_pts for _ in range(n_act)]
-    a2 = [[0] * n_act for _ in range(n_pts)]
-    for g in G.elements():
-        for s in M.elements():
-            A = g * M.order + s
-            for h in G.elements():
-                for t in M.elements():
-                    S = h * M.order + t
-                    h1, t1 = s_on_pair(s, h, t)
-                    h2, t2 = g_on_pair(g, h1, t1)
-                    a1[A][S] = h2 * M.order + t2
-                    a2[S][A] = pair_on_g(h1, t1, g) * M.order + pair_on_s(h, t, s)
+    Gt, Ginv, Mt, Minv = G.table, G.inverses, M.table, M.inverses
+    a1, a2 = [[0] * GXM.order for _ in GP.elements()], [[0] * GP.order for _ in GXM.elements()]
+    for g, s, h, t in itertools.product(G.elements(), M.elements(), G.elements(), M.elements()):
+        # (g, s) acts on the pair (h, t) as s, then g, each one-sided
+        h1, t1 = mp.act2[s][h], Mt[Mt[mp.act1[h][s]][t]][Minv[s]]
+        a1[g * m + s][h * m + t] = Gt[Gt[mp.act2[t1][g]][h1]][Ginv[g]] * m + mp.act1[g][t1]
+        a2[h * m + t][g * m + s] = mp.act2[t1][g] * m + mp.act1[h][s]
     out = matched_pair(GP, GXM, a1, a2)
     rep = reference_matched_pair(out)
     if not rep.passed:
@@ -322,30 +342,36 @@ def reference_center_braiding(mp: MatchedPair) -> BraidedMatchedPair:
     cp = reference_center_pair(mp)
     G, M = mp.G, mp.Gamma
     GXM, GP = cp.Gamma, cp.G
-    phi_img, psi_img = [], []
-    for h in G.elements():
-        for t in M.elements():
-            phi_img.append(G.identity * M.order + t)
-            psi_img.append(h * M.order + M.identity)
-    phi, psi = tuple(phi_img), tuple(psi_img)
+    phi = tuple(G.identity * M.order + t for h in G.elements() for t in M.elements())
+    psi = tuple(h * M.order + M.identity for h in G.elements() for t in M.elements())
     assert reference_is_hom_image(GXM, GP, phi) is None
     assert reference_is_hom_image(GXM, GP, psi) is None
     return BraidedMatchedPair(cp, phi, psi)
 
 
-def first(law: Callable[..., object], domain: Iterable[tuple]) -> Callable[[], Optional[tuple]]:
-    """The check that sweeps `domain` in order: the first tuple at which
-    `law`'s residue is nonzero (or True), or None."""
-    return lambda: next((w for w in domain if law(*w)), None)
+class CategoryLaws(Laws):
+    """The crossed-category laws of `cat`.  `report` sweeps them in witness
+    order; grading surjectivity is deliberately not a law, it only gates
+    center construction."""
 
-
-class CategoryLaws:
-    """The crossed-category laws of `cat`, each its residue at its witness
-    tuple: zero (or False) where it holds.  `report` sweeps them in
-    witness order; grading surjectivity is deliberately not a law, it only
-    gates center construction."""
+    AXES = {
+        "grading_is_homomorphism": [("Lambda", "Lambda")],
+        "action_identity": [("Lambda",)],
+        "action_composition": [("G", "G", "Lambda")],
+        "action_fixes_unit": [("G",)],
+        "axiom1_grading_compat": [("G", "Lambda")],
+        "axiom2_object_compat": [("G", "Lambda", "Lambda")],
+        "axiom2_j_cocycle": [("G", "Lambda", "Lambda", "Lambda")],
+        "axiom2_units": [(("left", "right"), "G", "Lambda")],
+        "chi_cocycle": [("G", "G", "G", "Lambda")],
+        "chi_units": [(("right", "left"), "G", "Lambda")],
+        "axiom3_j_chi": [("G", "G", "Lambda", "Lambda")],
+        "axiom3_phi": [("G", "G")],
+        "axiom3_iota_tensor": [("Lambda", "Lambda")],
+    }
 
     def __init__(self, cat: PointedCrossedCategory):
+        super().__init__(G=cat.G, Gamma=cat.Gamma, Lambda=cat.Lambda)
         self.cat, self.M = cat, cat.M
         self.Lt, self.Gt, self.a1, self.a2 = cat.Lambda.table, cat.G.table, cat.mp.act1, cat.mp.act2
         self.J, self.X, self.act, self.deg = cat.jtable, cat.chitable, cat.action, cat.grading
@@ -415,33 +441,12 @@ class CategoryLaws:
         return (iota[self.Lt[x][y]] - self.J[eG][x][y] - iota[x] - iota[y]) % self.M
 
     def report(self) -> VerificationReport:
-        cat, product = self.cat, itertools.product
-        Ls, Gs = cat.Lambda.elements(), cat.G.elements()
-
         def matched_pair_valid() -> Optional[tuple]:
-            r = reference_matched_pair(cat.mp)
+            r = reference_matched_pair(self.cat.mp)
             return None if r.passed else (r.first_failure().name,)
 
-        def sided(*sides: str):
-            return ((side, g, x) for g, x in product(Gs, Ls) for side in sides)
-
-        return run_checks(VerificationReport(subject=f"category {cat.name}"), [
-            ("matched_pair_valid", matched_pair_valid),
-            *[(name, first(getattr(self, name), domain)) for name, domain in [
-                ("grading_is_homomorphism", product(Ls, Ls)),
-                ("action_identity", product(Ls)),
-                ("action_composition", product(Gs, Gs, Ls)),
-                ("action_fixes_unit", product(Gs)),
-                ("axiom1_grading_compat", product(Gs, Ls)),
-                ("axiom2_object_compat", product(Gs, Ls, Ls)),
-                ("axiom2_j_cocycle", product(Gs, Ls, Ls, Ls)),
-                ("axiom2_units", sided("left", "right")),
-                ("chi_cocycle", product(Gs, Gs, Gs, Ls)),
-                ("chi_units", sided("right", "left")),
-                ("axiom3_j_chi", product(Gs, Gs, Ls, Ls)),
-                ("axiom3_phi", product(Gs, Gs)),
-                ("axiom3_iota_tensor", product(Ls, Ls)),
-            ]]])
+        return run_checks(VerificationReport(subject=f"category {self.cat.name}"),
+                          [("matched_pair_valid", matched_pair_valid), *self.checks()])
 
 
 def reference_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
@@ -456,14 +461,9 @@ IMPLIED_CATEGORY_LAWS = ("axiom3_phi", "axiom3_iota_tensor")
 
 
 def reported_crossed_category(cat: PointedCrossedCategory) -> VerificationReport:
-    """reference_crossed_category without IMPLIED_CATEGORY_LAWS, which is the
-    report verify_crossed_category must give.  Every check before them is
-    a premise of their proofs, so neither may be the first to fail."""
-    rep = reference_crossed_category(cat)
-    failed = rep.first_failure()
-    assert failed is None or failed.name not in IMPLIED_CATEGORY_LAWS, (cat.name, failed)
-    rep.checks = [c for c in rep.checks if c.name not in IMPLIED_CATEGORY_LAWS]
-    return rep
+    """reference_crossed_category without IMPLIED_CATEGORY_LAWS:
+    verify_crossed_category's report."""
+    return _without(reference_crossed_category(cat), IMPLIED_CATEGORY_LAWS)
 
 
 # -- the center
@@ -604,16 +604,15 @@ def reference_center_braided(cat: PointedCrossedCategory,
         mine = list(Z.simples)
         if [z.sort_key() for z in mine] == [z.sort_key() for z in oracle]:
             return None
-        extra = [z.sort_key() for z in mine if z not in oracle]
-        missing = [z.sort_key() for z in oracle if z not in mine]
+        extra = first(lambda z: z not in oracle, zip(mine))()
+        missing = first(lambda z: z not in mine, zip(oracle))()
         if extra or missing:
-            return (tuple(extra[:1]), tuple(missing[:1]))
+            return tuple(tuple(z.sort_key() for z in w or ()) for w in (extra, missing))
         # reordered or repeated: the first index where the lists differ
-        for i in range(max(len(mine), len(oracle))):
-            a = mine[i].sort_key() if i < len(mine) else None
-            b = oracle[i].sort_key() if i < len(oracle) else None
-            if a != b:
-                return (i, a, b)
+        mine_keys, oracle_keys = ([z.sort_key() for z in zs] + [None] * len(mine + oracle)
+                                  for zs in (mine, oracle))
+        i, = first(lambda i: mine_keys[i] != oracle_keys[i], zip(itertools.count()))()
+        return (i, mine_keys[i], oracle_keys[i])
 
     def induced_pair_braided() -> Optional[tuple]:
         r = reference_braiding(Z.induced)

@@ -18,7 +18,7 @@ from crossedcat.errors import ValidationError
 from crossedcat.groups import cyclic, direct_product, trivial_group
 from crossedcat.matched import direct_pair
 from crossedcat.pointed import PointedCrossedCategory, pointed_category, verify_crossed_category
-from fixture_builders import CATEGORIES, CENTER_FIXTURES, nonsingular_violation
+from fixture_builders import CATEGORIES, CENTER_FIXTURES, element_order, nonsingular_violation
 from gauge import gauge, random_cochain
 from reference_sweeps import ReferenceCenter
 
@@ -575,7 +575,7 @@ def test_partial_conjugation_support_excludes_labels():
     assert simples == relative_center_oracle(cat)
     assert len(simples) == 4
     S3 = cat.Lambda
-    t12 = next(a for a in S3.elements() if S3.element_order(a) == 2)
+    t12 = next(a for a in S3.elements() if element_order(S3, a) == 2)
     assert {(z.g, z.label) for z in simples} == {(0, S3.identity), (1, t12)}
     # the two characters per cell are the trivial one and the sign
     for z in simples:

@@ -28,6 +28,7 @@ from crossedcat.groups import (FiniteGroup, action_law_witness, cyclic, dihedral
 from crossedcat.matched import matched_pair, verify_matched_pair
 from crossedcat.pointed import verify_crossed_category
 from crossedcat.report import VerificationReport
+from fixture_builders import element_order
 from gauge import gauge, random_cochain
 from reference_sweeps import (BraidingLaws, CategoryLaws, first, reported_crossed_category,
                               reference_is_hom_image, reference_matched_pair,
@@ -356,7 +357,7 @@ def _noncomposing_equivariant_s3():
     axiom 3 certificate holds, and action_composition fails."""
     cat = jsonio.load_category(FIXTURE_DIR / "cat-equivariant-s3.json")
     L = cat.Lambda
-    c = next(x for x in L.elements() if L.element_order(x) == 3)
+    c = next(x for x in L.elements() if element_order(L, x) == 3)
     action = [list(L.elements()), [L.conj(c, x) for x in L.elements()]]
     return rebuilt(cat, action=action, name="equivariant-s3:c3")
 

@@ -7,6 +7,7 @@ import pytest
 from crossedcat.errors import GroupValidationError, ValidationError
 from crossedcat.groups import (cyclic, dihedral, direct_product, subgroup_from_generators,
                                symmetric, trivial_group, twisted_characters, validate_group)
+from fixture_builders import element_order
 
 
 def brute_force_s3_table():
@@ -61,7 +62,7 @@ def test_direct_product_z2_z3_is_z6():
     P = direct_product(cyclic(2), cyclic(3))
     assert P.order == 6
     # (1, 1), encoded 1*3 + 1, has order 6, so P is cyclic
-    assert P.element_order(4) == 6
+    assert element_order(P, 4) == 6
 
 
 def test_direct_product_with_trivial_is_same_table():
@@ -115,6 +116,27 @@ def test_characters_s3_mod6_factor_through_sign():
 def test_characters_modulus_too_small():
     # Z4 -> mu_6 only reaches the gcd(4, 6) = 2 roots of unity
     assert characters(cyclic(4), 6) == [(0, 0, 0, 0), (0, 3, 0, 3)]
+
+
+@pytest.mark.parametrize("order,moduli", [(2, (1, 2, 3, 4)), (3, (1, 2))])
+def test_twisted_characters_solve_the_law_by_brute_force(order, moduli):
+    """On Z2 and Z3, for every J at each modulus, twisted_characters gives
+    exactly the exponent tuples that satisfy the law at every pair."""
+    G = cyclic(order)
+    n, t, pairs = G.order, G.table, list(itertools.product(G.elements(), repeat=2))
+    for modulus in moduli:
+        for flat in itertools.product(range(modulus), repeat=n * n):
+            J = [flat[a * n:(a + 1) * n] for a in G.elements()]
+            law = [chi for chi in itertools.product(range(modulus), repeat=n)
+                   if all(chi[t[a][b]] == (J[a][b] + chi[a] + chi[b]) % modulus for a, b in pairs)]
+            assert twisted_characters(G, list(G.elements()), modulus, J) == law, (modulus, J)
+
+
+def test_twisted_characters_recheck_every_pair():
+    """The closure over the generator never reads the law at (x, e): on Z2
+    with M = 2 and J[1][0] = 1 it accepts both exponents, and only the
+    re-check on every pair refuses them, as the law does."""
+    assert twisted_characters(cyclic(2), [0, 1], 2, [[0, 0], [1, 0]]) == []
 
 
 def test_characters_count_is_abelianization_order():

@@ -14,7 +14,7 @@ from crossedcat.groups import (cyclic, dihedral, direct_product, is_hom_image,
                                validate_group)
 from crossedcat.matched import (direct_pair, from_exact_factorization, matched_pair,
                                 turaev_pair, verify_matched_pair, zappa_szep)
-from fixture_builders import MATCHED_PAIRS
+from fixture_builders import MATCHED_PAIRS, element_order
 
 ALL_PAIRS = ["trivial-pair", "direct-z2-z2", "z2-z3-inversion", "s3-factorized",
              "s4-z4-s3", "d4-z4-z2", "turaev-z2", "turaev-s3", "turaev-d4"]
@@ -187,9 +187,9 @@ def factorization(name):
         return (S4, subgroup_from_generators(S4, [perms.index((1, 2, 3, 0))]),
                 [i for i, p in enumerate(perms) if p[3] == 3])
     D4 = dihedral(4)
-    rot = next(a for a in D4.elements() if D4.element_order(a) == 4)
+    rot = next(a for a in D4.elements() if element_order(D4, a) == 4)
     gset = subgroup_from_generators(D4, [rot])
-    ref = next(a for a in D4.elements() if D4.element_order(a) == 2 and a not in gset)
+    ref = next(a for a in D4.elements() if element_order(D4, a) == 2 and a not in gset)
     return D4, gset, subgroup_from_generators(D4, [ref])
 
 

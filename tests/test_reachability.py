@@ -5,10 +5,13 @@ The scan parses every module of the package with `ast`.  It starts from
 top-level definition of `__init__` itself, and follows each name a reached
 definition reads to the top-level function, class or constant that defines
 it, through the package's relative imports (at any depth) and through
-`module.name` attributes.  A reached class brings its whole body, methods
-included; a reached module also runs its import-time statements that
-define nothing.  Every top-level definition must be reached, apart from
-EXEMPT.
+`module.name` attributes.  A reached class brings its bases, decorators,
+class-level statements and dunder methods; each of its other methods and
+properties is reached only once reached code reads its name as an
+attribute (of any object, since the scan knows no types).  A reached module
+also runs its import-time statements that define nothing.  Every top-level
+definition, and every method of a reached class, must be reached, apart
+from EXEMPT.
 """
 
 from __future__ import annotations
@@ -87,7 +90,21 @@ class Package:
         return out - {None}
 
     def unreached(self, roots) -> set[tuple[str, str]]:
-        seen, loaded, todo = set(), set(), list(roots)
+        """The top-level definitions, as (module, name), and the methods of
+        reached classes, as (module, "Class.method"), that `roots` never
+        reach."""
+        seen, loaded, attributes, todo = set(), set(), set(), list(roots)
+        members: dict[tuple[str, str], ast.AST] = {}  # methods of reached classes
+        by_attribute: dict[str, list] = {}
+
+        def read(module: str, node) -> None:
+            todo.extend(self.reads(module, node))
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                        and sub.attr not in attributes):
+                    attributes.add(sub.attr)
+                    todo.extend(by_attribute.get(sub.attr, ()))
+
         while todo:
             item = todo.pop()
             if item in seen:
@@ -97,10 +114,26 @@ class Package:
             if module not in loaded:
                 loaded.add(module)
                 for node in self.statements[module]:
-                    todo.extend(self.reads(module, node))
-            if name is not None:
-                todo.extend(self.reads(module, self.defs[module][name]))
-        return {(m, name) for m, names in self.defs.items() for name in names} - seen
+                    read(module, node)
+            node = None if name is None else members.get(item, self.defs[module].get(name))
+            if not isinstance(node, ast.ClassDef):
+                if node is not None:
+                    read(module, node)
+                continue
+            for expr in (*node.bases, *node.keywords, *node.decorator_list):
+                read(module, expr)
+            for member in node.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not member.name.startswith("__")):
+                    key = (module, f"{name}.{member.name}")
+                    members[key] = member
+                    by_attribute.setdefault(member.name, []).append(key)
+                    if member.name in attributes:
+                        todo.append(key)
+                else:
+                    read(module, member)
+        defined = {(m, name) for m, names in self.defs.items() for name in names}
+        return (defined | set(members)) - seen
 
 
 def _roots(package: Package) -> list:
@@ -118,11 +151,19 @@ def test_every_definition_in_the_package_is_run_or_exported():
 
 
 def test_the_scan_sees_an_unreached_definition_and_a_dropped_root():
-    """The scan itself: a helper nothing reads is unreached, and so is what
-    only an export read once the export is gone."""
+    """The scan itself: a helper nothing reads is unreached, so is a method
+    whose name no reached code reads as an attribute, and so is what only
+    an export read once the export is gone."""
     package = Package()
     package.defs["report"]["orphan"] = ast.parse("def orphan():\n    return 1\n").body[0]
     assert package.unreached(_roots(package)) == EXEMPT | {("report", "orphan")}
+    package = Package()
+    package.defs["report"]["Check"].body.append(
+        ast.parse("def orphan(self):\n    return 1\n").body[0])
+    assert package.unreached(_roots(package)) == EXEMPT | {("report", "Check.orphan")}
+    # read as an attribute by reached code, the method is reached
+    package.defs["report"]["run_checks"].body.insert(0, ast.parse("report.orphan").body[0])
+    assert package.unreached(_roots(package)) == EXEMPT
     package = Package()
     roots = [r for r in _roots(package) if r != ("jsonio", "save_category")]
     assert package.unreached(roots) == EXEMPT | {("jsonio", "save_category"),

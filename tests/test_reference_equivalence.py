@@ -25,10 +25,11 @@ from crossedcat.matched import verify_matched_pair, zappa_szep
 from crossedcat.pointed import verify_crossed_category
 from fixture_builders import CENTER_FIXTURES, MATCHED_PAIRS
 from gauge import gauge
-from reference_sweeps import (BraidingLaws, CategoryLaws, ReferenceCenter, ReferenceSwapLaws,
-                              reference_center_braided, reference_center_braiding,
-                              reported_braiding, reported_crossed_category,
-                              reference_matched_pair, reference_swap_laws, reference_zappa_szep)
+from reference_sweeps import (BraidingLaws, CategoryLaws, PairLaws, ReferenceCenter,
+                              ReferenceSwapLaws, reference_center_braided,
+                              reference_center_braiding, reference_crossed_category,
+                              reference_matched_pair, reference_swap_laws, reference_zappa_szep,
+                              reported_braiding, reported_crossed_category)
 
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
 CENTER_FILES = [n for n in CATEGORY_FILES if n != "cat-nonsurjective.json"]
@@ -130,6 +131,39 @@ def test_one_matching_sweep_per_pair(monkeypatch):
         assert not rep.passed
         assert triples(rep) == triples(reference_matched_pair(mut))
     assert verify_matched_pair(Z.induced.mp).passed
+
+
+
+def test_one_reference_sweep_per_pair(monkeypatch):
+    """The reference's twin of test_one_matching_sweep_per_pair: across the
+    reference category and center reports the input pair and the induced
+    pair are each swept once.  The verdict stays with its record under the
+    reference's own attribute, so the package's verdict on the same record
+    is never read, and a new record, a mutant or an equal copy, is swept
+    afresh."""
+    swept = []
+    init = PairLaws.__init__
+    monkeypatch.setattr(PairLaws, "__init__", lambda self, mp: swept.append(mp) or init(self, mp))
+    # loaded afresh: no record of it has been verified in this process
+    cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-z2z3.json", validate=False)
+    assert verify_matched_pair(cat.mp).passed
+    assert reference_crossed_category(cat).passed
+    assert reference_center_braided(cat).passed
+    assert [(mp.G.order, mp.Gamma.order) for mp in swept] == [(2, 3), (6, 6)]
+    assert swept[0] is cat.mp
+
+    del swept[:]
+    # each call hands out a fresh report, so annotating one leaks nowhere
+    report = reference_matched_pair(cat.mp)
+    report.input_digest = "x"
+    assert reference_matched_pair(cat.mp).input_digest is None
+    assert swept == []
+    rng = random.Random("one-reference-sweep")
+    mutants = [mut for _, _, mut in (action_mutant(cat.mp, rng) for _ in range(5))]
+    for mut in [*mutants, rebuilt(cat.mp)]:
+        assert triples(reference_matched_pair(mut)) == triples(reference_matched_pair(mut))
+        assert swept[-1] is mut
+    assert len(swept) == 6 and swept[-1] == cat.mp
 
 
 def test_criterion_9_pair_mutants():

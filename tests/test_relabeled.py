@@ -4,7 +4,7 @@ Renaming the elements of G, Gamma and Lambda, with every table carried
 across (conftest.relabeled), gives an isomorphic input.  Each verifier must
 then fail the same checks, and the center must have the same simples up to
 the renaming.  The first witnesses may differ, since each sweep visits its
-tuples in label order.
+tuples in label order, but each one, renamed, must fail the same law.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from crossedcat.cli import main
 from crossedcat.matched import verify_matched_pair
 from crossedcat.pointed import vec_gamma, verify_crossed_category
 from fixture_builders import CATEGORIES, MATCHED_PAIRS
+from reference_sweeps import CategoryLaws, PairLaws
 
 
 def failed(rep) -> list[str]:
@@ -34,6 +35,25 @@ def mapped_simple(z: CenterSimple, cat, perms, neutral) -> CenterSimple:
     pG, _, pL = perms
     chi = {pL[nu]: c for nu, c in zip(cat.neutral_labels, z.chi)}
     return CenterSimple(pG[z.g], pL[z.label], tuple(chi[nu] for nu in neutral))
+
+
+def mapped_witnesses(laws, moved_laws, perms) -> int:
+    """Renames the first witness of each failing check of `laws` by perms,
+    each position by the group of its axis in the check's declared domain
+    (a side tag stays), and asserts that the renamed tuple fails the same
+    statement in `moved_laws`.  Returns the number of witnesses renamed."""
+    renames = dict(zip(("G", "Gamma", "Lambda"), perms))
+    count = 0
+    for name, check in laws.checks():
+        witness = check()
+        if witness is None:
+            continue
+        axes, = [axes for axes in laws.AXES[name] if len(axes) == len(witness)]
+        renamed = tuple(x if isinstance(axis, tuple) else renames[axis.partition(".")[0]][x]
+                        for x, axis in zip(witness, axes))
+        assert getattr(moved_laws, name)(*renamed), (name, witness, renamed, perms)
+        count += 1
+    return count
 
 
 def assert_category_verdicts_kept(cat, perms) -> None:
@@ -73,10 +93,13 @@ def test_relabeled_pair_keeps_its_verdicts(name):
 
 def test_relabeled_mutants_keep_their_verdicts():
     """A seeded sample of the pool's pair and category mutants, relabeled
-    twice each."""
+    twice each: the same checks fail, and each first witness of the
+    reference (PairLaws or CategoryLaws), renamed, fails the same law."""
     rng = random.Random("relabel:mutants")
     pool = [entry for entry in mutation_pool() if entry[1] in ("pair", "category")]
+    renamed = 0
     for name, kind, mutant in rng.sample(pool, 24):
+        laws = PairLaws if kind == "pair" else CategoryLaws
         for _ in range(2):
             perms = random_perms(mutant, rng)
             if kind == "pair":
@@ -84,6 +107,8 @@ def test_relabeled_mutants_keep_their_verdicts():
                         == failed(verify_matched_pair(mutant))), (name, perms)
             else:
                 assert_category_verdicts_kept(mutant, perms)
+            renamed += mapped_witnesses(laws(mutant), laws(relabeled(mutant, perms)), perms)
+    assert renamed == 128
 
 
 def test_relabeled_unit_passes_verify_center_and_center(tmp_path, capsys):
