@@ -43,11 +43,13 @@ def _emit(report: VerificationReport, pretty: bool) -> int:
     return 0 if report.passed else 1
 
 
-def _emit_json(payload: dict, pretty: bool) -> None:
+def _emit_json(payload: dict, pretty: bool) -> int:
+    """Print `payload`; exit 1 when it carries a failing verdict."""
     if pretty:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    return 0 if payload.get("pass", True) else 1
 
 
 def _int_list(text: str, option: str) -> list[int]:
@@ -100,9 +102,8 @@ def cmd_zappa_szep(file: str, out: str, pretty: bool) -> int:
     H, _, _ = zappa_szep(mp)
     text = jsonio.write_json(jsonio.group_to_json(H), out)
     written = jsonio.group_from_json(json.loads(text))  # re-validates all group laws
-    _emit_json({"written": str(Path(out)), "order": written.order,
-                "inputDigest": mp.input_digest}, pretty)
-    return 0
+    return _emit_json({"written": str(Path(out)), "order": written.order,
+                       "inputDigest": mp.input_digest}, pretty)
 
 
 def _save_and_verify(source, out: str, pretty: bool, built, to_json, from_json, verify) -> int:
@@ -167,8 +168,7 @@ def cmd_center(file: str, out: Optional[str], pretty: bool) -> int:
     }
     if out is not None:
         jsonio.write_json(payload, out)
-    _emit_json(payload, pretty)
-    return 0 if rep.passed else 1
+    return _emit_json(payload, pretty)
 
 
 def cmd_coherence(category: str, objects: Optional[str], pretty: bool) -> int:
@@ -191,8 +191,7 @@ def cmd_coherence(category: str, objects: Optional[str], pretty: bool) -> int:
     payload = {"subject": rep.subject, "pass": rep.passed, "stats": rep.stats,
                "failures": [c.to_json() for c in rep.checks if not c.passed],
                "inputDigest": cat.input_digest}
-    _emit_json(payload, pretty)
-    return 0 if rep.passed else 1
+    return _emit_json(payload, pretty)
 
 
 # -- the command line ------------------------------------------------------------

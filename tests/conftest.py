@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import collections
 import functools
+import importlib
+import io
+import json
+import pkgutil
 import random
+import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -11,14 +17,66 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import crossedcat  # noqa: E402
 from crossedcat.braided import BraidedMatchedPair, braided_pair, center_braiding  # noqa: E402
 from crossedcat.center import CenterSimple, enumerate_center  # noqa: E402
-from crossedcat.groups import FiniteGroup  # noqa: E402
-from crossedcat.matched import MatchedPair, matched_pair  # noqa: E402
+from crossedcat.cli import main  # noqa: E402
+from crossedcat.groups import FiniteGroup, cyclic, trivial_group  # noqa: E402
+from crossedcat.matched import MatchedPair, direct_pair, matched_pair  # noqa: E402
 from crossedcat.pointed import PointedCrossedCategory, pointed_category  # noqa: E402
 from fixture_builders import CATEGORIES, GROUPS, MATCHED_PAIRS  # noqa: E402
 
+# Hypothesis mixes the literal constants of every imported module outside
+# tests/ into its draws.  Each command imports its modules when it runs, so
+# without this a seeded test would draw other examples according to which
+# tests ran before it.
+for _module in pkgutil.iter_modules(crossedcat.__path__):
+    importlib.import_module(f"crossedcat.{_module.name}")
+
 FIXTURE_DIR = ROOT / "fixtures"
+
+
+def cli(*argv: str) -> tuple[int, str, str]:
+    """`crossedcat argv...` run in this process: (exit code, stdout, stderr).
+    It redirects the streams itself, so a Hypothesis test, which cannot take
+    the capsys fixture, can call it too."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """`python args...` in a child interpreter that imports the package from
+    src/, with stdout and stderr captured as text and a 60 s timeout;
+    `kwargs` go to subprocess.run and override these."""
+    return subprocess.run([sys.executable, *args], **{
+        "stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, "timeout": 60,
+        "env": {"PYTHONPATH": str(ROOT / "src")}, **kwargs})
+
+
+REMOVED = object()
+
+
+def fixture_with(name: str, path: tuple, value=REMOVED):
+    """The JSON value of fixtures/<name>.json with the node at the key path
+    `path` set to `value`, or removed when no value is given."""
+    obj = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    if value is REMOVED:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return obj
+
+
+def z8_over_trivial_groups() -> PointedCrossedCategory:
+    """Lambda = Z_8 graded trivially over trivial G and Gamma, M = 8: the
+    center's oracle would try 8 * 8^8 functions."""
+    one = trivial_group()
+    return pointed_category(cyclic(8), direct_pair(one, one), [0] * 8, [list(range(8))], 8)
 
 
 @functools.cache
@@ -52,23 +110,28 @@ def carried(table, axes, values=None) -> tuple:
     return tuple(out)
 
 
+def relabeled_group(H: FiniteGroup, p) -> FiniteGroup:
+    """H with p[g] the new label of g: its table, identity and inverses
+    carried across."""
+    return FiniteGroup(H.order, carried(H.table, (p, p), p), p[H.identity],
+                       carried(H.inverses, (p,), p), H.name)
+
+
 def relabeled(record, perms):
     """`record`, a matched pair or a category, with the labels of its groups
     renamed: perms[0][g] is the new label of g in G, perms[1] renames Gamma
     and, for a category, perms[2] renames Lambda.  Every table is carried
     across: the group tables, identities and inverses, both actions, and
     the grading, action, J, chi, phi and iota of a category."""
-    def group(H, p):
-        return FiniteGroup(H.order, carried(H.table, (p, p), p), p[H.identity],
-                           carried(H.inverses, (p,), p), H.name)
-
     if isinstance(record, MatchedPair):
         pG, pS = perms
-        return rebuilt(record, G=group(record.G, pG), Gamma=group(record.Gamma, pS),
+        return rebuilt(record, G=relabeled_group(record.G, pG),
+                       Gamma=relabeled_group(record.Gamma, pS),
                        act1=carried(record.act1, (pG, pS), pS),
                        act2=carried(record.act2, (pS, pG), pG))
     pG, pS, pL = perms
-    return rebuilt(record, Lambda=group(record.Lambda, pL), mp=relabeled(record.mp, (pG, pS)),
+    return rebuilt(record, Lambda=relabeled_group(record.Lambda, pL),
+                   mp=relabeled(record.mp, (pG, pS)),
                    grading=carried(record.grading, (pL,), pS),
                    action=carried(record.action, (pG, pL), pL),
                    jtable=carried(record.jtable, (pG, pL, pL)),

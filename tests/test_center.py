@@ -8,12 +8,11 @@ import re
 
 import pytest
 
-from conftest import ROOT, category, triples, unit_index
+from conftest import ROOT, category, cli, triples, unit_index, z8_over_trivial_groups
 from crossedcat import center, jsonio
 from crossedcat.braided import center_braiding, verify_braiding
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
                                relative_center_oracle, verify_center_braided)
-from crossedcat.cli import main
 from crossedcat.errors import ValidationError
 from crossedcat.groups import cyclic, direct_product, trivial_group
 from crossedcat.matched import direct_pair
@@ -521,12 +520,6 @@ def test_center_size_bounds_refuse_at_their_edges(monkeypatch):
     assert enumerate_center(cat) == simples
 
 
-def _z8_over_trivial_groups():
-    """Lambda = Z_8 graded trivially over trivial G and Gamma, M = 8."""
-    Z8, one = cyclic(8), trivial_group()
-    return pointed_category(Z8, direct_pair(one, one), [0] * 8, [list(range(8))], 8)
-
-
 def _unsearched(monkeypatch):
     """Make enumerate_center and CenterStructure raise if they are called."""
     def fail(what):
@@ -543,7 +536,7 @@ def test_oracle_bound_refuses_before_the_center_tables(monkeypatch):
     characters and the oracle 8 * 8^8 functions: verify_center_braided
     refuses on the oracle's bound before enumerate_center searches and
     before CenterStructure builds a table."""
-    cat = _z8_over_trivial_groups()
+    cat = z8_over_trivial_groups()
     assert (center.enumeration_tries(cat), center.oracle_tries(cat)) == (8, 8 * 8 ** 8)
     _unsearched(monkeypatch)
     with pytest.raises(ValidationError,
@@ -553,16 +546,15 @@ def test_oracle_bound_refuses_before_the_center_tables(monkeypatch):
 
 @pytest.mark.parametrize("command", [["verify", "center"], ["center"]])
 def test_center_commands_refuse_on_the_oracle_bound_before_any_search(
-        monkeypatch, capsys, tmp_path, command):
+        monkeypatch, tmp_path, command):
     """Both center commands exit 2 on the Z_8 category, naming the oracle's
     count, with no enumeration and no center table."""
     path = tmp_path / "z8.json"
-    jsonio.save_category(_z8_over_trivial_groups(), path)
+    jsonio.save_category(z8_over_trivial_groups(), path)
     _unsearched(monkeypatch)
-    assert main([*command, str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {"error": (
+    code, out, err = cli(*command, str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": (
         f"center too large to enumerate: relative_center_oracle would try {8 * 8 ** 8} "
         f"candidates, over the limit of {center.MAX_CENTER_TRIES}")}
 
@@ -611,7 +603,7 @@ def test_frozen_scalar_regression_tables():
     assert list(Z6.sigma_table[1][1]) == [0, 2] * 12
 
 
-def test_obstructed_degrees_have_no_simple(tmp_path, capsys):
+def test_obstructed_degrees_have_no_simple(tmp_path):
     """G = Z4 with J[g][1][1] = g on Lambda = Z2 leaves the odd degrees with
     no root-valued character.  They have no simple; the invertible part at
     degrees 0 and 2 is the center, and it verifies, in process and from
@@ -630,8 +622,9 @@ def test_obstructed_degrees_have_no_simple(tmp_path, capsys):
     path = tmp_path / "obstructed.json"
     jsonio.save_category(cat, path)
     for argv in (["verify", "center", str(path)], ["center", str(path)]):
-        assert main(argv) == 0, (argv, capsys.readouterr())
-        assert json.loads(capsys.readouterr().out)["pass"] is True
+        code, out, err = cli(*argv)
+        assert code == 0, (argv, out, err)
+        assert json.loads(out)["pass"] is True
 
 
 def test_readme_check_counts():

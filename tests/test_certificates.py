@@ -17,7 +17,8 @@ import sys
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import FIXTURE_DIR, category, indices, moved, pair, rebuilt, triples, unit_index
+from conftest import (FIXTURE_DIR, category, indices, moved, pair, rebuilt, relabeled_group,
+                      triples, unit_index)
 from crossedcat import braided, groups, jsonio
 from crossedcat.center import CenterStructure, verify_center_braided
 from crossedcat.errors import CrossedCatError, GroupValidationError
@@ -43,7 +44,9 @@ CATEGORIES = ["vec-z2z3", "z4-over-z2", "z6-over-z3", "cocycle-j", "equivariant-
 CATEGORY_FILES = sorted(p.name for p in FIXTURE_DIR.glob("cat-*.json"))
 # each test draws from its own explicit seed, with no example database, so
 # that editing a test's body keeps the inputs it checks (derandomize=True
-# would seed the draws from the test's source text)
+# would seed the draws from the test's source text).  A seed pins the draws
+# for one tree only: Hypothesis mixes the literal constants of src/ into
+# them, so editing a literal there can change them.
 SETTINGS = settings(max_examples=100, deadline=None, database=None)
 
 
@@ -60,12 +63,7 @@ def relabelled(draw) -> FiniteGroup:
     """A group of GROUPS with its elements renumbered, so that the identity
     and the generators sit at drawn indices."""
     G = draw(st.sampled_from(GROUPS))
-    p = draw(st.permutations(range(G.order)))
-    table = [[0] * G.order for _ in G.elements()]
-    for a in G.elements():
-        for b in G.elements():
-            table[p[a]][p[b]] = p[G.table[a][b]]
-    return validate_group(table, p[G.identity], G.name)
+    return relabeled_group(G, draw(st.permutations(range(G.order))))
 
 
 def reached(table, identity: int, gens) -> set[int]:

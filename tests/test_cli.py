@@ -13,69 +13,41 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_DIR
-from crossedcat import cli, jsonio
-from crossedcat.cli import COMMANDS, main
+from conftest import FIXTURE_DIR, cli, fixture_with, python
+from crossedcat import jsonio
+from crossedcat.cli import COMMANDS
 from crossedcat.matched import verify_matched_pair
 
 
-def run(capsys, *argv) -> tuple[int, str]:
-    code = main(list(argv))
-    out = capsys.readouterr().out
-    return code, out
-
-
-def test_verify_matched_pair_passes(capsys, fixture_dir):
-    code, out = run(capsys, "verify", "matched-pair", str(fixture_dir / "z2-z3-inversion.json"))
+def test_verify_matched_pair_passes(fixture_dir):
+    code, out, _ = cli("verify", "matched-pair", str(fixture_dir / "z2-z3-inversion.json"))
     assert code == 0
     assert json.loads(out)["pass"] is True
 
 
-def test_verify_corrupted_pair_exit_1(capsys, fixture_dir, tmp_path):
-    obj = json.loads((fixture_dir / "z2-z3-inversion.json").read_text())
-    obj["act1"][1][2] = (obj["act1"][1][2] + 1) % 3
-    bad = tmp_path / "corrupted.json"
-    bad.write_text(json.dumps(obj))
-    code, out = run(capsys, "verify", "matched-pair", str(bad))
-    assert code == 1
-    failing = [c for c in json.loads(out)["checks"] if not c["pass"]]
-    assert failing and failing[0]["witness"] is not None
-
-
-def test_verify_malformed_json_exit_2(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    assert main(["verify", "group", str(bad)]) == 2
-
-
-def test_verify_center_report_sections(capsys, fixture_dir):
-    code, out = run(capsys, "verify", "center", str(fixture_dir / "cat-z4-over-z2.json"))
+def test_verify_center_report_sections(fixture_dir):
+    code, out, _ = cli("verify", "center", str(fixture_dir / "cat-z4-over-z2.json"))
     assert code == 0
     names = [c["name"] for c in json.loads(out)["checks"]]
     assert names == ["oracle_equivalence", "induced_pair_braided", "center_category_axioms",
                      "braiding_axiom_1", "braiding_axiom_2", "braiding_axiom_3"]
 
 
-def test_center_nonsurjective_exit_2(capsys, fixture_dir):
-    assert main(["center", str(fixture_dir / "cat-nonsurjective.json")]) == 2
-
-
-def test_center_counts(capsys, fixture_dir):
-    code, out = run(capsys, "center", str(fixture_dir / "cat-z4-over-z2.json"))
+def test_center_counts(fixture_dir):
+    code, out, _ = cli("center", str(fixture_dir / "cat-z4-over-z2.json"))
     assert code == 0
     payload = json.loads(out)
     assert len(payload["simples"]) == 16
     assert payload["pass"] is True
-    code, out = run(capsys, "center", str(fixture_dir / "cat-vec-z3-gtrivial.json"))
+    code, out, _ = cli("center", str(fixture_dir / "cat-vec-z3-gtrivial.json"))
     assert len(json.loads(out)["simples"]) == 3
 
 
-def test_verify_center_verifies_each_pair_at_most_twice(capsys, fixture_dir, monkeypatch):
+def test_verify_center_verifies_each_pair_at_most_twice(fixture_dir, monkeypatch):
     # the input pair: the category check and zappa_szep's input guard; the
     # induced pair: the reported checks induced_pair_braided and
     # center_category_axioms.  Constructions do not verify their output, so
     # the only group of order 36 run through validate_group is the simples'.
-    import sys
     import crossedcat.groups
     import crossedcat.matched
     verify_pair = crossedcat.matched.verify_matched_pair
@@ -96,7 +68,7 @@ def test_verify_center_verifies_each_pair_at_most_twice(capsys, fixture_dir, mon
             for attr, value in list(vars(module).items()):
                 if id(value) in counting:
                     monkeypatch.setattr(module, attr, counting[id(value)])
-    code, _ = run(capsys, "verify", "center", str(fixture_dir / "cat-vec-turaev-s3.json"))
+    code, _, _ = cli("verify", "center", str(fixture_dir / "cat-vec-turaev-s3.json"))
     assert code == 0
     assert 1 <= orders.count((36, 36)) <= 2, orders
     assert 1 <= orders.count((6, 6)) <= 2, orders
@@ -104,16 +76,16 @@ def test_verify_center_verifies_each_pair_at_most_twice(capsys, fixture_dir, mon
     assert {g[0] for g in groups} == {6, 36}, groups
 
 
-def test_reports_are_byte_identical(capsys, fixture_dir):
-    _, out1 = run(capsys, "verify", "category", str(fixture_dir / "cat-cocycle-j.json"))
-    _, out2 = run(capsys, "verify", "category", str(fixture_dir / "cat-cocycle-j.json"))
+def test_reports_are_byte_identical(fixture_dir):
+    _, out1, _ = cli("verify", "category", str(fixture_dir / "cat-cocycle-j.json"))
+    _, out2, _ = cli("verify", "category", str(fixture_dir / "cat-cocycle-j.json"))
     assert out1 == out2
 
 
-def test_zappa_szep_output_is_s3(capsys, fixture_dir, tmp_path):
+def test_zappa_szep_output_is_s3(fixture_dir, tmp_path):
     out_path = tmp_path / "zs.json"
-    code, _ = run(capsys, "zappa-szep", str(fixture_dir / "z2-z3-inversion.json"),
-                  "-o", str(out_path))
+    code, _, _ = cli("zappa-szep", str(fixture_dir / "z2-z3-inversion.json"),
+                     "-o", str(out_path))
     assert code == 0
     H = jsonio.load_group(out_path)
     # a group of order 6 with a non-commuting pair is S3; 3 = (1, 0) and
@@ -121,33 +93,27 @@ def test_zappa_szep_output_is_s3(capsys, fixture_dir, tmp_path):
     assert H.order == 6 and H.table[3][1] != H.table[1][3]
 
 
-def test_factorize_s4(capsys, fixture_dir, tmp_path):
+def test_factorize_s4(fixture_dir, tmp_path):
     out_path = tmp_path / "s4pair.json"
-    code, _ = run(capsys, "factorize", str(fixture_dir / "group-s4.json"),
-                  "--gens-g", "9", "--gens-gamma", "6,8", "-o", str(out_path))
+    code, _, _ = cli("factorize", str(fixture_dir / "group-s4.json"),
+                     "--gens-g", "9", "--gens-gamma", "6,8", "-o", str(out_path))
     assert code == 0
     mp = jsonio.load_matched(out_path)
     assert verify_matched_pair(mp).passed
     assert (mp.G.order, mp.Gamma.order) == (4, 6)
 
 
-def test_factorize_rejects_non_exact(capsys, fixture_dir, tmp_path):
-    code = main(["factorize", str(fixture_dir / "group-s4.json"),
-                 "--gens-g", "9", "--gens-gamma", "9", "-o", str(tmp_path / "x.json")])
-    assert code == 2
-
-
-def test_turaev_command(capsys, fixture_dir, tmp_path):
+def test_turaev_command(fixture_dir, tmp_path):
     out_path = tmp_path / "tur.json"
-    code, out = run(capsys, "turaev", str(fixture_dir / "group-d4.json"), "-o", str(out_path))
+    code, out, _ = cli("turaev", str(fixture_dir / "group-d4.json"), "-o", str(out_path))
     assert code == 0
     assert json.loads(out)["pass"] is True
 
 
-def test_center_pair_command_trivial_z2z2(capsys, fixture_dir, tmp_path):
+def test_center_pair_command_trivial_z2z2(fixture_dir, tmp_path):
     out_path = tmp_path / "cp.json"
-    code, _ = run(capsys, "center-pair", str(fixture_dir / "direct-z2-z2.json"),
-                  "-o", str(out_path))
+    code, _, _ = cli("center-pair", str(fixture_dir / "direct-z2-z2.json"),
+                     "-o", str(out_path))
     assert code == 0
     bmp = jsonio.load_braided(out_path)
     assert bmp.mp.G.order == 4 and bmp.mp.Gamma.order == 4
@@ -161,12 +127,12 @@ def test_center_pair_command_trivial_z2z2(capsys, fixture_dir, tmp_path):
     (["center-pair"], "direct-z2-z2.json"),
     (["center"], "cat-vec-z2z3.json"),
 ], ids=["turaev", "zappa-szep", "factorize", "center-pair", "center"])
-def test_input_digest_is_taken_before_output_overwrites_the_input(capsys, fixture_dir,
-                                                                  tmp_path, argv, source):
+def test_input_digest_is_taken_before_output_overwrites_the_input(fixture_dir, tmp_path,
+                                                                  argv, source):
     path = tmp_path / source
     path.write_bytes((fixture_dir / source).read_bytes())
     before = hashlib.sha256(path.read_bytes()).hexdigest()
-    code, out = run(capsys, argv[0], str(path), *argv[1:], "-o", str(path))
+    code, out, _ = cli(argv[0], str(path), *argv[1:], "-o", str(path))
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() != before
     assert json.loads(out)["inputDigest"] == before
@@ -191,18 +157,17 @@ INPUT_FORMS = pytest.mark.parametrize("argv,source", [
 
 
 @INPUT_FORMS
-def test_input_digest_is_the_sha256_of_the_input_bytes(capsys, fixture_dir, tmp_path,
-                                                       argv, source):
+def test_input_digest_is_the_sha256_of_the_input_bytes(fixture_dir, tmp_path, argv, source):
     # the oracle is the standard library's hash, not the CLI's own digest
     path = fixture_dir / source
-    code, out = run(capsys, *[a.format(out=tmp_path / "out.json") for a in argv], str(path))
+    code, out, _ = cli(*[a.format(out=tmp_path / "out.json") for a in argv], str(path))
     assert code == 0
     assert json.loads(out)["inputDigest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @INPUT_FORMS
-def test_each_command_reads_and_hashes_its_input_once(capsys, monkeypatch, fixture_dir,
-                                                      tmp_path, argv, source):
+def test_each_command_reads_and_hashes_its_input_once(monkeypatch, fixture_dir, tmp_path,
+                                                      argv, source):
     # the input is replaced, still valid, right after it is read, so a second
     # read for the digest would hash the replacement
     path, out = tmp_path / source, tmp_path / "out.json"
@@ -217,7 +182,7 @@ def test_each_command_reads_and_hashes_its_input_once(capsys, monkeypatch, fixtu
             path.write_bytes(data + b"\n")
         return data
     monkeypatch.setattr(jsonio, "read_input", read_input)
-    code, report = run(capsys, *[a.format(out=out) for a in argv], str(path))
+    code, report, _ = cli(*[a.format(out=out) for a in argv], str(path))
     assert code == 0
     assert reads == [path]
     assert json.loads(report)["inputDigest"] == hashlib.sha256(first).hexdigest()
@@ -272,54 +237,53 @@ def _written_as(report: str, regular: Path, path: str) -> str:
 
 
 @OUTPUT_FORMS
-def test_output_to_dev_null_exits_0(capsys, tmp_path, argv):
+def test_output_to_dev_null_exits_0(tmp_path, argv):
     # the report is the one a regular file gets; no command reads -o back
     regular = tmp_path / "out.json"
-    code, expected = run(capsys, *argv, "-o", str(regular))
+    code, expected, _ = cli(*argv, "-o", str(regular))
     assert code == 0
-    code, out = run(capsys, *argv, "-o", os.devnull)
+    code, out, _ = cli(*argv, "-o", os.devnull)
     assert code == 0
     assert out == _written_as(expected, regular, os.devnull)
 
 
-def test_output_over_the_input_limit_is_not_written(capsys, monkeypatch, tmp_path):
+def test_output_over_the_input_limit_is_not_written(monkeypatch, tmp_path):
     # S4 from its factorization Z4 x S3: a 1,061-byte input, a 4,059-byte group;
     # written, the group could not be read as an input
     source, out = FIXTURE_DIR / "s4-z4-s3.json", tmp_path / "s4.json"
     monkeypatch.setattr(jsonio, "MAX_INPUT_BYTES", 2000)
-    assert main(["zappa-szep", str(source), "-o", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {"error": f"cannot write {str(out)!r}: 4059 bytes, "
-                                                 "larger than the input limit of 2000 bytes"}
+    code, stdout, stderr = cli("zappa-szep", str(source), "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": f"cannot write {str(out)!r}: 4059 bytes, "
+                                           "larger than the input limit of 2000 bytes"}
     assert not out.exists()
     # under the limit it is written as open() writes a file, with no execute bit
     monkeypatch.setattr(jsonio, "MAX_INPUT_BYTES", 5000)
-    assert main(["zappa-szep", str(source), "-o", str(out)]) == 0
+    assert cli("zappa-szep", str(source), "-o", str(out))[0] == 0
     umask = os.umask(0)
     os.umask(umask)
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
-def test_coherence_command(capsys, fixture_dir):
-    code, out = run(capsys, "coherence", "--category", str(fixture_dir / "cat-cocycle-j.json"))
+def test_coherence_command(fixture_dir):
+    code, out, _ = cli("coherence", "--category", str(fixture_dir / "cat-cocycle-j.json"))
     assert code == 0
     report = json.loads(out)
     assert report["pass"] is True and report["failures"] == []
     assert report["stats"] == {"branchings": 10, "instances": 73}
-    code, out = run(capsys, "coherence", "--category", str(fixture_dir / "cat-cocycle-j.json"),
-                    "--objects", "1,1")
+    code, out, _ = cli("coherence", "--category", str(fixture_dir / "cat-cocycle-j.json"),
+                       "--objects", "1,1")
     assert code == 0 and json.loads(out)["stats"] == {"branchings": 10, "instances": 28}
 
 
-def test_coherence_refuses_over_the_instance_bound(capsys, monkeypatch, fixture_dir):
+def test_coherence_refuses_over_the_instance_bound(monkeypatch, fixture_dir):
     """cat-vec-turaev-s3 compares 4,105 instances: at that bound it passes,
     and one below it exits 2 naming the count before any branching is
     normalized."""
     from crossedcat import words
     path = str(fixture_dir / "cat-vec-turaev-s3.json")
     monkeypatch.setattr(words, "MAX_COHERENCE_INSTANCES", 4105)
-    code, out = run(capsys, "coherence", "--category", path)
+    code, out, _ = cli("coherence", "--category", path)
     assert code == 0 and json.loads(out)["stats"]["instances"] == 4105
 
     def unreached(*args):
@@ -327,175 +291,29 @@ def test_coherence_refuses_over_the_instance_bound(capsys, monkeypatch, fixture_
 
     monkeypatch.setattr(words, "MAX_COHERENCE_INSTANCES", 4104)
     monkeypatch.setattr(words, "normal_form", unreached)
-    assert main(["coherence", "--category", path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {
+    code, out, err = cli("coherence", "--category", path)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
         "error": "coherence would compare 4105 instances, over the limit of 4104"}
 
 
-@pytest.mark.parametrize("argv", [["center"], ["coherence", "--category"]])
-def test_failing_category_names_its_check_and_witness(capsys, fixture_dir, tmp_path, argv):
-    """A command that loads a validated category names the first failing
-    check and its witness as the report lists them."""
-    obj = json.loads((fixture_dir / "cat-cocycle-chi.json").read_text())
-    obj["chi"][1][0][1] = 1
-    path = tmp_path / "chi-mutant.json"
-    path.write_text(json.dumps(obj))
-    assert main([*argv, str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {
-        "error": "category axioms fail: chi_cocycle at [1, 0, 0, 1]"}
-
-
-def test_pretty_flag_renders_text(capsys, fixture_dir):
-    code, out = run(capsys, "--pretty", "verify", "matched-pair",
-                    str(fixture_dir / "z2-z3-inversion.json"))
+def test_pretty_flag_renders_text(fixture_dir):
+    code, out, _ = cli("--pretty", "verify", "matched-pair",
+                       str(fixture_dir / "z2-z3-inversion.json"))
     assert code == 0
     assert "matched-pair: PASS" in out
 
 
-def test_jobs_flag_is_rejected(capsys, fixture_dir):
-    assert main(["--jobs", "4", "verify", "matched-pair",
-                 str(fixture_dir / "s4-z4-s3.json")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {"error": "unknown option '--jobs'"}
-
-
-def _fixture_with(name, value, *path):
-    """Fixture file `name` with the node at key `path` replaced by `value`."""
-    obj = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
-    node = obj
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    return obj
-
-
-@pytest.mark.parametrize("kind,obj,error", [
-    ("group", [1, 2], "group must be a JSON object"),
-    ("group", {"name": "Z3", "identity": 7, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
-     "identity 7 out of range 0..2"),
-    ("matched-pair", _fixture_with("z2-z3-inversion", 3, "G"), "group must be a JSON object"),
-    ("category", 5, "category must be a JSON object"),
-    # a string where an object belongs is refused, never opened as a path
-    ("matched-pair", _fixture_with("z2-z3-inversion", ".", "G"), "group must be a JSON object"),
-    # JSON true/false are not integers, though Python's bool subclasses int
-    ("group", {"table": [[False, True], [True, False]]},
-     "group table must be a list of lists of integers"),
-    ("group", {"table": [[0, 1], [1, 0]], "identity": False}, "group identity must be an integer"),
-    ("matched-pair", _fixture_with("z2-z3-inversion", True, "act1", 1, 1),
-     "act1 must be a list of lists of integers"),
-    ("matched-pair", _fixture_with("z2-z3-inversion", [0, 1], "act1", 1),
-     "act1 must be |G| x |Gamma|"),
-    ("matched-pair", _fixture_with("z2-z3-inversion", [1], "act2", 2),
-     "act2 must be |Gamma| x |G|"),
-    ("matched-pair", _fixture_with("z2-z3-inversion", 3, "act1", 1, 1), "act1 entry out of range"),
-    ("matched-pair", _fixture_with("z2-z3-inversion", -1, "act2", 0, 1),
-     "act2 entry out of range"),
-    ("category", _fixture_with("cat-vec-z2z3", True, "M"), "M must be a positive integer"),
-    ("category", _fixture_with("cat-cocycle-j", True, "J", 1, 1, 1),
-     "J must be a list of lists of lists of integers"),
-    ("group", _fixture_with("group-z3", 99, "order"),
-     "group order 99 does not match the table's 3 rows"),
-    ("group", _fixture_with("group-z3", "x", "order"), "group order must be an integer"),
-    ("group", _fixture_with("group-z3", True, "order"), "group order must be an integer"),
-    # a category's shapes are pointed_category's checks, its exponents the loader's
-    ("category", _fixture_with("cat-vec-z2z3", 7, "grading", 1),
-     "grading must map Lambda into Gamma"),
-    ("category", _fixture_with("cat-vec-z2z3", [0, 1], "grading"),
-     "grading must map Lambda into Gamma"),
-    ("category", _fixture_with("cat-vec-z2z3", [0, 2], "action", 1),
-     "action must be |G| x |Lambda|"),
-    ("category", _fixture_with("cat-vec-z2z3", 9, "action", 1, 1), "action entry out of range"),
-    ("category", _fixture_with("cat-vec-z2z3", [[[0] * 3] * 3], "J"), "J must be 2x3x3"),
-    ("category", _fixture_with("cat-vec-z2z3", [0], "phi"), "phi must have length 2"),
-    ("category", _fixture_with("cat-vec-z2z3", [0, 0], "iota"), "iota must have length 3"),
-    ("category", _fixture_with("cat-vec-z2z3", [[[0, 0, 0], [0, 5, 0]], [[0] * 3] * 2], "chi"),
-     "chi exponent 5 not in 0..1"),
-    # a category's top-level G and Gamma are validated as groups, then
-    # compared with the pair's (Z2 and Z3 in cat-vec-z2z3)
-    ("category", _fixture_with("cat-vec-z2z3", json.loads(
-        (FIXTURE_DIR / "group-z3.json").read_text()), "G"),
-     "top-level G disagrees with the matched pair's G"),
-    ("category", _fixture_with("cat-vec-z2z3", {"table": [[0]]}, "Gamma"),
-     "top-level Gamma disagrees with the matched pair's Gamma"),
-    # equal to the pair's table under ==, but JSON true/false are not integers
-    ("category", _fixture_with("cat-vec-z2z3", [[False, True], [True, False]], "G", "table"),
-     "group table must be a list of lists of integers"),
-    ("category", _fixture_with("cat-vec-z2z3", [[0.0, 1], [1, 0]], "G", "table"),
-     "group table must be a list of lists of integers"),
-    ("category", _fixture_with("cat-vec-z2z3", [[0, 1], [1, 1]], "G", "table"),
-     "element 1 has no two-sided inverse"),
-    ("category", _fixture_with("cat-vec-z2z3", [[0, 1], [1, 2]], "G", "table"),
-     "entry 2 out of range 0..1"),
-    ("category", _fixture_with("cat-vec-z2z3", 1, "G", "identity"),
-     "element 1 is not an identity (fails at 0)"),
-    ("category", _fixture_with("cat-vec-z2z3", True, "G", "identity"),
-     "group identity must be an integer"),
-    ("category", _fixture_with("cat-vec-z2z3", 3, "G", "order"),
-     "group order 3 does not match the table's 2 rows"),
-    # a name is a JSON string wherever a group or category object sits
-    ("group", {"table": [[0, 1], [1, 0]], "name": {"x": [1]}}, "group name must be a string"),
-    ("matched-pair", _fixture_with("z2-z3-inversion", None, "G", "name"),
-     "group name must be a string"),
-    ("braided-pair", _fixture_with("turaev-z2-braided", ["Z2"], "Gamma", "name"),
-     "group name must be a string"),
-    ("category", _fixture_with("cat-vec-z2z3", 5, "name"), "category name must be a string"),
-    ("category", _fixture_with("cat-vec-z2z3", True, "Lambda", "name"),
-     "group name must be a string"),
-    ("category", _fixture_with("cat-vec-z2z3", 0, "mp", "Gamma", "name"),
-     "group name must be a string"),
-    ("category", _fixture_with("cat-vec-z2z3", None, "G", "name"), "group name must be a string"),
-    ("category", _fixture_with("cat-vec-z2z3", {}, "Gamma", "name"),
-     "group name must be a string"),
-], ids=["group-not-object", "identity-out-of-range", "G-not-object", "category-not-object",
-        "G-string-not-opened", "bool-in-group-table", "bool-identity", "bool-in-action",
-        "ragged-act1", "ragged-act2", "act1-range", "act2-range", "bool-M", "bool-in-J",
-        "order-not-rows", "order-not-integer", "bool-order", "grading-range", "short-grading",
-        "short-action-row", "action-range", "J-one-plane", "short-phi", "short-iota",
-        "chi-range", "differing-G-copy", "differing-Gamma-copy", "bool-in-G-copy",
-        "float-in-G-copy", "G-copy-no-inverse", "G-copy-range", "G-copy-identity",
-        "bool-G-copy-identity", "G-copy-order", "group-name-object", "pair-G-name-null",
-        "braided-Gamma-name-list", "category-name-number", "Lambda-name-bool",
-        "mp-Gamma-name-number", "G-copy-name-null", "Gamma-copy-name-object"])
-def test_shape_malformed_input_exit_2(capsys, tmp_path, kind, obj, error):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    assert main(["verify", kind, str(bad)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err.strip().splitlines()[-1]) == {"error": error}
-
-
-@pytest.mark.parametrize("obj,named,error", [
-    (_fixture_with("cat-vec-z2z3", "pair.json", "mp"), "z2-z3-inversion",
-     "matched pair must be a JSON object"),
-    ("pair.json", "cat-vec-z2z3", "category must be a JSON object"),
-], ids=["mp-names-a-pair-file", "file-names-a-category-file"])
-def test_path_string_is_not_opened(capsys, tmp_path, obj, named, error):
-    # pair.json holds a valid object of the kind asked for, but each file is
-    # one self-contained JSON value
-    (tmp_path / "pair.json").write_text((FIXTURE_DIR / f"{named}.json").read_text())
-    (tmp_path / "cat.json").write_text(json.dumps(obj))
-    assert main(["verify", "category", str(tmp_path / "cat.json")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {"error": error}
-
-
-def test_top_level_copy_without_identity_or_order_is_accepted(capsys, tmp_path):
+def test_top_level_copy_without_identity_or_order_is_accepted(tmp_path):
     obj = json.loads((FIXTURE_DIR / "cat-vec-z2z3.json").read_text())
     for key in ("G", "Gamma"):
         del obj[key]["identity"], obj[key]["order"]
     (tmp_path / "cat.json").write_text(json.dumps(obj))
-    code, out = run(capsys, "verify", "category", str(tmp_path / "cat.json"))
+    code, out, _ = cli("verify", "category", str(tmp_path / "cat.json"))
     assert code == 0 and json.loads(out)["pass"] is True
 
 
-def test_category_at_the_input_cap_passes(capsys, tmp_path):
+def test_category_at_the_input_cap_passes(tmp_path):
     """Lambda = Z_925 over trivial groups with J omitted, the largest such
     category under MAX_INPUT_BYTES, loads and verifies."""
     n, one = 925, {"table": [[0]]}
@@ -505,20 +323,18 @@ def test_category_at_the_input_cap_passes(capsys, tmp_path):
     text = json.dumps(obj)
     assert len(text) <= jsonio.MAX_INPUT_BYTES  # with Z_926, 4,194,866 bytes, it is over
     (tmp_path / "cat.json").write_text(text)
-    code, out = run(capsys, "verify", "category", str(tmp_path / "cat.json"))
+    code, out, _ = cli("verify", "category", str(tmp_path / "cat.json"))
     assert code == 0 and json.loads(out)["pass"] is True
 
 
 def _cli_child(*argv: str, cap_memory: bool = False, **kwargs) -> subprocess.CompletedProcess:
-    """`crossedcat argv...` in a child process with a timeout, importing the
-    package from src/; `cap_memory` caps its address space at 512 MB."""
+    """`crossedcat argv...` in a child process; `cap_memory` caps its address
+    space at 512 MB."""
     if cap_memory:
         resource = pytest.importorskip("resource")
         kwargs["preexec_fn"] = lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                           (512 << 20, 512 << 20))
-    return subprocess.run([sys.executable, "-m", "crossedcat.cli", *argv], capture_output=True,
-                          text=True, timeout=60,
-                          env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")}, **kwargs)
+    return python("-m", "crossedcat.cli", *argv, **kwargs)
 
 
 def _refused(done: subprocess.CompletedProcess) -> str:
@@ -531,8 +347,8 @@ def test_sub_object_naming_dev_zero_exits_2(tmp_path):
     """A group given as "/dev/zero" exits 2 without opening it.  Were the path
     read, it would fill memory; so the command runs with its address space
     capped."""
-    (tmp_path / "cat.json").write_text(json.dumps(_fixture_with("cat-vec-z2z3", "/dev/zero",
-                                                                "Lambda")))
+    (tmp_path / "cat.json").write_text(json.dumps(fixture_with("cat-vec-z2z3", ("Lambda",),
+                                                               "/dev/zero")))
     done = _cli_child("verify", "category", str(tmp_path / "cat.json"), cap_memory=True)
     assert _refused(done) == "group must be a JSON object"
 
@@ -570,41 +386,18 @@ def test_input_over_the_cap_exits_2(tmp_path):
         f"cannot read {str(big)!r}: larger than the input limit of {jsonio.MAX_INPUT_BYTES} bytes"
 
 
-@pytest.mark.parametrize("obj,witness", [
-    ({"table": [[0, 1], [1, 1]]}, [1]),
-    ({"table": [[0, 0], [1, 1]], "identity": 0}, [0, 1]),
-    ({"table": [[0, 1, 2], [1, 0, 0], [2, 0, 0]]}, [1, 1, 2]),
-], ids=["no-inverse", "identity-fails", "associativity-fails"])
-def test_verify_group_law_failure_exit_1(capsys, tmp_path, obj, witness):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
-    assert main(["verify", "group", str(bad)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert json.loads(captured.out)["checks"] == [{"name": "group_laws", "pass": False,
-                                                   "witness": witness}]
-
-
-def test_group_without_order_loads(capsys, tmp_path):
-    obj = json.loads((FIXTURE_DIR / "group-z3.json").read_text())
-    del obj["order"]
+def test_group_without_order_loads(tmp_path):
     path = tmp_path / "z3.json"
-    path.write_text(json.dumps(obj))
-    assert main(["verify", "group", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["pass"] is True
+    path.write_text(json.dumps(fixture_with("group-z3", ("order",))))
+    code, out, _ = cli("verify", "group", str(path))
+    assert code == 0 and json.loads(out)["pass"] is True
     assert jsonio.load_group(path) == jsonio.load_group(FIXTURE_DIR / "group-z3.json")
-
-
-def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """`python -c code args...` in a fresh interpreter that imports the package from src/."""
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          check=True, env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")})
 
 
 def _imported_after(code: str, modules: set[str]) -> list[str]:
     """Those of `modules` that a fresh interpreter has imported after running `code`."""
     probe = f"{code}\nimport sys\nprint(' '.join(m for m in sys.argv[1:] if m in sys.modules))"
-    return _fresh_python(probe, *sorted(modules)).stdout.splitlines()[-1].split()
+    return python("-c", probe, *sorted(modules), check=True).stdout.splitlines()[-1].split()
 
 
 def test_cli_import_leaves_numpy_and_threads_out():
@@ -640,7 +433,8 @@ def test_digest_falls_back_to_hashlib_without_the_builtin_hashes():
              "from crossedcat.cli import main\n"
              "print(main(sys.argv[1:]), 'hashlib' in sys.modules)")
     path = FIXTURE_DIR / "group-z2.json"
-    report, status = _fresh_python(probe, "verify", "group", str(path)).stdout.splitlines()
+    done = python("-c", probe, "verify", "group", str(path), check=True)
+    report, status = done.stdout.splitlines()
     assert status == "0 True"
     assert json.loads(report)["inputDigest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -663,7 +457,7 @@ def test_package_exports_resolve_lazily():
     probe = ("import sys, crossedcat, crossedcat.cli\n"
              "assert 'crossedcat.center' not in sys.modules\n"
              "print(crossedcat.center.CenterStructure.__name__, crossedcat.words.__name__)")
-    assert _fresh_python(probe).stdout.split() == ["CenterStructure", "crossedcat.words"]
+    assert python("-c", probe, check=True).stdout.split() == ["CenterStructure", "crossedcat.words"]
 
 
 def test_cli_process_ends_without_teardown(tmp_path):
@@ -680,36 +474,33 @@ def test_cli_process_ends_without_teardown(tmp_path):
              "crossedcat.loud = Loud()\n"
              "atexit.register(lambda: print('hook'))\n"
              "runpy.run_module('crossedcat.cli', run_name='__main__')")
-    obj = json.loads((FIXTURE_DIR / "z2-z3-inversion.json").read_text())
-    obj["act1"][1][2] = (obj["act1"][1][2] + 1) % 3
-    bad = tmp_path / "corrupted.json"
-    bad.write_text(json.dumps(obj))
+    bad = tmp_path / "not-matched.json"
+    bad.write_text(json.dumps(fixture_with("z2-z3-inversion", ("act1", 1, 2), 2)))
     for path, code in ((FIXTURE_DIR / "group-z3.json", 0), (bad, 1)):
         kind = "group" if code == 0 else "matched-pair"
-        done = subprocess.run([sys.executable, "-c", probe, "verify", kind, str(path)],
-                              capture_output=True, text=True, timeout=60,
-                              env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")})
+        done = python("-c", probe, "verify", kind, str(path))
         report, hook = done.stdout.splitlines()
         assert (done.returncode, json.loads(report)["pass"], hook) == (code, code == 0, "hook")
         assert done.stderr == ""
 
 
-def test_main_leaves_the_heap_collectable(capsys):
+def test_main_leaves_the_heap_collectable():
     before = gc.get_freeze_count()
-    assert main(["verify", "group", str(FIXTURE_DIR / "group-z3.json")]) == 0
+    assert cli("verify", "group", str(FIXTURE_DIR / "group-z3.json"))[0] == 0
     assert gc.get_freeze_count() == before
 
 
 def test_console_script_runs_the_entry_of_the_main_block():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((FIXTURE_DIR.parent / "pyproject.toml").read_text())["project"]
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    module = sys.modules["crossedcat.cli"]
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     block = next(node for node in tree.body if isinstance(node, ast.If)
                  and ast.unparse(node.test) == "__name__ == '__main__'")
     [statement] = block.body
     entry = statement.value.func.id
     assert project["scripts"] == {"crossedcat": f"crossedcat.cli:{entry}"}
-    assert callable(getattr(cli, entry))
+    assert callable(getattr(module, entry))
 
 
 # the --help text byte for byte, which usage() builds from COMMANDS
@@ -750,10 +541,8 @@ commands:
 """
 
 
-def test_help_prints_the_usage_of_every_command(capsys):
-    done = subprocess.run([sys.executable, "-m", "crossedcat.cli", "--help"],
-                          capture_output=True, text=True,
-                          env={"PYTHONPATH": str(FIXTURE_DIR.parent / "src")})
+def test_help_prints_the_usage_of_every_command():
+    done = python("-m", "crossedcat.cli", "--help")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == HELP
     # one synopsis per command, naming each argument of the table in order
@@ -770,61 +559,7 @@ def test_help_prints_the_usage_of_every_command(capsys):
                                 else arg.dest.upper())
         assert [w.strip("[]") for w in words[2:]] == expected
     # -h after a command prints the same text
-    assert main(["verify", "-h"]) == 0
-    assert capsys.readouterr().out == done.stdout
-
-
-@pytest.mark.parametrize("argv,error", [
-    (["coherence", "--category", "{cat}", "--objects", "a"],
-     "--objects must be comma-separated integers, got 'a'"),
-    (["coherence", "--category", "{cat}", "--objects", "99"],
-     "--objects label 99 out of range 0..3"),
-    (["coherence", "--category", "{cat}", "--objects", ",,"],
-     "--objects names no label, got ',,'"),
-    (["coherence", "--category", "{cat}", "--objects", ""],
-     "--objects names no label, got ''"),
-    (["factorize", "{s4}", "--gens-g", "x", "--gens-gamma", "6,8", "-o", "{out}"],
-     "--gens-g must be comma-separated integers, got 'x'"),
-    # an empty path names no file: the error names the path as typed
-    (["center", "{cat}", "--out="], f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"),
-    (["verify", "group", ""], f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''"),
-    # the budget options of the bounded walk are gone
-    (["coherence", "--category", "{cat}", "--max-nodes", "6"],
-     "coherence: unknown option '--max-nodes'"),
-    (["coherence", "--category", "{cat}", "--arity=2"],
-     "coherence: unknown option '--arity'"),
-    (["coherence", "--category", "{cat}", "--tuple-cap", "64"],
-     "coherence: unknown option '--tuple-cap'"),
-], ids=["objects-not-int", "objects-out-of-range", "objects-commas", "objects-empty",
-        "gens-not-int", "center-out-empty", "verify-group-empty", "max-nodes-unknown",
-        "arity-unknown", "tuple-cap-unknown"])
-def test_malformed_arguments_exit_2(capsys, fixture_dir, tmp_path, argv, error):
-    paths = {"cat": fixture_dir / "cat-z4-over-z2.json", "s4": fixture_dir / "group-s4.json",
-             "out": tmp_path / "out.json"}
-    assert main([a.format(**paths) for a in argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err) == {"error": error}
-    assert not (tmp_path / "out.json").exists()
-
-
-def test_right_action_files_rejected(fixture_dir, tmp_path):
-    obj = json.loads((fixture_dir / "z2-z3-inversion.json").read_text())
-    obj["side1"] = "right"
-    bad = tmp_path / "right.json"
-    bad.write_text(json.dumps(obj))
-    assert main(["verify", "matched-pair", str(bad)]) == 2
-
-
-def test_center_structure_tables(fixture_dir):
-    from conftest import category
-    from crossedcat.center import CenterStructure
-    Z = CenterStructure(category("z4-over-z2"))
-    n = len(Z.simples)
-    assert len(Z.tensor_table) == n and all(len(r) == n for r in Z.tensor_table)
-    assert all(0 <= v < n for row in Z.g_action_table for v in row)
-    assert all(0 <= v < n for row in Z.gamma_action_table for v in row)
-    assert all(0 <= e < Z.cat.M for row in Z.braid_table for e in row)
+    assert cli("verify", "-h") == (0, done.stdout, "")
 
 
 def test_every_fixture_file_loads_and_verifies(fixture_dir):
@@ -857,12 +592,9 @@ def test_build_fixtures_reproduces_every_fixture(fixture_dir, tmp_path, monkeypa
 
 
 def test_center_survey_script_verifies_every_center(fixture_dir):
-    import subprocess
-    import sys
     from fixture_builders import CENTER_FIXTURES
     script = fixture_dir.parent / "scripts" / "center_survey.py"
-    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          timeout=120)
+    done = python(str(script), timeout=120)
     assert done.returncode == 0, done.stderr
     heads = [line for line in done.stdout.splitlines() if not line.startswith(" ")]
     assert [h.split(":")[0] for h in heads] == list(CENTER_FIXTURES)

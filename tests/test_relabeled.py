@@ -14,15 +14,15 @@ import random
 
 import pytest
 
-from conftest import category, mutation_pool, pair, random_perms, relabeled
+from conftest import carried, category, cli, mutation_pool, pair, random_perms, relabeled
 from crossedcat import jsonio
 from crossedcat.braided import center_braiding, verify_braiding
-from crossedcat.center import CenterSimple, enumerate_center, verify_center_braided
-from crossedcat.cli import main
+from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
+                               verify_center_braided)
 from crossedcat.matched import verify_matched_pair
 from crossedcat.pointed import vec_gamma, verify_crossed_category
 from fixture_builders import CATEGORIES, MATCHED_PAIRS
-from reference_sweeps import CategoryLaws, PairLaws
+from reference_sweeps import BraidingLaws, CategoryLaws, PairLaws
 
 
 def failed(rep) -> list[str]:
@@ -111,7 +111,7 @@ def test_relabeled_mutants_keep_their_verdicts():
     assert renamed == 128
 
 
-def test_relabeled_unit_passes_verify_center_and_center(tmp_path, capsys):
+def test_relabeled_unit_passes_verify_center_and_center(tmp_path):
     """equivariant-s3 with Lambda's labels 0 and 5 swapped: its unit is 5,
     not the least label of the trivial degree's fiber."""
     cat = category("equivariant-s3")
@@ -119,8 +119,47 @@ def test_relabeled_unit_passes_verify_center_and_center(tmp_path, capsys):
     pL[0], pL[5] = 5, 0
     path = tmp_path / "relabeled.json"
     jsonio.save_category(relabeled(cat, (list(range(2)), [0], pL)), path)
-    assert main(["verify", "center", str(path)]) == 0
-    assert len(json.loads(capsys.readouterr().out)["checks"]) == 6
-    assert main(["center", str(path)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert len(out["simples"]) == len(enumerate_center(cat)) == 4
+    code, out, _ = cli("verify", "center", str(path))
+    assert code == 0 and len(json.loads(out)["checks"]) == 6
+    code, out, _ = cli("center", str(path))
+    assert code == 0 and len(json.loads(out)["simples"]) == len(enumerate_center(cat)) == 4
+
+
+def test_relabeled_center_mutants_fail_the_same_braiding_laws():
+    """The pool's center mutants whose report fails a braiding check,
+    relabeled twice each, with their simple list carried across in its
+    order and the image of the section as the section: the same checks
+    fail, and each braiding check's first witness, renamed (the actor
+    g * |Gamma| + s becomes pG[g] * |Gamma| + pS[s]; simple indices stay),
+    has a nonzero residue in BraidingLaws on the relabeled center's tables."""
+    rng = random.Random("relabel:center-mutants")
+    renamed = 0
+    for name, kind, mutant in mutation_pool():
+        if kind != "center":
+            continue
+        cat, simples = mutant
+        rep = verify_center_braided(cat, simples)
+        witnesses = {c.name: c.witness for c in rep.checks
+                     if c.name.startswith("braiding_axiom") and not c.passed}
+        if not witnesses:
+            continue
+        for _ in range(2):
+            perms = random_perms(cat, rng)
+            pG, pS, pL = perms
+            moved = relabeled(cat, perms)
+            section = carried(cat.least_section(), (pS,), pL)
+            moved_simples = [mapped_simple(z, cat, perms, moved.neutral_labels) for z in simples]
+            assert (failed(verify_center_braided(moved, moved_simples, section))
+                    == failed(rep)), (name, perms)
+            Z = CenterStructure(moved, section, moved_simples)
+            laws = BraidingLaws.on_tables(len(Z.simples), Z.braid_table, Z.tensor_table,
+                                          Z.action_table, Z.grade_table, Z.j_table, Z.chi_table,
+                                          Z.induced, moved.M)
+            n = cat.Gamma.order
+            for check, witness in witnesses.items():
+                if check == "braiding_axiom_1":
+                    g, s = divmod(witness[0], n)
+                    witness = (pG[g] * n + pS[s], *witness[1:])
+                assert getattr(laws, check)(*witness), (name, check, witness, perms)
+                renamed += 1
+    assert renamed == 30

@@ -11,10 +11,9 @@ import json
 
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, cli
 from crossedcat import jsonio
 from crossedcat.braided import braided_pair
-from crossedcat.cli import main
 from crossedcat.errors import ValidationError
 from crossedcat.groups import validate_group
 from crossedcat.matched import matched_pair
@@ -83,7 +82,7 @@ TABLES = {
 
 @pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
 @pytest.mark.parametrize("what", sorted(TABLES))
-def test_each_constructor_refuses_a_non_integer_entry(capsys, tmp_path, what, bad):
+def test_each_constructor_refuses_a_non_integer_entry(tmp_path, what, bad):
     """No entry is coerced: a float or a bool is refused by the constructor,
     with the message the loader prints for the same table in a file."""
     depth, kind, construct, to_json, table = TABLES[what]
@@ -95,6 +94,5 @@ def test_each_constructor_refuses_a_non_integer_entry(capsys, tmp_path, what, ba
     assert str(refused.value) == message
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(to_json(bad_table)))
-    assert main(["verify", kind, str(path)]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, json.loads(captured.err)) == ("", {"error": message})
+    code, out, err = cli("verify", kind, str(path))
+    assert (code, out, json.loads(err)) == (2, "", {"error": message})
