@@ -15,23 +15,29 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import crossedcat  # noqa: E402
+from crossedcat import jsonio  # noqa: E402
 from crossedcat.braided import BraidedMatchedPair, braided_pair, center_braiding  # noqa: E402
-from crossedcat.center import CenterSimple, enumerate_center  # noqa: E402
+from crossedcat.center import CenterSimple, CenterStructure, enumerate_center  # noqa: E402
 from crossedcat.cli import main  # noqa: E402
 from crossedcat.groups import FiniteGroup, cyclic, trivial_group  # noqa: E402
 from crossedcat.matched import MatchedPair, direct_pair, matched_pair  # noqa: E402
 from crossedcat.pointed import PointedCrossedCategory, pointed_category  # noqa: E402
 from fixture_builders import CATEGORIES, GROUPS, MATCHED_PAIRS  # noqa: E402
 
-# Hypothesis mixes the literal constants of every imported module outside
-# tests/ into its draws.  Each command imports its modules when it runs, so
-# without this a seeded test would draw other examples according to which
-# tests ran before it.
+# Hypothesis mixes the literal constants of every imported module outside a
+# tests directory into its draws: the package's, and those of the benchmark
+# modules that perfbench/tests/test_perfbench.py imports when pytest collects
+# it.  Each command imports its modules when it runs, so without importing
+# them all here a seeded test would draw other examples according to which
+# tests ran before it and whether pytest collects perfbench/tests.
+PERFBENCH_MODULES = ("gate", "hostspeed", "inputs", "spans", "traced_cli")
 for _module in pkgutil.iter_modules(crossedcat.__path__):
     importlib.import_module(f"crossedcat.{_module.name}")
+for _module in PERFBENCH_MODULES:
+    importlib.import_module(_module)
 
 FIXTURE_DIR = ROOT / "fixtures"
 
@@ -212,6 +218,17 @@ def entry_mutants(cat, fields=("jtable", "chitable", "phitable", "iotatable")):
                 yield entry_moved(cat, field, index, delta)
 
 
+def entries_moved(cat, table: str, count: int, rng: random.Random):
+    """`cat` with `count` distinct entries of its J or chi table, as `table`
+    says, moved by nonzero deltas."""
+    field = "jtable" if table == "J" else "chitable"
+    t = getattr(cat, field)
+    cells = indices(t)
+    for index in rng.sample(cells, min(count, len(cells))):
+        t = moved(t, index, rng.randrange(1, cat.M), cat.M)
+    return rebuilt(cat, **{field: t}, name=f"{cat.name}:{table}x{count}")
+
+
 def table_mutants(table, size: int):
     """Every table that differs from `table` in one entry, by every other
     value in range(size), as lists of lists."""
@@ -222,6 +239,54 @@ def table_mutants(table, size: int):
                     out = [list(r) for r in table]
                     out[i][j] = new
                     yield out
+
+
+def center_table_mutants(name: str, count: int, rng: random.Random):
+    """Single-entry mutants of the J, chi and action tables of the center of
+    fixtures/cat-<name>.json viewed as a category."""
+    zcat = CenterStructure(jsonio.load_category(FIXTURE_DIR / f"cat-{name}.json")).as_category()
+    tables = {"J": ("jtable", zcat.M), "chi": ("chitable", zcat.M),
+              "action": ("action", zcat.Lambda.order)}
+    for _ in range(count):
+        kind = rng.choice(list(tables))
+        field, size = tables[kind]
+        _, table = randomly_moved(getattr(zcat, field), size, rng)
+        yield rebuilt(zcat, **{field: table}, name=f"{zcat.name}:{kind}")
+
+
+def corrupted_simples(cat, count: int, rng: random.Random):
+    """Simple lists with one half-braiding exponent changed to a value that
+    makes a triple no simple of the list has, so each list lacks one simple
+    and holds one triple that is not a simple."""
+    simples = enumerate_center(cat)
+    present = set(simples)
+    while count:
+        idx = rng.randrange(len(simples))
+        z = simples[idx]
+        pos = rng.randrange(len(z.chi))
+        changed = []
+        for delta in range(1, cat.M):
+            chi = list(z.chi)
+            chi[pos] = (chi[pos] + delta) % cat.M
+            changed.append(CenterSimple(z.g, z.label, tuple(chi)))
+        changed = [w for w in changed if w not in present]
+        if changed:
+            mutated = list(simples)
+            mutated[idx] = rng.choice(changed)
+            count -= 1
+            yield mutated
+
+
+def duplicated_simple(cat, rng: random.Random) -> list:
+    """The simple list with one simple in place of another, so that it holds
+    that simple twice and lacks the other; [] for a one-simple center."""
+    simples = enumerate_center(cat)
+    if len(simples) < 2:
+        return []
+    i, j = rng.sample(range(len(simples)), 2)
+    mutated = list(simples)
+    mutated[i] = simples[j]
+    return [mutated]
 
 
 @functools.cache

@@ -17,7 +17,8 @@ applied to each T_g and to the action's composition and unit
 isomorphisms.  A gauged category is equivalent to the original one, so it
 satisfies the same axioms and has an equivalent braided center.  Of the
 sign choices, only this one and its overall negation keep random gauges of
-the fixtures valid.
+the fixtures valid.  A coboundary shift (coboundary_shifted) moves J and
+chi by two independent cochains: it keeps the cocycle laws, and no more.
 """
 
 from __future__ import annotations
@@ -46,3 +47,26 @@ def gauge(cat: PointedCrossedCategory, u: Sequence[Sequence[int]]) -> PointedCro
     iota = [cat.iotatable[x] + u[eG][x] for x in Ls]
     return pointed_category(L, mp, cat.grading, cat.action, cat.M, jtable=j, phitable=phi,
                             chitable=chi, iotatable=iota, name=f"{cat.name}:gauged")
+
+
+def coboundary_shifted(cat: PointedCrossedCategory, rng: random.Random) -> PointedCrossedCategory:
+    """`cat` with J += d(alpha) and chi += d(beta), for random 1-cochains
+    alpha of Lambda and beta of G in the right modules of the cocycle
+    laws' closure proof (at pointed.axiom2_cocycle), both zero at the unit.
+    D(d(alpha)) = 0, so each cocycle law reads the same sums as on `cat`,
+    now over nonzero data; the unit entries of J and chi do not move."""
+    L, G, M, a2, deg, act = cat.Lambda, cat.G, cat.M, cat.mp.act2, cat.grading, cat.action
+    Lt, Gt = L.table, G.table
+
+    def cochain(K, size):
+        return [[0] * size if k == K.identity else [rng.randrange(M) for _ in range(size)]
+                for k in K.elements()]
+
+    alpha, beta = cochain(L, G.order), cochain(G, L.order)
+    j = [[[(cat.jtable[g][x][y] + alpha[y][g] - alpha[Lt[x][y]][g] + alpha[x][a2[deg[y]][g]]) % M
+           for y in L.elements()] for x in L.elements()] for g in G.elements()]
+    chi = [[[(cat.chitable[g][h][x] + beta[h][x] - beta[Gt[g][h]][x] + beta[g][act[h][x]]) % M
+             for x in L.elements()] for h in G.elements()] for g in G.elements()]
+    return pointed_category(L, cat.mp, cat.grading, cat.action, M, jtable=j,
+                            phitable=cat.phitable, chitable=chi, iotatable=cat.iotatable,
+                            name=f"{cat.name}+d")

@@ -8,7 +8,8 @@ import re
 
 import pytest
 
-from conftest import ROOT, category, cli, triples, unit_index, z8_over_trivial_groups
+from conftest import (ROOT, category, cli, corrupted_simples, duplicated_simple, triples,
+                      unit_index, z8_over_trivial_groups)
 from crossedcat import center, jsonio
 from crossedcat.braided import center_braiding, verify_braiding
 from crossedcat.center import (CenterSimple, CenterStructure, enumerate_center,
@@ -20,12 +21,6 @@ from crossedcat.pointed import PointedCrossedCategory, pointed_category, verify_
 from fixture_builders import CATEGORIES, CENTER_FIXTURES, element_order, nonsingular_violation
 from gauge import gauge, random_cochain
 from reference_sweeps import ReferenceCenter
-
-
-@pytest.mark.parametrize("name", CENTER_FIXTURES)
-def test_oracle_equivalence(name):
-    cat = category(name)
-    assert enumerate_center(cat) == relative_center_oracle(cat)
 
 
 def test_expected_counts():
@@ -186,12 +181,6 @@ def test_exponents_are_stored_reduced():
         assert all(0 <= v < cat.M for v in stored), cat.name
 
 
-@pytest.mark.parametrize("name", CENTER_FIXTURES)
-def test_verify_center_braided_all_fixtures(name):
-    rep = verify_center_braided(category(name))
-    assert rep.passed, (name, rep.first_failure())
-
-
 @pytest.mark.parametrize("name", [
     name for name in CENTER_FIXTURES
     # z6-over-z3's C' (|Lambda'| = 24, 576 simples) takes over 20 s until
@@ -278,7 +267,6 @@ def test_structure_tables_match_chains(name):
     gauges off the units and on corrupted simple lists, whose escape points
     sigma and the combined chi read too; and on the cases off the fixtures,
     at every point or at seeded rows of a C'."""
-    from test_reference_equivalence import _corrupted_simples
     if name in TABLE_CASES:
         cat = TABLE_CASES[name]()
         n = len(CenterStructure(cat).points)
@@ -290,7 +278,7 @@ def test_structure_tables_match_chains(name):
     assert CenterStructure(cat).points == tuple(enumerate_center(cat))
     rng = random.Random(f"tables:{name}")
     _assert_tables_match_chains(cat)
-    for simples in _corrupted_simples(cat, 2, rng):
+    for simples in corrupted_simples(cat, 2, rng):
         _assert_tables_match_chains(cat, simples)
     # gauges that keep phi and iota make J nonzero where the chains read it:
     # a seeded one, and u = 1 at labels off N and off the section, which
@@ -367,10 +355,9 @@ def test_closure_matches_chains(name):
     chains give, on corrupted and duplicated simple lists too, where points
     escape the list, some have a nonzero chi at e_L, and one index is named
     twice."""
-    from test_reference_equivalence import _corrupted_simples, _duplicated_simple
     cat = category(name)
     rng = random.Random(f"closure:{name}")
-    for simples in [None, *_corrupted_simples(cat, 3, rng), *_duplicated_simple(cat, rng)]:
+    for simples in [None, *corrupted_simples(cat, 3, rng), *duplicated_simple(cat, rng)]:
         Z = CenterStructure(cat, simples=simples)
         assert (Z.points, Z.tensor_table, Z.g_action_table, Z.gamma_action_table) \
             == _closure_by_chains(Z)

@@ -17,7 +17,7 @@ import sys
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import (FIXTURE_DIR, category, indices, moved, pair, rebuilt, relabeled_group,
+from conftest import (FIXTURE_DIR, category, entries_moved, pair, rebuilt, relabeled_group,
                       triples, unit_index)
 from crossedcat import braided, groups, jsonio
 from crossedcat.center import CenterStructure, verify_center_braided
@@ -30,7 +30,7 @@ from crossedcat.matched import matched_pair, verify_matched_pair
 from crossedcat.pointed import verify_crossed_category
 from crossedcat.report import VerificationReport
 from fixture_builders import element_order
-from gauge import gauge, random_cochain
+from gauge import coboundary_shifted, gauge, random_cochain
 from reference_sweeps import (BraidingLaws, CategoryLaws, first, reported_crossed_category,
                               reference_is_hom_image, reference_matched_pair,
                               reference_validate_group)
@@ -251,61 +251,6 @@ def test_object_compat_certificate_needs_a_grading_homomorphism():
 
 # -- categories: the J and chi cocycle laws
 
-def _coboundary_shifted(cat, rng: random.Random):
-    """`cat` with J += d(alpha) and chi += d(beta), for random 1-cochains
-    alpha of Lambda and beta of G in the right modules of the cocycle
-    laws' closure proof (at pointed.axiom2_cocycle), both zero at the unit.  D(d(alpha)) = 0, so each
-    cocycle law reads the same sums as on `cat`, now over nonzero data; the
-    unit entries of J and chi do not move."""
-    L, G, M, a2, deg, act = cat.Lambda, cat.G, cat.M, cat.mp.act2, cat.grading, cat.action
-    Lt, Gt = L.table, G.table
-
-    def cochain(K, size):
-        return [[0] * size if k == K.identity else [rng.randrange(M) for _ in range(size)]
-                for k in K.elements()]
-
-    alpha, beta = cochain(L, G.order), cochain(G, L.order)
-    j = [[[(cat.jtable[g][x][y] + alpha[y][g] - alpha[Lt[x][y]][g] + alpha[x][a2[deg[y]][g]]) % M
-           for y in L.elements()] for x in L.elements()] for g in G.elements()]
-    chi = [[[(cat.chitable[g][h][x] + beta[h][x] - beta[Gt[g][h]][x] + beta[g][act[h][x]]) % M
-             for x in L.elements()] for h in G.elements()] for g in G.elements()]
-    return rebuilt(cat, jtable=j, chitable=chi, name=f"{cat.name}+d")
-
-
-def _moved(cat, table: str, count: int, rng: random.Random):
-    """`cat` with `count` distinct entries of its J or chi table moved by
-    nonzero deltas."""
-    field = "jtable" if table == "J" else "chitable"
-    t = getattr(cat, field)
-    cells = indices(t)
-    for index in rng.sample(cells, min(count, len(cells))):
-        t = moved(t, index, rng.randrange(1, cat.M), cat.M)
-    return rebuilt(cat, **{field: t}, name=f"{cat.name}:{table}x{count}")
-
-
-COCYCLE_LAWS = ("axiom2_j_cocycle", "chi_cocycle")
-
-
-@pytest.mark.parametrize("name", CATEGORY_FILES)
-def test_cocycle_certificates_on_coboundary_shifts(name):
-    """The certified J and chi cocycle sweeps against the full sweeps, on
-    coboundary shifts of every category fixture, which keep both laws, and
-    on single-entry mutants of the shifts, which break one."""
-    cat = jsonio.load_category(FIXTURE_DIR / name, validate=False)
-    rng = random.Random(f"coboundary:{name}")
-    before = {c.name: c.passed for c in verify_crossed_category(cat).checks}
-    for _ in range(2):
-        shifted = _coboundary_shifted(cat, rng)
-        rep = verify_crossed_category(shifted)
-        assert triples(rep) == triples(reported_crossed_category(shifted))
-        assert {c.name: c.passed for c in rep.checks if c.name in COCYCLE_LAWS} == \
-            {law: before[law] for law in COCYCLE_LAWS}
-        for _ in range(3):
-            mut = _moved(shifted, rng.choice(("J", "chi")), 1, rng)
-            assert triples(verify_crossed_category(mut)) == \
-                triples(reported_crossed_category(mut)), mut.name
-
-
 def test_cocycle_certificates_need_a_right_action():
     """With a grading that is no homomorphism, or an action that does not
     compose, a coboundary shift can keep a cocycle law at e and the
@@ -313,7 +258,7 @@ def test_cocycle_certificates_need_a_right_action():
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-s4-pair.json")
     L = cat.Lambda
     regraded = rebuilt(cat, grading=[*cat.grading[:5], 0])
-    shifted = _coboundary_shifted(regraded, random.Random(5))
+    shifted = coboundary_shifted(regraded, random.Random(5))
     law = CategoryLaws(shifted).axiom2_j_cocycle
     zs = [L.identity, *generators(L.table, L.identity)]
     assert not any(law(*w) for w in itertools.product(cat.G.elements(), L.elements(),
@@ -325,7 +270,7 @@ def test_cocycle_certificates_need_a_right_action():
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-turaev-s3.json")
     G, act = cat.G, list(cat.action)
     act[4] = [0, 3, 5, 2, 4, 1]  # 4 is no generator of G, and ^1(^2 1) != ^4 1
-    shifted = _coboundary_shifted(rebuilt(cat, action=act), random.Random(1144))
+    shifted = coboundary_shifted(rebuilt(cat, action=act), random.Random(1144))
     law = CategoryLaws(shifted).chi_cocycle
     assert not any(law(*w) for w in itertools.product(
         G.elements(), G.elements(), [G.identity, *generators(G.table, G.identity)],
@@ -360,22 +305,6 @@ def _noncomposing_equivariant_s3():
     return rebuilt(cat, action=action, name="equivariant-s3:c3")
 
 
-@pytest.mark.parametrize("name", CATEGORY_FILES)
-def test_axiom3_certificate_on_gauged_fixtures(name):
-    """Gauged fixtures keep every axiom; with one to three chi entries moved
-    they keep the J cocycle, so axiom 3 runs under its certificate, and
-    with one or two J entries moved they mostly break it, so it runs in
-    full.  Both must give the exhaustive report."""
-    cat = jsonio.load_category(FIXTURE_DIR / name)
-    rng = random.Random(f"gauged:{name}")
-    for table, counts in (("chi", (1, 2, 3)), ("J", (1, 2))):
-        for count in counts:
-            for _ in range(2):
-                mut = _moved(gauge(cat, random_cochain(cat, rng)), table, count, rng)
-                assert triples(verify_crossed_category(mut)) == \
-                    triples(reported_crossed_category(mut)), mut.name
-
-
 def test_axiom3_holds_on_a_product_closed_set():
     """The closure proof at axiom3_j_chi, as a property: on every input that
     passes its premises, the y at which axiom 3 holds for every (g, h, x)
@@ -386,8 +315,8 @@ def test_axiom3_holds_on_a_product_closed_set():
     checked = proper = 0
     for cat in [*bases, _noncomposing_equivariant_s3()]:
         for _ in range(30):
-            mut = _moved(gauge(cat, random_cochain(cat, rng)), rng.choice(("J", "chi", "chi")),
-                         rng.randint(1, 3), rng)
+            mut = entries_moved(gauge(cat, random_cochain(cat, rng)),
+                                rng.choice(("J", "chi", "chi")), rng.randint(1, 3), rng)
             rep = verify_crossed_category(mut)
             if not all(c.passed for c in rep.checks if c.name in AXIOM3_PREMISES):
                 continue
@@ -404,7 +333,7 @@ def test_axiom3_certificate_needs_a_j_cocycle():
     generators and fail elsewhere, so the gate sweeps in full."""
     cat = jsonio.load_category(FIXTURE_DIR / "cat-vec-s4-pair.json")
     rng = random.Random(11)
-    mut = _moved(gauge(cat, random_cochain(cat, rng)), "J", 1, rng)
+    mut = entries_moved(gauge(cat, random_cochain(cat, rng)), "J", 1, rng)
     L = mut.Lambda
     good = axiom3_holds_at(mut)
     assert {L.identity, *generators(L.table, L.identity)} <= good == {0, 1, 2, 3, 4}
@@ -423,7 +352,7 @@ def test_axiom3_certificate_with_an_action_that_does_not_compose():
     rng = random.Random("noncomposing")
     for count in (0, 1, 2, 3):
         for _ in range(3):
-            mut = _moved(gauge(cat, random_cochain(cat, rng)), "chi", count, rng)
+            mut = entries_moved(gauge(cat, random_cochain(cat, rng)), "chi", count, rng)
             rep = verify_crossed_category(mut)
             assert triples(rep) == triples(reported_crossed_category(mut)), mut.name
             passed = {c.name: c.passed for c in rep.checks}

@@ -16,6 +16,7 @@ that fails.
 
 from __future__ import annotations
 
+import ast
 import errno
 import json
 import os
@@ -26,8 +27,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
-from conftest import (FIXTURE_DIR, action_mutant, cli, fixture_with, python, random_perms,
-                      relabeled, z8_over_trivial_groups)
+from conftest import (FIXTURE_DIR, PERFBENCH_MODULES, ROOT, action_mutant, cli, fixture_with,
+                      python, random_perms, relabeled, z8_over_trivial_groups)
 from crossedcat import errors, jsonio
 from crossedcat.center import CenterStructure, verify_center_braided
 from crossedcat.cli import COMMANDS as CLI_COMMANDS, parse_args
@@ -156,7 +157,9 @@ def assert_contract(command: tuple[str, ...], data: bytes) -> None:
 
 # an explicit seed and no example database, as in test_certificates.py: the
 # drawn inputs stay the same from run to run and across edits of the test,
-# for one tree of src/, whose literal constants Hypothesis draws too
+# for one tree of src/ and perfbench/, whose literal constants Hypothesis
+# draws too (tests/conftest.py imports every module of both that any test
+# imports when pytest collects it)
 @seed(1)
 @settings(max_examples=300, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -164,6 +167,18 @@ def assert_contract(command: tuple[str, ...], data: bytes) -> None:
 def test_every_json_input_keeps_the_exit_code_contract(case):
     command, obj = case
     assert_contract(command, json.dumps(obj).encode())
+
+
+def test_conftest_imports_the_benchmark_modules_pytest_collects():
+    """conftest imports exactly the benchmark modules that test_perfbench.py
+    imports at its top, so that no seeded test draws other examples when
+    pytest also collects perfbench/tests."""
+    tree = ast.parse((ROOT / "perfbench" / "tests" / "test_perfbench.py").read_text())
+    names = {node.module if isinstance(node, ast.ImportFrom) else alias.name
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names}
+    assert {n for n in names if (ROOT / "perfbench" / f"{n}.py").is_file()} == \
+        set(PERFBENCH_MODULES)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)

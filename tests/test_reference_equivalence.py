@@ -1,30 +1,34 @@
 """The dense-table verification core against the per-element sweeps it
 replaced (tests/reference_sweeps.py).
 
-Category, matched-pair and braided-pair reports must agree check by check
-on (name, pass, witness), so the table loops keep every first witness; this
-is exercised on failing inputs too, where witnesses are nontrivial.  The
-constructions (twisted product, induced pair, induced braiding) must build
-the same tables.  Center reports on corrupted simple lists must agree on
-pass/fail for each check.
+SOURCES lists where the records come from: fixtures, constructions, seeded
+mutants, corrupted simple lists and relabelings.  On every record the
+package's report and the reference's agree check by check on (name, pass,
+witness), so the table loops keep every first witness, on failing inputs
+too, where witnesses are nontrivial.  The constructions (twisted product,
+induced pair, induced braiding, the center viewed as a category) must
+build the same records.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Callable, Iterable, NamedTuple
 
 import pytest
 
-from conftest import (FIXTURE_DIR, action_mutant, category, entry_mutants, mutation_pool, pair,
-                      randomly_moved, rebuilt, table_mutants, triples, unit_index)
+from conftest import (FIXTURE_DIR, action_mutant, category, center_table_mutants,
+                      corrupted_simples, duplicated_simple, entries_moved, entry_mutants,
+                      mutation_pool, pair, random_perms, rebuilt, relabeled, table_mutants,
+                      triples, unit_index)
 from crossedcat import jsonio, matched
 from crossedcat.braided import BraidedMatchedPair, center_braiding, verify_braiding
 from crossedcat.center import CenterSimple, CenterStructure, enumerate_center, verify_center_braided
-from crossedcat.matched import verify_matched_pair, zappa_szep
-from crossedcat.pointed import verify_crossed_category
-from fixture_builders import CENTER_FIXTURES, MATCHED_PAIRS
-from gauge import gauge
+from crossedcat.matched import MatchedPair, verify_matched_pair, zappa_szep
+from crossedcat.pointed import PointedCrossedCategory, vec_gamma, verify_crossed_category
+from fixture_builders import CATEGORIES, CENTER_FIXTURES, MATCHED_PAIRS
+from gauge import coboundary_shifted, gauge, random_cochain
 from reference_sweeps import (BraidingLaws, CategoryLaws, PairLaws, ReferenceCenter,
                               ReferenceSwapLaws, reference_center_braided,
                               reference_center_braiding, reference_crossed_category,
@@ -36,60 +40,207 @@ CENTER_FILES = [n for n in CATEGORY_FILES if n != "cat-nonsurjective.json"]
 PAIR_FILES = sorted(p.name for p in FIXTURE_DIR.glob("*.json")
                     if not p.name.startswith(("cat-", "group-")))
 BRAIDED_FILES = [n for n in PAIR_FILES if n.endswith(("-braided.json", "-center.json"))]
+# the two 24-simple centers take seconds per reference run; their category
+# part is compared as a row of centers viewed as categories
+SMALL_CENTERS = [n for n in CENTER_FIXTURES if n not in ("vec-s4-pair", "z6-over-z3")]
+# zero data passes the scalar checks unread, so each single-entry mutant of
+# these, which gives their zero tables one live entry, must keep every witness
+ZERO_FIXTURES = ("cat-vec-turaev-s3.json", "cat-vec-s4-pair.json")
+# mutants drawn from each center viewed as a category
+CENTER_TABLE_MUTANTS = {"vec-turaev-s3": 2, "vec-s4-pair": 18}
 
 
-def verdicts(rep) -> list[tuple]:
-    return [(c.name, c.passed) for c in rep.checks]
+def fixture(name: str, **kwargs):
+    """fixtures/<name>, loaded as the category, braided pair or matched pair it holds."""
+    load = (jsonio.load_category if name.startswith("cat-") else
+            jsonio.load_braided if name in BRAIDED_FILES else jsonio.load_matched)
+    return load(FIXTURE_DIR / name, **kwargs)
 
 
-def assert_same_category_report(cat) -> None:
-    assert triples(verify_crossed_category(cat)) == triples(reported_crossed_category(cat)), \
-        cat.name
-
-
-def assert_same_pair_reports(bmp: BraidedMatchedPair) -> None:
-    assert triples(verify_matched_pair(bmp.mp)) == triples(reference_matched_pair(bmp.mp))
-    assert triples(verify_braiding(bmp)) == triples(reported_braiding(bmp))
-
-
-@pytest.mark.parametrize("name", PAIR_FILES)
-def test_pair_fixtures(name):
-    if name in BRAIDED_FILES:
-        assert_same_pair_reports(jsonio.load_braided(FIXTURE_DIR / name))
-    else:
-        mp = jsonio.load_matched(FIXTURE_DIR / name)
-        assert triples(verify_matched_pair(mp)) == triples(reference_matched_pair(mp))
-
-
-@pytest.mark.parametrize("name", list(MATCHED_PAIRS))
-def test_induced_pairs(name):
-    mp = pair(name)
-    assert zappa_szep(mp) == reference_zappa_szep(mp)
-    bmp = center_braiding(mp)
-    assert bmp == reference_center_braiding(mp)
-    assert_same_pair_reports(bmp)
-
-
-@pytest.mark.parametrize("name", ["turaev-s3", "s4-z4-s3"])
-def test_induced_pair_action_mutants(name):
+def induced_action_mutants(name: str):
     bmp, rng = center_braiding(pair(name)), random.Random(f"induced:{name}")
-    for _, _, mut in (action_mutant(bmp.mp, rng) for _ in range(20)):
-        assert not verify_matched_pair(mut).passed
-        assert_same_pair_reports(rebuilt(bmp, mp=mut))
+    for _ in range(20):
+        yield rebuilt(bmp, mp=action_mutant(bmp.mp, rng)[2])
 
 
-@pytest.mark.parametrize("name", BRAIDED_FILES)
-def test_braided_entry_mutants(name):
+def braided_entry_mutants(name: str):
     """Every braided pair one table entry away from a braided-pair fixture,
     in phi, psi, act1 or act2: the mutants small-inputs draws from."""
-    bmp = jsonio.load_braided(FIXTURE_DIR / name)
+    bmp = fixture(name)
     mp, G, M = bmp.mp, bmp.mp.G, bmp.mp.Gamma
-    mutants = [*(rebuilt(bmp, phi=phi) for (phi,) in table_mutants([bmp.phi], G.order)),
-               *(rebuilt(bmp, psi=psi) for (psi,) in table_mutants([bmp.psi], G.order)),
-               *(rebuilt(bmp, mp=rebuilt(mp, act1=a1)) for a1 in table_mutants(mp.act1, M.order)),
-               *(rebuilt(bmp, mp=rebuilt(mp, act2=a2)) for a2 in table_mutants(mp.act2, G.order))]
-    for mut in mutants:
-        assert triples(verify_braiding(mut)) == triples(reported_braiding(mut))
+    yield from (rebuilt(bmp, phi=phi) for (phi,) in table_mutants([bmp.phi], G.order))
+    yield from (rebuilt(bmp, psi=psi) for (psi,) in table_mutants([bmp.psi], G.order))
+    yield from (rebuilt(bmp, mp=rebuilt(mp, act1=a1)) for a1 in table_mutants(mp.act1, M.order))
+    yield from (rebuilt(bmp, mp=rebuilt(mp, act2=a2)) for a2 in table_mutants(mp.act2, G.order))
+
+
+def coboundary_shifts(name: str):
+    """(shift, three single-entry mutants of it), twice per category fixture.
+    A shift keeps both cocycle laws, and a mutant of it breaks one, so the
+    certified J and chi cocycle sweeps meet passing and failing nonzero
+    data."""
+    cat, rng = fixture(name, validate=False), random.Random(f"coboundary:{name}")
+    for _ in range(2):
+        shifted = coboundary_shifted(cat, rng)
+        yield shifted, [entries_moved(shifted, rng.choice(("J", "chi")), 1, rng)
+                        for _ in range(3)]
+
+
+def gauged_fixture_mutants(name: str):
+    """Gauged fixtures with one to three chi entries moved, which keep the J
+    cocycle, so axiom 3 runs under its certificate, and with one or two J
+    entries moved, which mostly break it, so axiom 3 runs in full."""
+    cat, rng = fixture(name), random.Random(f"gauged:{name}")
+    for table, count in [("chi", 1), ("chi", 2), ("chi", 3), ("J", 1), ("J", 2)]:
+        for _ in range(2):
+            yield entries_moved(gauge(cat, random_cochain(cat, rng)), table, count, rng)
+
+
+def corrupted_simple_lists(name: str):
+    """A changed exponent, a repeated simple or an empty list: each leaves
+    the oracle's list."""
+    cat, rng = category(name), random.Random(f"simples:{name}")
+    for simples in [*corrupted_simples(cat, 3, rng), *duplicated_simple(cat, rng), []]:
+        yield cat, simples
+
+
+def unit_exponent_moved(name: str):
+    """A Vec center's simple list with one simple's unit exponent moved, once
+    per simple, and then without the unit.  A moved unit exponent makes the
+    center's data nonzero, so no check is skipped, the three scalar sweeps
+    included."""
+    cat = category(name)
+    simples = enumerate_center(cat)
+    unit_pos = cat.neutral_labels.index(cat.Lambda.identity)
+    for k, z in enumerate(simples):
+        chi = list(z.chi)
+        chi[unit_pos] = (chi[unit_pos] + 1) % cat.M
+        yield cat, simples[:k] + [CenterSimple(z.g, z.label, tuple(chi))] + simples[k + 1:]
+    unit = unit_index(CenterStructure(cat))
+    yield cat, simples[:unit] + simples[unit + 1:]
+
+
+def relabeled_categories(name: str):
+    """A category builder relabeled four times, drawn as tests/test_relabeled.py
+    draws it: the identities sit off index 0, where no fixture has one."""
+    cat, rng = category(name), random.Random(f"relabel:{name}")
+    return [relabeled(cat, random_perms(cat, rng)) for _ in range(4)]
+
+
+def relabeled_pairs(name: str):
+    """A pair builder relabeled four times, each with its induced braided
+    pair and Vec over it, drawn as tests/test_relabeled.py draws them."""
+    mp, rng = pair(name), random.Random(f"relabel:{name}")
+    for _ in range(4):
+        pG, pS = random_perms(mp, rng)
+        moved = relabeled(mp, (pG, pS))
+        yield from (moved, center_braiding(moved), relabeled(vec_gamma(mp, 2), (pG, pS, pS)))
+
+
+def relabeled_mutants(_):
+    """test_relabeled.py's sample of the pool's pair and category mutants,
+    each relabeled twice."""
+    rng = random.Random("relabel:mutants")
+    drawn = [entry for entry in mutation_pool() if entry[1] in ("pair", "category")]
+    for _, _, mutant in rng.sample(drawn, 24):
+        yield from (relabeled(mutant, random_perms(mutant, rng)) for _ in range(2))
+
+
+class Source(NamedTuple):
+    """Records, each a matched pair, a braided pair, a category, or a
+    category and a simple list (None for its enumeration) for its center,
+    built per key.  On each, the package's report and the reference's give
+    the same triples, and `holds` is true of the package's; `counts` is
+    (records, failing) per key, or one pair for every key."""
+    id: str
+    keys: Iterable[str]
+    records: Callable[[str], Iterable]
+    counts: tuple[int, int] | dict[str, tuple[int, int]]
+    holds: Callable = lambda rep: True
+
+
+SOURCES = [
+    Source("pair-fixtures", PAIR_FILES, lambda n: [fixture(n)], (1, 0)),
+    Source("induced-pairs", MATCHED_PAIRS, lambda n: [center_braiding(pair(n))], (1, 0)),
+    Source("induced-pair-action-mutants", ("turaev-s3", "s4-z4-s3"), induced_action_mutants,
+           (20, 20), holds=lambda rep: rep.first_failure().name == "underlying_matched_pair"),
+    # a trivial pair's tables have no entry to move
+    Source("braided-entry-mutants", BRAIDED_FILES, braided_entry_mutants,
+           {"d4-z4-z2-center.json": (1008, 1008), "s3-factorized-center.json": (420, 420),
+            "trivial-pair-center.json": (0, 0), "turaev-d4-braided.json": (1008, 1008),
+            "turaev-s3-braided.json": (420, 420), "turaev-z2-braided.json": (12, 10),
+            "z2-z3-inversion-center.json": (420, 420)}),
+    Source("mutation-pool", ("pair", "braided", "category", "center"),
+           lambda kind: [m for _, k, m in mutation_pool() if k == kind],
+           {"pair": (16, 16), "braided": (6, 6), "category": (16, 16), "center": (6, 6)}),
+    Source("category-fixtures", CATEGORY_FILES, lambda n: [fixture(n, validate=False)], (1, 0)),
+    Source("centers-as-categories", CENTER_FILES,
+           lambda n: [CenterStructure(fixture(n)).as_category()], (1, 0)),
+    Source("single-entry-mutants", ZERO_FIXTURES, lambda n: entry_mutants(fixture(n)),
+           {"cat-vec-turaev-s3.json": (444, 444), "cat-vec-s4-pair.json": (250, 250)}),
+    Source("center-table-mutants", CENTER_TABLE_MUTANTS,
+           lambda n: center_table_mutants(n, CENTER_TABLE_MUTANTS[n],
+                                          random.Random(f"mutants:{n}")),
+           {n: (count, count) for n, count in CENTER_TABLE_MUTANTS.items()}),
+    # the failing shifts per fixture, in CATEGORY_FILES order
+    Source("coboundary-shifts", CATEGORY_FILES, lambda n: [s for s, _ in coboundary_shifts(n)],
+           {n: (2, failing) for n, failing in zip(CATEGORY_FILES,
+                                                  [1, 1, 2, 1, 0, 2, 0, 2, 0, 2, 1, 2, 2, 2])},
+           holds=lambda rep: all(c.passed for c in rep.checks
+                                 if c.name in ("axiom2_j_cocycle", "chi_cocycle"))),
+    Source("coboundary-shift-mutants", CATEGORY_FILES,
+           lambda n: [m for _, ms in coboundary_shifts(n) for m in ms], (6, 6)),
+    Source("gauged-fixture-mutants", CATEGORY_FILES, gauged_fixture_mutants, (10, 10)),
+    Source("center-fixtures", SMALL_CENTERS, lambda n: [(category(n), None)], (1, 0)),
+    # no later check is ever the first to see a list the oracle does not give,
+    # and a one-simple center has no list with a repeated simple
+    Source("corrupted-simple-lists", SMALL_CENTERS, corrupted_simple_lists,
+           {n: (4, 4) if n == "vec-trivial" else (5, 5) for n in SMALL_CENTERS},
+           holds=lambda rep: rep.first_failure().name == "oracle_equivalence"),
+    Source("unit-exponent-moved", ("vec-z2z3",), unit_exponent_moved, (7, 7)),
+    Source("relabeled-categories", CATEGORIES, relabeled_categories, (4, 0)),
+    Source("relabeled-pairs", MATCHED_PAIRS, relabeled_pairs, (12, 0)),
+    Source("relabeled-mutants", ("pool",), relabeled_mutants, (48, 48)),
+]
+
+# the package's verifier and its reference, per type of record
+VERIFIERS = {
+    MatchedPair: (verify_matched_pair, reference_matched_pair),
+    BraidedMatchedPair: (verify_braiding, reported_braiding),
+    PointedCrossedCategory: (verify_crossed_category, reported_crossed_category),
+    tuple: (lambda rec: verify_center_braided(*rec), lambda rec: reference_center_braided(*rec)),
+}
+
+
+@pytest.mark.parametrize("source, key", [pytest.param(source, key, id=f"{source.id}-{key}")
+                                         for source in SOURCES for key in source.keys])
+def test_source_gives_the_references_reports(source, key):
+    records = failing = 0
+    for record in source.records(key):
+        if isinstance(record, BraidedMatchedPair):
+            # its report names only the first witness of the underlying pair,
+            # so the pair's own report is compared too
+            assert triples(verify_matched_pair(record.mp)) == \
+                triples(reference_matched_pair(record.mp)), records
+        verify, reference = VERIFIERS[type(record)]
+        rep = verify(record)
+        assert triples(rep) == triples(reference(record)), records
+        assert source.holds(rep), records
+        records += 1
+        failing += not rep.passed
+    counts = source.counts[key] if isinstance(source.counts, dict) else source.counts
+    assert (records, failing) == counts
+
+
+def test_constructions_give_the_references_records():
+    """The twisted product, the induced pair and its braiding of every pair
+    builder, and every center fixture viewed as a category."""
+    for name in MATCHED_PAIRS:
+        mp = pair(name)
+        assert zappa_szep(mp) == reference_zappa_szep(mp), name
+        assert center_braiding(mp) == reference_center_braiding(mp), name
+    for cat in map(fixture, CENTER_FILES):
+        assert CenterStructure(cat).as_category() == ReferenceCenter(cat).as_category(), cat.name
 
 
 def test_one_matching_sweep_per_pair(monkeypatch):
@@ -166,39 +317,6 @@ def test_one_reference_sweep_per_pair(monkeypatch):
     assert len(swept) == 6 and swept[-1] == cat.mp
 
 
-def test_criterion_9_pair_mutants():
-    mutants = [(name, kind, m) for name, kind, m in mutation_pool()
-               if kind in ("pair", "braided")]
-    assert len(mutants) >= 20
-    for name, kind, m in mutants:
-        if kind == "pair":
-            assert triples(verify_matched_pair(m)) == triples(reference_matched_pair(m)), name
-        else:
-            assert triples(verify_braiding(m)) == triples(reported_braiding(m)), name
-
-
-@pytest.mark.parametrize("name", CATEGORY_FILES)
-def test_category_fixtures(name):
-    assert_same_category_report(jsonio.load_category(FIXTURE_DIR / name, validate=False))
-
-
-@pytest.mark.parametrize("name", CENTER_FILES)
-def test_center_viewed_as_category(name):
-    cat = jsonio.load_category(FIXTURE_DIR / name)
-    zcat = CenterStructure(cat).as_category()
-    ref = ReferenceCenter(cat).as_category()
-    assert zcat == ref
-    assert_same_category_report(zcat)
-
-
-def test_criterion_9_category_mutants():
-    mutants = [(name, m) for name, kind, m in mutation_pool() if kind == "category"]
-    assert len(mutants) >= 15
-    for name, cat in mutants:
-        assert triples(verify_crossed_category(cat)) == \
-            triples(reported_crossed_category(cat)), name
-
-
 def dense_zero(cat) -> bool:
     """PointedCrossedCategory.zero, by a scan of every entry."""
     return not any(v for table in (cat.jtable, cat.chitable) for plane in table
@@ -206,28 +324,13 @@ def dense_zero(cat) -> bool:
         and not any(cat.phitable) and not any(cat.iotatable)
 
 
-# zero data passes the scalar checks unread, so each mutant, which gives the
-# zero tables of a Vec fixture one live entry, must clear the flag and keep
-# every witness
-@pytest.mark.parametrize("name,entries", [("cat-vec-turaev-s3.json", 444),
-                                          ("cat-vec-s4-pair.json", 250)])
-def test_single_entry_mutants(name, entries):
-    cat = jsonio.load_category(FIXTURE_DIR / name)
-    assert cat.zero
-    seen = 0
-    for mut in entry_mutants(cat):
-        assert not mut.zero and not dense_zero(mut)
-        assert triples(verify_crossed_category(mut)) == triples(reported_crossed_category(mut))
-        seen += 1
-    assert seen == entries * (cat.M - 1)
-
-
 def test_zero_flag_is_a_dense_scan():
     """The flag scans each distinct plane once; on every category fixture and
-    every center viewed as a category it equals a scan of every entry."""
+    every center viewed as a category it equals a scan of every entry, and
+    no single-entry mutant of a zero fixture keeps it."""
     zero = []
     for name in CATEGORY_FILES:
-        cat = jsonio.load_category(FIXTURE_DIR / name, validate=False)
+        cat = fixture(name, validate=False)
         assert cat.zero == dense_zero(cat), name
         if cat.zero:
             zero.append(name)
@@ -245,79 +348,13 @@ def test_zero_flag_is_a_dense_scan():
         ["vec-trivial", "vec-z2-gtrivial", "vec-z3-gtrivial", "vec-z2z3", "vec-s4-pair",
          "equivariant-z2"]
     assert [n for n, flags in centers.items() if flags == (False, True)] == ["equivariant-s3"]
-
-
-def _table_mutants(name: str, count: int, rng: random.Random):
-    """Single-entry mutants of the J, chi and action tables of a center category."""
-    zcat = CenterStructure(jsonio.load_category(FIXTURE_DIR / f"cat-{name}.json")).as_category()
-    tables = {"J": ("jtable", zcat.M), "chi": ("chitable", zcat.M),
-              "action": ("action", zcat.Lambda.order)}
-    for _ in range(count):
-        kind = rng.choice(list(tables))
-        field, size = tables[kind]
-        _, table = randomly_moved(getattr(zcat, field), size, rng)
-        yield rebuilt(zcat, **{field: table}, name=f"{zcat.name}:{kind}")
-
-
-@pytest.mark.parametrize("name,count", [("vec-turaev-s3", 2), ("vec-s4-pair", 18)])
-def test_center_category_table_mutants(name, count):
-    failing = 0
-    for mut in _table_mutants(name, count, random.Random(f"mutants:{name}")):
-        rep = verify_crossed_category(mut)
-        assert triples(rep) == triples(reported_crossed_category(mut)), mut.name
-        failing += not rep.passed
-    assert failing == count
-
-
-def _corrupted_simples(cat, count: int, rng: random.Random):
-    """Simple lists with one half-braiding exponent changed to a value that
-    makes a triple no simple of the list has, so each list lacks one simple
-    and holds one triple that is not a simple."""
-    simples = enumerate_center(cat)
-    present = set(simples)
-    while count:
-        idx = rng.randrange(len(simples))
-        z = simples[idx]
-        pos = rng.randrange(len(z.chi))
-        changed = []
-        for delta in range(1, cat.M):
-            chi = list(z.chi)
-            chi[pos] = (chi[pos] + delta) % cat.M
-            changed.append(CenterSimple(z.g, z.label, tuple(chi)))
-        changed = [w for w in changed if w not in present]
-        if changed:
-            mutated = list(simples)
-            mutated[idx] = rng.choice(changed)
-            count -= 1
-            yield mutated
-
-
-def _duplicated_simple(cat, rng: random.Random) -> list:
-    """The simple list with one simple in place of another, so that it holds
-    that simple twice and lacks the other; [] for a one-simple center."""
-    simples = enumerate_center(cat)
-    if len(simples) < 2:
-        return []
-    i, j = rng.sample(range(len(simples)), 2)
-    mutated = list(simples)
-    mutated[i] = simples[j]
-    return [mutated]
-
-
-# the two 24-simple centers take seconds per reference run; their category
-# part is compared in test_center_viewed_as_category
-@pytest.mark.parametrize("name", [n for n in CENTER_FIXTURES
-                                  if n not in ("vec-s4-pair", "z6-over-z3")])
-def test_center_reports(name):
-    cat = category(name)
-    assert triples(verify_center_braided(cat)) == triples(reference_center_braided(cat))
-    rng = random.Random(f"simples:{name}")
-    for mutated in [*_corrupted_simples(cat, 3, rng), *_duplicated_simple(cat, rng), []]:
-        rep = verify_center_braided(cat, simples=mutated)
-        # a changed exponent, a repeated simple or an empty list leaves the
-        # oracle's list, so no later check is ever the first to see it
-        assert rep.first_failure().name == "oracle_equivalence"
-        assert verdicts(rep) == verdicts(reference_center_braided(cat, simples=mutated))
+    # one live entry in the zero tables of a Vec fixture clears the flag
+    for cat in map(fixture, ZERO_FIXTURES):
+        assert cat.zero
+        assert not any(mut.zero or dense_zero(mut) for mut in entry_mutants(cat)), cat.name
+    # and so does one moved unit exponent in a Vec center's simple list
+    assert not any(CenterStructure(cat, simples=simples).zero
+                   for cat, simples in list(unit_exponent_moved("vec-z2z3"))[:-1])
 
 
 @pytest.mark.parametrize("name", ["z4-over-z2", "z6-over-z3"])
@@ -378,7 +415,7 @@ def test_unit_actions_on_points(name):
     the later copy, so points are compared as values."""
     cat = category(name)
     rng = random.Random(f"simples:{name}")
-    lists = [None, *_corrupted_simples(cat, 3, rng), *_duplicated_simple(cat, rng)]
+    lists = [None, *corrupted_simples(cat, 3, rng), *duplicated_simple(cat, rng)]
     for simples in lists:
         Z = CenterStructure(cat, simples=simples)
         P, shifts = Z.points, {}
@@ -387,28 +424,6 @@ def test_unit_actions_on_points(name):
             shift = tuple((a - b) % cat.M for a, b in zip(P[p].chi, z.chi))
             assert shifts.setdefault((z.g, z.label), shift) == shift
         assert [P[p] for p in Z.gamma_action_table[cat.Gamma.identity]] == list(P)
-
-
-def test_nonzero_unit_exponent_runs_every_sweep_as_the_reference_does():
-    """A simple of a Vec fixture whose unit exponent is moved makes the
-    center's data nonzero, so no check is skipped: every check of the
-    report, the three scalar sweeps included, gives the reference's
-    verdict and witness."""
-    cat = category("vec-z2z3")
-    simples = enumerate_center(cat)
-    unit_pos = cat.neutral_labels.index(cat.Lambda.identity)
-    for k, z in enumerate(simples):
-        chi = list(z.chi)
-        chi[unit_pos] = (chi[unit_pos] + 1) % cat.M
-        mutated = simples[:k] + [CenterSimple(z.g, z.label, tuple(chi))] + simples[k + 1:]
-        assert not CenterStructure(cat, simples=mutated).zero
-        assert triples(verify_center_braided(cat, simples=mutated)) == \
-            triples(reference_center_braided(cat, simples=mutated)), k
-    # so is the report on a list without the unit
-    unit = unit_index(CenterStructure(cat))
-    mutated = simples[:unit] + simples[unit + 1:]
-    assert triples(verify_center_braided(cat, simples=mutated)) == \
-        triples(reference_center_braided(cat, simples=mutated))
 
 
 @pytest.mark.parametrize("name", [n for n in CENTER_FIXTURES if n.startswith("vec-")])
@@ -424,14 +439,6 @@ def test_zero_data_builds_no_scalar_table(name, monkeypatch):
     for table in ("sigma_table", "j_gamma_table", "chi_gamma_table", "braid_table"):
         monkeypatch.setattr(CenterStructure, table, property(unread))
     assert verify_center_braided(cat).passed
-
-
-def test_criterion_9_center_mutants():
-    mutants = [(name, m) for name, kind, m in mutation_pool() if kind == "center"]
-    assert mutants
-    for name, (cat, simples) in mutants:
-        assert verdicts(verify_center_braided(cat, simples=simples)) == \
-            verdicts(reference_center_braided(cat, simples=simples)), name
 
 
 # -- the swap scalars' laws, which center_category_axioms restates
@@ -509,8 +516,7 @@ def test_sigma_mutants_fail_center_category_axioms(name):
     assert nonzero or cat.G.order == 1 or cat.Gamma.order == 1
 
 
-@pytest.mark.parametrize("name", [n for n in CENTER_FIXTURES
-                                  if n not in ("vec-s4-pair", "z6-over-z3")])
+@pytest.mark.parametrize("name", SMALL_CENTERS)
 def test_corrupted_simples_failing_swap_laws_fail_center_category_axioms(name):
     """Changed exponents, dropped simples and a repeated simple: some fail
     a swap law, and each of those fails center_category_axioms too."""
@@ -519,8 +525,8 @@ def test_corrupted_simples_failing_swap_laws_fail_center_category_axioms(name):
     rng = random.Random(f"swap-simples:{name}")
     dropped = [simples[:k] + simples[k + 1:] for k in rng.sample(range(len(simples)),
                                                                  min(2, len(simples)))]
-    failing = [m for m in [*_corrupted_simples(cat, 2, rng), *dropped,
-                           *_duplicated_simple(cat, rng)]
+    failing = [m for m in [*corrupted_simples(cat, 2, rng), *dropped,
+                           *duplicated_simple(cat, rng)]
                if not reference_swap_laws(cat, m).passed]
     assert failing
     assert not any(_center_axioms_pass(cat, m) for m in failing)
